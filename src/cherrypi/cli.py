@@ -18,7 +18,7 @@ from .multiparty import (m_check_rollback_safety, m_explore,
 from .parser import ParseError, parse_program, parse_type
 from .runtime import (DecisionOracle, ExploreError, OracleExhausted, explore,
                       replay, simulate)
-from .semantics import (BudgetExceeded, check_compliance,
+from .semantics import (BudgetExceeded, InvalidBudget, check_compliance,
                         check_rollback_safety, compliance_dot)
 from .sessiontypes import render_type
 from .syntax import MalformedTerm
@@ -285,7 +285,8 @@ def main(argv: list | None = None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TypingError, OracleExhausted, ExploreError, MalformedTerm) as e:
+    except (TypingError, OracleExhausted, ExploreError, MalformedTerm,
+            InvalidBudget) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as e:

@@ -19,12 +19,12 @@ from .syntax import (Abort, Accept, Branch, CheckpointProcess, Collaboration,
                      Select, Send, Session, par, par_parts, substitute,
                      MalformedTerm)
 from .syntax import ChanVar, process_canonical
-from .sessiontypes import (SessionTypeT, TErr, canonical_type, erase_roles,
-                           fill_roles, render_type)
+from .sessiontypes import (SessionTypeT, TErr, erase_roles, fill_roles,
+                           render_type, type_key)
 from .infer import TypingError, type_of_process
 from .semantics import (BudgetExceeded, CheckpointType, Edge,
                         TransitionSystem, current_budget, type_transitions,
-                        _is_end)
+                        _ckpt_differs, _is_end)
 from .runtime import (Candidate, DecisionOracle, ExplorationReport,
                       StepRecord, Trace, _fresh_session, _guard_candidates,
                       _may_recover, _rebuild, _show_value, classify_state,
@@ -160,18 +160,15 @@ def m_initial_configuration(types: tuple) -> MTypeConfiguration:
                               tuple(types), tuple(types), len(types))
 
 
-def m_config_key(cfg: MTypeConfiguration) -> str:
-    parts = [str(cfg.n)]
-    for i in range(cfg.n):
-        ck = cfg.ckpts[i]
-        parts.append(("i" if ck.imposed else "o") + canonical_type(ck.typ))
-        parts.append(canonical_type(cfg.currents[i]))
-    parts.extend(canonical_type(t) for t in cfg.inits)
-    return "||".join(parts)
-
-
-def _m_ckpt_differs(ck: CheckpointType, current: SessionTypeT) -> bool:
-    return ck.imposed or canonical_type(ck.typ) != canonical_type(current)
+def m_config_key(cfg: MTypeConfiguration) -> tuple:
+    """Identity of an n-party configuration within one run: per position
+    the imposed flag and the `type_key`s of checkpoint and current.  The
+    initial types and `n` are left out because they are fixed along a run;
+    the key is meaningful only while the configuration's types are alive."""
+    key: list = []
+    for ck, cur in zip(cfg.ckpts, cfg.currents):
+        key += (ck.imposed, type_key(ck.typ), type_key(cur))
+    return tuple(key)
 
 
 def m_config_transitions(cfg: MTypeConfiguration) -> list:
@@ -230,7 +227,7 @@ def m_config_transitions(cfg: MTypeConfiguration) -> list:
                     for h in range(n):
                         if h == i:
                             continue
-                        if _m_ckpt_differs(cks[h], cur[h]):
+                        if _ckpt_differs(cks[h], cur[h]):
                             ncks[h] = CheckpointType(cur[h], imposed=True)
                             any_diff = True
                     rule = "M-TS-Cmt1" if any_diff else "M-TS-Cmt2"
@@ -264,6 +261,7 @@ def m_reachable_system(types: tuple, budget: int | None = None) \
     parents: list = [None]
     edges: list = []
     frontier = [0]
+    depth = 0
     while frontier:
         nxt: list = []
         for sid in frontier:
@@ -273,7 +271,9 @@ def m_reachable_system(types: tuple, budget: int | None = None) \
                 tid = index.get(key)
                 if tid is None:
                     if len(states) >= limit:
-                        raise BudgetExceeded(limit)
+                        raise BudgetExceeded(limit, states=len(states),
+                                             depth=depth,
+                                             frontier=len(frontier))
                     tid = len(states)
                     index[key] = tid
                     states.append(succ)
@@ -284,6 +284,7 @@ def m_reachable_system(types: tuple, budget: int | None = None) \
                 if parents[tid] is None and tid != 0:
                     parents[tid] = (sid, edge)
         frontier = nxt
+        depth += 1
     return TransitionSystem(states, edges, parents)
 
 

@@ -22,12 +22,12 @@ from .syntax import (Abort, Accept, AIn, AOut, ASel, ABrn, ACmt, ARoll, AAbt,
                      Roll, RollError, Select, Send, Session, Ufun, Var,
                      canonicalize, head_normal, par, par_parts,
                      process_canonical, substitute)
-from .sessiontypes import TErr, TPlus, canonical_type
+from .sessiontypes import TErr, TPlus, canonical_type, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
 from .infer import TypingError, infer_collaboration, type_of_process
 from .semantics import (BudgetExceeded, CheckpointType, TypeConfiguration,
-                        current_budget, initial_configuration,
+                        _ckpt_differs, current_budget, initial_configuration,
                         type_transitions)
 
 
@@ -727,7 +727,8 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
                 tid = index.get(key)
                 if tid is None:
                     if len(states) >= limit:
-                        raise BudgetExceeded(limit)
+                        raise BudgetExceeded(limit, states=len(states),
+                                             depth=d, frontier=len(frontier))
                     tid = len(states)
                     index[key] = tid
                     states.append(c.successor)
@@ -868,8 +869,7 @@ def _step_type_config(cfg: TypeConfiguration, step: StepRecord,
             return cfg
         cur[i] = got[1]
         cks[i] = CheckpointType(got[1])
-        differs = cks[j].imposed or \
-            canonical_type(cks[j].typ) != canonical_type(cfg.currents[j])
+        differs = _ckpt_differs(cks[j], cfg.currents[j])
         if differs:
             cks[j] = CheckpointType(cfg.currents[j], imposed=True)
         if rule == "E-Cmt1" and not differs:
@@ -929,7 +929,7 @@ def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
         body = par_parts(ses_state.body)
         if any(isinstance(b, (RollError, ComError)) for b in body):
             for k, t in enumerate(cfg.currents):
-                if canonical_type(t) != canonical_type(TErr()):
+                if not isinstance(t, TErr):
                     failures.append(
                         f"{step.label()}: error state but party {k + 1} "
                         f"type is {canonical_type(t)}")
@@ -941,11 +941,11 @@ def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
             except TypingError as ex:
                 failures.append(f"{step.label()}: retyping failed: {ex}")
                 continue
-            if canonical_type(got_cur) != canonical_type(cfg.currents[k]):
+            if type_key(got_cur) != type_key(cfg.currents[k]):
                 failures.append(
                     f"{step.label()}: party {k + 1} current retypes off "
                     f"the tracked type")
-            if canonical_type(got_ck) != canonical_type(cfg.ckpts[k].typ):
+            if type_key(got_ck) != type_key(cfg.ckpts[k].typ):
                 failures.append(
                     f"{step.label()}: party {k + 1} checkpoint retypes off "
                     f"the tracked checkpoint type")

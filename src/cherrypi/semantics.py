@@ -14,11 +14,15 @@ import os
 from dataclasses import dataclass, field
 
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
-                           TMu, TOut, TPlus, TRollT, TSel, canonical_type,
-                           head_normal_type, render_type)
+                           TMu, TOut, TPlus, TRollT, TSel, head_normal_type,
+                           render_type, type_key)
 from .infer import infer_collaboration, service_pairs
 
 DEFAULT_BUDGET = 10 ** 6
+
+
+class InvalidBudget(ValueError):
+    """CHERRY_BUDGET is set to something that is not an integer."""
 
 
 def current_budget(override: int | None = None) -> int:
@@ -29,14 +33,24 @@ def current_budget(override: int | None = None) -> int:
         try:
             return int(env)
         except ValueError:
-            pass
+            raise InvalidBudget(
+                f"CHERRY_BUDGET must be an integer, got {env!r}") from None
     return DEFAULT_BUDGET
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, budget: int, what: str = "state"):
+    """A breadth-first search found more states than its budget allows.
+    `states` were found when it stopped, while it expanded BFS layer
+    `depth` (the initial state is layer 0), which held `frontier`
+    states."""
+
+    def __init__(self, budget: int, *, states: int, depth: int,
+                 frontier: int, what: str = "state"):
         super().__init__(f"{what} budget of {budget} exceeded")
         self.budget = budget
+        self.states = states
+        self.depth = depth
+        self.frontier = frontier
 
 
 # ---------------------------------------------------------------------------
@@ -95,22 +109,20 @@ def initial_configuration(t1: SessionTypeT, t2: SessionTypeT) \
         (CheckpointType(t1), CheckpointType(t2)), (t1, t2), (t1, t2))
 
 
-def config_key(cfg: TypeConfiguration) -> str:
-    """Canonical identity of a configuration (checkpoints with flags,
-    currents, and the initial pair)."""
-    parts = []
-    for i in (0, 1):
-        ck = cfg.ckpts[i]
-        parts.append(("i" if ck.imposed else "o") + canonical_type(ck.typ))
-        parts.append(canonical_type(cfg.currents[i]))
-    parts.append(canonical_type(cfg.inits[0]))
-    parts.append(canonical_type(cfg.inits[1]))
-    return "||".join(parts)
+def config_key(cfg: TypeConfiguration) -> tuple:
+    """Identity of a configuration within one run: per party the imposed
+    flag and the `type_key`s of checkpoint and current.  The initial pair is
+    left out because it is fixed along a run.  Like `type_key`, the key is
+    meaningful only while the configuration's types are alive."""
+    (k0, k1), (t0, t1) = cfg.ckpts, cfg.currents
+    return (k0.imposed, type_key(k0.typ), type_key(t0),
+            k1.imposed, type_key(k1.typ), type_key(t1))
 
 
 def _ckpt_differs(ck: CheckpointType, current: SessionTypeT) -> bool:
-    """An imposed checkpoint never counts as equal to the bare current."""
-    return ck.imposed or canonical_type(ck.typ) != canonical_type(current)
+    """Whether a commit imposes on a party (TS-Cmt1 rather than TS-Cmt2):
+    an imposed checkpoint never counts as equal to the bare current."""
+    return ck.imposed or type_key(ck.typ) != type_key(current)
 
 
 def _label_text(lab: tuple) -> str:
@@ -220,9 +232,6 @@ class TransitionSystem:
     parents: list  # parents[i] = (state, edge) discovering state i, or None
     initial: int = 0
 
-    def outgoing(self, sid: int) -> list:
-        return [e for e in self.edges if e.src == sid]
-
     def path_to(self, sid: int) -> list:
         """Edges of the discovery path from the initial state to `sid`."""
         path: list = []
@@ -247,6 +256,7 @@ def reachable_system(t1: SessionTypeT, t2: SessionTypeT,
     parents: list = [None]
     edges: list = []
     frontier = [0]
+    depth = 0
     while frontier:
         nxt_frontier: list = []
         for sid in frontier:
@@ -255,7 +265,9 @@ def reachable_system(t1: SessionTypeT, t2: SessionTypeT,
                 tid = index.get(key)
                 if tid is None:
                     if len(states) >= limit:
-                        raise BudgetExceeded(limit)
+                        raise BudgetExceeded(limit, states=len(states),
+                                             depth=depth,
+                                             frontier=len(frontier))
                     tid = len(states)
                     index[key] = tid
                     states.append(succ)
@@ -266,6 +278,7 @@ def reachable_system(t1: SessionTypeT, t2: SessionTypeT,
                 if parents[tid] is None and tid != 0:
                     parents[tid] = (sid, edge)
         frontier = nxt_frontier
+        depth += 1
     return TransitionSystem(states, edges, parents)
 
 

@@ -7,6 +7,8 @@ the own side is a placeholder until `fill_roles` stamps it in.
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -96,35 +98,53 @@ SessionTypeT = Union[TOut, TIn, TSel, TBrn, TPlus, TVarT, TMu, TEnd, TErr,
 # ---------------------------------------------------------------------------
 
 def subst_type(t: SessionTypeT, name: str, r: SessionTypeT) -> SessionTypeT:
+    """t[r/name].  Subtrees with no free `name` come back as the same
+    objects, so unfolding a closed type never copies the closed types
+    inside it (and their cached keys and unfoldings stay in use)."""
     match t:
         case TVarT(n):
             return r if n == name else t
         case TMu(v, body):
             if v == name:  # shadowed
                 return t
-            return TMu(v, subst_type(body, name, r))
+            nb = subst_type(body, name, r)
+            return t if nb is body else TMu(v, nb)
         case TOut(s, c, a, b):
-            return TOut(s, subst_type(c, name, r), a, b)
+            nc = subst_type(c, name, r)
+            return t if nc is c else TOut(s, nc, a, b)
         case TIn(s, c, a, b):
-            return TIn(s, subst_type(c, name, r), a, b)
+            nc = subst_type(c, name, r)
+            return t if nc is c else TIn(s, nc, a, b)
         case TSel(l, c, a, b):
-            return TSel(l, subst_type(c, name, r), a, b)
+            nc = subst_type(c, name, r)
+            return t if nc is c else TSel(l, nc, a, b)
         case TBrn(arms, a, b):
-            return TBrn(tuple((l, subst_type(c, name, r)) for l, c in arms),
-                        a, b)
+            narms = tuple((l, subst_type(c, name, r)) for l, c in arms)
+            if all(nc is c for (_, nc), (_, c) in zip(narms, arms)):
+                return t
+            return TBrn(narms, a, b)
         case TPlus(l, rr):
-            return TPlus(subst_type(l, name, r), subst_type(rr, name, r))
+            nl, nr = subst_type(l, name, r), subst_type(rr, name, r)
+            return t if nl is l and nr is rr else TPlus(nl, nr)
         case TCmt(c):
-            return TCmt(subst_type(c, name, r))
+            nc = subst_type(c, name, r)
+            return t if nc is c else TCmt(nc)
         case _:
             return t
 
 
 def unfold_type(t: TMu) -> SessionTypeT:
-    """One unfolding: mu t. T  ->  T[mu t. T / t]."""
+    """One unfolding: mu t. T  ->  T[mu t. T / t].  Built once per mu node,
+    so that unfolding the same node again yields the same objects and their
+    cached `type_key`s."""
     if not isinstance(t, TMu):
         raise MalformedTerm("unfold_type expects a mu-headed type")
-    return subst_type(t.body, t.var, t)
+    try:
+        return t._unfolded
+    except AttributeError:
+        u = subst_type(t.body, t.var, t)
+        object.__setattr__(t, "_unfolded", u)
+        return u
 
 
 _UNFOLD_FUEL = 512
@@ -157,27 +177,6 @@ def free_type_vars(t: SessionTypeT) -> frozenset:
             return free_type_vars(l) | free_type_vars(r)
         case _:
             return frozenset()
-
-
-def is_guarded(t: SessionTypeT) -> bool:
-    """Every recursion variable sits under at least one consumable prefix."""
-
-    def go(t, pending: frozenset) -> bool:
-        match t:
-            case TVarT(n):
-                return n not in pending
-            case TMu(v, body):
-                return go(body, pending | {v})
-            case TOut(_, c) | TIn(_, c) | TSel(_, c) | TCmt(c):
-                return go(c, frozenset())
-            case TBrn(arms):
-                return all(go(c, frozenset()) for _, c in arms)
-            case TPlus(l, r):
-                return go(l, pending) and go(r, pending)
-            case _:
-                return True
-
-    return go(t, frozenset())
 
 
 def erase_roles(t: SessionTypeT) -> SessionTypeT:
@@ -276,8 +275,60 @@ def canonical_type(t: SessionTypeT) -> str:
     return go(t, {}, 0)
 
 
-def types_equal(a: SessionTypeT, b: SessionTypeT) -> bool:
-    return canonical_type(a) == canonical_type(b)
+class _Rep:
+    """Representative of one canonical text.  Every keyed node holds its
+    representative and the table holds it weakly, so an entry lives exactly
+    as long as some type with that text; serials are never reused, so a key
+    never names two texts."""
+    __slots__ = ("serial", "__weakref__")
+
+    def __init__(self, serial: int):
+        self.serial = serial
+
+
+# one table per process: keys must agree between every pair of live types
+_REPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SERIALS = itertools.count()
+
+
+def type_key(t: SessionTypeT) -> int:
+    """Integer identity of a type: two live types have equal keys exactly
+    when their `canonical_type` texts are equal.  Computed once per node
+    from its children's keys and cached on the node.  A mu node, the only
+    one whose text renames binders, is keyed by its canonical text; any
+    other node renders its children in its own binder scope, so its text
+    is a function of its fields and its children's texts (hash-consing,
+    Filliâtre & Conchon 2006)."""
+    try:
+        return t._rep.serial
+    except AttributeError:
+        pass
+    match t:
+        case TOut(s, c, a, b):
+            sig = (TOut, s, type_key(c), a, b)
+        case TIn(s, c, a, b):
+            sig = (TIn, s, type_key(c), a, b)
+        case TSel(l, c, a, b):
+            sig = (TSel, l, type_key(c), a, b)
+        case TBrn(arms, a, b):
+            sig = (TBrn, tuple((l, type_key(c)) for l, c in arms), a, b)
+        case TPlus(l, r):
+            sig = (TPlus, type_key(l), type_key(r))
+        case TCmt(c):
+            sig = (TCmt, type_key(c))
+        case TVarT(v):
+            sig = (TVarT, v)
+        case TMu():
+            sig = (TMu, canonical_type(t))
+        case TEnd() | TErr() | TRollT() | TAbtT():
+            sig = (type(t),)
+        case _:
+            raise MalformedTerm(f"not a session type: {t!r}")
+    rep = _REPS.get(sig)
+    if rep is None:
+        rep = _REPS[sig] = _Rep(next(_SERIALS))
+    object.__setattr__(t, "_rep", rep)
+    return rep.serial
 
 
 def render_type(t: SessionTypeT) -> str:

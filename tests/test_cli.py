@@ -231,6 +231,14 @@ def test_budget_flag_exits_three():
     assert err == "error: state budget of 3 exceeded\n"
 
 
+def test_malformed_budget_env_var_exits_two(monkeypatch):
+    monkeypatch.setenv("CHERRY_BUDGET", "lots")
+    code, out, err = cli("check", CORPUS / "vod_b.chpi")
+    assert code == 2
+    assert out == ""
+    assert err == "error: CHERRY_BUDGET must be an integer, got 'lots'\n"
+
+
 def test_missing_file_exits_two():
     code, _, err = cli("check", "/nonexistent.chpi")
     assert code == 2

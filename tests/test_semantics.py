@@ -1,10 +1,14 @@
+import gc
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cherrypi.multiparty as mp
 import cherrypi.semantics as sem
+import cherrypi.sessiontypes as sty
 from genprog import random_type
 from oracle_naive import naive_type_reach
 from cherrypi.parser import parse_type
@@ -14,7 +18,10 @@ from cherrypi.semantics import (BudgetExceeded, CheckpointType,
                                 config_transitions, export_dot,
                                 initial_configuration, reachable_system,
                                 type_transitions)
-from cherrypi.sessiontypes import canonical_type, render_type
+from cherrypi.infer import infer_collaboration, service_pairs
+from cherrypi.sessiontypes import (TBrn, TCmt, TEnd, TIn, TMu, TOut, TPlus,
+                                   TSel, TVarT, canonical_type, render_type,
+                                   type_key, unfold_type)
 
 
 def T(s):
@@ -168,6 +175,34 @@ def test_budget_argument_caps_the_search(corpus):
         reachable_system(t1, t2, budget=3)
 
 
+def _search(programs, engine):
+    """The reachable-system call of `engine` on vod_b's one service."""
+    if engine == "binary":
+        _, t_req, t_acc = service_pairs(
+            infer_collaboration(programs["vod_b"].term))[0]
+        return lambda budget=None: reachable_system(t_req, t_acc, budget)
+    mterm = mp.to_multiparty(programs["vod_b"]).term
+    (svc,) = mp.m_service_groups(mterm).values()
+    types = mp.filled_types(svc)
+    return lambda budget=None: mp.m_reachable_system(types, budget)
+
+
+@pytest.mark.parametrize("engine", ["binary", "n-role"])
+def test_budget_error_says_how_far_the_search_got(programs, engine):
+    search = _search(programs, engine)
+    full = search()
+    with pytest.raises(BudgetExceeded) as err:
+        search(budget=7)
+    e = err.value
+    assert str(e) == "state budget of 7 exceeded"
+    # BFS layer = length of the discovery path; the search stopped while
+    # expanding the layer that discovers state 7
+    layer = [len(full.path_to(sid)) for sid in range(len(full.states))]
+    depth = layer[7] - 1
+    assert (e.budget, e.states, e.depth, e.frontier) == \
+        (7, 7, depth, layer.count(depth))
+
+
 def test_budget_env_var_is_honoured(corpus, monkeypatch):
     monkeypatch.setenv("CHERRY_BUDGET", "3")
     t1 = parse_type((corpus / "consumer.chty").read_text())
@@ -217,3 +252,97 @@ def test_export_dot_labels_carry_rule_and_party(corpus):
     sysm = reachable_system(t1, t2)
     dot = export_dot(sysm)
     assert "TS-Com com[str] p1" in dot or "TS-Com com[str] p2" in dot
+
+
+# -- type keys ----------------------------------------------------------------
+
+def _subterms(t):
+    """`t`, its descendants, and those of every mu node's unfolding."""
+    out, todo, seen = [], [t], set()
+    while todo:
+        t = todo.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        out.append(t)
+        match t:
+            case TMu(_, body):
+                todo += [body, unfold_type(t)]
+            case TBrn(arms):
+                todo += [c for _, c in arms]
+            case TPlus(l, r):
+                todo += [l, r]
+            case TOut(_, c) | TIn(_, c) | TSel(_, c) | TCmt(c):
+                todo.append(c)
+    return out
+
+
+def _assert_keys_match_text(terms):
+    texts = [canonical_type(t) for t in terms]
+    keys = [type_key(t) for t in terms]
+    for a in range(len(terms)):
+        for b in range(len(terms)):
+            assert (keys[a] == keys[b]) == (texts[a] == texts[b]), \
+                (texts[a], texts[b])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_type_keys_are_equal_exactly_when_canonical_texts_are(seed):
+    rng = random.Random(seed)
+    a, b = random_type(rng, 5), random_type(rng, 5)
+    # the same text again as new objects, and with every binder renamed
+    again = random_type(random.Random(seed), 5)
+    renamed = parse_type(re.sub(r"\bt(\d+)\b", r"r\1", render_type(a)))
+    _assert_keys_match_text(
+        _subterms(a) + _subterms(b) + _subterms(again) + _subterms(renamed))
+
+
+def test_alpha_variants_share_a_key_but_keep_their_names():
+    left, right = T("(mu x. ![int]. x) (+) (mu y. ![int]. y)"), \
+        T("mu z. ?[int]. z")
+    x, y = left.left, left.right
+    assert type_key(x) == type_key(y) and x is not y
+    rep = check_compliance(left, right)
+    assert (len(rep.system.states), len(rep.system.edges)) == (2, 3)
+    assert naive_type_reach(left, right) == (2, True)
+    # both internal choices land in state 1, which keeps the left variant
+    assert [(e.src, e.dst) for e in rep.system.edges] == \
+        [(0, 1), (0, 1), (1, 1)]
+    assert render_type(rep.system.states[1].currents[0]) == \
+        "mu x. ![int]. x"
+
+
+def test_type_keys_number_shadowed_binders_by_position():
+    inner = T("mu x. ![int]. mu x. ?[int]. x")
+    assert type_key(inner) == type_key(T("mu y. ![int]. mu z. ?[int]. z"))
+    assert type_key(inner) != type_key(T("mu y. ![int]. mu z. ?[int]. y"))
+
+
+def test_type_keys_tell_free_variables_apart():
+    assert type_key(TVarT("x")) == type_key(TVarT("x"))
+    assert type_key(TVarT("x")) != type_key(TVarT("y"))
+    assert type_key(TOut("int", TVarT("x"))) != \
+        type_key(TOut("int", TVarT("y")))
+    # a free variable is not the binder it happens to share a name with
+    assert type_key(TMu("x", TOut("int", TVarT("y")))) != \
+        type_key(TMu("x", TOut("int", TVarT("x"))))
+    assert type_key(TVarT("x")) != type_key(TEnd())
+
+
+def test_unfolding_keeps_closed_types_as_they_are():
+    outer = T("mu x. ?[bool]. mu y. sel[l]. x")
+    assert unfold_type(outer) is unfold_type(outer)
+    inner = unfold_type(outer).cont
+    # unfolding the inner mu leaves the closed outer one uncopied, so a
+    # walk through both unfoldings meets finitely many objects
+    assert unfold_type(inner).cont is outer
+
+
+def test_type_key_table_does_not_outlive_the_check(corpus):
+    gc.collect()
+    before = len(sty._REPS)
+    check_compliance(parse_type((corpus / "vod_user.chty").read_text()),
+                     parse_type((corpus / "vod_server.chty").read_text()))
+    gc.collect()
+    assert len(sty._REPS) == before
