@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or a compliant / safe / matching verdict), 1 a
 violation or error verdict, 2 usage, parse, or input errors, 3 exploration
-budget exceeded.
+budget exceeded or input nested too deeply, 4 internal error.
 """
 
 from __future__ import annotations
@@ -292,6 +292,14 @@ def main(argv: list | None = None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"error: input nested too deeply (Python recursion limit "
+              f"{sys.getrecursionlimit()} reached)", file=sys.stderr)
+        return 3
+    except Exception as e:  # never a traceback, never a verdict's code
+        print(f"error: internal error: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

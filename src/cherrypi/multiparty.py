@@ -18,13 +18,12 @@ from .syntax import (Abort, Accept, Branch, CheckpointProcess, Collaboration,
                      Par, Process, Rec, Recv, Request, Roll, RollError,
                      Select, Send, Session, par, par_parts, substitute,
                      MalformedTerm)
-from .syntax import ChanVar, process_canonical
-from .sessiontypes import (SessionTypeT, TErr, erase_roles, fill_roles,
-                           render_type, type_key)
+from .syntax import ChanVar, process_key
+from .sessiontypes import TErr, fill_roles, render_type, type_key
 from .infer import TypingError, type_of_process
 from .semantics import (BudgetExceeded, CheckpointType, Edge,
                         TransitionSystem, current_budget, type_transitions,
-                        _ckpt_differs, _is_end)
+                        _ckpt_differs, _is_end, _log_ckpt_differs)
 from .runtime import (Candidate, DecisionOracle, ExplorationReport,
                       StepRecord, Trace, _fresh_session, _guard_candidates,
                       _may_recover, _rebuild, _show_value, classify_state,
@@ -456,7 +455,7 @@ def m_barbs_toward(p: Process, observer: int) -> frozenset:
     stack = [p]
     while stack:
         q = head_normal(stack.pop())
-        key = process_canonical(q)
+        key = process_key(q)
         if key in seen:
             continue
         seen.add(key)
@@ -610,10 +609,7 @@ def _m_session_steps(items, idx, ses, logs, mode, oracle, exhaustive) \
                     if h == i:
                         continue
                     ph = logs[h]
-                    differs = ph.ckpt.imposed or \
-                        process_canonical(ph.ckpt.process) != \
-                        process_canonical(ph.current)
-                    if differs:
+                    if _log_ckpt_differs(ph):
                         nl[h] = Log(ph.endpoint,
                                     CheckpointProcess(ph.current,
                                                       imposed=True),
@@ -753,10 +749,6 @@ def erase_to_binary(c: Collaboration) -> Collaboration:
 
 def erase_rule_name(rule: str) -> str:
     return rule[2:] if rule.startswith("M-") else rule
-
-
-def erase_type_to_binary(t: SessionTypeT) -> SessionTypeT:
-    return erase_roles(t)
 
 
 def erase_trace(tr: Trace) -> Trace:

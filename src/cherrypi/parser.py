@@ -21,9 +21,9 @@ KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
             "roll", "abort", "true", "false", "fun", "in", "bool", "int",
             "str", "sel", "brn", "mu", "end", "err", "cmt", "abt"}
 
-_SYMBOLS = ["<+", ">+", "++", "&&", "||", "==",
-            "!", "?", "<", ">", "(", ")", "{", "}", "[", "]",
-            ":", ".", ",", "|", "@", ";", "+"]
+# two-character symbols win over their one-character prefixes
+_SYMBOLS2 = frozenset({"<+", ">+", "++", "&&", "||", "=="})
+_SYMBOLS1 = frozenset("!?<>(){}[]:.,|@;+")
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,13 @@ def tokenize(src: str) -> list:
                               word, i, j))
             i = j
             continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token(sym, sym, i, i + len(sym)))
-                i += len(sym)
-                break
-        else:
-            raise _diag(src, i, i + 1, f"unexpected character {c!r}")
+        sym = src[i:i + 2]
+        if sym not in _SYMBOLS2:
+            sym = c
+            if sym not in _SYMBOLS1:
+                raise _diag(src, i, i + 1, f"unexpected character {c!r}")
+        toks.append(Token(sym, sym, i, i + len(sym)))
+        i += len(sym)
     toks.append(Token("eof", "", n, n))
     return toks
 

@@ -1,6 +1,6 @@
-"""Process-level execution: decision oracle, evaluation, labelled actions,
-reduction, simulation, exhaustive exploration, trace replay, and a shadow
-typechecker that runs the type-level configuration alongside a trace.
+"""Process-level execution: decision oracle, evaluation, barbs, reduction,
+simulation, exhaustive exploration, trace replay, and a shadow typechecker
+that runs the type-level configuration alongside a trace.
 
 Uninterpreted functions are resolved by a `DecisionOracle`; its counters are
 never rolled back, so a re-run after a rollback may take another branch.
@@ -11,24 +11,21 @@ candidate adopts its clone — enumeration itself never consumes draws.
 from __future__ import annotations
 
 import copy
-import json
 import random
 from dataclasses import dataclass, field
 
-from .syntax import (Abort, Accept, AIn, AOut, ASel, ABrn, ACmt, ARoll, AAbt,
-                     ATau, Branch, Call, ChanVar, Collaboration, ComError,
+from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
-                     MalformedTerm, Par, Process, PVar, Rec, Recv, Request,
-                     Roll, RollError, Select, Send, Session, Ufun, Var,
-                     canonicalize, head_normal, par, par_parts,
-                     process_canonical, substitute)
-from .sessiontypes import TErr, TPlus, canonical_type, type_key
+                     MalformedTerm, Process, Recv, Request, Roll, RollError,
+                     Select, Send, Session, Ufun, Var, head_normal, par,
+                     par_parts, process_key, substitute, term_key)
+from .sessiontypes import TErr, canonical_type, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
 from .infer import TypingError, infer_collaboration, type_of_process
 from .semantics import (BudgetExceeded, CheckpointType, TypeConfiguration,
-                        _ckpt_differs, current_budget, initial_configuration,
-                        type_transitions)
+                        _ckpt_differs, _log_ckpt_differs, current_budget,
+                        initial_configuration, type_transitions)
 
 
 class OracleExhausted(Exception):
@@ -191,36 +188,8 @@ def enumerate_values(e) -> list:
 
 
 # ---------------------------------------------------------------------------
-# labelled actions and barbs
+# barbs
 # ---------------------------------------------------------------------------
-
-def enabled_actions(p: Process, oracle: DecisionOracle | None = None) -> list:
-    """Immediate labelled steps of one process: [(label, continuation)].
-    Recursion steps through its unfolding; a conditional resolves its guard,
-    so it contributes exactly one branch under a given oracle."""
-    p = head_normal(p)
-    match p:
-        case Send(ch, e, cont):
-            return [(AOut(ch, evaluate(e, oracle), p.to_role), cont)]
-        case Recv(ch, y, _, cont):
-            return [(AIn(ch, y, p.from_role), cont)]
-        case Select(ch, l, cont):
-            return [(ASel(ch, l, p.to_role), cont)]
-        case Branch(ch, arms):
-            return [(ABrn(ch, l, p.from_role), a) for l, a in arms]
-        case If(cond, then, orelse):
-            if evaluate(cond, oracle):
-                return [(ATau("then"), then)]
-            return [(ATau("else"), orelse)]
-        case Commit(cont):
-            return [(ACmt(), cont)]
-        case Roll():
-            return [(ARoll(), Inact())]
-        case Abort():
-            return [(AAbt(), Inact())]
-        case _:
-            return []
-
 
 def guard_value(e):
     """The value of an oracle-free guard, or None when an uninterpreted
@@ -251,7 +220,7 @@ def barbs(p: Process) -> frozenset:
     stack = [p]
     while stack:
         q = head_normal(stack.pop())
-        key = process_canonical(q)
+        key = process_key(q)
         if key in seen:
             continue
         seen.add(key)
@@ -504,10 +473,7 @@ def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
                 # the committer's partner is pinned to its current point
                 # unless it still sits on its own checkpoint
                 pj = logs[j]
-                differs = pj.ckpt.imposed or \
-                    process_canonical(pj.ckpt.process) != \
-                    process_canonical(pj.current)
-                if differs:
+                if _log_ckpt_differs(pj):
                     nl[j] = Log(pj.endpoint,
                                 CheckpointProcess(pj.current, imposed=True),
                                 pj.current)
@@ -690,7 +656,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     init = program.term
     states = [init]
     info: list = [([], [])]  # state id -> (path labels, choices)
-    index = {canonicalize(init).text: 0}
+    index = {term_key(init): 0}  # meaningful while `states` keeps them
     edges = 0
     transitions: list = []
     errors: list = []
@@ -723,7 +689,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
             note_terminal(sid, bool(cands))
             for c in cands:
                 edges += 1
-                key = canonicalize(c.successor).text
+                key = term_key(c.successor)
                 tid = index.get(key)
                 if tid is None:
                     if len(states) >= limit:

@@ -17,6 +17,7 @@ from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TMu, TOut, TPlus, TRollT, TSel, head_normal_type,
                            render_type, type_key)
 from .infer import infer_collaboration, service_pairs
+from .syntax import Log, process_key
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -123,6 +124,13 @@ def _ckpt_differs(ck: CheckpointType, current: SessionTypeT) -> bool:
     """Whether a commit imposes on a party (TS-Cmt1 rather than TS-Cmt2):
     an imposed checkpoint never counts as equal to the bare current."""
     return ck.imposed or type_key(ck.typ) != type_key(current)
+
+
+def _log_ckpt_differs(lg: Log) -> bool:
+    """The process-level `_ckpt_differs`: whether a partner's commit imposes
+    on the party that owns `lg`."""
+    return lg.ckpt.imposed or \
+        process_key(lg.ckpt.process) != process_key(lg.current)
 
 
 def _label_text(lab: tuple) -> str:

@@ -7,12 +7,10 @@ the own side is a placeholder until `fill_roles` stamps it in.
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Union
 
-from .syntax import MalformedTerm
+from .syntax import MalformedTerm, _intern
 
 
 @dataclass(frozen=True)
@@ -275,22 +273,6 @@ def canonical_type(t: SessionTypeT) -> str:
     return go(t, {}, 0)
 
 
-class _Rep:
-    """Representative of one canonical text.  Every keyed node holds its
-    representative and the table holds it weakly, so an entry lives exactly
-    as long as some type with that text; serials are never reused, so a key
-    never names two texts."""
-    __slots__ = ("serial", "__weakref__")
-
-    def __init__(self, serial: int):
-        self.serial = serial
-
-
-# one table per process: keys must agree between every pair of live types
-_REPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_SERIALS = itertools.count()
-
-
 def type_key(t: SessionTypeT) -> int:
     """Integer identity of a type: two live types have equal keys exactly
     when their `canonical_type` texts are equal.  Computed once per node
@@ -324,9 +306,7 @@ def type_key(t: SessionTypeT) -> int:
             sig = (type(t),)
         case _:
             raise MalformedTerm(f"not a session type: {t!r}")
-    rep = _REPS.get(sig)
-    if rep is None:
-        rep = _REPS[sig] = _Rep(next(_SERIALS))
+    rep = _intern(sig)
     object.__setattr__(t, "_rep", rep)
     return rep.serial
 

@@ -1,14 +1,19 @@
 """Core term syntax: expressions, processes, collaborations, canonical forms.
 
 Terms are immutable (frozen dataclasses), so they hash and can be shared
-freely; every operation that "changes" a term builds a new one.  Collaboration
+freely; every operation that "changes" a term builds a new one.  A node
+caches what is derived from it alone (free names, key, unfolding) in
+private attributes, which equality and hashing ignore.  Collaboration
 terms cover both the surface language (request/accept/parallel) and the
 runtime-only constructs (sessions, logs, error states) produced by reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import weakref
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 SORTS = ("bool", "int", "str")
@@ -267,143 +272,89 @@ def par_parts(c: Collaboration) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# action labels (the auxiliary labelled relation's alphabet)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AOut:
-    chan: SessionId
-    value: object
-    role: int | None = None
-
-
-@dataclass(frozen=True)
-class AIn:
-    chan: SessionId
-    var: str
-    role: int | None = None
-
-
-@dataclass(frozen=True)
-class ASel:
-    chan: SessionId
-    label: str
-    role: int | None = None
-
-
-@dataclass(frozen=True)
-class ABrn:
-    chan: SessionId
-    label: str
-    role: int | None = None
-
-
-@dataclass(frozen=True)
-class ACmt:
-    pass
-
-
-@dataclass(frozen=True)
-class ARoll:
-    pass
-
-
-@dataclass(frozen=True)
-class AAbt:
-    pass
-
-
-@dataclass(frozen=True)
-class ATau:
-    branch: str | None = None  # "then" | "else" when produced by a conditional
-
-
-ActionLabel = Union[AOut, AIn, ASel, ABrn, ACmt, ARoll, AAbt, ATau]
-
-
-# ---------------------------------------------------------------------------
 # free names
 # ---------------------------------------------------------------------------
+
+_NO_NAMES: frozenset = frozenset()
+
+
+def _join(names: frozenset, *more) -> frozenset:
+    """Union that returns `names` itself when the others add nothing, so
+    nodes along a chain share one set."""
+    for m in more:
+        if not m <= names:
+            names = names | m
+    return names
+
+
+def _unbind(names: frozenset, name: tuple) -> frozenset:
+    return names - {name} if name in names else names
+
+
+def _chan_names(r) -> frozenset:
+    if isinstance(r, ChanVar):
+        return frozenset({("c", r.name)})
+    if isinstance(r, (Endpoint, MEndpoint)):
+        return frozenset({("s", r.session)})
+    raise MalformedTerm(f"not a session identifier: {r!r}")
+
+
+def _expr_names(e) -> frozenset:
+    match e:
+        case Var(n):
+            return frozenset({("v", n)})
+        case Call(_, args) | Ufun(_, args):
+            return _join(_NO_NAMES, *(_expr_names(a) for a in args))
+    return _NO_NAMES
+
+
+def _names(t) -> frozenset:
+    """Free names of a process or collaboration as (kind, name) pairs:
+    kind "v" a value variable, "x" a process variable, "c" a session
+    variable, "s" a session name.  Cached on the node."""
+    names = t.__dict__.get("_fv")
+    if names is not None:
+        return names
+    match t:
+        case Send(ch, e, cont):
+            names = _join(_names(cont), _chan_names(ch), _expr_names(e))
+        case Recv(ch, y, _, cont):
+            names = _join(_unbind(_names(cont), ("v", y)), _chan_names(ch))
+        case Select(ch, _, cont):
+            names = _join(_names(cont), _chan_names(ch))
+        case Branch(ch, arms):
+            names = _join(_chan_names(ch), *(_names(a) for _, a in arms))
+        case If(cond, then, orelse):
+            names = _join(_names(then), _names(orelse), _expr_names(cond))
+        case Rec(x, body):
+            names = _unbind(_names(body), ("x", x))
+        case PVar(x):
+            names = frozenset({("x", x)})
+        case Commit(cont):
+            names = _names(cont)
+        case Request(_, x, body) | Accept(_, x, body):
+            names = _unbind(_names(body), ("c", x))
+        case Par(parts):
+            names = _join(*(_names(q) for q in parts))
+        case Session(s, saved, body):
+            names = _join(_names(saved), _unbind(_names(body), ("s", s)))
+        case Log(ep, ckpt, current):
+            names = _join(_names(current), _names(ckpt.process),
+                          _chan_names(ep))
+        case Inact() | Roll() | Abort() | RollError() | ComError():
+            names = _NO_NAMES
+        case _:
+            raise MalformedTerm(f"not a process or collaboration: {t!r}")
+    object.__setattr__(t, "_fv", names)
+    return names
+
 
 def free_names(term) -> tuple[frozenset, frozenset, frozenset]:
     """Free (value vars, process vars, session vars) of a process or
     collaboration."""
-    vs: set = set()
-    xs: set = set()
-    cs: set = set()
-
-    def expr(e, bound_v):
-        match e:
-            case Var(name):
-                if name not in bound_v:
-                    vs.add(name)
-            case Call(_, args) | Ufun(_, args):
-                for a in args:
-                    expr(a, bound_v)
-            case _:
-                pass
-
-    def chan(r, bound_c):
-        if isinstance(r, ChanVar) and r.name not in bound_c:
-            cs.add(r.name)
-
-    def proc(p, bound_v, bound_x, bound_c):
-        match p:
-            case Send(ch, e, cont):
-                chan(ch, bound_c)
-                expr(e, bound_v)
-                proc(cont, bound_v, bound_x, bound_c)
-            case Recv(ch, y, _, cont):
-                chan(ch, bound_c)
-                proc(cont, bound_v | {y}, bound_x, bound_c)
-            case Select(ch, _, cont):
-                chan(ch, bound_c)
-                proc(cont, bound_v, bound_x, bound_c)
-            case Branch(ch, arms):
-                chan(ch, bound_c)
-                for _, arm in arms:
-                    proc(arm, bound_v, bound_x, bound_c)
-            case If(cond, then, orelse):
-                expr(cond, bound_v)
-                proc(then, bound_v, bound_x, bound_c)
-                proc(orelse, bound_v, bound_x, bound_c)
-            case Rec(x, body):
-                proc(body, bound_v, bound_x | {x}, bound_c)
-            case PVar(x):
-                if x not in bound_x:
-                    xs.add(x)
-            case Commit(cont):
-                proc(cont, bound_v, bound_x, bound_c)
-            case Inact() | Roll() | Abort():
-                pass
-
-    def coll(c, bound_c):
-        match c:
-            case Request(_, x, body) | Accept(_, x, body):
-                proc(body, frozenset(), frozenset(), bound_c | {x})
-            case Par(parts):
-                for p in parts:
-                    coll(p, bound_c)
-            case Session(_, saved, body):
-                coll(saved, bound_c)
-                coll(body, bound_c)
-            case Log(_, ckpt, current):
-                proc(ckpt.process, frozenset(), frozenset(), bound_c)
-                proc(current, frozenset(), frozenset(), bound_c)
-            case RollError() | ComError():
-                pass
-
-    if isinstance(term, (Request, Accept, Par, Session, Log, RollError,
-                         ComError)):
-        coll(term, frozenset())
-    else:
-        proc(term, frozenset(), frozenset(), frozenset())
-    return frozenset(vs), frozenset(xs), frozenset(cs)
-
-
-def is_closed(term) -> bool:
-    vs, xs, cs = free_names(term)
-    return not vs and not xs and not cs
+    names = _names(term)
+    return tuple(frozenset(n for k, n in names if k == kind)
+                 for kind in "vxc")
 
 
 # ---------------------------------------------------------------------------
@@ -423,55 +374,55 @@ def _subst_expr(e, name: str, v: Lit):
             return e
 
 
-def _subst_value(p: Process, name: str, v: Lit) -> Process:
+def _keep(e):
+    return e
+
+
+def _map_proc(p: Process, go, expr=_keep, chan=_keep) -> Process:
+    """`p` rebuilt with `go` applied to its sub-processes, `expr` to its
+    expressions and `chan` to its session identifier."""
     match p:
-        case Send(ch, e, cont, tr):
-            return Send(ch, _subst_expr(e, name, v),
-                        _subst_value(cont, name, v), tr)
-        case Recv(ch, y, s, cont, fr):
-            if y == name:  # shadowed
-                return p
-            return Recv(ch, y, s, _subst_value(cont, name, v), fr)
-        case Select(ch, l, cont, tr):
-            return Select(ch, l, _subst_value(cont, name, v), tr)
-        case Branch(ch, arms, fr):
-            return Branch(ch, tuple((l, _subst_value(a, name, v))
-                                    for l, a in arms), fr)
+        case Send(c, e, cont, tr):
+            return Send(chan(c), expr(e), go(cont), tr)
+        case Recv(c, y, s, cont, fr):
+            return Recv(chan(c), y, s, go(cont), fr)
+        case Select(c, l, cont, tr):
+            return Select(chan(c), l, go(cont), tr)
+        case Branch(c, arms, fr):
+            return Branch(chan(c), tuple((l, go(a)) for l, a in arms), fr)
         case If(cond, then, orelse):
-            return If(_subst_expr(cond, name, v),
-                      _subst_value(then, name, v),
-                      _subst_value(orelse, name, v))
+            return If(expr(cond), go(then), go(orelse))
         case Rec(x, body):
-            return Rec(x, _subst_value(body, name, v))
+            return Rec(x, go(body))
         case Commit(cont):
-            return Commit(_subst_value(cont, name, v))
+            return Commit(go(cont))
         case _:
             return p
+
+
+# each substitution returns a subtree without a free `name` as the same
+# object, so unfolding or receiving never copies what it does not change
+def _subst_value(p: Process, name: str, v: Lit) -> Process:
+    free = ("v", name)
+
+    def go(q):
+        if free not in _names(q):  # absent or shadowed
+            return q
+        return _map_proc(q, go, lambda e: _subst_expr(e, name, v))
+
+    return go(p)
 
 
 def _subst_chan(p: Process, name: str, sid) -> Process:
+    free = ("c", name)
+
     def ch(r):
         return sid if isinstance(r, ChanVar) and r.name == name else r
 
-    match p:
-        case Send(c, e, cont, tr):
-            return Send(ch(c), e, _subst_chan(cont, name, sid), tr)
-        case Recv(c, y, s, cont, fr):
-            return Recv(ch(c), y, s, _subst_chan(cont, name, sid), fr)
-        case Select(c, l, cont, tr):
-            return Select(ch(c), l, _subst_chan(cont, name, sid), tr)
-        case Branch(c, arms, fr):
-            return Branch(ch(c), tuple((l, _subst_chan(a, name, sid))
-                                       for l, a in arms), fr)
-        case If(cond, then, orelse):
-            return If(cond, _subst_chan(then, name, sid),
-                      _subst_chan(orelse, name, sid))
-        case Rec(x, body):
-            return Rec(x, _subst_chan(body, name, sid))
-        case Commit(cont):
-            return Commit(_subst_chan(cont, name, sid))
-        case _:
-            return p
+    def go(q):
+        return q if free not in _names(q) else _map_proc(q, go, chan=ch)
+
+    return go(p)
 
 
 def _fresh(base: str, used: set) -> str:
@@ -484,35 +435,21 @@ def _fresh(base: str, used: set) -> str:
 
 
 def _subst_proc(p: Process, name: str, q: Process) -> Process:
+    free = ("x", name)
     _, q_free, _ = free_names(q)
 
     def go(p):
+        if free not in _names(p):  # absent or shadowed
+            return p
         match p:
-            case PVar(x):
-                return q if x == name else p
-            case Rec(x, body):
-                if x == name:  # shadowed
-                    return p
-                if x in q_free:  # capture: rename the binder first
-                    _, body_free, _ = free_names(body)
-                    x2 = _fresh(x, set(q_free) | set(body_free) | {name})
-                    body = _subst_proc(body, x, PVar(x2))
-                    return Rec(x2, go(body))
-                return Rec(x, go(body))
-            case Send(ch, e, cont, tr):
-                return Send(ch, e, go(cont), tr)
-            case Recv(ch, y, s, cont, fr):
-                return Recv(ch, y, s, go(cont), fr)
-            case Select(ch, l, cont, tr):
-                return Select(ch, l, go(cont), tr)
-            case Branch(ch, arms, fr):
-                return Branch(ch, tuple((l, go(a)) for l, a in arms), fr)
-            case If(cond, then, orelse):
-                return If(cond, go(then), go(orelse))
-            case Commit(cont):
-                return Commit(go(cont))
-            case _:
-                return p
+            case PVar():
+                return q
+            case Rec(x, body) if x in q_free:
+                # capture: rename the binder first
+                _, body_free, _ = free_names(body)
+                x2 = _fresh(x, set(q_free) | set(body_free) | {name})
+                return Rec(x2, go(_subst_proc(body, x, PVar(x2))))
+        return _map_proc(p, go)
 
     return go(p)
 
@@ -522,7 +459,8 @@ def substitute(term: Process, name: str, replacement) -> Process:
 
     The replacement's kind selects what is substituted: a literal replaces a
     value variable, a session identifier replaces a session variable, and a
-    process replaces a process variable.
+    process replaces a process variable.  Subtrees without a free `name`
+    come back as the same objects.
     """
     if isinstance(replacement, Lit):
         return _subst_value(term, name, replacement)
@@ -536,10 +474,16 @@ def substitute(term: Process, name: str, replacement) -> Process:
 
 
 def unfold_recursion(p: Process) -> Process:
-    """One unfolding of a recursive process: rec X. P  ->  P[rec X. P / X]."""
+    """One unfolding of a recursive process: rec X. P  ->  P[rec X. P / X].
+    Built once per rec node, so that unfolding the same node again yields
+    the same objects and their cached keys."""
     if not isinstance(p, Rec):
         raise MalformedTerm("unfold_recursion expects a rec-headed process")
-    return substitute(p.body, p.var, p)
+    u = p.__dict__.get("_unfolded")
+    if u is None:
+        u = substitute(p.body, p.var, p)
+        object.__setattr__(p, "_unfolded", u)
+    return u
 
 
 _UNFOLD_FUEL = 512
@@ -576,7 +520,7 @@ def _canon_lit(v) -> str:
         return "(b true)" if v else "(b false)"
     if isinstance(v, int):
         return f"(i {v})"
-    return "(s {})".format(v.replace("\\", "\\\\").replace('"', '\\"'))
+    return '(s "{}")'.format(v.replace("\\", "\\\\").replace('"', '\\"'))
 
 
 def _canon_expr(e, env) -> str:
@@ -593,7 +537,7 @@ def _canon_expr(e, env) -> str:
             d = "-" if dom is None else \
                 "[" + " ".join(_canon_lit(x) for x in dom) + "]"
             sig = ",".join(asorts) + "->" + rsort
-            return f"(uf {fn} {sig} {d} {inner})".replace("  ", " ")
+            return f"(uf {fn} {sig} {d} {inner})"
     raise MalformedTerm(f"not an expression: {e!r}")
 
 
@@ -726,3 +670,167 @@ def process_canonical(p: Process) -> str:
 
 def equivalent(c1, c2) -> bool:
     return canonicalize(c1).text == canonicalize(c2).text
+
+
+# ---------------------------------------------------------------------------
+# keys (hash-consing)
+# ---------------------------------------------------------------------------
+
+class _Rep:
+    """Representative of one canonical text.  Every keyed node holds its
+    representative and the table holds it weakly, so an entry lives exactly
+    as long as some term with that text; serials are never reused, so a key
+    never names two texts."""
+    __slots__ = ("serial", "__weakref__")
+
+    def __init__(self, serial: int):
+        self.serial = serial
+
+
+# one table per process, shared by session types and terms: keys must agree
+# between every pair of live terms
+_REPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SERIALS = itertools.count()
+_serial = attrgetter("serial")
+
+
+def _intern(sig: tuple) -> _Rep:
+    rep = _REPS.get(sig)
+    if rep is None:
+        rep = _REPS[sig] = _Rep(next(_SERIALS))
+    return rep
+
+
+# binder depth per name kind (see `_names`) at the root of a term
+_NO_DEPTH = {"v": 0, "x": 0, "c": 0, "s": 0}
+
+
+def _bind(env: dict, depth: dict, name: tuple) -> tuple:
+    env = dict(env)
+    env[name] = depth[name[0]]
+    depth = dict(depth)
+    depth[name[0]] += 1
+    return env, depth
+
+
+def _ref(name: tuple, env: dict, depth: dict):
+    """A bound name as its binder's distance (an int), a free one as
+    itself (a str)."""
+    level = env.get(name)
+    return name[1] if level is None else depth[name[0]] - level
+
+
+def _chan_sig(r, env, depth) -> tuple:
+    match r:
+        case ChanVar(n):
+            return (ChanVar, _ref(("c", n), env, depth))
+        case Endpoint(s, plus):
+            return (Endpoint, _ref(("s", s), env, depth), plus)
+        case MEndpoint(s, role):
+            return (MEndpoint, _ref(("s", s), env, depth), role)
+    raise MalformedTerm(f"not a session identifier: {r!r}")
+
+
+def _lit_sig(v) -> tuple:
+    return (type(v), v)  # True == 1, but their texts differ
+
+
+def _expr_sig(e, env, depth) -> tuple:
+    match e:
+        case Lit(v):
+            return _lit_sig(v)
+        case Var(n):
+            return (Var, _ref(("v", n), env, depth))
+        case Call(op, args):
+            return (Call, op, *(_expr_sig(a, env, depth) for a in args))
+        case Ufun(fn, args, asorts, rsort, dom):
+            d = None if dom is None else tuple(_lit_sig(x) for x in dom)
+            return (Ufun, fn, asorts, rsort, d,
+                    *(_expr_sig(a, env, depth) for a in args))
+    raise MalformedTerm(f"not an expression: {e!r}")
+
+
+def _key(t, env: dict, depth: dict) -> _Rep:
+    """Representative of `t`'s canonical text in a scope: `env` maps each
+    bound (kind, name) to its binder's level, `depth` counts binders per
+    kind.  Bound names enter the signature as distances to their binders,
+    so the key depends on the scope only through the distances of `t`'s
+    own free names; the node caches its key for the last such scope."""
+    names = _names(t)
+    scope = tuple([(n, depth[n[0]] - env[n]) for n in names if n in env]) \
+        if env and names else ()
+    cached = t.__dict__.get("_tk")
+    if cached is not None and cached[0] == scope:
+        return cached[1]
+    match t:
+        case Send(ch, e, cont, tr):
+            sig = (Send, _chan_sig(ch, env, depth), tr,
+                   _expr_sig(e, env, depth), _key(cont, env, depth))
+        case Recv(ch, y, s, cont, fr):
+            sig = (Recv, _chan_sig(ch, env, depth), fr, s,
+                   _key(cont, *_bind(env, depth, ("v", y))))
+        case Select(ch, l, cont, tr):
+            sig = (Select, _chan_sig(ch, env, depth), tr, l,
+                   _key(cont, env, depth))
+        case Branch(ch, arms, fr):
+            sig = (Branch, _chan_sig(ch, env, depth), fr,
+                   tuple((l, _key(a, env, depth)) for l, a in arms))
+        case If(cond, then, orelse):
+            sig = (If, _expr_sig(cond, env, depth), _key(then, env, depth),
+                   _key(orelse, env, depth))
+        case Rec(x, body):
+            sig = (Rec, _key(body, *_bind(env, depth, ("x", x))))
+        case PVar(x):
+            sig = (PVar, _ref(("x", x), env, depth))
+        case Commit(cont):
+            sig = (Commit, _key(cont, env, depth))
+        case Request(a, x, body, role) | Accept(a, x, body, role):
+            sig = (type(t), a, role,
+                   _key(body, *_bind(env, depth, ("c", x))))
+        case Par(parts):
+            # a multiset: parallel reordering leaves the key alone
+            sig = (Par, tuple(sorted((_key(q, env, depth) for q in parts),
+                                     key=_serial)))
+        case Session(s, saved, body):
+            # the session name is a binder, numbered like the text numbers
+            # it, so the order sessions connected in does not matter
+            sig = (Session, _key(saved, env, depth),
+                   _key(body, *_bind(env, depth, ("s", s))))
+        case Log(ep, ckpt, current):
+            sig = (Log, _chan_sig(ep, env, depth), ckpt.imposed,
+                   _key(ckpt.process, env, depth), _key(current, env, depth))
+        case _:  # Inact, Roll, Abort, RollError, ComError (`_names` checked)
+            sig = (type(t),)
+    # the signature holds the children's representatives, not their serials:
+    # a child re-keyed in another scope drops its cached one, and equal
+    # texts must still meet this entry
+    rep = _intern(sig)
+    object.__setattr__(t, "_tk", (scope, rep))
+    return rep
+
+
+def term_key(c: Collaboration) -> int:
+    """Integer identity of a collaboration: two live collaborations have
+    equal keys exactly when their `canonicalize` texts are equal.  Computed
+    once per node from its children's keys and cached on the node
+    (hash-consing, Filliâtre & Conchon 2006): binders of every kind, session
+    names included, enter as distances to their binders, and a parallel
+    composition is keyed as the multiset of its parts.  A term with free
+    names (a log outside its session) keeps its key only until it is keyed
+    inside a binder of those names; `process_key` keys a bare process the
+    way its log does."""
+    return _key(c, {}, _NO_DEPTH).serial
+
+
+def process_key(p: Process) -> tuple:
+    """Identity of a bare process: two processes have equal keys exactly
+    when their `process_canonical` texts are equal.  The process is keyed
+    with its free session names bound, the way the session holding a log
+    binds them, so a log's processes reuse the keys cached when its state
+    was keyed; the names are part of the key.  The key holds its
+    representative, so it stays valid for as long as it is kept."""
+    env, depth = {}, _NO_DEPTH
+    sessions = tuple(sorted(n for n in _names(p) if n[0] == "s"))
+    for n in sessions:
+        env, depth = _bind(env, depth, n)
+    return sessions, _key(p, env, depth)

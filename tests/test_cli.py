@@ -2,7 +2,8 @@
 
 Everything runs in-process through ``cli.main`` so the pinned outputs stay
 cheap to check; exit codes follow the usual convention (0 ok / 1 negative
-verdict or failed run / 2 usage or input error / 3 budget).
+verdict or failed run / 2 usage or input error / 3 budget or input nested
+too deeply / 4 internal error).
 """
 
 import contextlib
@@ -252,3 +253,27 @@ def test_parse_error_exits_two(tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: 1:12: expected ')', found '.'\n"
+
+
+def test_deeply_nested_type_exits_three_not_a_verdict(tmp_path):
+    left, right = tmp_path / "l.chty", tmp_path / "r.chty"
+    left.write_text("![int]. " * 600 + "end")
+    right.write_text("?[int]. " * 600 + "end")
+    code, out, err = cli("comply", left, right)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: input nested too deeply")
+    assert err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_four_without_traceback(monkeypatch):
+    import cherrypi.cli as cli_module
+
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli_module, "cmd_check", broken)
+    code, out, err = cli("check", CORPUS / "vod_b.chpi")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: KeyError: 'boom'\n"

@@ -8,11 +8,11 @@ from genprog import random_program
 from oracle_naive import naive_explore, naive_values
 from cherrypi.parser import (parse_expression_text, parse_process_text,
                              parse_program, render_program)
-from cherrypi.runtime import (AOut, ABrn, ACmt, DecisionOracle, ExploreError,
-                              OracleExhausted, barbs, classify_state,
-                              enabled_actions, enumerate_values, evaluate,
-                              explore, guard_value, replay, shadow_typecheck,
-                              simulate)
+from cherrypi.runtime import (DecisionOracle, ExploreError, OracleExhausted,
+                              barbs, classify_state, enumerate_values,
+                              evaluate, explore, guard_value, replay,
+                              shadow_typecheck, simulate)
+from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.syntax import ChanVar, canonicalize
 
 k = ChanVar("k")
@@ -79,23 +79,7 @@ def test_constant_oracle_picks_first_domain_value():
     assert o.draw("h", "str", ("x", "y")) == "x"
 
 
-# -- actions and barbs ------------------------------------------------------
-
-def test_enabled_actions_evaluate_payloads():
-    (act, cont), = enabled_actions(P("k!<1 + 1>. 0"))
-    assert act == AOut(k, 2, None)
-
-
-def test_enabled_actions_offer_every_branch_arm():
-    acts = enabled_actions(P("k >+ {l: 0, r: roll}"))
-    assert [a.label for a, _ in acts] == ["l", "r"]
-    assert all(isinstance(a, ABrn) for a, _ in acts)
-
-
-def test_enabled_actions_of_commit():
-    (act, cont), = enabled_actions(P("commit. roll"))
-    assert isinstance(act, ACmt)
-
+# -- barbs ------------------------------------------------------------------
 
 def test_barbs_of_simple_prefixes():
     assert barbs(P("k?(x: int). 0")) == {("in", k, None)}
@@ -240,6 +224,51 @@ def test_exploration_matches_naive_enumeration(programs, name, depth,
     want = naive_explore(programs[name].term, depth)
     assert got == want
     assert len(got) == nstates
+
+
+# two copies of the speculative producer/consumer protocol on two services:
+# 11 states and 13 transitions per copy, so 11**2 states and 2 * 13 * 11
+# transitions, whichever order the sessions connect in
+_PC = """\
+request b{t}(x).
+  rec X.
+  x!<f{t}_req()>.
+  x>+{{ l_spec:
+         x?(partial: str).
+         x?(final: str).
+         if f{t}_compare(partial, final) then roll else commit. X,
+       l_nonSpec:
+         x?(computed: str).
+         commit. X }}
+| accept b{t}(y).
+  rec Y.
+  y?(req: str).
+  if f{t}_eval(req) then
+    y<+ l_spec. y!<f{t}_partial()>. y!<f{t}_final()>. Y
+  else
+    y<+ l_nonSpec. y!<f{t}_compute()>. Y"""
+_PC_DECLS = """\
+fun f{t}_req(): str in {{ "job" }}
+fun f{t}_eval(str): bool
+fun f{t}_compare(str, str): bool
+fun f{t}_partial(): str in {{ "draft" }}
+fun f{t}_final(): str in {{ "full" }}
+fun f{t}_compute(): str in {{ "exact" }}"""
+
+
+def test_parallel_sessions_explore_to_the_product():
+    tags = ("a", "b")
+    prog = parse_program("\n".join(
+        [_PC_DECLS.format(t=t) for t in tags] +
+        ["\n| ".join(_PC.format(t=t) for t in tags)]))
+    rep = explore(prog, depth=30)
+    assert (len(rep.states), rep.edges) == (121, 286)
+    # sessions connect in either order, so the same service runs as s1 on
+    # one path and s2 on another; both orders must meet in one state
+    got = {canonicalize(s).text for s in rep.states}
+    assert got == naive_explore(prog.term, 30)
+    mrep = m_explore(to_multiparty(prog), depth=30)
+    assert (len(mrep.states), mrep.edges) == (121, 286)
 
 
 # -- replay -----------------------------------------------------------------

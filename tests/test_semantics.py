@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import cherrypi.multiparty as mp
 import cherrypi.semantics as sem
-import cherrypi.sessiontypes as sty
+import cherrypi.syntax as syntax
 from genprog import random_type
 from oracle_naive import naive_type_reach
 from cherrypi.parser import parse_type
@@ -341,8 +341,8 @@ def test_unfolding_keeps_closed_types_as_they_are():
 
 def test_type_key_table_does_not_outlive_the_check(corpus):
     gc.collect()
-    before = len(sty._REPS)
+    before = len(syntax._REPS)
     check_compliance(parse_type((corpus / "vod_user.chty").read_text()),
                      parse_type((corpus / "vod_server.chty").read_text()))
     gc.collect()
-    assert len(sty._REPS) == before
+    assert len(syntax._REPS) == before

@@ -1,13 +1,20 @@
+import gc
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from genprog import random_program
-from cherrypi.syntax import (Accept, Branch, ChanVar, Commit, If, Inact, Lit,
-                             PVar, Rec, Recv, Request, Roll, Select, Send,
-                             Var, canonicalize, equivalent, free_names,
+from cherrypi.multiparty import m_explore, to_multiparty
+from cherrypi.parser import parse_program
+from cherrypi.runtime import explore
+from cherrypi.syntax import (_REPS, Accept, Branch, Call, ChanVar,
+                             CheckpointProcess, Commit, Endpoint, If, Inact,
+                             Lit, Log, MEndpoint, Par, PVar, Rec, Recv,
+                             Request, Roll, Select, Send, Session, Ufun, Var,
+                             canonicalize, equivalent, free_names,
                              head_normal, par, par_parts, process_canonical,
-                             substitute, unfold_recursion)
+                             process_key, substitute, term_key,
+                             unfold_recursion)
 
 k = ChanVar("k")
 
@@ -93,3 +100,174 @@ def test_generated_terms_canonicalize_stably(seed):
     assert c1 == c2
     parts = list(par_parts(prog.term))
     assert canonicalize(par(*reversed(parts))).text == c1
+
+
+# -- keys ---------------------------------------------------------------------
+
+def _renamed(t, f):
+    """`t` with every variable and session name `n` renamed to `f(n)`; on a
+    closed term that is an alpha-renaming."""
+    def chan(r):
+        if isinstance(r, ChanVar):
+            return ChanVar(f(r.name))
+        if isinstance(r, Endpoint):
+            return Endpoint(f(r.session), r.plus)
+        return MEndpoint(f(r.session), r.role)
+
+    def expr(e):
+        match e:
+            case Var(n):
+                return Var(f(n))
+            case Call(op, args):
+                return Call(op, tuple(expr(a) for a in args))
+            case Ufun(fn, args, asorts, rsort, dom):
+                return Ufun(fn, tuple(expr(a) for a in args), asorts, rsort,
+                            dom)
+        return e
+
+    def go(t):
+        match t:
+            case Send(ch, e, cont, r):
+                return Send(chan(ch), expr(e), go(cont), r)
+            case Recv(ch, y, s, cont, r):
+                return Recv(chan(ch), f(y), s, go(cont), r)
+            case Select(ch, lab, cont, r):
+                return Select(chan(ch), lab, go(cont), r)
+            case Branch(ch, arms, r):
+                return Branch(chan(ch), tuple((lab, go(a)) for lab, a in arms),
+                              r)
+            case If(cond, a, b):
+                return If(expr(cond), go(a), go(b))
+            case Rec(x, body):
+                return Rec(f(x), go(body))
+            case PVar(x):
+                return PVar(f(x))
+            case Commit(cont):
+                return Commit(go(cont))
+            case Request(a, x, body, role):
+                return Request(a, f(x), go(body), role)
+            case Accept(a, x, body, role):
+                return Accept(a, f(x), go(body), role)
+            case Par(parts):
+                return Par(tuple(go(q) for q in parts))
+            case Session(s, saved, body):
+                return Session(f(s), go(saved), go(body))
+            case Log(ep, ckpt, cur):
+                return Log(chan(ep), CheckpointProcess(go(ckpt.process),
+                                                       ckpt.imposed), go(cur))
+        return t
+
+    return go(t)
+
+
+def _reordered(t):
+    """`t` with every parallel composition reversed."""
+    match t:
+        case Par(parts):
+            return Par(tuple(_reordered(q) for q in reversed(parts)))
+        case Session(s, saved, body):
+            return Session(s, _reordered(saved), _reordered(body))
+    return t
+
+
+def _log_processes(c):
+    for it in par_parts(c):
+        if isinstance(it, Session):
+            for lg in par_parts(it.body):
+                if isinstance(lg, Log):
+                    yield lg.ckpt.process
+                    yield lg.current
+
+
+def _assert_keys_match_texts(terms, key, text):
+    by_text, by_key = {}, {}
+    for t in terms:
+        k, s = key(t), text(t)
+        by_text.setdefault(s, set()).add(k)
+        by_key.setdefault(k, set()).add(s)
+    assert all(len(ks) == 1 for ks in by_text.values())
+    assert all(len(ss) == 1 for ss in by_key.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_keys_are_equal_exactly_when_texts_are(seed):
+    prog = random_program(random.Random(seed), safe=(seed % 2 == 0))
+    go = explore
+    if seed % 3 == 0:
+        prog, go = to_multiparty(prog), m_explore
+    rep = go(prog, depth=8, mode="detect")
+    # an alpha-renamed copy, a copy whose session names are shuffled the way
+    # another connection order would number them, and a reordered copy
+    swap = {"s1": "s2", "s2": "s1"}
+    states = list(rep.states)
+    states += [_renamed(s, lambda n: n + "_r") for s in rep.states]
+    states += [_renamed(s, lambda n: swap.get(n, n)) for s in rep.states]
+    states += [_reordered(s) for s in rep.states]
+    _assert_keys_match_texts(states, term_key,
+                             lambda c: canonicalize(c).text)
+    procs = [p for s in states for p in _log_processes(s)]
+    procs += [head_normal(p) for p in procs]
+    _assert_keys_match_texts(procs, process_key, process_canonical)
+
+
+def test_keys_abstract_session_names_binders_and_order():
+    a = Request("a", "x", Recv(ChanVar("x"), "v", "int",
+                               Send(ChanVar("x"), Var("v"), Inact())))
+    b = Accept("a", "y", Send(ChanVar("y"), Lit(1),
+                              Recv(ChanVar("y"), "w", "int", Inact())))
+    initial = par(a, b)
+    assert term_key(initial) == term_key(par(b, _renamed(a, str.upper)))
+    ses = Session("s1", initial,
+                  par(Log(Endpoint("s1", True), CheckpointProcess(Inact()),
+                          Inact()),
+                      Log(Endpoint("s1", False), CheckpointProcess(Roll()),
+                          Inact())))
+    renamed = _renamed(ses, lambda n: "s7" if n == "s1" else n)
+    assert term_key(ses) == term_key(renamed)
+    assert term_key(par(ses, a)) == term_key(par(a, renamed))
+    # a bare process keeps its free session names
+    p = Send(Endpoint("s1", True), Lit(1), Inact())
+    assert process_key(p) != process_key(_renamed(p, lambda n: "s2"))
+    # the imposed flag of a checkpoint is part of the key
+    imposed = Session("s1", initial,
+                      par(Log(Endpoint("s1", True),
+                              CheckpointProcess(Inact(), imposed=True),
+                              Inact()),
+                          ses.body.parts[1]))
+    assert term_key(imposed) != term_key(ses)
+    # the literal's sort is part of the key, as it is of the text
+    assert process_key(Send(k, Lit(True), Inact())) != \
+        process_key(Send(k, Lit(1), Inact()))
+
+
+def test_a_subterm_keyed_alone_keeps_its_binder_inside_a_term():
+    body = Send(k, Var("u"), Inact())
+    alone = process_key(body)  # u free here, bound below
+    bound, other = Recv(k, "u", "int", body), Recv(k, "w", "int", body)
+    assert process_key(bound) != process_key(other)
+    assert process_key(body) == alone
+    assert process_key(bound) == process_key(Recv(k, "z", "int",
+                                                  Send(k, Var("z"), Inact())))
+
+
+def test_substitution_shares_untouched_subtrees():
+    tail = Rec("X", Send(k, Lit(1), PVar("X")))
+    p = Recv(k, "u", "int", Send(k, Var("u"), tail))
+    q = substitute(p.cont, "u", Lit(3))
+    assert q.cont is tail
+    assert unfold_recursion(tail) is unfold_recursion(tail)
+    assert substitute(tail, "u", Lit(3)) is tail
+
+
+def test_term_key_table_does_not_outlive_exploration(corpus):
+    gc.collect()
+    before = len(_REPS)
+    program = parse_program((corpus / "three_party_job.chpi").read_text())
+    reports = [m_explore(program, depth=12, mode="detect")]
+    program = parse_program((corpus / "vod_c.chpi").read_text())
+    reports.append(explore(program, depth=12, mode="detect"))
+    assert len(_REPS) > before
+    del program, reports
+    gc.collect()
+    assert len(_REPS) == before
