@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from .infer import TypingError, infer_collaboration
-from .multiparty import (m_check_rollback_safety, m_explore,
-                         m_infer_collaboration, m_simulate)
+from .multiparty import m_infer_collaboration
 from .parser import ParseError, parse_program, parse_type
 from .runtime import (DecisionOracle, ExploreError, OracleExhausted, explore,
                       replay, simulate)
@@ -63,9 +62,7 @@ def cmd_infer(args) -> int:
 
 def cmd_check(args) -> int:
     program = _load_program(args.file)
-    report = (m_check_rollback_safety(program.term, args.budget)
-              if program.multiparty
-              else check_rollback_safety(program.term, args.budget))
+    report = check_rollback_safety(program.term, args.budget)
     data = report.to_json()
     lines = [data["verdict"]]
     for name, svc in data["services"].items():
@@ -81,7 +78,7 @@ def cmd_check(args) -> int:
 def cmd_comply(args) -> int:
     t1 = _load_type(args.left)
     t2 = _load_type(args.right)
-    report = check_compliance(t1, t2, args.budget)
+    report = check_compliance(t1, t2, budget=args.budget)
     data = report.to_json()
     lines = [data["verdict"],
              f"  {data['states']} states, {data['edges']} edges"]
@@ -108,25 +105,24 @@ def _oracle_from(args) -> DecisionOracle:
 def cmd_run(args) -> int:
     program = _load_program(args.file)
     oracle = _oracle_from(args)
-    run = m_simulate if program.multiparty else simulate
-    trace = run(program, oracle, max_steps=args.max_steps,
-                mode=args.error_mode)
+    trace = simulate(program, oracle, max_steps=args.max_steps,
+                     mode=args.error_mode)
+    data = trace.to_json()
     if args.trace:
-        Path(args.trace).write_text(
-            json.dumps(trace.to_json(), indent=2) + "\n", encoding="utf-8")
-    lines = [trace.to_json()["initial"]]
+        Path(args.trace).write_text(json.dumps(data, indent=2) + "\n",
+                                    encoding="utf-8")
+    lines = [data["initial"]]
     for k, step in enumerate(trace.steps):
         lines.append(f"{k + 1}. {step.label()}")
     lines.append(f"status: {trace.status}")
-    _emit(args, trace.to_json(), lines)
+    _emit(args, data, lines)
     return 0 if trace.status in ("completed", "cut-off") else 1
 
 
 def cmd_explore(args) -> int:
     program = _load_program(args.file)
-    go = m_explore if program.multiparty else explore
-    report = go(program, depth=args.depth, mode=args.error_mode,
-                budget=args.budget)
+    report = explore(program, depth=args.depth, mode=args.error_mode,
+                     budget=args.budget)
     if args.dot:
         Path(args.dot).write_text(_explore_dot(report), encoding="utf-8")
     data = report.to_json()
@@ -169,7 +165,7 @@ def _explore_dot(report) -> str:
 def cmd_graph(args) -> int:
     t1 = _load_type(args.left)
     t2 = _load_type(args.right)
-    report = check_compliance(t1, t2, args.budget)
+    report = check_compliance(t1, t2, budget=args.budget)
     dot = compliance_dot(report)
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")

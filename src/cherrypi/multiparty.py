@@ -1,43 +1,30 @@
 """Multiparty sessions: n roles with the requester as role n.
 
-Session logs (and type configurations) keep the requester first, then roles
-1..n-1, so the two-party instance lines up position-for-position with the
-binary engine.  Communication is pairwise and role-directed; commits pin
-every other participant, roll restores (or errs) all of them, abort resets
-the whole session.  A binary program can be transcribed to its two-party
-counterpart and multiparty runs erased back for cross-checking.
+The engines in `semantics` and `runtime` step sessions of any number of
+parties; what is n-role only lives here: grouping a collaboration's
+endpoints by service and inferring each role's type, the `m_*` entry
+points, and the transcription of a binary program into its two-role twin
+(with the erasure back, for cross-checking).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .syntax import (Abort, Accept, Branch, CheckpointProcess, Collaboration,
-                     ComError, Commit, Endpoint, If, Lit, Log, MEndpoint,
-                     Par, Process, Rec, Recv, Request, Roll, RollError,
-                     Select, Send, Session, par, par_parts, substitute,
-                     MalformedTerm)
-from .syntax import ChanVar, process_key
-from .sessiontypes import TErr, fill_roles, render_type, type_key
-from .infer import TypingError, type_of_process
-from .semantics import (BudgetExceeded, CheckpointType, Edge,
-                        TransitionSystem, current_budget, type_transitions,
-                        _ckpt_differs, _is_end, _log_ckpt_differs)
-from .runtime import (Candidate, DecisionOracle, ExplorationReport,
-                      StepRecord, Trace, _fresh_session, _guard_candidates,
-                      _may_recover, _rebuild, _show_value, classify_state,
-                      explore, guard_value, head_normal, simulate)
+from .syntax import (Accept, Branch, ChanVar, CheckpointProcess,
+                     Collaboration, ComError, Commit, Endpoint, If, Log,
+                     MalformedTerm, MEndpoint, Par, Process, Rec, Recv,
+                     Request, RollError, Select, Send, Session, par,
+                     par_parts)
+from .sessiontypes import fill_roles
+from .infer import (TypingError, infer_collaboration, service_pairs,
+                    type_of_process)
+from .semantics import (ComplianceReport, TransitionSystem,
+                        check_compliance, check_rollback_safety, config_key,
+                        config_transitions, reachable_system)
+from .runtime import (DecisionOracle, ExplorationReport, StepRecord, Trace,
+                      explore, reduction_steps, simulate)
 from .parser import SourceProgram
-
-
-def role_of_position(pos: int, n: int) -> int:
-    """Log position -> role (0-based position; the requester sits first)."""
-    return n if pos == 0 else pos
-
-
-def position_of_role(role: int, n: int) -> int:
-    return 0 if role == n else role
 
 
 # ---------------------------------------------------------------------------
@@ -142,516 +129,72 @@ def filled_types(svc: MService) -> tuple:
     return tuple(fill_roles(svc.types[r], r) for r in order)
 
 
+def is_multiparty(term: Collaboration) -> bool:
+    """Whether a source collaboration's endpoints carry roles, as
+    `SourceProgram.multiparty` records for parsed programs."""
+    return any(part.role is not None for part in par_parts(term))
+
+
+def service_types(term: Collaboration) -> dict:
+    """Per service, the endpoint types in log order (requester first): the
+    inferred pair of a binary collaboration, the role-filled types of an
+    n-role one."""
+    if is_multiparty(term):
+        return {name: filled_types(svc)
+                for name, svc in m_service_groups(term).items()}
+    return {name: (t_req, t_acc) for name, t_req, t_acc
+            in service_pairs(infer_collaboration(term))}
+
+
 # ---------------------------------------------------------------------------
-# type configurations (n parties)
+# entry points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MTypeConfiguration:
-    ckpts: tuple  # tuple[CheckpointType, ...]
-    currents: tuple  # tuple[SessionTypeT, ...]
-    inits: tuple
-    n: int  # number of roles; position 0 is the requester (role n)
+def m_check_compliance(types: tuple, budget: int | None = None) \
+        -> ComplianceReport:
+    """Compliance of role types in log order (requester first), reported
+    with n-role names."""
+    rep = check_compliance(*types, budget=budget)
+    rep.roles = True
+    return rep
 
 
-def m_initial_configuration(types: tuple) -> MTypeConfiguration:
-    return MTypeConfiguration(tuple(CheckpointType(t) for t in types),
-                              tuple(types), tuple(types), len(types))
+# rollback safety reads binary or n-role from the collaboration itself
+m_check_rollback_safety = check_rollback_safety
 
 
-def m_config_key(cfg: MTypeConfiguration) -> tuple:
-    """Identity of an n-party configuration within one run: per position
-    the imposed flag and the `type_key`s of checkpoint and current.  The
-    initial types and `n` are left out because they are fixed along a run;
-    the key is meaningful only while the configuration's types are alive."""
-    key: list = []
-    for ck, cur in zip(cfg.ckpts, cfg.currents):
-        key += (ck.imposed, type_key(ck.typ), type_key(cur))
-    return tuple(key)
-
-
-def m_config_transitions(cfg: MTypeConfiguration) -> list:
-    """Journal steps of an n-party configuration, (party, rule, label,
-    successor) sorted by (party, rule, label).  Parties are 1-based log
-    positions."""
-    out: list = []
-    n = cfg.n
-    cur = cfg.currents
-    cks = cfg.ckpts
-    for i in range(n):
-        role_i = role_of_position(i, n)
-        for lab, nxt in type_transitions(cur[i]):
-            match lab:
-                case ("out", s, src, dst):
-                    if src != role_i:
-                        continue
-                    j = position_of_role(dst, n)
-                    for plab, pnxt in type_transitions(cur[j]):
-                        if plab[0] == "in" and plab[1] == s \
-                                and plab[2] == dst and plab[3] == role_i:
-                            curs = list(cur)
-                            curs[i], curs[j] = nxt, pnxt
-                            out.append((i + 1, "M-TS-Com", f"com[{s}]",
-                                        MTypeConfiguration(
-                                            cks, tuple(curs), cfg.inits,
-                                            n)))
-                case ("sel", l, src, dst):
-                    if src != role_i:
-                        continue
-                    j = position_of_role(dst, n)
-                    for plab, pnxt in type_transitions(cur[j]):
-                        if plab[0] == "brn" and plab[1] == l \
-                                and plab[2] == dst and plab[3] == role_i:
-                            curs = list(cur)
-                            curs[i], curs[j] = nxt, pnxt
-                            out.append((i + 1, "M-TS-Lab", f"lab[{l}]",
-                                        MTypeConfiguration(
-                                            cks, tuple(curs), cfg.inits,
-                                            n)))
-                case ("tau", side):
-                    curs = list(cur)
-                    curs[i] = nxt
-                    out.append((i + 1, "M-TS-Tau", f"tau[{side}]",
-                                MTypeConfiguration(cks, tuple(curs),
-                                                   cfg.inits, n)))
-                # the committer checkpoints its continuation; every other
-                # participant still sitting on its own checkpoint is left
-                # alone, anyone else gets the current imposed
-                case ("cmt",):
-                    curs = list(cur)
-                    ncks = list(cks)
-                    curs[i] = nxt
-                    ncks[i] = CheckpointType(nxt)
-                    any_diff = False
-                    for h in range(n):
-                        if h == i:
-                            continue
-                        if _ckpt_differs(cks[h], cur[h]):
-                            ncks[h] = CheckpointType(cur[h], imposed=True)
-                            any_diff = True
-                    rule = "M-TS-Cmt1" if any_diff else "M-TS-Cmt2"
-                    out.append((i + 1, rule, "cmt",
-                                MTypeConfiguration(tuple(ncks), tuple(curs),
-                                                   cfg.inits, n)))
-                case ("roll",):
-                    if cks[i].imposed:
-                        out.append((i + 1, "M-TS-Rll2", "roll",
-                                    MTypeConfiguration(
-                                        cks, tuple(TErr() for _ in cur),
-                                        cfg.inits, n)))
-                    else:
-                        out.append((i + 1, "M-TS-Rll1", "roll",
-                                    MTypeConfiguration(
-                                        cks, tuple(c.typ for c in cks),
-                                        cfg.inits, n)))
-                case ("abt",):
-                    out.append((i + 1, "M-TS-Abt1", "abt",
-                                m_initial_configuration(cfg.inits)))
-    out.sort(key=lambda e: (e[0], e[1], e[2]))
-    return out
-
+# bench/tracing.py times each of the following names as a span of its own,
+# so each stays a `def`: an alias of the engine function would be wrapped
+# twice and double every span
 
 def m_reachable_system(types: tuple, budget: int | None = None) \
         -> TransitionSystem:
-    limit = current_budget(budget)
-    init = m_initial_configuration(types)
-    states = [init]
-    index = {m_config_key(init): 0}
-    parents: list = [None]
-    edges: list = []
-    frontier = [0]
-    depth = 0
-    while frontier:
-        nxt: list = []
-        for sid in frontier:
-            for party, rule, label, succ in m_config_transitions(
-                    states[sid]):
-                key = m_config_key(succ)
-                tid = index.get(key)
-                if tid is None:
-                    if len(states) >= limit:
-                        raise BudgetExceeded(limit, states=len(states),
-                                             depth=depth,
-                                             frontier=len(frontier))
-                    tid = len(states)
-                    index[key] = tid
-                    states.append(succ)
-                    parents.append(None)
-                    nxt.append(tid)
-                edge = Edge(sid, tid, party, rule, label)
-                edges.append(edge)
-                if parents[tid] is None and tid != 0:
-                    parents[tid] = (sid, edge)
-        frontier = nxt
-        depth += 1
-    return TransitionSystem(states, edges, parents)
+    return reachable_system(*types, budget=budget)
 
 
-@dataclass
-class MViolation:
-    state: int
-    config: MTypeConfiguration
-    path: list
+def m_config_key(cfg) -> tuple:
+    return config_key(cfg)
 
 
-@dataclass
-class MComplianceReport:
-    compliant: bool
-    system: TransitionSystem
-    violations: list
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": "compliant" if self.compliant else "violating",
-            "states": len(self.system.states),
-            "edges": len(self.system.edges),
-            "violations": [
-                {"terminal": m_describe_configuration(v.config),
-                 "state": v.state,
-                 "path": [e.rule for e in v.path]}
-                for v in self.violations
-            ],
-        }
-
-
-def m_describe_configuration(cfg: MTypeConfiguration) -> dict:
-    out: dict = {}
-    for i in range(cfg.n):
-        role = role_of_position(i, cfg.n)
-        out[f"role{role}"] = {
-            "checkpoint": render_type(cfg.ckpts[i].typ),
-            "imposed": cfg.ckpts[i].imposed,
-            "current": render_type(cfg.currents[i]),
-        }
-    return out
-
-
-def m_check_compliance(types: tuple, budget: int | None = None) \
-        -> MComplianceReport:
-    ts = m_reachable_system(types, budget)
-    has_out = [False] * len(ts.states)
-    for e in ts.edges:
-        has_out[e.src] = True
-    violations: list = []
-    for sid, cfg in enumerate(ts.states):
-        if has_out[sid]:
-            continue
-        if all(_is_end(t) for t in cfg.currents):
-            continue
-        violations.append(MViolation(sid, cfg, ts.path_to(sid)))
-    return MComplianceReport(not violations, ts, violations)
-
-
-@dataclass
-class MRollbackSafetyReport:
-    safe: bool
-    services: dict
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": "rollback safe" if self.safe
-                       else "not rollback safe",
-            "services": {name: rep.to_json()
-                         for name, rep in self.services.items()},
-        }
-
-
-def m_check_rollback_safety(term: Collaboration,
-                            budget: int | None = None) \
-        -> MRollbackSafetyReport:
-    reports: dict = {}
-    for name, svc in m_service_groups(term).items():
-        reports[name] = m_check_compliance(filled_types(svc), budget)
-    return MRollbackSafetyReport(
-        all(r.compliant for r in reports.values()), reports)
-
-
-# ---------------------------------------------------------------------------
-# reduction
-# ---------------------------------------------------------------------------
-
-def _m_connect(items: list, group: dict, n: int, sname: str) \
-        -> Collaboration:
-    """Build the session from a complete role->index map."""
-    order = [n] + list(range(1, n))
-    saved = par(*(items[group[r]] for r in order))
-    logs = []
-    for r in order:
-        part = items[group[r]]
-        p = substitute(part.body, part.var, MEndpoint(sname, r))
-        logs.append(Log(MEndpoint(sname, r), CheckpointProcess(p), p))
-    ses = Session(sname, saved, par(*logs))
-    first = min(group.values())
-    out = []
-    for k, it in enumerate(items):
-        if k == first:
-            out.append(ses)
-        elif k not in group.values():
-            out.append(it)
-    return _rebuild(out)
+def m_config_transitions(cfg) -> list:
+    return config_transitions(cfg)
 
 
 def m_reduction_steps(state: Collaboration, mode: str = "plain",
                       oracle: DecisionOracle | None = None,
                       exhaustive: bool = False) -> list:
-    """Multiparty counterpart of the binary reduction enumeration."""
-    if mode not in ("plain", "detect"):
-        raise ValueError(f"unknown error mode {mode!r}")
-    items = list(par_parts(state))
-    cands: list = []
-
-    # connection: a requester a[n] plus one acceptor for every role 1..n-1
-    by_service: dict = {}
-    for k, it in enumerate(items):
-        if isinstance(it, (Request, Accept)) and it.role is not None:
-            by_service.setdefault(it.chan, []).append(k)
-    for service, idxs in sorted(by_service.items()):
-        reqs = [k for k in idxs if isinstance(items[k], Request)]
-        for rk in reqs:
-            n = items[rk].role
-            pools = [[k for k in idxs
-                      if isinstance(items[k], Accept)
-                      and items[k].role == role]
-                     for role in range(1, n)]
-            if any(not pool for pool in pools):
-                continue
-            for combo in itertools.product(*pools):
-                group = {n: rk}
-                group.update({role: k
-                              for role, k in zip(range(1, n), combo)})
-                sname = _fresh_session(items)
-                cands.append(Candidate(
-                    "M-F-Con", sname, 0, f"{service}:{sname}",
-                    _m_connect(items, group, n, sname),
-                    oracle=None if exhaustive or oracle is None
-                    else oracle.clone()))
-
-    for idx, it in enumerate(items):
-        if not isinstance(it, Session):
-            continue
-        body = par_parts(it.body)
-        if any(isinstance(b, (RollError, ComError)) for b in body):
-            continue
-        if not all(isinstance(b, Log)
-                   and isinstance(b.endpoint, MEndpoint) for b in body):
-            continue  # binary sessions belong to the binary engine
-        cands.extend(_m_session_steps(items, idx, it, list(body), mode,
-                                      oracle, exhaustive))
-
-    cands.sort(key=Candidate.sort_key)
-    return cands
-
-
-def m_barbs_toward(p: Process, observer: int) -> frozenset:
-    """Weak observables of `p` as seen by role `observer`.
-
-    Like the binary barb set, but communications directed at third roles
-    are treated as internal: the party may get past them without the
-    observer's help, so their continuations (all branch arms included)
-    stay observable.  With only two roles this coincides with the plain
-    barb set."""
-    found: set = set()
-    seen: set = set()
-    stack = [p]
-    while stack:
-        q = head_normal(stack.pop())
-        key = process_key(q)
-        if key in seen:
-            continue
-        seen.add(key)
-        match q:
-            case Send(ch, _, cont, role):
-                if role == observer:
-                    found.add(("out", ch, role))
-                else:
-                    stack.append(cont)
-            case Recv(ch, _, _, cont, role):
-                if role == observer:
-                    found.add(("in", ch, role))
-                else:
-                    stack.append(cont)
-            case Select(ch, l, cont, role):
-                if role == observer:
-                    found.add(("sel", ch, l, role))
-                else:
-                    stack.append(cont)
-            case Branch(ch, arms, role):
-                if role == observer:
-                    for l, _ in arms:
-                        found.add(("brn", ch, l, role))
-                else:
-                    for _, arm in arms:
-                        stack.append(arm)
-            case If(cond, then, orelse):
-                v = guard_value(cond)
-                if v is None:
-                    stack.append(then)
-                    stack.append(orelse)
-                else:
-                    stack.append(then if v else orelse)
-            case Commit(cont):
-                stack.append(cont)
-            case Roll():
-                found.add(("roll",))
-            case Abort():
-                found.add(("abt",))
-            case _:
-                pass
-    return frozenset(found)
-
-
-def _m_session_steps(items, idx, ses, logs, mode, oracle, exhaustive) \
-        -> list:
-    out: list = []
-    sname = ses.name
-    n = len(logs)
-    heads = [head_normal(lg.current) for lg in logs]
-    barb_cache: dict = {}
-
-    def pbarbs(k: int, toward: int) -> frozenset:
-        if (k, toward) not in barb_cache:
-            barb_cache[k, toward] = m_barbs_toward(logs[k].current, toward)
-        return barb_cache[k, toward]
-
-    def mk(rule, party, text, new_logs=None, new_body=None, backward=False,
-           orc=None, choices=()):
-        if new_logs is not None:
-            new_body = par(*new_logs)
-        succ_items = list(items)
-        succ_items[idx] = Session(sname, ses.saved, new_body)
-        out.append(Candidate(rule, sname, party, text,
-                             _rebuild(succ_items), backward=backward,
-                             oracle=orc, choices=choices))
-
-    for i in range(n):
-        role_i = role_of_position(i, n)
-        li, hi = logs[i], heads[i]
-        ep_i = li.endpoint
-        match hi:
-            case Send(_, e, cont, to_role):
-                j = position_of_role(to_role, n)
-                lj, hj = logs[j], heads[j]
-                if isinstance(hj, Recv) and hj.from_role == role_i:
-                    for v, orc, ch in _guard_candidates(e, oracle,
-                                                        exhaustive):
-                        nl = list(logs)
-                        nl[i] = Log(ep_i, li.ckpt, cont)
-                        nl[j] = Log(lj.endpoint, lj.ckpt,
-                                    substitute(hj.cont, hj.var, Lit(v)))
-                        mk("M-F-Com", i + 1,
-                           f"{sname}:p{i + 1} !{_show_value(v)}",
-                           new_logs=nl, orc=orc, choices=ch)
-                elif mode == "detect":
-                    bs = pbarbs(j, role_i)
-                    if ("in", lj.endpoint, role_i) not in bs \
-                            and not _may_recover(bs):
-                        mk("M-E-Com1", i + 1,
-                           f"{sname}:p{i + 1} stuck-out",
-                           new_body=ComError())
-            case Recv(_, _, _, _, from_role):
-                j = position_of_role(from_role, n)
-                lj, hj = logs[j], heads[j]
-                sender_ready = isinstance(hj, Send) \
-                    and hj.to_role == role_i
-                if mode == "detect" and not sender_ready:
-                    bs = pbarbs(j, role_i)
-                    if ("out", lj.endpoint, role_i) not in bs \
-                            and not _may_recover(bs):
-                        mk("M-E-Com2", i + 1,
-                           f"{sname}:p{i + 1} stuck-in",
-                           new_body=ComError())
-            case Select(_, lab, cont, to_role):
-                j = position_of_role(to_role, n)
-                lj, hj = logs[j], heads[j]
-                if isinstance(hj, Branch) and hj.from_role == role_i:
-                    arm = dict(hj.arms).get(lab)
-                    if arm is not None:
-                        nl = list(logs)
-                        nl[i] = Log(ep_i, li.ckpt, cont)
-                        nl[j] = Log(lj.endpoint, lj.ckpt, arm)
-                        mk("M-F-Lab", i + 1, f"{sname}:p{i + 1} +{lab}",
-                           new_logs=nl)
-                        continue
-                if mode == "detect":
-                    bs = pbarbs(j, role_i)
-                    if ("brn", lj.endpoint, lab, role_i) not in bs \
-                            and not _may_recover(bs):
-                        mk("M-E-Lab1", i + 1,
-                           f"{sname}:p{i + 1} stuck-sel",
-                           new_body=ComError())
-            case Branch(_, arms, from_role):
-                j = position_of_role(from_role, n)
-                lj, hj = logs[j], heads[j]
-                selector_ready = isinstance(hj, Select) \
-                    and hj.to_role == role_i
-                if mode == "detect" and not selector_ready:
-                    bs = pbarbs(j, role_i)
-                    offered = any(
-                        ("sel", lj.endpoint, lab, role_i) in bs
-                        for lab, _ in arms)
-                    if not offered and not _may_recover(bs):
-                        mk("M-E-Lab2", i + 1,
-                           f"{sname}:p{i + 1} stuck-brn",
-                           new_body=ComError())
-            case If(cond, then, orelse):
-                for v, orc, ch in _guard_candidates(cond, oracle,
-                                                    exhaustive):
-                    nl = list(logs)
-                    nl[i] = Log(ep_i, li.ckpt, then if v else orelse)
-                    mk("M-F-If", i + 1,
-                       f"{sname}:p{i + 1} {'then' if v else 'else'}",
-                       new_logs=nl, orc=orc, choices=ch)
-            case Commit(cont):
-                nl = list(logs)
-                nl[i] = Log(ep_i, CheckpointProcess(cont), cont)
-                any_diff = False
-                for h in range(n):
-                    if h == i:
-                        continue
-                    ph = logs[h]
-                    if _log_ckpt_differs(ph):
-                        nl[h] = Log(ph.endpoint,
-                                    CheckpointProcess(ph.current,
-                                                      imposed=True),
-                                    ph.current)
-                        any_diff = True
-                if mode == "detect":
-                    rule = "M-E-Cmt1" if any_diff else "M-E-Cmt2"
-                else:
-                    rule = "M-F-Cmt"
-                mk(rule, i + 1, f"{sname}:p{i + 1} commit", new_logs=nl)
-            case Roll():
-                if mode == "detect" and li.ckpt.imposed:
-                    mk("M-E-Rll2", i + 1, f"{sname}:p{i + 1} roll",
-                       new_body=RollError())
-                else:
-                    nl = [Log(lg.endpoint, lg.ckpt, lg.ckpt.process)
-                          for lg in logs]
-                    rule = "M-E-Rll1" if mode == "detect" else "M-B-Rll"
-                    mk(rule, i + 1, f"{sname}:p{i + 1} roll",
-                       new_logs=nl, backward=True)
-            case Abort():
-                succ_items = list(items)
-                succ_items[idx] = ses.saved
-                out.append(Candidate(
-                    "M-B-Abt", sname, i + 1, f"{sname}:p{i + 1} abort",
-                    _rebuild(succ_items), backward=True))
-            case _:
-                pass
-    return out
+    return reduction_steps(state, mode, oracle, exhaustive)
 
 
 def m_simulate(program: SourceProgram,
                oracle: DecisionOracle | None = None,
                max_steps: int = 1000, mode: str = "plain") -> Trace:
-    return simulate(program, oracle, max_steps, mode,
-                    stepper=m_reduction_steps)
+    return simulate(program, oracle, max_steps, mode)
 
 
 def m_explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
               budget: int | None = None) -> ExplorationReport:
-    return explore(program, depth, mode, budget,
-                   stepper=m_reduction_steps)
+    return explore(program, depth, mode, budget)
 
 
 # ---------------------------------------------------------------------------

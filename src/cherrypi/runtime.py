@@ -1,6 +1,13 @@
-"""Process-level execution: decision oracle, evaluation, barbs, reduction,
-simulation, exhaustive exploration, trace replay, and a shadow typechecker
-that runs the type-level configuration alongside a trace.
+"""Process-level execution for binary and n-role programs alike: decision
+oracle, evaluation, barbs, reduction, simulation, exhaustive exploration,
+trace replay, and a shadow typechecker that runs the type-level
+configuration alongside a trace.
+
+A session logs one process per party, the requester first; a binary session
+is the two-party case.  Communication meets the partner a prefix's role
+names, or the other log when a binary prefix names none.  Steps of n-role
+sessions (whose logs sit on `MEndpoint`s) carry rule names with an `M-`
+prefix; nothing else tells the two kinds apart.
 
 Uninterpreted functions are resolved by a `DecisionOracle`; its counters are
 never rolled back, so a re-run after a rollback may take another branch.
@@ -11,21 +18,22 @@ candidate adopts its clone — enumeration itself never consumes draws.
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 from dataclasses import dataclass, field
 
 from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
-                     MalformedTerm, Process, Recv, Request, Roll, RollError,
-                     Select, Send, Session, Ufun, Var, head_normal, par,
-                     par_parts, process_key, substitute, term_key)
-from .sessiontypes import TErr, canonical_type, type_key
+                     MalformedTerm, MEndpoint, Process, Recv, Request, Roll,
+                     RollError, Select, Send, Session, Ufun, Var, head_normal,
+                     par, par_parts, process_key, substitute, term_key)
+from .sessiontypes import TErr, canonical_type, fill_roles, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
-from .infer import TypingError, infer_collaboration, type_of_process
-from .semantics import (BudgetExceeded, CheckpointType, TypeConfiguration,
-                        _ckpt_differs, _log_ckpt_differs, current_budget,
-                        initial_configuration, type_transitions)
+from .infer import TypingError, type_of_process
+from .semantics import (BudgetExceeded, TypeConfiguration, _log_ckpt_differs,
+                        config_transitions, current_budget,
+                        initial_configuration, partner_position)
 
 
 class OracleExhausted(Exception):
@@ -205,7 +213,7 @@ def guard_value(e):
     return evaluate(e)
 
 
-def barbs(p: Process) -> frozenset:
+def barbs(p: Process, observer: int | None = None) -> frozenset:
     """Weak observables of a process, closed under internal steps.
 
     Internal steps here are conditional resolutions (both branches count as
@@ -214,6 +222,11 @@ def barbs(p: Process) -> frozenset:
     ("out", chan, role), ("in", chan, role), ("sel", chan, label, role),
     ("brn", chan, label, role), ("roll",), ("abt",); the role is the partner
     annotation (None on binary endpoints).
+
+    As seen by an `observer` role, communications directed at other roles
+    are internal too: the party may get past them without the observer's
+    help, so their continuations (all branch arms included) stay
+    observable.
     """
     found: set = set()
     seen: set = set()
@@ -225,15 +238,27 @@ def barbs(p: Process) -> frozenset:
             continue
         seen.add(key)
         match q:
-            case Send(ch, _, _, role):
-                found.add(("out", ch, role))
-            case Recv(ch, _, _, _, role):
-                found.add(("in", ch, role))
-            case Select(ch, l, _, role):
-                found.add(("sel", ch, l, role))
+            case Send(ch, _, cont, role):
+                if observer is None or role == observer:
+                    found.add(("out", ch, role))
+                else:
+                    stack.append(cont)
+            case Recv(ch, _, _, cont, role):
+                if observer is None or role == observer:
+                    found.add(("in", ch, role))
+                else:
+                    stack.append(cont)
+            case Select(ch, l, cont, role):
+                if observer is None or role == observer:
+                    found.add(("sel", ch, l, role))
+                else:
+                    stack.append(cont)
             case Branch(ch, arms, role):
-                for l, _ in arms:
-                    found.add(("brn", ch, l, role))
+                if observer is None or role == observer:
+                    for l, _ in arms:
+                        found.add(("brn", ch, l, role))
+                else:
+                    stack.extend(arm for _, arm in arms)
             case If(cond, then, orelse):
                 v = guard_value(cond)
                 if v is None:
@@ -288,21 +313,21 @@ def _rebuild(items: list) -> Collaboration:
     return par(*items) if len(items) > 1 else items[0]
 
 
-def _connect(items: list, i: int, j: int, sname: str) -> Collaboration:
-    req, acc = items[i], items[j]
-    saved = par(req, acc)
-    p1 = substitute(req.body, req.var, Endpoint(sname, True))
-    p2 = substitute(acc.body, acc.var, Endpoint(sname, False))
-    body = par(Log(Endpoint(sname, True), CheckpointProcess(p1), p1),
-               Log(Endpoint(sname, False), CheckpointProcess(p2), p2))
-    ses = Session(sname, saved, body)
-    out = []
-    for k, it in enumerate(items):
-        if k == min(i, j):
-            out.append(ses)
-        elif k != max(i, j):
-            out.append(it)
-    return _rebuild(out)
+def _connect(items: list, group: list, sname: str) -> Collaboration:
+    """Open session `sname` for the endpoints at item indices `group`, the
+    requester first, then the acceptors in role order: the session saves
+    them for abort and logs each body on its own session endpoint."""
+    parts = [items[k] for k in group]
+    logs = []
+    for pos, part in enumerate(parts):
+        ep = (Endpoint(sname, pos == 0) if part.role is None
+              else MEndpoint(sname, part.role))
+        p = substitute(part.body, part.var, ep)
+        logs.append(Log(ep, CheckpointProcess(p), p))
+    ses = Session(sname, par(*parts), par(*logs))
+    first = min(group)
+    return _rebuild([ses if k == first else it for k, it in enumerate(items)
+                     if k == first or k not in group])
 
 
 def _with_session(items: list, idx: int, ses: Session, new_body) \
@@ -336,17 +361,21 @@ def reduction_steps(state: Collaboration, mode: str = "plain",
     items = list(par_parts(state))
     cands: list = []
 
-    # session connection: one requester meets one acceptor on a service
-    for i, it in enumerate(items):
-        if not isinstance(it, Request):
+    # session connection: a requester a[n] meets one acceptor of its
+    # service for every role 1..n-1; a binary requester meets one acceptor
+    for r, req in enumerate(items):
+        if not isinstance(req, Request):
             continue
-        for j, jt in enumerate(items):
-            if not isinstance(jt, Accept) or jt.chan != it.chan:
-                continue
+        roles = [None] if req.role is None else range(1, req.role)
+        pools = [[k for k, acc in enumerate(items)
+                  if isinstance(acc, Accept) and acc.chan == req.chan
+                  and acc.role == role] for role in roles]
+        rule = "F-Con" if req.role is None else "M-F-Con"
+        for combo in itertools.product(*pools):
             sname = _fresh_session(items)
             cands.append(Candidate(
-                "F-Con", sname, 0, f"{it.chan}:{sname}",
-                _connect(items, i, j, sname),
+                rule, sname, 0, f"{req.chan}:{sname}",
+                _connect(items, [r, *combo], sname),
                 oracle=None if exhaustive or oracle is None
                 else oracle.clone()))
 
@@ -386,32 +415,34 @@ def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
     sname = ses.name
     n = len(logs)
     heads = [head_normal(lg.current) for lg in logs]
+    # rules of n-role sessions carry the M- prefix
+    pre = "M-" if isinstance(logs[0].endpoint, MEndpoint) else ""
     barb_cache: dict = {}
 
-    def pbarbs(k: int) -> frozenset:
-        if k not in barb_cache:
-            barb_cache[k] = barbs(logs[k].current)
-        return barb_cache[k]
+    def pbarbs(k: int, observer) -> frozenset:
+        if (k, observer) not in barb_cache:
+            barb_cache[k, observer] = barbs(logs[k].current, observer)
+        return barb_cache[k, observer]
 
     def mk(rule, party, text, new_logs=None, new_body=None, backward=False,
            orc=None, choices=()):
         succ = (_with_logs(items, idx, ses, new_logs) if new_logs is not None
                 else _with_session(items, idx, ses, new_body))
-        out.append(Candidate(rule, sname, party, text, succ,
+        out.append(Candidate(pre + rule, sname, party, text, succ,
                              backward=backward, oracle=orc, choices=choices))
 
-    def partner_of(i: int) -> int:
-        # binary sessions: the other log
-        return 1 - i
-
     for i in range(n):
-        j = partner_of(i)
-        li, lj = logs[i], logs[j]
-        hi, hj = heads[i], heads[j]
+        li, hi = logs[i], heads[i]
         ep_i = li.endpoint
+        # the role partners' prefixes name this party by (binary: none)
+        me = ep_i.role if pre else None
         match hi:
-            case Send(_, e, cont):
-                if isinstance(hj, Recv):
+            case Send(_, e, cont, to):
+                j = partner_position(i, to, n)
+                if j is None:
+                    continue
+                lj, hj = logs[j], heads[j]
+                if isinstance(hj, Recv) and hj.from_role == me:
                     for v, orc, ch in _guard_candidates(e, oracle,
                                                        exhaustive):
                         nl = list(logs)
@@ -422,20 +453,29 @@ def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
                            f"{sname}:p{i + 1} !{_show_value(v)}",
                            new_logs=nl, orc=orc, choices=ch)
                 elif mode == "detect":
-                    bs = pbarbs(j)
-                    if ("in", lj.endpoint, None) not in bs \
+                    bs = pbarbs(j, me)
+                    if ("in", lj.endpoint, me) not in bs \
                             and not _may_recover(bs):
                         mk("E-Com1", i + 1, f"{sname}:p{i + 1} stuck-out",
                            new_body=ComError())
-            case Recv(_, _, _, _):
-                if mode == "detect" and not isinstance(hj, Send):
-                    bs = pbarbs(j)
-                    if ("out", lj.endpoint, None) not in bs \
+            case Recv(_, _, _, _, frm):
+                j = partner_position(i, frm, n)
+                if j is None:
+                    continue
+                lj, hj = logs[j], heads[j]
+                sender_ready = isinstance(hj, Send) and hj.to_role == me
+                if mode == "detect" and not sender_ready:
+                    bs = pbarbs(j, me)
+                    if ("out", lj.endpoint, me) not in bs \
                             and not _may_recover(bs):
                         mk("E-Com2", i + 1, f"{sname}:p{i + 1} stuck-in",
                            new_body=ComError())
-            case Select(_, lab, cont):
-                if isinstance(hj, Branch):
+            case Select(_, lab, cont, to):
+                j = partner_position(i, to, n)
+                if j is None:
+                    continue
+                lj, hj = logs[j], heads[j]
+                if isinstance(hj, Branch) and hj.from_role == me:
                     arm = dict(hj.arms).get(lab)
                     if arm is not None:
                         nl = list(logs)
@@ -445,15 +485,20 @@ def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
                            new_logs=nl)
                         continue
                 if mode == "detect":
-                    bs = pbarbs(j)
-                    if ("brn", lj.endpoint, lab, None) not in bs \
+                    bs = pbarbs(j, me)
+                    if ("brn", lj.endpoint, lab, me) not in bs \
                             and not _may_recover(bs):
                         mk("E-Lab1", i + 1, f"{sname}:p{i + 1} stuck-sel",
                            new_body=ComError())
-            case Branch(_, arms):
-                if mode == "detect" and not isinstance(hj, Select):
-                    bs = pbarbs(j)
-                    offered = any(("sel", lj.endpoint, lab, None) in bs
+            case Branch(_, arms, frm):
+                j = partner_position(i, frm, n)
+                if j is None:
+                    continue
+                lj, hj = logs[j], heads[j]
+                selector_ready = isinstance(hj, Select) and hj.to_role == me
+                if mode == "detect" and not selector_ready:
+                    bs = pbarbs(j, me)
+                    offered = any(("sel", lj.endpoint, lab, me) in bs
                                   for lab, _ in arms)
                     if not offered and not _may_recover(bs):
                         mk("E-Lab2", i + 1, f"{sname}:p{i + 1} stuck-brn",
@@ -470,14 +515,15 @@ def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
                 nl = list(logs)
                 nl[i] = Log(ep_i, CheckpointProcess(cont), cont)
                 changed = False
-                # the committer's partner is pinned to its current point
-                # unless it still sits on its own checkpoint
-                pj = logs[j]
-                if _log_ckpt_differs(pj):
-                    nl[j] = Log(pj.endpoint,
-                                CheckpointProcess(pj.current, imposed=True),
-                                pj.current)
-                    changed = True
+                # every other party is pinned to its current point unless
+                # it still sits on its own checkpoint
+                for h, ph in enumerate(logs):
+                    if h != i and _log_ckpt_differs(ph):
+                        nl[h] = Log(ph.endpoint,
+                                    CheckpointProcess(ph.current,
+                                                      imposed=True),
+                                    ph.current)
+                        changed = True
                 if mode == "detect":
                     rule = "E-Cmt1" if changed else "E-Cmt2"
                 else:
@@ -497,7 +543,7 @@ def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
                 succ_items = list(items)
                 succ_items[idx] = ses.saved
                 out.append(Candidate(
-                    "B-Abt", sname, i + 1, f"{sname}:p{i + 1} abort",
+                    pre + "B-Abt", sname, i + 1, f"{sname}:p{i + 1} abort",
                     _rebuild(succ_items), backward=True))
             case _:
                 pass
@@ -568,17 +614,15 @@ class Trace:
 
 
 def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
-             max_steps: int = 1000, mode: str = "plain",
-             stepper=None) -> Trace:
+             max_steps: int = 1000, mode: str = "plain") -> Trace:
     """Deterministic run: at every state take the first candidate in
     (session, party, rule, label) order, adopting its oracle."""
-    stepper = stepper or reduction_steps
     oracle = oracle or DecisionOracle()
     state = program.term
     steps: list = []
     status = "cut-off"
     for _ in range(max_steps):
-        cands = stepper(state, mode, oracle)
+        cands = reduction_steps(state, mode, oracle)
         if not cands:
             status = classify_state(state, False)
             break
@@ -647,11 +691,10 @@ def _script_of(choices: list) -> dict:
 
 
 def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
-            budget: int | None = None, stepper=None) -> ExplorationReport:
+            budget: int | None = None) -> ExplorationReport:
     """Breadth-first state space of a program up to `depth` steps, branching
     over every oracle outcome.  Bool draws branch two ways; int/str draws
     need a declared domain."""
-    stepper = stepper or reduction_steps
     limit = current_budget(budget)
     init = program.term
     states = [init]
@@ -685,7 +728,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     while frontier and d < depth:
         nxt: list = []
         for sid in frontier:
-            cands = stepper(states[sid], mode, exhaustive=True)
+            cands = reduction_steps(states[sid], mode, exhaustive=True)
             note_terminal(sid, bool(cands))
             for c in cands:
                 edges += 1
@@ -708,7 +751,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     # states on the final frontier still get classified (their steps are
     # computed but not expanded further)
     for sid in frontier:
-        cands = stepper(states[sid], mode, exhaustive=True)
+        cands = reduction_steps(states[sid], mode, exhaustive=True)
         note_terminal(sid, bool(cands))
     return ExplorationReport(states, edges, errors, stuck, completed, depth,
                              transitions)
@@ -749,12 +792,8 @@ def replay(trace_json: dict, mode: str | None = None,
         script.setdefault(fn, []).append(v)
     oracle = DecisionOracle("scripted", script)
     oracle.lenient = True
-    stepper = None
-    if program.multiparty:
-        from .multiparty import m_reduction_steps
-        stepper = m_reduction_steps
     rerun = simulate(program, oracle, max_steps=len(trace_json["steps"]),
-                     mode=mode, stepper=stepper)
+                     mode=mode)
     got = rerun.to_json()["steps"]
     want = trace_json["steps"]
     if len(got) != len(want):
@@ -787,82 +826,71 @@ def _find_session(state: Collaboration, name: str) -> Session | None:
     return None
 
 
-def _step_type_config(cfg: TypeConfiguration, step: StepRecord,
-                      failures: list) -> TypeConfiguration | None:
-    """Mirror one process step on the type configuration; None drops the
-    session (abort)."""
-    i = step.party - 1
-    j = 1 - i
-    cur = list(cfg.currents)
-    cks = list(cfg.ckpts)
-    rule = step.rule
+_IMPOSED = "rolled on an imposed type-level checkpoint"
+_IMPOSITION = "partner imposition disagrees with the type level"
+# process rule (M- prefix dropped) -> (the type-level rules that mirror it,
+# the failure when the party has no type-level step with the step's label,
+# the failure when it has one but under another rule)
+_MIRRORS = {
+    "F-Com": (("TS-Com",), "no matching type-level communication", None),
+    "F-Lab": (("TS-Lab",), "no matching type-level label exchange", None),
+    "F-If": (("TS-Tau",), "no type-level choice to resolve", None),
+    "F-Cmt": (("TS-Cmt1", "TS-Cmt2"), "no type-level commit", None),
+    "E-Cmt1": (("TS-Cmt1",), "no type-level commit", _IMPOSITION),
+    "E-Cmt2": (("TS-Cmt2",), "no type-level commit", _IMPOSITION),
+    "B-Rll": (("TS-Rll1",), "no type-level roll", _IMPOSED),
+    "E-Rll1": (("TS-Rll1",), "no type-level roll", _IMPOSED),
+    "E-Rll2": (("TS-Rll2",), "no type-level roll",
+               "error roll without an imposed type-level checkpoint"),
+    "B-Abt": (("TS-Abt1",), "no type-level abort", None),
+}
 
-    def pick(party: int, want: str, lab_filter=None):
-        for lab, nxt in type_transitions(cfg.currents[party]):
-            if lab[0] == want and (lab_filter is None or lab_filter(lab)):
-                return lab, nxt
-        return None
 
-    if rule == "F-Com":
-        got_i = pick(i, "out")
-        got_j = pick(j, "in")
-        if not got_i or not got_j or got_i[0][1] != got_j[0][1]:
-            failures.append(f"{step.label()}: no matching type-level "
-                            f"communication")
-            return cfg
-        cur[i], cur[j] = got_i[1], got_j[1]
-    elif rule == "F-Lab":
-        lab = step.text.split("+", 1)[1]
-        got_i = pick(i, "sel", lambda t: t[1] == lab)
-        got_j = pick(j, "brn", lambda t: t[1] == lab)
-        if not got_i or not got_j:
-            failures.append(f"{step.label()}: no matching type-level label "
-                            f"exchange")
-            return cfg
-        cur[i], cur[j] = got_i[1], got_j[1]
-    elif rule == "F-If":
-        side = "L" if step.text.endswith("then") else "R"
-        got = pick(i, "tau", lambda t: t[1] == side)
-        if not got:
-            failures.append(f"{step.label()}: no type-level choice to "
-                            f"resolve")
-            return cfg
-        cur[i] = got[1]
-    elif rule in ("F-Cmt", "E-Cmt1", "E-Cmt2"):
-        got = pick(i, "cmt")
-        if not got:
-            failures.append(f"{step.label()}: no type-level commit")
-            return cfg
-        cur[i] = got[1]
-        cks[i] = CheckpointType(got[1])
-        differs = _ckpt_differs(cks[j], cfg.currents[j])
-        if differs:
-            cks[j] = CheckpointType(cfg.currents[j], imposed=True)
-        if rule == "E-Cmt1" and not differs:
-            failures.append(f"{step.label()}: partner imposition disagrees "
-                            f"with the type level")
-        if rule == "E-Cmt2" and differs:
-            failures.append(f"{step.label()}: partner imposition disagrees "
-                            f"with the type level")
-    elif rule in ("B-Rll", "E-Rll1"):
-        if not pick(i, "roll"):
-            failures.append(f"{step.label()}: no type-level roll")
-            return cfg
-        if cks[i].imposed:
-            failures.append(f"{step.label()}: rolled on an imposed "
-                            f"type-level checkpoint")
-        cur[0], cur[1] = cks[0].typ, cks[1].typ
-    elif rule == "E-Rll2":
-        if not cks[i].imposed:
-            failures.append(f"{step.label()}: error roll without an imposed "
-                            f"type-level checkpoint")
-        cur[0], cur[1] = TErr(), TErr()
-    elif rule == "B-Abt":
-        return None
-    else:  # com_error steps have no type analogue on well-typed programs
+def _type_label(rule: str, text: str) -> str:
+    """The type-level label of a process step: the sort of the value sent,
+    the label selected, the branch a conditional took, or the step kind."""
+    action = text.split(" ", 1)[1]  # what follows "<session>:p<party> "
+    match rule:
+        case "F-Com":
+            shown = action[1:]
+            sort = ("str" if shown.startswith('"') else
+                    "bool" if shown in ("true", "false") else "int")
+            return f"com[{sort}]"
+        case "F-Lab":
+            return f"lab[{action[1:]}]"
+        case "F-If":
+            return "tau[L]" if action == "then" else "tau[R]"
+    return {"commit": "cmt", "abort": "abt"}.get(action, action)
+
+
+def _mirror(cfg: TypeConfiguration, step: StepRecord,
+            failures: list) -> TypeConfiguration:
+    """The type-level successor of `cfg` that mirrors one process step: the
+    transition of the same party with the step's label and a matching rule.
+    On a mismatch the failure is noted and `cfg` is kept."""
+    rule = step.rule.removeprefix("M-")
+    if rule not in _MIRRORS:
+        # com_error steps have no type analogue on well-typed programs
         failures.append(f"{step.label()}: step has no type analogue")
         return cfg
-    return TypeConfiguration(tuple(cks), tuple(cur), cfg.inits)
+    rules, missing, disagrees = _MIRRORS[rule]
+    want = _type_label(rule, step.text)
+    found = [(r, succ) for party, r, lab, succ in config_transitions(cfg)
+             if party == step.party and lab == want]
+    for r, succ in found:
+        if r in rules:
+            return succ
+    failures.append(f"{step.label()}: {(found and disagrees) or missing}")
+    return cfg
+
+
+def _retype(p: Process, ep):
+    """Session type of a log's process on its endpoint; an n-role log's
+    type gets its own role stamped in, like the types inference starts
+    from."""
+    if isinstance(ep, MEndpoint):
+        return fill_roles(type_of_process(p, ep, multiparty=True), ep.role)
+    return type_of_process(p, ep)
 
 
 def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
@@ -870,27 +898,28 @@ def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
     matching type-level transition, and after every step each log's current
     and checkpoint must retype to the tracked configuration, imposed flags
     included."""
+    # n-role inference lives in `multiparty`, which imports this module
+    from .multiparty import service_types
     try:
-        assoc = infer_collaboration(program.term)
+        types = service_types(program.term)
     except TypingError as ex:
         return ShadowReport(False, [f"inference failed: {ex}"])
     configs: dict = {}  # session name -> TypeConfiguration
     failures: list = []
     for step in trace.steps:
-        if step.rule == "F-Con":
+        if step.party == 0:  # connection
             service = step.text.split(":", 1)[0]
-            t_req, t_acc = assoc["~" + service], assoc[service]
-            configs[step.session] = initial_configuration(t_req, t_acc)
+            configs[step.session] = initial_configuration(*types[service])
         elif step.session in configs:
-            cfg = _step_type_config(configs[step.session], step, failures)
-            if cfg is None:
-                del configs[step.session]
-            else:
-                configs[step.session] = cfg
+            configs[step.session] = _mirror(configs[step.session], step,
+                                            failures)
         # correspondence: retype every live log against the tracked types
         ses_state = _find_session(step.state, step.session)
+        if ses_state is None:  # aborted
+            configs.pop(step.session, None)
+            continue
         cfg = configs.get(step.session)
-        if ses_state is None or cfg is None:
+        if cfg is None:
             continue
         body = par_parts(ses_state.body)
         if any(isinstance(b, (RollError, ComError)) for b in body):
@@ -902,8 +931,8 @@ def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
             continue
         for k, lg in enumerate(body):
             try:
-                got_cur = type_of_process(lg.current, lg.endpoint)
-                got_ck = type_of_process(lg.ckpt.process, lg.endpoint)
+                got_cur = _retype(lg.current, lg.endpoint)
+                got_ck = _retype(lg.ckpt.process, lg.endpoint)
             except TypingError as ex:
                 failures.append(f"{step.label()}: retyping failed: {ex}")
                 continue

@@ -1,22 +1,25 @@
-"""Type-level transition system for checkpointed binary sessions.
+"""Type-level transition system for checkpointed sessions of n parties.
 
-A configuration pairs, for each of the two parties, a checkpoint type (with
-an imposed flag) and a current type; rollback restores currents from the
-checkpoints, an imposed checkpoint turns a later roll into `err` currents,
-and abort resets the configuration to the initial pair.  Compliance asks that
-every reachable configuration with no step has both currents `end`, and
-rollback safety lifts that check to every service pair of a collaboration.
+A configuration holds, for each party, a checkpoint type (with an imposed
+flag) and a current type; parties sit at log positions, the requester first.
+A binary session is the two-party case.  Communication meets the partner a
+prefix's role annotation names, or the other party when a binary prefix
+names none; a commit pins every other party that moved since its own
+checkpoint, rollback restores every current from the checkpoints, an imposed
+checkpoint turns a later roll into `err` currents, and abort resets the
+configuration to the initial types.  Compliance asks that every reachable
+configuration with no step has every current `end`, and rollback safety
+lifts that check to every service of a collaboration.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
-                           TMu, TOut, TPlus, TRollT, TSel, head_normal_type,
+                           TOut, TPlus, TRollT, TSel, head_normal_type,
                            render_type, type_key)
-from .infer import infer_collaboration, service_pairs
 from .syntax import Log, process_key
 
 DEFAULT_BUDGET = 10 ** 6
@@ -99,25 +102,46 @@ class CheckpointType:
 
 @dataclass(frozen=True)
 class TypeConfiguration:
-    ckpts: tuple  # (CheckpointType, CheckpointType)
-    currents: tuple  # (SessionTypeT, SessionTypeT)
-    inits: tuple  # (SessionTypeT, SessionTypeT), fixed along a run
+    ckpts: tuple  # CheckpointType per party, in log order
+    currents: tuple  # SessionTypeT per party
+    inits: tuple  # SessionTypeT per party, fixed along a run
 
 
-def initial_configuration(t1: SessionTypeT, t2: SessionTypeT) \
-        -> TypeConfiguration:
-    return TypeConfiguration(
-        (CheckpointType(t1), CheckpointType(t2)), (t1, t2), (t1, t2))
+def initial_configuration(*types: SessionTypeT) -> TypeConfiguration:
+    return TypeConfiguration(tuple(CheckpointType(t) for t in types),
+                             types, types)
+
+
+def role_of_position(pos: int, n: int) -> int:
+    """Log position -> role (0-based position; the requester, role n, sits
+    first)."""
+    return n if pos == 0 else pos
+
+
+def position_of_role(role: int, n: int) -> int:
+    return 0 if role == n else role
+
+
+def partner_position(i: int, role: int | None, n: int) -> int | None:
+    """Position of the partner that a communication at position `i` names
+    by `role`; a binary communication names none and talks to the other of
+    two positions.  None when no other position fits."""
+    if role is None:
+        j = 1 - i if n == 2 else -1
+    else:
+        j = position_of_role(role, n)
+    return j if 0 <= j < n and j != i else None
 
 
 def config_key(cfg: TypeConfiguration) -> tuple:
     """Identity of a configuration within one run: per party the imposed
-    flag and the `type_key`s of checkpoint and current.  The initial pair is
-    left out because it is fixed along a run.  Like `type_key`, the key is
-    meaningful only while the configuration's types are alive."""
-    (k0, k1), (t0, t1) = cfg.ckpts, cfg.currents
-    return (k0.imposed, type_key(k0.typ), type_key(t0),
-            k1.imposed, type_key(k1.typ), type_key(t1))
+    flag and the `type_key`s of checkpoint and current.  The initial types
+    are left out because they are fixed along a run.  Like `type_key`, the
+    key is meaningful only while the configuration's types are alive."""
+    key: list = []
+    for ck, cur in zip(cfg.ckpts, cfg.currents):
+        key += (ck.imposed, type_key(ck.typ), type_key(cur))
+    return tuple(key)
 
 
 def _ckpt_differs(ck: CheckpointType, current: SessionTypeT) -> bool:
@@ -147,32 +171,33 @@ def _label_text(lab: tuple) -> str:
 
 
 def config_transitions(cfg: TypeConfiguration) -> list:
-    """All journal steps of a binary configuration, as
-    (party, rule, label, successor) sorted by (party, rule, label)."""
+    """All journal steps of a configuration, as (party, rule, label,
+    successor) sorted by (party, rule, label); parties are 1-based log
+    positions."""
     out: list = []
     cur = cfg.currents
     cks = cfg.ckpts
-    for i in (0, 1):
-        j = 1 - i
-        for lab, nxt in type_transitions(cur[i]):
+    n = len(cur)
+    steps = [type_transitions(t) for t in cur]
+    for i in range(n):
+        for lab, nxt in steps[i]:
             match lab:
                 # TS-Com: an output meets the partner's same-sort input;
-                # checkpoints stay put
-                case ("out", s, _, _):
-                    for plab, pnxt in type_transitions(cur[j]):
-                        if plab[0] == "in" and plab[1] == s:
-                            curs = [None, None]
+                # TS-Lab: a selection meets the matching branch arm.  The
+                # partner is the one the prefix names, and its prefix must
+                # name this party back; checkpoints stay put
+                case (("out" | "sel") as kind, x, src, dst):
+                    j = partner_position(i, dst, n)
+                    me = None if dst is None else role_of_position(i, n)
+                    if j is None or src != me:
+                        continue
+                    want = ("in" if kind == "out" else "brn", x, dst, me)
+                    rule = "TS-Com" if kind == "out" else "TS-Lab"
+                    for plab, pnxt in steps[j]:
+                        if plab == want:
+                            curs = list(cur)
                             curs[i], curs[j] = nxt, pnxt
-                            out.append((i + 1, "TS-Com", _label_text(lab),
-                                        TypeConfiguration(
-                                            cks, tuple(curs), cfg.inits)))
-                # TS-Lab: a selection meets the matching branch arm
-                case ("sel", l, _, _):
-                    for plab, pnxt in type_transitions(cur[j]):
-                        if plab[0] == "brn" and plab[1] == l:
-                            curs = [None, None]
-                            curs[i], curs[j] = nxt, pnxt
-                            out.append((i + 1, "TS-Lab", _label_text(lab),
+                            out.append((i + 1, rule, _label_text(lab),
                                         TypeConfiguration(
                                             cks, tuple(curs), cfg.inits)))
                 # TS-Tau: a conditional resolves locally
@@ -182,35 +207,36 @@ def config_transitions(cfg: TypeConfiguration) -> list:
                     out.append((i + 1, "TS-Tau", _label_text(lab),
                                 TypeConfiguration(cks, tuple(curs),
                                                   cfg.inits)))
-                # TS-Cmt1: commit against a partner that moved since its
-                # checkpoint -> the partner's current is imposed on it
-                # TS-Cmt2: partner still sits on its own checkpoint -> the
-                # partner is left untouched
+                # TS-Cmt1: commit while some other party moved since its
+                # checkpoint -> that party's current is imposed on it
+                # TS-Cmt2: every other party still sits on its own
+                # checkpoint -> they are left untouched
                 case ("cmt",):
                     curs = list(cur)
                     ncks = list(cks)
                     curs[i] = nxt
                     ncks[i] = CheckpointType(nxt)
-                    if _ckpt_differs(cks[j], cur[j]):
-                        ncks[j] = CheckpointType(cur[j], imposed=True)
-                        rule = "TS-Cmt1"
-                    else:
-                        rule = "TS-Cmt2"
+                    rule = "TS-Cmt2"
+                    for h in range(n):
+                        if h != i and _ckpt_differs(cks[h], cur[h]):
+                            ncks[h] = CheckpointType(cur[h], imposed=True)
+                            rule = "TS-Cmt1"
                     out.append((i + 1, rule, "cmt",
                                 TypeConfiguration(tuple(ncks), tuple(curs),
                                                   cfg.inits)))
-                # TS-Rll1: roll from an own checkpoint restores both
-                # currents; TS-Rll2: roll from an imposed checkpoint is
-                # unrecoverable -> both currents err
+                # TS-Rll1: roll from an own checkpoint restores every
+                # current; TS-Rll2: roll from an imposed checkpoint is
+                # unrecoverable -> every current errs
                 case ("roll",):
                     if cks[i].imposed:
                         out.append((i + 1, "TS-Rll2", "roll",
                                     TypeConfiguration(
-                                        cks, (TErr(), TErr()), cfg.inits)))
+                                        cks, tuple(TErr() for _ in cur),
+                                        cfg.inits)))
                     else:
                         out.append((i + 1, "TS-Rll1", "roll",
                                     TypeConfiguration(
-                                        cks, (cks[0].typ, cks[1].typ),
+                                        cks, tuple(c.typ for c in cks),
                                         cfg.inits)))
                 # TS-Abt1: abort resets the whole configuration
                 case ("abt",):
@@ -252,13 +278,14 @@ class TransitionSystem:
         return path
 
 
-def reachable_system(t1: SessionTypeT, t2: SessionTypeT,
+def reachable_system(*types: SessionTypeT,
                      budget: int | None = None) -> TransitionSystem:
-    """Breadth-first reachable configurations from init(t1, t2).  States are
-    numbered by discovery order; per state the successor order is the sorted
-    (party, rule, label) order, which makes numbering reproducible."""
+    """Breadth-first reachable configurations from the initial configuration
+    of `types`, one per party in log order.  States are numbered by
+    discovery order; per state the successor order is the sorted (party,
+    rule, label) order, which makes numbering reproducible."""
     limit = current_budget(budget)
-    init = initial_configuration(t1, t2)
+    init = initial_configuration(*types)
     states = [init]
     index = {config_key(init): 0}
     parents: list = [None]
@@ -305,44 +332,54 @@ class Violation:
     path: list  # list[Edge] from the initial state
 
 
+def _describe(cfg: TypeConfiguration, roles: bool) -> dict:
+    n = len(cfg.currents)
+    return {
+        f"role{role_of_position(i, n)}" if roles else f"party{i + 1}": {
+            "checkpoint": render_type(cfg.ckpts[i].typ),
+            "imposed": cfg.ckpts[i].imposed,
+            "current": render_type(cfg.currents[i]),
+        }
+        for i in range(n)
+    }
+
+
+def describe_configuration(cfg: TypeConfiguration) -> dict:
+    """Per party, `party1` first: checkpoint, imposed flag and current."""
+    return _describe(cfg, False)
+
+
 @dataclass
 class ComplianceReport:
     compliant: bool
     system: TransitionSystem
     violations: list  # list[Violation]
+    # n-role presentation, set by the n-role entry points: rule names get
+    # the M- prefix and parties are named role{r} instead of party{i}
+    roles: bool = False
 
     def to_json(self) -> dict:
+        prefix = "M-" if self.roles else ""
         return {
             "verdict": "compliant" if self.compliant else "violating",
             "states": len(self.system.states),
             "edges": len(self.system.edges),
             "violations": [
                 {
-                    "terminal": describe_configuration(v.config),
+                    "terminal": _describe(v.config, self.roles),
                     "state": v.state,
-                    "path": [e.rule for e in v.path],
+                    "path": [prefix + e.rule for e in v.path],
                 }
                 for v in self.violations
             ],
         }
 
 
-def describe_configuration(cfg: TypeConfiguration) -> dict:
-    return {
-        f"party{i + 1}": {
-            "checkpoint": render_type(cfg.ckpts[i].typ),
-            "imposed": cfg.ckpts[i].imposed,
-            "current": render_type(cfg.currents[i]),
-        }
-        for i in (0, 1)
-    }
-
-
-def check_compliance(t1: SessionTypeT, t2: SessionTypeT,
+def check_compliance(*types: SessionTypeT,
                      budget: int | None = None) -> ComplianceReport:
-    """Two types comply when every reachable configuration that offers no
-    step has both currents at end.  No terminals at all is compliant."""
-    ts = reachable_system(t1, t2, budget)
+    """Types comply when every reachable configuration that offers no step
+    has every current at end.  No terminals at all is compliant."""
+    ts = reachable_system(*types, budget=budget)
     has_out = [False] * len(ts.states)
     for e in ts.edges:
         has_out[e.src] = True
@@ -350,7 +387,7 @@ def check_compliance(t1: SessionTypeT, t2: SessionTypeT,
     for sid, cfg in enumerate(ts.states):
         if has_out[sid]:
             continue
-        if _is_end(cfg.currents[0]) and _is_end(cfg.currents[1]):
+        if all(_is_end(t) for t in cfg.currents):
             continue
         violations.append(Violation(sid, cfg, ts.path_to(sid)))
     return ComplianceReport(not violations, ts, violations)
@@ -372,12 +409,16 @@ class RollbackSafetyReport:
 
 def check_rollback_safety(term, budget: int | None = None) \
         -> RollbackSafetyReport:
-    """A collaboration is rollback safe when, for every service, the
-    requester's and acceptor's inferred types comply."""
-    assoc = infer_collaboration(term)
+    """A collaboration is rollback safe when, for every service, the types
+    inferred for its endpoints comply: the requester and the acceptor of a
+    binary service, every role of an n-role one."""
+    # n-role inference lives in `multiparty`, which imports this module
+    from .multiparty import is_multiparty, service_types
+    roles = is_multiparty(term)
     reports: dict = {}
-    for name, t_req, t_acc in service_pairs(assoc):
-        reports[name] = check_compliance(t_req, t_acc, budget)
+    for name, types in service_types(term).items():
+        reports[name] = check_compliance(*types, budget=budget)
+        reports[name].roles = roles
     return RollbackSafetyReport(all(r.compliant for r in reports.values()),
                                 reports)
 

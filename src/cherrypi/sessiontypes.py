@@ -177,27 +177,6 @@ def free_type_vars(t: SessionTypeT) -> frozenset:
             return frozenset()
 
 
-def erase_roles(t: SessionTypeT) -> SessionTypeT:
-    """Strip role annotations, yielding the binary shape of a type."""
-    match t:
-        case TOut(s, c):
-            return TOut(s, erase_roles(c))
-        case TIn(s, c):
-            return TIn(s, erase_roles(c))
-        case TSel(l, c):
-            return TSel(l, erase_roles(c))
-        case TBrn(arms):
-            return TBrn(tuple((l, erase_roles(c)) for l, c in arms))
-        case TPlus(l, r):
-            return TPlus(erase_roles(l), erase_roles(r))
-        case TMu(v, body):
-            return TMu(v, erase_roles(body))
-        case TCmt(c):
-            return TCmt(erase_roles(c))
-        case _:
-            return t
-
-
 def fill_roles(t: SessionTypeT, own: int) -> SessionTypeT:
     """Stamp `own` into the placeholder own-role slot of every prefix."""
     match t:

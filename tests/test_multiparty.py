@@ -3,18 +3,20 @@ import pytest
 import cherrypi.multiparty as mp
 from conftest import BINARY_PROGRAMS
 from cherrypi.parser import parse_process_text, parse_program, parse_type
-from cherrypi.runtime import DecisionOracle, explore, simulate
-from cherrypi.sessiontypes import (canonical_type, erase_roles, fill_roles,
-                                   render_type)
+from cherrypi.runtime import (DecisionOracle, barbs, explore,
+                              shadow_typecheck, simulate)
+from cherrypi.semantics import (check_rollback_safety, position_of_role,
+                                role_of_position)
+from cherrypi.sessiontypes import fill_roles, render_type
 from cherrypi.syntax import ChanVar, canonicalize
 
 
 def test_role_position_round_trip():
     n = 4
     for pos in range(n):
-        assert mp.position_of_role(mp.role_of_position(pos, n), n) == pos
+        assert position_of_role(role_of_position(pos, n), n) == pos
     # the requester (role n) leads, acceptors 1..n-1 follow in order
-    assert [mp.role_of_position(i, 3) for i in range(3)] == [3, 1, 2]
+    assert [role_of_position(i, 3) for i in range(3)] == [3, 1, 2]
 
 
 def test_fill_roles_stamps_own_slot():
@@ -22,11 +24,6 @@ def test_fill_roles_stamps_own_slot():
     assert render_type(fill_roles(t, 1)) == "![1,2][int]. end"
     # already-filled slots stay put
     assert render_type(fill_roles(fill_roles(t, 1), 9)) == "![1,2][int]. end"
-
-
-def test_erase_roles_drops_annotations():
-    t = parse_type("![1,2][int]. brn[2,1][l: end]")
-    assert render_type(erase_roles(t)) == "![int]. brn[l: end]"
 
 
 def test_three_party_job_is_rollback_safe(programs):
@@ -44,7 +41,7 @@ def test_sort_mismatch_across_roles_is_violating():
     assert not rep.safe
     svc = rep.services["a"]
     assert len(svc.violations) == 1
-    desc = mp.m_describe_configuration(svc.violations[0].config)
+    desc = svc.to_json()["violations"][0]["terminal"]
     # stuck with a non-end current on both mismatched roles
     assert desc["role3"]["current"] == "![3,1][int]. end"
     assert desc["role1"]["current"] == "?[1,3][str]. end"
@@ -67,19 +64,21 @@ def test_binary_pairs_agree_with_binary_compliance(programs, corpus,
 def test_barbs_toward_look_through_third_parties():
     x = ChanVar("x")
     p = parse_process_text("x?(v: int)@3. x!<v>@1. 0")
-    assert mp.m_barbs_toward(p, 1) == {("out", x, 1)}
-    assert mp.m_barbs_toward(p, 3) == {("in", x, 3)}
+    assert barbs(p, 1) == {("out", x, 1)}
+    assert barbs(p, 3) == {("in", x, 3)}
+    # without an observer every communication is a barb, as on binary ends
+    assert barbs(p) == {("in", x, 3)}
 
 
 def test_barbs_toward_keep_recovery_visible():
     p = parse_process_text("x!<1>@3. roll")
-    assert mp.m_barbs_toward(p, 2) == {("roll",)}
+    assert barbs(p, 2) == {("roll",)}
 
 
 def test_barbs_toward_open_all_arms_of_third_party_branches():
     x = ChanVar("x")
     p = parse_process_text("x >+ {l: x!<1>@2. 0, r: x?(v: int)@2. 0}@3")
-    assert mp.m_barbs_toward(p, 2) == {("out", x, 2), ("in", x, 2)}
+    assert barbs(p, 2) == {("out", x, 2), ("in", x, 2)}
 
 
 def test_three_party_demo_run(programs):
@@ -135,6 +134,83 @@ def test_abort_restores_all_initiators():
 def test_three_party_exploration_is_clean(programs):
     rep = mp.m_explore(programs["three_party_job"], depth=25, mode="detect")
     assert len(rep.states) == 9 and rep.ok and rep.completed == 1
+
+
+def _summary(rep):
+    return (len(rep.states), rep.edges, rep.completed,
+            [e.to_json() for e in rep.errors],
+            [e.to_json() for e in rep.stuck])
+
+
+def test_one_engine_steps_binary_and_n_role_programs(programs):
+    three = programs["three_party_job"]
+    for mode in ("plain", "detect"):
+        for seed in range(5):
+            t = simulate(three, DecisionOracle("seeded-random", seed=seed),
+                         60, mode=mode)
+            tm = mp.m_simulate(three, DecisionOracle("seeded-random",
+                                                     seed=seed), 60,
+                               mode=mode)
+            assert [s.label() for s in t.steps] == \
+                [s.label() for s in tm.steps], (mode, seed)
+            assert t.status == tm.status
+            assert t.steps[0].label() == "M-F-Con a:s1"
+    rep = explore(three, depth=25, mode="detect")
+    assert _summary(rep) == _summary(mp.m_explore(three, depth=25,
+                                                  mode="detect"))
+    assert (len(rep.states), rep.ok, rep.completed) == (9, True, 1)
+    vod = mp.m_explore(programs["vod_c"], depth=40, mode="detect")
+    assert _summary(vod) == _summary(explore(programs["vod_c"], depth=40,
+                                             mode="detect"))
+    assert (len(vod.states), vod.edges, vod.ok) == (19, 22, True)
+    safety = check_rollback_safety(three.term)
+    assert safety.safe
+    assert safety.to_json() == mp.m_check_rollback_safety(three.term).to_json()
+
+
+def test_n_role_violations_use_role_names(programs):
+    prog = parse_program(
+        "request a[3](x). x!<1>@1. 0\n"
+        "| accept a[1](y). y?(v: str)@3. 0\n"
+        "| accept a[2](z). 0")
+    (v,) = check_rollback_safety(prog.term).to_json()["services"]["a"][
+        "violations"]
+    assert list(v["terminal"]) == ["role3", "role1", "role2"]
+    assert v["path"] == []
+    # the two-role twin of a binary program: the same paths and terminals
+    # under n-role names
+    twin = mp.to_multiparty(programs["vod_b"])
+    (w,) = check_rollback_safety(twin.term).to_json()["services"]["a"][
+        "violations"]
+    (b,) = check_rollback_safety(programs["vod_b"].term).to_json()[
+        "services"]["a"]["violations"]
+    assert w["path"] == ["M-" + r for r in b["path"]]
+    assert list(w["terminal"]) == ["role2", "role1"]
+    assert list(b["terminal"]) == ["party1", "party2"]
+
+
+def test_shadow_accepts_detect_runs_of_n_role_programs(programs):
+    runs = [programs["three_party_job"]] + \
+        [mp.to_multiparty(programs[name]) for name in BINARY_PROGRAMS]
+    for prog in runs:
+        for seed in range(10):
+            t = simulate(prog, DecisionOracle("seeded-random", seed=seed), 60,
+                         mode="detect")
+            rep = shadow_typecheck(prog, t)
+            assert rep.ok, (seed, rep.failures)
+
+
+def test_shadow_rejects_plain_rolls_of_the_vod_b_twin(programs):
+    twin = mp.to_multiparty(programs["vod_b"])
+    hits = []
+    for seed in range(20):
+        t = simulate(twin, DecisionOracle("seeded-random", seed=seed), 60,
+                     mode="plain")
+        rep = shadow_typecheck(twin, t)
+        if not rep.ok:
+            hits.append(rep.failures[0])
+    assert hits
+    assert all("imposed" in h for h in hits)
 
 
 def test_m_explore_needs_every_role_to_connect():

@@ -318,6 +318,23 @@ def test_generated_runs_always_replay(seed, mode):
     assert rep.ok, rep.divergence
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_generated_runs_round_trip_through_trace_files(seed):
+    # a run of a safe program and of its two-role twin, in either error
+    # mode, survives a trace file, replays, and shadow-typechecks
+    prog = random_program(random.Random(seed), safe=True)
+    for p in (prog, to_multiparty(prog)):
+        for mode in ("plain", "detect"):
+            t = simulate(p, DecisionOracle("seeded-random", seed=seed), 50,
+                         mode=mode)
+            data = json.loads(json.dumps(t.to_json()))
+            rep = replay(data)
+            assert rep.ok, (seed, p.multiparty, mode, rep.divergence)
+            shadow = shadow_typecheck(p, t)
+            assert shadow.ok, (seed, p.multiparty, mode, shadow.failures)
+
+
 # -- shadow typechecking ----------------------------------------------------
 
 def test_shadow_accepts_detect_runs_of_every_binary_program(programs):

@@ -180,7 +180,8 @@ def _search(programs, engine):
     if engine == "binary":
         _, t_req, t_acc = service_pairs(
             infer_collaboration(programs["vod_b"].term))[0]
-        return lambda budget=None: reachable_system(t_req, t_acc, budget)
+        return lambda budget=None: reachable_system(t_req, t_acc,
+                                                    budget=budget)
     mterm = mp.to_multiparty(programs["vod_b"]).term
     (svc,) = mp.m_service_groups(mterm).values()
     types = mp.filled_types(svc)
