@@ -180,10 +180,9 @@ def m_config_transitions(cfg) -> list:
     return config_transitions(cfg)
 
 
-def m_reduction_steps(state: Collaboration, mode: str = "plain",
-                      oracle: DecisionOracle | None = None,
+def m_reduction_steps(state: Collaboration, mode: str = "plain", *,
                       exhaustive: bool = False) -> list:
-    return reduction_steps(state, mode, oracle, exhaustive)
+    return reduction_steps(state, mode, exhaustive=exhaustive)
 
 
 def m_simulate(program: SourceProgram,

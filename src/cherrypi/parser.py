@@ -819,16 +819,27 @@ def render_process(pr: Process) -> str:
     raise MalformedTerm(f"not a process: {pr!r}")
 
 
+def _held_text(p: Process) -> str:
+    """`render_process(p)`, kept on the node.  The processes that requests,
+    accepts and logs hold recur from state to state (a step replaces one or
+    two of them), so across a run each is rendered once."""
+    text = p.__dict__.get("_shown")
+    if text is None:
+        text = render_process(p)
+        object.__setattr__(p, "_shown", text)
+    return text
+
+
 def show_collaboration(c: Collaboration) -> str:
     """Pretty form covering runtime constructs; not re-parsable once sessions
     or logs appear."""
     match c:
         case Request(a, x, body, role):
             rr = "" if role is None else f"[{role}]"
-            return f"request {a}{rr}({x}). {render_process(body)}"
+            return f"request {a}{rr}({x}). {_held_text(body)}"
         case Accept(a, x, body, role):
             rr = "" if role is None else f"[{role}]"
-            return f"accept {a}{rr}({x}). {render_process(body)}"
+            return f"accept {a}{rr}({x}). {_held_text(body)}"
         case Par(parts):
             return " | ".join(
                 f"({show_collaboration(p)})" if isinstance(p, Par)
@@ -838,8 +849,8 @@ def show_collaboration(c: Collaboration) -> str:
                     f"({show_collaboration(body)})")
         case Log(ep, ckpt, cur):
             tag = "^imp" if ckpt.imposed else ""
-            return (f"{show_chan(ep)}:<{render_process(ckpt.process)}>{tag} "
-                    f"{render_process(cur)}")
+            return (f"{show_chan(ep)}:<{_held_text(ckpt.process)}>{tag} "
+                    f"{_held_text(cur)}")
         case RollError():
             return "roll_error"
         case ComError():

@@ -11,13 +11,15 @@ prefix; nothing else tells the two kinds apart.
 
 Uninterpreted functions are resolved by a `DecisionOracle`; its counters are
 never rolled back, so a re-run after a rollback may take another branch.
-Reduction candidates are enumerated with a cloned oracle each, and choosing a
-candidate adopts its clone — enumeration itself never consumes draws.
+Enumerating reduction candidates never consumes draws: a step that evaluates
+an expression is enumerated unevaluated, and only the step a run takes
+consults the oracle.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -70,12 +72,15 @@ class DecisionOracle:
         self.rng = random.Random(seed)
         self.seed = seed
         self.transcript: list = []
-        # replay sets this: candidate probes the script cannot fund are
-        # dropped instead of aborting the rerun (see _guard_candidates)
-        self.lenient = False
 
     def clone(self) -> "DecisionOracle":
-        return copy.deepcopy(self)
+        twin = copy.copy(self)
+        twin.script = {k: list(v) for k, v in self.script.items()}
+        twin.pointers = dict(self.pointers)
+        twin.rng = random.Random()
+        twin.rng.setstate(self.rng.getstate())
+        twin.transcript = list(self.transcript)
+        return twin
 
     def draw(self, fn: str, result_sort: str, domain: tuple | None):
         if self.mode == "scripted":
@@ -292,13 +297,26 @@ class Candidate:
     session: str  # session name, or the service name for connection steps
     party: int  # 1-based log position; 0 for connection steps
     text: str  # human-readable step label, stable under replay
-    successor: Collaboration
+    successor: Collaboration | None
     backward: bool = False
-    oracle: DecisionOracle | None = None  # post-step oracle (simulate)
     choices: tuple = ()  # assumed draws (explore)
+    # an unevaluated step (F-Com, F-If outside exhaustive mode): `outcome`
+    # maps the value of `expr` to (text, successor); until `take` evaluates
+    # it, `text` is "" and `successor` None
+    expr: object = None
+    outcome: object = None
 
     def sort_key(self):
         return (self.session, self.party, self.rule, self.text)
+
+    def take(self, oracle: DecisionOracle) -> "Candidate":
+        """This step with its expression evaluated against `oracle`, which
+        records the draws."""
+        if self.outcome is None:
+            return self
+        text, succ = self.outcome(evaluate(self.expr, oracle))
+        return Candidate(self.rule, self.session, self.party, text, succ,
+                         self.backward)
 
 
 def _fresh_session(items) -> str:
@@ -345,16 +363,16 @@ def _show_value(v) -> str:
     return render_expr(Lit(v))
 
 
-def reduction_steps(state: Collaboration, mode: str = "plain",
-                    oracle: DecisionOracle | None = None,
+def reduction_steps(state: Collaboration, mode: str = "plain", *,
                     exhaustive: bool = False) -> list:
     """All reduction candidates of a collaboration, sorted by
     (session, party, rule, label).
 
-    With `exhaustive` the oracle is ignored and every oracle outcome becomes
-    its own candidate carrying the assumed draws; otherwise each candidate
-    carries its own clone of `oracle`, advanced by whatever that step
-    evaluated.
+    With `exhaustive` every oracle outcome of a step becomes its own
+    candidate carrying the assumed draws.  Otherwise a step that evaluates
+    an expression stays one unevaluated candidate (see `Candidate.take`);
+    its label is unknown, but no other candidate shares its session, party
+    and rule, so the order never needs it.
     """
     if mode not in ("plain", "detect"):
         raise ValueError(f"unknown error mode {mode!r}")
@@ -375,9 +393,7 @@ def reduction_steps(state: Collaboration, mode: str = "plain",
             sname = _fresh_session(items)
             cands.append(Candidate(
                 rule, sname, 0, f"{req.chan}:{sname}",
-                _connect(items, [r, *combo], sname),
-                oracle=None if exhaustive or oracle is None
-                else oracle.clone()))
+                _connect(items, [r, *combo], sname)))
 
     for idx, it in enumerate(items):
         if not isinstance(it, Session):
@@ -386,31 +402,29 @@ def reduction_steps(state: Collaboration, mode: str = "plain",
         if any(isinstance(b, (RollError, ComError)) for b in body):
             continue  # error states are absorbing
         logs = list(body)
-        cands.extend(_session_steps(items, idx, it, logs, mode, oracle,
-                                    exhaustive))
+        cands.extend(_session_steps(items, idx, it, logs, mode, exhaustive))
 
     cands.sort(key=Candidate.sort_key)
     return cands
 
 
-def _guard_candidates(e, oracle, exhaustive):
-    """Value(s) of an evaluated position: [(value, oracle', choices)]."""
-    if exhaustive:
-        return [(v, None, ch) for v, ch in enumerate_values(e)]
-    orc = oracle.clone() if oracle is not None else None
-    try:
-        return [(evaluate(e, orc), orc, ())]
-    except OracleExhausted:
-        # a recorded transcript funds only the draws of the steps actually
-        # taken; a rival redex it cannot pay for was not the recorded step,
-        # and since selection always takes the sort-minimal candidate the
-        # recorded one still wins.  outside replay exhaustion stays loud.
-        if oracle is not None and oracle.lenient:
-            return []
-        raise
+def _com(logs, i, j, cont, recv, v):
+    """Party i sends `v` to party j: the action shown and the new logs."""
+    nl = list(logs)
+    nl[i] = Log(logs[i].endpoint, logs[i].ckpt, cont)
+    nl[j] = Log(logs[j].endpoint, logs[j].ckpt,
+                substitute(recv.cont, recv.var, Lit(v)))
+    return f"!{_show_value(v)}", nl
 
 
-def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
+def _resolve(logs, i, then, orelse, v):
+    """Party i's conditional takes the branch guard value `v` selects."""
+    nl = list(logs)
+    nl[i] = Log(logs[i].endpoint, logs[i].ckpt, then if v else orelse)
+    return ("then" if v else "else"), nl
+
+
+def _session_steps(items, idx, ses, logs, mode, exhaustive) -> list:
     out: list = []
     sname = ses.name
     n = len(logs)
@@ -424,12 +438,27 @@ def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
             barb_cache[k, observer] = barbs(logs[k].current, observer)
         return barb_cache[k, observer]
 
-    def mk(rule, party, text, new_logs=None, new_body=None, backward=False,
-           orc=None, choices=()):
+    def mk(rule, party, text, new_logs=None, new_body=None, backward=False):
         succ = (_with_logs(items, idx, ses, new_logs) if new_logs is not None
                 else _with_session(items, idx, ses, new_body))
         out.append(Candidate(pre + rule, sname, party, text, succ,
-                             backward=backward, oracle=orc, choices=choices))
+                             backward=backward))
+
+    def evaluating(rule, i, e, step):
+        """A step of party i that evaluates `e`, `step(v)` giving its
+        action and logs for the value v."""
+        def outcome(v):
+            action, nl = step(v)
+            return (f"{sname}:p{i + 1} {action}",
+                    _with_logs(items, idx, ses, nl))
+        if not exhaustive:
+            out.append(Candidate(pre + rule, sname, i + 1, "", None,
+                                 expr=e, outcome=outcome))
+            return
+        for v, ch in enumerate_values(e):
+            text, succ = outcome(v)
+            out.append(Candidate(pre + rule, sname, i + 1, text, succ,
+                                 choices=ch))
 
     for i in range(n):
         li, hi = logs[i], heads[i]
@@ -443,15 +472,8 @@ def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
                     continue
                 lj, hj = logs[j], heads[j]
                 if isinstance(hj, Recv) and hj.from_role == me:
-                    for v, orc, ch in _guard_candidates(e, oracle,
-                                                       exhaustive):
-                        nl = list(logs)
-                        nl[i] = Log(ep_i, li.ckpt, cont)
-                        nl[j] = Log(lj.endpoint, lj.ckpt,
-                                    substitute(hj.cont, hj.var, Lit(v)))
-                        mk("F-Com", i + 1,
-                           f"{sname}:p{i + 1} !{_show_value(v)}",
-                           new_logs=nl, orc=orc, choices=ch)
+                    evaluating("F-Com", i, e,
+                               functools.partial(_com, logs, i, j, cont, hj))
                 elif mode == "detect":
                     bs = pbarbs(j, me)
                     if ("in", lj.endpoint, me) not in bs \
@@ -504,13 +526,8 @@ def _session_steps(items, idx, ses, logs, mode, oracle, exhaustive) -> list:
                         mk("E-Lab2", i + 1, f"{sname}:p{i + 1} stuck-brn",
                            new_body=ComError())
             case If(cond, then, orelse):
-                for v, orc, ch in _guard_candidates(cond, oracle,
-                                                    exhaustive):
-                    nl = list(logs)
-                    nl[i] = Log(ep_i, li.ckpt, then if v else orelse)
-                    mk("F-If", i + 1,
-                       f"{sname}:p{i + 1} {'then' if v else 'else'}",
-                       new_logs=nl, orc=orc, choices=ch)
+                evaluating("F-If", i, cond,
+                           functools.partial(_resolve, logs, i, then, orelse))
             case Commit(cont):
                 nl = list(logs)
                 nl[i] = Log(ep_i, CheckpointProcess(cont), cont)
@@ -616,20 +633,27 @@ class Trace:
 def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
              max_steps: int = 1000, mode: str = "plain") -> Trace:
     """Deterministic run: at every state take the first candidate in
-    (session, party, rule, label) order, adopting its oracle."""
-    oracle = oracle or DecisionOracle()
+    (session, party, rule, label) order.  Only the step taken is evaluated,
+    against one clone of `oracle`: the caller's oracle is left untouched,
+    and the trace's transcript holds exactly the draws of the steps taken.
+
+    An `OracleExhausted` raised by a step carries `steps`, the run up to
+    that step."""
+    oracle = (oracle or DecisionOracle()).clone()
     state = program.term
     steps: list = []
     status = "cut-off"
     for _ in range(max_steps):
-        cands = reduction_steps(state, mode, oracle)
+        cands = reduction_steps(state, mode)
         if not cands:
             status = classify_state(state, False)
             break
-        chosen = cands[0]
+        try:
+            chosen = cands[0].take(oracle)
+        except OracleExhausted as ex:
+            ex.steps = steps
+            raise
         state = chosen.successor
-        if chosen.oracle is not None:
-            oracle = chosen.oracle
         steps.append(StepRecord(chosen.rule, chosen.session, chosen.party,
                                 chosen.text, chosen.backward, state))
         kind = classify_state(state, True)
@@ -787,25 +811,28 @@ def replay(trace_json: dict, mode: str | None = None,
             s.get("label", "").split(" ", 1)[0].removeprefix("M-")
             .startswith("E-") for s in trace_json["steps"]) else "plain"
     transcript = trace_json.get("oracle", {}).get("transcript", [])
-    script: dict = {}
-    for fn, v in transcript:
-        script.setdefault(fn, []).append(v)
-    oracle = DecisionOracle("scripted", script)
-    oracle.lenient = True
-    rerun = simulate(program, oracle, max_steps=len(trace_json["steps"]),
-                     mode=mode)
-    got = rerun.to_json()["steps"]
     want = trace_json["steps"]
-    if len(got) != len(want):
+    oracle = DecisionOracle("scripted", _script_of(transcript))
+    unfunded = None
+    try:
+        got = simulate(program, oracle, max_steps=len(want), mode=mode).steps
+    except OracleExhausted as ex:
+        # the transcript cannot pay for the next step: the run so far must
+        # still match, and the recording diverges at that step
+        got, unfunded = ex.steps, ex
+    if unfunded is None and len(got) != len(want):
         return ReplayReport(
             False, f"trace length {len(got)} != recorded {len(want)}")
     for k, (g, w) in enumerate(zip(got, want)):
-        if g["label"] != w["label"]:
+        label = g.label()
+        if label != w["label"]:
             return ReplayReport(
-                False, f"step {k}: label {g['label']!r} != {w['label']!r}")
-        if g["state"] != w["state"]:
+                False, f"step {k}: label {label!r} != {w['label']!r}")
+        if show_collaboration(g.state) != w["state"]:
             return ReplayReport(
-                False, f"step {k}: state mismatch after {g['label']!r}")
+                False, f"step {k}: state mismatch after {label!r}")
+    if unfunded is not None:
+        return ReplayReport(False, f"step {len(got)}: {unfunded}")
     return ReplayReport(True)
 
 
@@ -906,6 +933,16 @@ def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
         return ShadowReport(False, [f"inference failed: {ex}"])
     configs: dict = {}  # session name -> TypeConfiguration
     failures: list = []
+    # a log a step left alone keeps its process objects, so each process is
+    # retyped once; the entry holds the process, so its id stays unique
+    retyped: dict = {}  # (id(process), endpoint) -> (process, type)
+
+    def retype(p, ep):
+        hit = retyped.get((id(p), ep))
+        if hit is None:
+            hit = retyped[id(p), ep] = (p, _retype(p, ep))
+        return hit[1]
+
     for step in trace.steps:
         if step.party == 0:  # connection
             service = step.text.split(":", 1)[0]
@@ -931,8 +968,8 @@ def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
             continue
         for k, lg in enumerate(body):
             try:
-                got_cur = _retype(lg.current, lg.endpoint)
-                got_ck = _retype(lg.ckpt.process, lg.endpoint)
+                got_cur = retype(lg.current, lg.endpoint)
+                got_ck = retype(lg.ckpt.process, lg.endpoint)
             except TypingError as ex:
                 failures.append(f"{step.label()}: retyping failed: {ex}")
                 continue

@@ -179,6 +179,19 @@ def test_run_replay_multiparty(tmp_path):
     )
 
 
+def test_replay_of_an_underfunded_transcript_diverges(tmp_path):
+    trace = tmp_path / "t.json"
+    assert cli("run", CORPUS / "vod_c.chpi", "--seed", "2",
+               "--trace", trace)[0] == 0
+    data = json.loads(trace.read_text())
+    data["oracle"]["transcript"].pop()
+    trace.write_text(json.dumps(data))
+    code, out, err = cli("replay", trace)
+    assert (code, err) == (1, "")
+    assert out.startswith("replay diverged: step ")
+    assert "script has no value for call #" in out
+
+
 # ---------------------------------------------------------------- graph / explore
 
 def test_graph_dot_output(tmp_path):

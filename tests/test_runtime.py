@@ -10,7 +10,8 @@ from cherrypi.parser import (parse_expression_text, parse_process_text,
                              parse_program, render_program)
 from cherrypi.runtime import (DecisionOracle, ExploreError, OracleExhausted,
                               barbs, classify_state, enumerate_values,
-                              evaluate, explore, guard_value, replay,
+                              evaluate, explore, guard_value,
+                              reduction_steps, replay, ReplayReport,
                               shadow_typecheck, simulate)
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.syntax import ChanVar, canonicalize
@@ -166,6 +167,122 @@ def test_plain_mode_rolls_even_on_imposed_checkpoints(programs):
     assert any(s.label() == "B-Rll s1:p1 roll" for s in t.steps)
 
 
+def _draws_of_steps(program, trace, mode="plain") -> list:
+    """The draws each step of `trace` made, found by the exhaustive stepper:
+    the assumed draws of the one outcome with the step's rule and label."""
+    out = []
+    state = program.term
+    for s in trace.steps:
+        (c,) = [c for c in reduction_steps(state, mode, exhaustive=True)
+                if (c.rule, c.text) == (s.rule, s.text)]
+        out.append(c.choices)
+        state = s.state
+    return out
+
+
+def _kpar(k):
+    """k copies of the speculative producer/consumer, side by side."""
+    tags = [chr(ord("a") + i) for i in range(k)]
+    return parse_program("\n".join(
+        [_PC_DECLS.format(t=t) for t in tags] +
+        ["\n| ".join(_PC.format(t=t) for t in tags)]))
+
+
+def _ring(n, sort):
+    """n-role token ring: role n sends a drawn token around and commits or
+    rolls the round on a drawn verdict."""
+    lines = [f"fun tok(): {sort}", f"fun ok({sort}): bool",
+             f"request a[{n}](x). rec X. x!<tok()>@1. x?(t: {sort})@{n - 1}."
+             f" if ok(t) then commit. X else roll"]
+    for r in range(1, n):
+        src = n if r == 1 else r - 1
+        lines.append(f"| accept a[{r}](y). rec Y. y?(t: {sort})@{src}."
+                     f" y!<t>@{r + 1}. Y")
+    return parse_program("\n".join(lines))
+
+
+def test_simulate_leaves_the_callers_oracle_alone(programs):
+    caller = DecisionOracle("seeded-random", seed=4)
+    t = simulate(programs["vod_c"], caller, 60, mode="detect")
+    assert t.oracle.transcript and t.oracle is not caller
+    assert caller.transcript == []
+    # the caller's generator did not move either
+    assert caller.draw("f", "int", None) == \
+        DecisionOracle("seeded-random", seed=4).draw("f", "int", None)
+
+
+def test_trace_transcript_holds_only_the_draws_of_the_steps_taken():
+    # every round opens with both parties on a drawn conditional
+    prog = parse_program(
+        "fun f(): bool\nfun g(): int in { 1, 2 }\n"
+        "request a(x). rec X. if f() then x!<g()>. X else x!<g()>. X"
+        " | accept a(y). rec Y. if f() then y?(v: int). Y"
+        " else y?(v: int). Y")
+    t = simulate(prog, DecisionOracle("seeded-random", seed=5), 40)
+    # rival steps that would draw were on offer along the way
+    assert any(sum(c.expr is not None and guard_value(c.expr) is None
+                   for c in reduction_steps(s.state)) > 1 for s in t.steps)
+    want = [d for ch in _draws_of_steps(prog, t) for d in ch]
+    assert t.oracle.transcript == want
+
+
+def test_simulate_clones_the_oracle_once(programs, monkeypatch):
+    calls = []
+    clone = DecisionOracle.clone
+
+    def counting(self):
+        calls.append(self)
+        return clone(self)
+    monkeypatch.setattr(DecisionOracle, "clone", counting)
+    for prog in (programs["vod_c"], _kpar(2)):
+        calls.clear()
+        t = simulate(prog, DecisionOracle("seeded-random", seed=1), 80,
+                     mode="detect")
+        assert len(t.steps) > 10 and len(calls) == 1
+
+
+def test_an_unfunded_rival_step_does_not_stop_a_scripted_run():
+    # both parties start on a conditional; the script funds only the
+    # first, which is the step taken: the rival's call is never made
+    prog = parse_program(
+        "fun f(): bool\nfun g(): bool\n"
+        "request a(x). if f() then 0 else 0"
+        " | accept a(y). if g() then 0 else 0")
+    t = simulate(prog, DecisionOracle("scripted", {"f": [True]}), 2)
+    assert [s.label() for s in t.steps] == ["F-Con a:s1", "F-If s1:p1 then"]
+    assert t.status == "cut-off" and t.oracle.transcript == [("f", True)]
+    # once the rival is the step taken, the missing value is an error again
+    with pytest.raises(OracleExhausted, match="call #1 of 'g'") as ex:
+        simulate(prog, DecisionOracle("scripted", {"f": [True]}), 3)
+    assert len(ex.value.steps) == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["plain", "detect"]))
+def test_a_drawing_candidate_is_alone_in_its_session_party_and_rule(seed,
+                                                                   mode):
+    # outside exhaustive mode the order of candidates never needs a drawn
+    # value: a step that draws shares (session, party, rule) with no other
+    rng = random.Random(seed)
+    prog = random_program(rng, safe=(seed % 2 == 0))
+    ring = _ring(2 + seed % 5, rng.choice(["bool", "int", "str"]))
+    states = []
+    for p in (prog, to_multiparty(prog), ring):
+        t = simulate(p, DecisionOracle("seeded-random", seed=seed), 40,
+                     mode=mode)
+        states += [p.term] + [s.state for s in t.steps]
+    # a run of parallel sessions keeps to s1: take every state near the
+    # start instead, where up to three sessions are open side by side
+    states += explore(_kpar(1 + seed % 3), depth=8, mode=mode).states
+    for state in states:
+        cands = reduction_steps(state, mode)
+        for c in cands:
+            if c.expr is None or guard_value(c.expr) is not None:
+                continue  # draws nothing
+            assert [d.sort_key()[:3] for d in cands].count(
+                c.sort_key()[:3]) == 1
+
+
 def test_max_steps_cuts_off(programs):
     t = simulate(programs["producer_consumer"],
                  DecisionOracle("seeded-random", seed=0), 5)
@@ -299,6 +416,18 @@ def test_replay_notices_tampered_states(programs):
     j["steps"][2]["state"] = j["steps"][1]["state"]
     rep = replay(j)
     assert not rep.ok and "state mismatch" in rep.divergence
+
+
+def test_replay_reports_a_transcript_that_cannot_fund_a_step(programs):
+    prog = programs["vod_c"]
+    t = simulate(prog, DecisionOracle("seeded-random", seed=2), 60)
+    j = t.to_json()
+    fn, _ = j["oracle"]["transcript"].pop()
+    nth = sum(f == fn for f, _ in t.oracle.transcript)
+    k = max(i for i, ch in enumerate(_draws_of_steps(prog, t)) if ch)
+    rep = replay(j)
+    assert rep == ReplayReport(
+        False, f"step {k}: script has no value for call #{nth} of {fn!r}")
 
 
 def test_replay_rejects_mismatched_program_override(programs):
