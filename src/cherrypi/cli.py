@@ -15,8 +15,8 @@ from pathlib import Path
 from .infer import TypingError, infer_collaboration
 from .multiparty import m_infer_collaboration
 from .parser import ParseError, parse_program, parse_type
-from .runtime import (DecisionOracle, ExploreError, OracleExhausted, explore,
-                      replay, simulate)
+from .runtime import (DecisionOracle, ExploreError, MalformedInput,
+                      OracleExhausted, explore, replay, simulate)
 from .semantics import (BudgetExceeded, InvalidBudget, check_compliance,
                         check_rollback_safety, compliance_dot)
 from .sessiontypes import render_type
@@ -169,11 +169,9 @@ def cmd_graph(args) -> int:
     dot = compliance_dot(report)
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2))
-    elif args.json:
+    if args.json:
         print(json.dumps(report.to_json(), indent=2))
-    else:
+    elif not args.dot:
         sys.stdout.write(dot)
     return 0 if report.compliant else 1
 
@@ -278,14 +276,9 @@ def main(argv: list | None = None) -> int:
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (TypingError, OracleExhausted, ExploreError, MalformedTerm,
-            InvalidBudget) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as e:
+    except (ParseError, TypingError, OracleExhausted, ExploreError,
+            MalformedTerm, MalformedInput, InvalidBudget, OSError,
+            json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -8,8 +8,8 @@ leading `~` on the service name.
 from __future__ import annotations
 
 from .syntax import (Abort, Branch, Call, ChanVar, Commit, If, Inact, Lit,
-                     Par, Process, PVar, Rec, Recv, Request, Roll, Select,
-                     Send, Ufun, Var, BUILTIN_SIGS)
+                     Process, PVar, Rec, Recv, Request, Roll, Select, Send,
+                     Ufun, Var, BUILTIN_SIGS, par_parts)
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TIn, TMu,
                            TOut, TPlus, TRollT, TSel, TVarT)
 
@@ -143,7 +143,7 @@ def infer_collaboration(term) -> dict:
     """Service-endpoint types of a binary collaboration: `~a` for the
     requester on service a, `a` for the acceptor."""
     assoc: dict = {}
-    for part in (term.parts if isinstance(term, Par) else (term,)):
+    for part in par_parts(term):
         if part.role is not None:
             raise TypingError(
                 "multiparty endpoint in binary inference; use the "

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (Accept, Branch, ChanVar, CheckpointProcess,
-                     Collaboration, ComError, Commit, Endpoint, If, Log,
-                     MalformedTerm, MEndpoint, Par, Process, Rec, Recv,
-                     Request, RollError, Select, Send, Session, par,
-                     par_parts)
+                     Collaboration, ComError, Endpoint, Log, MalformedTerm,
+                     MEndpoint, Par, Process, Recv, Request, RollError,
+                     Select, Send, Session, _map_proc, par, par_parts,
+                     subprocesses)
 from .sessiontypes import fill_roles
 from .infer import (TypingError, infer_collaboration, service_pairs,
                     type_of_process)
@@ -32,35 +32,15 @@ from .parser import SourceProgram
 # ---------------------------------------------------------------------------
 
 def _check_roles_used(p: Process, own: int, n: int):
-    def bad(role, what):
-        raise TypingError(
-            f"{what} names role {role}, outside 1..{n} minus the own "
-            f"role {own}")
-
-    def go(t):
-        match t:
-            case Send(_, _, c, r) | Select(_, _, c, r):
-                if r is None or not (1 <= r <= n) or r == own:
-                    bad(r, "communication")
-                go(c)
-            case Recv(_, _, _, c, r):
-                if r is None or not (1 <= r <= n) or r == own:
-                    bad(r, "communication")
-                go(c)
-            case Branch(_, arms, r):
-                if r is None or not (1 <= r <= n) or r == own:
-                    bad(r, "communication")
-                for _, a in arms:
-                    go(a)
-            case If(_, a, b):
-                go(a)
-                go(b)
-            case Rec(_, b) | Commit(b):
-                go(b)
-            case _:
-                pass
-
-    go(p)
+    match p:
+        case Send(_, _, _, r) | Recv(_, _, _, _, r) | Select(_, _, _, r) \
+                | Branch(_, _, r):
+            if r is None or not (1 <= r <= n) or r == own:
+                raise TypingError(
+                    f"communication names role {r}, outside 1..{n} minus "
+                    f"the own role {own}")
+    for q in subprocesses(p):
+        _check_roles_used(q, own, n)
 
 
 @dataclass
@@ -201,24 +181,10 @@ def m_explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
 # ---------------------------------------------------------------------------
 
 def _annotate(p: Process, partner: int) -> Process:
-    match p:
-        case Send(ch, e, cont, _):
-            return Send(ch, e, _annotate(cont, partner), partner)
-        case Recv(ch, y, s, cont, _):
-            return Recv(ch, y, s, _annotate(cont, partner), partner)
-        case Select(ch, l, cont, _):
-            return Select(ch, l, _annotate(cont, partner), partner)
-        case Branch(ch, arms, _):
-            return Branch(ch, tuple((l, _annotate(a, partner))
-                                    for l, a in arms), partner)
-        case If(c, a, b):
-            return If(c, _annotate(a, partner), _annotate(b, partner))
-        case Rec(x, b):
-            return Rec(x, _annotate(b, partner))
-        case Commit(c):
-            return Commit(_annotate(c, partner))
-        case _:
-            return p
+    def go(q):
+        return _map_proc(q, go, role=lambda _: partner)
+
+    return go(p)
 
 
 def to_multiparty(program: SourceProgram) -> SourceProgram:
@@ -228,34 +194,14 @@ def to_multiparty(program: SourceProgram) -> SourceProgram:
     for part in par_parts(program.term):
         if part.role is not None:
             raise MalformedTerm("program is already multiparty")
-        if isinstance(part, Request):
-            parts.append(Request(part.chan, part.var,
-                                 _annotate(part.body, 1), 2))
-        else:
-            parts.append(Accept(part.chan, part.var,
-                                _annotate(part.body, 2), 1))
+        own = 2 if isinstance(part, Request) else 1
+        parts.append(type(part)(part.chan, part.var,
+                                _annotate(part.body, 3 - own), own))
     return SourceProgram(dict(program.decls), par(*parts), True)
 
 
 def _erase_proc(p: Process) -> Process:
-    match p:
-        case Send(ch, e, cont, _):
-            return Send(_erase_chan(ch), e, _erase_proc(cont), None)
-        case Recv(ch, y, s, cont, _):
-            return Recv(_erase_chan(ch), y, s, _erase_proc(cont), None)
-        case Select(ch, l, cont, _):
-            return Select(_erase_chan(ch), l, _erase_proc(cont), None)
-        case Branch(ch, arms, _):
-            return Branch(_erase_chan(ch),
-                          tuple((l, _erase_proc(a)) for l, a in arms), None)
-        case If(c, a, b):
-            return If(c, _erase_proc(a), _erase_proc(b))
-        case Rec(x, b):
-            return Rec(x, _erase_proc(b))
-        case Commit(c):
-            return Commit(_erase_proc(c))
-        case _:
-            return p
+    return _map_proc(p, _erase_proc, chan=_erase_chan, role=lambda _: None)
 
 
 def _erase_chan(ch):
@@ -270,10 +216,8 @@ def _erase_chan(ch):
 def erase_to_binary(c: Collaboration) -> Collaboration:
     """Strip a two-party multiparty collaboration back to binary form."""
     match c:
-        case Request(a, x, body, _):
-            return Request(a, x, _erase_proc(body), None)
-        case Accept(a, x, body, _):
-            return Accept(a, x, _erase_proc(body), None)
+        case Request(a, x, body) | Accept(a, x, body):
+            return type(c)(a, x, _erase_proc(body), None)
         case Par(parts):
             return par(*(erase_to_binary(p) for p in parts))
         case Session(s, saved, body):

@@ -14,7 +14,7 @@ from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, Endpoint, If, Inact, Lit, MEndpoint, Par, PVar,
                      Process, Rec, Recv, Request, Roll, Select, Send, Session,
                      Log, RollError, ComError, Ufun, Var, free_names, par,
-                     SORTS, BUILTIN_SIGS, MalformedTerm)
+                     par_parts, subprocesses, SORTS, MalformedTerm)
 from . import sessiontypes as st
 
 KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
@@ -453,24 +453,15 @@ class _ProgParser:
 
 def _check_contractive(p: _P, body: Process, where: Token):
     def go(t: Process, pending: frozenset):
-        match t:
-            case PVar(x):
-                if x in pending:
-                    raise _diag(p.src, where.start, where.end,
-                                f"unguarded recursion on {x!r}")
-            case Rec(x, b):
-                go(b, pending | {x})
-            case Send(_, _, c) | Select(_, _, c) | Recv(_, _, _, c) | \
-                    Commit(c):
-                go(c, frozenset())
-            case Branch(_, arms):
-                for _, a in arms:
-                    go(a, frozenset())
-            case If(_, thn, els):
-                go(thn, pending)
-                go(els, pending)
-            case _:
-                pass
+        if isinstance(t, PVar) and t.name in pending:
+            raise _diag(p.src, where.start, where.end,
+                        f"unguarded recursion on {t.name!r}")
+        if isinstance(t, Rec):
+            pending = pending | {t.var}
+        elif not isinstance(t, If):  # a conditional is no guard
+            pending = frozenset()
+        for q in subprocesses(t):
+            go(q, pending)
 
     go(body, frozenset())
 
@@ -481,28 +472,20 @@ def _check_rebinding(p: _P, body: Process, session_var: str, where: Token):
 
     def go(t: Process, vals: frozenset, procs: frozenset):
         match t:
-            case Recv(_, y, _, c):
+            case Recv(_, y):
                 if y in vals or y == session_var:
                     raise _diag(p.src, where.start, where.end,
                                 f"variable {y!r} rebound inside its own "
                                 f"scope")
-                go(c, vals | {y}, procs)
-            case Rec(x, b):
+                vals = vals | {y}
+            case Rec(x):
                 if x in procs:
                     raise _diag(p.src, where.start, where.end,
                                 f"recursion variable {x!r} rebound inside "
                                 f"its own scope")
-                go(b, vals, procs | {x})
-            case Send(_, _, c) | Select(_, _, c) | Commit(c):
-                go(c, vals, procs)
-            case Branch(_, arms):
-                for _, a in arms:
-                    go(a, vals, procs)
-            case If(_, thn, els):
-                go(thn, vals, procs)
-                go(els, vals, procs)
-            case _:
-                pass
+                procs = procs | {x}
+        for q in subprocesses(t):
+            go(q, vals, procs)
 
     go(body, frozenset(), frozenset())
 
@@ -537,7 +520,7 @@ def parse_program(src: str) -> SourceProgram:
     p.expect("eof")
 
     multiparty = False
-    for part in (term.parts if isinstance(term, Par) else (term,)):
+    for part in par_parts(term):
         tok = first  # spans are coarse here; endpoint bodies recheck below
         if part.role is not None:
             multiparty = True
@@ -545,7 +528,7 @@ def parse_program(src: str) -> SourceProgram:
         _check_rebinding(p, part.body, part.var, tok)
         _check_closed_body(p, part.body, part.var, tok)
     if multiparty:
-        for part in (term.parts if isinstance(term, Par) else (term,)):
+        for part in par_parts(term):
             if part.role is None:
                 raise _diag(p.src, first.start, first.end,
                             "mixed multiparty and binary endpoints")
@@ -705,23 +688,11 @@ class _TypeParser:
 
 def _check_type_contractive(p: _P, t: st.SessionTypeT):
     def go(t, pending: frozenset):
-        match t:
-            case st.TVarT(n):
-                if n in pending:
-                    raise _diag(p.src, 0, 0,
-                                f"unguarded recursive type on {n!r}")
-            case st.TMu(v, body):
-                go(body, pending | {v})
-            case st.TOut(_, c) | st.TIn(_, c) | st.TSel(_, c) | st.TCmt(c):
-                go(c, frozenset())
-            case st.TBrn(arms):
-                for _, a in arms:
-                    go(a, frozenset())
-            case st.TPlus(l, r):
-                go(l, frozenset())
-                go(r, frozenset())
-            case _:
-                pass
+        if isinstance(t, st.TVarT) and t.name in pending:
+            raise _diag(p.src, 0, 0, f"unguarded recursive type on {t.name!r}")
+        pending = pending | {t.var} if isinstance(t, st.TMu) else frozenset()
+        for c in st.subtypes(t):
+            go(c, pending)
 
     go(t, frozenset())
 
@@ -860,37 +831,21 @@ def show_collaboration(c: Collaboration) -> str:
 
 def _collect_ufuns(term, into: dict):
     def expr(e):
-        match e:
-            case Ufun(fn, args, asorts, rsort, dom):
-                into.setdefault(fn, FunDecl(fn, asorts, rsort, dom))
-                for a in args:
-                    expr(a)
-            case Call(_, args):
-                for a in args:
-                    expr(a)
-            case _:
-                pass
+        if isinstance(e, Ufun):
+            into.setdefault(e.name, FunDecl(e.name, e.arg_sorts,
+                                            e.result_sort, e.domain))
+        if isinstance(e, (Call, Ufun)):
+            for a in e.args:
+                expr(a)
 
     def proc(t):
         match t:
-            case Send(_, e, c):
+            case Send(_, e) | If(e):
                 expr(e)
-                proc(c)
-            case Recv(_, _, _, c) | Select(_, _, c) | Commit(c):
-                proc(c)
-            case Branch(_, arms):
-                for _, a in arms:
-                    proc(a)
-            case If(cond, a, b):
-                expr(cond)
-                proc(a)
-                proc(b)
-            case Rec(_, b):
-                proc(b)
-            case _:
-                pass
+        for q in subprocesses(t):
+            proc(q)
 
-    for part in (term.parts if isinstance(term, Par) else (term,)):
+    for part in par_parts(term):
         proc(part.body)
 
 
@@ -910,9 +865,8 @@ def render_program(prog: SourceProgram) -> str:
     lines = [render_fun_decl(d) for d in decls.values()]
     if lines:
         lines.append("")
-    parts = (prog.term.parts if isinstance(prog.term, Par)
-             else (prog.term,))
-    lines.append("\n| ".join(show_collaboration(p) for p in parts))
+    lines.append("\n| ".join(show_collaboration(p)
+                              for p in par_parts(prog.term)))
     return "\n".join(lines) + "\n"
 
 

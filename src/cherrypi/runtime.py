@@ -46,6 +46,12 @@ class ExploreError(Exception):
     pass
 
 
+class MalformedInput(ValueError):
+    """A decision script or trace file that is not of the documented shape:
+    a script maps function names to lists of values, a trace is what
+    `Trace.to_json` writes."""
+
+
 # ---------------------------------------------------------------------------
 # decision oracle
 # ---------------------------------------------------------------------------
@@ -66,8 +72,14 @@ class DecisionOracle:
                  seed: int = 0):
         if mode not in ("scripted", "seeded-random", "constant"):
             raise ValueError(f"unknown oracle mode {mode!r}")
+        script = {} if script is None else script
+        if not isinstance(script, dict) or not all(
+                isinstance(fn, str) and isinstance(vals, (list, tuple))
+                for fn, vals in script.items()):
+            raise MalformedInput("a decision script must map function names "
+                                 "to lists of values")
         self.mode = mode
-        self.script = {k: list(v) for k, v in (script or {}).items()}
+        self.script = {k: list(v) for k, v in script.items()}
         self.pointers: dict = {}
         self.rng = random.Random(seed)
         self.seed = seed
@@ -168,22 +180,9 @@ def enumerate_values(e) -> list:
         case Var(n):
             raise MalformedTerm(f"unbound variable {n!r} in evaluation")
         case Call(op, args):
-            combos = [([], ())]
-            for a in args:
-                nxt = []
-                for vals, ch in combos:
-                    for v, ch2 in enumerate_values(a):
-                        nxt.append((vals + [v], ch + ch2))
-                combos = nxt
-            return [(_apply_op(op, vals), ch) for vals, ch in combos]
+            return [(_apply_op(op, vals), ch) for vals, ch in _combos(args)]
         case Ufun(fn, args, _, rsort, dom):
-            combos = [([], ())]
-            for a in args:
-                nxt = []
-                for vals, ch in combos:
-                    for v, ch2 in enumerate_values(a):
-                        nxt.append((vals + [v], ch + ch2))
-                combos = nxt
+            combos = _combos(args)
             if dom is not None:
                 outcomes = list(dom)
             elif rsort == "bool":
@@ -192,12 +191,19 @@ def enumerate_values(e) -> list:
                 raise ExploreError(
                     f"exploration needs a declared domain for {fn!r} "
                     f"(sort {rsort})")
-            out = []
-            for _, ch in combos:
-                for v in outcomes:
-                    out.append((v, ch + ((fn, v),)))
-            return out
+            return [(v, ch + ((fn, v),)) for _, ch in combos
+                    for v in outcomes]
     raise MalformedTerm(f"not an expression: {e!r}")
+
+
+def _combos(args) -> list:
+    """Every combination of the arguments' values, left to right:
+    [(values, choices)]."""
+    combos = [([], ())]
+    for a in args:
+        combos = [(vals + [v], ch + ch2) for vals, ch in combos
+                  for v, ch2 in enumerate_values(a)]
+    return combos
 
 
 # ---------------------------------------------------------------------------
@@ -802,16 +808,15 @@ def replay(trace_json: dict, mode: str | None = None,
     runs only diverge on the steps the detecting rules relabel (commits,
     rollbacks, errors), so any recorded E- label means detect mode.
     """
+    want, transcript = _checked_trace(trace_json)
     if program is None:
         program = parse_program(trace_json["initial"])
-    elif render_program(program) != trace_json.get("initial"):
+    elif render_program(program) != trace_json["initial"]:
         return ReplayReport(False, "initial state differs")
     if mode is None:
         mode = "detect" if any(
-            s.get("label", "").split(" ", 1)[0].removeprefix("M-")
-            .startswith("E-") for s in trace_json["steps"]) else "plain"
-    transcript = trace_json.get("oracle", {}).get("transcript", [])
-    want = trace_json["steps"]
+            s["label"].split(" ", 1)[0].removeprefix("M-").startswith("E-")
+            for s in want) else "plain"
     oracle = DecisionOracle("scripted", _script_of(transcript))
     unfunded = None
     try:
@@ -834,6 +839,30 @@ def replay(trace_json: dict, mode: str | None = None,
     if unfunded is not None:
         return ReplayReport(False, f"step {len(got)}: {unfunded}")
     return ReplayReport(True)
+
+
+def _checked_trace(data) -> tuple:
+    """The recorded steps and transcript of a trace file's JSON, checked
+    against the shape `Trace.to_json` writes."""
+    def need(ok: bool, what: str):
+        if not ok:
+            raise MalformedInput(f"malformed trace: {what}")
+
+    need(isinstance(data, dict), "not a JSON object")
+    need(isinstance(data.get("initial"), str), "'initial' is not a text")
+    steps = data.get("steps")
+    need(isinstance(steps, list) and all(
+        isinstance(s, dict) and isinstance(s.get("label"), str)
+        and isinstance(s.get("state"), str) for s in steps),
+        "'steps' is not a list of labels and states")
+    oracle = data.get("oracle", {})
+    draws = oracle.get("transcript", []) if isinstance(oracle, dict) \
+        else None
+    need(isinstance(draws, list) and all(
+        isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
+        for d in draws),
+        "the transcript is not a list of [function, value] draws")
+    return steps, draws
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,13 @@
 Communication prefixes optionally carry a role pair (own, partner): binary
 types leave both unset, multiparty types set the partner at inference time and
 the own side is a placeholder until `fill_roles` stamps it in.
+
+`subtypes` and `_map_type` are the one statement of each type's shape;
+`_map_type` returns a node whose children did not change as the same
+object.  `subst_type`, `fill_roles`, `free_type_vars` and the parser's
+contractiveness check are built on them.  `canonical_type`, `type_key`,
+`render_type` and `semantics.type_transitions` stay hand-written: they
+number binders, cache on the node, emit concrete syntax or step a type.
 """
 
 from __future__ import annotations
@@ -95,40 +102,59 @@ SessionTypeT = Union[TOut, TIn, TSel, TBrn, TPlus, TVarT, TMu, TEnd, TErr,
 # structural helpers
 # ---------------------------------------------------------------------------
 
+def subtypes(t: SessionTypeT) -> tuple:
+    """The direct subtypes of `t`, in source order."""
+    if isinstance(t, (TOut, TIn, TSel, TCmt)):
+        return (t.cont,)
+    if isinstance(t, TPlus):
+        return (t.left, t.right)
+    if isinstance(t, TMu):
+        return (t.body,)
+    if isinstance(t, TBrn):
+        return tuple(c for _, c in t.arms)
+    return ()
+
+
+def _map_type(t: SessionTypeT, go, own: int | None = None) -> SessionTypeT:
+    """`t` with `go` applied to its direct subtypes and, when `own` is
+    given, `own` stamped into an open own-role slot.  When nothing changes
+    `t` itself comes back, so a walk copies only the spine above a change,
+    and the subtrees it keeps bring their cached keys and unfoldings."""
+    match t:
+        case TOut(x, c, a, b) | TIn(x, c, a, b) | TSel(x, c, a, b):
+            nc, na = go(c), own if a is None else a
+            return t if nc is c and na == a else type(t)(x, nc, na, b)
+        case TBrn(arms, a, b):
+            narms = tuple((l, go(c)) for l, c in arms)
+            na = own if a is None else a
+            if na == a and all(n is c for (_, n), (_, c) in zip(narms, arms)):
+                return t
+            return TBrn(narms, na, b)
+        case TPlus(l, r):
+            nl, nr = go(l), go(r)
+            return t if nl is l and nr is r else TPlus(nl, nr)
+        case TMu(v, body):
+            nb = go(body)
+            return t if nb is body else TMu(v, nb)
+        case TCmt(c):
+            nc = go(c)
+            return t if nc is c else TCmt(nc)
+    return t
+
+
 def subst_type(t: SessionTypeT, name: str, r: SessionTypeT) -> SessionTypeT:
     """t[r/name].  Subtrees with no free `name` come back as the same
     objects, so unfolding a closed type never copies the closed types
     inside it (and their cached keys and unfoldings stay in use)."""
-    match t:
-        case TVarT(n):
-            return r if n == name else t
-        case TMu(v, body):
-            if v == name:  # shadowed
-                return t
-            nb = subst_type(body, name, r)
-            return t if nb is body else TMu(v, nb)
-        case TOut(s, c, a, b):
-            nc = subst_type(c, name, r)
-            return t if nc is c else TOut(s, nc, a, b)
-        case TIn(s, c, a, b):
-            nc = subst_type(c, name, r)
-            return t if nc is c else TIn(s, nc, a, b)
-        case TSel(l, c, a, b):
-            nc = subst_type(c, name, r)
-            return t if nc is c else TSel(l, nc, a, b)
-        case TBrn(arms, a, b):
-            narms = tuple((l, subst_type(c, name, r)) for l, c in arms)
-            if all(nc is c for (_, nc), (_, c) in zip(narms, arms)):
-                return t
-            return TBrn(narms, a, b)
-        case TPlus(l, rr):
-            nl, nr = subst_type(l, name, r), subst_type(rr, name, r)
-            return t if nl is l and nr is rr else TPlus(nl, nr)
-        case TCmt(c):
-            nc = subst_type(c, name, r)
-            return t if nc is c else TCmt(nc)
-        case _:
+
+    def go(t):
+        if isinstance(t, TVarT):
+            return r if t.name == name else t
+        if isinstance(t, TMu) and t.var == name:  # shadowed
             return t
+        return _map_type(t, go)
+
+    return go(t)
 
 
 def unfold_type(t: TMu) -> SessionTypeT:
@@ -159,47 +185,21 @@ def head_normal_type(t: SessionTypeT) -> SessionTypeT:
 
 
 def free_type_vars(t: SessionTypeT) -> frozenset:
-    match t:
-        case TVarT(n):
-            return frozenset({n})
-        case TMu(v, body):
-            return free_type_vars(body) - {v}
-        case TOut(_, c) | TIn(_, c) | TSel(_, c) | TCmt(c):
-            return free_type_vars(c)
-        case TBrn(arms):
-            out: frozenset = frozenset()
-            for _, c in arms:
-                out |= free_type_vars(c)
-            return out
-        case TPlus(l, r):
-            return free_type_vars(l) | free_type_vars(r)
-        case _:
-            return frozenset()
+    if isinstance(t, TVarT):
+        return frozenset({t.name})
+    if isinstance(t, TMu):
+        return free_type_vars(t.body) - {t.var}
+    return frozenset().union(*map(free_type_vars, subtypes(t)))
 
 
 def fill_roles(t: SessionTypeT, own: int) -> SessionTypeT:
-    """Stamp `own` into the placeholder own-role slot of every prefix."""
-    match t:
-        case TOut(s, c, src, dst):
-            return TOut(s, fill_roles(c, own), own if src is None else src,
-                        dst)
-        case TIn(s, c, src, dst):
-            return TIn(s, fill_roles(c, own), own if src is None else src,
-                       dst)
-        case TSel(l, c, src, dst):
-            return TSel(l, fill_roles(c, own), own if src is None else src,
-                        dst)
-        case TBrn(arms, src, dst):
-            return TBrn(tuple((l, fill_roles(c, own)) for l, c in arms),
-                        own if src is None else src, dst)
-        case TPlus(l, r):
-            return TPlus(fill_roles(l, own), fill_roles(r, own))
-        case TMu(v, body):
-            return TMu(v, fill_roles(body, own))
-        case TCmt(c):
-            return TCmt(fill_roles(c, own))
-        case _:
-            return t
+    """Stamp `own` into the placeholder own-role slot of every prefix; an
+    already filled type comes back as it is."""
+
+    def go(t):
+        return _map_type(t, go, own)
+
+    return go(t)
 
 
 # ---------------------------------------------------------------------------

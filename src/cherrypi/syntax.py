@@ -6,6 +6,16 @@ caches what is derived from it alone (free names, key, unfolding) in
 private attributes, which equality and hashing ignore.  Collaboration
 terms cover both the surface language (request/accept/parallel) and the
 runtime-only constructs (sessions, logs, error states) produced by reduction.
+
+Which fields of a process are sub-processes, and in what order, is written
+once: `subprocesses` lists a node's children in source order, and
+`_map_proc` rebuilds a node from its mapped children, expressions, session
+identifier and partner role.  Substitution, role annotation and erasure,
+and the parser's static checks walk processes through these two.  Walkers
+that do more than follow the shape stay hand-written: `_names` and `_key`
+track binders and cache on the node, `canonicalize` is the independent
+reference the tests compare keys against, and rendering, typing and
+reduction give each constructor a meaning of its own.
 """
 
 from __future__ import annotations
@@ -378,18 +388,33 @@ def _keep(e):
     return e
 
 
-def _map_proc(p: Process, go, expr=_keep, chan=_keep) -> Process:
+def subprocesses(p: Process) -> tuple:
+    """The direct sub-processes of `p`, in source order."""
+    if isinstance(p, (Send, Recv, Select, Commit)):
+        return (p.cont,)
+    if isinstance(p, If):
+        return (p.then, p.orelse)
+    if isinstance(p, Rec):
+        return (p.body,)
+    if isinstance(p, Branch):
+        return tuple(a for _, a in p.arms)
+    return ()
+
+
+def _map_proc(p: Process, go, expr=_keep, chan=_keep, role=None) -> Process:
     """`p` rebuilt with `go` applied to its sub-processes, `expr` to its
-    expressions and `chan` to its session identifier."""
+    expressions, `chan` to its session identifier and, when given, `role`
+    to its partner role."""
     match p:
-        case Send(c, e, cont, tr):
-            return Send(chan(c), expr(e), go(cont), tr)
-        case Recv(c, y, s, cont, fr):
-            return Recv(chan(c), y, s, go(cont), fr)
-        case Select(c, l, cont, tr):
-            return Select(chan(c), l, go(cont), tr)
-        case Branch(c, arms, fr):
-            return Branch(chan(c), tuple((l, go(a)) for l, a in arms), fr)
+        case Send(c, e, cont, r):
+            return Send(chan(c), expr(e), go(cont), role(r) if role else r)
+        case Recv(c, y, s, cont, r):
+            return Recv(chan(c), y, s, go(cont), role(r) if role else r)
+        case Select(c, l, cont, r):
+            return Select(chan(c), l, go(cont), role(r) if role else r)
+        case Branch(c, arms, r):
+            return Branch(chan(c), tuple((l, go(a)) for l, a in arms),
+                          role(r) if role else r)
         case If(cond, then, orelse):
             return If(expr(cond), go(then), go(orelse))
         case Rec(x, body):
@@ -402,25 +427,12 @@ def _map_proc(p: Process, go, expr=_keep, chan=_keep) -> Process:
 
 # each substitution returns a subtree without a free `name` as the same
 # object, so unfolding or receiving never copies what it does not change
-def _subst_value(p: Process, name: str, v: Lit) -> Process:
-    free = ("v", name)
-
+def _subst_leaves(p: Process, free: tuple, expr=_keep, chan=_keep) \
+        -> Process:
+    """`p` with `expr` and `chan` applied at every node where the name
+    `free` (see `_names`) is free."""
     def go(q):
-        if free not in _names(q):  # absent or shadowed
-            return q
-        return _map_proc(q, go, lambda e: _subst_expr(e, name, v))
-
-    return go(p)
-
-
-def _subst_chan(p: Process, name: str, sid) -> Process:
-    free = ("c", name)
-
-    def ch(r):
-        return sid if isinstance(r, ChanVar) and r.name == name else r
-
-    def go(q):
-        return q if free not in _names(q) else _map_proc(q, go, chan=ch)
+        return q if free not in _names(q) else _map_proc(q, go, expr, chan)
 
     return go(p)
 
@@ -463,9 +475,12 @@ def substitute(term: Process, name: str, replacement) -> Process:
     come back as the same objects.
     """
     if isinstance(replacement, Lit):
-        return _subst_value(term, name, replacement)
+        return _subst_leaves(term, ("v", name),
+                             lambda e: _subst_expr(e, name, replacement))
     if isinstance(replacement, (ChanVar, Endpoint, MEndpoint)):
-        return _subst_chan(term, name, replacement)
+        var = ChanVar(name)
+        return _subst_leaves(term, ("c", name),
+                             chan=lambda r: replacement if r == var else r)
     if isinstance(replacement, (Send, Recv, Select, Branch, If, Rec, PVar,
                                 Inact, Commit, Roll, Abort)):
         return _subst_proc(term, name, replacement)

@@ -279,6 +279,50 @@ def test_deeply_nested_type_exits_three_not_a_verdict(tmp_path):
     assert err.count("\n") == 1
 
 
+def _recorded(tmp_path):
+    trace = tmp_path / "t.json"
+    assert cli("run", CORPUS / "vod_c.chpi", "--seed", "2",
+               "--trace", trace)[0] == 0
+    return json.loads(trace.read_text())
+
+
+def _unlabelled(data):
+    del data["steps"][1]["label"]
+    return data
+
+
+def _bad_draw(data):
+    data["oracle"]["transcript"][0] = [1]
+    return data
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda d: {}, "malformed trace: 'initial' is not a text"),
+    (lambda d: [], "malformed trace: not a JSON object"),
+    (lambda d: {"initial": 5, "steps": []},
+     "malformed trace: 'initial' is not a text"),
+    (_unlabelled, "malformed trace: 'steps' is not a list of labels and "
+                  "states"),
+    (_bad_draw, "malformed trace: the transcript is not a list of "
+                "[function, value] draws"),
+], ids=["empty-object", "list", "numeric-initial", "step-without-label",
+        "one-element-draw"])
+def test_malformed_trace_file_exits_two(tmp_path, make, message):
+    trace = tmp_path / "bad.json"
+    trace.write_text(json.dumps(make(_recorded(tmp_path))))
+    assert cli("replay", trace) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("script", [{"f": 3}, [1], {"f_HD": "ab"}],
+                         ids=["number", "list", "string"])
+def test_malformed_script_exits_two(tmp_path, script):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(script))
+    assert cli("run", CORPUS / "vod_c.chpi", "--script", path) == (
+        2, "", "error: a decision script must map function names to lists "
+               "of values\n")
+
+
 def test_unexpected_exception_exits_four_without_traceback(monkeypatch):
     import cherrypi.cli as cli_module
 

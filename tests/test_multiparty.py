@@ -261,3 +261,26 @@ def test_n2_exploration_counts_match(programs, name):
             rb.completed) == \
         (len(rm.states), rm.edges, len(rm.errors), len(rm.stuck),
          rm.completed), name
+
+
+@pytest.mark.parametrize("src, want", [
+    ("request a[2](x). x!<1>@2. 0 | accept a[1](y). y?(v: int)@2. 0",
+     "communication names role 2, outside 1..2 minus the own role 2"),
+    ("request a[3](x). x!<1>@1. x<+ l@4. 0 | accept a[1](y). y?(v: int)@3."
+     " 0 | accept a[2](z). 0",
+     "communication names role 4, outside 1..3 minus the own role 3"),
+    # a branching's own role is checked before its arms
+    ("request a[2](x). x!<1>@1. 0"
+     " | accept a[1](y). y>+{l: y!<1>@7. 0}@0",
+     "communication names role 0, outside 1..2 minus the own role 1"),
+    ("request a[2](x). x!<1>. 0 | accept a[1](y). 0",
+     "communication names role None, outside 1..2 minus the own role 2"),
+    ("request a[2](x). if true then rec X. x?(v: int)@2. X"
+     " else x!<1>@0. 0 | accept a[1](y). 0",
+     "communication names role 2, outside 1..2 minus the own role 2"),
+])
+def test_role_check_messages_are_exact(src, want):
+    from cherrypi.infer import TypingError
+    with pytest.raises(TypingError) as ei:
+        mp.m_infer_collaboration(parse_program(src).term)
+    assert str(ei.value) == want

@@ -167,3 +167,52 @@ def test_fun_arity_checked_at_call_site():
     with pytest.raises(ParseError):
         parse_program("fun f(int): bool\n"
                       "request a(x). if f() then 0 else 0 | accept a(y). 0")
+
+
+# -- exact diagnostics of the static checks ---------------------------------
+# Each check reports the first offence in source order (an earlier check's
+# offence wins over a later check's), at the span of the first endpoint.
+
+@pytest.mark.parametrize("src, want", [
+    ("request a(x). rec X. X | accept a(y). 0",
+     ("unguarded recursion on 'X'", 1, 1)),
+    ("fun f(): bool\nrequest a(x). rec X. if f() then X else 0\n"
+     "| accept a(y). 0",
+     ("unguarded recursion on 'X'", 2, 1)),
+    ("request a(x). x!<1>. 0 | accept a(y). rec Y. y>+{l: Y, r: rec Z. Z}",
+     ("unguarded recursion on 'Z'", 1, 1)),
+    ("request a(x). x>+{l: rec X. rec Y. X, r: x?(v: int). x?(v: int). 0}"
+     " | accept a(y). 0",
+     ("unguarded recursion on 'X'", 1, 1)),
+    ("request a(x). rec X. x!<1>. rec X. X | accept a(y). 0",
+     ("unguarded recursion on 'X'", 1, 1)),
+    ("request a(x). x?(v: int). x?(v: str). 0"
+     " | accept a(y). y!<1>. y!<\"s\">. 0",
+     ("variable 'v' rebound inside its own scope", 1, 1)),
+    ("request a(x). rec X. x!<1>. rec X. x!<2>. X | accept a(y). 0",
+     ("recursion variable 'X' rebound inside its own scope", 1, 1)),
+    ("request a(x). x?(x: int). 0 | accept a(y). 0",
+     ("variable 'x' rebound inside its own scope", 1, 1)),
+    ("  request a(x). x>+{l: x?(v: int). x?(v: int). 0,"
+     " r: rec X. x!<1>. rec X. x!<1>. X} | accept a(y). 0",
+     ("variable 'v' rebound inside its own scope", 1, 3)),
+])
+def test_program_check_diagnostics_are_exact(src, want):
+    with pytest.raises(ParseError) as ei:
+        parse_program(src)
+    d = ei.value.diagnostic
+    assert (d.message, d.line, d.col) == want
+
+
+@pytest.mark.parametrize("src, want", [
+    ("mu t. mu u. t", ("unguarded recursive type on 't'", 1, 1)),
+    ("brn[l: end; r: mu t. mu u. u]",
+     ("unguarded recursive type on 'u'", 1, 1)),
+    ("![int]. t", ("unbound type variable 't'", 1, 1)),
+    ("mu t. brn[l: t; r: u]", ("unbound type variable 'u'", 1, 1)),
+])
+def test_type_check_diagnostics_are_exact(src, want):
+    with pytest.raises(ParseError) as ei:
+        parse_type(src)
+    d = ei.value.diagnostic
+    assert (d.message, d.line, d.col) == want

@@ -3,18 +3,20 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from genprog import random_program
+from genprog import random_program, random_type
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.parser import parse_program
 from cherrypi.runtime import explore
+from cherrypi.sessiontypes import (TMu, fill_roles, free_type_vars,
+                                   subst_type, subtypes, unfold_type)
 from cherrypi.syntax import (_REPS, Accept, Branch, Call, ChanVar,
                              CheckpointProcess, Commit, Endpoint, If, Inact,
                              Lit, Log, MEndpoint, Par, PVar, Rec, Recv,
                              Request, Roll, Select, Send, Session, Ufun, Var,
                              canonicalize, equivalent, free_names,
                              head_normal, par, par_parts, process_canonical,
-                             process_key, substitute, term_key,
-                             unfold_recursion)
+                             process_key, subprocesses, substitute,
+                             term_key, unfold_recursion)
 
 k = ChanVar("k")
 
@@ -258,6 +260,45 @@ def test_substitution_shares_untouched_subtrees():
     assert q.cont is tail
     assert unfold_recursion(tail) is unfold_recursion(tail)
     assert substitute(tail, "u", Lit(3)) is tail
+
+
+def _subterms(t, children):
+    yield t
+    for c in children(t):
+        yield from _subterms(c, children)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_types_not_containing_a_name_come_back_as_themselves(seed):
+    t = random_type(random.Random(seed))
+    for u in _subterms(t, subtypes):
+        for name in ("t1", "t2", "t3", "t5", "zz"):
+            if name not in free_type_vars(u):
+                assert subst_type(u, name, TMu("q", u)) is u
+        filled = fill_roles(u, 2)
+        assert fill_roles(filled, 2) is filled
+        assert fill_roles(filled, 3) is filled
+        if isinstance(u, TMu):
+            # each mu node unfolds once, so its unfolding keeps its keys
+            assert unfold_type(u) is unfold_type(u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_processes_not_containing_a_name_come_back_as_themselves(seed):
+    prog = random_program(random.Random(seed), safe=(seed % 2 == 0))
+    twin = to_multiparty(prog)
+    for part in par_parts(prog.term) + par_parts(twin.term):
+        for p in _subterms(part.body, subprocesses):
+            vs, xs, cs = free_names(p)
+            for name in ("v1", "v2", "v3", "X", "Y", "x", "y", "zz"):
+                if name not in vs:
+                    assert substitute(p, name, Lit(0)) is p
+                if name not in xs:
+                    assert substitute(p, name, Rec("Q", PVar("Q"))) is p
+                if name not in cs:
+                    assert substitute(p, name, ChanVar("q")) is p
 
 
 def test_term_key_table_does_not_outlive_exploration(corpus):
