@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .infer import TypingError, infer_collaboration
 from .multiparty import m_infer_collaboration
-from .parser import ParseError, parse_program, parse_type
+from .parser import ParseError, parse_program, parse_type, render_program
 from .runtime import (DecisionOracle, ExploreError, MalformedInput,
                       OracleExhausted, explore, replay, simulate)
 from .semantics import (BudgetExceeded, InvalidBudget, check_compliance,
@@ -107,11 +107,12 @@ def cmd_run(args) -> int:
     oracle = _oracle_from(args)
     trace = simulate(program, oracle, max_steps=args.max_steps,
                      mode=args.error_mode)
-    data = trace.to_json()
+    # only a trace file and JSON output hold the rendered states
+    data = trace.to_json() if args.trace or args.json else None
     if args.trace:
         Path(args.trace).write_text(json.dumps(data, indent=2) + "\n",
                                     encoding="utf-8")
-    lines = [data["initial"]]
+    lines = [render_program(program)]
     for k, step in enumerate(trace.steps):
         lines.append(f"{k + 1}. {step.label()}")
     lines.append(f"status: {trace.status}")

@@ -244,6 +244,7 @@ class _ProgParser:
     def __init__(self, p: _P, decls: dict):
         self.p = p
         self.decls = decls
+        self.heads: list = []  # each endpoint's first token, in source order
 
     # -- expressions --------------------------------------------------------
     # precedence: || < && < (== | <) < (+ | ++) < ! < atom
@@ -431,7 +432,7 @@ class _ProgParser:
             return c
         t = p.peek()
         if t.kind == "kw" and t.text in ("request", "accept"):
-            p.next()
+            self.heads.append(p.next())
             name = p.expect("ident").text
             role = None
             if p.eat("["):
@@ -520,8 +521,8 @@ def parse_program(src: str) -> SourceProgram:
     p.expect("eof")
 
     multiparty = False
-    for part in par_parts(term):
-        tok = first  # spans are coarse here; endpoint bodies recheck below
+    # an endpoint's offences are reported at its own first token
+    for part, tok in zip(par_parts(term), pp.heads):
         if part.role is not None:
             multiparty = True
         _check_contractive(p, part.body, tok)

@@ -28,14 +28,15 @@ from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
                      MalformedTerm, MEndpoint, Process, Recv, Request, Roll,
                      RollError, Select, Send, Session, Ufun, Var, head_normal,
-                     par, par_parts, process_key, substitute, term_key)
+                     par, par_parts, process_key, substitute, term_rep)
 from .sessiontypes import TErr, canonical_type, fill_roles, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
 from .infer import TypingError, type_of_process
 from .semantics import (BudgetExceeded, TypeConfiguration, _log_ckpt_differs,
-                        config_transitions, current_budget,
-                        initial_configuration, partner_position)
+                        _party_transitions, current_budget,
+                        initial_configuration, partner_position,
+                        type_transitions)
 
 
 class OracleExhausted(Exception):
@@ -238,7 +239,21 @@ def barbs(p: Process, observer: int | None = None) -> frozenset:
     are internal too: the party may get past them without the observer's
     help, so their continuations (all branch arms included) stay
     observable.
+
+    The answer is kept on `p`, one per observer: a log that a step leaves
+    alone keeps its process, so its barbs are found once.
     """
+    cached = p.__dict__.get("_barbs")
+    if cached is None:
+        cached = {}
+        object.__setattr__(p, "_barbs", cached)
+    found = cached.get(observer)
+    if found is None:
+        found = cached[observer] = _barbs(p, observer)
+    return found
+
+
+def _barbs(p: Process, observer) -> frozenset:
     found: set = set()
     seen: set = set()
     stack = [p]
@@ -300,10 +315,12 @@ def _may_recover(bs: frozenset) -> bool:
 @dataclass
 class Candidate:
     rule: str
-    session: str  # session name, or the service name for connection steps
+    session: str  # session name; a connection step's is the fresh one
     party: int  # 1-based log position; 0 for connection steps
     text: str  # human-readable step label, stable under replay
-    successor: Collaboration | None
+    # the successor state, or what `_session_steps`' `place` made of the
+    # items replacing the session (`explore` keeps that tuple)
+    successor: Collaboration | tuple | None
     backward: bool = False
     choices: tuple = ()  # assumed draws (explore)
     # an unevaluated step (F-Com, F-If outside exhaustive mode): `outcome`
@@ -333,36 +350,53 @@ def _fresh_session(items) -> str:
     return f"s{i}"
 
 
-def _rebuild(items: list) -> Collaboration:
-    return par(*items) if len(items) > 1 else items[0]
+def _splice(seq, group: tuple, repl) -> list:
+    """`seq` with the entries at indices `group` taken out and `repl` put
+    in at the first of them: how a step rewrites a state's items."""
+    if len(group) == 1:
+        i = group[0]
+        return [*seq[:i], *repl, *seq[i + 1:]]
+    first = min(group)
+    out: list = []
+    for k, x in enumerate(seq):
+        if k == first:
+            out.extend(repl)
+        elif k not in group:
+            out.append(x)
+    return out
 
 
-def _connect(items: list, group: list, sname: str) -> Collaboration:
-    """Open session `sname` for the endpoints at item indices `group`, the
-    requester first, then the acceptors in role order: the session saves
-    them for abort and logs each body on its own session endpoint."""
-    parts = [items[k] for k in group]
+def _connections(items: list) -> list:
+    """Session connections among a state's items, as (rule, session name,
+    label, group): a requester a[n] meets one acceptor of its service for
+    every role 1..n-1, a binary requester one acceptor; `group` holds their
+    item indices, the requester first, then the acceptors in role order."""
+    out: list = []
+    for r, req in enumerate(items):
+        if not isinstance(req, Request):
+            continue
+        roles = [None] if req.role is None else range(1, req.role)
+        pools = [[k for k, acc in enumerate(items)
+                  if isinstance(acc, Accept) and acc.chan == req.chan
+                  and acc.role == role] for role in roles]
+        rule = "F-Con" if req.role is None else "M-F-Con"
+        for combo in itertools.product(*pools):
+            sname = _fresh_session(items)
+            out.append((rule, sname, f"{req.chan}:{sname}", (r, *combo)))
+    return out
+
+
+def _open(parts: list, sname: str) -> Session:
+    """Session `sname` opened by the endpoints `parts` (see
+    `_connections`): it saves them for abort and logs each body on its own
+    session endpoint."""
     logs = []
     for pos, part in enumerate(parts):
         ep = (Endpoint(sname, pos == 0) if part.role is None
               else MEndpoint(sname, part.role))
         p = substitute(part.body, part.var, ep)
         logs.append(Log(ep, CheckpointProcess(p), p))
-    ses = Session(sname, par(*parts), par(*logs))
-    first = min(group)
-    return _rebuild([ses if k == first else it for k, it in enumerate(items)
-                     if k == first or k not in group])
-
-
-def _with_session(items: list, idx: int, ses: Session, new_body) \
-        -> Collaboration:
-    out = list(items)
-    out[idx] = Session(ses.name, ses.saved, new_body)
-    return _rebuild(out)
-
-
-def _with_logs(items, idx, ses, logs) -> Collaboration:
-    return _with_session(items, idx, ses, par(*logs))
+    return Session(sname, par(*parts), par(*logs))
 
 
 def _show_value(v) -> str:
@@ -379,39 +413,33 @@ def reduction_steps(state: Collaboration, mode: str = "plain", *,
     an expression stays one unevaluated candidate (see `Candidate.take`);
     its label is unknown, but no other candidate shares its session, party
     and rule, so the order never needs it.
+
+    The candidates are the connections (`_connections`) and each session's
+    own steps (`_session_steps`); `explore` uses the two halves directly.
     """
-    if mode not in ("plain", "detect"):
-        raise ValueError(f"unknown error mode {mode!r}")
+    _check_mode(mode)
     items = list(par_parts(state))
     cands: list = []
-
-    # session connection: a requester a[n] meets one acceptor of its
-    # service for every role 1..n-1; a binary requester meets one acceptor
-    for r, req in enumerate(items):
-        if not isinstance(req, Request):
-            continue
-        roles = [None] if req.role is None else range(1, req.role)
-        pools = [[k for k, acc in enumerate(items)
-                  if isinstance(acc, Accept) and acc.chan == req.chan
-                  and acc.role == role] for role in roles]
-        rule = "F-Con" if req.role is None else "M-F-Con"
-        for combo in itertools.product(*pools):
-            sname = _fresh_session(items)
-            cands.append(Candidate(
-                rule, sname, 0, f"{req.chan}:{sname}",
-                _connect(items, [r, *combo], sname)))
-
+    for rule, sname, text, group in _connections(items):
+        ses = _open([items[k] for k in group], sname)
+        cands.append(Candidate(rule, sname, 0, text,
+                               par(*_splice(items, group, (ses,)))))
     for idx, it in enumerate(items):
-        if not isinstance(it, Session):
-            continue
-        body = par_parts(it.body)
-        if any(isinstance(b, (RollError, ComError)) for b in body):
-            continue  # error states are absorbing
-        logs = list(body)
-        cands.extend(_session_steps(items, idx, it, logs, mode, exhaustive))
-
+        if isinstance(it, Session):
+            place = functools.partial(_place, items, idx)
+            cands.extend(_session_steps(it, mode, exhaustive, place))
     cands.sort(key=Candidate.sort_key)
     return cands
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("plain", "detect"):
+        raise ValueError(f"unknown error mode {mode!r}")
+
+
+def _place(items: list, idx: int, repl: tuple) -> Collaboration:
+    """The state `items` with the item at `idx` replaced by `repl`."""
+    return par(*_splice(items, (idx,), repl))
 
 
 def _com(logs, i, j, cont, recv, v):
@@ -430,23 +458,29 @@ def _resolve(logs, i, then, orelse, v):
     return ("then" if v else "else"), nl
 
 
-def _session_steps(items, idx, ses, logs, mode, exhaustive) -> list:
+def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
+        -> list:
+    """The steps of one session, unsorted.  A step rewrites only this
+    session's item: into one item, or by an abort into the endpoints the
+    session saved.  `place` turns that tuple of replacement items into the
+    candidate's successor.  The steps depend only on the session item and
+    its name, so key-equal sessions of one name have key-equal steps with
+    equal labels."""
+    logs = par_parts(ses.body)
+    if any(isinstance(b, (RollError, ComError)) for b in logs):
+        return []  # error states are absorbing
     out: list = []
     sname = ses.name
     n = len(logs)
     heads = [head_normal(lg.current) for lg in logs]
     # rules of n-role sessions carry the M- prefix
     pre = "M-" if isinstance(logs[0].endpoint, MEndpoint) else ""
-    barb_cache: dict = {}
 
-    def pbarbs(k: int, observer) -> frozenset:
-        if (k, observer) not in barb_cache:
-            barb_cache[k, observer] = barbs(logs[k].current, observer)
-        return barb_cache[k, observer]
+    def rewrite(new_body) -> Collaboration:
+        return place((Session(sname, ses.saved, new_body),))
 
     def mk(rule, party, text, new_logs=None, new_body=None, backward=False):
-        succ = (_with_logs(items, idx, ses, new_logs) if new_logs is not None
-                else _with_session(items, idx, ses, new_body))
+        succ = rewrite(par(*new_logs) if new_logs is not None else new_body)
         out.append(Candidate(pre + rule, sname, party, text, succ,
                              backward=backward))
 
@@ -455,8 +489,7 @@ def _session_steps(items, idx, ses, logs, mode, exhaustive) -> list:
         action and logs for the value v."""
         def outcome(v):
             action, nl = step(v)
-            return (f"{sname}:p{i + 1} {action}",
-                    _with_logs(items, idx, ses, nl))
+            return f"{sname}:p{i + 1} {action}", rewrite(par(*nl))
         if not exhaustive:
             out.append(Candidate(pre + rule, sname, i + 1, "", None,
                                  expr=e, outcome=outcome))
@@ -481,7 +514,7 @@ def _session_steps(items, idx, ses, logs, mode, exhaustive) -> list:
                     evaluating("F-Com", i, e,
                                functools.partial(_com, logs, i, j, cont, hj))
                 elif mode == "detect":
-                    bs = pbarbs(j, me)
+                    bs = barbs(lj.current, me)
                     if ("in", lj.endpoint, me) not in bs \
                             and not _may_recover(bs):
                         mk("E-Com1", i + 1, f"{sname}:p{i + 1} stuck-out",
@@ -493,7 +526,7 @@ def _session_steps(items, idx, ses, logs, mode, exhaustive) -> list:
                 lj, hj = logs[j], heads[j]
                 sender_ready = isinstance(hj, Send) and hj.to_role == me
                 if mode == "detect" and not sender_ready:
-                    bs = pbarbs(j, me)
+                    bs = barbs(lj.current, me)
                     if ("out", lj.endpoint, me) not in bs \
                             and not _may_recover(bs):
                         mk("E-Com2", i + 1, f"{sname}:p{i + 1} stuck-in",
@@ -513,7 +546,7 @@ def _session_steps(items, idx, ses, logs, mode, exhaustive) -> list:
                            new_logs=nl)
                         continue
                 if mode == "detect":
-                    bs = pbarbs(j, me)
+                    bs = barbs(lj.current, me)
                     if ("brn", lj.endpoint, lab, me) not in bs \
                             and not _may_recover(bs):
                         mk("E-Lab1", i + 1, f"{sname}:p{i + 1} stuck-sel",
@@ -525,7 +558,7 @@ def _session_steps(items, idx, ses, logs, mode, exhaustive) -> list:
                 lj, hj = logs[j], heads[j]
                 selector_ready = isinstance(hj, Select) and hj.to_role == me
                 if mode == "detect" and not selector_ready:
-                    bs = pbarbs(j, me)
+                    bs = barbs(lj.current, me)
                     offered = any(("sel", lj.endpoint, lab, me) in bs
                                   for lab, _ in arms)
                     if not offered and not _may_recover(bs):
@@ -563,11 +596,9 @@ def _session_steps(items, idx, ses, logs, mode, exhaustive) -> list:
                     mk(rule, i + 1, f"{sname}:p{i + 1} roll", new_logs=nl,
                        backward=True)
             case Abort():
-                succ_items = list(items)
-                succ_items[idx] = ses.saved
                 out.append(Candidate(
                     pre + "B-Abt", sname, i + 1, f"{sname}:p{i + 1} abort",
-                    _rebuild(succ_items), backward=True))
+                    place(par_parts(ses.saved)), backward=True))
             case _:
                 pass
     return out
@@ -724,18 +755,74 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
             budget: int | None = None) -> ExplorationReport:
     """Breadth-first state space of a program up to `depth` steps, branching
     over every oracle outcome.  Bool draws branch two ways; int/str draws
-    need a declared domain."""
+    need a declared domain.
+
+    A state is identified by the multiset of its top-level items' keys
+    (`term_key`), kept per state in item order.  A step rewrites one item
+    (a connection several), so a successor's keys are its parent's with
+    those entries replaced.  Each distinct (session key, session name) is
+    stepped once per call (see `_session_steps`), and a successor is built
+    only when its state is new, always from its parent's own items: of
+    alpha-variant states the first one found is the one kept."""
     limit = current_budget(budget)
+    _check_mode(mode)
     init = program.term
     states = [init]
+    # state id -> its items' keys in item order; representatives, held
+    # here and in the tables below, keep every serial meaningful while the
+    # call runs
+    roots = [term_rep(it) for it in par_parts(init)]
+    serials = [tuple(r.serial for r in roots)]
     info: list = [([], [])]  # state id -> (path labels, choices)
-    index = {term_key(init): 0}  # meaningful while `states` keeps them
+    index = {tuple(sorted(serials[0])): 0}
+    # computed once per call: the session endpoints open, by (endpoint
+    # keys, session name), as (session, representative); a session's
+    # steps, by (session key, session name), as (candidate whose successor
+    # is the tuple of replacement items, their representatives)
+    opened: dict = {}
+    stepped: dict = {}
     edges = 0
     transitions: list = []
     errors: list = []
     stuck: list = []
     completed = 0
     classified: set = set()
+
+    def once(table: dict, at: tuple, parts: list, compute):
+        """`compute()` for the items `parts`, whose keys and session name
+        are `at`, computed once per call.  A hit is reused only for the
+        very same objects, so a successor is always made of its parent's
+        own items; a key-equal alpha-variant is computed afresh."""
+        hit = table.get(at)
+        if hit is None or any(a is not b for a, b in zip(hit[0], parts)):
+            hit = table[at] = (parts, compute())
+        return hit[1]
+
+    def open_keyed(parts: list, sname: str) -> tuple:
+        ses = _open(parts, sname)
+        return ses, term_rep(ses)
+
+    def steps_keyed(ses: Session) -> list:
+        return [(c, tuple(term_rep(x) for x in c.successor))
+                for c in _session_steps(ses, mode, True, tuple)]
+
+    def steps_of(items: tuple, sers: tuple) -> list:
+        """The steps of a state in `reduction_steps` order, as (candidate,
+        indices of the items it rewrites, keys of their replacement)."""
+        out: list = []
+        for rule, sname, text, group in _connections(items):
+            parts = [items[k] for k in group]
+            ses, rep = once(opened, (tuple(sers[k] for k in group), sname),
+                            parts, lambda: open_keyed(parts, sname))
+            out.append((Candidate(rule, sname, 0, text, (ses,)), group,
+                        (rep.serial,)))
+        for idx, it in enumerate(items):
+            if isinstance(it, Session):
+                for c, reps in once(stepped, (sers[idx], it.name), [it],
+                                    lambda: steps_keyed(it)):
+                    out.append((c, (idx,), tuple(r.serial for r in reps)))
+        out.sort(key=lambda e: e[0].sort_key())
+        return out
 
     def note_terminal(sid: int, has_steps: bool):
         nonlocal completed
@@ -758,11 +845,13 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     while frontier and d < depth:
         nxt: list = []
         for sid in frontier:
-            cands = reduction_steps(states[sid], mode, exhaustive=True)
-            note_terminal(sid, bool(cands))
-            for c in cands:
+            items, sers = par_parts(states[sid]), serials[sid]
+            steps = steps_of(items, sers)
+            note_terminal(sid, bool(steps))
+            for c, group, new in steps:
                 edges += 1
-                key = term_key(c.successor)
+                succ_sers = _splice(sers, group, new)
+                key = tuple(sorted(succ_sers))
                 tid = index.get(key)
                 if tid is None:
                     if len(states) >= limit:
@@ -770,7 +859,8 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
                                              depth=d, frontier=len(frontier))
                     tid = len(states)
                     index[key] = tid
-                    states.append(c.successor)
+                    states.append(par(*_splice(items, group, c.successor)))
+                    serials.append(tuple(succ_sers))
                     path, choices = info[sid]
                     info.append((path + [f"{c.rule} {c.text}"],
                                  choices + list(c.choices)))
@@ -781,8 +871,8 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     # states on the final frontier still get classified (their steps are
     # computed but not expanded further)
     for sid in frontier:
-        cands = reduction_steps(states[sid], mode, exhaustive=True)
-        note_terminal(sid, bool(cands))
+        note_terminal(sid, bool(steps_of(par_parts(states[sid]),
+                                         serials[sid])))
     return ExplorationReport(states, edges, errors, stuck, completed, depth,
                              transitions)
 
@@ -931,8 +1021,10 @@ def _mirror(cfg: TypeConfiguration, step: StepRecord,
         return cfg
     rules, missing, disagrees = _MIRRORS[rule]
     want = _type_label(rule, step.text)
-    found = [(r, succ) for party, r, lab, succ in config_transitions(cfg)
-             if party == step.party and lab == want]
+    # only the stepping party's transitions, in `config_transitions` order
+    steps = [type_transitions(t) for t in cfg.currents]
+    found = sorted(((r, succ) for _, r, lab, succ in _party_transitions(
+        cfg, step.party - 1, steps) if lab == want), key=lambda e: e[0])
     for r, succ in found:
         if r in rules:
             return succ

@@ -174,75 +174,84 @@ def config_transitions(cfg: TypeConfiguration) -> list:
     """All journal steps of a configuration, as (party, rule, label,
     successor) sorted by (party, rule, label); parties are 1-based log
     positions."""
+    steps = [type_transitions(t) for t in cfg.currents]
+    out: list = []
+    for i in range(len(steps)):
+        out += _party_transitions(cfg, i, steps)
+    out.sort(key=lambda e: (e[0], e[1], e[2]))
+    return out
+
+
+def _party_transitions(cfg: TypeConfiguration, i: int, steps: list) -> list:
+    """The journal steps of the party at 0-based position `i`, unsorted, in
+    `config_transitions`' shape; `steps` holds every party's
+    `type_transitions`."""
     out: list = []
     cur = cfg.currents
     cks = cfg.ckpts
     n = len(cur)
-    steps = [type_transitions(t) for t in cur]
-    for i in range(n):
-        for lab, nxt in steps[i]:
-            match lab:
-                # TS-Com: an output meets the partner's same-sort input;
-                # TS-Lab: a selection meets the matching branch arm.  The
-                # partner is the one the prefix names, and its prefix must
-                # name this party back; checkpoints stay put
-                case (("out" | "sel") as kind, x, src, dst):
-                    j = partner_position(i, dst, n)
-                    me = None if dst is None else role_of_position(i, n)
-                    if j is None or src != me:
-                        continue
-                    want = ("in" if kind == "out" else "brn", x, dst, me)
-                    rule = "TS-Com" if kind == "out" else "TS-Lab"
-                    for plab, pnxt in steps[j]:
-                        if plab == want:
-                            curs = list(cur)
-                            curs[i], curs[j] = nxt, pnxt
-                            out.append((i + 1, rule, _label_text(lab),
-                                        TypeConfiguration(
-                                            cks, tuple(curs), cfg.inits)))
-                # TS-Tau: a conditional resolves locally
-                case ("tau", _):
-                    curs = list(cur)
-                    curs[i] = nxt
-                    out.append((i + 1, "TS-Tau", _label_text(lab),
-                                TypeConfiguration(cks, tuple(curs),
-                                                  cfg.inits)))
-                # TS-Cmt1: commit while some other party moved since its
-                # checkpoint -> that party's current is imposed on it
-                # TS-Cmt2: every other party still sits on its own
-                # checkpoint -> they are left untouched
-                case ("cmt",):
-                    curs = list(cur)
-                    ncks = list(cks)
-                    curs[i] = nxt
-                    ncks[i] = CheckpointType(nxt)
-                    rule = "TS-Cmt2"
-                    for h in range(n):
-                        if h != i and _ckpt_differs(cks[h], cur[h]):
-                            ncks[h] = CheckpointType(cur[h], imposed=True)
-                            rule = "TS-Cmt1"
-                    out.append((i + 1, rule, "cmt",
-                                TypeConfiguration(tuple(ncks), tuple(curs),
-                                                  cfg.inits)))
-                # TS-Rll1: roll from an own checkpoint restores every
-                # current; TS-Rll2: roll from an imposed checkpoint is
-                # unrecoverable -> every current errs
-                case ("roll",):
-                    if cks[i].imposed:
-                        out.append((i + 1, "TS-Rll2", "roll",
+    for lab, nxt in steps[i]:
+        match lab:
+            # TS-Com: an output meets the partner's same-sort input;
+            # TS-Lab: a selection meets the matching branch arm.  The
+            # partner is the one the prefix names, and its prefix must
+            # name this party back; checkpoints stay put
+            case (("out" | "sel") as kind, x, src, dst):
+                j = partner_position(i, dst, n)
+                me = None if dst is None else role_of_position(i, n)
+                if j is None or src != me:
+                    continue
+                want = ("in" if kind == "out" else "brn", x, dst, me)
+                rule = "TS-Com" if kind == "out" else "TS-Lab"
+                for plab, pnxt in steps[j]:
+                    if plab == want:
+                        curs = list(cur)
+                        curs[i], curs[j] = nxt, pnxt
+                        out.append((i + 1, rule, _label_text(lab),
                                     TypeConfiguration(
-                                        cks, tuple(TErr() for _ in cur),
-                                        cfg.inits)))
-                    else:
-                        out.append((i + 1, "TS-Rll1", "roll",
-                                    TypeConfiguration(
-                                        cks, tuple(c.typ for c in cks),
-                                        cfg.inits)))
-                # TS-Abt1: abort resets the whole configuration
-                case ("abt",):
-                    out.append((i + 1, "TS-Abt1", "abt",
-                                initial_configuration(*cfg.inits)))
-    out.sort(key=lambda e: (e[0], e[1], e[2]))
+                                        cks, tuple(curs), cfg.inits)))
+            # TS-Tau: a conditional resolves locally
+            case ("tau", _):
+                curs = list(cur)
+                curs[i] = nxt
+                out.append((i + 1, "TS-Tau", _label_text(lab),
+                            TypeConfiguration(cks, tuple(curs),
+                                              cfg.inits)))
+            # TS-Cmt1: commit while some other party moved since its
+            # checkpoint -> that party's current is imposed on it
+            # TS-Cmt2: every other party still sits on its own
+            # checkpoint -> they are left untouched
+            case ("cmt",):
+                curs = list(cur)
+                ncks = list(cks)
+                curs[i] = nxt
+                ncks[i] = CheckpointType(nxt)
+                rule = "TS-Cmt2"
+                for h in range(n):
+                    if h != i and _ckpt_differs(cks[h], cur[h]):
+                        ncks[h] = CheckpointType(cur[h], imposed=True)
+                        rule = "TS-Cmt1"
+                out.append((i + 1, rule, "cmt",
+                            TypeConfiguration(tuple(ncks), tuple(curs),
+                                              cfg.inits)))
+            # TS-Rll1: roll from an own checkpoint restores every
+            # current; TS-Rll2: roll from an imposed checkpoint is
+            # unrecoverable -> every current errs
+            case ("roll",):
+                if cks[i].imposed:
+                    out.append((i + 1, "TS-Rll2", "roll",
+                                TypeConfiguration(
+                                    cks, tuple(TErr() for _ in cur),
+                                    cfg.inits)))
+                else:
+                    out.append((i + 1, "TS-Rll1", "roll",
+                                TypeConfiguration(
+                                    cks, tuple(c.typ for c in cks),
+                                    cfg.inits)))
+            # TS-Abt1: abort resets the whole configuration
+            case ("abt",):
+                out.append((i + 1, "TS-Abt1", "abt",
+                            initial_configuration(*cfg.inits)))
     return out
 
 

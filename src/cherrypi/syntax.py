@@ -824,6 +824,13 @@ def _key(t, env: dict, depth: dict) -> _Rep:
     return rep
 
 
+def term_rep(c: Collaboration) -> _Rep:
+    """The representative whose serial is `term_key(c)`.  Holding it keeps
+    that serial meaning `c`'s text: while it lives, no key-equal term gets
+    another serial."""
+    return _key(c, {}, _NO_DEPTH)
+
+
 def term_key(c: Collaboration) -> int:
     """Integer identity of a collaboration: two live collaborations have
     equal keys exactly when their `canonicalize` texts are equal.  Computed
@@ -834,7 +841,7 @@ def term_key(c: Collaboration) -> int:
     names (a log outside its session) keeps its key only until it is keyed
     inside a binder of those names; `process_key` keys a bare process the
     way its log does."""
-    return _key(c, {}, _NO_DEPTH).serial
+    return term_rep(c).serial
 
 
 def process_key(p: Process) -> tuple:

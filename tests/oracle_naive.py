@@ -4,6 +4,9 @@ Everything here re-derives successor relations with deliberately plain
 recursive code that shares no stepping logic with the production engines
 (AST classes and the canonical-form printers are reused as data plumbing
 only).  Tests compare state sets, counts, and verdicts between the two.
+The one exception is `naive_explore_report`: it checks how `explore`
+shares work between states, so it steps and keys whole states with the
+production stepper and key instead.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
                              Commit, Endpoint, If, Lit, Log, Rec, Recv,
                              Request, Roll, Select, Send, Session, Ufun,
                              canonicalize, par, par_parts, process_canonical,
-                             substitute, unfold_recursion)
+                             substitute, term_key, unfold_recursion)
+from cherrypi.runtime import (ExplorationReport, ExploreEntry, classify_state,
+                              reduction_steps)
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
                                    TOut, TPlus, TRollT, TSel, canonical_type,
                                    subst_type)
@@ -288,3 +293,58 @@ def naive_explore(term, depth):
                     nxt.append(succ)
         frontier = nxt
     return seen
+
+
+def naive_explore_report(program, depth=30, mode="plain"):
+    """The exploration report of `program`, state by state: every state's
+    candidates from the whole-state stepper `reduction_steps`, and every
+    successor identified by `term_key` of the whole successor term.  This
+    is the reference for `runtime.explore`, which steps and keys items."""
+    states = [program.term]
+    info = [([], [])]
+    index = {term_key(program.term): 0}
+    edges, transitions, errors, stuck = 0, [], [], []
+    completed = 0
+
+    def entry(kind, sid):
+        path, choices = info[sid]
+        script = {}
+        for fn, v in choices:
+            script.setdefault(fn, []).append(v)
+        return ExploreEntry(kind, sid, list(path), script)
+
+    def note(sid, cands):
+        nonlocal completed
+        kind = classify_state(states[sid], bool(cands))
+        if kind in ("roll_error", "com_error"):
+            errors.append(entry(kind, sid))
+        elif kind == "stuck":
+            stuck.append(entry(kind, sid))
+        elif kind == "completed":
+            completed += 1
+
+    frontier = [0]
+    for _ in range(depth):
+        if not frontier:
+            break
+        nxt = []
+        for sid in frontier:
+            cands = reduction_steps(states[sid], mode, exhaustive=True)
+            note(sid, cands)
+            for c in cands:
+                edges += 1
+                key = term_key(c.successor)
+                if key not in index:
+                    index[key] = len(states)
+                    states.append(c.successor)
+                    path, choices = info[sid]
+                    info.append((path + [f"{c.rule} {c.text}"],
+                                 choices + list(c.choices)))
+                    nxt.append(index[key])
+                transitions.append((sid, index[key], c.rule, c.text,
+                                    c.backward))
+        frontier = nxt
+    for sid in frontier:
+        note(sid, reduction_steps(states[sid], mode, exhaustive=True))
+    return ExplorationReport(states, edges, errors, stuck, completed, depth,
+                             transitions)

@@ -14,6 +14,7 @@ import pytest
 
 from cherrypi import corpus_dir
 from cherrypi.cli import main
+from cherrypi.syntax import par_parts
 
 CORPUS = corpus_dir()
 
@@ -177,6 +178,38 @@ def test_run_replay_multiparty(tmp_path):
         "replay diverged: step 4: label 'M-F-Cmt s1:p1 commit'"
         " != 'M-E-Cmt1 s1:p1 commit'\n"
     )
+
+
+@pytest.mark.parametrize("mode", ["plain", "detect"])
+def test_text_run_renders_no_state(monkeypatch, mode):
+    # a text transcript is the program, the step labels and the status;
+    # only a trace file and JSON output need the states rendered, so a text
+    # run renders only the program's own endpoints
+    import cherrypi.parser as parser
+    import cherrypi.runtime as runtime
+    shown = []
+
+    def counting(c):
+        shown.append(c)
+        return show(c)
+    show = parser.show_collaboration
+    for path in sorted(CORPUS.glob("*.chpi")):
+        program = parser.parse_program(path.read_text())
+        trace = runtime.simulate(
+            program, runtime.DecisionOracle("seeded-random", seed=3),
+            mode=mode)
+        data = trace.to_json()
+        want = "".join(f"{line}\n" for line in [
+            data["initial"],
+            *(f"{k + 1}. {s['label']}" for k, s in enumerate(data["steps"])),
+            f"status: {trace.status}"])
+        monkeypatch.setattr(runtime, "show_collaboration", counting)
+        monkeypatch.setattr(parser, "show_collaboration", counting)
+        code, out, _ = cli("run", path, "--seed", "3", "--error-mode", mode)
+        monkeypatch.undo()
+        assert out == want and len(data["steps"]) > 3
+        assert shown == list(par_parts(program.term))
+        shown.clear()
 
 
 def test_replay_of_an_underfunded_transcript_diverges(tmp_path):

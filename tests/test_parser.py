@@ -171,7 +171,8 @@ def test_fun_arity_checked_at_call_site():
 
 # -- exact diagnostics of the static checks ---------------------------------
 # Each check reports the first offence in source order (an earlier check's
-# offence wins over a later check's), at the span of the first endpoint.
+# offence wins over a later check's), at the first token of the endpoint
+# that holds it.
 
 @pytest.mark.parametrize("src, want", [
     ("request a(x). rec X. X | accept a(y). 0",
@@ -180,7 +181,7 @@ def test_fun_arity_checked_at_call_site():
      "| accept a(y). 0",
      ("unguarded recursion on 'X'", 2, 1)),
     ("request a(x). x!<1>. 0 | accept a(y). rec Y. y>+{l: Y, r: rec Z. Z}",
-     ("unguarded recursion on 'Z'", 1, 1)),
+     ("unguarded recursion on 'Z'", 1, 26)),
     ("request a(x). x>+{l: rec X. rec Y. X, r: x?(v: int). x?(v: int). 0}"
      " | accept a(y). 0",
      ("unguarded recursion on 'X'", 1, 1)),
@@ -196,6 +197,8 @@ def test_fun_arity_checked_at_call_site():
     ("  request a(x). x>+{l: x?(v: int). x?(v: int). 0,"
      " r: rec X. x!<1>. rec X. x!<1>. X} | accept a(y). 0",
      ("variable 'v' rebound inside its own scope", 1, 3)),
+    ("request a(x). x!<1>. 0\n| (accept a(y). y?(v: int). y?(v: int). 0)",
+     ("variable 'v' rebound inside its own scope", 2, 4)),
 ])
 def test_program_check_diagnostics_are_exact(src, want):
     with pytest.raises(ParseError) as ei:

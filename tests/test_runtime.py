@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprog import random_program
-from oracle_naive import naive_explore, naive_values
+from oracle_naive import naive_explore, naive_explore_report, naive_values
 from cherrypi.parser import (parse_expression_text, parse_process_text,
-                             parse_program, render_program)
+                             parse_program, show_collaboration)
 from cherrypi.runtime import (DecisionOracle, ExploreError, OracleExhausted,
                               barbs, classify_state, enumerate_values,
                               evaluate, explore, guard_value,
                               reduction_steps, replay, ReplayReport,
                               shadow_typecheck, simulate)
 from cherrypi.multiparty import m_explore, to_multiparty
-from cherrypi.syntax import ChanVar, canonicalize
+from cherrypi.syntax import ChanVar, canonicalize, term_key
 
 k = ChanVar("k")
 
@@ -341,6 +341,65 @@ def test_exploration_matches_naive_enumeration(programs, name, depth,
     want = naive_explore(programs[name].term, depth)
     assert got == want
     assert len(got) == nstates
+
+
+def _exploration_or_error(explorer, program, mode, depth=20):
+    try:
+        rep = explorer(program, depth=depth, mode=mode)
+    except ExploreError as ex:
+        return str(ex)
+    return (rep.to_json(), rep.transitions,
+            [show_collaboration(s) for s in rep.states])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["plain", "detect"]))
+def test_exploration_equals_the_whole_state_reference(seed, mode):
+    # explore steps items and keys states as multisets of item keys; the
+    # reference steps and keys whole states.  Reports, transitions and the
+    # rendered states (the first alpha-variant found) must all agree
+    rng = random.Random(seed)
+    prog = random_program(rng, safe=(seed % 2 == 0))
+    for p in (prog, to_multiparty(prog), _kpar(1 + seed % 2),
+              _ring(2 + seed % 3, "bool")):
+        assert _exploration_or_error(explore, p, mode) == \
+            _exploration_or_error(naive_explore_report, p, mode)
+
+
+@pytest.mark.parametrize("src", [
+    # key-equal acceptors: the sessions they open with one requester are
+    # alpha-variants under one name, and only the first found is kept
+    "request a(x). x?(v: int). x?(u: int). 0 | accept a(y). y!<1>. y!<2>. 0"
+    " | request a(x). x?(w: int). x?(u: int). 0"
+    " | accept a(y). y!<1>. y!<2>. 0",
+    "request a(x). x?(v: int). x?(u: int). abort"
+    " | request a(x). x?(w: int). x?(u: int). abort"
+    " | accept a(y). y!<1>. y!<2>. 0 | accept a(z). z!<1>. z!<2>. 0",
+])
+@pytest.mark.parametrize("mode", ["plain", "detect"])
+def test_exploration_keeps_the_first_alpha_variant(src, mode):
+    prog = parse_program(src)
+    got = _exploration_or_error(explore, prog, mode, depth=30)
+    assert got == _exploration_or_error(naive_explore_report, prog, mode,
+                                        depth=30)
+    assert got[0]["states"] > 5
+
+
+def test_exploration_steps_each_distinct_session_once(monkeypatch):
+    # 1331 states, 4719 edges and 3630 session expansions of 60 distinct
+    # (session key, session name) pairs: each pair is stepped once
+    import cherrypi.runtime as runtime
+    stepped = []
+    session_steps = runtime._session_steps
+
+    def counting(ses, *args):
+        stepped.append(ses)
+        return session_steps(ses, *args)
+    monkeypatch.setattr(runtime, "_session_steps", counting)
+    rep = explore(_kpar(3), depth=60)
+    assert (len(rep.states), rep.edges) == (1331, 4719)
+    assert len(stepped) == len({(term_key(s), s.name) for s in stepped}) \
+        == 60
 
 
 # two copies of the speculative producer/consumer protocol on two services:
