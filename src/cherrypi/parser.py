@@ -8,7 +8,9 @@ equivalent term.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, Endpoint, If, Inact, Lit, MEndpoint, Par, PVar,
@@ -21,16 +23,30 @@ KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
             "roll", "abort", "true", "false", "fun", "in", "bool", "int",
             "str", "sel", "brn", "mu", "end", "err", "cmt", "abt"}
 
-# two-character symbols win over their one-character prefixes
-_SYMBOLS2 = frozenset({"<+", ">+", "++", "&&", "||", "=="})
-_SYMBOLS1 = frozenset("!?<>(){}[]:.,|@;+")
+# a string body: escapes are \" \\ and \n
+_STRING_BODY = r'[^"\\]*(?:\\["\\n][^"\\]*)*'
+# One match is the blanks and comments before a token, then the token.
+# Alternatives are tried in order: two-character symbols win over their
+# one-character prefixes, `word` takes a run of word characters that starts
+# with neither an ASCII letter, `_` nor a decimal digit, and `bad` takes any
+# other character, so every match ends in a token or at the end of the text.
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
+    (?: (?P<ident>[A-Za-z_]\w*)
+      | (?P<sym><\+|>\+|\+\+|&&|\|\||==|[!?<>(){}\[\]:.,|@;+])
+      | (?P<int>\d+)
+      | (?P<string>"%s(?:"|\\\Z))
+      | (?P<word>\w+)
+      | (?P<eof>\Z)
+      | (?P<bad>.) )""" % _STRING_BODY, re.VERBOSE | re.DOTALL)
+_STRING_REST = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | "kw" | symbol text | "eof"
     text: str
-    start: int  # byte offset
+    start: int  # offset into the source text
     end: int
 
 
@@ -56,72 +72,58 @@ def _diag(src: str, start: int, end: int, message: str) -> ParseError:
     return ParseError(ParseDiagnostic(message, start, end, line, col))
 
 
+def _unescape(m: re.Match) -> str:
+    return "\n" if m[1] == "n" else m[1]
+
+
+def _lex_error(src: str, i: int) -> ParseError:
+    """The diagnostic for the character at `i`, which starts no token."""
+    if src.startswith("/*", i):
+        return _diag(src, i, len(src), "unterminated block comment")
+    if src[i] == '"':
+        j = _STRING_REST.match(src, i + 1).end()
+        if j < len(src):  # stopped at a backslash
+            return _diag(src, j, j + 2,
+                         f"unknown escape \\{src[j + 1]} in string")
+        return _diag(src, i, len(src), "unterminated string literal")
+    return _diag(src, i, i + 1, f"unexpected character {src[i]!r}")
+
+
 def tokenize(src: str) -> list:
+    """The tokens of `src`.  Integers are runs of decimal digits (what
+    `int()` reads); an identifier starts with a letter or `_` and goes on
+    with letters, digits and `_`.  A string that a final backslash cuts
+    off ends there.  The list ends in three `eof` tokens, so the cursor
+    looks two tokens ahead by plain indexing."""
     toks: list = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if src.startswith("//", i):
-            j = src.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if src.startswith("/*", i):
-            j = src.find("*/", i + 2)
-            if j < 0:
-                raise _diag(src, i, n, "unterminated block comment")
-            i = j + 2
-            continue
-        if c == '"':
-            j, out = i + 1, []
-            while j < n and src[j] != '"':
-                if src[j] == "\\":
-                    if j + 1 >= n:
-                        break
-                    esc = src[j + 1]
-                    if esc == "n":
-                        out.append("\n")
-                    elif esc in ('"', "\\"):
-                        out.append(esc)
-                    else:
-                        raise _diag(src, j, j + 2,
-                                    f"unknown escape \\{esc} in string")
-                    j += 2
-                else:
-                    out.append(src[j])
-                    j += 1
-            if j >= n:
-                raise _diag(src, i, n, "unterminated string literal")
-            toks.append(Token("string", "".join(out), i, j + 1))
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], i, j))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(Token("kw" if word in KEYWORDS else "ident",
-                              word, i, j))
-            i = j
-            continue
-        sym = src[i:i + 2]
-        if sym not in _SYMBOLS2:
-            sym = c
-            if sym not in _SYMBOLS1:
-                raise _diag(src, i, i + 1, f"unexpected character {c!r}")
-        toks.append(Token(sym, sym, i, i + len(sym)))
-        i += len(sym)
-    toks.append(Token("eof", "", n, n))
-    return toks
+    append = toks.append
+    new = tuple.__new__  # a Token without the Python-level __new__
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text = m[kind]
+        end = m.end()
+        start = end - len(text)
+        if kind == "sym":
+            kind = text
+        elif kind == "ident":
+            if text in KEYWORDS:
+                kind = "kw"
+        elif kind == "string":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+        elif kind == "word":
+            if not text[0].isalpha():
+                raise _diag(src, start, start + 1,
+                            f"unexpected character {text[0]!r}")
+            kind = "ident"
+        elif kind == "eof":
+            eof = new(Token, ("eof", "", end, end))
+            toks += (eof, eof, eof)
+            return toks
+        elif kind == "bad":
+            raise _lex_error(src, start)
+        append(new(Token, (kind, text, start, end)))
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,10 @@ class _P:
     def __init__(self, src: str):
         self.src = src
         self.toks = tokenize(src)
-        self.pos = 0
+        self.pos = 0  # never past the first eof token
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -157,21 +159,26 @@ class _P:
         return t
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def eat(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.next()
-        return None
+        t = self.toks[self.pos]
+        if t.kind != kind or (text is not None and t.text != text):
+            return None
+        if kind != "eof":
+            self.pos += 1
+        return t
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
+        t = self.toks[self.pos]
+        if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
             raise _diag(self.src, t.start, t.end,
                         f"expected {want!r}, found {t.text or t.kind!r}")
-        return self.next()
+        if kind != "eof":
+            self.pos += 1
+        return t
 
     def fail(self, message: str, tok: Token | None = None):
         t = tok or self.peek()
@@ -557,16 +564,18 @@ def parse_expression_text(src: str, decls: dict | None = None):
 # type parser
 # ---------------------------------------------------------------------------
 
-def _parse_role_pair(p: _P) -> tuple:
-    """Parses `p,q]` after an already-consumed `[`, each side `_` or an
-    integer."""
+def _type_roles(p: _P) -> tuple:
+    """The role pair `[p,q]` that may open a prefix, each side `_` or an
+    integer, or (None, None); the prefix's own `[…]` starts with neither."""
+    nxt = p.peek(1)
+    if not (p.at("[") and (nxt.kind == "int" or
+                           (nxt.kind == "ident" and nxt.text == "_"))):
+        return (None, None)
 
     def side():
-        if p.at("ident", "_"):
-            p.next()
-            return None
-        return int(p.expect("int").text)
+        return None if p.eat("ident", "_") else int(p.expect("int").text)
 
+    p.next()
     a = side()
     p.expect(",")
     b = side()
@@ -574,128 +583,104 @@ def _parse_role_pair(p: _P) -> tuple:
     return a, b
 
 
-def _type_roles_or_label(p: _P):
-    """After sel/brn: `[…]` holds either a role pair or arm content.  Look
-    ahead: a role pair starts with `_` or an integer."""
-    if p.at("[") and (p.peek(1).kind == "int" or
-                      (p.peek(1).kind == "ident" and p.peek(1).text == "_")):
-        p.expect("[")
-        return _parse_role_pair(p)
-    return (None, None)
+# ![sort]. T, ?[sort]. T and sel[label]. T
+_TYPE_PREFIXES = {"!": st.TOut, "?": st.TIn, "sel": st.TSel}
+_TYPE_ATOMS = {"end": st.TEnd, "err": st.TErr, "roll": st.TRollT,
+               "abt": st.TAbtT}
 
 
 class _TypeParser:
     def __init__(self, p: _P):
         self.p = p
+        # id(type variable node) -> its token; a side table, because a
+        # field on the node would change its equality and `type_key`
+        self.var_tokens: dict = {}
 
     def type_(self) -> st.SessionTypeT:
-        t = self._prefix()
-        while (self.p.at("(") and self.p.peek(1).kind == "+"
-               and self.p.peek(2).kind == ")"):
-            self.p.next()
-            self.p.next()
-            self.p.next()
+        return self._plus(self._prefix())
+
+    def _plus(self, t: st.SessionTypeT) -> st.SessionTypeT:
+        """`t` followed by its `(+) T` operands, each a prefix."""
+        p = self.p
+        while p.at("(") and p.peek(1).kind == "+" and p.peek(2).kind == ")":
+            p.pos += 3
             t = st.TPlus(t, self._prefix())
         return t
 
     def _prefix(self) -> st.SessionTypeT:
         p = self.p
-        t = p.peek()
-        if p.eat("!"):
-            src_dst = (None, None)
+        t = p.next()
+        key = t.text if t.kind == "kw" else t.kind
+        if key in _TYPE_PREFIXES:
+            src, dst = _type_roles(p)
             p.expect("[")
-            if p.peek().kind == "int" or p.at("ident", "_"):
-                src_dst = _parse_role_pair(p)
-                p.expect("[")
-            sort = _parse_sort(p)
+            x = p.expect("ident").text if key == "sel" else _parse_sort(p)
             p.expect("]")
             p.expect(".")
-            return st.TOut(sort, self.type_(), *src_dst)
-        if p.eat("?"):
-            src_dst = (None, None)
+            return _TYPE_PREFIXES[key](x, self.type_(), src, dst)
+        if key == "brn":
+            src, dst = _type_roles(p)
             p.expect("[")
-            if p.peek().kind == "int" or p.at("ident", "_"):
-                src_dst = _parse_role_pair(p)
-                p.expect("[")
-            sort = _parse_sort(p)
+            arms: list = []
+            seen: set = set()
+            while True:
+                lab_tok = p.expect("ident")
+                if lab_tok.text in seen:
+                    raise _diag(p.src, lab_tok.start, lab_tok.end,
+                                f"duplicate branch label {lab_tok.text!r}")
+                seen.add(lab_tok.text)
+                p.expect(":")
+                arms.append((lab_tok.text, self.type_()))
+                if not p.eat(";"):
+                    break
             p.expect("]")
+            return st.TBrn(tuple(arms), src, dst)
+        if key == "mu":
+            v = p.expect("ident").text
             p.expect(".")
-            return st.TIn(sort, self.type_(), *src_dst)
-        if t.kind == "kw":
-            if t.text == "sel":
-                p.next()
-                src, dst = _type_roles_or_label(p)
-                p.expect("[")
-                lab = p.expect("ident").text
-                p.expect("]")
-                p.expect(".")
-                return st.TSel(lab, self.type_(), src, dst)
-            if t.text == "brn":
-                p.next()
-                src, dst = _type_roles_or_label(p)
-                p.expect("[")
-                arms: list = []
-                seen: set = set()
-                while True:
-                    lab_tok = p.expect("ident")
-                    if lab_tok.text in seen:
-                        raise _diag(p.src, lab_tok.start, lab_tok.end,
-                                    f"duplicate branch label "
-                                    f"{lab_tok.text!r}")
-                    seen.add(lab_tok.text)
-                    p.expect(":")
-                    arms.append((lab_tok.text, self.type_()))
-                    if not p.eat(";"):
-                        break
-                p.expect("]")
-                return st.TBrn(tuple(arms), src, dst)
-            if t.text == "mu":
-                p.next()
-                v = p.expect("ident").text
-                p.expect(".")
-                return st.TMu(v, self.type_())
-            if t.text == "end":
-                p.next()
-                return st.TEnd()
-            if t.text == "err":
-                p.next()
-                return st.TErr()
-            if t.text == "cmt":
-                p.next()
-                p.expect(".")
-                return st.TCmt(self.type_())
-            if t.text == "roll":
-                p.next()
-                return st.TRollT()
-            if t.text == "abt":
-                p.next()
-                return st.TAbtT()
-            p.fail(f"unexpected keyword {t.text!r} in type")
-        if p.eat("("):
+            return st.TMu(v, self.type_())
+        if key == "cmt":
+            p.expect(".")
+            return st.TCmt(self.type_())
+        if key in _TYPE_ATOMS:
+            return _TYPE_ATOMS[key]()
+        if key == "(":
             inner = self.type_()
             p.expect(")")
-            while (p.at("(") and p.peek(1).kind == "+"
-                   and p.peek(2).kind == ")"):
-                p.next()
-                p.next()
-                p.next()
-                inner = st.TPlus(inner, self._prefix())
-            return inner
-        if t.kind == "ident":
-            p.next()
-            return st.TVarT(t.text)
-        p.fail("expected a session type")
+            return self._plus(inner)
+        if key == "ident":
+            var = st.TVarT(t.text)
+            self.var_tokens[id(var)] = t
+            return var
+        p.fail(f"unexpected keyword {t.text!r} in type" if t.kind == "kw"
+               else "expected a session type", t)
 
 
-def _check_type_contractive(p: _P, t: st.SessionTypeT):
-    def go(t, pending: frozenset):
-        if isinstance(t, st.TVarT) and t.name in pending:
-            raise _diag(p.src, 0, 0, f"unguarded recursive type on {t.name!r}")
-        pending = pending | {t.var} if isinstance(t, st.TMu) else frozenset()
+def _check_type_vars(p: _P, t: st.SessionTypeT, var_tokens: dict):
+    """Reject the first unguarded recursion variable in source order, else
+    the alphabetically first free variable, at its first occurrence."""
+    free: dict = {}
+
+    def go(t, bound: frozenset, pending: frozenset):
+        if isinstance(t, st.TVarT):
+            tok = var_tokens[id(t)]
+            if t.name in pending:
+                raise _diag(p.src, tok.start, tok.end,
+                            f"unguarded recursive type on {t.name!r}")
+            if t.name not in bound:
+                free.setdefault(t.name, tok)
+        if isinstance(t, st.TMu):
+            bound, pending = bound | {t.var}, pending | {t.var}
+        else:
+            pending = frozenset()
         for c in st.subtypes(t):
-            go(c, pending)
+            go(c, bound, pending)
 
-    go(t, frozenset())
+    go(t, frozenset(), frozenset())
+    if free:
+        name = min(free)
+        raise _diag(p.src, free[name].start, free[name].end,
+                    f"unbound type variable {name!r}")
 
 
 def parse_type(src: str) -> st.SessionTypeT:
@@ -703,11 +688,7 @@ def parse_type(src: str) -> st.SessionTypeT:
     tp = _TypeParser(p)
     t = tp.type_()
     p.expect("eof")
-    _check_type_contractive(p, t)
-    free = st.free_type_vars(t)
-    if free:
-        raise _diag(p.src, 0, len(src),
-                    f"unbound type variable {sorted(free)[0]!r}")
+    _check_type_vars(p, t, tp.var_tokens)
     return t
 
 

@@ -301,6 +301,13 @@ def test_parse_error_exits_two(tmp_path):
     assert err == "error: 1:12: expected ')', found '.'\n"
 
 
+def test_non_decimal_digit_is_a_parse_error(tmp_path):
+    bad = tmp_path / "bad.chpi"
+    bad.write_text("request a[²](x). 0 | accept a[1](y). 0")
+    assert cli("check", bad) == (
+        2, "", "error: 1:11: unexpected character '²'\n")
+
+
 def test_deeply_nested_type_exits_three_not_a_verdict(tmp_path):
     left, right = tmp_path / "l.chty", tmp_path / "r.chty"
     left.write_text("![int]. " * 600 + "end")

@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprog import random_program, random_type
 from conftest import ALL_PROGRAMS
+from cherrypi import corpus_dir
+from cherrypi.multiparty import to_multiparty
 from cherrypi.parser import (ParseError, parse_expression_text,
                              parse_process_text, parse_program, parse_type,
                              render_program, render_type)
@@ -207,15 +210,125 @@ def test_program_check_diagnostics_are_exact(src, want):
     assert (d.message, d.line, d.col) == want
 
 
+# A type's offences are reported at the offending variable.
+
 @pytest.mark.parametrize("src, want", [
-    ("mu t. mu u. t", ("unguarded recursive type on 't'", 1, 1)),
+    ("mu t. mu u. t", ("unguarded recursive type on 't'", 1, 13)),
     ("brn[l: end; r: mu t. mu u. u]",
-     ("unguarded recursive type on 'u'", 1, 1)),
-    ("![int]. t", ("unbound type variable 't'", 1, 1)),
-    ("mu t. brn[l: t; r: u]", ("unbound type variable 'u'", 1, 1)),
+     ("unguarded recursive type on 'u'", 1, 28)),
+    ("![int]. t", ("unbound type variable 't'", 1, 9)),
+    ("mu t. brn[l: t; r: u]", ("unbound type variable 'u'", 1, 20)),
+    ("mu t. ![int].\n  brn[l: v; r: mu u. u]",
+     ("unguarded recursive type on 'u'", 2, 22)),
 ])
 def test_type_check_diagnostics_are_exact(src, want):
     with pytest.raises(ParseError) as ei:
         parse_type(src)
     d = ei.value.diagnostic
     assert (d.message, d.line, d.col) == want
+
+
+# -- exact lexical diagnostics ----------------------------------------------
+# An integer is a run of decimal digits; any other digit or numeric character
+# is an unexpected character where it stands.
+
+@pytest.mark.parametrize("parse, src, want", [
+    (parse_program, "request a(x). /* never closed\n x!<1>. 0",
+     ("unterminated block comment", 14, 39, 1, 15)),
+    (parse_type, "![int]. end /* x",
+     ("unterminated block comment", 12, 16, 1, 13)),
+    (parse_program, 'request a(x). x!<"abc> . 0 | accept a(y). 0',
+     ("unterminated string literal", 17, 43, 1, 18)),
+    (parse_program, r'request a(x). x!<"a\qb">. 0 | accept a(y). 0',
+     (r"unknown escape \q in string", 19, 21, 1, 20)),
+    # a backslash that ends the input ends the string without closing it
+    (parse_program, 'request a(x). x!<"ab\\',
+     ("expected '>', found 'eof'", 21, 21, 1, 22)),
+    (parse_program, "request a(x). x!<1>. 0\r\n| accept a(y). y?(v: int) # 0",
+     ("unexpected character '#'", 50, 51, 2, 27)),
+    (parse_type, "![int]. end\r\n$", ("unexpected character '$'", 13, 14, 2, 1)),
+    (parse_type, "mu ½. end", ("unexpected character '½'", 3, 4, 1, 4)),
+    (parse_program, "request a(x). x!<1> 0 | accept a(y). 0",
+     ("expected '.', found '0'", 20, 21, 1, 21)),
+    (parse_program, "request a(x). x!<1>. 0 | accept a(y)",
+     ("expected '.', found 'eof'", 36, 36, 1, 37)),
+    (parse_type, "![int] end", ("expected '.', found 'end'", 7, 10, 1, 8)),
+    (parse_program, "request a[²](x). 0 | accept a[1](y). 0",
+     ("unexpected character '²'", 10, 11, 1, 11)),
+    (parse_program, "request a(x). x!<1>. 0 | accept a(y). y!<²>. 0",
+     ("unexpected character '²'", 41, 42, 1, 42)),
+    (parse_program,
+     "request a[1](x). x!<1>@². 0 | accept a[2](y). y?(v: int)@1. 0",
+     ("unexpected character '²'", 23, 24, 1, 24)),
+    (parse_program, "request a(x). x!<1¹>. 0 | accept a(y). 0",
+     ("unexpected character '¹'", 18, 19, 1, 19)),
+    (parse_type, "?[¹str]. end", ("unexpected character '¹'", 2, 3, 1, 3)),
+    (parse_type, "sel[¹³l]. end", ("unexpected character '¹'", 4, 5, 1, 5)),
+    (parse_type, "![int]. ²", ("unexpected character '²'", 8, 9, 1, 9)),
+])
+def test_lexical_diagnostics_are_exact(parse, src, want):
+    with pytest.raises(ParseError) as ei:
+        parse(src)
+    d = ei.value.diagnostic
+    assert (d.message, d.start, d.end, d.line, d.col) == want
+
+
+def test_identifiers_start_with_a_letter_and_continue_alphanumeric():
+    t = parse_type("mu é². ![int]. é²")
+    assert isinstance(t, TMu) and t.var == "é²"
+    assert parse_expression_text("٣٤") == Lit(34)
+
+
+# -- the parsers raise nothing but ParseError --------------------------------
+
+def _texts():
+    corpus = corpus_dir()
+    texts = [p.read_text() for p in sorted(corpus.glob("*.ch*"))]
+    for seed in range(6):
+        prog = random_program(random.Random(seed), safe=seed % 2 == 0)
+        texts += [render_program(prog), render_program(to_multiparty(prog)),
+                  render_type(random_type(random.Random(seed)))]
+    return texts
+
+
+_TEXTS = _texts()
+# integer literals are where the tokenizer's digit rule meets `int()`
+_INT_SPOTS = {src: [m.start() for m in re.finditer(r"(?<!\w)\d", src)] or [0]
+              for src in _TEXTS}
+# characters at the edges of the lexical rules: non-decimal digits and
+# numerics, a non-ASCII decimal digit and letter, string and comment marks
+_EDGE_CHARS = "²¹½٣é_\"\\/*#\r"
+
+
+@st.composite
+def _mutants(draw):
+    """A corpus or generated text with one to three characters inserted or
+    replaced, each at a random place or at the start of an integer."""
+    src = draw(st.sampled_from(_TEXTS))
+    spots = _INT_SPOTS[src]
+    for _ in range(draw(st.integers(1, 3))):
+        i = min(draw(st.integers(0, len(src)) | st.sampled_from(spots)),
+                len(src))
+        c = draw(st.sampled_from(_EDGE_CHARS) | st.characters())
+        src = src[:i] + c + src[i + draw(st.integers(0, 1)):]
+    return src
+
+
+def _parses_or_rejects(src):
+    for parse in (parse_program, parse_type):
+        try:
+            parse(src)
+        except ParseError:
+            pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_parsers_raise_only_parse_errors_on_any_text(src):
+    _parses_or_rejects(src)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutants())
+def test_parsers_raise_only_parse_errors_on_mutated_texts(src):
+    _parses_or_rejects(src)
