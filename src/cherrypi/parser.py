@@ -35,7 +35,7 @@ _TOKEN = re.compile(r"""
     (?: (?P<ident>[A-Za-z_]\w*)
       | (?P<sym><\+|>\+|\+\+|&&|\|\||==|[!?<>(){}\[\]:.,|@;+])
       | (?P<int>\d+)
-      | (?P<string>"%s(?:"|\\\Z))
+      | (?P<string>"%s")
       | (?P<word>\w+)
       | (?P<eof>\Z)
       | (?P<bad>.) )""" % _STRING_BODY, re.VERBOSE | re.DOTALL)
@@ -82,7 +82,7 @@ def _lex_error(src: str, i: int) -> ParseError:
         return _diag(src, i, len(src), "unterminated block comment")
     if src[i] == '"':
         j = _STRING_REST.match(src, i + 1).end()
-        if j < len(src):  # stopped at a backslash
+        if j < len(src) - 1:  # stopped at a backslash that escapes nothing
             return _diag(src, j, j + 2,
                          f"unknown escape \\{src[j + 1]} in string")
         return _diag(src, i, len(src), "unterminated string literal")
@@ -93,8 +93,8 @@ def tokenize(src: str) -> list:
     """The tokens of `src`.  Integers are runs of decimal digits (what
     `int()` reads); an identifier starts with a letter or `_` and goes on
     with letters, digits and `_`.  A string that a final backslash cuts
-    off ends there.  The list ends in three `eof` tokens, so the cursor
-    looks two tokens ahead by plain indexing."""
+    off is unterminated.  The list ends in three `eof` tokens, so the
+    cursor looks two tokens ahead by plain indexing."""
     toks: list = []
     append = toks.append
     new = tuple.__new__  # a Token without the Python-level __new__
@@ -772,15 +772,29 @@ def render_process(pr: Process) -> str:
     raise MalformedTerm(f"not a process: {pr!r}")
 
 
-def _held_text(p: Process) -> str:
-    """`render_process(p)`, kept on the node.  The processes that requests,
-    accepts and logs hold recur from state to state (a step replaces one or
-    two of them), so across a run each is rendered once."""
-    text = p.__dict__.get("_shown")
+def _kept(node, render) -> str:
+    """`render(node)`, kept on the node.  The processes that requests,
+    accepts and logs hold, the logs, the sessions and the endpoints a
+    session saved recur from state to state (a step replaces one or two
+    logs and their session), so across a run each is rendered once.  A
+    whole state never recurs, so its text is not kept."""
+    text = node.__dict__.get("_shown")
     if text is None:
-        text = render_process(p)
-        object.__setattr__(p, "_shown", text)
+        text = render(node)
+        object.__setattr__(node, "_shown", text)
     return text
+
+
+def _show_session(c: Session) -> str:
+    return (f"<{c.name}: {_kept(c.saved, show_collaboration)}>"
+            f"({show_collaboration(c.body)})")
+
+
+def _show_log(c: Log) -> str:
+    ckpt = _kept(c.ckpt.process, render_process)
+    tag = "^imp" if c.ckpt.imposed else ""
+    return (f"{show_chan(c.endpoint)}:<{ckpt}>{tag} "
+            f"{_kept(c.current, render_process)}")
 
 
 def show_collaboration(c: Collaboration) -> str:
@@ -789,21 +803,18 @@ def show_collaboration(c: Collaboration) -> str:
     match c:
         case Request(a, x, body, role):
             rr = "" if role is None else f"[{role}]"
-            return f"request {a}{rr}({x}). {_held_text(body)}"
+            return f"request {a}{rr}({x}). {_kept(body, render_process)}"
         case Accept(a, x, body, role):
             rr = "" if role is None else f"[{role}]"
-            return f"accept {a}{rr}({x}). {_held_text(body)}"
+            return f"accept {a}{rr}({x}). {_kept(body, render_process)}"
         case Par(parts):
             return " | ".join(
                 f"({show_collaboration(p)})" if isinstance(p, Par)
                 else show_collaboration(p) for p in parts)
-        case Session(s, saved, body):
-            return (f"<{s}: {show_collaboration(saved)}>"
-                    f"({show_collaboration(body)})")
-        case Log(ep, ckpt, cur):
-            tag = "^imp" if ckpt.imposed else ""
-            return (f"{show_chan(ep)}:<{_held_text(ckpt.process)}>{tag} "
-                    f"{_held_text(cur)}")
+        case Session():
+            return _kept(c, _show_session)
+        case Log():
+            return _kept(c, _show_log)
         case RollError():
             return "roll_error"
         case ComError():

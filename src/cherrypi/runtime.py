@@ -13,7 +13,8 @@ Uninterpreted functions are resolved by a `DecisionOracle`; its counters are
 never rolled back, so a re-run after a rollback may take another branch.
 Enumerating reduction candidates never consumes draws: a step that evaluates
 an expression is enumerated unevaluated, and only the step a run takes
-consults the oracle.
+consults the oracle.  Likewise a run opens a connection's session only when
+it takes that connection.
 """
 
 from __future__ import annotations
@@ -314,6 +315,14 @@ def _may_recover(bs: frozenset) -> bool:
 
 @dataclass
 class Candidate:
+    """One reduction step on offer at a state.
+
+    With `exhaustive` (see `reduction_steps`) every candidate is built.
+    Otherwise a step that evaluates or opens a session is lazy: `outcome`
+    builds its (text, successor) when a run takes it (`take`), from the
+    value of `expr` for a step that evaluates one (F-Com, F-If), from
+    nothing for a connection, which has no `expr`.  Until then `successor`
+    is None, and the text of an evaluating step is ""."""
     rule: str
     session: str  # session name; a connection step's is the fresh one
     party: int  # 1-based log position; 0 for connection steps
@@ -323,9 +332,6 @@ class Candidate:
     successor: Collaboration | tuple | None
     backward: bool = False
     choices: tuple = ()  # assumed draws (explore)
-    # an unevaluated step (F-Com, F-If outside exhaustive mode): `outcome`
-    # maps the value of `expr` to (text, successor); until `take` evaluates
-    # it, `text` is "" and `successor` None
     expr: object = None
     outcome: object = None
 
@@ -333,11 +339,12 @@ class Candidate:
         return (self.session, self.party, self.rule, self.text)
 
     def take(self, oracle: DecisionOracle) -> "Candidate":
-        """This step with its expression evaluated against `oracle`, which
-        records the draws."""
+        """This step built, its expression evaluated against `oracle`,
+        which records the draws."""
         if self.outcome is None:
             return self
-        text, succ = self.outcome(evaluate(self.expr, oracle))
+        args = () if self.expr is None else (evaluate(self.expr, oracle),)
+        text, succ = self.outcome(*args)
         return Candidate(self.rule, self.session, self.party, text, succ,
                          self.backward)
 
@@ -372,16 +379,17 @@ def _connections(items: list) -> list:
     every role 1..n-1, a binary requester one acceptor; `group` holds their
     item indices, the requester first, then the acceptors in role order."""
     out: list = []
+    sname = None  # every connection of a state opens the same fresh name
     for r, req in enumerate(items):
         if not isinstance(req, Request):
             continue
+        sname = sname or _fresh_session(items)
         roles = [None] if req.role is None else range(1, req.role)
         pools = [[k for k, acc in enumerate(items)
                   if isinstance(acc, Accept) and acc.chan == req.chan
                   and acc.role == role] for role in roles]
         rule = "F-Con" if req.role is None else "M-F-Con"
         for combo in itertools.product(*pools):
-            sname = _fresh_session(items)
             out.append((rule, sname, f"{req.chan}:{sname}", (r, *combo)))
     return out
 
@@ -399,6 +407,13 @@ def _open(parts: list, sname: str) -> Session:
     return Session(sname, par(*parts), par(*logs))
 
 
+def _connect(items: list, group: tuple, sname: str, text: str) -> tuple:
+    """The label and successor state of a connection (see
+    `_connections`)."""
+    ses = _open([items[k] for k in group], sname)
+    return text, par(*_splice(items, group, (ses,)))
+
+
 def _show_value(v) -> str:
     return render_expr(Lit(v))
 
@@ -408,11 +423,13 @@ def reduction_steps(state: Collaboration, mode: str = "plain", *,
     """All reduction candidates of a collaboration, sorted by
     (session, party, rule, label).
 
-    With `exhaustive` every oracle outcome of a step becomes its own
-    candidate carrying the assumed draws.  Otherwise a step that evaluates
-    an expression stays one unevaluated candidate (see `Candidate.take`);
-    its label is unknown, but no other candidate shares its session, party
-    and rule, so the order never needs it.
+    With `exhaustive` every candidate carries its successor, and every
+    oracle outcome of a step becomes its own candidate carrying the
+    assumed draws.  Otherwise only the step a run takes is built (see
+    `Candidate.take`): a connection's session is opened when it is taken,
+    and a step that evaluates an expression stays one unevaluated
+    candidate, whose label is unknown; no other candidate shares its
+    session, party and rule, so the order never needs it.
 
     The candidates are the connections (`_connections`) and each session's
     own steps (`_session_steps`); `explore` uses the two halves directly.
@@ -421,9 +438,10 @@ def reduction_steps(state: Collaboration, mode: str = "plain", *,
     items = list(par_parts(state))
     cands: list = []
     for rule, sname, text, group in _connections(items):
-        ses = _open([items[k] for k in group], sname)
-        cands.append(Candidate(rule, sname, 0, text,
-                               par(*_splice(items, group, (ses,)))))
+        connect = functools.partial(_connect, items, group, sname, text)
+        cands.append(Candidate(rule, sname, 0, *connect()) if exhaustive
+                     else Candidate(rule, sname, 0, text, None,
+                                    outcome=connect))
     for idx, it in enumerate(items):
         if isinstance(it, Session):
             place = functools.partial(_place, items, idx)
@@ -670,9 +688,11 @@ class Trace:
 def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
              max_steps: int = 1000, mode: str = "plain") -> Trace:
     """Deterministic run: at every state take the first candidate in
-    (session, party, rule, label) order.  Only the step taken is evaluated,
-    against one clone of `oracle`: the caller's oracle is left untouched,
-    and the trace's transcript holds exactly the draws of the steps taken.
+    (session, party, rule, label) order.  Only the step taken is built: a
+    connection's session is opened when the run connects it, and only the
+    step taken is evaluated, against one clone of `oracle`.  The caller's
+    oracle is left untouched, and the trace's transcript holds exactly the
+    draws of the steps taken.
 
     An `OracleExhausted` raised by a step carries `steps`, the run up to
     that step."""

@@ -241,9 +241,9 @@ def test_type_check_diagnostics_are_exact(src, want):
      ("unterminated string literal", 17, 43, 1, 18)),
     (parse_program, r'request a(x). x!<"a\qb">. 0 | accept a(y). 0',
      (r"unknown escape \q in string", 19, 21, 1, 20)),
-    # a backslash that ends the input ends the string without closing it
+    # a backslash that ends the input escapes nothing: the string is open
     (parse_program, 'request a(x). x!<"ab\\',
-     ("expected '>', found 'eof'", 21, 21, 1, 22)),
+     ("unterminated string literal", 17, 21, 1, 18)),
     (parse_program, "request a(x). x!<1>. 0\r\n| accept a(y). y?(v: int) # 0",
      ("unexpected character '#'", 50, 51, 2, 27)),
     (parse_type, "![int]. end\r\n$", ("unexpected character '$'", 13, 14, 2, 1)),
@@ -265,6 +265,8 @@ def test_type_check_diagnostics_are_exact(src, want):
     (parse_type, "?[¹str]. end", ("unexpected character '¹'", 2, 3, 1, 3)),
     (parse_type, "sel[¹³l]. end", ("unexpected character '¹'", 4, 5, 1, 5)),
     (parse_type, "![int]. ²", ("unexpected character '²'", 8, 9, 1, 9)),
+    (parse_expression_text, '"ab\\',
+     ("unterminated string literal", 0, 4, 1, 1)),
 ])
 def test_lexical_diagnostics_are_exact(parse, src, want):
     with pytest.raises(ParseError) as ei:

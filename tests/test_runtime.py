@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -13,8 +14,10 @@ from cherrypi.runtime import (DecisionOracle, ExploreError, OracleExhausted,
                               evaluate, explore, guard_value,
                               reduction_steps, replay, ReplayReport,
                               shadow_typecheck, simulate)
+from cherrypi import runtime
 from cherrypi.multiparty import m_explore, to_multiparty
-from cherrypi.syntax import ChanVar, canonicalize, term_key
+from cherrypi.syntax import (ChanVar, Log, Session, canonicalize, par_parts,
+                             term_key)
 
 k = ChanVar("k")
 
@@ -281,6 +284,94 @@ def test_a_drawing_candidate_is_alone_in_its_session_party_and_rule(seed,
                 continue  # draws nothing
             assert [d.sort_key()[:3] for d in cands].count(
                 c.sort_key()[:3]) == 1
+
+
+def _connecting_runs():
+    """Runs of kpar k = 3, its n-role twin and the ring n = 4, seeded, in
+    both modes, each made when it is drawn: (program, mode, trace)."""
+    kpar = _kpar(3)
+    for prog in (kpar, to_multiparty(kpar), _ring(4, "bool")):
+        for mode in ("plain", "detect"):
+            yield prog, mode, simulate(
+                prog, DecisionOracle("seeded-random", seed=2), 80, mode=mode)
+
+
+def test_a_run_opens_only_the_sessions_it_connects(monkeypatch):
+    opened = []
+    real_open = runtime._open
+
+    def counting(parts, sname):
+        opened.append(sname)
+        return real_open(parts, sname)
+    monkeypatch.setattr(runtime, "_open", counting)
+    for _, mode, t in _connecting_runs():
+        connects = [s for s in t.steps
+                    if s.rule.removeprefix("M-") == "F-Con"]
+        assert connects and len(opened) == len(connects)
+        opened.clear()
+        assert replay(t.to_json(), mode).ok
+        assert len(opened) == len(connects)
+        opened.clear()
+
+
+def test_a_connection_taken_builds_the_exhaustive_successor():
+    states = []
+    for prog, mode, t in _connecting_runs():
+        states += [(prog.term, mode)] + [(s.state, mode) for s in t.steps]
+    # a run of parallel sessions keeps to s1: take the states near the
+    # start, where up to three sessions are open side by side
+    states += [(state, mode) for mode in ("plain", "detect")
+               for state in explore(_kpar(3), depth=8, mode=mode).states]
+    checked = 0
+    for state, mode in states:
+        full = {c.sort_key(): c.successor
+                for c in reduction_steps(state, mode, exhaustive=True)
+                if c.party == 0}
+        for c in reduction_steps(state, mode):
+            if c.party != 0:
+                continue
+            assert c.successor is None
+            taken = c.take(DecisionOracle())
+            assert taken.sort_key() == c.sort_key()
+            assert term_key(taken.successor) == term_key(full[c.sort_key()])
+            checked += 1
+    assert checked > 20
+
+
+def _fresh(x):
+    """`x` rebuilt node by node from new objects, which carry none of the
+    attributes that renderers and keys keep on a node."""
+    if dataclasses.is_dataclass(x):
+        return type(x)(**{f.name: _fresh(getattr(x, f.name))
+                          for f in dataclasses.fields(x)})
+    if isinstance(x, tuple):
+        return tuple(_fresh(e) for e in x)
+    return x
+
+
+def _logs(state):
+    return [lg for it in par_parts(state) if isinstance(it, Session)
+            for lg in par_parts(it.body) if isinstance(lg, Log)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["plain", "detect"]))
+def test_kept_texts_render_as_fresh_terms(seed, mode):
+    rng = random.Random(seed)
+    prog = random_program(rng, safe=True)
+    programs = (prog, to_multiparty(prog),
+                _ring(2 + seed % 5, rng.choice(["bool", "int", "str"])),
+                _kpar(1 + seed % 3))
+    reused = 0
+    for p in programs:
+        t = simulate(p, DecisionOracle("seeded-random", seed=seed), 40,
+                     mode=mode)
+        for state in [p.term] + [s.state for s in t.steps]:
+            # logs a step left alone carry the text an earlier state kept
+            reused += any("_shown" in lg.__dict__ for lg in _logs(state))
+            assert show_collaboration(state) == \
+                show_collaboration(_fresh(state))
+    assert reused
 
 
 def test_max_steps_cuts_off(programs):
