@@ -24,6 +24,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
@@ -318,11 +319,11 @@ class Candidate:
     """One reduction step on offer at a state.
 
     With `exhaustive` (see `reduction_steps`) every candidate is built.
-    Otherwise a step that evaluates or opens a session is lazy: `outcome`
-    builds its (text, successor) when a run takes it (`take`), from the
-    value of `expr` for a step that evaluates one (F-Com, F-If), from
-    nothing for a connection, which has no `expr`.  Until then `successor`
-    is None, and the text of an evaluating step is ""."""
+    Otherwise every step is lazy: `successor` is None, and `outcome`
+    builds the step when a run takes it (`take`).  A step that evaluates
+    an expression (F-Com, F-If) has it as `expr`, its text is "" until
+    then, and `outcome` gives (text, successor) for the value of `expr`;
+    for any other step `outcome()` gives the successor."""
     rule: str
     session: str  # session name; a connection step's is the fresh one
     party: int  # 1-based log position; 0 for connection steps
@@ -343,8 +344,10 @@ class Candidate:
         which records the draws."""
         if self.outcome is None:
             return self
-        args = () if self.expr is None else (evaluate(self.expr, oracle),)
-        text, succ = self.outcome(*args)
+        if self.expr is None:
+            text, succ = self.text, self.outcome()
+        else:
+            text, succ = self.outcome(evaluate(self.expr, oracle))
         return Candidate(self.rule, self.session, self.party, text, succ,
                          self.backward)
 
@@ -407,11 +410,10 @@ def _open(parts: list, sname: str) -> Session:
     return Session(sname, par(*parts), par(*logs))
 
 
-def _connect(items: list, group: tuple, sname: str, text: str) -> tuple:
-    """The label and successor state of a connection (see
-    `_connections`)."""
+def _connect(items: list, group: tuple, sname: str) -> Collaboration:
+    """The successor state of a connection (see `_connections`)."""
     ses = _open([items[k] for k in group], sname)
-    return text, par(*_splice(items, group, (ses,)))
+    return par(*_splice(items, group, (ses,)))
 
 
 def _show_value(v) -> str:
@@ -425,8 +427,8 @@ def reduction_steps(state: Collaboration, mode: str = "plain", *,
 
     With `exhaustive` every candidate carries its successor, and every
     oracle outcome of a step becomes its own candidate carrying the
-    assumed draws.  Otherwise only the step a run takes is built (see
-    `Candidate.take`): a connection's session is opened when it is taken,
+    assumed draws.  Otherwise no successor is built until a run takes the
+    step (see `Candidate.take`): a connection's session is opened then,
     and a step that evaluates an expression stays one unevaluated
     candidate, whose label is unknown; no other candidate shares its
     session, party and rule, so the order never needs it.
@@ -435,18 +437,19 @@ def reduction_steps(state: Collaboration, mode: str = "plain", *,
     own steps (`_session_steps`); `explore` uses the two halves directly.
     """
     _check_mode(mode)
-    items = list(par_parts(state))
+    items = par_parts(state)
     cands: list = []
     for rule, sname, text, group in _connections(items):
-        connect = functools.partial(_connect, items, group, sname, text)
-        cands.append(Candidate(rule, sname, 0, *connect()) if exhaustive
+        connect = functools.partial(_connect, items, group, sname)
+        cands.append(Candidate(rule, sname, 0, text, connect()) if exhaustive
                      else Candidate(rule, sname, 0, text, None,
                                     outcome=connect))
     for idx, it in enumerate(items):
         if isinstance(it, Session):
             place = functools.partial(_place, items, idx)
             cands.extend(_session_steps(it, mode, exhaustive, place))
-    cands.sort(key=Candidate.sort_key)
+    if len(cands) > 1:
+        cands.sort(key=Candidate.sort_key)
     return cands
 
 
@@ -476,17 +479,43 @@ def _resolve(logs, i, then, orelse, v):
     return ("then" if v else "else"), nl
 
 
+def _exchange(logs, i, j, cont, arm) -> Collaboration:
+    """Party i selects party j's branch `arm`: the new session body."""
+    nl = list(logs)
+    nl[i] = Log(logs[i].endpoint, logs[i].ckpt, cont)
+    nl[j] = Log(logs[j].endpoint, logs[j].ckpt, arm)
+    return par(*nl)
+
+
+def _committed(logs, i, cont, pinned) -> Collaboration:
+    """Party i commits to `cont`, and the parties at `pinned` are pinned
+    to their current point."""
+    nl = list(logs)
+    nl[i] = Log(logs[i].endpoint, CheckpointProcess(cont), cont)
+    for h in pinned:
+        lg = logs[h]
+        nl[h] = Log(lg.endpoint, CheckpointProcess(lg.current, imposed=True),
+                    lg.current)
+    return par(*nl)
+
+
+def _rolled(logs) -> Collaboration:
+    """Every party back on its checkpoint."""
+    return par(*[Log(lg.endpoint, lg.ckpt, lg.ckpt.process) for lg in logs])
+
+
 def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
         -> list:
     """The steps of one session, unsorted.  A step rewrites only this
     session's item: into one item, or by an abort into the endpoints the
     session saved.  `place` turns that tuple of replacement items into the
-    candidate's successor.  The steps depend only on the session item and
-    its name, so key-equal sessions of one name have key-equal steps with
-    equal labels."""
-    logs = par_parts(ses.body)
-    if any(isinstance(b, (RollError, ComError)) for b in logs):
+    candidate's successor, which outside `exhaustive` mode is built only
+    when a run takes the step (see `Candidate`).  The steps depend only on
+    the session item and its name, so key-equal sessions of one name have
+    key-equal steps with equal labels."""
+    if _item_class(ses) in _ERRORS:
         return []  # error states are absorbing
+    logs = par_parts(ses.body)
     out: list = []
     sname = ses.name
     n = len(logs)
@@ -494,20 +523,28 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
     # rules of n-role sessions carry the M- prefix
     pre = "M-" if isinstance(logs[0].endpoint, MEndpoint) else ""
 
-    def rewrite(new_body) -> Collaboration:
-        return place((Session(sname, ses.saved, new_body),))
+    def rewrite(body, *args) -> Collaboration:
+        """The successor whose session body is `body(*args)`."""
+        return place((Session(sname, ses.saved, body(*args)),))
 
-    def mk(rule, party, text, new_logs=None, new_body=None, backward=False):
-        succ = rewrite(par(*new_logs) if new_logs is not None else new_body)
-        out.append(Candidate(pre + rule, sname, party, text, succ,
-                             backward=backward))
+    def mk(rule, i, action, build, *args, backward=False):
+        """A step of party i that draws nothing and leads to
+        `build(*args)`."""
+        text = f"{sname}:p{i + 1} {action}"
+        if exhaustive:
+            out.append(Candidate(pre + rule, sname, i + 1, text,
+                                 build(*args), backward=backward))
+        else:
+            out.append(Candidate(pre + rule, sname, i + 1, text, None,
+                                 backward=backward,
+                                 outcome=functools.partial(build, *args)))
 
     def evaluating(rule, i, e, step):
         """A step of party i that evaluates `e`, `step(v)` giving its
         action and logs for the value v."""
         def outcome(v):
             action, nl = step(v)
-            return f"{sname}:p{i + 1} {action}", rewrite(par(*nl))
+            return f"{sname}:p{i + 1} {action}", rewrite(par, *nl)
         if not exhaustive:
             out.append(Candidate(pre + rule, sname, i + 1, "", None,
                                  expr=e, outcome=outcome))
@@ -519,9 +556,8 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
 
     for i in range(n):
         li, hi = logs[i], heads[i]
-        ep_i = li.endpoint
         # the role partners' prefixes name this party by (binary: none)
-        me = ep_i.role if pre else None
+        me = li.endpoint.role if pre else None
         match hi:
             case Send(_, e, cont, to):
                 j = partner_position(i, to, n)
@@ -535,8 +571,7 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
                     bs = barbs(lj.current, me)
                     if ("in", lj.endpoint, me) not in bs \
                             and not _may_recover(bs):
-                        mk("E-Com1", i + 1, f"{sname}:p{i + 1} stuck-out",
-                           new_body=ComError())
+                        mk("E-Com1", i, "stuck-out", rewrite, ComError)
             case Recv(_, _, _, _, frm):
                 j = partner_position(i, frm, n)
                 if j is None:
@@ -547,8 +582,7 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
                     bs = barbs(lj.current, me)
                     if ("out", lj.endpoint, me) not in bs \
                             and not _may_recover(bs):
-                        mk("E-Com2", i + 1, f"{sname}:p{i + 1} stuck-in",
-                           new_body=ComError())
+                        mk("E-Com2", i, "stuck-in", rewrite, ComError)
             case Select(_, lab, cont, to):
                 j = partner_position(i, to, n)
                 if j is None:
@@ -557,18 +591,14 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
                 if isinstance(hj, Branch) and hj.from_role == me:
                     arm = dict(hj.arms).get(lab)
                     if arm is not None:
-                        nl = list(logs)
-                        nl[i] = Log(ep_i, li.ckpt, cont)
-                        nl[j] = Log(lj.endpoint, lj.ckpt, arm)
-                        mk("F-Lab", i + 1, f"{sname}:p{i + 1} +{lab}",
-                           new_logs=nl)
+                        mk("F-Lab", i, f"+{lab}", rewrite, _exchange,
+                           logs, i, j, cont, arm)
                         continue
                 if mode == "detect":
                     bs = barbs(lj.current, me)
                     if ("brn", lj.endpoint, lab, me) not in bs \
                             and not _may_recover(bs):
-                        mk("E-Lab1", i + 1, f"{sname}:p{i + 1} stuck-sel",
-                           new_body=ComError())
+                        mk("E-Lab1", i, "stuck-sel", rewrite, ComError)
             case Branch(_, arms, frm):
                 j = partner_position(i, frm, n)
                 if j is None:
@@ -580,43 +610,31 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
                     offered = any(("sel", lj.endpoint, lab, me) in bs
                                   for lab, _ in arms)
                     if not offered and not _may_recover(bs):
-                        mk("E-Lab2", i + 1, f"{sname}:p{i + 1} stuck-brn",
-                           new_body=ComError())
+                        mk("E-Lab2", i, "stuck-brn", rewrite, ComError)
             case If(cond, then, orelse):
                 evaluating("F-If", i, cond,
                            functools.partial(_resolve, logs, i, then, orelse))
             case Commit(cont):
-                nl = list(logs)
-                nl[i] = Log(ep_i, CheckpointProcess(cont), cont)
-                changed = False
                 # every other party is pinned to its current point unless
                 # it still sits on its own checkpoint
-                for h, ph in enumerate(logs):
-                    if h != i and _log_ckpt_differs(ph):
-                        nl[h] = Log(ph.endpoint,
-                                    CheckpointProcess(ph.current,
-                                                      imposed=True),
-                                    ph.current)
-                        changed = True
+                pinned = [h for h, lg in enumerate(logs)
+                          if h != i and _log_ckpt_differs(lg)]
                 if mode == "detect":
-                    rule = "E-Cmt1" if changed else "E-Cmt2"
+                    rule = "E-Cmt1" if pinned else "E-Cmt2"
                 else:
                     rule = "F-Cmt"
-                mk(rule, i + 1, f"{sname}:p{i + 1} commit", new_logs=nl)
+                mk(rule, i, "commit", rewrite, _committed, logs, i, cont,
+                   pinned)
             case Roll():
                 if mode == "detect" and li.ckpt.imposed:
-                    mk("E-Rll2", i + 1, f"{sname}:p{i + 1} roll",
-                       new_body=RollError())
+                    mk("E-Rll2", i, "roll", rewrite, RollError)
                 else:
-                    nl = [Log(lg.endpoint, lg.ckpt, lg.ckpt.process)
-                          for lg in logs]
                     rule = "E-Rll1" if mode == "detect" else "B-Rll"
-                    mk(rule, i + 1, f"{sname}:p{i + 1} roll", new_logs=nl,
+                    mk(rule, i, "roll", rewrite, _rolled, logs,
                        backward=True)
             case Abort():
-                out.append(Candidate(
-                    pre + "B-Abt", sname, i + 1, f"{sname}:p{i + 1} abort",
-                    place(par_parts(ses.saved)), backward=True))
+                mk("B-Abt", i, "abort", place, par_parts(ses.saved),
+                   backward=True)
             case _:
                 pass
     return out
@@ -627,22 +645,49 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
 # ---------------------------------------------------------------------------
 
 def classify_state(state: Collaboration, has_steps: bool) -> str:
-    items = par_parts(state)
-    for it in items:
-        if isinstance(it, Session):
-            for b in par_parts(it.body):
-                if isinstance(b, RollError):
-                    return "roll_error"
-                if isinstance(b, ComError):
-                    return "com_error"
+    """What a state is: "roll_error" or "com_error" when a session holds
+    that error (the first found, in item order), else "live" when it
+    `has_steps`, else "completed" when every item is a session whose logs
+    have all finished, else "stuck".  `explore` and `simulate` share it.
+
+    It composes its items' classes (`_item_class`), each found once per
+    item node: items a step left alone are not looked into again."""
+    finished = True
+    for it in par_parts(state):
+        kind = _item_class(it)
+        if kind in _ERRORS:
+            return kind
+        finished = finished and kind == "completed"
     if has_steps:
         return "live"
-    completed = all(
-        isinstance(it, Session)
-        and all(isinstance(lg, Log) and isinstance(lg.current, Inact)
-                for lg in par_parts(it.body))
-        for it in items)
-    return "completed" if completed else "stuck"
+    return "completed" if finished else "stuck"
+
+
+_ERRORS = ("roll_error", "com_error")
+
+
+def _item_class(it) -> str:
+    """A top-level item's part of its state's class: the error its session
+    body holds (the first found), "completed" for a session whose logs have
+    all finished, or "" for any other item.  A session's class is kept on
+    its node, like `_tk`, `_fv` and the barbs."""
+    if not isinstance(it, Session):
+        return ""
+    kept = it.__dict__
+    found = kept.get("_class")
+    if found is None:
+        found = "completed"
+        for b in par_parts(it.body):
+            if isinstance(b, RollError):
+                found = "roll_error"
+                break
+            if isinstance(b, ComError):
+                found = "com_error"
+                break
+            if not (isinstance(b, Log) and isinstance(b.current, Inact)):
+                found = ""
+        kept["_class"] = found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -781,9 +826,16 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     (`term_key`), kept per state in item order.  A step rewrites one item
     (a connection several), so a successor's keys are its parent's with
     those entries replaced.  Each distinct (session key, session name) is
-    stepped once per call (see `_session_steps`), and a successor is built
-    only when its state is new, always from its parent's own items: of
-    alpha-variant states the first one found is the one kept."""
+    stepped once per call (see `_session_steps`), and its memo entry holds
+    every step with its sort key and the keys of its replacement items, so
+    a state only merges and sorts its sessions' entries.  A state reached
+    by a session step that keeps one session in its place has its
+    parent's connections.  A successor is built only when its state is
+    new, always from its parent's own items: of alpha-variant states the
+    first one found is the one kept.  Each
+    state records its parent and the step that found it; the path and
+    script of an error or stuck entry are rebuilt from those only for the
+    entries reported, and `classify_state` classifies each item once."""
     limit = current_budget(budget)
     _check_mode(mode)
     init = program.term
@@ -793,70 +845,92 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     # call runs
     roots = [term_rep(it) for it in par_parts(init)]
     serials = [tuple(r.serial for r in roots)]
-    info: list = [([], [])]  # state id -> (path labels, choices)
+    # state id -> (parent id, the step from it); None for the initial state
+    found_by: list = [None]
+    # state id -> its connections (see `_connections`), shared with the
+    # parent when a session step left requesters, acceptors and session
+    # names where they were; None until needed
+    conns: list = [None]
     index = {tuple(sorted(serials[0])): 0}
-    # computed once per call: the session endpoints open, by (endpoint
-    # keys, session name), as (session, representative); a session's
-    # steps, by (session key, session name), as (candidate whose successor
-    # is the tuple of replacement items, their representatives)
+    # computed once per call: a connection, by (endpoint keys, session
+    # name), as (endpoints, step, representative of the session opened); a
+    # session's steps, by (session key, session name), as (session, steps,
+    # representatives of their replacement items).  A step is (sort key,
+    # candidate whose successor is the tuple of replacement items, their
+    # keys)
     opened: dict = {}
     stepped: dict = {}
-    edges = 0
     transitions: list = []
     errors: list = []
     stuck: list = []
     completed = 0
-    classified: set = set()
 
-    def once(table: dict, at: tuple, parts: list, compute):
-        """`compute()` for the items `parts`, whose keys and session name
-        are `at`, computed once per call.  A hit is reused only for the
-        very same objects, so a successor is always made of its parent's
-        own items; a key-equal alpha-variant is computed afresh."""
-        hit = table.get(at)
-        if hit is None or any(a is not b for a, b in zip(hit[0], parts)):
-            hit = table[at] = (parts, compute())
-        return hit[1]
-
-    def open_keyed(parts: list, sname: str) -> tuple:
+    def open_keyed(parts: list, rule: str, sname: str, text: str) -> tuple:
         ses = _open(parts, sname)
-        return ses, term_rep(ses)
+        rep = term_rep(ses)
+        c = Candidate(rule, sname, 0, text, (ses,))
+        return parts, (c.sort_key(), c, (rep.serial,)), rep
 
-    def steps_keyed(ses: Session) -> list:
-        return [(c, tuple(term_rep(x) for x in c.successor))
-                for c in _session_steps(ses, mode, True, tuple)]
+    def steps_keyed(ses: Session) -> tuple:
+        steps, reps = [], []
+        for c in _session_steps(ses, mode, True, tuple):
+            new = tuple(term_rep(x) for x in c.successor)
+            reps.append(new)
+            steps.append((c.sort_key(), c, tuple(r.serial for r in new)))
+        return ses, steps, reps
 
-    def steps_of(items: tuple, sers: tuple) -> list:
-        """The steps of a state in `reduction_steps` order, as (candidate,
-        indices of the items it rewrites, keys of their replacement)."""
+    def steps_of(sid: int, items: tuple) -> list:
+        """The steps of state `sid`, whose items are `items`, in
+        `reduction_steps` order, as (sort key, candidate, indices of the
+        items it rewrites, the successor's item keys in item order)."""
+        sers = serials[sid]
+        if conns[sid] is None:
+            conns[sid] = _connections(items)
         out: list = []
-        for rule, sname, text, group in _connections(items):
+        for rule, sname, text, group in conns[sid]:
             parts = [items[k] for k in group]
-            ses, rep = once(opened, (tuple(sers[k] for k in group), sname),
-                            parts, lambda: open_keyed(parts, sname))
-            out.append((Candidate(rule, sname, 0, text, (ses,)), group,
-                        (rep.serial,)))
+            at = (tuple(sers[k] for k in group), sname)
+            hit = opened.get(at)
+            # reused only for the very same endpoints, so a successor is
+            # always made of its parent's own items; a key-equal
+            # alpha-variant is opened afresh
+            if hit is None or any(a is not b for a, b in zip(hit[0], parts)):
+                hit = opened[at] = open_keyed(parts, rule, sname, text)
+            key, c, new = hit[1]
+            out.append((key, c, group, tuple(_splice(sers, group, new))))
         for idx, it in enumerate(items):
             if isinstance(it, Session):
-                for c, reps in once(stepped, (sers[idx], it.name), [it],
-                                    lambda: steps_keyed(it)):
-                    out.append((c, (idx,), tuple(r.serial for r in reps)))
-        out.sort(key=lambda e: e[0].sort_key())
+                at = (sers[idx], it.name)
+                hit = stepped.get(at)
+                if hit is None or hit[0] is not it:
+                    hit = stepped[at] = steps_keyed(it)
+                group = (idx,)
+                before, after = sers[:idx], sers[idx + 1:]
+                for key, c, new in hit[1]:
+                    out.append((key, c, group, before + new + after))
+        out.sort(key=itemgetter(0))
         return out
+
+    def entry(kind: str, sid: int) -> ExploreEntry:
+        """The report entry of state `sid`, its path walked back from the
+        state to the initial one."""
+        steps = []
+        at = found_by[sid]
+        while at is not None:
+            parent, c = at
+            steps.append(c)
+            at = found_by[parent]
+        steps.reverse()
+        return ExploreEntry(kind, sid, [f"{c.rule} {c.text}" for c in steps],
+                            _script_of([d for c in steps for d in c.choices]))
 
     def note_terminal(sid: int, has_steps: bool):
         nonlocal completed
-        if sid in classified:
-            return
-        classified.add(sid)
         kind = classify_state(states[sid], has_steps)
-        path, choices = info[sid]
-        if kind in ("roll_error", "com_error"):
-            errors.append(ExploreEntry(kind, sid, list(path),
-                                       _script_of(choices)))
+        if kind in _ERRORS:
+            errors.append(entry(kind, sid))
         elif kind == "stuck":
-            stuck.append(ExploreEntry(kind, sid, list(path),
-                                      _script_of(choices)))
+            stuck.append(entry(kind, sid))
         elif kind == "completed":
             completed += 1
 
@@ -865,12 +939,10 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     while frontier and d < depth:
         nxt: list = []
         for sid in frontier:
-            items, sers = par_parts(states[sid]), serials[sid]
-            steps = steps_of(items, sers)
+            items = par_parts(states[sid])
+            steps = steps_of(sid, items)
             note_terminal(sid, bool(steps))
-            for c, group, new in steps:
-                edges += 1
-                succ_sers = _splice(sers, group, new)
+            for _, c, group, succ_sers in steps:
                 key = tuple(sorted(succ_sers))
                 tid = index.get(key)
                 if tid is None:
@@ -880,10 +952,10 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
                     tid = len(states)
                     index[key] = tid
                     states.append(par(*_splice(items, group, c.successor)))
-                    serials.append(tuple(succ_sers))
-                    path, choices = info[sid]
-                    info.append((path + [f"{c.rule} {c.text}"],
-                                 choices + list(c.choices)))
+                    serials.append(succ_sers)
+                    found_by.append((sid, c))
+                    conns.append(conns[sid] if c.party and len(c.successor)
+                                 == 1 == len(group) else None)
                     nxt.append(tid)
                 transitions.append((sid, tid, c.rule, c.text, c.backward))
         frontier = nxt
@@ -891,10 +963,9 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     # states on the final frontier still get classified (their steps are
     # computed but not expanded further)
     for sid in frontier:
-        note_terminal(sid, bool(steps_of(par_parts(states[sid]),
-                                         serials[sid])))
-    return ExplorationReport(states, edges, errors, stuck, completed, depth,
-                             transitions)
+        note_terminal(sid, bool(steps_of(sid, par_parts(states[sid]))))
+    return ExplorationReport(states, len(transitions), errors, stuck,
+                             completed, depth, transitions)
 
 
 # ---------------------------------------------------------------------------

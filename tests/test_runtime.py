@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprog import random_program
 from oracle_naive import naive_explore, naive_explore_report, naive_values
-from cherrypi.parser import (parse_expression_text, parse_process_text,
-                             parse_program, show_collaboration)
+from cherrypi.infer import TypingError
+from cherrypi.parser import (ParseError, parse_expression_text,
+                             parse_process_text, parse_program,
+                             show_collaboration)
 from cherrypi.runtime import (DecisionOracle, ExploreError, OracleExhausted,
                               barbs, classify_state, enumerate_values,
                               evaluate, explore, guard_value,
@@ -16,7 +19,9 @@ from cherrypi.runtime import (DecisionOracle, ExploreError, OracleExhausted,
                               shadow_typecheck, simulate)
 from cherrypi import runtime
 from cherrypi.multiparty import m_explore, to_multiparty
-from cherrypi.syntax import (ChanVar, Log, Session, canonicalize, par_parts,
+from cherrypi.semantics import BudgetExceeded, check_rollback_safety
+from cherrypi.syntax import (ChanVar, ComError, Inact, Log, MalformedTerm,
+                             RollError, Session, canonicalize, par_parts,
                              term_key)
 
 k = ChanVar("k")
@@ -338,6 +343,72 @@ def test_a_connection_taken_builds_the_exhaustive_successor():
     assert checked > 20
 
 
+# two-party programs whose runs meet rival steps that draw nothing: a
+# partner's commit, an abort, a detected communication error
+_RIVALS = (
+    "request a(x). commit. x<+ l. roll"
+    " | accept a(y). commit. y>+{l: commit. abort}",
+    "request a(x). commit. roll | accept a(y). abort",
+    "request a(x). commit. 0 | accept a(y). y?(v: int). 0",
+)
+
+
+def _detect_runs(programs):
+    """Seeded detect-mode runs of kpar k = 3, the ring n = 4, vod_b,
+    producer_consumer_commit and the `_RIVALS`, each made when it is drawn:
+    (program, trace)."""
+    progs = [_kpar(3), _ring(4, "bool"), programs["vod_b"],
+             programs["producer_consumer_commit"]]
+    for prog in progs + [parse_program(src) for src in _RIVALS]:
+        for seed in range(4):
+            yield prog, simulate(prog, DecisionOracle("seeded-random",
+                                                      seed=seed),
+                                 80, mode="detect")
+
+
+def test_a_run_builds_only_the_steps_it_takes(programs, monkeypatch):
+    # commits, label exchanges, rolls, aborts and errors are built when a
+    # run takes them, like evaluating steps and connections
+    built = []
+    for name in ("_place", "_connect"):
+        def counting(*args, _build=getattr(runtime, name)):
+            built.append(args)
+            return _build(*args)
+        monkeypatch.setattr(runtime, name, counting)
+    rivals = set()
+    for prog, t in _detect_runs(programs):
+        assert len(built) == len(t.steps) > 0
+        for s in t.steps:
+            rivals |= {c.rule for c in reduction_steps(s.state, "detect")[1:]
+                       if c.expr is None and c.party}
+        built.clear()
+    # steps that draw nothing were on offer and not taken
+    assert {"E-Cmt1", "E-Cmt2", "B-Abt", "E-Com2"} <= rivals
+
+
+def test_a_session_step_taken_builds_the_exhaustive_successor(programs):
+    # the rule, label and order of a session step that draws nothing are
+    # known before it is built, E-Cmt1 / E-Cmt2 included; taken, it is the
+    # exhaustive candidate with the same sort key
+    seen = set()
+    for prog, t in _detect_runs(programs):
+        for state in [prog.term] + [s.state for s in t.steps]:
+            full = {c.sort_key(): c for c in
+                    reduction_steps(state, "detect", exhaustive=True)}
+            for c in reduction_steps(state, "detect"):
+                if c.expr is not None or c.party == 0:
+                    continue
+                assert c.successor is None
+                taken = c.take(DecisionOracle())
+                want = full[c.sort_key()]
+                assert taken.sort_key() == c.sort_key()
+                assert taken.backward == want.backward
+                assert term_key(taken.successor) == term_key(want.successor)
+                seen.add(c.rule.removeprefix("M-"))
+    assert {"F-Lab", "E-Cmt1", "E-Cmt2", "E-Rll1", "E-Rll2", "B-Abt",
+            "E-Com2"} <= seen
+
+
 def _fresh(x):
     """`x` rebuilt node by node from new objects, which carry none of the
     attributes that renderers and keys keep on a node."""
@@ -476,9 +547,47 @@ def test_exploration_keeps_the_first_alpha_variant(src, mode):
     assert got[0]["states"] > 5
 
 
+# a session whose first exchange draws twice in one step and then sticks:
+# the requester sends again to an acceptor that has finished
+_TWO_DRAWS = ("request c(x). x!<f() && g()>. x!<1>. 0"
+              " | accept c(y). y?(v: bool). 0")
+_TWO_DRAWS_DECLS = "fun f(): bool\nfun g(): bool"
+
+
+@pytest.mark.parametrize("case", ["vod_b", "frontier", "stuck"])
+def test_reported_paths_are_the_whole_state_reference_paths(programs, case):
+    # explore keeps one parent pointer per state and rebuilds the path and
+    # script of an entry only when it reports one; the reference carries
+    # every state's path and draws along
+    if case == "vod_b":
+        prog, mode, depth = programs["vod_b"], "detect", 40
+    elif case == "frontier":
+        # cut at depth 4: errors found on the final frontier are classified
+        # there, without being expanded
+        prog, mode, depth = parse_program("\n".join(
+            [_PC_DECLS.format(t="a"), _TWO_DRAWS_DECLS,
+             _PC.format(t="a") + "\n| " + _TWO_DRAWS])), "detect", 4
+    else:
+        prog, mode, depth = parse_program(
+            _TWO_DRAWS_DECLS + "\n" + _TWO_DRAWS), "plain", 10
+    rep = explore(prog, depth=depth, mode=mode)
+    want = naive_explore_report(prog, depth=depth, mode=mode)
+    got = [e.to_json() for e in rep.errors + rep.stuck]
+    assert got == [e.to_json() for e in want.errors + want.stuck]
+    assert got and all(e["path"] for e in got)
+    if case == "frontier":
+        assert any(len(e["path"]) == depth for e in got)
+    if case != "vod_b":
+        # one step drew f and g (the only calls of either)
+        assert any(len(e["script"].get("f", ())) == 1 ==
+                   len(e["script"].get("g", ())) for e in got)
+
+
 def test_exploration_steps_each_distinct_session_once(monkeypatch):
-    # 1331 states, 4719 edges and 3630 session expansions of 60 distinct
-    # (session key, session name) pairs: each pair is stepped once
+    # k = 3: 1331 states, 4719 edges and 3630 session expansions of 60
+    # distinct (session key, session name) pairs; k = 4: 14641 states,
+    # 69212 edges and 53240 expansions of 100 pairs.  Each pair is stepped
+    # once
     import cherrypi.runtime as runtime
     stepped = []
     session_steps = runtime._session_steps
@@ -487,10 +596,13 @@ def test_exploration_steps_each_distinct_session_once(monkeypatch):
         stepped.append(ses)
         return session_steps(ses, *args)
     monkeypatch.setattr(runtime, "_session_steps", counting)
-    rep = explore(_kpar(3), depth=60)
-    assert (len(rep.states), rep.edges) == (1331, 4719)
-    assert len(stepped) == len({(term_key(s), s.name) for s in stepped}) \
-        == 60
+    for k, depth, size, pairs in ((3, 60, (1331, 4719), 60),
+                                  (4, 80, (14641, 69212), 100)):
+        stepped.clear()
+        rep = explore(_kpar(k), depth=depth)
+        assert (len(rep.states), rep.edges) == size
+        assert len(stepped) == len({(term_key(s), s.name)
+                                    for s in stepped}) == pairs
 
 
 # two copies of the speculative producer/consumer protocol on two services:
@@ -536,6 +648,10 @@ def test_parallel_sessions_explore_to_the_product():
     assert got == naive_explore(prog.term, 30)
     mrep = m_explore(to_multiparty(prog), depth=30)
     assert (len(mrep.states), mrep.edges) == (121, 286)
+    # four copies: 11**4 states and 4 * 13 * 11**3 transitions (the binary
+    # exploration is pinned by the session-stepping count above)
+    mrep = m_explore(to_multiparty(_kpar(4)), depth=80)
+    assert (len(mrep.states), mrep.edges) == (14641, 69212) and mrep.ok
 
 
 # -- replay -----------------------------------------------------------------
@@ -661,3 +777,112 @@ def test_classify_completed(programs):
     t = simulate(programs["vod_c"], o, 60, mode="detect")
     assert t.status == "completed"
     assert classify_state(t.steps[-1].state, False) == "completed"
+
+
+def _classify_afresh(state, has_steps: bool) -> str:
+    """What `classify_state` answers, read off every session body of the
+    state, with no kept item class."""
+    items = par_parts(state)
+    for it in items:
+        if isinstance(it, Session):
+            for b in par_parts(it.body):
+                if isinstance(b, RollError):
+                    return "roll_error"
+                if isinstance(b, ComError):
+                    return "com_error"
+    if has_steps:
+        return "live"
+    done = all(isinstance(it, Session) and all(
+        isinstance(lg, Log) and isinstance(lg.current, Inact)
+        for lg in par_parts(it.body)) for it in items)
+    return "completed" if done else "stuck"
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["plain", "detect"]))
+def test_kept_item_classes_classify_as_fresh_terms(programs, seed, mode):
+    # an item's class is kept on its node and shared by every state that
+    # holds the item: a state classifies as the same state rebuilt from
+    # new nodes, and as its session bodies read afresh
+    rng = random.Random(seed)
+    prog = random_program(rng, safe=(seed % 2 == 0))
+    progs = (prog, to_multiparty(prog), _ring(2 + seed % 3, "bool"),
+             _kpar(1 + seed % 2), programs["vod_b"], parse_program(
+                 _TWO_DRAWS_DECLS + "\n" + _TWO_DRAWS),
+             parse_program(_RIVALS[2]))
+    kinds: set = set()
+    kept = 0
+    for p in progs:
+        t = simulate(p, DecisionOracle("seeded-random", seed=seed), 40,
+                     mode=mode)
+        try:
+            explored = explore(p, depth=40 if p is programs["vod_b"] else 8,
+                               mode=mode).states
+        except ExploreError:  # an int or str draw without a domain
+            explored = []
+        for state in [p.term] + [s.state for s in t.steps] + explored:
+            kept += any("_class" in it.__dict__ for it in par_parts(state))
+            fresh = _fresh(state)
+            for has_steps in (False, True):
+                want = _classify_afresh(state, has_steps)
+                assert classify_state(state, has_steps) == want
+                assert classify_state(fresh, has_steps) == want
+                kinds.add(want)
+    assert kept
+    assert {"live", "completed", "stuck"} <= kinds
+    if mode == "detect":
+        assert {"roll_error", "com_error"} <= kinds
+
+
+# -- robustness -------------------------------------------------------------
+
+def _corpus_tokens() -> list:
+    """Every corpus program as its tokens (words and single symbols), each
+    with the blanks before it."""
+    from cherrypi import corpus_dir
+    return [re.findall(r"\s*(?:\w+|\S)", p.read_text())
+            for p in sorted(corpus_dir().glob("*.chpi"))]
+
+
+_CORPUS_TOKENS = _corpus_tokens()
+
+
+@st.composite
+def _program_mutants(draw):
+    """A corpus program with one to three tokens deleted, repeated or
+    replaced by another token of the same program."""
+    toks = list(draw(st.sampled_from(_CORPUS_TOKENS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(toks) - 1))
+        op = draw(st.sampled_from(["delete", "repeat", "replace"]))
+        if op == "delete":
+            del toks[i]
+        elif op == "repeat":
+            toks.insert(i, toks[i])
+        else:
+            toks[i] = draw(st.sampled_from(toks))
+    return "".join(toks)
+
+
+# what the library raises on a program it cannot check, run or explore
+_DOCUMENTED = (ParseError, TypingError, MalformedTerm, ExploreError,
+               OracleExhausted, BudgetExceeded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_program_mutants(), st.integers(0, 10 ** 6),
+       st.sampled_from(["plain", "detect"]))
+def test_mutated_programs_raise_only_documented_errors(src, seed, mode):
+    try:
+        prog = parse_program(src)
+    except ParseError:
+        return
+    for run in (lambda: check_rollback_safety(prog.term),
+                lambda: simulate(prog, DecisionOracle("seeded-random",
+                                                      seed=seed),
+                                 50, mode=mode),
+                lambda: explore(prog, depth=8, mode=mode)):
+        try:
+            run()
+        except _DOCUMENTED:
+            pass
