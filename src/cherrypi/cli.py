@@ -24,7 +24,23 @@ from .syntax import MalformedTerm
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedInput(f"{path}: not UTF-8 text ({e.reason} at byte "
+                             f"{e.start})") from None
+
+
+def _at_least(least: int):
+    """An argparse `type`: an integer no smaller than `least`."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {n}")
+        return n
+    count.__name__ = "int"  # argparse says "invalid int value: 'x'"
+    return count
 
 
 def _load_program(path: str):
@@ -203,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="machine readable output")
         if budget:
-            p.add_argument("--budget", type=int, default=None,
+            p.add_argument("--budget", type=_at_least(1), default=None,
                            help="state budget (default CHERRY_BUDGET or "
                                 "1000000)")
         if mode:
@@ -233,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeded random decisions")
     p.add_argument("--script", default=None,
                    help="JSON file scripting decision outcomes")
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=_at_least(0), default=1000)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="record the run as a replayable trace file")
     common(p, mode=True)
@@ -242,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore",
                        help="exhaustive bounded exploration of a program")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=30)
+    p.add_argument("--depth", type=_at_least(0), default=30)
     p.add_argument("--dot", default=None, metavar="PATH",
                    help="write the explored graph as Graphviz text")
     common(p, budget=True, mode=True)

@@ -9,13 +9,11 @@ points, and the transcription of a binary program into its two-role twin
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (Accept, Branch, ChanVar, CheckpointProcess,
                      Collaboration, ComError, Endpoint, Log, MalformedTerm,
                      MEndpoint, Par, Process, Recv, Request, RollError,
                      Select, Send, Session, _map_proc, par, par_parts,
-                     subprocesses)
+                     record, subprocesses)
 from .sessiontypes import fill_roles
 from .infer import (TypingError, infer_collaboration, service_pairs,
                     type_of_process)
@@ -43,7 +41,7 @@ def _check_roles_used(p: Process, own: int, n: int):
         _check_roles_used(q, own, n)
 
 
-@dataclass
+@record
 class MService:
     name: str
     n: int

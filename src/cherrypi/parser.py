@@ -9,14 +9,13 @@ equivalent term.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, Endpoint, If, Inact, Lit, MEndpoint, Par, PVar,
                      Process, Rec, Recv, Request, Roll, Select, Send, Session,
                      Log, RollError, ComError, Ufun, Var, free_names, par,
-                     par_parts, subprocesses, SORTS, MalformedTerm)
+                     par_parts, record, subprocesses, SORTS, MalformedTerm)
 from . import sessiontypes as st
 
 KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
@@ -50,7 +49,7 @@ class Token(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParseDiagnostic:
     message: str
     start: int
@@ -126,7 +125,7 @@ def tokenize(src: str) -> list:
         append(new(Token, (kind, text, start, end)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunDecl:
     name: str
     arg_sorts: tuple  # tuple[str, ...]
@@ -134,7 +133,7 @@ class FunDecl:
     domain: tuple | None  # tuple of python values, or None
 
 
-@dataclass
+@record
 class SourceProgram:
     decls: dict  # name -> FunDecl, declaration order
     term: Collaboration

@@ -23,14 +23,14 @@ import copy
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
                      MalformedTerm, MEndpoint, Process, Recv, Request, Roll,
                      RollError, Select, Send, Session, Ufun, Var, head_normal,
-                     par, par_parts, process_key, substitute, term_rep)
+                     par, par_parts, process_key, record, substitute,
+                     term_rep)
 from .sessiontypes import TErr, canonical_type, fill_roles, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
@@ -314,7 +314,7 @@ def _may_recover(bs: frozenset) -> bool:
 # reduction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class Candidate:
     """One reduction step on offer at a state.
 
@@ -694,7 +694,7 @@ def _item_class(it) -> str:
 # simulation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class StepRecord:
     rule: str
     session: str
@@ -707,7 +707,7 @@ class StepRecord:
         return f"{self.rule} {self.text}"
 
 
-@dataclass
+@record
 class Trace:
     initial: Collaboration
     steps: list  # list[StepRecord]
@@ -771,7 +771,7 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
 # exhaustive exploration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class ExploreEntry:
     kind: str  # roll_error | com_error | stuck
     state: int
@@ -783,7 +783,7 @@ class ExploreEntry:
                 "script": self.script}
 
 
-@dataclass
+@record
 class ExplorationReport:
     states: list  # list[Collaboration]
     edges: int
@@ -792,7 +792,7 @@ class ExplorationReport:
     completed: int
     depth: int
     # every traversed edge: (src, dst, rule, text, backward)
-    transitions: list = field(default_factory=list)
+    transitions: list
 
     @property
     def ok(self) -> bool:
@@ -972,7 +972,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
 # replay
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class ReplayReport:
     ok: bool
     divergence: str | None = None
@@ -1050,7 +1050,7 @@ def _checked_trace(data) -> tuple:
 # shadow typechecking
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class ShadowReport:
     ok: bool
     failures: list  # list[str]

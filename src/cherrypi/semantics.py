@@ -15,18 +15,17 @@ lifts that check to every service of a collaboration.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
                            render_type, type_key)
-from .syntax import Log, process_key
+from .syntax import Log, process_key, record
 
 DEFAULT_BUDGET = 10 ** 6
 
 
 class InvalidBudget(ValueError):
-    """CHERRY_BUDGET is set to something that is not an integer."""
+    """CHERRY_BUDGET is set to something that is not a positive integer."""
 
 
 def current_budget(override: int | None = None) -> int:
@@ -35,10 +34,14 @@ def current_budget(override: int | None = None) -> int:
     env = os.environ.get("CHERRY_BUDGET")
     if env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise InvalidBudget(
                 f"CHERRY_BUDGET must be an integer, got {env!r}") from None
+        if budget < 1:
+            raise InvalidBudget(
+                f"CHERRY_BUDGET must be positive, got {env!r}")
+        return budget
     return DEFAULT_BUDGET
 
 
@@ -94,13 +97,13 @@ def type_transitions(t: SessionTypeT) -> list:
 # configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckpointType:
     typ: SessionTypeT
     imposed: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeConfiguration:
     ckpts: tuple  # CheckpointType per party, in log order
     currents: tuple  # SessionTypeT per party
@@ -259,7 +262,7 @@ def _party_transitions(cfg: TypeConfiguration, i: int, steps: list) -> list:
 # reachable transition system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Edge:
     src: int
     dst: int
@@ -268,7 +271,7 @@ class Edge:
     label: str
 
 
-@dataclass
+@record
 class TransitionSystem:
     states: list  # list[TypeConfiguration], index = state id
     edges: list  # list[Edge], grouped by src in discovery order
@@ -334,7 +337,7 @@ def _is_end(t: SessionTypeT) -> bool:
     return isinstance(head_normal_type(t), TEnd)
 
 
-@dataclass
+@record
 class Violation:
     state: int
     config: TypeConfiguration
@@ -358,7 +361,7 @@ def describe_configuration(cfg: TypeConfiguration) -> dict:
     return _describe(cfg, False)
 
 
-@dataclass
+@record
 class ComplianceReport:
     compliant: bool
     system: TransitionSystem
@@ -402,7 +405,7 @@ def check_compliance(*types: SessionTypeT,
     return ComplianceReport(not violations, ts, violations)
 
 
-@dataclass
+@record
 class RollbackSafetyReport:
     safe: bool
     services: dict  # service name -> ComplianceReport

@@ -2,7 +2,10 @@
 
 Communication prefixes optionally carry a role pair (own, partner): binary
 types leave both unset, multiparty types set the partner at inference time and
-the own side is a placeholder until `fill_roles` stamps it in.
+the own side is a placeholder until `fill_roles` stamps it in.  Types are
+frozen records (`syntax.record`), like terms: immutable, equal and hashed by
+class and fields, and free to carry private caches (`_rep`, `_unfolded`)
+that equality ignores.
 
 `subtypes` and `_map_type` are the one statement of each type's shape;
 `_map_type` returns a node whose children did not change as the same
@@ -14,13 +17,12 @@ number binders, cache on the node, emit concrete syntax or step a type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .syntax import MalformedTerm, _intern
+from .syntax import MalformedTerm, _intern, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TOut:
     sort: str
     cont: "SessionTypeT"
@@ -28,7 +30,7 @@ class TOut:
     dst: int | None = None  # partner role
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TIn:
     sort: str
     cont: "SessionTypeT"
@@ -36,7 +38,7 @@ class TIn:
     dst: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TSel:
     label: str
     cont: "SessionTypeT"
@@ -44,52 +46,52 @@ class TSel:
     dst: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TBrn:
     arms: tuple  # tuple[tuple[str, SessionTypeT], ...] (order preserved)
     src: int | None = None
     dst: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TPlus:
     """Internal choice between the two continuations of a conditional."""
     left: "SessionTypeT"
     right: "SessionTypeT"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TVarT:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TMu:
     var: str
     body: "SessionTypeT"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TEnd:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TErr:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TCmt:
     cont: "SessionTypeT"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TRollT:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TAbtT:
     pass
 

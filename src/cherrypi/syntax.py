@@ -1,11 +1,14 @@
 """Core term syntax: expressions, processes, collaborations, canonical forms.
 
-Terms are immutable (frozen dataclasses), so they hash and can be shared
-freely; every operation that "changes" a term builds a new one.  A node
-caches what is derived from it alone (free names, key, unfolding) in
-private attributes, which equality and hashing ignore.  Collaboration
-terms cover both the surface language (request/accept/parallel) and the
-runtime-only constructs (sessions, logs, error states) produced by reduction.
+Terms are immutable records (see `record`): assigning to or deleting a
+field raises, two terms are equal when they are of the same class with
+equal fields, and equal terms hash alike, so terms can be shared freely
+and used as keys; every operation that "changes" a term builds a new one.
+A node caches what is derived from it alone (free names, key, unfolding)
+in private attributes of its `__dict__`, which equality, hashing and
+`repr` ignore.  Collaboration terms cover both the surface language
+(request/accept/parallel) and the runtime-only constructs (sessions, logs,
+error states) produced by reduction.
 
 Which fields of a process are sub-processes, and in what order, is written
 once: `subprocesses` lists a node's children in source order, and
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Union
 
@@ -47,23 +49,81 @@ class MalformedTerm(Exception):
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+class FrozenRecordError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+def _refuse_set(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, *, frozen=False):
+    """Class decorator for the term, type and report classes: their fields
+    are the class annotations in order, and a class attribute of a field's
+    name is its default.  It adds what `dataclasses.dataclass` would:
+    `__init__` with the fields as parameters, `__eq__` comparing field
+    tuples of instances of the very same class (`NotImplemented`
+    otherwise), `__repr__` as `Name(field=value!r, ...)` and
+    `__match_args__`, which is also the field list.  A frozen record hashes
+    by its field tuple and refuses assignment and deletion; its caches are
+    written with `object.__setattr__` or into `__dict__`, and equality,
+    hashing and `repr` ignore them.  A mutable record is unhashable.  One
+    `exec` per class builds the methods, which keeps import cheap."""
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    ns = {f"_d_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in ns else f", {n}"
+                     for n in names)
+    sets = "".join(f"    _dict[{n!r}] = {n}\n" if frozen else
+                   f"    self.{n} = {n}\n" for n in names)
+    own = "".join(f"self.{n}, " for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    exec(f"def __init__(self{params}):\n"
+         f"    {'_dict = self.__dict__' if frozen else 'pass'}\n{sets}"
+         f"def __eq__(self, other):\n"
+         f"    if other.__class__ is self.__class__:\n"
+         f"        return ({own}) == ({own.replace('self.', 'other.')})\n"
+         f"    return NotImplemented\n"
+         f"def __hash__(self):\n"
+         f"    return hash(({own}))\n"
+         f"def __repr__(self):\n"
+         f"    return self.__class__.__qualname__ + f'({shown})'\n", ns)
+    for name in ("__init__", "__eq__", "__repr__"):
+        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, ns[name])
+    cls.__hash__ = ns["__hash__"] if frozen else None
+    cls.__match_args__ = names
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # session identifiers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChanVar:
     """A session variable as written in source (`x` in `request a(x).P`)."""
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Endpoint:
     """A binary session endpoint; `plus` marks the requester's side."""
     session: str
     plus: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MEndpoint:
     """A multiparty session endpoint, owned by one role of the session."""
     session: str
@@ -77,7 +137,7 @@ SessionId = Union[ChanVar, Endpoint, MEndpoint]
 # expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lit:
     value: object  # bool | int | str
 
@@ -91,19 +151,19 @@ class Lit:
         raise MalformedTerm(f"literal of unknown sort: {self.value!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call:
     """Application of one of the fixed builtin operators."""
     op: str
     args: tuple  # tuple[Expression, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ufun:
     """Uninterpreted function call.
 
@@ -126,7 +186,7 @@ Expression = Union[Lit, Var, Call, Ufun]
 # processes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Send:
     chan: SessionId
     expr: Expression
@@ -134,7 +194,7 @@ class Send:
     to_role: int | None = None  # partner role (multiparty only)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Recv:
     chan: SessionId
     var: str
@@ -143,7 +203,7 @@ class Recv:
     from_role: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Select:
     chan: SessionId
     label: str
@@ -151,47 +211,47 @@ class Select:
     to_role: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Branch:
     chan: SessionId
     arms: tuple  # tuple[tuple[str, Process], ...]  (order preserved)
     from_role: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class If:
     cond: Expression
     then: "Process"
     orelse: "Process"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rec:
     var: str
     body: "Process"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PVar:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Inact:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Commit:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Roll:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Abort:
     pass
 
@@ -204,7 +264,7 @@ Process = Union[Send, Recv, Select, Branch, If, Rec, PVar, Inact, Commit,
 # collaborations (surface + runtime)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Request:
     chan: str
     var: str
@@ -212,7 +272,7 @@ class Request:
     role: int | None = None  # multiparty: the requester's role == arity n
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Accept:
     chan: str
     var: str
@@ -220,12 +280,12 @@ class Accept:
     role: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Par:
     parts: tuple  # tuple[Collaboration, ...], len >= 2, pre-flattened
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckpointProcess:
     """A log's saved process; `imposed` marks a checkpoint written by the
     partner's commit rather than by the owner's own."""
@@ -233,14 +293,14 @@ class CheckpointProcess:
     imposed: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Log:
     endpoint: Endpoint | MEndpoint
     ckpt: CheckpointProcess
     current: Process
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Session:
     """Running session: `saved` is the collaboration that initiated it and is
     restored wholesale by an abort; `body` holds the logs."""
@@ -249,12 +309,12 @@ class Session:
     body: "Collaboration"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RollError:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComError:
     pass
 
@@ -523,7 +583,7 @@ def head_normal(p: Process) -> Process:
 # canonical forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CanonicalForm:
     """Opaque normal form. Equal text == equivalent terms (alpha-renaming and
     parallel reordering factored out; recursion deliberately NOT unfolded)."""

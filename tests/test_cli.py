@@ -286,6 +286,63 @@ def test_malformed_budget_env_var_exits_two(monkeypatch):
     assert err == "error: CHERRY_BUDGET must be an integer, got 'lots'\n"
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_non_positive_budget_env_var_exits_two(monkeypatch, value):
+    monkeypatch.setenv("CHERRY_BUDGET", value)
+    assert cli("explore", CORPUS / "vod_b.chpi") == (
+        2, "", f"error: CHERRY_BUDGET must be positive, got '{value}'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "vod_b.chpi", "--budget", "-3"),
+     "argument --budget: must be at least 1, got -3"),
+    (("check", "vod_b.chpi", "--budget", "0"),
+     "argument --budget: must be at least 1, got 0"),
+    (("explore", "vod_b.chpi", "--budget", "-3"),
+     "argument --budget: must be at least 1, got -3"),
+    (("explore", "vod_b.chpi", "--depth", "-1"),
+     "argument --depth: must be at least 0, got -1"),
+    (("run", "vod_b.chpi", "--max-steps", "-2"),
+     "argument --max-steps: must be at least 0, got -2"),
+    (("run", "vod_b.chpi", "--max-steps", "many"),
+     "argument --max-steps: invalid int value: 'many'"),
+], ids=["negative-budget", "zero-budget", "explore-budget", "negative-depth",
+        "negative-max-steps", "word-max-steps"])
+def test_out_of_range_numeric_flag_exits_two(capsys, argv, message):
+    command, name, *flags = argv
+    with pytest.raises(SystemExit) as stop:
+        main([command, str(CORPUS / name), *flags])
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"cherrypi {command}: error: {message}\n")
+
+
+def test_zero_depth_and_steps_are_in_range():
+    assert cli("explore", CORPUS / "vod_b.chpi", "--depth", "0")[1] == (
+        "1 states, 0 edges, 0 completed (depth 0)\n"
+        "no errors, no stuck states\n")
+    code, out, _ = cli("run", CORPUS / "vod_b.chpi", "--max-steps", "0")
+    assert (code, out.splitlines()[-1]) == (0, "status: cut-off")
+
+
+@pytest.mark.parametrize("argv", [
+    ("infer", "{bad}"), ("check", "{bad}"),
+    ("comply", "{bad}", "{chty}"), ("comply", "{chty}", "{bad}"),
+    ("graph", "{bad}", "{chty}"), ("run", "{chpi}", "--script", "{bad}"),
+    ("replay", "{bad}"), ("explore", "{bad}"),
+], ids=lambda argv: "-".join(a.strip("{}") for a in argv if a[0] != "-"))
+def test_non_utf8_file_is_an_input_error(tmp_path, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    paths = {"bad": bad, "chty": CORPUS / "consumer.chty",
+             "chpi": CORPUS / "vod_c.chpi"}
+    code, out, err = cli(*(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {bad}: not UTF-8 text "
+                   f"(invalid start byte at byte 0)\n")
+
+
 def test_missing_file_exits_two():
     code, _, err = cli("check", "/nonexistent.chpi")
     assert code == 2

@@ -1,0 +1,145 @@
+"""The `record` decorator against `dataclasses.dataclass`, and the import
+cost it exists for.
+
+Every class the decorator made in cherrypi's modules is paired with a
+dataclass twin built from the same annotations and defaults; both must
+construct, compare, hash, print and refuse changes alike.
+"""
+
+import dataclasses
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cherrypi import (cli, infer, multiparty, parser, runtime, semantics,
+                      sessiontypes, syntax)
+from cherrypi.sessiontypes import TEnd, TErr
+from cherrypi.syntax import Lit, Var
+
+SRC = Path(syntax.__file__).resolve().parent.parent
+
+
+def _records():
+    found = {}
+    for module in (syntax, sessiontypes, semantics, parser, runtime,
+                   multiparty, infer, cli):
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and "__match_args__" in vars(obj)
+                    and not issubclass(obj, tuple)):  # a NamedTuple
+                found[obj.__qualname__] = obj
+    return [found[name] for name in sorted(found)]
+
+
+RECORDS = _records()
+
+
+def _frozen(cls):
+    return cls.__setattr__ is syntax._refuse_set
+
+
+def _twin(cls):
+    ns = {"__annotations__": dict(cls.__annotations__)}
+    ns.update((n, vars(cls)[n]) for n in cls.__match_args__
+              if n in vars(cls))
+    return dataclasses.dataclass(frozen=_frozen(cls))(
+        type(cls.__name__, (), ns))
+
+
+def _values(cls, tag):
+    return [f"{tag}{i}" for i in range(len(cls.__match_args__))]
+
+
+def _required(cls):
+    return [n for n in cls.__match_args__ if n not in vars(cls)]
+
+
+def _fields(x):
+    return [getattr(x, f.name) for f in dataclasses.fields(x)] \
+        if dataclasses.is_dataclass(x) \
+        else [getattr(x, n) for n in type(x).__match_args__]
+
+
+def test_every_record_class_is_found():
+    assert len(RECORDS) == 57
+    assert sum(map(_frozen, RECORDS)) == 44
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
+def test_record_matches_its_dataclass_twin(cls):
+    twin = _twin(cls)
+    names = cls.__match_args__
+    assert names == twin.__match_args__
+    vals = _values(cls, "v")
+    # positional, keyword, and defaults left out
+    built = [(cls(*vals), twin(*vals)),
+             (cls(**dict(zip(names, vals))), twin(**dict(zip(names, vals)))),
+             (cls(*vals[:len(_required(cls))]),
+              twin(*vals[:len(_required(cls))]))]
+    for ours, theirs in built:
+        assert _fields(ours) == _fields(theirs)
+        assert repr(ours) == repr(theirs)
+        assert ours.__dict__ == theirs.__dict__
+    a, b = cls(*vals), twin(*vals)
+    for other in [cls(*vals)] + [
+            cls(*(vals[:i] + ["changed"] + vals[i + 1:]))
+            for i in range(len(vals))]:
+        theirs = twin(*_fields(other))
+        assert (a == other) == (b == theirs)
+        assert (a != other) == (b != theirs)
+    assert a.__eq__(object()) is NotImplemented
+    assert a != b  # a record never equals an instance of another class
+    with pytest.raises(TypeError):
+        cls(*vals, "one too many")
+    if _frozen(cls):
+        assert hash(a) == hash(b) == hash(cls(*vals))
+        for name in names + ("_cache",):
+            with pytest.raises(AttributeError):
+                setattr(a, name, "x")
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        # private caches are written past the refusal and ignored
+        object.__setattr__(a, "_cache", "kept")
+        assert a == cls(*vals) and hash(a) == hash(cls(*vals))
+        assert repr(a) == repr(b)
+    else:
+        for x in (a, b):
+            with pytest.raises(TypeError):
+                hash(x)
+        if names:
+            setattr(a, names[0], "set")
+            assert getattr(a, names[0]) == "set"
+
+
+def test_records_of_different_classes_differ_like_dataclasses():
+    for left, right in itertools.permutations(RECORDS, 2):
+        arity = len(_required(left))
+        if arity == len(_required(right)):
+            vals = _values(left, "v")[:arity]
+            assert (left(*vals) == right(*vals)) is False
+            assert (_twin(left)(*vals) == _twin(right)(*vals)) is False
+
+
+def test_equal_fields_compare_by_class_then_by_value():
+    assert TEnd() != TErr() and TEnd() == TEnd()
+    assert hash(TEnd()) == hash(TErr())  # both hash the empty tuple
+    assert Lit(True) == Lit(1)  # field tuples compare by value, as before
+    assert Lit(1) != Var(1)
+    match Lit(3):
+        case Lit(v):
+            assert v == 3
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    path = [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import cherrypi.cli, cherrypi.multiparty, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -412,9 +411,9 @@ def test_a_session_step_taken_builds_the_exhaustive_successor(programs):
 def _fresh(x):
     """`x` rebuilt node by node from new objects, which carry none of the
     attributes that renderers and keys keep on a node."""
-    if dataclasses.is_dataclass(x):
-        return type(x)(**{f.name: _fresh(getattr(x, f.name))
-                          for f in dataclasses.fields(x)})
+    fields = getattr(type(x), "__match_args__", None)  # a record's fields
+    if fields is not None:
+        return type(x)(*(_fresh(getattr(x, f)) for f in fields))
     if isinstance(x, tuple):
         return tuple(_fresh(e) for e in x)
     return x
