@@ -18,7 +18,7 @@ from .parser import ParseError, parse_program, parse_type, render_program
 from .runtime import (DecisionOracle, ExploreError, MalformedInput,
                       OracleExhausted, explore, replay, simulate)
 from .semantics import (BudgetExceeded, InvalidBudget, check_compliance,
-                        check_rollback_safety, compliance_dot)
+                        check_rollback_safety, compliance_dot, dot_graph)
 from .sessiontypes import render_type
 from .syntax import MalformedTerm
 
@@ -57,6 +57,10 @@ def _emit(args, payload: dict, text_lines: list) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _states(n: int) -> str:
+    return f"{n} state" if n == 1 else f"{n} states"
 
 
 def _dq(s: str) -> str:
@@ -158,25 +162,10 @@ def cmd_explore(args) -> int:
 
 def _explore_dot(report) -> str:
     bad = {e.state for e in report.errors} | {e.state for e in report.stuck}
-    lines = ["digraph explored {", "  rankdir=LR;",
-             "  node [shape=circle];"]
-    for sid in range(len(report.states)):
-        attrs = [f'label="{sid}"']
-        if sid == 0:
-            attrs.append("style=bold")
-        if sid in bad:
-            attrs.append("peripheries=2")
-        lines.append(f"  n{sid} [{', '.join(attrs)}];")
-    seen = set()
-    for src, dst, rule, text, _ in report.transitions:
-        key = (src, dst, rule, text)
-        if key in seen:
-            continue
-        seen.add(key)
-        lines.append(f'  n{src} -> n{dst} [label="{_dq(rule)} '
-                     f'{_dq(text)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = dict.fromkeys(t[:4] for t in report.transitions)
+    return dot_graph("explored", len(report.states),
+                     ((src, dst, f"{_dq(rule)} {_dq(text)}")
+                      for src, dst, rule, text in edges), bad)
 
 
 def cmd_graph(args) -> int:
@@ -291,7 +280,9 @@ def main(argv: list | None = None) -> int:
     try:
         return args.fn(args)
     except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e} ({_states(e.states)} found, stopped while "
+              f"expanding BFS layer {e.depth}, which held "
+              f"{_states(e.frontier)})", file=sys.stderr)
         return 3
     except (ParseError, TypingError, OracleExhausted, ExploreError,
             MalformedTerm, MalformedInput, InvalidBudget, OSError,

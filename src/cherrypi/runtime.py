@@ -15,6 +15,10 @@ Enumerating reduction candidates never consumes draws: a step that evaluates
 an expression is enumerated unevaluated, and only the step a run takes
 consults the oracle.  Likewise a run opens a connection's session only when
 it takes that connection.
+
+Exhaustive exploration runs on `semantics.search`, the breadth-first core
+that type-level reachability uses too: it builds a successor only when its
+state is new, and error and stuck paths come from its parent pointers.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from .sessiontypes import TErr, canonical_type, fill_roles, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
 from .infer import TypingError, type_of_process
-from .semantics import (BudgetExceeded, TypeConfiguration, _log_ckpt_differs,
-                        _party_transitions, current_budget,
-                        initial_configuration, partner_position,
+from .semantics import (TransitionSystem, TypeConfiguration,
+                        _log_ckpt_differs, _party_transitions,
+                        initial_configuration, partner_position, search,
                         type_transitions)
 
 
@@ -785,14 +789,16 @@ class ExploreEntry:
 
 @record
 class ExplorationReport:
-    states: list  # list[Collaboration]
-    edges: int
+    # states are Collaborations; an edge is (src, dst, rule, text, backward)
+    system: TransitionSystem
     errors: list  # list[ExploreEntry]
     stuck: list  # list[ExploreEntry]
     completed: int
     depth: int
-    # every traversed edge: (src, dst, rule, text, backward)
-    transitions: list
+
+    states = property(lambda self: self.system.states)
+    transitions = property(lambda self: self.system.edges)
+    edges = property(lambda self: len(self.system.edges))  # their number
 
     @property
     def ok(self) -> bool:
@@ -819,8 +825,8 @@ def _script_of(choices: list) -> dict:
 def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
             budget: int | None = None) -> ExplorationReport:
     """Breadth-first state space of a program up to `depth` steps, branching
-    over every oracle outcome.  Bool draws branch two ways; int/str draws
-    need a declared domain.
+    over every oracle outcome, found by `semantics.search`.  Bool draws
+    branch two ways; int/str draws need a declared domain.
 
     A state is identified by the multiset of its top-level items' keys
     (`term_key`), kept per state in item order.  A step rewrites one item
@@ -832,26 +838,21 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     by a session step that keeps one session in its place has its
     parent's connections.  A successor is built only when its state is
     new, always from its parent's own items: of alpha-variant states the
-    first one found is the one kept.  Each
-    state records its parent and the step that found it; the path and
-    script of an error or stuck entry are rebuilt from those only for the
-    entries reported, and `classify_state` classifies each item once."""
-    limit = current_budget(budget)
+    first one found is the one kept.  States are classified after the
+    search: an expanded state is live when it has an out-edge, and the
+    final frontier's steps are computed but not expanded.  Error and stuck
+    paths come from `TransitionSystem.path_to`."""
     _check_mode(mode)
     init = program.term
-    states = [init]
     # state id -> its items' keys in item order; representatives, held
     # here and in the tables below, keep every serial meaningful while the
     # call runs
     roots = [term_rep(it) for it in par_parts(init)]
     serials = [tuple(r.serial for r in roots)]
-    # state id -> (parent id, the step from it); None for the initial state
-    found_by: list = [None]
     # state id -> its connections (see `_connections`), shared with the
     # parent when a session step left requesters, acceptors and session
     # names where they were; None until needed
     conns: list = [None]
-    index = {tuple(sorted(serials[0])): 0}
     # computed once per call: a connection, by (endpoint keys, session
     # name), as (endpoints, step, representative of the session opened); a
     # session's steps, by (session key, session name), as (session, steps,
@@ -860,10 +861,9 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     # keys)
     opened: dict = {}
     stepped: dict = {}
-    transitions: list = []
-    errors: list = []
-    stuck: list = []
-    completed = 0
+    # a session step's group (idx,), one per index: parent pointers keep
+    # steps, and a fresh group each would add a GC-tracked object per state
+    ones: list = []
 
     def open_keyed(parts: list, rule: str, sname: str, text: str) -> tuple:
         ses = _open(parts, sname)
@@ -879,11 +879,14 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
             steps.append((c.sort_key(), c, tuple(r.serial for r in new)))
         return ses, steps, reps
 
-    def steps_of(sid: int, items: tuple) -> list:
-        """The steps of state `sid`, whose items are `items`, in
-        `reduction_steps` order, as (sort key, candidate, indices of the
-        items it rewrites, the successor's item keys in item order)."""
+    def steps_of(sid: int, state: Collaboration) -> list:
+        """The steps of state `sid` in `reduction_steps` order, as
+        (successor key, sort key, candidate, indices of the items it
+        rewrites, the successor's item keys in item order)."""
+        items = par_parts(state)
         sers = serials[sid]
+        while len(ones) < len(items):
+            ones.append((len(ones),))
         if conns[sid] is None:
             conns[sid] = _connections(items)
         out: list = []
@@ -897,75 +900,49 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
             if hit is None or any(a is not b for a, b in zip(hit[0], parts)):
                 hit = opened[at] = open_keyed(parts, rule, sname, text)
             key, c, new = hit[1]
-            out.append((key, c, group, tuple(_splice(sers, group, new))))
+            succ = tuple(_splice(sers, group, new))
+            out.append((tuple(sorted(succ)), key, c, group, succ))
         for idx, it in enumerate(items):
             if isinstance(it, Session):
                 at = (sers[idx], it.name)
                 hit = stepped.get(at)
                 if hit is None or hit[0] is not it:
                     hit = stepped[at] = steps_keyed(it)
-                group = (idx,)
+                group = ones[idx]
                 before, after = sers[:idx], sers[idx + 1:]
                 for key, c, new in hit[1]:
-                    out.append((key, c, group, before + new + after))
-        out.sort(key=itemgetter(0))
+                    succ = before + new + after
+                    out.append((tuple(sorted(succ)), key, c, group, succ))
+        out.sort(key=itemgetter(1))
         return out
 
-    def entry(kind: str, sid: int) -> ExploreEntry:
-        """The report entry of state `sid`, its path walked back from the
-        state to the initial one."""
-        steps = []
-        at = found_by[sid]
-        while at is not None:
-            parent, c = at
-            steps.append(c)
-            at = found_by[parent]
-        steps.reverse()
-        return ExploreEntry(kind, sid, [f"{c.rule} {c.text}" for c in steps],
-                            _script_of([d for c in steps for d in c.choices]))
+    def make(sid: int, state: Collaboration, step: tuple) -> Collaboration:
+        _, _, c, group, succ = step
+        serials.append(succ)
+        conns.append(conns[sid] if c.party and len(c.successor)
+                     == 1 == len(group) else None)
+        return par(*_splice(par_parts(state), group, c.successor))
 
-    def note_terminal(sid: int, has_steps: bool):
-        nonlocal completed
-        kind = classify_state(states[sid], has_steps)
-        if kind in _ERRORS:
-            errors.append(entry(kind, sid))
-        elif kind == "stuck":
-            stuck.append(entry(kind, sid))
-        elif kind == "completed":
+    def edge(src: int, dst: int, step: tuple) -> tuple:
+        c = step[2]
+        return src, dst, c.rule, c.text, c.backward
+
+    ts = search(init, lambda _: tuple(sorted(serials[0])), steps_of, make,
+                edge, budget, depth)
+    live = set(map(itemgetter(0), ts.edges))
+    expanded = len(ts.states) - len(ts.frontier)
+    errors, stuck, completed = [], [], 0
+    for sid, state in enumerate(ts.states):
+        kind = classify_state(state, sid in live if sid < expanded
+                              else bool(steps_of(sid, state)))
+        if kind == "completed":
             completed += 1
-
-    frontier = [0]
-    d = 0
-    while frontier and d < depth:
-        nxt: list = []
-        for sid in frontier:
-            items = par_parts(states[sid])
-            steps = steps_of(sid, items)
-            note_terminal(sid, bool(steps))
-            for _, c, group, succ_sers in steps:
-                key = tuple(sorted(succ_sers))
-                tid = index.get(key)
-                if tid is None:
-                    if len(states) >= limit:
-                        raise BudgetExceeded(limit, states=len(states),
-                                             depth=d, frontier=len(frontier))
-                    tid = len(states)
-                    index[key] = tid
-                    states.append(par(*_splice(items, group, c.successor)))
-                    serials.append(succ_sers)
-                    found_by.append((sid, c))
-                    conns.append(conns[sid] if c.party and len(c.successor)
-                                 == 1 == len(group) else None)
-                    nxt.append(tid)
-                transitions.append((sid, tid, c.rule, c.text, c.backward))
-        frontier = nxt
-        d += 1
-    # states on the final frontier still get classified (their steps are
-    # computed but not expanded further)
-    for sid in frontier:
-        note_terminal(sid, bool(steps_of(sid, par_parts(states[sid]))))
-    return ExplorationReport(states, len(transitions), errors, stuck,
-                             completed, depth, transitions)
+        elif kind != "live":
+            path = [step[2] for step in ts.path_to(sid)]
+            (stuck if kind == "stuck" else errors).append(ExploreEntry(
+                kind, sid, [f"{c.rule} {c.text}" for c in path],
+                _script_of([d for c in path for d in c.choices])))
+    return ExplorationReport(ts, errors, stuck, completed, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,17 @@ checkpoint turns a later roll into `err` currents, and abort resets the
 configuration to the initial types.  Compliance asks that every reachable
 configuration with no step has every current `end`, and rollback safety
 lifts that check to every service of a collaboration.
+
+`search` is the package's one breadth-first search, under
+`reachable_system` and `runtime.explore` alike: it builds a successor only
+when its key is new, keeps one parent pointer per state for `path_to`, and
+is the only place that checks a state budget.
 """
 
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
@@ -25,11 +31,14 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class InvalidBudget(ValueError):
-    """CHERRY_BUDGET is set to something that is not a positive integer."""
+    """A state budget (an argument or CHERRY_BUDGET) below 1 or not an
+    integer."""
 
 
 def current_budget(override: int | None = None) -> int:
     if override is not None:
+        if override < 1:
+            raise InvalidBudget(f"budget must be positive, got {override}")
         return override
     env = os.environ.get("CHERRY_BUDGET")
     if env:
@@ -52,8 +61,8 @@ class BudgetExceeded(Exception):
     states."""
 
     def __init__(self, budget: int, *, states: int, depth: int,
-                 frontier: int, what: str = "state"):
-        super().__init__(f"{what} budget of {budget} exceeded")
+                 frontier: int):
+        super().__init__(f"state budget of {budget} exceeded")
         self.budget = budget
         self.states = states
         self.depth = depth
@@ -181,7 +190,7 @@ def config_transitions(cfg: TypeConfiguration) -> list:
     out: list = []
     for i in range(len(steps)):
         out += _party_transitions(cfg, i, steps)
-    out.sort(key=lambda e: (e[0], e[1], e[2]))
+    out.sort(key=itemgetter(0, 1, 2))
     return out
 
 
@@ -273,75 +282,94 @@ class Edge:
 
 @record
 class TransitionSystem:
-    states: list  # list[TypeConfiguration], index = state id
-    edges: list  # list[Edge], grouped by src in discovery order
-    parents: list  # parents[i] = (state, edge) discovering state i, or None
+    """What `search` found, for types and programs alike: states numbered
+    in discovery order, and `path_to`, the one parent-pointer walk."""
+    states: list
+    edges: list  # `edge(src, dst, step)` per traversed edge, by src
+    parents: list  # (src, step) that discovered state i; None for state 0
+    frontier: list  # the highest ids: found, not expanded (depth cut)
     initial: int = 0
 
     def path_to(self, sid: int) -> list:
-        """Edges of the discovery path from the initial state to `sid`."""
+        """Steps of the discovery path from the initial state to `sid`."""
         path: list = []
-        cur = sid
-        while self.parents[cur] is not None:
-            prev, edge = self.parents[cur]
-            path.append(edge)
-            cur = prev
+        at = self.parents[sid]
+        while at is not None:
+            sid, step = at
+            path.append(step)
+            at = self.parents[sid]
         path.reverse()
         return path
 
 
-def reachable_system(*types: SessionTypeT,
-                     budget: int | None = None) -> TransitionSystem:
-    """Breadth-first reachable configurations from the initial configuration
-    of `types`, one per party in log order.  States are numbered by
-    discovery order; per state the successor order is the sorted (party,
-    rule, label) order, which makes numbering reproducible."""
+def search(root, key, steps, make, edge, budget: int | None = None,
+           depth: int | None = None) -> TransitionSystem:
+    """Breadth-first search from `root`, keyed by `key(root)`.
+    `steps(sid, state)` lists a state's steps in successor order, each a
+    tuple whose slot 0 is its successor's key; `make(src, state, step)`
+    builds a successor only when that key is new.  Layers from `depth` on
+    are not expanded; more than `budget` states raise `BudgetExceeded`."""
     limit = current_budget(budget)
-    init = initial_configuration(*types)
-    states = [init]
-    index = {config_key(init): 0}
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
+    states = [root]
+    index = {key(root): 0}
+    known = index.get
     parents: list = [None]
     edges: list = []
+    add_edge = edges.append
     frontier = [0]
-    depth = 0
-    while frontier:
-        nxt_frontier: list = []
+    layer = 0
+    while frontier and layer != depth:
+        found: list = []
         for sid in frontier:
-            for party, rule, label, succ in config_transitions(states[sid]):
-                key = config_key(succ)
-                tid = index.get(key)
+            state = states[sid]
+            for step in steps(sid, state):
+                tid = known(step[0])
                 if tid is None:
-                    if len(states) >= limit:
-                        raise BudgetExceeded(limit, states=len(states),
-                                             depth=depth,
-                                             frontier=len(frontier))
                     tid = len(states)
-                    index[key] = tid
-                    states.append(succ)
-                    parents.append(None)
-                    nxt_frontier.append(tid)
-                edge = Edge(sid, tid, party, rule, label)
-                edges.append(edge)
-                if parents[tid] is None and tid != 0:
-                    parents[tid] = (sid, edge)
-        frontier = nxt_frontier
-        depth += 1
-    return TransitionSystem(states, edges, parents)
+                    if tid >= limit:
+                        raise BudgetExceeded(limit, states=tid, depth=layer,
+                                             frontier=len(frontier))
+                    index[step[0]] = tid
+                    states.append(make(sid, state, step))
+                    parents.append((sid, step))
+                    found.append(tid)
+                add_edge(edge(sid, tid, step))
+        frontier = found
+        layer += 1
+    return TransitionSystem(states, edges, parents, frontier)
+
+
+def _keyed_transitions(sid: int, cfg: TypeConfiguration) -> list:
+    """`config_transitions` as `search` steps: (successor key, party, rule,
+    label, successor)."""
+    return [(config_key(succ), party, rule, label, succ)
+            for party, rule, label, succ in config_transitions(cfg)]
+
+
+def reachable_system(*types: SessionTypeT,
+                     budget: int | None = None) -> TransitionSystem:
+    """The configurations reachable from the initial configuration of
+    `types`, one per party in log order, found by `search` and keyed by
+    `config_key`.  The sorted (party, rule, label) successor order makes
+    numbering reproducible.  Edges are `Edge`s, and a path step is (key,
+    party, rule, label, successor)."""
+    return search(initial_configuration(*types), config_key,
+                  _keyed_transitions, lambda src, cfg, s: s[4],
+                  lambda src, dst, s: Edge(src, dst, s[1], s[2], s[3]),
+                  budget)
 
 
 # ---------------------------------------------------------------------------
 # compliance and rollback safety
 # ---------------------------------------------------------------------------
 
-def _is_end(t: SessionTypeT) -> bool:
-    return isinstance(head_normal_type(t), TEnd)
-
-
 @record
 class Violation:
     state: int
     config: TypeConfiguration
-    path: list  # list[Edge] from the initial state
+    path: list  # `reachable_system` steps from the initial state
 
 
 def _describe(cfg: TypeConfiguration, roles: bool) -> dict:
@@ -380,7 +408,7 @@ class ComplianceReport:
                 {
                     "terminal": _describe(v.config, self.roles),
                     "state": v.state,
-                    "path": [prefix + e.rule for e in v.path],
+                    "path": [prefix + step[2] for step in v.path],
                 }
                 for v in self.violations
             ],
@@ -392,16 +420,11 @@ def check_compliance(*types: SessionTypeT,
     """Types comply when every reachable configuration that offers no step
     has every current at end.  No terminals at all is compliant."""
     ts = reachable_system(*types, budget=budget)
-    has_out = [False] * len(ts.states)
-    for e in ts.edges:
-        has_out[e.src] = True
-    violations: list = []
-    for sid, cfg in enumerate(ts.states):
-        if has_out[sid]:
-            continue
-        if all(_is_end(t) for t in cfg.currents):
-            continue
-        violations.append(Violation(sid, cfg, ts.path_to(sid)))
+    live = {e.src for e in ts.edges}
+    violations = [Violation(sid, cfg, ts.path_to(sid))
+                  for sid, cfg in enumerate(ts.states) if sid not in live
+                  and not all(isinstance(head_normal_type(t), TEnd)
+                              for t in cfg.currents)]
     return ComplianceReport(not violations, ts, violations)
 
 
@@ -439,26 +462,32 @@ def check_rollback_safety(term, budget: int | None = None) \
 # DOT export
 # ---------------------------------------------------------------------------
 
+def dot_graph(name: str, nstates: int, edges, marked) -> str:
+    """Graphviz text for states 0..nstates-1 and `edges`, (src, dst, label)
+    triples: the initial state 0 is bold, and `marked` states get a double
+    periphery."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;",
+             "  node [shape=circle];"]
+    for sid in range(nstates):
+        attrs = f'label="{sid}"'
+        if sid == 0:
+            attrs += ", style=bold"
+        if sid in marked:
+            attrs += ", peripheries=2"
+        lines.append(f"  n{sid} [{attrs}];")
+    lines.extend(f'  n{src} -> n{dst} [label="{label}"];'
+                 for src, dst, label in edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def export_dot(ts: TransitionSystem, violating: set | None = None,
                name: str = "reachable") -> str:
     """Graphviz text for a transition system; violating terminal states get
     a double periphery."""
-    violating = violating or set()
-    lines = [f"digraph {name} {{", "  rankdir=LR;",
-             "  node [shape=circle];"]
-    for sid in range(len(ts.states)):
-        attrs = [f'label="{sid}"']
-        if sid == ts.initial:
-            attrs.append("style=bold")
-        if sid in violating:
-            attrs.append("peripheries=2")
-        lines.append(f"  n{sid} [{', '.join(attrs)}];")
-    for e in ts.edges:
-        lines.append(
-            f'  n{e.src} -> n{e.dst} [label="{e.rule} {e.label} '
-            f'p{e.party}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_graph(name, len(ts.states),
+                     ((e.src, e.dst, f"{e.rule} {e.label} p{e.party}")
+                      for e in ts.edges), violating or ())
 
 
 def compliance_dot(report: ComplianceReport, name: str = "reachable") -> str:

@@ -18,6 +18,7 @@ from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
                              substitute, term_key, unfold_recursion)
 from cherrypi.runtime import (ExplorationReport, ExploreEntry, classify_state,
                               reduction_steps)
+from cherrypi.semantics import TransitionSystem
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
                                    TOut, TPlus, TRollT, TSel, canonical_type,
                                    subst_type)
@@ -303,7 +304,7 @@ def naive_explore_report(program, depth=30, mode="plain"):
     states = [program.term]
     info = [([], [])]
     index = {term_key(program.term): 0}
-    edges, transitions, errors, stuck = 0, [], [], []
+    parents, transitions, errors, stuck = [None], [], [], []
     completed = 0
 
     def entry(kind, sid):
@@ -332,7 +333,6 @@ def naive_explore_report(program, depth=30, mode="plain"):
             cands = reduction_steps(states[sid], mode, exhaustive=True)
             note(sid, cands)
             for c in cands:
-                edges += 1
                 key = term_key(c.successor)
                 if key not in index:
                     index[key] = len(states)
@@ -340,11 +340,13 @@ def naive_explore_report(program, depth=30, mode="plain"):
                     path, choices = info[sid]
                     info.append((path + [f"{c.rule} {c.text}"],
                                  choices + list(c.choices)))
+                    parents.append((sid, c))
                     nxt.append(index[key])
                 transitions.append((sid, index[key], c.rule, c.text,
                                     c.backward))
         frontier = nxt
     for sid in frontier:
         note(sid, reduction_steps(states[sid], mode, exhaustive=True))
-    return ExplorationReport(states, edges, errors, stuck, completed, depth,
-                             transitions)
+    return ExplorationReport(
+        TransitionSystem(states, transitions, parents, frontier), errors,
+        stuck, completed, depth)

@@ -275,7 +275,9 @@ def test_explore_json_output():
 def test_budget_flag_exits_three():
     code, out, err = cli("check", CORPUS / "vod_b.chpi", "--budget", "3")
     assert code == 3
-    assert err == "error: state budget of 3 exceeded\n"
+    assert err == ("error: state budget of 3 exceeded (3 states found, "
+                   "stopped while expanding BFS layer 2, which held 1 "
+                   "state)\n")
 
 
 def test_malformed_budget_env_var_exits_two(monkeypatch):

@@ -12,12 +12,13 @@ import cherrypi.syntax as syntax
 from genprog import random_type
 from oracle_naive import naive_type_reach
 from cherrypi.parser import parse_type
+from cherrypi.runtime import explore
 from cherrypi.semantics import (BudgetExceeded, CheckpointType,
-                                TypeConfiguration, check_compliance,
-                                check_rollback_safety, compliance_dot,
-                                config_transitions, export_dot,
-                                initial_configuration, reachable_system,
-                                type_transitions)
+                                InvalidBudget, TypeConfiguration,
+                                check_compliance, check_rollback_safety,
+                                compliance_dot, config_transitions,
+                                export_dot, initial_configuration,
+                                reachable_system, type_transitions)
 from cherrypi.infer import infer_collaboration, service_pairs
 from cherrypi.sessiontypes import (TBrn, TCmt, TEnd, TIn, TMu, TOut, TPlus,
                                    TSel, TVarT, canonical_type, render_type,
@@ -176,19 +177,27 @@ def test_budget_argument_caps_the_search(corpus):
 
 
 def _search(programs, engine):
-    """The reachable-system call of `engine` on vod_b's one service."""
+    """The transition system that `engine` finds for vod_b: the type-level
+    reachable system of its one service, or its detect-mode exploration."""
     if engine == "binary":
         _, t_req, t_acc = service_pairs(
             infer_collaboration(programs["vod_b"].term))[0]
         return lambda budget=None: reachable_system(t_req, t_acc,
                                                     budget=budget)
+    if engine.startswith("explore"):
+        prog = programs["vod_b"]
+        if engine == "explore twin":
+            prog = mp.to_multiparty(prog)
+        return lambda budget=None: explore(prog, mode="detect",
+                                           budget=budget).system
     mterm = mp.to_multiparty(programs["vod_b"]).term
     (svc,) = mp.m_service_groups(mterm).values()
     types = mp.filled_types(svc)
     return lambda budget=None: mp.m_reachable_system(types, budget)
 
 
-@pytest.mark.parametrize("engine", ["binary", "n-role"])
+@pytest.mark.parametrize("engine",
+                         ["binary", "n-role", "explore", "explore twin"])
 def test_budget_error_says_how_far_the_search_got(programs, engine):
     search = _search(programs, engine)
     full = search()
@@ -202,6 +211,23 @@ def test_budget_error_says_how_far_the_search_got(programs, engine):
     depth = layer[7] - 1
     assert (e.budget, e.states, e.depth, e.frontier) == \
         (7, 7, depth, layer.count(depth))
+
+
+@pytest.mark.parametrize("what, arg, value", [
+    ("comply", "budget", 0), ("comply", "budget", -1),
+    ("explore", "budget", 0), ("explore", "budget", -1),
+    ("explore", "depth", -1)])
+def test_out_of_range_budget_or_depth_is_refused(programs, what, arg, value):
+    # the library refuses what the CLI's argparse refuses
+    program = programs["vod_b"]
+    if what == "comply":
+        _, t_req, t_acc = service_pairs(infer_collaboration(program.term))[0]
+        run = lambda: check_compliance(t_req, t_acc, budget=value)
+    else:
+        run = lambda: explore(program, **{arg: value})
+    with pytest.raises(InvalidBudget if arg == "budget" else ValueError,
+                       match=f"{arg} must be"):
+        run()
 
 
 def test_budget_env_var_is_honoured(corpus, monkeypatch):
