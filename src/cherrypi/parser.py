@@ -9,6 +9,7 @@ equivalent term.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from typing import NamedTuple
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
@@ -741,42 +742,98 @@ def _at(role) -> str:
 
 
 def render_process(pr: Process) -> str:
-    match pr:
-        case Send(ch, e, cont, tr):
-            return (f"{show_chan(ch)}!<{render_expr(e)}>{_at(tr)}. "
-                    f"{render_process(cont)}")
-        case Recv(ch, y, s, cont, fr):
-            return (f"{show_chan(ch)}?({y}: {s}){_at(fr)}. "
-                    f"{render_process(cont)}")
-        case Select(ch, l, cont, tr):
-            return f"{show_chan(ch)}<+ {l}{_at(tr)}. {render_process(cont)}"
-        case Branch(ch, arms, fr):
-            inner = ", ".join(f"{l}: {render_process(a)}" for l, a in arms)
-            return f"{show_chan(ch)}>+{{ {inner} }}{_at(fr)}"
-        case If(c, t, e):
-            return (f"if {render_expr(c)} then {render_process(t)} "
-                    f"else {render_process(e)}")
-        case Rec(x, body):
-            return f"rec {x}. {render_process(body)}"
-        case PVar(x):
-            return x
-        case Inact():
-            return "0"
-        case Commit(cont):
-            return f"commit. {render_process(cont)}"
-        case Roll():
-            return "roll"
-        case Abort():
-            return "abort"
-    raise MalformedTerm(f"not a process: {pr!r}")
+    """Source text of a process.
+
+    A render records where each node's text sits in the text it builds.
+    Every node it walks keeps (place, first, last): `place` holds the
+    render's text and the offsets of its pieces, shared by all the nodes
+    of that render, so memory stays linear in the term.  A node that
+    already has a place is emitted as a slice of it, not walked again.
+    A run's continuations, branch arms and conditional branches, and the
+    subtrees that substitution and `rec` unfolding share with an earlier
+    term, were placed when that term was rendered, so each costs one
+    slice."""
+    seg = getattr(pr, "__dict__", {}).get("_seg")
+    if seg is not None:
+        return _slice(seg)
+    out: list = []
+    place: list = [None, None]
+    try:
+        _emit(pr, out, place)
+    finally:
+        # the nodes walked before a failure keep correct places too
+        place[0] = text = "".join(out)
+        place[1] = [0, *accumulate(map(len, out))]
+    return text
+
+
+def _slice(seg: tuple) -> str:
+    (text, ends), first, last = seg
+    return text[ends[first]:ends[last]]
+
+
+def _emit(pr: Process, out: list, place: list) -> None:
+    """Append `pr`'s text to `out` in pieces, and give each node walked
+    its place: the pieces its text spans.  Dispatch is on the exact class
+    and fields are read by name, which keeps a fresh term's render as
+    cheap as a plain recursive one."""
+    kept = getattr(pr, "__dict__", None)
+    if kept is None:
+        raise MalformedTerm(f"not a process: {pr!r}")
+    seg = kept.get("_seg")
+    if seg is not None:
+        out.append(_slice(seg))
+        return
+    start = len(out)
+    kind = type(pr)
+    if kind is Send:
+        out.append(f"{show_chan(pr.chan)}!<{render_expr(pr.expr)}>"
+                   f"{_at(pr.to_role)}. ")
+        _emit(pr.cont, out, place)
+    elif kind is Recv:
+        out.append(f"{show_chan(pr.chan)}?({pr.var}: {pr.sort})"
+                   f"{_at(pr.from_role)}. ")
+        _emit(pr.cont, out, place)
+    elif kind is Select:
+        out.append(f"{show_chan(pr.chan)}<+ {pr.label}{_at(pr.to_role)}. ")
+        _emit(pr.cont, out, place)
+    elif kind is Branch:
+        out.append(f"{show_chan(pr.chan)}>+{{ ")
+        sep = ""
+        for l, a in pr.arms:
+            out.append(f"{sep}{l}: ")
+            _emit(a, out, place)
+            sep = ", "
+        out.append(f" }}{_at(pr.from_role)}")
+    elif kind is If:
+        out.append(f"if {render_expr(pr.cond)} then ")
+        _emit(pr.then, out, place)
+        out.append(" else ")
+        _emit(pr.orelse, out, place)
+    elif kind is Rec:
+        out.append(f"rec {pr.var}. ")
+        _emit(pr.body, out, place)
+    elif kind is Commit:
+        out.append("commit. ")
+        _emit(pr.cont, out, place)
+    elif kind is PVar:
+        out.append(pr.name)
+    else:
+        leaf = _LEAF_TEXT.get(kind)
+        if leaf is None:
+            raise MalformedTerm(f"not a process: {pr!r}")
+        out.append(leaf)
+    kept["_seg"] = (place, start, len(out))
+
+
+_LEAF_TEXT = {Inact: "0", Roll: "roll", Abort: "abort"}
 
 
 def _kept(node, render) -> str:
-    """`render(node)`, kept on the node.  The processes that requests,
-    accepts and logs hold, the logs, the sessions and the endpoints a
-    session saved recur from state to state (a step replaces one or two
-    logs and their session), so across a run each is rendered once.  A
-    whole state never recurs, so its text is not kept."""
+    """`render(node)`, kept on the node.  The logs, the sessions and the
+    endpoints a session saved recur from state to state (a step replaces
+    one or two logs and their session), so across a run each is rendered
+    once.  A whole state never recurs, so its text is not kept."""
     text = node.__dict__.get("_shown")
     if text is None:
         text = render(node)
@@ -790,10 +847,10 @@ def _show_session(c: Session) -> str:
 
 
 def _show_log(c: Log) -> str:
-    ckpt = _kept(c.ckpt.process, render_process)
+    ckpt = render_process(c.ckpt.process)
     tag = "^imp" if c.ckpt.imposed else ""
     return (f"{show_chan(c.endpoint)}:<{ckpt}>{tag} "
-            f"{_kept(c.current, render_process)}")
+            f"{render_process(c.current)}")
 
 
 def show_collaboration(c: Collaboration) -> str:
@@ -802,10 +859,10 @@ def show_collaboration(c: Collaboration) -> str:
     match c:
         case Request(a, x, body, role):
             rr = "" if role is None else f"[{role}]"
-            return f"request {a}{rr}({x}). {_kept(body, render_process)}"
+            return f"request {a}{rr}({x}). {render_process(body)}"
         case Accept(a, x, body, role):
             rr = "" if role is None else f"[{role}]"
-            return f"accept {a}{rr}({x}). {_kept(body, render_process)}"
+            return f"accept {a}{rr}({x}). {render_process(body)}"
         case Par(parts):
             return " | ".join(
                 f"({show_collaboration(p)})" if isinstance(p, Par)

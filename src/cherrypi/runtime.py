@@ -59,6 +59,15 @@ class MalformedInput(ValueError):
     `Trace.to_json` writes."""
 
 
+def _check_values(draws, what: str) -> None:
+    """Refuse a (function, value) pair of a script or transcript whose
+    value is not a bool, int or str, naming the function."""
+    for fn, v in draws:
+        if not isinstance(v, (int, str)):  # a bool is an int
+            raise MalformedInput(f"{what} value for {fn!r} is not a bool, "
+                                 f"int or str: {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # decision oracle
 # ---------------------------------------------------------------------------
@@ -85,6 +94,8 @@ class DecisionOracle:
                 for fn, vals in script.items()):
             raise MalformedInput("a decision script must map function names "
                                  "to lists of values")
+        _check_values(((fn, v) for fn, vals in script.items() for v in vals),
+                      "a decision script")
         self.mode = mode
         self.script = {k: list(v) for k, v in script.items()}
         self.pointers: dict = {}
@@ -260,15 +271,17 @@ def barbs(p: Process, observer: int | None = None) -> frozenset:
 
 
 def _barbs(p: Process, observer) -> frozenset:
+    """The walk behind `barbs`.  It visits each node once by identity:
+    every `rec` node unfolds to the same objects each time
+    (`unfold_recursion`), so the walk reaches finitely many nodes."""
     found: set = set()
     seen: set = set()
     stack = [p]
     while stack:
         q = head_normal(stack.pop())
-        key = process_key(q)
-        if key in seen:
+        if id(q) in seen:
             continue
-        seen.add(key)
+        seen.add(id(q))
         match q:
             case Send(ch, _, cont, role):
                 if observer is None or role == observer:
@@ -1020,6 +1033,7 @@ def _checked_trace(data) -> tuple:
         isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
         for d in draws),
         "the transcript is not a list of [function, value] draws")
+    _check_values(draws, "malformed trace: the transcript")
     return steps, draws
 
 
@@ -1122,15 +1136,17 @@ def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
         return ShadowReport(False, [f"inference failed: {ex}"])
     configs: dict = {}  # session name -> TypeConfiguration
     failures: list = []
-    # a log a step left alone keeps its process objects, so each process is
-    # retyped once; the entry holds the process, so its id stays unique
-    retyped: dict = {}  # (id(process), endpoint) -> (process, type)
+    # a process that recurs, as the same object or as the same text (a
+    # protocol round ends where it began), is retyped once.  A failure is
+    # not kept, so each step reports its own.
+    retyped: dict = {}  # (process_key(process), endpoint) -> type
 
     def retype(p, ep):
-        hit = retyped.get((id(p), ep))
-        if hit is None:
-            hit = retyped[id(p), ep] = (p, _retype(p, ep))
-        return hit[1]
+        key = (process_key(p), ep)
+        t = retyped.get(key)
+        if t is None:
+            t = retyped[key] = _retype(p, ep)
+        return t
 
     for step in trace.steps:
         if step.party == 0:  # connection

@@ -164,9 +164,15 @@ def _ckpt_differs(ck: CheckpointType, current: SessionTypeT) -> bool:
 
 def _log_ckpt_differs(lg: Log) -> bool:
     """The process-level `_ckpt_differs`: whether a partner's commit imposes
-    on the party that owns `lg`."""
-    return lg.ckpt.imposed or \
-        process_key(lg.ckpt.process) != process_key(lg.current)
+    on the party that owns `lg`.  The answer is kept on the log, like a
+    session's class: a log a step leaves alone is asked again at every
+    commit of another party."""
+    kept = lg.__dict__
+    found = kept.get("_differs")
+    if found is None:
+        found = kept["_differs"] = lg.ckpt.imposed or \
+            process_key(lg.ckpt.process) != process_key(lg.current)
+    return found
 
 
 def _label_text(lab: tuple) -> str:
@@ -288,7 +294,6 @@ class TransitionSystem:
     edges: list  # `edge(src, dst, step)` per traversed edge, by src
     parents: list  # (src, step) that discovered state i; None for state 0
     frontier: list  # the highest ids: found, not expanded (depth cut)
-    initial: int = 0
 
     def path_to(self, sid: int) -> list:
         """Steps of the discovery path from the initial state to `sid`."""

@@ -910,9 +910,13 @@ def process_key(p: Process) -> tuple:
     with its free session names bound, the way the session holding a log
     binds them, so a log's processes reuse the keys cached when its state
     was keyed; the names are part of the key.  The key holds its
-    representative, so it stays valid for as long as it is kept."""
-    env, depth = {}, _NO_DEPTH
-    sessions = tuple(sorted(n for n in _names(p) if n[0] == "s"))
-    for n in sessions:
-        env, depth = _bind(env, depth, n)
-    return sessions, _key(p, env, depth)
+    representative, so it stays valid for as long as it is kept, and the
+    node keeps it."""
+    key = p.__dict__.get("_pk")
+    if key is None:
+        env, depth = {}, _NO_DEPTH
+        sessions = tuple(sorted(n for n in _names(p) if n[0] == "s"))
+        for n in sessions:
+            env, depth = _bind(env, depth, n)
+        key = p.__dict__["_pk"] = (sessions, _key(p, env, depth))
+    return key

@@ -6,18 +6,24 @@ recursive code that shares no stepping logic with the production engines
 only).  Tests compare state sets, counts, and verdicts between the two.
 The one exception is `naive_explore_report`: it checks how `explore`
 shares work between states, so it steps and keys whole states with the
-production stepper and key instead.
+production stepper and key instead.  `naive_show` and `naive_barbs` are
+the plain forms of a renderer and a barbs walk that keep work on the
+nodes: the first builds every text afresh, the second tells visited
+processes apart by their keys, not by identity.
 """
 
 from __future__ import annotations
 
+from cherrypi.parser import render_expr, show_chan
 from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
-                             Commit, Endpoint, If, Lit, Log, Rec, Recv,
-                             Request, Roll, Select, Send, Session, Ufun,
-                             canonicalize, par, par_parts, process_canonical,
-                             substitute, term_key, unfold_recursion)
+                             ComError, Commit, Endpoint, If, Inact, Lit, Log,
+                             Par, PVar, Rec, Recv, Request, Roll, RollError,
+                             Select, Send, Session, Ufun, canonicalize,
+                             head_normal, par, par_parts, process_canonical,
+                             process_key, substitute, term_key,
+                             unfold_recursion)
 from cherrypi.runtime import (ExplorationReport, ExploreEntry, classify_state,
-                              reduction_steps)
+                              guard_value, reduction_steps)
 from cherrypi.semantics import TransitionSystem
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
                                    TOut, TPlus, TRollT, TSel, canonical_type,
@@ -350,3 +356,119 @@ def naive_explore_report(program, depth=30, mode="plain"):
     return ExplorationReport(
         TransitionSystem(states, transitions, parents, frontier), errors,
         stuck, completed, depth)
+
+
+# ---------------------------------------------------------------------------
+# rendering and barbs references
+# ---------------------------------------------------------------------------
+
+def _naive_at(role):
+    return "" if role is None else f"@{role}"
+
+
+def naive_render(pr):
+    """Source text of a process, built afresh by plain recursion."""
+    match pr:
+        case Send(ch, e, cont, tr):
+            return (f"{show_chan(ch)}!<{render_expr(e)}>{_naive_at(tr)}. "
+                    f"{naive_render(cont)}")
+        case Recv(ch, y, s, cont, fr):
+            return (f"{show_chan(ch)}?({y}: {s}){_naive_at(fr)}. "
+                    f"{naive_render(cont)}")
+        case Select(ch, l, cont, tr):
+            return (f"{show_chan(ch)}<+ {l}{_naive_at(tr)}. "
+                    f"{naive_render(cont)}")
+        case Branch(ch, arms, fr):
+            inner = ", ".join(f"{l}: {naive_render(a)}" for l, a in arms)
+            return f"{show_chan(ch)}>+{{ {inner} }}{_naive_at(fr)}"
+        case If(c, t, e):
+            return (f"if {render_expr(c)} then {naive_render(t)} "
+                    f"else {naive_render(e)}")
+        case Rec(x, body):
+            return f"rec {x}. {naive_render(body)}"
+        case PVar(x):
+            return x
+        case Inact():
+            return "0"
+        case Commit(cont):
+            return f"commit. {naive_render(cont)}"
+        case Roll():
+            return "roll"
+        case Abort():
+            return "abort"
+    raise TypeError(f"not a process: {pr!r}")
+
+
+def naive_show(c):
+    """The text `show_collaboration` gives a state, built afresh."""
+    match c:
+        case Request(a, x, body, role):
+            rr = "" if role is None else f"[{role}]"
+            return f"request {a}{rr}({x}). {naive_render(body)}"
+        case Accept(a, x, body, role):
+            rr = "" if role is None else f"[{role}]"
+            return f"accept {a}{rr}({x}). {naive_render(body)}"
+        case Par(parts):
+            return " | ".join(f"({naive_show(p)})" if isinstance(p, Par)
+                              else naive_show(p) for p in parts)
+        case Session(name, saved, body):
+            return f"<{name}: {naive_show(saved)}>({naive_show(body)})"
+        case Log(ep, ckpt, current):
+            tag = "^imp" if ckpt.imposed else ""
+            return (f"{show_chan(ep)}:<{naive_render(ckpt.process)}>{tag} "
+                    f"{naive_render(current)}")
+        case RollError():
+            return "roll_error"
+        case ComError():
+            return "com_error"
+    raise TypeError(f"not a collaboration: {c!r}")
+
+
+def naive_barbs(p, observer=None):
+    """`runtime.barbs` of a process, by a walk that visits each process
+    key once."""
+    found = set()
+    seen = set()
+    stack = [p]
+    while stack:
+        q = head_normal(stack.pop())
+        key = process_key(q)
+        if key in seen:
+            continue
+        seen.add(key)
+        match q:
+            case Send(ch, _, cont, role):
+                if observer is None or role == observer:
+                    found.add(("out", ch, role))
+                else:
+                    stack.append(cont)
+            case Recv(ch, _, _, cont, role):
+                if observer is None or role == observer:
+                    found.add(("in", ch, role))
+                else:
+                    stack.append(cont)
+            case Select(ch, l, cont, role):
+                if observer is None or role == observer:
+                    found.add(("sel", ch, l, role))
+                else:
+                    stack.append(cont)
+            case Branch(ch, arms, role):
+                if observer is None or role == observer:
+                    for l, _ in arms:
+                        found.add(("brn", ch, l, role))
+                else:
+                    stack.extend(arm for _, arm in arms)
+            case If(cond, then, orelse):
+                v = guard_value(cond)
+                if v is None:
+                    stack.append(then)
+                    stack.append(orelse)
+                else:
+                    stack.append(then if v else orelse)
+            case Commit(cont):
+                stack.append(cont)
+            case Roll():
+                found.add(("roll",))
+            case Abort():
+                found.add(("abt",))
+    return frozenset(found)

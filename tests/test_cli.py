@@ -422,6 +422,29 @@ def test_malformed_script_exits_two(tmp_path, script):
                "of values\n")
 
 
+@pytest.mark.parametrize("value", [1.5, None, [1]],
+                         ids=["float", "null", "list"])
+def test_trace_value_of_no_sort_exits_two(tmp_path, value):
+    data = _recorded(tmp_path)
+    fn = data["oracle"]["transcript"][0][0]
+    data["oracle"]["transcript"][0][1] = value
+    trace = tmp_path / "bad.json"
+    trace.write_text(json.dumps(data))
+    assert cli("replay", trace) == (
+        2, "", f"error: malformed trace: the transcript value for {fn!r} is "
+               f"not a bool, int or str: {value!r}\n")
+
+
+@pytest.mark.parametrize("value", [1.5, None, [1]],
+                         ids=["float", "null", "list"])
+def test_script_value_of_no_sort_exits_two(tmp_path, value):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"f_HD": [True, value]}))
+    assert cli("run", CORPUS / "vod_c.chpi", "--script", path) == (
+        2, "", "error: a decision script value for 'f_HD' is not a bool, "
+               f"int or str: {value!r}\n")
+
+
 def test_unexpected_exception_exits_four_without_traceback(monkeypatch):
     import cherrypi.cli as cli_module
 

@@ -1,27 +1,29 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprog import random_program
-from oracle_naive import naive_explore, naive_explore_report, naive_values
+from oracle_naive import (naive_barbs, naive_explore, naive_explore_report,
+                          naive_render, naive_show, naive_values)
 from cherrypi.infer import TypingError
 from cherrypi.parser import (ParseError, parse_expression_text,
                              parse_process_text, parse_program,
                              show_collaboration)
-from cherrypi.runtime import (DecisionOracle, ExploreError, OracleExhausted,
-                              barbs, classify_state, enumerate_values,
-                              evaluate, explore, guard_value,
+from cherrypi.runtime import (DecisionOracle, ExploreError, MalformedInput,
+                              OracleExhausted, barbs, classify_state,
+                              enumerate_values, evaluate, explore, guard_value,
                               reduction_steps, replay, ReplayReport,
                               shadow_typecheck, simulate)
-from cherrypi import runtime
+from cherrypi import parser, runtime, semantics
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.semantics import BudgetExceeded, check_rollback_safety
 from cherrypi.syntax import (ChanVar, ComError, Inact, Log, MalformedTerm,
-                             RollError, Session, canonicalize, par_parts,
-                             term_key)
+                             MEndpoint, RollError, Session, canonicalize,
+                             par_parts, process_key, subprocesses, term_key)
 
 k = ChanVar("k")
 
@@ -71,6 +73,26 @@ def test_scripted_oracle_is_strict():
     assert o.draw("f", "bool", None) is True
     with pytest.raises(OracleExhausted, match="call #2 of 'f'"):
         o.draw("f", "bool", None)
+
+
+@pytest.mark.parametrize("value", [1.5, None, [1]],
+                         ids=["float", "null", "list"])
+def test_values_of_no_sort_are_refused_where_they_are_read(programs, value):
+    # not deep inside a draw, as a literal of unknown sort
+    with pytest.raises(MalformedInput) as ex:
+        DecisionOracle("scripted", script={"f": [True], "g": [0, value]})
+    assert str(ex.value) == ("a decision script value for 'g' is not a "
+                             f"bool, int or str: {value!r}")
+    t = simulate(programs["vod_c"], DecisionOracle("seeded-random", seed=2),
+                 60)
+    j = t.to_json()
+    fn = j["oracle"]["transcript"][-1][0]
+    j["oracle"]["transcript"][-1][1] = value
+    with pytest.raises(MalformedInput) as ex:
+        replay(j)
+    assert str(ex.value) == (
+        f"malformed trace: the transcript value for {fn!r} is not a bool, "
+        f"int or str: {value!r}")
 
 
 def test_seeded_oracle_is_reproducible():
@@ -442,6 +464,152 @@ def test_kept_texts_render_as_fresh_terms(seed, mode):
             assert show_collaboration(state) == \
                 show_collaboration(_fresh(state))
     assert reused
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_states_render_and_barb_as_the_references(seed):
+    # placed texts and the identity barbs walk against the plain forms,
+    # over safe and unsafe programs, their twins and rings, in both modes
+    rng = random.Random(seed)
+    prog = random_program(rng, safe=seed % 2 == 0)
+    programs = (prog, to_multiparty(prog),
+                _ring(2 + seed % 5, rng.choice(["bool", "int", "str"])))
+    for p in programs:
+        for mode in ("plain", "detect"):
+            t = simulate(p, DecisionOracle("seeded-random", seed=seed), 40,
+                         mode=mode)
+            for state in [p.term] + [s.state for s in t.steps]:
+                assert show_collaboration(state) == naive_show(state)
+                for it in par_parts(state):
+                    if not isinstance(it, Session):
+                        continue
+                    logs = par_parts(it.body)
+                    roles = [lg.endpoint.role for lg in logs
+                             if isinstance(lg, Log)
+                             and isinstance(lg.endpoint, MEndpoint)]
+                    for lg in logs:
+                        if not isinstance(lg, Log):
+                            continue
+                        for observer in (None, *roles):
+                            assert barbs(lg.current, observer) == \
+                                naive_barbs(lg.current, observer)
+
+
+def _subterms(p) -> list:
+    out = [p]
+    for q in subprocesses(p):
+        out += _subterms(q)
+    return out
+
+
+def test_a_rendered_process_renders_its_subterms_without_a_walk(
+        monkeypatch):
+    # a step's continuation, branch arm or conditional branch is a subterm
+    # of the process rendered before it: its text is a slice
+    body = parse_process_text(
+        "rec X. x!<1>. x?(v: int). if v == 1 then x<+ l. commit. X "
+        "else x>+{ a: roll, b: y!<v>. abort, c: 0 }")
+    assert parser.render_process(body) == naive_render(body)
+    walked = []
+
+    def counting(pr, out, place, _emit=parser._emit):
+        walked.append(pr)
+        _emit(pr, out, place)
+
+    monkeypatch.setattr(parser, "_emit", counting)
+    subterms = _subterms(body)
+    assert len(subterms) == 12
+    for q in subterms:
+        assert parser.render_process(q) == naive_render(q)
+    assert walked == []
+
+
+def test_the_shadow_retypes_each_distinct_process_once(programs,
+                                                       monkeypatch):
+    prog = programs["producer_consumer"]
+    t = simulate(prog, DecisionOracle("seeded-random", seed=5), 100)
+    assert len(t.steps) == 100
+    retyped = []
+
+    def counting(p, ep, _retype=runtime._retype):
+        retyped.append((process_key(p), ep))
+        return _retype(p, ep)
+
+    monkeypatch.setattr(runtime, "_retype", counting)
+    assert shadow_typecheck(prog, t).ok
+    asked = [(q, lg.endpoint) for s in t.steps for lg in _logs(s.state)
+             for q in (lg.current, lg.ckpt.process)]
+    distinct = {(process_key(q), ep) for q, ep in asked}
+    assert len(retyped) == len(set(retyped)) and set(retyped) == distinct
+    # the protocol's rounds bring back processes as new objects
+    assert len({(id(q), ep) for q, ep in asked}) > len(distinct)
+
+
+def test_a_commit_keys_each_unchanged_log_once(monkeypatch):
+    # role 3 sits on its commit while roles 1 and 2 exchange forever, so
+    # every step asks whether role 4's untouched log differs from its
+    # checkpoint
+    prog = parse_program(
+        "request a[4](x). x?(v: int)@3. 0\n"
+        "| accept a[1](y). rec Y. y!<1>@2. Y\n"
+        "| accept a[2](z). rec Z. z?(v: int)@1. Z\n"
+        "| accept a[3](w). commit. w!<1>@4. 0")
+    asked, keyed = [], []
+
+    def asking(lg, _differs=runtime._log_ckpt_differs):
+        asked.append(lg)
+        return _differs(lg)
+
+    def keying(p, _key=semantics.process_key):
+        keyed.append(p)
+        return _key(p)
+
+    monkeypatch.setattr(runtime, "_log_ckpt_differs", asking)
+    monkeypatch.setattr(semantics, "process_key", keying)
+    for mode in ("plain", "detect"):
+        asked.clear()
+        keyed.clear()
+        t = simulate(prog, DecisionOracle(), 100, mode=mode)
+        assert len(t.steps) == 100
+        logs = {id(lg) for lg in asked}
+        assert len(asked) > len(logs)
+        assert len(keyed) <= 2 * len(logs)
+
+
+def _chain(k):
+    sends = "".join(f"x!<{i}>. " for i in range(k))
+    recvs = "".join(f"y?(v{i}: int). " for i in range(k))
+    return parse_program(f"request a(x). {sends}0 | accept a(y). {recvs}0")
+
+
+def _run_peak() -> int:
+    """tracemalloc peak of a 200-step run of a depth-300 chain, written as
+    a trace and replayed."""
+    prog = _chain(300)
+    tracemalloc.start()
+    try:
+        t = simulate(prog, DecisionOracle(), 200)
+        assert len(t.steps) == 200 and replay(t.to_json()).ok
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_placed_texts_hold_no_more_than_whole_kept_texts(monkeypatch):
+    placed = _run_peak()
+
+    def kept_whole(p):
+        # the plain renderer, its whole text kept on the processes that
+        # logs and endpoints hold
+        text = p.__dict__.get("_shown")
+        if text is None:
+            text = naive_render(p)
+            object.__setattr__(p, "_shown", text)
+        return text
+
+    monkeypatch.setattr(parser, "render_process", kept_whole)
+    assert placed <= 1.10 * _run_peak()
 
 
 def test_max_steps_cuts_off(programs):
