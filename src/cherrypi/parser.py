@@ -782,7 +782,12 @@ def _emit(pr: Process, out: list, place: list) -> None:
         raise MalformedTerm(f"not a process: {pr!r}")
     seg = kept.get("_seg")
     if seg is not None:
-        out.append(_slice(seg))
+        if seg[0] is place:
+            # placed earlier in this render, whose text is not joined yet
+            # (`rec` unfolding puts one node at several places)
+            out.extend(out[seg[1]:seg[2]])
+        else:
+            out.append(_slice(seg))
         return
     start = len(out)
     kind = type(pr)

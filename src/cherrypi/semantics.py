@@ -164,15 +164,9 @@ def _ckpt_differs(ck: CheckpointType, current: SessionTypeT) -> bool:
 
 def _log_ckpt_differs(lg: Log) -> bool:
     """The process-level `_ckpt_differs`: whether a partner's commit imposes
-    on the party that owns `lg`.  The answer is kept on the log, like a
-    session's class: a log a step leaves alone is asked again at every
-    commit of another party."""
-    kept = lg.__dict__
-    found = kept.get("_differs")
-    if found is None:
-        found = kept["_differs"] = lg.ckpt.imposed or \
-            process_key(lg.ckpt.process) != process_key(lg.current)
-    return found
+    on the party that owns `lg`."""
+    return lg.ckpt.imposed or \
+        process_key(lg.ckpt.process) != process_key(lg.current)
 
 
 def _label_text(lab: tuple) -> str:

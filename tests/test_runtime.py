@@ -18,12 +18,13 @@ from cherrypi.runtime import (DecisionOracle, ExploreError, MalformedInput,
                               enumerate_values, evaluate, explore, guard_value,
                               reduction_steps, replay, ReplayReport,
                               shadow_typecheck, simulate)
-from cherrypi import parser, runtime, semantics
+from cherrypi import parser, runtime, syntax
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.semantics import BudgetExceeded, check_rollback_safety
 from cherrypi.syntax import (ChanVar, ComError, Inact, Log, MalformedTerm,
                              MEndpoint, RollError, Session, canonicalize,
-                             par_parts, process_key, subprocesses, term_key)
+                             par_parts, process_key, subprocesses, term_key,
+                             unfold_recursion)
 
 k = ChanVar("k")
 
@@ -228,6 +229,19 @@ def _ring(n, sort):
         lines.append(f"| accept a[{r}](y). rec Y. y?(t: {sort})@{src}."
                      f" y!<t>@{r + 1}. Y")
     return parse_program("\n".join(lines))
+
+
+def _nested_rec(rng):
+    """A `rec` inside a `rec` whose variable occurs twice: unfolding the
+    outer one gives a fresh inner node that stands at both places."""
+    pre = [rng.choice(["", "commit. "]) for _ in range(3)]
+    last = rng.choice(["Z", "roll", "abort"])
+    return parse_program(
+        "fun g(): bool\nfun h(): bool\n"
+        f"request a(x). rec X. {pre[0]}rec Y. x!<1>. "
+        f"x>+{{ a: Y, b: {pre[1]}Y, c: {pre[2]}X }}\n"
+        "| accept a(y). rec Z. y?(v: int). if g() then y<+ a. Z "
+        f"else if h() then y<+ b. Z else y<+ c. {last}")
 
 
 def test_simulate_leaves_the_callers_oracle_alone(programs):
@@ -470,11 +484,13 @@ def test_kept_texts_render_as_fresh_terms(seed, mode):
 @given(st.integers(0, 10 ** 6))
 def test_states_render_and_barb_as_the_references(seed):
     # placed texts and the identity barbs walk against the plain forms,
-    # over safe and unsafe programs, their twins and rings, in both modes
+    # over safe and unsafe programs, their twins, rings and nested recs, in
+    # both modes
     rng = random.Random(seed)
     prog = random_program(rng, safe=seed % 2 == 0)
     programs = (prog, to_multiparty(prog),
-                _ring(2 + seed % 5, rng.choice(["bool", "int", "str"])))
+                _ring(2 + seed % 5, rng.choice(["bool", "int", "str"])),
+                _nested_rec(rng))
     for p in programs:
         for mode in ("plain", "detect"):
             t = simulate(p, DecisionOracle("seeded-random", seed=seed), 40,
@@ -494,6 +510,26 @@ def test_states_render_and_barb_as_the_references(seed):
                         for observer in (None, *roles):
                             assert barbs(lg.current, observer) == \
                                 naive_barbs(lg.current, observer)
+
+
+def test_a_node_met_twice_in_one_render_renders_twice():
+    # after the first send the requester's log holds
+    # `x>+{ a: Y', b: Y', c: X }` with `Y'` a fresh unfolding, reached
+    # twice by the render that places it
+    prog = parse_program(
+        "request a(x). rec X. rec Y. x!<1>. x>+{a: Y, b: Y, c: X}\n"
+        "| accept a(y). rec Z. y?(v: int). y<+ a. Z")
+    for mode in ("plain", "detect"):
+        t = simulate(prog, DecisionOracle("seeded-random", seed=1), 12,
+                     mode=mode)
+        assert len(t.steps) == 12
+        for state in [prog.term] + [s.state for s in t.steps]:
+            assert show_collaboration(state) == naive_show(state)
+        assert replay(t.to_json(), mode).ok
+    unfolded = unfold_recursion(P("rec Y. x!<1>. x>+{ a: Y, b: Y }"))
+    (_, a), (_, b) = unfolded.cont.arms
+    assert a is b
+    assert parser.render_process(unfolded) == naive_render(unfolded)
 
 
 def _subterms(p) -> list:
@@ -555,26 +591,36 @@ def test_a_commit_keys_each_unchanged_log_once(monkeypatch):
         "| accept a[1](y). rec Y. y!<1>@2. Y\n"
         "| accept a[2](z). rec Z. z?(v: int)@1. Z\n"
         "| accept a[3](w). commit. w!<1>@4. 0")
-    asked, keyed = [], []
+    asked, walks = [], []
+    inside = [0]
 
     def asking(lg, _differs=runtime._log_ckpt_differs):
         asked.append(lg)
         return _differs(lg)
 
-    def keying(p, _key=semantics.process_key):
-        keyed.append(p)
-        return _key(p)
+    def walking(t, env, depth, _key=syntax._key):
+        if not inside[0]:  # a walk starts here, not in its recursion
+            walks.append(t)
+        inside[0] += 1
+        try:
+            return _key(t, env, depth)
+        finally:
+            inside[0] -= 1
 
     monkeypatch.setattr(runtime, "_log_ckpt_differs", asking)
-    monkeypatch.setattr(semantics, "process_key", keying)
+    monkeypatch.setattr(syntax, "_key", walking)
     for mode in ("plain", "detect"):
-        asked.clear()
-        keyed.clear()
         t = simulate(prog, DecisionOracle(), 100, mode=mode)
         assert len(t.steps) == 100
         logs = {id(lg) for lg in asked}
         assert len(asked) > len(logs)
-        assert len(keyed) <= 2 * len(logs)
+        # each process a commit asks about is walked once, when first keyed
+        asked_about = {id(q) for lg in asked
+                       for q in (lg.ckpt.process, lg.current)}
+        assert len([w for w in walks if id(w) in asked_about]) <= \
+            len(asked_about) <= 2 * len(logs)
+        asked.clear()
+        walks.clear()
 
 
 def _chain(k):
