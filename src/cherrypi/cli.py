@@ -3,6 +3,9 @@
 Exit codes: 0 success (or a compliant / safe / matching verdict), 1 a
 violation or error verdict, 2 usage, parse, or input errors, 3 exploration
 budget exceeded or input nested too deeply, 4 internal error.
+
+The type-level subcommands `comply` and `graph` load neither `runtime` nor
+`multiparty`: the subcommands that use them import them when they run.
 """
 
 from __future__ import annotations
@@ -13,14 +16,11 @@ import sys
 from pathlib import Path
 
 from .infer import TypingError, infer_collaboration
-from .multiparty import m_infer_collaboration
 from .parser import ParseError, parse_program, parse_type, render_program
-from .runtime import (DecisionOracle, ExploreError, MalformedInput,
-                      OracleExhausted, explore, replay, simulate)
 from .semantics import (BudgetExceeded, InvalidBudget, check_compliance,
                         check_rollback_safety, compliance_dot, dot_graph)
 from .sessiontypes import render_type
-from .syntax import MalformedTerm
+from .syntax import MalformedInput, MalformedTerm
 
 
 def _read(path: str) -> str:
@@ -73,8 +73,11 @@ def _dq(s: str) -> str:
 
 def cmd_infer(args) -> int:
     program = _load_program(args.file)
-    assoc = (m_infer_collaboration(program.term) if program.multiparty
-             else infer_collaboration(program.term))
+    if program.multiparty:
+        from .multiparty import m_infer_collaboration
+        assoc = m_infer_collaboration(program.term)
+    else:
+        assoc = infer_collaboration(program.term)
     rendered = {name: render_type(t) for name, t in assoc.items()}
     _emit(args, rendered, [f"{k}: {v}" for k, v in rendered.items()])
     return 0
@@ -113,7 +116,8 @@ def cmd_comply(args) -> int:
     return 0 if report.compliant else 1
 
 
-def _oracle_from(args) -> DecisionOracle:
+def _oracle_from(args):
+    from .runtime import DecisionOracle
     if args.script is not None:
         script = json.loads(_read(args.script))
         return DecisionOracle("scripted", script)
@@ -123,6 +127,7 @@ def _oracle_from(args) -> DecisionOracle:
 
 
 def cmd_run(args) -> int:
+    from .runtime import simulate
     program = _load_program(args.file)
     oracle = _oracle_from(args)
     trace = simulate(program, oracle, max_steps=args.max_steps,
@@ -141,6 +146,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    from .runtime import explore
     program = _load_program(args.file)
     report = explore(program, depth=args.depth, mode=args.error_mode,
                      budget=args.budget)
@@ -183,6 +189,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .runtime import replay
     trace_json = json.loads(_read(args.trace))
     program = _load_program(args.program) if args.program else None
     report = replay(trace_json, mode=args.error_mode, program=program)
@@ -274,6 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _input_errors() -> tuple:
+    """The exceptions reported as input errors (exit 2).  The runtime's
+    own are raised only after a subcommand has loaded it."""
+    runtime = sys.modules.get(f"{__package__}.runtime")
+    return (ParseError, TypingError, MalformedTerm, MalformedInput,
+            InvalidBudget, OSError, json.JSONDecodeError) + (
+        () if runtime is None
+        else (runtime.OracleExhausted, runtime.ExploreError))
+
+
 def main(argv: list | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -284,9 +301,7 @@ def main(argv: list | None = None) -> int:
               f"expanding BFS layer {e.depth}, which held "
               f"{_states(e.frontier)})", file=sys.stderr)
         return 3
-    except (ParseError, TypingError, OracleExhausted, ExploreError,
-            MalformedTerm, MalformedInput, InvalidBudget, OSError,
-            json.JSONDecodeError) as e:
+    except _input_errors() as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

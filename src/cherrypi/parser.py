@@ -4,18 +4,29 @@ Program files (.chpi) hold uninterpreted-function declarations followed by a
 collaboration; type files (.chty) hold a single session type.  Both share one
 tokenizer.  `render_program`/`render_type` emit source that parses back to an
 equivalent term.
+
+`tokenize` reads the whole text before either parser runs, so a lexical
+error wins over a syntax error earlier in the text.  Its per-token work
+runs in C: one `findall` gives (blanks and comments, token) pairs, a dict
+lookup gives each token's kind (keywords and symbols by text, the rest by
+first character) and running sums of the pair lengths give the offsets.
+`parse_program` then checks each endpoint body in one walk
+(`_check_endpoint`).  That walk keeps nothing on the nodes: the free-name
+cache `_fv` is filled by the runtime on first use.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
+from string import ascii_letters, digits
 from typing import NamedTuple
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, Endpoint, If, Inact, Lit, MEndpoint, Par, PVar,
                      Process, Rec, Recv, Request, Roll, Select, Send, Session,
-                     Log, RollError, ComError, Ufun, Var, free_names, par,
+                     Log, RollError, ComError, Ufun, Var, par,
                      par_parts, record, subprocesses, SORTS, MalformedTerm)
 from . import sessiontypes as st
 
@@ -25,22 +36,28 @@ KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
 
 # a string body: escapes are \" \\ and \n
 _STRING_BODY = r'[^"\\]*(?:\\["\\n][^"\\]*)*'
-# One match is the blanks and comments before a token, then the token.
-# Alternatives are tried in order: two-character symbols win over their
-# one-character prefixes, `word` takes a run of word characters that starts
-# with neither an ASCII letter, `_` nor a decimal digit, and `bad` takes any
-# other character, so every match ends in a token or at the end of the text.
+# One match is the blanks and comments before a token, then the token, so
+# `findall` gives (skipped, token) pairs.  A token is a symbol that starts
+# no longer one, a run of decimal digits, a run of word characters, any
+# other symbol (two-character symbols win over their one-character
+# prefixes), a string, the empty token at the end of the text, or any other
+# character, so every match ends in a token or at the end of the text.
 _TOKEN = re.compile(r"""
-    (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
-    (?: (?P<ident>[A-Za-z_]\w*)
-      | (?P<sym><\+|>\+|\+\+|&&|\|\||==|[!?<>(){}\[\]:.,|@;+])
-      | (?P<int>\d+)
-      | (?P<string>"%s")
-      | (?P<word>\w+)
-      | (?P<eof>\Z)
-      | (?P<bad>.) )""" % _STRING_BODY, re.VERBOSE | re.DOTALL)
+    ( [ \t\r\n]* (?: (?: //[^\n]* | /\*.*?\*/ ) [ \t\r\n]* )* )
+    ( [!?(){}\[\]:.,@;] | \d+ | \w+ | <\+|>\+|\+\+|&&|\|\||==|[<>|+]
+    | "%s" | \Z | . )""" % _STRING_BODY, re.VERBOSE | re.DOTALL)
 _STRING_REST = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
+_SYMBOLS = "<+ >+ ++ && || == ! ? < > ( ) { } [ ] : . , | @ ; +".split()
+# A token's kind: a keyword's or a symbol's from its text (a lone `"`
+# starts no string) ...
+_KIND = (dict.fromkeys(KEYWORDS, "kw") | dict(zip(_SYMBOLS, _SYMBOLS))
+         | {'"': None})
+# ... any other token's from its first character, here if that is ASCII
+_FIRST = (dict.fromkeys(ascii_letters + "_", "ident")
+          | dict.fromkeys(digits, "int") | {'"': "string"})
+_FIRST_CHAR, _SECOND = itemgetter(0), itemgetter(1)
+_new = tuple.__new__  # a Token without the Python-level __new__
 
 
 class Token(NamedTuple):
@@ -89,41 +106,52 @@ def _lex_error(src: str, i: int) -> ParseError:
     return _diag(src, i, i + 1, f"unexpected character {src[i]!r}")
 
 
+def _kind_by_first(text: str) -> str | None:
+    """The kind of a token that neither `_KIND` nor `_FIRST` gives: one
+    that starts with a non-ASCII character, or a character that starts no
+    token (None)."""
+    c = text[0]
+    return "int" if c.isdecimal() else "ident" if c.isalpha() else None
+
+
 def tokenize(src: str) -> list:
     """The tokens of `src`.  Integers are runs of decimal digits (what
     `int()` reads); an identifier starts with a letter or `_` and goes on
     with letters, digits and `_`.  A string that a final backslash cuts
     off is unterminated.  The list ends in three `eof` tokens, so the
-    cursor looks two tokens ahead by plain indexing."""
-    toks: list = []
-    append = toks.append
-    new = tuple.__new__  # a Token without the Python-level __new__
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        text = m[kind]
-        end = m.end()
-        start = end - len(text)
-        if kind == "sym":
-            kind = text
-        elif kind == "ident":
-            if text in KEYWORDS:
-                kind = "kw"
-        elif kind == "string":
-            text = text[1:-1]
-            if "\\" in text:
-                text = _ESCAPE.sub(_unescape, text)
-        elif kind == "word":
-            if not text[0].isalpha():
-                raise _diag(src, start, start + 1,
-                            f"unexpected character {text[0]!r}")
-            kind = "ident"
-        elif kind == "eof":
-            eof = new(Token, ("eof", "", end, end))
-            toks += (eof, eof, eof)
-            return toks
-        elif kind == "bad":
-            raise _lex_error(src, start)
-        append(new(Token, (kind, text, start, end)))
+    cursor looks two tokens ahead by plain indexing.
+
+    The per-token work runs in C: one `findall`, dict lookups for the
+    kinds, `accumulate` over the pair lengths for the offsets and `map`
+    over `zip` for the tokens.  Python steps are taken only for strings,
+    for tokens that start with a non-ASCII character and for the first
+    character that starts no token, whose diagnostic is raised before any
+    parsing, so it wins over a syntax error earlier in the text."""
+    pairs = _TOKEN.findall(src)
+    # the end of the text gives an empty token, twice after trailing blanks
+    while pairs and not pairs[-1][1]:
+        pairs.pop()
+    offsets = list(accumulate(map(len, chain.from_iterable(pairs))))
+    texts = list(map(_SECOND, pairs))
+    kinds = list(map(_KIND.get, texts,
+                     map(_FIRST.get, map(_FIRST_CHAR, texts))))
+    if None in kinds:
+        i = -1
+        for _ in range(kinds.count(None)):
+            i = kinds.index(None, i + 1)
+            kinds[i] = _kind_by_first(texts[i])
+            if kinds[i] is None:
+                raise _lex_error(src, offsets[2 * i])
+    if "string" in kinds:
+        i = -1
+        for _ in range(kinds.count("string")):
+            i = kinds.index("string", i + 1)
+            text = texts[i][1:-1]
+            texts[i] = _ESCAPE.sub(_unescape, text) if "\\" in text else text
+    eof = _new(Token, ("eof", "", len(src), len(src)))
+    return [*map(_new, repeat(Token),
+                 zip(kinds, texts, offsets[0::2], offsets[1::2])),
+            eof, eof, eof]
 
 
 @record(frozen=True)
@@ -459,57 +487,89 @@ class _ProgParser:
 
 # -- static well-formedness checks ------------------------------------------
 
-def _check_contractive(p: _P, body: Process, where: Token):
-    def go(t: Process, pending: frozenset):
-        if isinstance(t, PVar) and t.name in pending:
-            raise _diag(p.src, where.start, where.end,
-                        f"unguarded recursion on {t.name!r}")
-        if isinstance(t, Rec):
-            pending = pending | {t.var}
-        elif not isinstance(t, If):  # a conditional is no guard
-            pending = frozenset()
-        for q in subprocesses(t):
-            go(q, pending)
-
-    go(body, frozenset())
+_NO_NAMES: frozenset = frozenset()
 
 
-def _check_rebinding(p: _P, body: Process, session_var: str, where: Token):
-    """Reject shadowing: rebinding a value/process variable inside its own
-    scope keeps substitution and trace reading unambiguous."""
+def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
+    """Reject an endpoint body that recurses unguarded, rebinds a value or
+    recursion variable inside its own scope (which keeps substitution and
+    trace reading unambiguous) or uses a name nothing binds.  One walk in
+    source order carries the recursion variables no prefix guards yet
+    (a conditional is no guard) and the bound values and recursion
+    variables.  The first unguarded recursion is reported at once; else
+    the first rebinding; else the alphabetically first unbound value,
+    recursion or session variable.  Every offence is reported at `where`,
+    the endpoint's first token.  The walk follows each continuation in a
+    loop and recurses only into conditional and branch arms."""
+    rebound = None  # the first rebinding's message
+    free_vals: set = set()
+    free_recs: set = set()
+    free_chans: set = set()
 
-    def go(t: Process, vals: frozenset, procs: frozenset):
-        match t:
-            case Recv(_, y):
-                if y in vals or y == session_var:
+    def expr_vars(e, vals: frozenset):
+        kind = type(e)
+        if kind is Var:
+            if e.name not in vals:
+                free_vals.add(e.name)
+        elif kind is Call or kind is Ufun:
+            for a in e.args:
+                expr_vars(a, vals)
+
+    def walk(t: Process, pending: frozenset, vals: frozenset,
+             recs: frozenset):
+        nonlocal rebound
+        while True:
+            kind = type(t)
+            if kind is If:
+                expr_vars(t.cond, vals)
+                walk(t.then, pending, vals, recs)
+                t = t.orelse
+                continue
+            if kind is Rec:
+                x = t.var
+                if x in recs and rebound is None:
+                    rebound = (f"recursion variable {x!r} rebound inside "
+                               f"its own scope")
+                pending, recs = pending | {x}, recs | {x}
+                t = t.body
+                continue
+            if kind is PVar:
+                if t.name in pending:
                     raise _diag(p.src, where.start, where.end,
-                                f"variable {y!r} rebound inside its own "
-                                f"scope")
+                                f"unguarded recursion on {t.name!r}")
+                if t.name not in recs:
+                    free_recs.add(t.name)
+                return
+            pending = _NO_NAMES
+            if kind is Commit:
+                t = t.cont
+                continue
+            if kind not in (Send, Recv, Select, Branch):
+                return  # 0, roll, abort
+            if t.chan.name != session_var:
+                free_chans.add(t.chan.name)
+            if kind is Branch:
+                for _, arm in t.arms:
+                    walk(arm, pending, vals, recs)
+                return
+            if kind is Send:
+                expr_vars(t.expr, vals)
+            elif kind is Recv:
+                y = t.var
+                if (y in vals or y == session_var) and rebound is None:
+                    rebound = f"variable {y!r} rebound inside its own scope"
                 vals = vals | {y}
-            case Rec(x):
-                if x in procs:
-                    raise _diag(p.src, where.start, where.end,
-                                f"recursion variable {x!r} rebound inside "
-                                f"its own scope")
-                procs = procs | {x}
-        for q in subprocesses(t):
-            go(q, vals, procs)
+            t = t.cont
 
-    go(body, frozenset(), frozenset())
-
-
-def _check_closed_body(p: _P, body: Process, session_var: str, where: Token):
-    vs, xs, cs = free_names(body)
-    if vs:
-        raise _diag(p.src, where.start, where.end,
-                    f"unbound variable {sorted(vs)[0]!r}")
-    if xs:
-        raise _diag(p.src, where.start, where.end,
-                    f"unbound recursion variable {sorted(xs)[0]!r}")
-    extra = cs - {session_var}
-    if extra:
-        raise _diag(p.src, where.start, where.end,
-                    f"unbound session variable {sorted(extra)[0]!r}")
+    walk(body, _NO_NAMES, _NO_NAMES, _NO_NAMES)
+    if rebound is not None:
+        raise _diag(p.src, where.start, where.end, rebound)
+    for names, what in ((free_vals, "variable"),
+                        (free_recs, "recursion variable"),
+                        (free_chans, "session variable")):
+        if names:
+            raise _diag(p.src, where.start, where.end,
+                        f"unbound {what} {min(names)!r}")
 
 
 def parse_program(src: str) -> SourceProgram:
@@ -532,9 +592,7 @@ def parse_program(src: str) -> SourceProgram:
     for part, tok in zip(par_parts(term), pp.heads):
         if part.role is not None:
             multiparty = True
-        _check_contractive(p, part.body, tok)
-        _check_rebinding(p, part.body, part.var, tok)
-        _check_closed_body(p, part.body, part.var, tok)
+        _check_endpoint(p, part.body, part.var, tok)
     if multiparty:
         for part in par_parts(term):
             if part.role is None:

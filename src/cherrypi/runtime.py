@@ -31,10 +31,10 @@ from operator import itemgetter
 
 from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
-                     MalformedTerm, MEndpoint, Process, Recv, Request, Roll,
-                     RollError, Select, Send, Session, Ufun, Var, head_normal,
-                     par, par_parts, process_key, record, substitute,
-                     term_rep)
+                     MalformedInput, MalformedTerm, MEndpoint, Process, Recv,
+                     Request, Roll, RollError, Select, Send, Session, Ufun,
+                     Var, head_normal, par, par_parts, process_key, record,
+                     substitute, term_rep)
 from .sessiontypes import TErr, canonical_type, fill_roles, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
@@ -51,12 +51,6 @@ class OracleExhausted(Exception):
 
 class ExploreError(Exception):
     pass
-
-
-class MalformedInput(ValueError):
-    """A decision script or trace file that is not of the documented shape:
-    a script maps function names to lists of values, a trace is what
-    `Trace.to_json` writes."""
 
 
 def _check_values(draws, what: str) -> None:

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
-                           render_type, type_key)
+                           _render, type_key)
 from .syntax import Log, process_key, record
 
 DEFAULT_BUDGET = 10 ** 6
@@ -371,13 +371,15 @@ class Violation:
     path: list  # `reachable_system` steps from the initial state
 
 
-def _describe(cfg: TypeConfiguration, roles: bool) -> dict:
+def _describe(cfg: TypeConfiguration, roles: bool, memo: dict) -> dict:
+    """Per party: checkpoint, imposed flag and current, each type rendered
+    through `memo` (see `sessiontypes._render`)."""
     n = len(cfg.currents)
     return {
         f"role{role_of_position(i, n)}" if roles else f"party{i + 1}": {
-            "checkpoint": render_type(cfg.ckpts[i].typ),
+            "checkpoint": _render(cfg.ckpts[i].typ, memo),
             "imposed": cfg.ckpts[i].imposed,
-            "current": render_type(cfg.currents[i]),
+            "current": _render(cfg.currents[i], memo),
         }
         for i in range(n)
     }
@@ -385,7 +387,7 @@ def _describe(cfg: TypeConfiguration, roles: bool) -> dict:
 
 def describe_configuration(cfg: TypeConfiguration) -> dict:
     """Per party, `party1` first: checkpoint, imposed flag and current."""
-    return _describe(cfg, False)
+    return _describe(cfg, False, {})
 
 
 @record
@@ -399,13 +401,16 @@ class ComplianceReport:
 
     def to_json(self) -> dict:
         prefix = "M-" if self.roles else ""
+        # the violating configurations share most of their types' nodes,
+        # so each node is rendered once per call
+        memo: dict = {}
         return {
             "verdict": "compliant" if self.compliant else "violating",
             "states": len(self.system.states),
             "edges": len(self.system.edges),
             "violations": [
                 {
-                    "terminal": _describe(v.config, self.roles),
+                    "terminal": _describe(v.config, self.roles, memo),
                     "state": v.state,
                     "path": [prefix + step[2] for step in v.path],
                 }

@@ -294,35 +294,50 @@ def type_key(t: SessionTypeT) -> int:
 
 def render_type(t: SessionTypeT) -> str:
     """Concrete syntax for a type, re-parsable by the type parser."""
+    return _render(t, None)
+
+
+def _render(t: SessionTypeT, memo: dict | None) -> str:
+    """`render_type(t)`.  With a `memo` (node id -> text), each node is
+    rendered once per memo; ids are only safe while the caller keeps the
+    nodes alive, so a memo lives for one call."""
+    if memo is not None:
+        text = memo.get(id(t))
+        if text is not None:
+            return text
     match t:
         case TOut(s, c, a, b):
-            return f"!{_roles_tag(a, b)}[{s}]. {render_type(c)}"
+            text = f"!{_roles_tag(a, b)}[{s}]. {_render(c, memo)}"
         case TIn(s, c, a, b):
-            return f"?{_roles_tag(a, b)}[{s}]. {render_type(c)}"
+            text = f"?{_roles_tag(a, b)}[{s}]. {_render(c, memo)}"
         case TSel(l, c, a, b):
-            return f"sel{_roles_tag(a, b)}[{l}]. {render_type(c)}"
+            text = f"sel{_roles_tag(a, b)}[{l}]. {_render(c, memo)}"
         case TBrn(arms, a, b):
-            inner = "; ".join(f"{l}: {render_type(c)}" for l, c in arms)
-            return f"brn{_roles_tag(a, b)}[{inner}]"
+            inner = "; ".join(f"{l}: {_render(c, memo)}" for l, c in arms)
+            text = f"brn{_roles_tag(a, b)}[{inner}]"
         case TPlus(l, r):
-            ls = render_type(l)
+            ls = _render(l, memo)
             # a prefix/mu/cmt left operand extends rightward and would
             # swallow the (+) on re-parse; close it off explicitly
             if isinstance(l, (TOut, TIn, TSel, TCmt, TMu)):
                 ls = f"({ls})"
-            return f"({ls} (+) {render_type(r)})"
+            text = f"({ls} (+) {_render(r, memo)})"
         case TVarT(v):
-            return v
+            text = v
         case TMu(v, body):
-            return f"mu {v}. {render_type(body)}"
+            text = f"mu {v}. {_render(body, memo)}"
         case TEnd():
-            return "end"
+            text = "end"
         case TErr():
-            return "err"
+            text = "err"
         case TCmt(c):
-            return f"cmt. {render_type(c)}"
+            text = f"cmt. {_render(c, memo)}"
         case TRollT():
-            return "roll"
+            text = "roll"
         case TAbtT():
-            return "abt"
-    raise MalformedTerm(f"not a session type: {t!r}")
+            text = "abt"
+        case _:
+            raise MalformedTerm(f"not a session type: {t!r}")
+    if memo is not None:
+        memo[id(t)] = text
+    return text

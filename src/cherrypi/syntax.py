@@ -48,6 +48,12 @@ class MalformedTerm(Exception):
     unbound variable, substitution kind mismatch, ...)."""
 
 
+class MalformedInput(ValueError):
+    """An input file that is not of the documented shape: text that is not
+    UTF-8, a decision script that does not map function names to lists of
+    values, a trace that is not what `runtime.Trace.to_json` writes."""
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -419,14 +425,6 @@ def _names(t) -> frozenset:
     return names
 
 
-def free_names(term) -> tuple[frozenset, frozenset, frozenset]:
-    """Free (value vars, process vars, session vars) of a process or
-    collaboration."""
-    names = _names(term)
-    return tuple(frozenset(n for k, n in names if k == kind)
-                 for kind in "vxc")
-
-
 # ---------------------------------------------------------------------------
 # substitution
 # ---------------------------------------------------------------------------
@@ -506,9 +504,14 @@ def _fresh(base: str, used: set) -> str:
     return f"{base}_{i}"
 
 
+def _proc_vars(p: Process) -> set:
+    """The free process variables of `p`."""
+    return {n for k, n in _names(p) if k == "x"}
+
+
 def _subst_proc(p: Process, name: str, q: Process) -> Process:
     free = ("x", name)
-    _, q_free, _ = free_names(q)
+    q_free = _proc_vars(q)
 
     def go(p):
         if free not in _names(p):  # absent or shadowed
@@ -518,8 +521,7 @@ def _subst_proc(p: Process, name: str, q: Process) -> Process:
                 return q
             case Rec(x, body) if x in q_free:
                 # capture: rename the binder first
-                _, body_free, _ = free_names(body)
-                x2 = _fresh(x, set(q_free) | set(body_free) | {name})
+                x2 = _fresh(x, q_free | _proc_vars(body) | {name})
                 return Rec(x2, go(_subst_proc(body, x, PVar(x2))))
         return _map_proc(p, go)
 

@@ -9,19 +9,25 @@ shares work between states, so it steps and keys whole states with the
 production stepper and key instead.  `naive_show` and `naive_barbs` are
 the plain forms of a renderer and a barbs walk that keep work on the
 nodes: the first builds every text afresh, the second tells visited
-processes apart by their keys, not by identity.
+processes apart by their keys, not by identity.  `naive_tokenize` and
+`naive_endpoint_check` are the lexer that matches one token at a time and
+the three separate walks that checked an endpoint's body, against which
+the parser's one `findall` and one walk are compared.
 """
 
 from __future__ import annotations
 
-from cherrypi.parser import render_expr, show_chan
+import re
+
+from cherrypi.parser import (KEYWORDS, Token, _diag, _lex_error, render_expr,
+                             show_chan)
 from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
                              ComError, Commit, Endpoint, If, Inact, Lit, Log,
                              Par, PVar, Rec, Recv, Request, Roll, RollError,
-                             Select, Send, Session, Ufun, canonicalize,
-                             head_normal, par, par_parts, process_canonical,
-                             process_key, substitute, term_key,
-                             unfold_recursion)
+                             Select, Send, Session, Ufun, _names,
+                             canonicalize, head_normal, par, par_parts,
+                             process_canonical, process_key, subprocesses,
+                             substitute, term_key, unfold_recursion)
 from cherrypi.runtime import (ExplorationReport, ExploreEntry, classify_state,
                               guard_value, reduction_steps)
 from cherrypi.semantics import TransitionSystem
@@ -472,3 +478,104 @@ def naive_barbs(p, observer=None):
             case Abort():
                 found.add(("abt",))
     return frozenset(found)
+
+
+# ---------------------------------------------------------------------------
+# lexer and endpoint-check references
+# ---------------------------------------------------------------------------
+
+# a string body: escapes are \" \\ and \n
+_STRING_BODY = r'[^"\\]*(?:\\["\\n][^"\\]*)*'
+_NAIVE_TOKEN = re.compile(r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
+    (?: (?P<ident>[A-Za-z_]\w*)
+      | (?P<sym><\+|>\+|\+\+|&&|\|\||==|[!?<>(){}\[\]:.,|@;+])
+      | (?P<int>\d+)
+      | (?P<string>"%s")
+      | (?P<word>\w+)
+      | (?P<eof>\Z)
+      | (?P<bad>.) )""" % _STRING_BODY, re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)")
+
+
+def naive_tokenize(src):
+    """The tokens of `src`, one match and one Python step per token, each
+    kind from the alternative that matched."""
+    toks = []
+    for m in _NAIVE_TOKEN.finditer(src):
+        kind = m.lastgroup
+        text = m[kind]
+        end = m.end()
+        start = end - len(text)
+        if kind == "sym":
+            kind = text
+        elif kind == "ident":
+            if text in KEYWORDS:
+                kind = "kw"
+        elif kind == "string":
+            text = _ESCAPE.sub(
+                lambda e: "\n" if e[1] == "n" else e[1], text[1:-1])
+        elif kind == "word":
+            if not text[0].isalpha():
+                raise _diag(src, start, start + 1,
+                            f"unexpected character {text[0]!r}")
+            kind = "ident"
+        elif kind == "eof":
+            return toks + [Token("eof", "", end, end)] * 3
+        elif kind == "bad":
+            raise _lex_error(src, start)
+        toks.append(Token(kind, text, start, end))
+
+
+def free_names(term):
+    """Free (value vars, process vars, session vars) of a process or
+    collaboration."""
+    names = _names(term)
+    return tuple(frozenset(n for k, n in names if k == kind)
+                 for kind in "vxc")
+
+
+def naive_endpoint_check(src, body, session_var, where):
+    """An endpoint body's static checks as three walks, each raising at
+    `where`: unguarded recursion, then rebinding, then unbound names."""
+    def contractive(t, pending):
+        if isinstance(t, PVar) and t.name in pending:
+            raise _diag(src, where.start, where.end,
+                        f"unguarded recursion on {t.name!r}")
+        if isinstance(t, Rec):
+            pending = pending | {t.var}
+        elif not isinstance(t, If):  # a conditional is no guard
+            pending = frozenset()
+        for q in subprocesses(t):
+            contractive(q, pending)
+
+    def rebinding(t, vals, procs):
+        match t:
+            case Recv(_, y):
+                if y in vals or y == session_var:
+                    raise _diag(src, where.start, where.end,
+                                f"variable {y!r} rebound inside its own "
+                                f"scope")
+                vals = vals | {y}
+            case Rec(x):
+                if x in procs:
+                    raise _diag(src, where.start, where.end,
+                                f"recursion variable {x!r} rebound inside "
+                                f"its own scope")
+                procs = procs | {x}
+        for q in subprocesses(t):
+            rebinding(q, vals, procs)
+
+    contractive(body, frozenset())
+    rebinding(body, frozenset(), frozenset())
+    vs, xs, cs = free_names(body)
+    if vs:
+        raise _diag(src, where.start, where.end,
+                    f"unbound variable {sorted(vs)[0]!r}")
+    if xs:
+        raise _diag(src, where.start, where.end,
+                    f"unbound recursion variable {sorted(xs)[0]!r}")
+    extra = cs - {session_var}
+    if extra:
+        raise _diag(src, where.start, where.end,
+                    f"unbound session variable {sorted(extra)[0]!r}")

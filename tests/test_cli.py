@@ -9,9 +9,14 @@ too deeply / 4 internal error).
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cherrypi
 from cherrypi import corpus_dir
 from cherrypi.cli import main
 from cherrypi.syntax import par_parts
@@ -223,6 +228,26 @@ def test_replay_of_an_underfunded_transcript_diverges(tmp_path):
     assert (code, err) == (1, "")
     assert out.startswith("replay diverged: step ")
     assert "script has no value for call #" in out
+
+
+# ---------------------------------------------------------------- imports
+
+@pytest.mark.parametrize("command", ["comply", "graph"])
+def test_type_level_subcommands_load_no_runtime(command):
+    """In a fresh interpreter, `comply` and `graph` leave `runtime` and
+    `multiparty` unloaded."""
+    argv = [command, str(CORPUS / "consumer.chty"),
+            str(CORPUS / "producer.chty")]
+    script = ("import sys\n"
+              "from cherrypi import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(code, [m for m in ('cherrypi.runtime', "
+              "'cherrypi.multiparty') if m in sys.modules])\n")
+    src = str(Path(cherrypi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 # ---------------------------------------------------------------- graph / explore

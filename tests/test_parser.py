@@ -1,18 +1,23 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprog import random_program, random_type
 from conftest import ALL_PROGRAMS
-from cherrypi import corpus_dir
+from oracle_naive import naive_endpoint_check, naive_tokenize
+from cherrypi import corpus_dir, parser
 from cherrypi.multiparty import to_multiparty
-from cherrypi.parser import (ParseError, parse_expression_text,
-                             parse_process_text, parse_program, parse_type,
-                             render_program, render_type)
+from cherrypi.parser import (ParseError, SourceProgram, Token, _TOKEN,
+                             parse_expression_text, parse_process_text,
+                             parse_program, parse_type, render_program,
+                             render_type, tokenize)
 from cherrypi.sessiontypes import TBrn, TIn, TMu, TOut, canonical_type
-from cherrypi.syntax import Call, Lit, Recv, Send, Ufun, canonicalize
+from cherrypi.syntax import (Call, ChanVar, If, Lit, PVar, Rec, Recv, Send,
+                             Ufun, Var, _map_proc, canonicalize, par,
+                             par_parts, subprocesses)
 
 
 # -- programs ---------------------------------------------------------------
@@ -283,9 +288,11 @@ def test_identifiers_start_with_a_letter_and_continue_alphanumeric():
 
 # -- the parsers raise nothing but ParseError --------------------------------
 
+_CORPUS_TEXTS = [p.read_text() for p in sorted(corpus_dir().glob("*.ch*"))]
+
+
 def _texts():
-    corpus = corpus_dir()
-    texts = [p.read_text() for p in sorted(corpus.glob("*.ch*"))]
+    texts = list(_CORPUS_TEXTS)
     for seed in range(6):
         prog = random_program(random.Random(seed), safe=seed % 2 == 0)
         texts += [render_program(prog), render_program(to_multiparty(prog)),
@@ -334,3 +341,236 @@ def test_parsers_raise_only_parse_errors_on_any_text(src):
 @given(_mutants())
 def test_parsers_raise_only_parse_errors_on_mutated_texts(src):
     _parses_or_rejects(src)
+
+
+# -- the lexer against the reference lexer -----------------------------------
+# `tokenize` runs its per-token work in C; `oracle_naive.naive_tokenize` is
+# the lexer that takes one match and one Python step per token.  Both must
+# give the same tokens, or the same diagnostic, on every text.
+
+def _lexed(lex, src):
+    try:
+        return [tuple(t) for t in lex(src)]
+    except ParseError as e:
+        return e.diagnostic
+
+
+def _parsed(src):
+    """Each parser's diagnostic on `src`, or None where it parses."""
+    out = []
+    for parse in (parse_program, parse_type):
+        try:
+            parse(src)
+            out.append(None)
+        except ParseError as e:
+            out.append(e.diagnostic)
+    return out
+
+
+def _agrees_with_reference_lexer(src):
+    assert _lexed(tokenize, src) == _lexed(naive_tokenize, src)
+    with mock.patch.object(parser, "tokenize", naive_tokenize):
+        want = _parsed(src)
+    assert _parsed(src) == want
+
+
+@pytest.mark.parametrize("src", [
+    "", "  ", "end", "end  \n\t", "mu t. ![int]. t // note", "/* a */ end",
+    "end /* a */ /* b */\n", 'request a(x). x!<"a\\"b\\n\\\\">. 0',
+    "١٢", "x١٢ ١٢x", "ǅx", "é²", "_", "12abc", "a\rb", "x<+l >+{ ++ || &&",
+    "²", '"ab', '"a\\qb"', '"ab\\', "/* x", "\x00", "a #", "x = y", "&",
+    "request ) a(x). ²", "![int]. end\r\n$", "a\u00a0b", "五 ½",
+])
+def test_tokens_and_diagnostics_match_the_reference_lexer(src):
+    _agrees_with_reference_lexer(src)
+
+
+def test_findall_gives_the_end_of_the_text_twice_after_trailing_blanks():
+    # the match at the end has an empty token; after a match that ends in
+    # blanks `findall` finds it again, so the lexer drops both
+    assert _TOKEN.findall("end") == [("", "end"), ("", "")]
+    assert _TOKEN.findall("end \n") == [("", "end"), (" \n", ""), ("", "")]
+    assert tokenize("end \n") == [Token("kw", "end", 0, 3)] + \
+        [Token("eof", "", 5, 5)] * 3
+
+
+def test_non_ascii_decimal_digits_are_an_integer():
+    # `\d` matches every decimal digit, not just ASCII ones, and `int()`
+    # reads them; a digit that is not decimal starts no token
+    assert re.fullmatch(r"\d+", "١٢")
+    assert tokenize("١٢")[0] == Token("int", "١٢", 0, 2)
+    assert parse_expression_text("١٢") == Lit(12)
+    with pytest.raises(ParseError, match="unexpected character '²'"):
+        tokenize("1²")
+
+
+def test_lexical_error_wins_over_an_earlier_syntax_error():
+    with pytest.raises(ParseError) as ei:
+        parse_program("request ) a(x). x!<1>. 0 | accept a(y). 0 #")
+    assert ei.value.diagnostic.message == "unexpected character '#'"
+
+
+# what the mutations put in: the lexical rules' edge characters
+_LEX_PIECES = ("²", "١٢", "ǅ", '"', '"ab', '"a\\qb"', "\\q", "\\", "/*",
+               "/* c", "*/", "//", "\r", "\r\n", "\x00", " ", "\n")
+
+
+@st.composite
+def _lex_mutants(draw):
+    """A corpus text, a generated program or a rendered generated type, with
+    up to three pieces put in and blanks maybe appended."""
+    seed = draw(st.integers(0, 10 ** 6))
+    kind = draw(st.sampled_from(("corpus", "program", "n-role", "type")))
+    if kind == "corpus":
+        src = draw(st.sampled_from(_CORPUS_TEXTS))
+    elif kind == "type":
+        src = render_type(random_type(random.Random(seed)))
+    else:
+        prog = random_program(random.Random(seed), safe=seed % 2 == 0)
+        src = render_program(to_multiparty(prog) if kind == "n-role"
+                             else prog)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(src)))
+        piece = draw(st.sampled_from(_LEX_PIECES) | st.characters())
+        src = src[:i] + piece + src[i + draw(st.integers(0, 1)):]
+    return src + draw(st.sampled_from(("", " ", "\n", " \t\r\n ")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lex_mutants())
+def test_lexer_matches_the_reference_lexer_on_mutated_texts(src):
+    _agrees_with_reference_lexer(src)
+
+
+# -- the endpoint check against the three walks it replaces ------------------
+# `parse_program` checks each endpoint body in one walk;
+# `oracle_naive.naive_endpoint_check` is the three walks it replaces.  Faults
+# put into generated programs must draw the same diagnostic from both.
+
+def _unguarded(p, chan, rng):
+    x = rng.choice(("X", "Y", "U"))
+    return Rec(x, If(Lit(True), PVar(x), p) if rng.random() < 0.5
+               else PVar(x))
+
+
+def _rebound_value(p, chan, rng):
+    return Recv(ChanVar(chan), rng.choice(("v1", "v2", "w", "x", "y")),
+                "int", p)
+
+
+def _rebound_recursion(p, chan, rng):
+    return Rec(rng.choice(("X", "Y", "U")), p)
+
+
+def _unbound_value(p, chan, rng):
+    e = Var(rng.choice(("v1", "v2", "w", "zz")))
+    if rng.random() < 0.5:
+        return Send(ChanVar(chan), e, p)
+    return If(Call("eq", (e, Lit(1))), p, p)
+
+
+def _unbound_recursion(p, chan, rng):
+    return PVar(rng.choice(("X", "Y", "Q")))
+
+
+def _unbound_session(p, chan, rng):
+    return Send(ChanVar(rng.choice(("x", "y", "q"))), Lit(1), p)
+
+
+_FAULTS = (_unguarded, _rebound_value, _rebound_recursion, _unbound_value,
+           _unbound_recursion, _unbound_session)
+
+
+def _size(p):
+    return 1 + sum(map(_size, subprocesses(p)))
+
+
+def _with_faults(rng, body, chan, count):
+    """`body` with `count` faults put in at nodes drawn in pre-order."""
+    spots = set(rng.sample(range(_size(body)), min(count, _size(body))))
+    at = [0]
+
+    def go(p):
+        i = at[0]
+        at[0] += 1
+        q = _map_proc(p, go)
+        return rng.choice(_FAULTS)(q, chan, rng) if i in spots else q
+
+    return go(body)
+
+
+def _faulty_program(seed):
+    rng = random.Random(seed)
+    prog = random_program(rng, safe=seed % 2 == 0)
+    if seed % 3 == 0:
+        prog = to_multiparty(prog)
+    parts = [type(e)(e.chan, e.var,
+                     _with_faults(rng, e.body, e.var, rng.randint(0, 4)),
+                     e.role)
+             for e in par_parts(prog.term)]
+    return render_program(SourceProgram(prog.decls, par(*parts),
+                                        prog.multiparty))
+
+
+def _check_diagnostic(src):
+    try:
+        parse_program(src)
+    except ParseError as e:
+        return e.diagnostic
+    return None
+
+
+def _reference_check_diagnostic(src):
+    def three_walks(p, body, session_var, where):
+        naive_endpoint_check(p.src, body, session_var, where)
+
+    with mock.patch.object(parser, "_check_endpoint", three_walks):
+        return _check_diagnostic(src)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_endpoint_check_matches_the_three_walks(seed):
+    src = _faulty_program(seed)
+    assert _check_diagnostic(src) == _reference_check_diagnostic(src)
+
+
+def test_fault_injection_draws_every_endpoint_diagnostic():
+    """The injected faults reach every diagnostic of the check, and the
+    one walk reports each as the three walks do."""
+    seen = set()
+    for seed in range(300):
+        src = _faulty_program(seed)
+        got = _check_diagnostic(src)
+        assert got == _reference_check_diagnostic(src), src
+        if got is not None:
+            seen.add(re.sub(r"'[^']*'", "N", got.message))
+    assert seen == {"unguarded recursion on N",
+                    "variable N rebound inside its own scope",
+                    "recursion variable N rebound inside its own scope",
+                    "unbound variable N", "unbound recursion variable N",
+                    "unbound session variable N"}
+
+
+@pytest.mark.parametrize("src, want", [
+    # rebinding before unguarded recursion in the text: recursion wins
+    ("request a(x). x?(v: int). x?(v: int). rec X. X | accept a(y). 0",
+     "unguarded recursion on 'X'"),
+    # unbound names before a rebinding in the text: the rebinding wins
+    ("request a(x). q!<zz>. rec X. rec X. x!<1>. X | accept a(y). 0",
+     "recursion variable 'X' rebound inside its own scope"),
+    # value, then recursion, then session variable; each the first by name
+    ("request a(x). q!<1>. x!<zz>. x!<b>. Q | accept a(y). 0",
+     "unbound variable 'b'"),
+    ("request a(x). q!<1>. p!<1>. if true then R else Q | accept a(y). 0",
+     "unbound recursion variable 'Q'"),
+    ("request a(x). q!<1>. p!<1>. 0 | accept a(y). 0",
+     "unbound session variable 'p'"),
+    # the first endpoint with an offence is reported, at its first token
+    ("request a(x). q!<1>. 0 | accept a(y). rec Y. Y",
+     "unbound session variable 'q'"),
+])
+def test_endpoint_check_priority_is_exact(src, want):
+    got = _check_diagnostic(src)
+    assert (got.message, got.start) == (want, 0)
+    assert got == _reference_check_diagnostic(src)

@@ -4,6 +4,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from genprog import random_program, random_type
+from oracle_naive import free_names
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.parser import parse_program
 from cherrypi.runtime import explore
@@ -13,10 +14,10 @@ from cherrypi.syntax import (_REPS, Accept, Branch, Call, ChanVar,
                              CheckpointProcess, Commit, Endpoint, If, Inact,
                              Lit, Log, MEndpoint, Par, PVar, Rec, Recv,
                              Request, Roll, Select, Send, Session, Ufun, Var,
-                             canonicalize, equivalent, free_names,
-                             head_normal, par, par_parts, process_canonical,
-                             process_key, subprocesses, substitute,
-                             term_key, unfold_recursion)
+                             canonicalize, equivalent, head_normal, par,
+                             par_parts, process_canonical, process_key,
+                             subprocesses, substitute, term_key,
+                             unfold_recursion)
 
 k = ChanVar("k")
 
