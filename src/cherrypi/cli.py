@@ -2,9 +2,9 @@
 
 Exit codes: 0 success (or a compliant / safe / matching verdict), 1 a
 violation or error verdict, 2 usage, parse, or input errors, 3 exploration
-budget exceeded or input nested too deeply, 4 internal error.
+budget exceeded, input nested too deeply or out of memory, 4 internal error.
 
-The type-level subcommands `comply` and `graph` load neither `runtime` nor
+`comply`, `graph`, `check` and `infer` load neither `runtime` nor
 `multiparty`: the subcommands that use them import them when they run.
 """
 
@@ -15,7 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .infer import TypingError, infer_collaboration
+from .infer import (TypingError, infer_collaboration,
+                    m_infer_collaboration)
 from .parser import ParseError, parse_program, parse_type, render_program
 from .semantics import (BudgetExceeded, InvalidBudget, check_compliance,
                         check_rollback_safety, compliance_dot, dot_graph)
@@ -74,7 +75,6 @@ def _dq(s: str) -> str:
 def cmd_infer(args) -> int:
     program = _load_program(args.file)
     if program.multiparty:
-        from .multiparty import m_infer_collaboration
         assoc = m_infer_collaboration(program.term)
     else:
         assoc = infer_collaboration(program.term)
@@ -307,6 +307,10 @@ def main(argv: list | None = None) -> int:
     except RecursionError:
         print(f"error: input nested too deeply (Python recursion limit "
               f"{sys.getrecursionlimit()} reached)", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory (the input needs more memory than "
+              "this process could get)", file=sys.stderr)
         return 3
     except Exception as e:  # never a traceback, never a verdict's code
         print(f"error: internal error: {type(e).__name__}: {e}",

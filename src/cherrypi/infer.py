@@ -2,16 +2,19 @@
 
 `infer_collaboration` maps each service endpoint of a binary collaboration to
 the session type its process realises; the requester side is keyed with a
-leading `~` on the service name.
+leading `~` on the service name.  `m_service_groups` groups an n-role
+collaboration by service and infers each role's type, and `service_types`
+gives every service's endpoint types in log order, binary or n-role.
 """
 
 from __future__ import annotations
 
-from .syntax import (Abort, Branch, Call, ChanVar, Commit, If, Inact, Lit,
-                     Process, PVar, Rec, Recv, Request, Roll, Select, Send,
-                     Ufun, Var, BUILTIN_SIGS, par_parts)
+from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
+                     Commit, If, Inact, Lit, Process, PVar, Rec, Recv,
+                     Request, Roll, Select, Send, Ufun, Var, BUILTIN_SIGS,
+                     par_parts, record, subprocesses)
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TIn, TMu,
-                           TOut, TPlus, TRollT, TSel, TVarT)
+                           TOut, TPlus, TRollT, TSel, TVarT, fill_roles)
 
 
 class TypingError(Exception):
@@ -168,3 +171,102 @@ def service_pairs(assoc: dict) -> list:
         elif "~" + key not in assoc:
             raise TypingError(f"service {key!r} has no requester")
     return out
+
+
+# ---------------------------------------------------------------------------
+# n-role inference, and the endpoint types of every service
+# ---------------------------------------------------------------------------
+
+def _check_roles_used(p: Process, own: int, n: int):
+    match p:
+        case Send(_, _, _, r) | Recv(_, _, _, _, r) | Select(_, _, _, r) \
+                | Branch(_, _, r):
+            if r is None or not (1 <= r <= n) or r == own:
+                raise TypingError(
+                    f"communication names role {r}, outside 1..{n} minus "
+                    f"the own role {own}")
+    for q in subprocesses(p):
+        _check_roles_used(q, own, n)
+
+
+@record
+class MService:
+    name: str
+    n: int
+    parts: dict  # role -> Request|Accept
+    types: dict  # role -> SessionTypeT (own slot unfilled)
+
+
+def m_service_groups(term: Collaboration) -> dict:
+    """Group a multiparty collaboration by service and infer each role's
+    type.  Each service needs one requester a[n] and acceptors 1..n-1."""
+    groups: dict = {}
+    for part in par_parts(term):
+        if not isinstance(part, (Request, Accept)) or part.role is None:
+            raise TypingError("binary endpoint in multiparty inference")
+        groups.setdefault(part.chan, []).append(part)
+    out: dict = {}
+    for name, parts in groups.items():
+        reqs = [p for p in parts if isinstance(p, Request)]
+        if len(reqs) != 1:
+            raise TypingError(
+                f"service {name!r} needs exactly one requester")
+        n = reqs[0].role
+        if n is None or n < 2:
+            raise TypingError(
+                f"service {name!r}: requester arity must be at least 2")
+        by_role: dict = {n: reqs[0]}
+        for p in parts:
+            if isinstance(p, Accept):
+                if p.role in by_role:
+                    raise TypingError(
+                        f"service {name!r}: role {p.role} taken twice")
+                by_role[p.role] = p
+        want = set(range(1, n))
+        have = set(by_role) - {n}
+        if have != want:
+            raise TypingError(
+                f"service {name!r}: acceptor roles {sorted(have)} do not "
+                f"cover 1..{n - 1}")
+        types: dict = {}
+        for role, p in by_role.items():
+            _check_roles_used(p.body, role, n)
+            types[role] = type_of_process(p.body, ChanVar(p.var),
+                                          multiparty=True)
+        out[name] = MService(name, n, by_role, types)
+    return out
+
+
+def m_infer_collaboration(term: Collaboration) -> dict:
+    """Flat association: `~a[n]` for the requester, `a[p]` for acceptors.
+    Own-role slots stay open (shown `_`) until `fill_roles`."""
+    assoc: dict = {}
+    for name, svc in m_service_groups(term).items():
+        for role, t in svc.types.items():
+            key = (f"~{name}[{role}]" if role == svc.n
+                   else f"{name}[{role}]")
+            assoc[key] = t
+    return assoc
+
+
+def filled_types(svc: MService) -> tuple:
+    """Role types with own roles stamped in, requester-first order."""
+    order = [svc.n] + list(range(1, svc.n))
+    return tuple(fill_roles(svc.types[r], r) for r in order)
+
+
+def is_multiparty(term: Collaboration) -> bool:
+    """Whether a source collaboration's endpoints carry roles, as
+    `SourceProgram.multiparty` records for parsed programs."""
+    return any(part.role is not None for part in par_parts(term))
+
+
+def service_types(term: Collaboration) -> dict:
+    """Per service, the endpoint types in log order (requester first): the
+    inferred pair of a binary collaboration, the role-filled types of an
+    n-role one."""
+    if is_multiparty(term):
+        return {name: filled_types(svc)
+                for name, svc in m_service_groups(term).items()}
+    return {name: (t_req, t_acc) for name, t_req, t_acc
+            in service_pairs(infer_collaboration(term))}

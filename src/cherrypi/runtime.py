@@ -38,7 +38,7 @@ from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
 from .sessiontypes import TErr, canonical_type, fill_roles, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
-from .infer import TypingError, type_of_process
+from .infer import TypingError, service_types, type_of_process
 from .semantics import (TransitionSystem, TypeConfiguration,
                         _log_ckpt_differs, _party_transitions,
                         initial_configuration, partner_position, search,
@@ -1099,7 +1099,7 @@ def _mirror(cfg: TypeConfiguration, step: StepRecord,
     want = _type_label(rule, step.text)
     # only the stepping party's transitions, in `config_transitions` order
     steps = [type_transitions(t) for t in cfg.currents]
-    found = sorted(((r, succ) for _, r, lab, succ in _party_transitions(
+    found = sorted(((r, succ) for _, _, r, lab, succ in _party_transitions(
         cfg, step.party - 1, steps) if lab == want), key=lambda e: e[0])
     for r, succ in found:
         if r in rules:
@@ -1122,8 +1122,6 @@ def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
     matching type-level transition, and after every step each log's current
     and checkpoint must retype to the tracked configuration, imposed flags
     included."""
-    # n-role inference lives in `multiparty`, which imports this module
-    from .multiparty import service_types
     try:
         types = service_types(program.term)
     except TypingError as ex:

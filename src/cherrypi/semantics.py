@@ -11,6 +11,13 @@ configuration to the initial types.  Compliance asks that every reachable
 configuration with no step has every current `end`, and rollback safety
 lifts that check to every service of a collaboration.
 
+`_party_transitions` is the one stepper of configurations: `search` reads
+it through `_keyed_transitions`, and `config_transitions` and the shadow
+checker's `runtime._mirror` read it too.  Each step carries its successor's
+key, derived from the parent's `config_key` by replacing only the slots the
+step changed and kept on the successor, so only a search's root and an
+abort's reset configuration are keyed from their types.
+
 `search` is the package's one breadth-first search, under
 `reachable_system` and `runtime.explore` alike: it builds a successor only
 when its key is new, keeps one parent pointer per state for `path_to`, and
@@ -25,6 +32,7 @@ from operator import itemgetter
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
                            _render, type_key)
+from .infer import is_multiparty, service_types
 from .syntax import Log, process_key, record
 
 DEFAULT_BUDGET = 10 ** 6
@@ -81,25 +89,26 @@ def type_transitions(t: SessionTypeT) -> list:
     ("abt",), ("tau", "L"|"R").  Recursive types step via their unfolding.
     """
     t = head_normal_type(t)
-    match t:
-        case TOut(s, c, a, b):
-            return [(("out", s, a, b), c)]
-        case TIn(s, c, a, b):
-            return [(("in", s, a, b), c)]
-        case TSel(l, c, a, b):
-            return [(("sel", l, a, b), c)]
-        case TBrn(arms, a, b):
-            return [(("brn", l, a, b), c) for l, c in arms]
-        case TPlus(l, r):
-            return [(("tau", "L"), l), (("tau", "R"), r)]
-        case TCmt(c):
-            return [(("cmt",), c)]
-        case TRollT():
-            return [(("roll",), TEnd())]
-        case TAbtT():
-            return [(("abt",), TEnd())]
-        case _:  # end / err
-            return []
+    cls = t.__class__
+    d = t.__dict__
+    if cls is TOut:
+        return [(("out", d["sort"], d["src"], d["dst"]), d["cont"])]
+    if cls is TIn:
+        return [(("in", d["sort"], d["src"], d["dst"]), d["cont"])]
+    if cls is TSel:
+        return [(("sel", d["label"], d["src"], d["dst"]), d["cont"])]
+    if cls is TBrn:
+        a, b = d["src"], d["dst"]
+        return [(("brn", l, a, b), c) for l, c in d["arms"]]
+    if cls is TPlus:
+        return [(("tau", "L"), d["left"]), (("tau", "R"), d["right"])]
+    if cls is TCmt:
+        return [(("cmt",), d["cont"])]
+    if cls is TRollT:
+        return [(("roll",), TEnd())]
+    if cls is TAbtT:
+        return [(("abt",), TEnd())]
+    return []  # end / err
 
 
 # ---------------------------------------------------------------------------
@@ -149,121 +158,130 @@ def config_key(cfg: TypeConfiguration) -> tuple:
     """Identity of a configuration within one run: per party the imposed
     flag and the `type_key`s of checkpoint and current.  The initial types
     are left out because they are fixed along a run.  Like `type_key`, the
-    key is meaningful only while the configuration's types are alive."""
-    key: list = []
-    for ck, cur in zip(cfg.ckpts, cfg.currents):
-        key += (ck.imposed, type_key(ck.typ), type_key(cur))
-    return tuple(key)
-
-
-def _ckpt_differs(ck: CheckpointType, current: SessionTypeT) -> bool:
-    """Whether a commit imposes on a party (TS-Cmt1 rather than TS-Cmt2):
-    an imposed checkpoint never counts as equal to the bare current."""
-    return ck.imposed or type_key(ck.typ) != type_key(current)
+    key is meaningful only while the configuration's types are alive.  It
+    is kept on the configuration as `_key`, which the stepper sets on every
+    successor it builds."""
+    d = cfg.__dict__
+    key = d.get("_key")
+    if key is None:
+        key = []
+        for ck, cur in zip(cfg.ckpts, cfg.currents):
+            key += (ck.imposed, type_key(ck.typ), type_key(cur))
+        key = d["_key"] = tuple(key)
+    return key
 
 
 def _log_ckpt_differs(lg: Log) -> bool:
-    """The process-level `_ckpt_differs`: whether a partner's commit imposes
-    on the party that owns `lg`."""
+    """Whether a partner's commit imposes on the party that owns `lg`
+    (TS-Cmt1 rather than TS-Cmt2): an imposed checkpoint never counts as
+    equal to the bare current."""
     return lg.ckpt.imposed or \
         process_key(lg.ckpt.process) != process_key(lg.current)
-
-
-def _label_text(lab: tuple) -> str:
-    match lab:
-        case ("out", s, _, _):
-            return f"com[{s}]"
-        case ("sel", l, _, _):
-            return f"lab[{l}]"
-        case ("tau", side):
-            return f"tau[{side}]"
-        case (kind,):
-            return kind
-    return str(lab)
 
 
 def config_transitions(cfg: TypeConfiguration) -> list:
     """All journal steps of a configuration, as (party, rule, label,
     successor) sorted by (party, rule, label); parties are 1-based log
     positions."""
-    steps = [type_transitions(t) for t in cfg.currents]
-    out: list = []
-    for i in range(len(steps)):
-        out += _party_transitions(cfg, i, steps)
-    out.sort(key=itemgetter(0, 1, 2))
-    return out
+    return [step[1:] for step in _keyed_transitions(0, cfg)]
+
+
+def _keyed(key: list, party: int, rule: str, label: str, ckpts: tuple,
+           currents: list, inits: tuple) -> tuple:
+    """A step of `_party_transitions`; its successor keeps `key` as
+    `_key`."""
+    succ = TypeConfiguration(ckpts, tuple(currents), inits)
+    key = succ.__dict__["_key"] = tuple(key)
+    return key, party, rule, label, succ
 
 
 def _party_transitions(cfg: TypeConfiguration, i: int, steps: list) -> list:
-    """The journal steps of the party at 0-based position `i`, unsorted, in
-    `config_transitions`' shape; `steps` holds every party's
-    `type_transitions`."""
+    """The journal steps of the party at 0-based position `i`, unsorted,
+    each (successor key, party, rule, label, successor); `steps` holds
+    every party's `type_transitions`.  A successor's key is its parent's
+    `config_key` with the slots the step changed replaced."""
     out: list = []
     cur = cfg.currents
     cks = cfg.ckpts
+    inits = cfg.inits
     n = len(cur)
+    # kept on every configuration a search reached, read without a call
+    pkey = cfg.__dict__.get("_key") or config_key(cfg)
+    party = i + 1
+    at = 3 * i  # this party's key slots: imposed, checkpoint, current
     for lab, nxt in steps[i]:
-        match lab:
-            # TS-Com: an output meets the partner's same-sort input;
-            # TS-Lab: a selection meets the matching branch arm.  The
-            # partner is the one the prefix names, and its prefix must
-            # name this party back; checkpoints stay put
-            case (("out" | "sel") as kind, x, src, dst):
-                j = partner_position(i, dst, n)
-                me = None if dst is None else role_of_position(i, n)
-                if j is None or src != me:
-                    continue
-                want = ("in" if kind == "out" else "brn", x, dst, me)
-                rule = "TS-Com" if kind == "out" else "TS-Lab"
-                for plab, pnxt in steps[j]:
-                    if plab == want:
-                        curs = list(cur)
-                        curs[i], curs[j] = nxt, pnxt
-                        out.append((i + 1, rule, _label_text(lab),
-                                    TypeConfiguration(
-                                        cks, tuple(curs), cfg.inits)))
-            # TS-Tau: a conditional resolves locally
-            case ("tau", _):
-                curs = list(cur)
-                curs[i] = nxt
-                out.append((i + 1, "TS-Tau", _label_text(lab),
-                            TypeConfiguration(cks, tuple(curs),
-                                              cfg.inits)))
-            # TS-Cmt1: commit while some other party moved since its
-            # checkpoint -> that party's current is imposed on it
-            # TS-Cmt2: every other party still sits on its own
-            # checkpoint -> they are left untouched
-            case ("cmt",):
-                curs = list(cur)
-                ncks = list(cks)
-                curs[i] = nxt
-                ncks[i] = CheckpointType(nxt)
-                rule = "TS-Cmt2"
-                for h in range(n):
-                    if h != i and _ckpt_differs(cks[h], cur[h]):
-                        ncks[h] = CheckpointType(cur[h], imposed=True)
-                        rule = "TS-Cmt1"
-                out.append((i + 1, rule, "cmt",
-                            TypeConfiguration(tuple(ncks), tuple(curs),
-                                              cfg.inits)))
-            # TS-Rll1: roll from an own checkpoint restores every
-            # current; TS-Rll2: roll from an imposed checkpoint is
-            # unrecoverable -> every current errs
-            case ("roll",):
-                if cks[i].imposed:
-                    out.append((i + 1, "TS-Rll2", "roll",
-                                TypeConfiguration(
-                                    cks, tuple(TErr() for _ in cur),
-                                    cfg.inits)))
-                else:
-                    out.append((i + 1, "TS-Rll1", "roll",
-                                TypeConfiguration(
-                                    cks, tuple(c.typ for c in cks),
-                                    cfg.inits)))
-            # TS-Abt1: abort resets the whole configuration
-            case ("abt",):
-                out.append((i + 1, "TS-Abt1", "abt",
-                            initial_configuration(*cfg.inits)))
+        kind = lab[0]
+        # TS-Com: an output meets the partner's same-sort input;
+        # TS-Lab: a selection meets the matching branch arm.  The partner
+        # is the one the prefix names, and its prefix must name this party
+        # back; checkpoints stay put
+        if kind == "out" or kind == "sel":
+            _, x, src, dst = lab
+            j = partner_position(i, dst, n)
+            me = None if dst is None else role_of_position(i, n)
+            if j is None or src != me:
+                continue
+            if kind == "out":
+                want, rule, label = ("in", x, dst, me), "TS-Com", f"com[{x}]"
+            else:
+                want, rule, label = ("brn", x, dst, me), "TS-Lab", f"lab[{x}]"
+            for plab, pnxt in steps[j]:
+                if plab == want:
+                    curs = list(cur)
+                    curs[i], curs[j] = nxt, pnxt
+                    key = list(pkey)
+                    key[at + 2] = type_key(nxt)
+                    key[3 * j + 2] = type_key(pnxt)
+                    out.append(_keyed(key, party, rule, label, cks, curs,
+                                      inits))
+        # TS-Tau: a conditional resolves locally
+        elif kind == "tau":
+            curs = list(cur)
+            curs[i] = nxt
+            key = list(pkey)
+            key[at + 2] = type_key(nxt)
+            out.append(_keyed(key, party, "TS-Tau", f"tau[{lab[1]}]", cks,
+                              curs, inits))
+        # TS-Cmt1: commit while some other party moved since its
+        # checkpoint (an imposed checkpoint always counts as moved) ->
+        # that party's current is imposed on it
+        # TS-Cmt2: every other party still sits on its own checkpoint ->
+        # they are left untouched
+        elif kind == "cmt":
+            curs = list(cur)
+            curs[i] = nxt
+            ncks = list(cks)
+            ncks[i] = CheckpointType(nxt)
+            key = list(pkey)
+            key[at + 1] = key[at + 2] = type_key(nxt)
+            key[at] = False
+            rule = "TS-Cmt2"
+            for h in range(n):
+                k = 3 * h  # the parent's slots tell whether h moved
+                if h != i and (pkey[k] or pkey[k + 1] != pkey[k + 2]):
+                    ncks[h] = CheckpointType(cur[h], imposed=True)
+                    key[k:k + 2] = True, pkey[k + 2]
+                    rule = "TS-Cmt1"
+            out.append(_keyed(key, party, rule, "cmt", tuple(ncks), curs,
+                              inits))
+        # TS-Rll1: roll from an own checkpoint restores every current;
+        # TS-Rll2: roll from an imposed checkpoint is unrecoverable ->
+        # every current errs
+        elif kind == "roll":
+            key = list(pkey)
+            if cks[i].imposed:
+                err = TErr()
+                key[2::3] = [type_key(err)] * n
+                out.append(_keyed(key, party, "TS-Rll2", "roll", cks,
+                                  [err] * n, inits))
+            else:
+                key[2::3] = pkey[1::3]
+                out.append(_keyed(key, party, "TS-Rll1", "roll", cks,
+                                  [c.typ for c in cks], inits))
+        # TS-Abt1: abort resets the whole configuration
+        elif kind == "abt":
+            succ = initial_configuration(*inits)
+            out.append((config_key(succ), party, "TS-Abt1", "abt", succ))
     return out
 
 
@@ -340,11 +358,18 @@ def search(root, key, steps, make, edge, budget: int | None = None,
     return TransitionSystem(states, edges, parents, frontier)
 
 
+_STEP_ORDER = itemgetter(1, 2, 3)  # (party, rule, label)
+
+
 def _keyed_transitions(sid: int, cfg: TypeConfiguration) -> list:
-    """`config_transitions` as `search` steps: (successor key, party, rule,
-    label, successor)."""
-    return [(config_key(succ), party, rule, label, succ)
-            for party, rule, label, succ in config_transitions(cfg)]
+    """Every party's `_party_transitions`, as `search` steps sorted by
+    (party, rule, label)."""
+    steps = [type_transitions(t) for t in cfg.currents]
+    out: list = []
+    for i in range(len(steps)):
+        out += _party_transitions(cfg, i, steps)
+    out.sort(key=_STEP_ORDER)
+    return out
 
 
 def reachable_system(*types: SessionTypeT,
@@ -383,11 +408,6 @@ def _describe(cfg: TypeConfiguration, roles: bool, memo: dict) -> dict:
         }
         for i in range(n)
     }
-
-
-def describe_configuration(cfg: TypeConfiguration) -> dict:
-    """Per party, `party1` first: checkpoint, imposed flag and current."""
-    return _describe(cfg, False, {})
 
 
 @record
@@ -451,8 +471,6 @@ def check_rollback_safety(term, budget: int | None = None) \
     """A collaboration is rollback safe when, for every service, the types
     inferred for its endpoints comply: the requester and the acceptor of a
     binary service, every role of an n-role one."""
-    # n-role inference lives in `multiparty`, which imports this module
-    from .multiparty import is_multiparty, service_types
     roles = is_multiparty(term)
     reports: dict = {}
     for name, types in service_types(term).items():

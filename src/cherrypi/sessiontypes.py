@@ -263,32 +263,34 @@ def type_key(t: SessionTypeT) -> int:
     is a function of its fields and its children's texts (hash-consing,
     Filliâtre & Conchon 2006)."""
     try:
-        return t._rep.serial
+        d = t.__dict__
     except AttributeError:
-        pass
-    match t:
-        case TOut(s, c, a, b):
-            sig = (TOut, s, type_key(c), a, b)
-        case TIn(s, c, a, b):
-            sig = (TIn, s, type_key(c), a, b)
-        case TSel(l, c, a, b):
-            sig = (TSel, l, type_key(c), a, b)
-        case TBrn(arms, a, b):
-            sig = (TBrn, tuple((l, type_key(c)) for l, c in arms), a, b)
-        case TPlus(l, r):
-            sig = (TPlus, type_key(l), type_key(r))
-        case TCmt(c):
-            sig = (TCmt, type_key(c))
-        case TVarT(v):
-            sig = (TVarT, v)
-        case TMu():
-            sig = (TMu, canonical_type(t))
-        case TEnd() | TErr() | TRollT() | TAbtT():
-            sig = (type(t),)
-        case _:
-            raise MalformedTerm(f"not a session type: {t!r}")
-    rep = _intern(sig)
-    object.__setattr__(t, "_rep", rep)
+        raise MalformedTerm(f"not a session type: {t!r}") from None
+    rep = d.get("_rep")
+    if rep is not None:
+        return rep.serial
+    # a miss reads the fields from the node's dict, by its exact class
+    cls = t.__class__
+    if cls is TOut or cls is TIn:
+        sig = (cls, d["sort"], type_key(d["cont"]), d["src"], d["dst"])
+    elif cls is TSel:
+        sig = (cls, d["label"], type_key(d["cont"]), d["src"], d["dst"])
+    elif cls is TBrn:
+        sig = (cls, tuple([(l, type_key(c)) for l, c in d["arms"]]),
+               d["src"], d["dst"])
+    elif cls is TPlus:
+        sig = (cls, type_key(d["left"]), type_key(d["right"]))
+    elif cls is TCmt:
+        sig = (cls, type_key(d["cont"]))
+    elif cls is TMu:
+        sig = (cls, canonical_type(t))
+    elif cls is TVarT:
+        sig = (cls, d["name"])
+    elif cls is TEnd or cls is TErr or cls is TRollT or cls is TAbtT:
+        sig = (cls,)
+    else:
+        raise MalformedTerm(f"not a session type: {t!r}")
+    rep = d["_rep"] = _intern(sig)
     return rep.serial
 
 

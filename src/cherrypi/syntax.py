@@ -764,17 +764,36 @@ class _Rep:
         self.serial = serial
 
 
+class _RepRef(weakref.ref):
+    """The table's weak reference to a representative, with the signature
+    its callback removes."""
+    __slots__ = ("sig",)
+
+
+def _drop(ref: _RepRef) -> None:
+    # a signature interned again after its representative died holds a
+    # new reference, which this late callback leaves in place
+    if _REPS.get(ref.sig) is ref:
+        del _REPS[ref.sig]
+
+
 # one table per process, shared by session types and terms: keys must agree
-# between every pair of live terms
-_REPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# between every pair of live terms.  Signature -> weak reference to its
+# representative; a plain dict, so a hit runs no Python frame
+_REPS: dict = {}
 _SERIALS = itertools.count()
 _serial = attrgetter("serial")
 
 
 def _intern(sig: tuple) -> _Rep:
-    rep = _REPS.get(sig)
-    if rep is None:
-        rep = _REPS[sig] = _Rep(next(_SERIALS))
+    ref = _REPS.get(sig)
+    if ref is not None:
+        rep = ref()
+        if rep is not None:
+            return rep
+    rep = _Rep(next(_SERIALS))
+    ref = _REPS[sig] = _RepRef(rep, _drop)
+    ref.sig = sig
     return rep
 
 

@@ -14,14 +14,22 @@ from collections import defaultdict, deque
 
 import cherrypi.multiparty as mp
 from conftest import BINARY_PROGRAMS
-from cherrypi.infer import infer_collaboration, service_pairs
+from cherrypi.infer import (filled_types, infer_collaboration,
+                            m_service_groups, service_pairs)
 from cherrypi.parser import parse_type
 from cherrypi.runtime import DecisionOracle, explore, shadow_typecheck, simulate
 from cherrypi.semantics import (check_compliance, check_rollback_safety,
-                                compliance_dot, describe_configuration,
-                                reachable_system)
-from cherrypi.sessiontypes import canonical_type
+                                compliance_dot, reachable_system)
+from cherrypi.sessiontypes import canonical_type, render_type
 from genprog import random_program, random_type
+
+
+def describe_configuration(cfg):
+    """Per party, `party1` first: checkpoint, imposed flag and current."""
+    return {f"party{i + 1}": {"checkpoint": render_type(ck.typ),
+                              "imposed": ck.imposed,
+                              "current": render_type(cur)}
+            for i, (ck, cur) in enumerate(zip(cfg.ckpts, cfg.currents))}
 
 
 def _report(n, t0):
@@ -277,8 +285,8 @@ def test_criterion_8_n2_conservativity(programs, verdicts):
 
         binary = check_compliance(
             *service_pairs(infer_collaboration(prog.term))[0][1:])
-        (svc,) = mp.m_service_groups(m.term).values()
-        mrep = mp.m_check_compliance(mp.filled_types(svc))
+        (svc,) = m_service_groups(m.term).values()
+        mrep = mp.m_check_compliance(filled_types(svc))
         assert mrep.compliant == binary.compliant, name
         assert len(mrep.system.states) == len(binary.system.states), name
         assert len(mrep.system.edges) == len(binary.system.edges), name

@@ -232,22 +232,34 @@ def test_replay_of_an_underfunded_transcript_diverges(tmp_path):
 
 # ---------------------------------------------------------------- imports
 
-@pytest.mark.parametrize("command", ["comply", "graph"])
-def test_type_level_subcommands_load_no_runtime(command):
-    """In a fresh interpreter, `comply` and `graph` leave `runtime` and
-    `multiparty` unloaded."""
-    argv = [command, str(CORPUS / "consumer.chty"),
-            str(CORPUS / "producer.chty")]
+def _fresh_main(*argvs) -> str:
+    """In a fresh interpreter, run `cli.main` on each argv in turn; the
+    exit codes, then which of `runtime` and `multiparty` got loaded."""
     script = ("import sys\n"
               "from cherrypi import cli\n"
-              f"code = cli.main({argv!r})\n"
-              "print(code, [m for m in ('cherrypi.runtime', "
+              f"codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
+              "print(*codes, [m for m in ('cherrypi.runtime', "
               "'cherrypi.multiparty') if m in sys.modules])\n")
     src = str(Path(cherrypi.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 []"
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["comply", "graph"])
+def test_type_level_subcommands_load_no_runtime(command):
+    """In a fresh interpreter, `comply` and `graph` leave `runtime` and
+    `multiparty` unloaded."""
+    assert _fresh_main([command, str(CORPUS / "consumer.chty"),
+                        str(CORPUS / "producer.chty")]) == "0 []"
+
+
+def test_binary_check_and_infer_load_no_runtime():
+    """`check` and `infer` of a binary program leave `runtime` and
+    `multiparty` unloaded too: n-role inference lives in `infer`."""
+    program = str(CORPUS / "producer_consumer.chpi")
+    assert _fresh_main(["check", program], ["infer", program]) == "0 0 []"
 
 
 # ---------------------------------------------------------------- graph / explore
@@ -468,6 +480,18 @@ def test_script_value_of_no_sort_exits_two(tmp_path, value):
     assert cli("run", CORPUS / "vod_c.chpi", "--script", path) == (
         2, "", "error: a decision script value for 'f_HD' is not a bool, "
                f"int or str: {value!r}\n")
+
+
+def test_out_of_memory_exits_three_without_traceback(monkeypatch):
+    import cherrypi.cli as cli_module
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "cmd_check", exhausted)
+    assert cli("check", CORPUS / "vod_b.chpi") == (
+        3, "", "error: out of memory (the input needs more memory than this "
+               "process could get)\n")
 
 
 def test_unexpected_exception_exits_four_without_traceback(monkeypatch):

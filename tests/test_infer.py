@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import BINARY_PROGRAMS
-from cherrypi.infer import TypingError, infer_collaboration, service_pairs
-from cherrypi.multiparty import m_infer_collaboration
+from cherrypi.infer import (TypingError, infer_collaboration,
+                            m_infer_collaboration, service_pairs)
 from cherrypi.parser import parse_program, parse_type
 from cherrypi.sessiontypes import canonical_type, render_type
 

@@ -2,6 +2,8 @@ import pytest
 
 import cherrypi.multiparty as mp
 from conftest import BINARY_PROGRAMS
+from cherrypi.infer import (filled_types, m_infer_collaboration,
+                            m_service_groups)
 from cherrypi.parser import parse_process_text, parse_program, parse_type
 from cherrypi.runtime import (DecisionOracle, barbs, explore,
                               shadow_typecheck, simulate)
@@ -55,8 +57,8 @@ def test_binary_pairs_agree_with_binary_compliance(programs, corpus,
         binary = check_compliance(
             *service_pairs(infer_collaboration(programs[name].term))[0][1:])
         mterm = mp.to_multiparty(programs[name]).term
-        (svc,) = mp.m_service_groups(mterm).values()
-        mrep = mp.m_check_compliance(mp.filled_types(svc))
+        (svc,) = m_service_groups(mterm).values()
+        mrep = mp.m_check_compliance(filled_types(svc))
         assert mrep.compliant == binary.compliant, name
         assert len(mrep.system.states) == len(binary.system.states), name
 
@@ -219,7 +221,7 @@ def test_m_explore_needs_every_role_to_connect():
     # role 2 is missing: the session can never start
     from cherrypi.infer import TypingError
     with pytest.raises(TypingError):
-        mp.m_infer_collaboration(prog.term)
+        m_infer_collaboration(prog.term)
     rep = mp.m_explore(prog, depth=5, mode="plain")
     assert len(rep.states) == 1 and rep.completed == 0
 
@@ -282,5 +284,5 @@ def test_n2_exploration_counts_match(programs, name):
 def test_role_check_messages_are_exact(src, want):
     from cherrypi.infer import TypingError
     with pytest.raises(TypingError) as ei:
-        mp.m_infer_collaboration(parse_program(src).term)
+        m_infer_collaboration(parse_program(src).term)
     assert str(ei.value) == want

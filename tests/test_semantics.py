@@ -11,7 +11,7 @@ import cherrypi.semantics as sem
 import cherrypi.syntax as syntax
 from genprog import random_type
 from oracle_naive import naive_type_reach
-from cherrypi.parser import parse_type
+from cherrypi.parser import parse_program, parse_type
 from cherrypi.runtime import explore
 from cherrypi.semantics import (BudgetExceeded, CheckpointType,
                                 InvalidBudget, TypeConfiguration,
@@ -19,10 +19,12 @@ from cherrypi.semantics import (BudgetExceeded, CheckpointType,
                                 compliance_dot, config_transitions,
                                 export_dot, initial_configuration,
                                 reachable_system, type_transitions)
-from cherrypi.infer import infer_collaboration, service_pairs
-from cherrypi.sessiontypes import (TBrn, TCmt, TEnd, TIn, TMu, TOut, TPlus,
-                                   TSel, TVarT, canonical_type, render_type,
-                                   type_key, unfold_type)
+from cherrypi.infer import (filled_types, infer_collaboration,
+                            m_service_groups, service_pairs)
+from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
+                                   TOut, TPlus, TRollT, TSel, TVarT,
+                                   canonical_type, head_normal_type,
+                                   render_type, type_key, unfold_type)
 
 
 def T(s):
@@ -191,8 +193,8 @@ def _search(programs, engine):
         return lambda budget=None: explore(prog, mode="detect",
                                            budget=budget).system
     mterm = mp.to_multiparty(programs["vod_b"]).term
-    (svc,) = mp.m_service_groups(mterm).values()
-    types = mp.filled_types(svc)
+    (svc,) = m_service_groups(mterm).values()
+    types = filled_types(svc)
     return lambda budget=None: mp.m_reachable_system(types, budget)
 
 
@@ -373,3 +375,196 @@ def test_type_key_table_does_not_outlive_the_check(corpus):
                      parse_type((corpus / "vod_server.chty").read_text()))
     gc.collect()
     assert len(syntax._REPS) == before
+
+
+# -- the keyed stepper against the code it replaced -------------------------
+#
+# `ref_*` are the type key, single-type steps, configuration key and party
+# stepper as they were before keys were derived from the parent's key:
+# every type node keyed from scratch, every configuration keyed from its
+# types, steps found by pattern matching.
+
+def ref_type_key(t):
+    try:
+        return t._rep.serial
+    except AttributeError:
+        pass
+    match t:
+        case TOut(s, c, a, b):
+            sig = (TOut, s, ref_type_key(c), a, b)
+        case TIn(s, c, a, b):
+            sig = (TIn, s, ref_type_key(c), a, b)
+        case TSel(l, c, a, b):
+            sig = (TSel, l, ref_type_key(c), a, b)
+        case TBrn(arms, a, b):
+            sig = (TBrn, tuple((l, ref_type_key(c)) for l, c in arms), a, b)
+        case TPlus(l, r):
+            sig = (TPlus, ref_type_key(l), ref_type_key(r))
+        case TCmt(c):
+            sig = (TCmt, ref_type_key(c))
+        case TVarT(v):
+            sig = (TVarT, v)
+        case TMu():
+            sig = (TMu, canonical_type(t))
+        case TEnd() | TErr() | TRollT() | TAbtT():
+            sig = (type(t),)
+    rep = syntax._intern(sig)
+    object.__setattr__(t, "_rep", rep)
+    return rep.serial
+
+
+def ref_type_transitions(t):
+    t = head_normal_type(t)
+    match t:
+        case TOut(s, c, a, b):
+            return [(("out", s, a, b), c)]
+        case TIn(s, c, a, b):
+            return [(("in", s, a, b), c)]
+        case TSel(l, c, a, b):
+            return [(("sel", l, a, b), c)]
+        case TBrn(arms, a, b):
+            return [(("brn", l, a, b), c) for l, c in arms]
+        case TPlus(l, r):
+            return [(("tau", "L"), l), (("tau", "R"), r)]
+        case TCmt(c):
+            return [(("cmt",), c)]
+        case TRollT():
+            return [(("roll",), TEnd())]
+        case TAbtT():
+            return [(("abt",), TEnd())]
+        case _:
+            return []
+
+
+def ref_config_key(cfg):
+    key = []
+    for ck, cur in zip(cfg.ckpts, cfg.currents):
+        key += (ck.imposed, ref_type_key(ck.typ), ref_type_key(cur))
+    return tuple(key)
+
+
+def _ref_label_text(lab):
+    match lab:
+        case ("out", s, _, _):
+            return f"com[{s}]"
+        case ("sel", l, _, _):
+            return f"lab[{l}]"
+        case ("tau", side):
+            return f"tau[{side}]"
+        case (kind,):
+            return kind
+
+
+def ref_party_transitions(cfg, i, steps):
+    out = []
+    cur, cks, n = cfg.currents, cfg.ckpts, len(cfg.currents)
+    for lab, nxt in steps[i]:
+        match lab:
+            case (("out" | "sel") as kind, x, src, dst):
+                j = sem.partner_position(i, dst, n)
+                me = None if dst is None else sem.role_of_position(i, n)
+                if j is None or src != me:
+                    continue
+                want = ("in" if kind == "out" else "brn", x, dst, me)
+                rule = "TS-Com" if kind == "out" else "TS-Lab"
+                for plab, pnxt in steps[j]:
+                    if plab == want:
+                        curs = list(cur)
+                        curs[i], curs[j] = nxt, pnxt
+                        out.append((i + 1, rule, _ref_label_text(lab),
+                                    TypeConfiguration(cks, tuple(curs),
+                                                      cfg.inits)))
+            case ("tau", _):
+                curs = list(cur)
+                curs[i] = nxt
+                out.append((i + 1, "TS-Tau", _ref_label_text(lab),
+                            TypeConfiguration(cks, tuple(curs), cfg.inits)))
+            case ("cmt",):
+                curs, ncks = list(cur), list(cks)
+                curs[i] = nxt
+                ncks[i] = CheckpointType(nxt)
+                rule = "TS-Cmt2"
+                for h in range(n):
+                    if h != i and (cks[h].imposed or ref_type_key(cks[h].typ)
+                                   != ref_type_key(cur[h])):
+                        ncks[h] = CheckpointType(cur[h], imposed=True)
+                        rule = "TS-Cmt1"
+                out.append((i + 1, rule, "cmt",
+                            TypeConfiguration(tuple(ncks), tuple(curs),
+                                              cfg.inits)))
+            case ("roll",):
+                if cks[i].imposed:
+                    out.append((i + 1, "TS-Rll2", "roll", TypeConfiguration(
+                        cks, tuple(TErr() for _ in cur), cfg.inits)))
+                else:
+                    out.append((i + 1, "TS-Rll1", "roll", TypeConfiguration(
+                        cks, tuple(c.typ for c in cks), cfg.inits)))
+            case ("abt",):
+                out.append((i + 1, "TS-Abt1", "abt",
+                            initial_configuration(*cfg.inits)))
+    return out
+
+
+def ref_config_transitions(cfg):
+    steps = [ref_type_transitions(t) for t in cfg.currents]
+    out = []
+    for i in range(len(steps)):
+        out += ref_party_transitions(cfg, i, steps)
+    out.sort(key=lambda s: s[:3])
+    return out
+
+
+def _fresh(x):
+    """A copy of a type, checkpoint or configuration made of new nodes, so
+    it carries none of the original's cached keys or unfoldings."""
+    if isinstance(x, tuple):
+        return tuple(_fresh(y) for y in x)
+    if hasattr(x, "__match_args__"):
+        return type(x)(*(_fresh(getattr(x, f)) for f in x.__match_args__))
+    return x
+
+
+def _assert_stepper_matches_reference(*types):
+    ts = reachable_system(*types)
+    for cfg in ts.states:
+        assert cfg.__dict__["_key"] == ref_config_key(_fresh(cfg))
+        assert config_transitions(cfg) == ref_config_transitions(cfg)
+        for key, _, _, _, succ in sem._keyed_transitions(0, cfg):
+            assert succ.__dict__["_key"] is key
+            assert key == ref_config_key(_fresh(succ))
+    return ts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_keyed_stepper_matches_the_reference_on_random_pairs(seed):
+    rng = random.Random(seed)
+    _assert_stepper_matches_reference(random_type(rng, 8),
+                                      random_type(rng, 8))
+
+
+def test_keyed_stepper_matches_the_reference_on_corpus_pairs(corpus,
+                                                             verdicts):
+    for pair in verdicts["type_pairs"]:
+        _assert_stepper_matches_reference(
+            *(parse_type((corpus / pair[side]).read_text())
+              for side in ("left", "right")))
+
+
+THREE_ROLES = """
+request a[3](x). x!<1>@1. commit. if true then x?(v: int)@2. 0 else abort
+| accept a[1](y). y?(n: int)@3. commit. y!<n>@2. (if true then 0 else roll)
+| accept a[2](z). z?(m: int)@1. commit. (if true then z!<m>@3. 0 else roll)
+"""
+
+
+def test_keyed_stepper_matches_the_reference_on_three_roles(programs):
+    rules = set()
+    for term in (programs["three_party_job"].term,
+                 parse_program(THREE_ROLES).term):
+        (svc,) = m_service_groups(term).values()
+        ts = _assert_stepper_matches_reference(*filled_types(svc))
+        rules |= {e.rule for e in ts.edges}
+    # every journal rule is exercised
+    assert rules == {"TS-Com", "TS-Lab", "TS-Tau", "TS-Cmt1", "TS-Cmt2",
+                     "TS-Rll1", "TS-Rll2", "TS-Abt1"}

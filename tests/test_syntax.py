@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from genprog import random_program, random_type
 from oracle_naive import free_names
 from cherrypi.multiparty import m_explore, to_multiparty
-from cherrypi.parser import parse_program
+from cherrypi.parser import parse_program, parse_type
 from cherrypi.runtime import explore
 from cherrypi.sessiontypes import (TMu, fill_roles, free_type_vars,
-                                   subst_type, subtypes, unfold_type)
-from cherrypi.syntax import (_REPS, Accept, Branch, Call, ChanVar,
+                                   subst_type, subtypes, type_key,
+                                   unfold_type)
+from cherrypi.syntax import (_REPS, _drop, _intern, Accept, Branch, Call, ChanVar,
                              CheckpointProcess, Commit, Endpoint, If, Inact,
                              Lit, Log, MEndpoint, Par, PVar, Rec, Recv,
                              Request, Roll, Select, Send, Session, Ufun, Var,
@@ -311,5 +312,43 @@ def test_term_key_table_does_not_outlive_exploration(corpus):
     reports.append(explore(program, depth=12, mode="detect"))
     assert len(_REPS) > before
     del program, reports
+    gc.collect()
+    assert len(_REPS) == before
+
+
+# -- the intern table ---------------------------------------------------------
+
+def test_a_late_callback_leaves_the_new_entry_in_place():
+    sig = ("intern test", "late callback")
+    first = _intern(sig)
+    stale = _REPS[sig]
+    del first  # its reference's callback drops the entry
+    assert sig not in _REPS
+    second = _intern(sig)
+    # the stale reference's callback run again, after the signature was
+    # interned anew, as a collection can run it late
+    _drop(stale)
+    assert _REPS[sig]() is second
+
+
+def test_a_signature_interned_after_its_representative_died_is_renumbered():
+    sig = ("intern test", "renumbered")
+    serial = _intern(sig).serial  # nothing keeps the representative
+    assert sig not in _REPS
+    again = _intern(sig)
+    assert again.serial > serial
+    assert _intern(sig) is again
+
+
+def test_a_dropped_recursive_type_leaves_no_entries():
+    gc.collect()
+    before = len(_REPS)
+    t = parse_type("mu t. sel[l_intern_test]. brn[l_a: t; l_b: end]")
+    type_key(t)
+    type_key(unfold_type(t))
+    # the unfolding holds the mu node, which holds the unfolding
+    assert unfold_type(t).cont.arms[0][1] is t
+    assert len(_REPS) > before
+    del t
     gc.collect()
     assert len(_REPS) == before
