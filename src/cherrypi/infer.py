@@ -23,33 +23,32 @@ class TypingError(Exception):
 
 def sort_of_expression(e, env: dict) -> str:
     """Sort of an expression under `env` (variable -> sort). [exprs]"""
-    match e:
-        case Lit():
-            return e.sort()
-        case Var(n):
-            if n not in env:
-                raise TypingError(f"unbound variable {n!r}")
-            return env[n]
-        case Call(op, args):
-            arg_sorts = [sort_of_expression(a, env) for a in args]
-            if op == "eq":
-                if len(arg_sorts) != 2 or arg_sorts[0] != arg_sorts[1]:
-                    raise TypingError(
-                        f"'==' needs two operands of one sort, got "
-                        f"{arg_sorts}")
-                return "bool"
-            want, result = BUILTIN_SIGS[op]
-            if tuple(arg_sorts) != want:
+    kind = type(e)
+    if kind is Lit:
+        return e.sort()
+    if kind is Var:
+        if e.name not in env:
+            raise TypingError(f"unbound variable {e.name!r}")
+        return env[e.name]
+    if kind is Call:
+        op = e.op
+        arg_sorts = [sort_of_expression(a, env) for a in e.args]
+        if op == "eq":
+            if len(arg_sorts) != 2 or arg_sorts[0] != arg_sorts[1]:
                 raise TypingError(
-                    f"operator {op!r} expects {want}, got "
-                    f"{tuple(arg_sorts)}")
-            return result
-        case Ufun(fn, args, asorts, rsort, _):
-            arg_sorts = tuple(sort_of_expression(a, env) for a in args)
-            if arg_sorts != asorts:
-                raise TypingError(
-                    f"function {fn!r} expects {asorts}, got {arg_sorts}")
-            return rsort
+                    f"'==' needs two operands of one sort, got {arg_sorts}")
+            return "bool"
+        want, result = BUILTIN_SIGS[op]
+        if tuple(arg_sorts) != want:
+            raise TypingError(
+                f"operator {op!r} expects {want}, got {tuple(arg_sorts)}")
+        return result
+    if kind is Ufun:
+        arg_sorts = tuple(sort_of_expression(a, env) for a in e.args)
+        if arg_sorts != e.arg_sorts:
+            raise TypingError(f"function {e.name!r} expects {e.arg_sorts}, "
+                              f"got {arg_sorts}")
+        return e.result_sort
     raise TypingError(f"not an expression: {e!r}")
 
 
@@ -89,57 +88,57 @@ def type_of_process(p: Process, chan, proc_env: dict | None = None,
                 f"{what} has a role annotation in a binary endpoint")
 
     def go(p, penv, venv) -> SessionTypeT:
-        match p:
-            # x!<e>. P  with e: S  gives  ![S]. T
-            case Send(c, e, cont, role):
-                need_chan(c)
-                need_role(role, "output")
-                s = sort_of_expression(e, venv)
-                return TOut(s, go(cont, penv, venv), None, role)
-            # x?(y: S). P  extends the variable environment with y: S
-            case Recv(c, y, s, cont, role):
-                need_chan(c)
-                need_role(role, "input")
-                venv2 = dict(venv)
-                venv2[y] = s
-                return TIn(s, go(cont, penv, venv2), None, role)
-            case Select(c, l, cont, role):
-                need_chan(c)
-                need_role(role, "selection")
-                return TSel(l, go(cont, penv, venv), None, role)
-            case Branch(c, arms, role):
-                need_chan(c)
-                need_role(role, "branching")
-                return TBrn(tuple((l, go(a, penv, venv)) for l, a in arms),
-                            None, role)
-            # a conditional offers the internal choice of its two branches
-            case If(cond, then, orelse):
-                s = sort_of_expression(cond, venv)
-                if s != "bool":
-                    raise TypingError(
-                        f"conditional guard has sort {s}, needs bool")
-                return TPlus(go(then, penv, venv), go(orelse, penv, venv))
-            case Rec(x, body):
-                tv = _fresh_tvar(x, set(penv.values()))
-                penv2 = dict(penv)
-                penv2[x] = tv
-                return TMu(tv, go(body, penv2, venv))
-            case PVar(x):
-                if x not in penv:
-                    raise TypingError(
-                        f"unbound recursion variable {x!r}")
-                return TVarT(penv[x])
-            case Inact():
-                return TEnd()
-            case Commit(cont):
-                return TCmt(go(cont, penv, venv))
-            case Roll():
-                return TRollT()
-            case Abort():
-                return TAbtT()
-        raise TypingError(f"not a process: {p!r}")
+        kind = type(p)
+        # x!<e>. P  with e: S  gives  ![S]. T
+        if kind is Send:
+            need_chan(p.chan)
+            need_role(p.to_role, "output")
+            s = sort_of_expression(p.expr, venv)
+            return TOut(s, go(p.cont, penv, venv), None, p.to_role)
+        # x?(y: S). P  extends the variable environment with y: S
+        if kind is Recv:
+            need_chan(p.chan)
+            need_role(p.from_role, "input")
+            venv2 = dict(venv)
+            venv2[p.var] = p.sort
+            return TIn(p.sort, go(p.cont, penv, venv2), None, p.from_role)
+        if kind is Select:
+            need_chan(p.chan)
+            need_role(p.to_role, "selection")
+            return TSel(p.label, go(p.cont, penv, venv), None, p.to_role)
+        if kind is Branch:
+            need_chan(p.chan)
+            need_role(p.from_role, "branching")
+            return TBrn(tuple((l, go(a, penv, venv)) for l, a in p.arms),
+                        None, p.from_role)
+        # a conditional offers the internal choice of its two branches
+        if kind is If:
+            s = sort_of_expression(p.cond, venv)
+            if s != "bool":
+                raise TypingError(
+                    f"conditional guard has sort {s}, needs bool")
+            return TPlus(go(p.then, penv, venv), go(p.orelse, penv, venv))
+        if kind is Rec:
+            tv = _fresh_tvar(p.var, set(penv.values()))
+            penv2 = dict(penv)
+            penv2[p.var] = tv
+            return TMu(tv, go(p.body, penv2, venv))
+        if kind is PVar:
+            if p.name not in penv:
+                raise TypingError(
+                    f"unbound recursion variable {p.name!r}")
+            return TVarT(penv[p.name])
+        if kind is Commit:
+            return TCmt(go(p.cont, penv, venv))
+        leaf = _LEAF_TYPES.get(kind)
+        if leaf is None:
+            raise TypingError(f"not a process: {p!r}")
+        return leaf()
 
     return go(p, proc_env, var_env)
+
+
+_LEAF_TYPES = {Inact: TEnd, Roll: TRollT, Abort: TAbtT}
 
 
 def infer_collaboration(term) -> dict:
@@ -178,13 +177,13 @@ def service_pairs(assoc: dict) -> list:
 # ---------------------------------------------------------------------------
 
 def _check_roles_used(p: Process, own: int, n: int):
-    match p:
-        case Send(_, _, _, r) | Recv(_, _, _, _, r) | Select(_, _, _, r) \
-                | Branch(_, _, r):
-            if r is None or not (1 <= r <= n) or r == own:
-                raise TypingError(
-                    f"communication names role {r}, outside 1..{n} minus "
-                    f"the own role {own}")
+    kind = type(p)
+    if kind is Send or kind is Recv or kind is Select or kind is Branch:
+        r = p.to_role if kind is Send or kind is Select else p.from_role
+        if r is None or not (1 <= r <= n) or r == own:
+            raise TypingError(
+                f"communication names role {r}, outside 1..{n} minus "
+                f"the own role {own}")
     for q in subprocesses(p):
         _check_roles_used(q, own, n)
 

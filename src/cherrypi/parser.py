@@ -764,34 +764,38 @@ def _quote(s: str) -> str:
 
 
 def render_expr(e, parent: int = 0) -> str:
-    match e:
-        case Lit(v):
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, int):
-                return str(v)
-            return _quote(v)
-        case Var(n):
-            return n
-        case Call("not", (a,)):
-            return f"!{render_expr(a, 5)}"
-        case Call(op, (a, b)):
-            sym, prec = _OP_SYMBOL[op]
-            inner = f"{render_expr(a, prec)} {sym} {render_expr(b, prec + 1)}"
+    kind = type(e)
+    if kind is Lit:
+        v = e.value
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return str(v)
+        return _quote(v)
+    if kind is Var:
+        return e.name
+    if kind is Call:
+        args = e.args
+        if len(args) == 1 and e.op == "not":
+            return f"!{render_expr(args[0], 5)}"
+        if len(args) == 2:
+            sym, prec = _OP_SYMBOL[e.op]
+            inner = (f"{render_expr(args[0], prec)} {sym} "
+                     f"{render_expr(args[1], prec + 1)}")
             return f"({inner})" if prec < parent else inner
-        case Ufun(fn, args):
-            return f"{fn}(" + ", ".join(render_expr(a) for a in args) + ")"
+    elif kind is Ufun:
+        return f"{e.name}(" + ", ".join(map(render_expr, e.args)) + ")"
     raise MalformedTerm(f"not an expression: {e!r}")
 
 
 def show_chan(r) -> str:
-    match r:
-        case ChanVar(n):
-            return n
-        case Endpoint(s, plus):
-            return f"~{s}" if plus else s
-        case MEndpoint(s, role):
-            return f"{s}[{role}]"
+    kind = type(r)
+    if kind is Endpoint:
+        return f"~{r.session}" if r.plus else r.session
+    if kind is MEndpoint:
+        return f"{r.session}[{r.role}]"
+    if kind is ChanVar:
+        return r.name
     raise MalformedTerm(f"not a session identifier: {r!r}")
 
 
@@ -919,25 +923,23 @@ def _show_log(c: Log) -> str:
 def show_collaboration(c: Collaboration) -> str:
     """Pretty form covering runtime constructs; not re-parsable once sessions
     or logs appear."""
-    match c:
-        case Request(a, x, body, role):
-            rr = "" if role is None else f"[{role}]"
-            return f"request {a}{rr}({x}). {render_process(body)}"
-        case Accept(a, x, body, role):
-            rr = "" if role is None else f"[{role}]"
-            return f"accept {a}{rr}({x}). {render_process(body)}"
-        case Par(parts):
-            return " | ".join(
-                f"({show_collaboration(p)})" if isinstance(p, Par)
-                else show_collaboration(p) for p in parts)
-        case Session():
-            return _kept(c, _show_session)
-        case Log():
-            return _kept(c, _show_log)
-        case RollError():
-            return "roll_error"
-        case ComError():
-            return "com_error"
+    kind = type(c)
+    if kind is Log:
+        return _kept(c, _show_log)
+    if kind is Par:
+        return " | ".join(
+            f"({show_collaboration(p)})" if type(p) is Par
+            else show_collaboration(p) for p in c.parts)
+    if kind is Session:
+        return _kept(c, _show_session)
+    if kind is Request or kind is Accept:
+        rr = "" if c.role is None else f"[{c.role}]"
+        return (f"{'request' if kind is Request else 'accept'} {c.chan}{rr}"
+                f"({c.var}). {render_process(c.body)}")
+    if kind is RollError:
+        return "roll_error"
+    if kind is ComError:
+        return "com_error"
     raise MalformedTerm(f"not a collaboration: {c!r}")
 
 
@@ -951,9 +953,11 @@ def _collect_ufuns(term, into: dict):
                 expr(a)
 
     def proc(t):
-        match t:
-            case Send(_, e) | If(e):
-                expr(e)
+        kind = type(t)
+        if kind is Send:
+            expr(t.expr)
+        elif kind is If:
+            expr(t.cond)
         for q in subprocesses(t):
             proc(q)
 

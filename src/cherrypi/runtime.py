@@ -34,7 +34,7 @@ from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      MalformedInput, MalformedTerm, MEndpoint, Process, Recv,
                      Request, Roll, RollError, Select, Send, Session, Ufun,
                      Var, head_normal, par, par_parts, process_key, record,
-                     substitute, term_rep)
+                     substitute, term_rep, _TERMS)
 from .sessiontypes import TErr, canonical_type, fill_roles, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
@@ -164,20 +164,20 @@ def _apply_op(op: str, vals: list):
 def evaluate(e, oracle: DecisionOracle | None = None):
     """Big-step value of a closed expression; arguments evaluate left to
     right, and every uninterpreted call consults the oracle."""
-    match e:
-        case Lit(v):
-            return v
-        case Var(n):
-            raise MalformedTerm(f"unbound variable {n!r} in evaluation")
-        case Call(op, args):
-            return _apply_op(op, [evaluate(a, oracle) for a in args])
-        case Ufun(fn, args, _, rsort, dom):
-            for a in args:
-                evaluate(a, oracle)  # argument draws happen first
-            if oracle is None:
-                raise MalformedTerm(
-                    f"call of {fn!r} needs a decision oracle")
-            return oracle.draw(fn, rsort, dom)
+    kind = type(e)
+    if kind is Lit:
+        return e.value
+    if kind is Call:
+        return _apply_op(e.op, [evaluate(a, oracle) for a in e.args])
+    if kind is Ufun:
+        for a in e.args:
+            evaluate(a, oracle)  # argument draws happen first
+        if oracle is None:
+            raise MalformedTerm(
+                f"call of {e.name!r} needs a decision oracle")
+        return oracle.draw(e.name, e.result_sort, e.domain)
+    if kind is Var:
+        raise MalformedTerm(f"unbound variable {e.name!r} in evaluation")
     raise MalformedTerm(f"not an expression: {e!r}")
 
 
@@ -186,25 +186,24 @@ def enumerate_values(e) -> list:
     uninterpreted call: [(value, choices)] with choices the assumed draws in
     order.  Calls of undeclared-domain int/str functions cannot be
     enumerated."""
-    match e:
-        case Lit(v):
-            return [(v, ())]
-        case Var(n):
-            raise MalformedTerm(f"unbound variable {n!r} in evaluation")
-        case Call(op, args):
-            return [(_apply_op(op, vals), ch) for vals, ch in _combos(args)]
-        case Ufun(fn, args, _, rsort, dom):
-            combos = _combos(args)
-            if dom is not None:
-                outcomes = list(dom)
-            elif rsort == "bool":
-                outcomes = [False, True]
-            else:
-                raise ExploreError(
-                    f"exploration needs a declared domain for {fn!r} "
-                    f"(sort {rsort})")
-            return [(v, ch + ((fn, v),)) for _, ch in combos
-                    for v in outcomes]
+    kind = type(e)
+    if kind is Lit:
+        return [(e.value, ())]
+    if kind is Call:
+        return [(_apply_op(e.op, vals), ch) for vals, ch in _combos(e.args)]
+    if kind is Ufun:
+        fn, rsort, combos = e.name, e.result_sort, _combos(e.args)
+        if e.domain is not None:
+            outcomes = list(e.domain)
+        elif rsort == "bool":
+            outcomes = [False, True]
+        else:
+            raise ExploreError(
+                f"exploration needs a declared domain for {fn!r} "
+                f"(sort {rsort})")
+        return [(v, ch + ((fn, v),)) for _, ch in combos for v in outcomes]
+    if kind is Var:
+        raise MalformedTerm(f"unbound variable {e.name!r} in evaluation")
     raise MalformedTerm(f"not an expression: {e!r}")
 
 
@@ -254,6 +253,8 @@ def barbs(p: Process, observer: int | None = None) -> frozenset:
     The answer is kept on `p`, one per observer: a log that a step leaves
     alone keeps its process, so its barbs are found once.
     """
+    if type(p) not in _TERMS:
+        raise MalformedTerm(f"not a process or collaboration: {p!r}")
     cached = p.__dict__.get("_barbs")
     if cached is None:
         cached = {}
@@ -276,43 +277,41 @@ def _barbs(p: Process, observer) -> frozenset:
         if id(q) in seen:
             continue
         seen.add(id(q))
-        match q:
-            case Send(ch, _, cont, role):
-                if observer is None or role == observer:
-                    found.add(("out", ch, role))
-                else:
-                    stack.append(cont)
-            case Recv(ch, _, _, cont, role):
-                if observer is None or role == observer:
-                    found.add(("in", ch, role))
-                else:
-                    stack.append(cont)
-            case Select(ch, l, cont, role):
-                if observer is None or role == observer:
-                    found.add(("sel", ch, l, role))
-                else:
-                    stack.append(cont)
-            case Branch(ch, arms, role):
-                if observer is None or role == observer:
-                    for l, _ in arms:
-                        found.add(("brn", ch, l, role))
-                else:
-                    stack.extend(arm for _, arm in arms)
-            case If(cond, then, orelse):
-                v = guard_value(cond)
-                if v is None:
-                    stack.append(then)
-                    stack.append(orelse)
-                else:
-                    stack.append(then if v else orelse)
-            case Commit(cont):
-                stack.append(cont)
-            case Roll():
-                found.add(("roll",))
-            case Abort():
-                found.add(("abt",))
-            case _:
-                pass
+        kind = type(q)
+        if kind is Send:
+            if observer is None or q.to_role == observer:
+                found.add(("out", q.chan, q.to_role))
+            else:
+                stack.append(q.cont)
+        elif kind is Recv:
+            if observer is None or q.from_role == observer:
+                found.add(("in", q.chan, q.from_role))
+            else:
+                stack.append(q.cont)
+        elif kind is Select:
+            if observer is None or q.to_role == observer:
+                found.add(("sel", q.chan, q.label, q.to_role))
+            else:
+                stack.append(q.cont)
+        elif kind is Branch:
+            if observer is None or q.from_role == observer:
+                for l, _ in q.arms:
+                    found.add(("brn", q.chan, l, q.from_role))
+            else:
+                stack.extend(arm for _, arm in q.arms)
+        elif kind is If:
+            v = guard_value(q.cond)
+            if v is None:
+                stack.append(q.then)
+                stack.append(q.orelse)
+            else:
+                stack.append(q.then if v else q.orelse)
+        elif kind is Commit:
+            stack.append(q.cont)
+        elif kind is Roll:
+            found.add(("roll",))
+        elif kind is Abort:
+            found.add(("abt",))
     return frozenset(found)
 
 
@@ -569,85 +568,82 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
         li, hi = logs[i], heads[i]
         # the role partners' prefixes name this party by (binary: none)
         me = li.endpoint.role if pre else None
-        match hi:
-            case Send(_, e, cont, to):
-                j = partner_position(i, to, n)
-                if j is None:
+        kind = type(hi)
+        if kind is Send:
+            j = partner_position(i, hi.to_role, n)
+            if j is None:
+                continue
+            lj, hj = logs[j], heads[j]
+            if isinstance(hj, Recv) and hj.from_role == me:
+                evaluating("F-Com", i, hi.expr,
+                           functools.partial(_com, logs, i, j, hi.cont, hj))
+            elif mode == "detect":
+                bs = barbs(lj.current, me)
+                if ("in", lj.endpoint, me) not in bs \
+                        and not _may_recover(bs):
+                    mk("E-Com1", i, "stuck-out", rewrite, ComError)
+        elif kind is Recv:
+            j = partner_position(i, hi.from_role, n)
+            if j is None:
+                continue
+            lj, hj = logs[j], heads[j]
+            sender_ready = isinstance(hj, Send) and hj.to_role == me
+            if mode == "detect" and not sender_ready:
+                bs = barbs(lj.current, me)
+                if ("out", lj.endpoint, me) not in bs \
+                        and not _may_recover(bs):
+                    mk("E-Com2", i, "stuck-in", rewrite, ComError)
+        elif kind is Select:
+            j, lab = partner_position(i, hi.to_role, n), hi.label
+            if j is None:
+                continue
+            lj, hj = logs[j], heads[j]
+            if isinstance(hj, Branch) and hj.from_role == me:
+                arm = dict(hj.arms).get(lab)
+                if arm is not None:
+                    mk("F-Lab", i, f"+{lab}", rewrite, _exchange,
+                       logs, i, j, hi.cont, arm)
                     continue
-                lj, hj = logs[j], heads[j]
-                if isinstance(hj, Recv) and hj.from_role == me:
-                    evaluating("F-Com", i, e,
-                               functools.partial(_com, logs, i, j, cont, hj))
-                elif mode == "detect":
-                    bs = barbs(lj.current, me)
-                    if ("in", lj.endpoint, me) not in bs \
-                            and not _may_recover(bs):
-                        mk("E-Com1", i, "stuck-out", rewrite, ComError)
-            case Recv(_, _, _, _, frm):
-                j = partner_position(i, frm, n)
-                if j is None:
-                    continue
-                lj, hj = logs[j], heads[j]
-                sender_ready = isinstance(hj, Send) and hj.to_role == me
-                if mode == "detect" and not sender_ready:
-                    bs = barbs(lj.current, me)
-                    if ("out", lj.endpoint, me) not in bs \
-                            and not _may_recover(bs):
-                        mk("E-Com2", i, "stuck-in", rewrite, ComError)
-            case Select(_, lab, cont, to):
-                j = partner_position(i, to, n)
-                if j is None:
-                    continue
-                lj, hj = logs[j], heads[j]
-                if isinstance(hj, Branch) and hj.from_role == me:
-                    arm = dict(hj.arms).get(lab)
-                    if arm is not None:
-                        mk("F-Lab", i, f"+{lab}", rewrite, _exchange,
-                           logs, i, j, cont, arm)
-                        continue
-                if mode == "detect":
-                    bs = barbs(lj.current, me)
-                    if ("brn", lj.endpoint, lab, me) not in bs \
-                            and not _may_recover(bs):
-                        mk("E-Lab1", i, "stuck-sel", rewrite, ComError)
-            case Branch(_, arms, frm):
-                j = partner_position(i, frm, n)
-                if j is None:
-                    continue
-                lj, hj = logs[j], heads[j]
-                selector_ready = isinstance(hj, Select) and hj.to_role == me
-                if mode == "detect" and not selector_ready:
-                    bs = barbs(lj.current, me)
-                    offered = any(("sel", lj.endpoint, lab, me) in bs
-                                  for lab, _ in arms)
-                    if not offered and not _may_recover(bs):
-                        mk("E-Lab2", i, "stuck-brn", rewrite, ComError)
-            case If(cond, then, orelse):
-                evaluating("F-If", i, cond,
-                           functools.partial(_resolve, logs, i, then, orelse))
-            case Commit(cont):
-                # every other party is pinned to its current point unless
-                # it still sits on its own checkpoint
-                pinned = [h for h, lg in enumerate(logs)
-                          if h != i and _log_ckpt_differs(lg)]
-                if mode == "detect":
-                    rule = "E-Cmt1" if pinned else "E-Cmt2"
-                else:
-                    rule = "F-Cmt"
-                mk(rule, i, "commit", rewrite, _committed, logs, i, cont,
-                   pinned)
-            case Roll():
-                if mode == "detect" and li.ckpt.imposed:
-                    mk("E-Rll2", i, "roll", rewrite, RollError)
-                else:
-                    rule = "E-Rll1" if mode == "detect" else "B-Rll"
-                    mk(rule, i, "roll", rewrite, _rolled, logs,
-                       backward=True)
-            case Abort():
-                mk("B-Abt", i, "abort", place, par_parts(ses.saved),
-                   backward=True)
-            case _:
-                pass
+            if mode == "detect":
+                bs = barbs(lj.current, me)
+                if ("brn", lj.endpoint, lab, me) not in bs \
+                        and not _may_recover(bs):
+                    mk("E-Lab1", i, "stuck-sel", rewrite, ComError)
+        elif kind is Branch:
+            j = partner_position(i, hi.from_role, n)
+            if j is None:
+                continue
+            lj, hj = logs[j], heads[j]
+            selector_ready = isinstance(hj, Select) and hj.to_role == me
+            if mode == "detect" and not selector_ready:
+                bs = barbs(lj.current, me)
+                offered = any(("sel", lj.endpoint, lab, me) in bs
+                              for lab, _ in hi.arms)
+                if not offered and not _may_recover(bs):
+                    mk("E-Lab2", i, "stuck-brn", rewrite, ComError)
+        elif kind is If:
+            evaluating("F-If", i, hi.cond, functools.partial(
+                _resolve, logs, i, hi.then, hi.orelse))
+        elif kind is Commit:
+            # every other party is pinned to its current point unless
+            # it still sits on its own checkpoint
+            pinned = [h for h, lg in enumerate(logs)
+                      if h != i and _log_ckpt_differs(lg)]
+            if mode == "detect":
+                rule = "E-Cmt1" if pinned else "E-Cmt2"
+            else:
+                rule = "F-Cmt"
+            mk(rule, i, "commit", rewrite, _committed, logs, i, hi.cont,
+               pinned)
+        elif kind is Roll:
+            if mode == "detect" and li.ckpt.imposed:
+                mk("E-Rll2", i, "roll", rewrite, RollError)
+            else:
+                rule = "E-Rll1" if mode == "detect" else "B-Rll"
+                mk(rule, i, "roll", rewrite, _rolled, logs, backward=True)
+        elif kind is Abort:
+            mk("B-Abt", i, "abort", place, par_parts(ses.saved),
+               backward=True)
     return out
 
 

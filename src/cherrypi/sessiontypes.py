@@ -122,25 +122,29 @@ def _map_type(t: SessionTypeT, go, own: int | None = None) -> SessionTypeT:
     given, `own` stamped into an open own-role slot.  When nothing changes
     `t` itself comes back, so a walk copies only the spine above a change,
     and the subtrees it keeps bring their cached keys and unfoldings."""
-    match t:
-        case TOut(x, c, a, b) | TIn(x, c, a, b) | TSel(x, c, a, b):
-            nc, na = go(c), own if a is None else a
-            return t if nc is c and na == a else type(t)(x, nc, na, b)
-        case TBrn(arms, a, b):
-            narms = tuple((l, go(c)) for l, c in arms)
-            na = own if a is None else a
-            if na == a and all(n is c for (_, n), (_, c) in zip(narms, arms)):
-                return t
-            return TBrn(narms, na, b)
-        case TPlus(l, r):
-            nl, nr = go(l), go(r)
-            return t if nl is l and nr is r else TPlus(nl, nr)
-        case TMu(v, body):
-            nb = go(body)
-            return t if nb is body else TMu(v, nb)
-        case TCmt(c):
-            nc = go(c)
-            return t if nc is c else TCmt(nc)
+    kind = type(t)
+    if kind is TOut or kind is TIn or kind is TSel:
+        c, a = t.cont, t.src
+        nc, na = go(c), own if a is None else a
+        return t if nc is c and na == a else kind(
+            t.label if kind is TSel else t.sort, nc, na, t.dst)
+    if kind is TBrn:
+        arms, a = t.arms, t.src
+        narms = tuple((l, go(c)) for l, c in arms)
+        na = own if a is None else a
+        if na == a and all(n is c for (_, n), (_, c) in zip(narms, arms)):
+            return t
+        return TBrn(narms, na, t.dst)
+    if kind is TPlus:
+        l, r = t.left, t.right
+        nl, nr = go(l), go(r)
+        return t if nl is l and nr is r else TPlus(nl, nr)
+    if kind is TMu:
+        nb = go(t.body)
+        return t if nb is t.body else TMu(t.var, nb)
+    if kind is TCmt:
+        nc = go(t.cont)
+        return t if nc is t.cont else TCmt(nc)
     return t
 
 
@@ -216,40 +220,38 @@ def _roles_tag(src, dst) -> str:
     return f"[{a},{b}]"
 
 
+# a prefix's head in canonical text, and a leaf's text (in parentheses there)
+_TAG = {TOut: "out", TIn: "in", TSel: "sel", TEnd: "end", TErr: "err",
+        TRollT: "roll", TAbtT: "abt"}
+
+
 def canonical_type(t: SessionTypeT) -> str:
     """Canonical text: recursion binders numbered positionally, recursion kept
     folded. Equal text == equal types up to alpha-renaming."""
 
     def go(t, env, n) -> str:
-        match t:
-            case TOut(s, c, a, b):
-                return f"(out{_roles_tag(a, b)} {s} {go(c, env, n)})"
-            case TIn(s, c, a, b):
-                return f"(in{_roles_tag(a, b)} {s} {go(c, env, n)})"
-            case TSel(l, c, a, b):
-                return f"(sel{_roles_tag(a, b)} {l} {go(c, env, n)})"
-            case TBrn(arms, a, b):
-                inner = " ".join(f"[{l} {go(c, env, n)}]" for l, c in arms)
-                return f"(brn{_roles_tag(a, b)} {inner})"
-            case TPlus(l, r):
-                return f"(plus {go(l, env, n)} {go(r, env, n)})"
-            case TVarT(v):
-                return env.get(v, f"?t:{v}")
-            case TMu(v, body):
-                env2 = dict(env)
-                env2[v] = f"t{n}"
-                return f"(mu t{n} {go(body, env2, n + 1)})"
-            case TEnd():
-                return "(end)"
-            case TErr():
-                return "(err)"
-            case TCmt(c):
-                return f"(cmt {go(c, env, n)})"
-            case TRollT():
-                return "(roll)"
-            case TAbtT():
-                return "(abt)"
-        raise MalformedTerm(f"not a session type: {t!r}")
+        kind = type(t)
+        if kind is TOut or kind is TIn or kind is TSel:
+            return (f"({_TAG[kind]}{_roles_tag(t.src, t.dst)} "
+                    f"{t.label if kind is TSel else t.sort} "
+                    f"{go(t.cont, env, n)})")
+        if kind is TBrn:
+            inner = " ".join(f"[{l} {go(c, env, n)}]" for l, c in t.arms)
+            return f"(brn{_roles_tag(t.src, t.dst)} {inner})"
+        if kind is TPlus:
+            return f"(plus {go(t.left, env, n)} {go(t.right, env, n)})"
+        if kind is TVarT:
+            return env.get(t.name, f"?t:{t.name}")
+        if kind is TMu:
+            env2 = dict(env)
+            env2[t.var] = f"t{n}"
+            return f"(mu t{n} {go(t.body, env2, n + 1)})"
+        if kind is TCmt:
+            return f"(cmt {go(t.cont, env, n)})"
+        text = _TAG.get(kind)
+        if text is None:
+            raise MalformedTerm(f"not a session type: {t!r}")
+        return f"({text})"
 
     return go(t, {}, 0)
 
@@ -307,38 +309,32 @@ def _render(t: SessionTypeT, memo: dict | None) -> str:
         text = memo.get(id(t))
         if text is not None:
             return text
-    match t:
-        case TOut(s, c, a, b):
-            text = f"!{_roles_tag(a, b)}[{s}]. {_render(c, memo)}"
-        case TIn(s, c, a, b):
-            text = f"?{_roles_tag(a, b)}[{s}]. {_render(c, memo)}"
-        case TSel(l, c, a, b):
-            text = f"sel{_roles_tag(a, b)}[{l}]. {_render(c, memo)}"
-        case TBrn(arms, a, b):
-            inner = "; ".join(f"{l}: {_render(c, memo)}" for l, c in arms)
-            text = f"brn{_roles_tag(a, b)}[{inner}]"
-        case TPlus(l, r):
-            ls = _render(l, memo)
-            # a prefix/mu/cmt left operand extends rightward and would
-            # swallow the (+) on re-parse; close it off explicitly
-            if isinstance(l, (TOut, TIn, TSel, TCmt, TMu)):
-                ls = f"({ls})"
-            text = f"({ls} (+) {_render(r, memo)})"
-        case TVarT(v):
-            text = v
-        case TMu(v, body):
-            text = f"mu {v}. {_render(body, memo)}"
-        case TEnd():
-            text = "end"
-        case TErr():
-            text = "err"
-        case TCmt(c):
-            text = f"cmt. {_render(c, memo)}"
-        case TRollT():
-            text = "roll"
-        case TAbtT():
-            text = "abt"
-        case _:
+    kind = type(t)
+    if kind is TOut or kind is TIn:
+        text = (f"{'!' if kind is TOut else '?'}{_roles_tag(t.src, t.dst)}"
+                f"[{t.sort}]. {_render(t.cont, memo)}")
+    elif kind is TSel:
+        text = (f"sel{_roles_tag(t.src, t.dst)}[{t.label}]. "
+                f"{_render(t.cont, memo)}")
+    elif kind is TBrn:
+        inner = "; ".join(f"{l}: {_render(c, memo)}" for l, c in t.arms)
+        text = f"brn{_roles_tag(t.src, t.dst)}[{inner}]"
+    elif kind is TPlus:
+        ls = _render(t.left, memo)
+        # a prefix/mu/cmt left operand extends rightward and would
+        # swallow the (+) on re-parse; close it off explicitly
+        if type(t.left) in (TOut, TIn, TSel, TCmt, TMu):
+            ls = f"({ls})"
+        text = f"({ls} (+) {_render(t.right, memo)})"
+    elif kind is TVarT:
+        text = t.name
+    elif kind is TMu:
+        text = f"mu {t.var}. {_render(t.body, memo)}"
+    elif kind is TCmt:
+        text = f"cmt. {_render(t.cont, memo)}"
+    else:
+        text = _TAG.get(kind)
+        if text is None:
             raise MalformedTerm(f"not a session type: {t!r}")
     if memo is not None:
         memo[id(t)] = text

@@ -81,7 +81,8 @@ def record(cls=None, *, frozen=False):
     by its field tuple and refuses assignment and deletion; its caches are
     written with `object.__setattr__` or into `__dict__`, and equality,
     hashing and `repr` ignore them.  A mutable record is unhashable.  One
-    `exec` per class builds the methods, which keeps import cheap."""
+    `exec` per class builds the methods, which keeps import cheap.  No
+    class subclasses a record: the walkers dispatch on the exact class."""
     if cls is None:
         return lambda c: record(c, frozen=frozen)
     names = tuple(cls.__dict__.get("__annotations__", ()))
@@ -326,6 +327,8 @@ class ComError:
 
 
 Collaboration = Union[Request, Accept, Par, Session, Log, RollError, ComError]
+_TERMS = frozenset(Process.__args__ + Collaboration.__args__)
+_LEAVES = frozenset({Inact, Roll, Abort, RollError, ComError})
 
 
 def par(*parts) -> Collaboration:
@@ -376,11 +379,11 @@ def _chan_names(r) -> frozenset:
 
 
 def _expr_names(e) -> frozenset:
-    match e:
-        case Var(n):
-            return frozenset({("v", n)})
-        case Call(_, args) | Ufun(_, args):
-            return _join(_NO_NAMES, *(_expr_names(a) for a in args))
+    kind = type(e)
+    if kind is Var:
+        return frozenset({("v", e.name)})
+    if kind is Call or kind is Ufun:
+        return _join(_NO_NAMES, *(_expr_names(a) for a in e.args))
     return _NO_NAMES
 
 
@@ -391,37 +394,38 @@ def _names(t) -> frozenset:
     names = t.__dict__.get("_fv")
     if names is not None:
         return names
-    match t:
-        case Send(ch, e, cont):
-            names = _join(_names(cont), _chan_names(ch), _expr_names(e))
-        case Recv(ch, y, _, cont):
-            names = _join(_unbind(_names(cont), ("v", y)), _chan_names(ch))
-        case Select(ch, _, cont):
-            names = _join(_names(cont), _chan_names(ch))
-        case Branch(ch, arms):
-            names = _join(_chan_names(ch), *(_names(a) for _, a in arms))
-        case If(cond, then, orelse):
-            names = _join(_names(then), _names(orelse), _expr_names(cond))
-        case Rec(x, body):
-            names = _unbind(_names(body), ("x", x))
-        case PVar(x):
-            names = frozenset({("x", x)})
-        case Commit(cont):
-            names = _names(cont)
-        case Request(_, x, body) | Accept(_, x, body):
-            names = _unbind(_names(body), ("c", x))
-        case Par(parts):
-            names = _join(*(_names(q) for q in parts))
-        case Session(s, saved, body):
-            names = _join(_names(saved), _unbind(_names(body), ("s", s)))
-        case Log(ep, ckpt, current):
-            names = _join(_names(current), _names(ckpt.process),
-                          _chan_names(ep))
-        case Inact() | Roll() | Abort() | RollError() | ComError():
-            names = _NO_NAMES
-        case _:
-            raise MalformedTerm(f"not a process or collaboration: {t!r}")
-    object.__setattr__(t, "_fv", names)
+    kind = type(t)
+    if kind is Send:
+        names = _join(_names(t.cont), _chan_names(t.chan), _expr_names(t.expr))
+    elif kind is Recv:
+        names = _join(_unbind(_names(t.cont), ("v", t.var)),
+                      _chan_names(t.chan))
+    elif kind is Select:
+        names = _join(_names(t.cont), _chan_names(t.chan))
+    elif kind is Branch:
+        names = _join(_chan_names(t.chan), *(_names(a) for _, a in t.arms))
+    elif kind is If:
+        names = _join(_names(t.then), _names(t.orelse), _expr_names(t.cond))
+    elif kind is Rec:
+        names = _unbind(_names(t.body), ("x", t.var))
+    elif kind is PVar:
+        names = frozenset({("x", t.name)})
+    elif kind is Commit:
+        names = _names(t.cont)
+    elif kind is Log:
+        names = _join(_names(t.current), _names(t.ckpt.process),
+                      _chan_names(t.endpoint))
+    elif kind is Par:
+        names = _join(*(_names(q) for q in t.parts))
+    elif kind is Session:
+        names = _join(_names(t.saved), _unbind(_names(t.body), ("s", t.name)))
+    elif kind is Request or kind is Accept:
+        names = _unbind(_names(t.body), ("c", t.var))
+    elif kind in _LEAVES:
+        names = _NO_NAMES
+    else:
+        raise MalformedTerm(f"not a process or collaboration: {t!r}")
+    t.__dict__["_fv"] = names
     return names
 
 
@@ -430,16 +434,15 @@ def _names(t) -> frozenset:
 # ---------------------------------------------------------------------------
 
 def _subst_expr(e, name: str, v: Lit):
-    match e:
-        case Var(n) if n == name:
-            return v
-        case Call(op, args):
-            return Call(op, tuple(_subst_expr(a, name, v) for a in args))
-        case Ufun(fn, args, asorts, rsort, dom):
-            return Ufun(fn, tuple(_subst_expr(a, name, v) for a in args),
-                        asorts, rsort, dom)
-        case _:
-            return e
+    kind = type(e)
+    if kind is Var:
+        return v if e.name == name else e
+    if kind is Call:
+        return Call(e.op, tuple(_subst_expr(a, name, v) for a in e.args))
+    if kind is Ufun:
+        return Ufun(e.name, tuple(_subst_expr(a, name, v) for a in e.args),
+                    e.arg_sorts, e.result_sort, e.domain)
+    return e
 
 
 def _keep(e):
@@ -459,28 +462,28 @@ def subprocesses(p: Process) -> tuple:
     return ()
 
 
-def _map_proc(p: Process, go, expr=_keep, chan=_keep, role=None) -> Process:
+def _map_proc(p, go, expr=_keep, chan=_keep, role=_keep) -> Process:
     """`p` rebuilt with `go` applied to its sub-processes, `expr` to its
-    expressions, `chan` to its session identifier and, when given, `role`
-    to its partner role."""
-    match p:
-        case Send(c, e, cont, r):
-            return Send(chan(c), expr(e), go(cont), role(r) if role else r)
-        case Recv(c, y, s, cont, r):
-            return Recv(chan(c), y, s, go(cont), role(r) if role else r)
-        case Select(c, l, cont, r):
-            return Select(chan(c), l, go(cont), role(r) if role else r)
-        case Branch(c, arms, r):
-            return Branch(chan(c), tuple((l, go(a)) for l, a in arms),
-                          role(r) if role else r)
-        case If(cond, then, orelse):
-            return If(expr(cond), go(then), go(orelse))
-        case Rec(x, body):
-            return Rec(x, go(body))
-        case Commit(cont):
-            return Commit(go(cont))
-        case _:
-            return p
+    expressions, `chan` to its session identifier and `role` to its
+    partner role."""
+    kind = type(p)
+    if kind is Send:
+        return Send(chan(p.chan), expr(p.expr), go(p.cont), role(p.to_role))
+    if kind is Recv:
+        return Recv(chan(p.chan), p.var, p.sort, go(p.cont),
+                    role(p.from_role))
+    if kind is Select:
+        return Select(chan(p.chan), p.label, go(p.cont), role(p.to_role))
+    if kind is Branch:
+        return Branch(chan(p.chan), tuple((l, go(a)) for l, a in p.arms),
+                      role(p.from_role))
+    if kind is If:
+        return If(expr(p.cond), go(p.then), go(p.orelse))
+    if kind is Rec:
+        return Rec(p.var, go(p.body))
+    if kind is Commit:
+        return Commit(go(p.cont))
+    return p
 
 
 # each substitution returns a subtree without a free `name` as the same
@@ -516,13 +519,13 @@ def _subst_proc(p: Process, name: str, q: Process) -> Process:
     def go(p):
         if free not in _names(p):  # absent or shadowed
             return p
-        match p:
-            case PVar():
-                return q
-            case Rec(x, body) if x in q_free:
-                # capture: rename the binder first
-                x2 = _fresh(x, q_free | _proc_vars(body) | {name})
-                return Rec(x2, go(_subst_proc(body, x, PVar(x2))))
+        kind = type(p)
+        if kind is PVar:
+            return q
+        if kind is Rec and p.var in q_free:
+            # capture: rename the binder first
+            x2 = _fresh(p.var, q_free | _proc_vars(p.body) | {name})
+            return Rec(x2, go(_subst_proc(p.body, p.var, PVar(x2))))
         return _map_proc(p, go)
 
     return go(p)
@@ -536,6 +539,8 @@ def substitute(term: Process, name: str, replacement) -> Process:
     process replaces a process variable.  Subtrees without a free `name`
     come back as the same objects.
     """
+    if type(term) not in _TERMS:
+        raise MalformedTerm(f"not a process or collaboration: {term!r}")
     if isinstance(replacement, Lit):
         return _subst_leaves(term, ("v", name),
                              lambda e: _subst_expr(e, name, replacement))
@@ -817,13 +822,13 @@ def _ref(name: tuple, env: dict, depth: dict):
 
 
 def _chan_sig(r, env, depth) -> tuple:
-    match r:
-        case ChanVar(n):
-            return (ChanVar, _ref(("c", n), env, depth))
-        case Endpoint(s, plus):
-            return (Endpoint, _ref(("s", s), env, depth), plus)
-        case MEndpoint(s, role):
-            return (MEndpoint, _ref(("s", s), env, depth), role)
+    kind = type(r)
+    if kind is Endpoint:
+        return (Endpoint, _ref(("s", r.session), env, depth), r.plus)
+    if kind is MEndpoint:
+        return (MEndpoint, _ref(("s", r.session), env, depth), r.role)
+    if kind is ChanVar:
+        return (ChanVar, _ref(("c", r.name), env, depth))
     raise MalformedTerm(f"not a session identifier: {r!r}")
 
 
@@ -832,17 +837,17 @@ def _lit_sig(v) -> tuple:
 
 
 def _expr_sig(e, env, depth) -> tuple:
-    match e:
-        case Lit(v):
-            return _lit_sig(v)
-        case Var(n):
-            return (Var, _ref(("v", n), env, depth))
-        case Call(op, args):
-            return (Call, op, *(_expr_sig(a, env, depth) for a in args))
-        case Ufun(fn, args, asorts, rsort, dom):
-            d = None if dom is None else tuple(_lit_sig(x) for x in dom)
-            return (Ufun, fn, asorts, rsort, d,
-                    *(_expr_sig(a, env, depth) for a in args))
+    kind = type(e)
+    if kind is Lit:
+        return _lit_sig(e.value)
+    if kind is Var:
+        return (Var, _ref(("v", e.name), env, depth))
+    if kind is Call:
+        return (Call, e.op, *(_expr_sig(a, env, depth) for a in e.args))
+    if kind is Ufun:
+        d = None if e.domain is None else tuple(map(_lit_sig, e.domain))
+        return (Ufun, e.name, e.arg_sorts, e.result_sort, d,
+                *(_expr_sig(a, env, depth) for a in e.args))
     raise MalformedTerm(f"not an expression: {e!r}")
 
 
@@ -858,45 +863,46 @@ def _key(t, env: dict, depth: dict) -> _Rep:
     cached = t.__dict__.get("_tk")
     if cached is not None and cached[0] == scope:
         return cached[1]
-    match t:
-        case Send(ch, e, cont, tr):
-            sig = (Send, _chan_sig(ch, env, depth), tr,
-                   _expr_sig(e, env, depth), _key(cont, env, depth))
-        case Recv(ch, y, s, cont, fr):
-            sig = (Recv, _chan_sig(ch, env, depth), fr, s,
-                   _key(cont, *_bind(env, depth, ("v", y))))
-        case Select(ch, l, cont, tr):
-            sig = (Select, _chan_sig(ch, env, depth), tr, l,
-                   _key(cont, env, depth))
-        case Branch(ch, arms, fr):
-            sig = (Branch, _chan_sig(ch, env, depth), fr,
-                   tuple((l, _key(a, env, depth)) for l, a in arms))
-        case If(cond, then, orelse):
-            sig = (If, _expr_sig(cond, env, depth), _key(then, env, depth),
-                   _key(orelse, env, depth))
-        case Rec(x, body):
-            sig = (Rec, _key(body, *_bind(env, depth, ("x", x))))
-        case PVar(x):
-            sig = (PVar, _ref(("x", x), env, depth))
-        case Commit(cont):
-            sig = (Commit, _key(cont, env, depth))
-        case Request(a, x, body, role) | Accept(a, x, body, role):
-            sig = (type(t), a, role,
-                   _key(body, *_bind(env, depth, ("c", x))))
-        case Par(parts):
-            # a multiset: parallel reordering leaves the key alone
-            sig = (Par, tuple(sorted((_key(q, env, depth) for q in parts),
-                                     key=_serial)))
-        case Session(s, saved, body):
-            # the session name is a binder, numbered like the text numbers
-            # it, so the order sessions connected in does not matter
-            sig = (Session, _key(saved, env, depth),
-                   _key(body, *_bind(env, depth, ("s", s))))
-        case Log(ep, ckpt, current):
-            sig = (Log, _chan_sig(ep, env, depth), ckpt.imposed,
-                   _key(ckpt.process, env, depth), _key(current, env, depth))
-        case _:  # Inact, Roll, Abort, RollError, ComError (`_names` checked)
-            sig = (type(t),)
+    kind = type(t)
+    if kind is Send:
+        sig = (Send, _chan_sig(t.chan, env, depth), t.to_role,
+               _expr_sig(t.expr, env, depth), _key(t.cont, env, depth))
+    elif kind is Recv:
+        sig = (Recv, _chan_sig(t.chan, env, depth), t.from_role, t.sort,
+               _key(t.cont, *_bind(env, depth, ("v", t.var))))
+    elif kind is Select:
+        sig = (Select, _chan_sig(t.chan, env, depth), t.to_role, t.label,
+               _key(t.cont, env, depth))
+    elif kind is Branch:
+        sig = (Branch, _chan_sig(t.chan, env, depth), t.from_role,
+               tuple((l, _key(a, env, depth)) for l, a in t.arms))
+    elif kind is If:
+        sig = (If, _expr_sig(t.cond, env, depth), _key(t.then, env, depth),
+               _key(t.orelse, env, depth))
+    elif kind is Rec:
+        sig = (Rec, _key(t.body, *_bind(env, depth, ("x", t.var))))
+    elif kind is PVar:
+        sig = (PVar, _ref(("x", t.name), env, depth))
+    elif kind is Commit:
+        sig = (Commit, _key(t.cont, env, depth))
+    elif kind is Log:
+        ckpt = t.ckpt
+        sig = (Log, _chan_sig(t.endpoint, env, depth), ckpt.imposed,
+               _key(ckpt.process, env, depth), _key(t.current, env, depth))
+    elif kind is Par:
+        # a multiset: parallel reordering leaves the key alone
+        sig = (Par, tuple(sorted((_key(q, env, depth) for q in t.parts),
+                                 key=_serial)))
+    elif kind is Session:
+        # the session name is a binder, numbered like the text numbers
+        # it, so the order sessions connected in does not matter
+        sig = (Session, _key(t.saved, env, depth),
+               _key(t.body, *_bind(env, depth, ("s", t.name))))
+    elif kind is Request or kind is Accept:
+        sig = (kind, t.chan, t.role,
+               _key(t.body, *_bind(env, depth, ("c", t.var))))
+    else:  # Inact, Roll, Abort, RollError, ComError (`_names` checked)
+        sig = (kind,)
     # the signature holds the children's representatives, not their serials:
     # a child re-keyed in another scope drops its cached one, and equal
     # texts must still meet this entry
@@ -909,6 +915,8 @@ def term_rep(c: Collaboration) -> _Rep:
     """The representative whose serial is `term_key(c)`.  Holding it keeps
     that serial meaning `c`'s text: while it lives, no key-equal term gets
     another serial."""
+    if type(c) not in _TERMS:
+        raise MalformedTerm(f"not a process or collaboration: {c!r}")
     return _key(c, {}, _NO_DEPTH)
 
 
@@ -933,6 +941,8 @@ def process_key(p: Process) -> tuple:
     was keyed; the names are part of the key.  The key holds its
     representative, so it stays valid for as long as it is kept, and the
     node keeps it."""
+    if type(p) not in _TERMS:
+        raise MalformedTerm(f"not a process or collaboration: {p!r}")
     key = p.__dict__.get("_pk")
     if key is None:
         env, depth = {}, _NO_DEPTH
