@@ -74,68 +74,73 @@ def type_of_process(p: Process, chan, proc_env: dict | None = None,
     """
     proc_env = {} if proc_env is None else proc_env
     var_env = {} if var_env is None else var_env
+    return _type_of(p, chan, multiparty, proc_env, var_env)
 
-    def need_chan(c):
-        if c != chan:
-            raise TypingError(
-                f"process talks on {c!r}, expected {chan!r}")
 
-    def need_role(role, what: str):
-        if multiparty and role is None:
-            raise TypingError(f"{what} lacks a partner role annotation")
-        if not multiparty and role is not None:
-            raise TypingError(
-                f"{what} has a role annotation in a binary endpoint")
+def _need_chan(c, chan):
+    if c != chan:
+        raise TypingError(f"process talks on {c!r}, expected {chan!r}")
 
-    def go(p, penv, venv) -> SessionTypeT:
-        kind = type(p)
-        # x!<e>. P  with e: S  gives  ![S]. T
-        if kind is Send:
-            need_chan(p.chan)
-            need_role(p.to_role, "output")
-            s = sort_of_expression(p.expr, venv)
-            return TOut(s, go(p.cont, penv, venv), None, p.to_role)
-        # x?(y: S). P  extends the variable environment with y: S
-        if kind is Recv:
-            need_chan(p.chan)
-            need_role(p.from_role, "input")
-            venv2 = dict(venv)
-            venv2[p.var] = p.sort
-            return TIn(p.sort, go(p.cont, penv, venv2), None, p.from_role)
-        if kind is Select:
-            need_chan(p.chan)
-            need_role(p.to_role, "selection")
-            return TSel(p.label, go(p.cont, penv, venv), None, p.to_role)
-        if kind is Branch:
-            need_chan(p.chan)
-            need_role(p.from_role, "branching")
-            return TBrn(tuple((l, go(a, penv, venv)) for l, a in p.arms),
-                        None, p.from_role)
-        # a conditional offers the internal choice of its two branches
-        if kind is If:
-            s = sort_of_expression(p.cond, venv)
-            if s != "bool":
-                raise TypingError(
-                    f"conditional guard has sort {s}, needs bool")
-            return TPlus(go(p.then, penv, venv), go(p.orelse, penv, venv))
-        if kind is Rec:
-            tv = _fresh_tvar(p.var, set(penv.values()))
-            penv2 = dict(penv)
-            penv2[p.var] = tv
-            return TMu(tv, go(p.body, penv2, venv))
-        if kind is PVar:
-            if p.name not in penv:
-                raise TypingError(
-                    f"unbound recursion variable {p.name!r}")
-            return TVarT(penv[p.name])
-        if kind is Commit:
-            return TCmt(go(p.cont, penv, venv))
-        leaf = _LEAF_TYPES.get(kind)
-        if leaf is None:
-            raise TypingError(f"not a process: {p!r}")
-        return leaf()
 
-    return go(p, proc_env, var_env)
+def _need_role(role, what: str, multiparty: bool):
+    if multiparty and role is None:
+        raise TypingError(f"{what} lacks a partner role annotation")
+    if not multiparty and role is not None:
+        raise TypingError(
+            f"{what} has a role annotation in a binary endpoint")
+
+
+def _type_of(p, chan, mp: bool, penv: dict, venv: dict) -> SessionTypeT:
+    """`type_of_process` below its entry: a walker at module level, so a
+    call leaves no closure cycle behind."""
+    kind = type(p)
+    # x!<e>. P  with e: S  gives  ![S]. T
+    if kind is Send:
+        _need_chan(p.chan, chan)
+        _need_role(p.to_role, "output", mp)
+        s = sort_of_expression(p.expr, venv)
+        return TOut(s, _type_of(p.cont, chan, mp, penv, venv), None,
+                    p.to_role)
+    # x?(y: S). P  extends the variable environment with y: S
+    if kind is Recv:
+        _need_chan(p.chan, chan)
+        _need_role(p.from_role, "input", mp)
+        venv2 = dict(venv)
+        venv2[p.var] = p.sort
+        return TIn(p.sort, _type_of(p.cont, chan, mp, penv, venv2), None,
+                   p.from_role)
+    if kind is Select:
+        _need_chan(p.chan, chan)
+        _need_role(p.to_role, "selection", mp)
+        return TSel(p.label, _type_of(p.cont, chan, mp, penv, venv), None,
+                    p.to_role)
+    if kind is Branch:
+        _need_chan(p.chan, chan)
+        _need_role(p.from_role, "branching", mp)
+        return TBrn(tuple((l, _type_of(a, chan, mp, penv, venv))
+                          for l, a in p.arms), None, p.from_role)
+    # a conditional offers the internal choice of its two branches
+    if kind is If:
+        s = sort_of_expression(p.cond, venv)
+        if s != "bool":
+            raise TypingError(f"conditional guard has sort {s}, needs bool")
+        return TPlus(_type_of(p.then, chan, mp, penv, venv),
+                     _type_of(p.orelse, chan, mp, penv, venv))
+    if kind is Rec:
+        tv = _fresh_tvar(p.var, set(penv.values()))
+        penv2 = dict(penv)
+        penv2[p.var] = tv
+        return TMu(tv, _type_of(p.body, chan, mp, penv2, venv))
+    if kind is PVar:
+        if p.name not in penv:
+            raise TypingError(f"unbound recursion variable {p.name!r}")
+        return TVarT(penv[p.name])
+    if kind is Commit:
+        return TCmt(_type_of(p.cont, chan, mp, penv, venv))
+    leaf = _LEAF_TYPES.get(kind)
+    if leaf is None:
+        raise TypingError(f"not a process: {p!r}")
+    return leaf()
 
 
 _LEAF_TYPES = {Inact: TEnd, Roll: TRollT, Abort: TAbtT}

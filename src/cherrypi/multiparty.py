@@ -4,19 +4,19 @@ The engines in `semantics` and `runtime` step sessions of any number of
 parties, and `infer` groups a collaboration's endpoints by service and
 infers each role's type; what is n-role only lives here: the `m_*` entry
 points, and the transcription of a binary program into its two-role twin
-(with the erasure back, for cross-checking).
+(the erasure back, which only the cross-checks use, is in the tests'
+`oracle_naive`).
 """
 
 from __future__ import annotations
 
-from .syntax import (Accept, CheckpointProcess, Collaboration, ComError,
-                     Endpoint, Log, MalformedTerm, MEndpoint, Par, Process,
-                     Request, RollError, Session, _map_proc, par, par_parts)
+from .syntax import (Collaboration, MalformedTerm, Process, Request,
+                     _map_proc, par, par_parts)
 from .semantics import (ComplianceReport, TransitionSystem,
                         check_compliance, check_rollback_safety, config_key,
                         config_transitions, reachable_system)
-from .runtime import (DecisionOracle, ExplorationReport, StepRecord, Trace,
-                      explore, reduction_steps, simulate)
+from .runtime import (DecisionOracle, ExplorationReport, Trace, explore,
+                      reduction_steps, simulate)
 from .parser import SourceProgram
 
 
@@ -78,7 +78,10 @@ def _annotate(p: Process, partner: int) -> Process:
     def go(q):
         return _map_proc(q, go, role=lambda _: partner)
 
-    return go(p)
+    try:
+        return go(p)
+    finally:
+        del go  # `go` holds itself: break the cycle, free the walk now
 
 
 def to_multiparty(program: SourceProgram) -> SourceProgram:
@@ -92,55 +95,3 @@ def to_multiparty(program: SourceProgram) -> SourceProgram:
         parts.append(type(part)(part.chan, part.var,
                                 _annotate(part.body, 3 - own), own))
     return SourceProgram(dict(program.decls), par(*parts), True)
-
-
-def _erase_proc(p: Process) -> Process:
-    return _map_proc(p, _erase_proc, chan=_erase_chan, role=lambda _: None)
-
-
-def _erase_chan(ch):
-    if isinstance(ch, MEndpoint):
-        if ch.role not in (1, 2):
-            raise MalformedTerm(
-                "role erasure is defined for two-party sessions only")
-        return Endpoint(ch.session, ch.role == 2)
-    return ch
-
-
-def erase_to_binary(c: Collaboration) -> Collaboration:
-    """Strip a two-party multiparty collaboration back to binary form."""
-    match c:
-        case Request(a, x, body) | Accept(a, x, body):
-            return type(c)(a, x, _erase_proc(body), None)
-        case Par(parts):
-            return par(*(erase_to_binary(p) for p in parts))
-        case Session(s, saved, body):
-            return Session(s, erase_to_binary(saved),
-                           erase_to_binary(body))
-        case Log(ep, ckpt, cur):
-            return Log(_erase_chan(ep),
-                       CheckpointProcess(_erase_proc(ckpt.process),
-                                         ckpt.imposed),
-                       _erase_proc(cur))
-        case RollError() | ComError():
-            return c
-    raise MalformedTerm(f"not a collaboration: {c!r}")
-
-
-def erase_rule_name(rule: str) -> str:
-    return rule[2:] if rule.startswith("M-") else rule
-
-
-def erase_trace(tr: Trace) -> Trace:
-    """Binary view of a two-party run: roles stripped, rule prefixes
-    dropped.  Step texts are positional, so they carry over unchanged."""
-    program = None
-    if tr.program is not None:
-        program = SourceProgram(dict(tr.program.decls),
-                                erase_to_binary(tr.program.term), False)
-    return Trace(
-        erase_to_binary(tr.initial),
-        [StepRecord(erase_rule_name(s.rule), s.session, s.party, s.text,
-                    s.backward, erase_to_binary(s.state))
-         for s in tr.steps],
-        tr.status, tr.oracle, program)

@@ -561,7 +561,12 @@ def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
                 vals = vals | {y}
             t = t.cont
 
-    walk(body, _NO_NAMES, _NO_NAMES, _NO_NAMES)
+    try:
+        walk(body, _NO_NAMES, _NO_NAMES, _NO_NAMES)
+    finally:
+        # each walker holds itself: break the cycles, so the parser (and
+        # its tokens) goes as soon as the parse returns
+        del walk, expr_vars
     if rebound is not None:
         raise _diag(p.src, where.start, where.end, rebound)
     for names, what in ((free_vals, "variable"),
@@ -734,7 +739,10 @@ def _check_type_vars(p: _P, t: st.SessionTypeT, var_tokens: dict):
         for c in st.subtypes(t):
             go(c, bound, pending)
 
-    go(t, frozenset(), frozenset())
+    try:
+        go(t, frozenset(), frozenset())
+    finally:
+        del go  # `go` holds itself: break the cycle
     if free:
         name = min(free)
         raise _diag(p.src, free[name].start, free[name].end,
@@ -944,25 +952,27 @@ def show_collaboration(c: Collaboration) -> str:
 
 
 def _collect_ufuns(term, into: dict):
-    def expr(e):
-        if isinstance(e, Ufun):
-            into.setdefault(e.name, FunDecl(e.name, e.arg_sorts,
-                                            e.result_sort, e.domain))
-        if isinstance(e, (Call, Ufun)):
-            for a in e.args:
-                expr(a)
-
-    def proc(t):
-        kind = type(t)
-        if kind is Send:
-            expr(t.expr)
-        elif kind is If:
-            expr(t.cond)
-        for q in subprocesses(t):
-            proc(q)
-
     for part in par_parts(term):
-        proc(part.body)
+        _ufuns_proc(part.body, into)
+
+
+def _ufuns_proc(t, into: dict):
+    kind = type(t)
+    if kind is Send:
+        _ufuns_expr(t.expr, into)
+    elif kind is If:
+        _ufuns_expr(t.cond, into)
+    for q in subprocesses(t):
+        _ufuns_proc(q, into)
+
+
+def _ufuns_expr(e, into: dict):
+    if isinstance(e, Ufun):
+        into.setdefault(e.name, FunDecl(e.name, e.arg_sorts, e.result_sort,
+                                        e.domain))
+    if isinstance(e, (Call, Ufun)):
+        for a in e.args:
+            _ufuns_expr(a, into)
 
 
 def render_fun_decl(d: FunDecl) -> str:

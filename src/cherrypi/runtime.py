@@ -221,18 +221,18 @@ def _combos(args) -> list:
 # barbs
 # ---------------------------------------------------------------------------
 
+def _has_ufun(x) -> bool:
+    if isinstance(x, Ufun):
+        return True
+    if isinstance(x, Call):
+        return any(_has_ufun(a) for a in x.args)
+    return False
+
+
 def guard_value(e):
     """The value of an oracle-free guard, or None when an uninterpreted
     call makes the outcome oracle-dependent."""
-    def has_ufun(x) -> bool:
-        if isinstance(x, Ufun):
-            return True
-        if isinstance(x, Call):
-            return any(has_ufun(a) for a in x.args)
-        return False
-    if has_ufun(e):
-        return None
-    return evaluate(e)
+    return None if _has_ufun(e) else evaluate(e)
 
 
 def barbs(p: Process, observer: int | None = None) -> frozenset:

@@ -90,20 +90,19 @@ def type_transitions(t: SessionTypeT) -> list:
     """
     t = head_normal_type(t)
     cls = t.__class__
-    d = t.__dict__
     if cls is TOut:
-        return [(("out", d["sort"], d["src"], d["dst"]), d["cont"])]
+        return [(("out", t.sort, t.src, t.dst), t.cont)]
     if cls is TIn:
-        return [(("in", d["sort"], d["src"], d["dst"]), d["cont"])]
+        return [(("in", t.sort, t.src, t.dst), t.cont)]
     if cls is TSel:
-        return [(("sel", d["label"], d["src"], d["dst"]), d["cont"])]
+        return [(("sel", t.label, t.src, t.dst), t.cont)]
     if cls is TBrn:
-        a, b = d["src"], d["dst"]
-        return [(("brn", l, a, b), c) for l, c in d["arms"]]
+        a, b = t.src, t.dst
+        return [(("brn", l, a, b), c) for l, c in t.arms]
     if cls is TPlus:
-        return [(("tau", "L"), d["left"]), (("tau", "R"), d["right"])]
+        return [(("tau", "L"), t.left), (("tau", "R"), t.right)]
     if cls is TCmt:
-        return [(("cmt",), d["cont"])]
+        return [(("cmt",), t.cont)]
     if cls is TRollT:
         return [(("roll",), TEnd())]
     if cls is TAbtT:

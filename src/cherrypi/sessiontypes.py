@@ -160,7 +160,10 @@ def subst_type(t: SessionTypeT, name: str, r: SessionTypeT) -> SessionTypeT:
             return t
         return _map_type(t, go)
 
-    return go(t)
+    try:
+        return go(t)
+    finally:
+        del go  # `go` holds itself: break the cycle, free the walk now
 
 
 def unfold_type(t: TMu) -> SessionTypeT:
@@ -205,7 +208,10 @@ def fill_roles(t: SessionTypeT, own: int) -> SessionTypeT:
     def go(t):
         return _map_type(t, go, own)
 
-    return go(t)
+    try:
+        return go(t)
+    finally:
+        del go
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +234,32 @@ _TAG = {TOut: "out", TIn: "in", TSel: "sel", TEnd: "end", TErr: "err",
 def canonical_type(t: SessionTypeT) -> str:
     """Canonical text: recursion binders numbered positionally, recursion kept
     folded. Equal text == equal types up to alpha-renaming."""
+    return _canon(t, {}, 0)
 
-    def go(t, env, n) -> str:
-        kind = type(t)
-        if kind is TOut or kind is TIn or kind is TSel:
-            return (f"({_TAG[kind]}{_roles_tag(t.src, t.dst)} "
-                    f"{t.label if kind is TSel else t.sort} "
-                    f"{go(t.cont, env, n)})")
-        if kind is TBrn:
-            inner = " ".join(f"[{l} {go(c, env, n)}]" for l, c in t.arms)
-            return f"(brn{_roles_tag(t.src, t.dst)} {inner})"
-        if kind is TPlus:
-            return f"(plus {go(t.left, env, n)} {go(t.right, env, n)})"
-        if kind is TVarT:
-            return env.get(t.name, f"?t:{t.name}")
-        if kind is TMu:
-            env2 = dict(env)
-            env2[t.var] = f"t{n}"
-            return f"(mu t{n} {go(t.body, env2, n + 1)})"
-        if kind is TCmt:
-            return f"(cmt {go(t.cont, env, n)})"
-        text = _TAG.get(kind)
-        if text is None:
-            raise MalformedTerm(f"not a session type: {t!r}")
-        return f"({text})"
 
-    return go(t, {}, 0)
+def _canon(t, env: dict, n: int) -> str:
+    kind = type(t)
+    if kind is TOut or kind is TIn or kind is TSel:
+        return (f"({_TAG[kind]}{_roles_tag(t.src, t.dst)} "
+                f"{t.label if kind is TSel else t.sort} "
+                f"{_canon(t.cont, env, n)})")
+    if kind is TBrn:
+        inner = " ".join(f"[{l} {_canon(c, env, n)}]" for l, c in t.arms)
+        return f"(brn{_roles_tag(t.src, t.dst)} {inner})"
+    if kind is TPlus:
+        return f"(plus {_canon(t.left, env, n)} {_canon(t.right, env, n)})"
+    if kind is TVarT:
+        return env.get(t.name, f"?t:{t.name}")
+    if kind is TMu:
+        env2 = dict(env)
+        env2[t.var] = f"t{n}"
+        return f"(mu t{n} {_canon(t.body, env2, n + 1)})"
+    if kind is TCmt:
+        return f"(cmt {_canon(t.cont, env, n)})"
+    text = _TAG.get(kind)
+    if text is None:
+        raise MalformedTerm(f"not a session type: {t!r}")
+    return f"({text})"
 
 
 def type_key(t: SessionTypeT) -> int:
@@ -271,23 +277,23 @@ def type_key(t: SessionTypeT) -> int:
     rep = d.get("_rep")
     if rep is not None:
         return rep.serial
-    # a miss reads the fields from the node's dict, by its exact class
+    # a miss reads the node's fields, by its exact class
     cls = t.__class__
     if cls is TOut or cls is TIn:
-        sig = (cls, d["sort"], type_key(d["cont"]), d["src"], d["dst"])
+        sig = (cls, t.sort, type_key(t.cont), t.src, t.dst)
     elif cls is TSel:
-        sig = (cls, d["label"], type_key(d["cont"]), d["src"], d["dst"])
+        sig = (cls, t.label, type_key(t.cont), t.src, t.dst)
     elif cls is TBrn:
-        sig = (cls, tuple([(l, type_key(c)) for l, c in d["arms"]]),
-               d["src"], d["dst"])
+        sig = (cls, tuple([(l, type_key(c)) for l, c in t.arms]),
+               t.src, t.dst)
     elif cls is TPlus:
-        sig = (cls, type_key(d["left"]), type_key(d["right"]))
+        sig = (cls, type_key(t.left), type_key(t.right))
     elif cls is TCmt:
-        sig = (cls, type_key(d["cont"]))
+        sig = (cls, type_key(t.cont))
     elif cls is TMu:
         sig = (cls, canonical_type(t))
     elif cls is TVarT:
-        sig = (cls, d["name"])
+        sig = (cls, t.name)
     elif cls is TEnd or cls is TErr or cls is TRollT or cls is TAbtT:
         sig = (cls,)
     else:

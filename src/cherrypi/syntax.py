@@ -4,21 +4,25 @@ Terms are immutable records (see `record`): assigning to or deleting a
 field raises, two terms are equal when they are of the same class with
 equal fields, and equal terms hash alike, so terms can be shared freely
 and used as keys; every operation that "changes" a term builds a new one.
-A node caches what is derived from it alone (free names, key, unfolding)
-in private attributes of its `__dict__`, which equality, hashing and
-`repr` ignore.  Collaboration terms cover both the surface language
+A record's fields are slots; a node caches what is derived from it alone
+(free names, key, unfolding) in private attributes of its `__dict__`, a
+slot of its own that starts empty, and equality, hashing and `repr`
+ignore it.  Collaboration terms cover both the surface language
 (request/accept/parallel) and the runtime-only constructs (sessions, logs,
 error states) produced by reduction.
 
 Which fields of a process are sub-processes, and in what order, is written
 once: `subprocesses` lists a node's children in source order, and
 `_map_proc` rebuilds a node from its mapped children, expressions, session
-identifier and partner role.  Substitution, role annotation and erasure,
-and the parser's static checks walk processes through these two.  Walkers
-that do more than follow the shape stay hand-written: `_names` and `_key`
-track binders and cache on the node, `canonicalize` is the independent
+identifier and partner role.  Substitution, role annotation and the
+parser's static checks walk processes through these two.  Walkers that do
+more than follow the shape stay hand-written: `_names` and `_key` track
+binders and cache on the node, `canonicalize` is the independent
 reference the tests compare keys against, and rendering, typing and
-reduction give each constructor a meaning of its own.
+reduction give each constructor a meaning of its own.  A walker's
+recursive helper is a module-level function, or a closure its caller
+deletes on the way out (`del go`), so no call leaves a reference cycle
+behind for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -73,43 +77,60 @@ def _refuse_del(self, name):
 def record(cls=None, *, frozen=False):
     """Class decorator for the term, type and report classes: their fields
     are the class annotations in order, and a class attribute of a field's
-    name is its default.  It adds what `dataclasses.dataclass` would:
-    `__init__` with the fields as parameters, `__eq__` comparing field
-    tuples of instances of the very same class (`NotImplemented`
-    otherwise), `__repr__` as `Name(field=value!r, ...)` and
-    `__match_args__`, which is also the field list.  A frozen record hashes
-    by its field tuple and refuses assignment and deletion; its caches are
-    written with `object.__setattr__` or into `__dict__`, and equality,
-    hashing and `repr` ignore them.  A mutable record is unhashable.  One
-    `exec` per class builds the methods, which keeps import cheap.  No
-    class subclasses a record: the walkers dispatch on the exact class."""
+    name is its default.  The class is rebuilt with its fields in
+    `__slots__`, plus `__dict__` for the node caches, so a field read is a
+    slot read; a default lives on as the `__init__` default only.  It adds
+    what `dataclasses.dataclass` would: `__init__` with the fields as
+    parameters, `__eq__` comparing field tuples of instances of the very
+    same class (`NotImplemented` otherwise), `__repr__` as
+    `Name(field=value!r, ...)` and `__match_args__`, which is also the
+    field list.  A frozen record hashes by its field tuple and refuses
+    assignment and deletion (its `__init__` writes each field through the
+    slot's descriptor); its caches are written with `object.__setattr__`
+    or into `__dict__`, which starts empty, and equality, hashing and
+    `repr` ignore them, as do `copy` and `pickle`, which rebuild a frozen
+    record from its fields (`__reduce__`).  A mutable record is
+    unhashable.  One `exec` per
+    class builds the methods, which keeps import cheap.  No class
+    subclasses a record: the walkers dispatch on the exact class."""
     if cls is None:
         return lambda c: record(c, frozen=frozen)
-    names = tuple(cls.__dict__.get("__annotations__", ()))
-    ns = {f"_d_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+    body = dict(cls.__dict__)
+    names = tuple(body.get("__annotations__", ()))
+    ns = {f"_d_{n}": body.pop(n) for n in names if n in body}
+    for name in ("__dict__", "__weakref__"):
+        body.pop(name, None)
+    body["__slots__"] = names + ("__dict__",)
+    body["__qualname__"] = cls.__qualname__
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    if frozen:
+        ns.update((f"_s_{n}", vars(cls)[n].__set__) for n in names)
     params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in ns else f", {n}"
                      for n in names)
-    sets = "".join(f"    _dict[{n!r}] = {n}\n" if frozen else
+    sets = "".join(f"    _s_{n}(self, {n})\n" if frozen else
                    f"    self.{n} = {n}\n" for n in names)
     own = "".join(f"self.{n}, " for n in names)
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    exec(f"def __init__(self{params}):\n"
-         f"    {'_dict = self.__dict__' if frozen else 'pass'}\n{sets}"
+    exec(f"def __init__(self{params}):\n{sets or '    pass'}\n"
          f"def __eq__(self, other):\n"
          f"    if other.__class__ is self.__class__:\n"
          f"        return ({own}) == ({own.replace('self.', 'other.')})\n"
          f"    return NotImplemented\n"
          f"def __hash__(self):\n"
          f"    return hash(({own}))\n"
+         f"def __reduce__(self):\n"
+         f"    return self.__class__, ({own})\n"
          f"def __repr__(self):\n"
          f"    return self.__class__.__qualname__ + f'({shown})'\n", ns)
-    for name in ("__init__", "__eq__", "__repr__"):
+    for name in ("__init__", "__eq__", "__repr__") + (
+            ("__hash__", "__reduce__") if frozen else ()):
         ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, ns[name])
-    cls.__hash__ = ns["__hash__"] if frozen else None
     cls.__match_args__ = names
     if frozen:
         cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+    else:
+        cls.__hash__ = None
     return cls
 
 
@@ -495,7 +516,10 @@ def _subst_leaves(p: Process, free: tuple, expr=_keep, chan=_keep) \
     def go(q):
         return q if free not in _names(q) else _map_proc(q, go, expr, chan)
 
-    return go(p)
+    try:
+        return go(p)
+    finally:
+        del go  # `go` holds itself: break the cycle, free the walk now
 
 
 def _fresh(base: str, used: set) -> str:
@@ -528,7 +552,10 @@ def _subst_proc(p: Process, name: str, q: Process) -> Process:
             return Rec(x2, go(_subst_proc(p.body, p.var, PVar(x2))))
         return _map_proc(p, go)
 
-    return go(p)
+    try:
+        return go(p)
+    finally:
+        del go
 
 
 def substitute(term: Process, name: str, replacement) -> Process:

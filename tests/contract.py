@@ -3,6 +3,8 @@
     python3 tests/contract.py               # check against contract.json
     python3 tests/contract.py --write       # record the current digests
     python3 tests/contract.py --dump DIR    # also write each section's text
+    python3 tests/contract.py --full [...]  # the generated inputs instead,
+                                            # against contract_full.json
 
 Runs `cli.main` in-process over the bundled corpus.  Sections:
 
@@ -15,31 +17,58 @@ Runs `cli.main` in-process over the bundled corpus.  Sections:
 - comply, graph: every ordered pair of corpus types, `comply` in text and
   `--json`, `graph --dot` with the file written.
 
+`--full` runs the generated inputs of the benchmark's families instead,
+for a CI job (about 5 s on a 2-vCPU host; its kpar section alone is
+91,531 lines):
+
+- kpar: `bench/gen.py`'s kpar k = 1-3 and rings n = 2-6, each with its
+  `to_multiparty` twin: `infer`, `check`, `run --seed 1` in detect mode
+  with its trace and `replay`, and `explore` with its `--dot` file;
+- genprog: 40 `tests/genprog.py` programs (20 safe, 20 unsafe) and their
+  twins: `check`, `explore --depth 10` in both modes, and a detect-mode
+  `run --seed 1` with its trace and `replay`;
+- budgets: `check`, `explore --depth 12` and `comply` over the corpus
+  with `--budget` 1, 3 and 7, which print the exit-3 lines;
+- large: the check-large shapes of the benchmark (menus, chains and dense
+  chains: `comply`, `check` and the twin's `check`, text and `--json`)
+  and its depth probes, which exit 3.
+
 Each invocation adds its arguments, stdout, stderr and exit code to its
-section.  The corpus directory and the trace and dot paths are replaced by
-fixed names, so the digests do not depend on where the tree lives.  A
-section's digest is the SHA-256 of its text and its line count.  Imports
-cherrypi from the `src/` next to this directory; needs no pytest.
+section.  The corpus directory, the directory the generated inputs are
+written to and the trace and dot paths are replaced by fixed names, so
+the digests do not depend on where the tree lives.  A section's digest is
+the SHA-256 of its text and its line count.  Imports cherrypi from the
+`src/` next to this directory, and for `--full` `bench/gen.py` and
+`tests/genprog.py`; needs no pytest.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
+for path in (SRC, HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
+import genprog  # noqa: E402
 from cherrypi import cli, corpus_dir  # noqa: E402
+from cherrypi.multiparty import to_multiparty  # noqa: E402
+from cherrypi.parser import parse_program, render_program  # noqa: E402
 
-DIGESTS = Path(__file__).with_name("contract.json")
+DIGESTS = HERE / "contract.json"
+FULL_DIGESTS = HERE / "contract_full.json"
 SECTIONS = ("infer", "check", "explore", "run", "replay", "comply", "graph")
+FULL_SECTIONS = ("kpar", "genprog", "budgets", "large")
 MODES = ("plain", "detect")
 FORMATS = ((), ("--json",))
 
@@ -55,50 +84,161 @@ def _call(argv: list, names: tuple) -> str:
     return text
 
 
+class _Transcript:
+    """The text of every invocation, by section."""
+
+    def __init__(self, tmp: Path, sections: tuple):
+        self.tmp = tmp
+        self.trace, self.dot = tmp / "trace.json", tmp / "graph.dot"
+        self.names = ((str(self.trace), "TRACE"), (str(self.dot), "DOT"),
+                      (str(corpus_dir()), "CORPUS"), (str(tmp), "TMP"))
+        self.out: dict = {name: [] for name in sections}
+
+    def call(self, section: str, *argv) -> None:
+        self.out[section].append(_call([str(a) for a in argv], self.names))
+
+    def written(self, section: str, path: Path) -> None:
+        self.out[section].append(f"{path.name}:\n{path.read_text()}"
+                                 if path.exists() else f"no {path.name}\n")
+
+    def run(self, section: str, prog, *argv, fmt=(), replay=None) -> None:
+        """`run prog argv --trace fmt` and the trace file, then the trace's
+        replay in the run's mode and format, in section `replay` (by
+        default `section` too)."""
+        self.trace.unlink(missing_ok=True)
+        self.call(section, "run", prog, *argv, "--trace", self.trace, *fmt)
+        self.written(section, self.trace)
+        if self.trace.exists():
+            mode = argv[argv.index("--error-mode") + 1]
+            self.call(replay or section, "replay", self.trace,
+                      "--error-mode", mode, *fmt)
+
+    def explore(self, section: str, prog, *argv) -> None:
+        """`explore prog argv --dot`, and the dot file."""
+        self.dot.unlink(missing_ok=True)
+        self.call(section, "explore", prog, *argv, "--dot", self.dot)
+        self.written(section, self.dot)
+
+    def source(self, name: str, text: str) -> Path:
+        path = self.tmp / name
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def texts(self) -> dict:
+        return {name: "".join(texts) for name, texts in self.out.items()}
+
+
 def sections(tmp: Path) -> dict:
     """Section name -> the text of every invocation in it."""
     corpus = corpus_dir()
-    trace, dot = tmp / "trace.json", tmp / "graph.dot"
-    names = ((str(trace), "TRACE"), (str(dot), "DOT"),
-             (str(corpus), "CORPUS"))
-    out: dict = {name: [] for name in SECTIONS}
-
-    def call(section: str, *argv) -> None:
-        out[section].append(_call([str(a) for a in argv], names))
-
-    def written(section: str, path: Path) -> None:
-        out[section].append(f"{path.name}:\n{path.read_text()}"
-                            if path.exists() else f"no {path.name}\n")
-
+    t = _Transcript(tmp, SECTIONS)
     for prog in sorted(corpus.glob("*.chpi")):
         for fmt in FORMATS:
-            call("infer", "infer", prog, *fmt)
-            call("check", "check", prog, *fmt)
+            t.call("infer", "infer", prog, *fmt)
+            t.call("check", "check", prog, *fmt)
             for mode in MODES:
-                call("explore", "explore", prog, "--depth", 12,
-                     "--error-mode", mode, *fmt)
+                t.call("explore", "explore", prog, "--depth", 12,
+                       "--error-mode", mode, *fmt)
                 for seed in (1, 3):
-                    trace.unlink(missing_ok=True)
-                    call("run", "run", prog, "--seed", seed, "--error-mode",
-                         mode, "--trace", trace, *fmt)
-                    written("run", trace)
-                    if trace.exists():
-                        call("replay", "replay", trace, "--error-mode",
-                             mode, *fmt)
+                    t.run("run", prog, "--seed", seed, "--error-mode",
+                          mode, fmt=fmt, replay="replay")
     types = sorted(corpus.glob("*.chty"))
     for left in types:
         for right in types:
             for fmt in FORMATS:
-                call("comply", "comply", left, right, *fmt)
-            dot.unlink(missing_ok=True)
-            call("graph", "graph", left, right, "--dot", dot)
-            written("graph", dot)
-    return {name: "".join(texts) for name, texts in out.items()}
+                t.call("comply", "comply", left, right, *fmt)
+            t.dot.unlink(missing_ok=True)
+            t.call("graph", "graph", left, right, "--dot", t.dot)
+            t.written("graph", t.dot)
+    return t.texts()
 
 
-def digests(dump: Path | None = None) -> dict:
+def _bench_gen():
+    """`bench/gen.py`, the benchmark's input families, read as it is."""
+    spec = importlib.util.spec_from_file_location(
+        "contract_bench_gen", HERE.parent / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _with_twin(t: _Transcript, name: str, text: str) -> list:
+    """The program file and, for a binary program, its two-role twin's."""
+    files = [t.source(f"{name}.chpi", text)]
+    prog = parse_program(text)
+    if not prog.multiparty:
+        files.append(t.source(f"{name}-twin.chpi",
+                              render_program(to_multiparty(prog))))
+    return files
+
+
+def full_sections(tmp: Path) -> dict:
+    """`sections` for `--full`: the generated inputs."""
+    gen = _bench_gen()
+    corpus = corpus_dir()
+    t = _Transcript(tmp, FULL_SECTIONS)
+
+    rng = random.Random("contract")
+    shapes = [(f"kpar-{k}", gen.kpar("c", k)) for k in (1, 2, 3)]
+    shapes += [(f"ring-{n}", gen.ring(rng, "c", n)) for n in range(2, 7)]
+    for name, text in shapes:
+        for prog in _with_twin(t, name, text):
+            t.call("kpar", "infer", prog)
+            t.call("kpar", "check", prog)
+            t.run("kpar", prog, "--seed", 1, "--error-mode", "detect")
+            t.explore("kpar", prog, "--error-mode", "detect")
+
+    rng = random.Random("contract-genprog")
+    for i in range(40):
+        made = genprog.random_program(rng, safe=i < 20)
+        for prog in _with_twin(t, f"gen-{i}", render_program(made)):
+            t.call("genprog", "check", prog)
+            for mode in MODES:
+                t.call("genprog", "explore", prog, "--depth", 10,
+                       "--error-mode", mode)
+            t.run("genprog", prog, "--seed", 1, "--error-mode", "detect",
+                  "--max-steps", 200)
+
+    for budget in (1, 3, 7):
+        for prog in sorted(corpus.glob("*.chpi")):
+            t.call("budgets", "check", prog, "--budget", budget)
+            t.call("budgets", "explore", prog, "--depth", 12, "--budget",
+                   budget)
+        types = sorted(corpus.glob("*.chty"))
+        for left in types:
+            for right in types:
+                t.call("budgets", "comply", left, right, "--budget", budget)
+
+    rng = random.Random("check-large")
+    inputs = [gen.menu(rng, "c", n, n, False) for n in (4, 8, 16)]
+    inputs += [gen.menu(rng, "c", n, n, True) for n in (4, 8)]
+    inputs += [gen.chain(rng, "c", k, False, v)
+               for k in (10, 40, 80, 160) for v in (False, True)]
+    inputs += [gen.chain(rng, "c", k, True, v)
+               for k in (10, 40) for v in (False, True)]
+    for inp in inputs:
+        left = t.source(f"{inp.name}-left.chty", inp.left)
+        right = t.source(f"{inp.name}-right.chty", inp.right)
+        for fmt in FORMATS:
+            t.call("large", "comply", left, right, *fmt)
+            for prog in _with_twin(t, inp.name, inp.program):
+                t.call("large", "check", prog, *fmt)
+    # the benchmark's depth probes: past the recursion limit, exit 3
+    rng = random.Random("probes")
+    deep = gen.chain(rng, "c", 500, False, False)
+    dense = gen.chain(rng, "c", 200, True, False)
+    t.call("large", "comply", t.source("deep-left.chty", deep.left),
+           t.source("deep-right.chty", deep.right))
+    t.call("large", "check", t.source("deep.chpi", deep.program))
+    t.call("large", "comply", t.source("dense-left.chty", dense.left),
+           t.source("dense-right.chty", dense.right))
+    return t.texts()
+
+
+def digests(dump: Path | None = None, full: bool = False) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        texts = sections(Path(tmp))
+        texts = (full_sections if full else sections)(Path(tmp))
     if dump is not None:
         dump.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
@@ -111,12 +251,14 @@ def digests(dump: Path | None = None) -> dict:
 def main(argv: list) -> int:
     dump = Path(argv[argv.index("--dump") + 1]) if "--dump" in argv \
         else None
-    got = digests(dump)
+    full = "--full" in argv
+    got = digests(dump, full)
+    path = FULL_DIGESTS if full else DIGESTS
     if "--write" in argv:
-        DIGESTS.write_text(json.dumps(got, indent=2) + "\n")
+        path.write_text(json.dumps(got, indent=2) + "\n")
         return 0
-    want = json.loads(DIGESTS.read_text())
-    for name in SECTIONS:
+    want = json.loads(path.read_text())
+    for name in got:
         mark = "" if want.get(name) == got[name] else "  differs"
         print(f"{name:8} {got[name]['lines']:7} {got[name]['sha256']}{mark}")
     return 0 if want == got else 1

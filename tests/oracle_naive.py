@@ -12,24 +12,28 @@ nodes: the first builds every text afresh, the second tells visited
 processes apart by their keys, not by identity.  `naive_tokenize` and
 `naive_endpoint_check` are the lexer that matches one token at a time and
 the three separate walks that checked an endpoint's body, against which
-the parser's one `findall` and one walk are compared.
+the parser's one `findall` and one walk are compared.  `erase_trace`
+strips a two-role run back to binary form, so that a binary program's run
+can be compared with its `to_multiparty` twin's.
 """
 
 from __future__ import annotations
 
 import re
 
-from cherrypi.parser import (KEYWORDS, Token, _diag, _lex_error, render_expr,
-                             show_chan)
+from cherrypi.parser import (KEYWORDS, SourceProgram, Token, _diag,
+                             _lex_error, render_expr, show_chan)
 from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
                              ComError, Commit, Endpoint, If, Inact, Lit, Log,
-                             Par, PVar, Rec, Recv, Request, Roll, RollError,
-                             Select, Send, Session, Ufun, _names,
-                             canonicalize, head_normal, par, par_parts,
-                             process_canonical, process_key, subprocesses,
-                             substitute, term_key, unfold_recursion)
-from cherrypi.runtime import (ExplorationReport, ExploreEntry, classify_state,
-                              guard_value, reduction_steps)
+                             MalformedTerm, MEndpoint, Par, PVar, Rec, Recv,
+                             Request, Roll, RollError, Select, Send, Session,
+                             Ufun, _map_proc, _names, canonicalize,
+                             head_normal, par, par_parts, process_canonical,
+                             process_key, subprocesses, substitute, term_key,
+                             unfold_recursion)
+from cherrypi.runtime import (ExplorationReport, ExploreEntry, StepRecord,
+                              Trace, classify_state, guard_value,
+                              reduction_steps)
 from cherrypi.semantics import TransitionSystem
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
                                    TOut, TPlus, TRollT, TSel, canonical_type,
@@ -579,3 +583,59 @@ def naive_endpoint_check(src, body, session_var, where):
     if extra:
         raise _diag(src, where.start, where.end,
                     f"unbound session variable {sorted(extra)[0]!r}")
+
+
+# ---------------------------------------------------------------------------
+# binary erasure of two-party runs
+# ---------------------------------------------------------------------------
+
+def _erase_proc(p):
+    return _map_proc(p, _erase_proc, chan=_erase_chan, role=lambda _: None)
+
+
+def _erase_chan(ch):
+    if isinstance(ch, MEndpoint):
+        if ch.role not in (1, 2):
+            raise MalformedTerm(
+                "role erasure is defined for two-party sessions only")
+        return Endpoint(ch.session, ch.role == 2)
+    return ch
+
+
+def erase_to_binary(c):
+    """Strip a two-party multiparty collaboration back to binary form."""
+    match c:
+        case Request(a, x, body) | Accept(a, x, body):
+            return type(c)(a, x, _erase_proc(body), None)
+        case Par(parts):
+            return par(*(erase_to_binary(p) for p in parts))
+        case Session(s, saved, body):
+            return Session(s, erase_to_binary(saved),
+                           erase_to_binary(body))
+        case Log(ep, ckpt, cur):
+            return Log(_erase_chan(ep),
+                       CheckpointProcess(_erase_proc(ckpt.process),
+                                         ckpt.imposed),
+                       _erase_proc(cur))
+        case RollError() | ComError():
+            return c
+    raise MalformedTerm(f"not a collaboration: {c!r}")
+
+
+def erase_rule_name(rule):
+    return rule[2:] if rule.startswith("M-") else rule
+
+
+def erase_trace(tr):
+    """Binary view of a two-party run: roles stripped, rule prefixes
+    dropped.  Step texts are positional, so they carry over unchanged."""
+    program = None
+    if tr.program is not None:
+        program = SourceProgram(dict(tr.program.decls),
+                                erase_to_binary(tr.program.term), False)
+    return Trace(
+        erase_to_binary(tr.initial),
+        [StepRecord(erase_rule_name(s.rule), s.session, s.party, s.text,
+                    s.backward, erase_to_binary(s.state))
+         for s in tr.steps],
+        tr.status, tr.oracle, program)

@@ -39,8 +39,7 @@ MODULES = [importlib.import_module(f"cherrypi.{m.name}")
 # test-only walkers, which keep their class patterns until they move out
 # of the package
 TEST_ONLY = {("syntax", "_canon_expr"), ("syntax", "_canon_chan"),
-             ("syntax", "_canon_proc"), ("syntax", "_canon_coll"),
-             ("multiparty", "erase_to_binary")}
+             ("syntax", "_canon_proc"), ("syntax", "_canon_coll")}
 
 
 class _ClassMatches(ast.NodeVisitor):

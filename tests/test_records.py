@@ -3,14 +3,18 @@ cost it exists for.
 
 Every class the decorator made in cherrypi's modules is paired with a
 dataclass twin built from the same annotations and defaults; both must
-construct, compare, hash, print and refuse changes alike.
+construct, compare, hash, print and refuse changes alike.  A record keeps
+its fields in slots and its caches in a `__dict__` that starts empty.
 """
 
+import copy
 import dataclasses
 import itertools
 import os
+import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -42,10 +46,16 @@ def _frozen(cls):
     return cls.__setattr__ is syntax._refuse_set
 
 
+def _defaults(cls):
+    """Field name -> default: a record keeps them as `__init__`
+    defaults only, since a class attribute of a field's name is its slot."""
+    names, vals = cls.__match_args__, cls.__init__.__defaults__ or ()
+    return dict(zip(names[len(names) - len(vals):], vals))
+
+
 def _twin(cls):
     ns = {"__annotations__": dict(cls.__annotations__)}
-    ns.update((n, vars(cls)[n]) for n in cls.__match_args__
-              if n in vars(cls))
+    ns.update(_defaults(cls))
     return dataclasses.dataclass(frozen=_frozen(cls))(
         type(cls.__name__, (), ns))
 
@@ -55,7 +65,7 @@ def _values(cls, tag):
 
 
 def _required(cls):
-    return [n for n in cls.__match_args__ if n not in vars(cls)]
+    return [n for n in cls.__match_args__ if n not in _defaults(cls)]
 
 
 def _fields(x):
@@ -74,6 +84,10 @@ def test_record_matches_its_dataclass_twin(cls):
     twin = _twin(cls)
     names = cls.__match_args__
     assert names == twin.__match_args__
+    # every field is a slot, and `__dict__` is kept for the caches
+    assert cls.__slots__ == names + ("__dict__",)
+    assert all(type(vars(cls)[n]) is types.MemberDescriptorType
+               for n in names)
     vals = _values(cls, "v")
     # positional, keyword, and defaults left out
     built = [(cls(*vals), twin(*vals)),
@@ -83,7 +97,7 @@ def test_record_matches_its_dataclass_twin(cls):
     for ours, theirs in built:
         assert _fields(ours) == _fields(theirs)
         assert repr(ours) == repr(theirs)
-        assert ours.__dict__ == theirs.__dict__
+        assert ours.__dict__ == {}  # a fresh node has no cache yet
     a, b = cls(*vals), twin(*vals)
     for other in [cls(*vals)] + [
             cls(*(vals[:i] + ["changed"] + vals[i + 1:]))
@@ -104,6 +118,7 @@ def test_record_matches_its_dataclass_twin(cls):
                 delattr(a, name)
         # private caches are written past the refusal and ignored
         object.__setattr__(a, "_cache", "kept")
+        assert a.__dict__ == {"_cache": "kept"}
         assert a == cls(*vals) and hash(a) == hash(cls(*vals))
         assert repr(a) == repr(b)
     else:
@@ -113,6 +128,18 @@ def test_record_matches_its_dataclass_twin(cls):
         if names:
             setattr(a, names[0], "set")
             assert getattr(a, names[0]) == "set"
+
+
+def test_records_copy_and_pickle_by_their_fields():
+    for cls in RECORDS:
+        a = cls(*_values(cls, "v"))
+        if _frozen(cls):
+            object.__setattr__(a, "_cache", "kept")
+        for twin in (copy.copy(a), copy.deepcopy(a),
+                     pickle.loads(pickle.dumps(a))):
+            assert type(twin) is cls and twin == a, cls.__qualname__
+            if _frozen(cls):  # a cache is derived: a copy starts without
+                assert twin.__dict__ == {}, cls.__qualname__
 
 
 def test_records_of_different_classes_differ_like_dataclasses():
