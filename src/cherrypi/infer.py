@@ -5,13 +5,14 @@ the session type its process realises; the requester side is keyed with a
 leading `~` on the service name.  `m_service_groups` groups an n-role
 collaboration by service and infers each role's type, and `service_types`
 gives every service's endpoint types in log order, binary or n-role.
+An operator's operand and result sorts are its row of `syntax.OPERATORS`.
 """
 
 from __future__ import annotations
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, If, Inact, Lit, Process, PVar, Rec, Recv,
-                     Request, Roll, Select, Send, Ufun, Var, BUILTIN_SIGS,
+                     Request, Roll, Select, Send, Ufun, Var, operator_of,
                      par_parts, record, subprocesses)
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TIn, TMu,
                            TOut, TPlus, TRollT, TSel, TVarT, fill_roles)
@@ -31,18 +32,16 @@ def sort_of_expression(e, env: dict) -> str:
             raise TypingError(f"unbound variable {e.name!r}")
         return env[e.name]
     if kind is Call:
-        op = e.op
+        row = operator_of(e, TypingError)
         arg_sorts = [sort_of_expression(a, env) for a in e.args]
-        if op == "eq":
-            if len(arg_sorts) != 2 or arg_sorts[0] != arg_sorts[1]:
-                raise TypingError(
-                    f"'==' needs two operands of one sort, got {arg_sorts}")
-            return "bool"
-        want, result = BUILTIN_SIGS[op]
-        if tuple(arg_sorts) != want:
-            raise TypingError(
-                f"operator {op!r} expects {want}, got {tuple(arg_sorts)}")
-        return result
+        if None in row.operands:  # operands of any one sort
+            if arg_sorts[0] != arg_sorts[1]:
+                raise TypingError(f"{row.symbol!r} needs two operands of "
+                                  f"one sort, got {arg_sorts}")
+        elif tuple(arg_sorts) != row.operands:
+            raise TypingError(f"operator {e.op!r} expects {row.operands}, "
+                              f"got {tuple(arg_sorts)}")
+        return row.result
     if kind is Ufun:
         arg_sorts = tuple(sort_of_expression(a, env) for a in e.args)
         if arg_sorts != e.arg_sorts:
@@ -61,8 +60,7 @@ def _fresh_tvar(base: str, taken) -> str:
     return f"{base}_{i}"
 
 
-def type_of_process(p: Process, chan, proc_env: dict | None = None,
-                    var_env: dict | None = None,
+def type_of_process(p: Process, chan,
                     multiparty: bool = False) -> SessionTypeT:
     """Session type of `p` on session identifier `chan`.
 
@@ -72,9 +70,7 @@ def type_of_process(p: Process, chan, proc_env: dict | None = None,
     partner role, which lands in the partner slot of the prefix (the own slot
     stays open for `fill_roles`).
     """
-    proc_env = {} if proc_env is None else proc_env
-    var_env = {} if var_env is None else var_env
-    return _type_of(p, chan, multiparty, proc_env, var_env)
+    return _type_of(p, chan, multiparty, {}, {})
 
 
 def _need_chan(c, chan):

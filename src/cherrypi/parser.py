@@ -12,7 +12,9 @@ lookup gives each token's kind (keywords and symbols by text, the rest by
 first character) and running sums of the pair lengths give the offsets.
 `parse_program` then checks each endpoint body in one walk
 (`_check_endpoint`).  That walk keeps nothing on the nodes: the free-name
-cache `_fv` is filled by the runtime on first use.
+cache `_fv` is filled by the runtime on first use.  Expressions parse by
+one precedence-climbing loop over `syntax.OPERATORS`, and `render_expr`
+parenthesises by the same strengths and groupings.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, Endpoint, If, Inact, Lit, MEndpoint, Par, PVar,
                      Process, Rec, Recv, Request, Roll, Select, Send, Session,
                      Log, RollError, ComError, Ufun, Var, par,
-                     par_parts, record, subprocesses, SORTS, MalformedTerm)
+                     par_parts, record, subprocesses, operator_of,
+                     OPERATORS, SORTS, MalformedTerm, _NO_NAMES,
+                     _expr_names)
 from . import sessiontypes as st
 
 KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
@@ -275,6 +279,14 @@ def _parse_fun_decl(p: _P) -> FunDecl:
     return FunDecl(name_tok.text, tuple(arg_sorts), result, domain)
 
 
+# the operators by symbol, as (name, row): the prefix ones and the others
+_PREFIX = {row.symbol: (op, row) for op, row in OPERATORS.items()
+           if row.grouping == "prefix"}
+_INFIX = {row.symbol: (op, row) for op, row in OPERATORS.items()
+          if row.grouping != "prefix"}
+_TIGHTEST = max(row.prec for row in OPERATORS.values())
+
+
 class _ProgParser:
     def __init__(self, p: _P, decls: dict):
         self.p = p
@@ -282,45 +294,29 @@ class _ProgParser:
         self.heads: list = []  # each endpoint's first token, in source order
 
     # -- expressions --------------------------------------------------------
-    # precedence: || < && < (== | <) < (+ | ++) < ! < atom
 
-    def expr(self):
-        return self._or()
-
-    def _or(self):
-        e = self._and()
-        while self.p.eat("||"):
-            e = Call("or", (e, self._and()))
-        return e
-
-    def _and(self):
-        e = self._cmp()
-        while self.p.eat("&&"):
-            e = Call("and", (e, self._cmp()))
-        return e
-
-    def _cmp(self):
-        e = self._add()
-        if self.p.eat("=="):
-            return Call("eq", (e, self._add()))
-        if self.p.eat("<"):
-            return Call("lt", (e, self._add()))
-        return e
-
-    def _add(self):
-        e = self._unary()
+    def expr(self, floor: int = 0):
+        """An expression whose infix operators bind tighter than `floor`
+        (precedence climbing over `OPERATORS`).  After an operator that
+        groups left, another of its strength may follow; after one that
+        does not chain, only a looser one, so in `a == b == c` the second
+        `==` is left to the caller, which refuses it."""
+        p = self.p
+        found = _PREFIX.get(p.peek().kind)
+        if found is None:
+            e = self._atom()
+        else:
+            p.next()
+            e = Call(found[0], (self.expr(found[1].prec),))
+        cap = _TIGHTEST
         while True:
-            if self.p.eat("+"):
-                e = Call("add", (e, self._unary()))
-            elif self.p.eat("++"):
-                e = Call("concat", (e, self._unary()))
-            else:
+            found = _INFIX.get(p.peek().kind)
+            if found is None or not floor < found[1].prec <= cap:
                 return e
-
-    def _unary(self):
-        if self.p.eat("!"):
-            return Call("not", (self._unary(),))
-        return self._atom()
+            p.next()
+            op, row = found
+            e = Call(op, (e, self.expr(row.prec)))
+            cap = row.prec if row.grouping == "left" else row.prec - 1
 
     def _atom(self):
         p = self.p
@@ -487,9 +483,6 @@ class _ProgParser:
 
 # -- static well-formedness checks ------------------------------------------
 
-_NO_NAMES: frozenset = frozenset()
-
-
 def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
     """Reject an endpoint body that recurses unguarded, rebinds a value or
     recursion variable inside its own scope (which keeps substitution and
@@ -506,22 +499,14 @@ def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
     free_recs: set = set()
     free_chans: set = set()
 
-    def expr_vars(e, vals: frozenset):
-        kind = type(e)
-        if kind is Var:
-            if e.name not in vals:
-                free_vals.add(e.name)
-        elif kind is Call or kind is Ufun:
-            for a in e.args:
-                expr_vars(a, vals)
-
     def walk(t: Process, pending: frozenset, vals: frozenset,
              recs: frozenset):
         nonlocal rebound
         while True:
             kind = type(t)
             if kind is If:
-                expr_vars(t.cond, vals)
+                free_vals.update(n for _, n in _expr_names(t.cond)
+                                 if n not in vals)
                 walk(t.then, pending, vals, recs)
                 t = t.orelse
                 continue
@@ -553,7 +538,8 @@ def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
                     walk(arm, pending, vals, recs)
                 return
             if kind is Send:
-                expr_vars(t.expr, vals)
+                free_vals.update(n for _, n in _expr_names(t.expr)
+                                 if n not in vals)
             elif kind is Recv:
                 y = t.var
                 if (y in vals or y == session_var) and rebound is None:
@@ -564,9 +550,9 @@ def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
     try:
         walk(body, _NO_NAMES, _NO_NAMES, _NO_NAMES)
     finally:
-        # each walker holds itself: break the cycles, so the parser (and
+        # the walker holds itself: break the cycle, so the parser (and
         # its tokens) goes as soon as the parse returns
-        del walk, expr_vars
+        del walk
     if rebound is not None:
         raise _diag(p.src, where.start, where.end, rebound)
     for names, what in ((free_vals, "variable"),
@@ -762,16 +748,14 @@ def parse_type(src: str) -> st.SessionTypeT:
 # rendering (source emission) and showing (runtime pretty-printing)
 # ---------------------------------------------------------------------------
 
-_OP_SYMBOL = {"or": ("||", 1), "and": ("&&", 2), "eq": ("==", 3),
-              "lt": ("<", 3), "add": ("+", 4), "concat": ("++", 4)}
-
-
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') \
         .replace("\n", "\\n") + '"'
 
 
 def render_expr(e, parent: int = 0) -> str:
+    """Source text of an expression; an operator that binds looser than
+    `parent`, its context's strength, is parenthesised."""
     kind = type(e)
     if kind is Lit:
         v = e.value
@@ -783,15 +767,16 @@ def render_expr(e, parent: int = 0) -> str:
     if kind is Var:
         return e.name
     if kind is Call:
-        args = e.args
-        if len(args) == 1 and e.op == "not":
-            return f"!{render_expr(args[0], 5)}"
-        if len(args) == 2:
-            sym, prec = _OP_SYMBOL[e.op]
-            inner = (f"{render_expr(args[0], prec)} {sym} "
+        row, args = operator_of(e, MalformedTerm), e.args
+        prec = row.prec
+        if row.grouping == "prefix":
+            inner = f"{row.symbol}{render_expr(args[0], prec)}"
+        else:  # an as strong left operand is bare if the operator groups
+            left = prec if row.grouping == "left" else prec + 1
+            inner = (f"{render_expr(args[0], left)} {row.symbol} "
                      f"{render_expr(args[1], prec + 1)}")
-            return f"({inner})" if prec < parent else inner
-    elif kind is Ufun:
+        return f"({inner})" if prec < parent else inner
+    if kind is Ufun:
         return f"{e.name}(" + ", ".join(map(render_expr, e.args)) + ")"
     raise MalformedTerm(f"not an expression: {e!r}")
 

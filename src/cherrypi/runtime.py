@@ -33,8 +33,8 @@ from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
                      MalformedInput, MalformedTerm, MEndpoint, Process, Recv,
                      Request, Roll, RollError, Select, Send, Session, Ufun,
-                     Var, head_normal, par, par_parts, process_key, record,
-                     substitute, term_rep, _TERMS)
+                     Var, head_normal, operator_of, par, par_parts,
+                     process_key, record, substitute, term_rep, _TERMS)
 from .sessiontypes import TErr, canonical_type, fill_roles, type_key
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
@@ -142,33 +142,16 @@ class DecisionOracle:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _apply_op(op: str, vals: list):
-    match op:
-        case "add":
-            return vals[0] + vals[1]
-        case "and":
-            return vals[0] and vals[1]
-        case "or":
-            return vals[0] or vals[1]
-        case "not":
-            return not vals[0]
-        case "eq":
-            return vals[0] == vals[1]
-        case "lt":
-            return vals[0] < vals[1]
-        case "concat":
-            return vals[0] + vals[1]
-    raise MalformedTerm(f"unknown operator {op!r}")
-
-
 def evaluate(e, oracle: DecisionOracle | None = None):
     """Big-step value of a closed expression; arguments evaluate left to
-    right, and every uninterpreted call consults the oracle."""
+    right, an operator means what its `OPERATORS` row says, and every
+    uninterpreted call consults the oracle."""
     kind = type(e)
     if kind is Lit:
         return e.value
     if kind is Call:
-        return _apply_op(e.op, [evaluate(a, oracle) for a in e.args])
+        return operator_of(e, MalformedTerm).meaning(
+            *[evaluate(a, oracle) for a in e.args])
     if kind is Ufun:
         for a in e.args:
             evaluate(a, oracle)  # argument draws happen first
@@ -190,7 +173,8 @@ def enumerate_values(e) -> list:
     if kind is Lit:
         return [(e.value, ())]
     if kind is Call:
-        return [(_apply_op(e.op, vals), ch) for vals, ch in _combos(e.args)]
+        meaning = operator_of(e, MalformedTerm).meaning
+        return [(meaning(*vals), ch) for vals, ch in _combos(e.args)]
     if kind is Ufun:
         fn, rsort, combos = e.name, e.result_sort, _combos(e.args)
         if e.domain is not None:
@@ -221,18 +205,20 @@ def _combos(args) -> list:
 # barbs
 # ---------------------------------------------------------------------------
 
-def _has_ufun(x) -> bool:
-    if isinstance(x, Ufun):
+def _undecided(x) -> bool:
+    kind = type(x)
+    if kind is Ufun or kind is Var:
         return True
-    if isinstance(x, Call):
-        return any(_has_ufun(a) for a in x.args)
+    if kind is Call:
+        return any(_undecided(a) for a in x.args)
     return False
 
 
 def guard_value(e):
-    """The value of an oracle-free guard, or None when an uninterpreted
-    call makes the outcome oracle-dependent."""
-    return None if _has_ufun(e) else evaluate(e)
+    """The value of a guard, or None when it is not known yet: an
+    uninterpreted call makes the outcome oracle-dependent, and a variable
+    is bound by a receive that an n-role observer's barbs passed over."""
+    return None if _undecided(e) else evaluate(e)
 
 
 def barbs(p: Process, observer: int | None = None) -> frozenset:

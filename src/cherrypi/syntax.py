@@ -23,28 +23,56 @@ reduction give each constructor a meaning of its own.  A walker's
 recursive helper is a module-level function, or a closure its caller
 deletes on the way out (`del go`), so no call leaves a reference cycle
 behind for the cyclic collector.
+
+The builtin operators are one table, `OPERATORS`: parsing, rendering,
+typing and evaluation read each operator's facts from its row.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
-from operator import attrgetter
-from typing import Union
+from operator import add, attrgetter, eq, lt, not_
+from typing import Callable, NamedTuple, Union
 
 SORTS = ("bool", "int", "str")
 
-# builtin operator -> (argument sorts, result sort); 'eq' is sort-polymorphic
-# (both arguments must share a sort) and is special-cased where it matters.
-BUILTIN_SIGS = {
-    "add": (("int", "int"), "int"),
-    "and": (("bool", "bool"), "bool"),
-    "or": (("bool", "bool"), "bool"),
-    "not": (("bool",), "bool"),
-    "eq": (None, "bool"),
-    "lt": (("int", "int"), "bool"),
-    "concat": (("str", "str"), "str"),
+
+class Operator(NamedTuple):
+    """A builtin operator.  A larger `prec` binds tighter; `grouping` is
+    "left" (`a + b + c` is `(a + b) + c`), "none" (`a == b == c` does not
+    parse) or "prefix" (one operand, after the symbol); `operands` holds
+    each operand's sort, None for "any sort, one for all the Nones"."""
+    symbol: str
+    prec: int
+    grouping: str
+    operands: tuple
+    result: str
+    meaning: Callable
+
+
+# the builtin operators, by their name in `Call.op`; every fact about one
+# is written here and nowhere else
+OPERATORS = {
+    "or": Operator("||", 1, "left", ("bool", "bool"), "bool",
+                   lambda a, b: a or b),
+    "and": Operator("&&", 2, "left", ("bool", "bool"), "bool",
+                    lambda a, b: a and b),
+    "eq": Operator("==", 3, "none", (None, None), "bool", eq),
+    "lt": Operator("<", 3, "none", ("int", "int"), "bool", lt),
+    "add": Operator("+", 4, "left", ("int", "int"), "int", add),
+    "concat": Operator("++", 4, "left", ("str", "str"), "str", add),
+    "not": Operator("!", 5, "prefix", ("bool",), "bool", not_),
 }
+
+
+def operator_of(call, error: type) -> Operator:
+    """The row of a `Call`'s operator; `error` (the caller's error class)
+    if the operator is unknown or takes another number of operands."""
+    row = OPERATORS.get(call.op)
+    if row is None or len(call.args) != len(row.operands):
+        raise error(f"not an expression: {call!r}")
+    return row
 
 
 class MalformedTerm(Exception):
@@ -186,7 +214,7 @@ class Var:
 
 @record(frozen=True)
 class Call:
-    """Application of one of the fixed builtin operators."""
+    """Application of a builtin operator, named as in `OPERATORS`."""
     op: str
     args: tuple  # tuple[Expression, ...]
 

@@ -15,7 +15,11 @@ Runs `cli.main` in-process over the bundled corpus.  Sections:
   and `--json`, with `--trace`; the trace file is part of the section;
 - replay: each of those traces, in its run's mode and output format;
 - comply, graph: every ordered pair of corpus types, `comply` in text and
-  `--json`, `graph --dot` with the file written.
+  `--json`, `graph --dot` with the file written;
+- expr: the operator programs of `tests/expr/`, which nest every builtin
+  operator: `infer` and `check`, text and `--json`, and `run --seed 1`
+  and `--seed 2` with `--trace` and the trace's `replay`, both error
+  modes, text and `--json`.
 
 `--full` runs the generated inputs of the benchmark's families instead,
 for a CI job (about 5 s on a 2-vCPU host; its kpar section alone is
@@ -67,7 +71,9 @@ from cherrypi.parser import parse_program, render_program  # noqa: E402
 
 DIGESTS = HERE / "contract.json"
 FULL_DIGESTS = HERE / "contract_full.json"
-SECTIONS = ("infer", "check", "explore", "run", "replay", "comply", "graph")
+EXPR = HERE / "expr"
+SECTIONS = ("infer", "check", "explore", "run", "replay", "comply", "graph",
+            "expr")
 FULL_SECTIONS = ("kpar", "genprog", "budgets", "large")
 MODES = ("plain", "detect")
 FORMATS = ((), ("--json",))
@@ -150,6 +156,15 @@ def sections(tmp: Path) -> dict:
             t.dot.unlink(missing_ok=True)
             t.call("graph", "graph", left, right, "--dot", t.dot)
             t.written("graph", t.dot)
+    for path in sorted(EXPR.glob("*.chpi")):
+        prog = t.source(path.name, path.read_text())
+        for fmt in FORMATS:
+            t.call("expr", "infer", prog, *fmt)
+            t.call("expr", "check", prog, *fmt)
+            for mode in MODES:
+                for seed in (1, 2):
+                    t.run("expr", prog, "--seed", seed, "--error-mode", mode,
+                          fmt=fmt)
     return t.texts()
 
 

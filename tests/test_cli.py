@@ -217,6 +217,17 @@ def test_text_run_renders_no_state(monkeypatch, mode):
         shown.clear()
 
 
+def test_a_trace_through_a_nested_comparison_replays(tmp_path):
+    # the trace shows each state as source: the renderer must keep the
+    # parentheses of `(1 == 1) == true`, since `==` does not chain
+    prog, trace = tmp_path / "p.chpi", tmp_path / "t.json"
+    prog.write_text("request a(x). if (1 == 1) == true then x!<1>. 0 "
+                    "else x!<2>. 0 | accept a(y). y?(v: int). 0")
+    code, out, _ = cli("run", prog, "--trace", trace)
+    assert code == 0 and "if (1 == 1) == true then" in out
+    assert cli("replay", trace) == (0, "replay ok\n", "")
+
+
 def test_replay_of_an_underfunded_transcript_diverges(tmp_path):
     trace = tmp_path / "t.json"
     assert cli("run", CORPUS / "vod_c.chpi", "--seed", "2",

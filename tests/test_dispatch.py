@@ -17,7 +17,7 @@ import threading
 import pytest
 
 import cherrypi
-from cherrypi.infer import (TypingError, _check_roles_used,
+from cherrypi.infer import (TypingError, _check_roles_used, _type_of,
                             sort_of_expression, type_of_process)
 from cherrypi.parser import (Token, _collect_ufuns, parse_program,
                              parse_type, render_expr, render_process,
@@ -85,8 +85,12 @@ def test_no_class_subclasses_a_record():
             if r.__subclasses__()] == []
 
 
-FOREIGN = [None, "x", Token("ident", "x", 0, 1), object()]
-FOREIGN_IDS = ["None", "str", "Token", "object"]
+# the last three are malformed operator calls: an unknown operator, and
+# known ones with too many or too few operands
+FOREIGN = [None, "x", Token("ident", "x", 0, 1), object(),
+           Call("xor", (Lit(True), Lit(False))),
+           Call("not", (Lit(True), Lit(False))), Call("add", (Lit(1),))]
+FOREIGN_IDS = ["None", "str", "Token", "object", "xor", "not-2", "add-1"]
 
 
 def _typed(p):
@@ -108,6 +112,7 @@ WALKERS = [
     (show_collaboration, MalformedTerm, "not a collaboration"),
     (render_process, MalformedTerm, "not a process"),
     (evaluate, MalformedTerm, "not an expression"),
+    (enumerate_values, MalformedTerm, "not an expression"),
     (canonical_type, MalformedTerm, "not a session type"),
     (render_type, MalformedTerm, "not a session type"),
     (type_key, MalformedTerm, "not a session type"),
@@ -230,8 +235,8 @@ FRAMES = {
     "substitute-value": (_procs, lambda p: substitute(p, "v", Lit(1)), 2),
     "substitute-process": (_procs, lambda p: substitute(p, "X", Inact()),
                            2),
-    "type_of_process": (_procs, lambda p: type_of_process(
-        p, ChanVar("x"), {"X": "t"}, {"v": "int"}, multiparty=True), 1),
+    "type_of_process": (_procs, lambda p: _type_of(
+        p, ChanVar("x"), True, {"X": "t"}, {"v": "int"}), 1),
     "_check_roles_used": (_procs, lambda p: _check_roles_used(p, 1, 2), 1),
     "render_process": (_procs, render_process, 1),
     "_collect_ufuns": (_procs, lambda p: _collect_ufuns(

@@ -73,6 +73,15 @@ def test_barbs_toward_look_through_third_parties():
     assert barbs(p) == {("in", x, 3)}
 
 
+def test_barbs_toward_take_both_arms_of_a_guard_on_a_skipped_receive():
+    # `v` is bound by a receive from role 3, which role 1 does not see:
+    # its guard is undecided, like one that calls the oracle
+    x = ChanVar("x")
+    p = parse_process_text(
+        "x?(v: int)@3. if v < 2 then x!<v>@1. 0 else roll")
+    assert barbs(p, 1) == {("out", x, 1), ("roll",)}
+
+
 def test_barbs_toward_keep_recovery_visible():
     p = parse_process_text("x!<1>@3. roll")
     assert barbs(p, 2) == {("roll",)}

@@ -1,23 +1,25 @@
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genprog import random_program, random_type
 from conftest import ALL_PROGRAMS
 from oracle_naive import naive_endpoint_check, naive_tokenize
 from cherrypi import corpus_dir, parser
 from cherrypi.multiparty import to_multiparty
-from cherrypi.parser import (ParseError, SourceProgram, Token, _TOKEN,
-                             parse_expression_text, parse_process_text,
-                             parse_program, parse_type, render_program,
-                             render_type, tokenize)
+from cherrypi.parser import (FunDecl, ParseError, SourceProgram, Token,
+                             _TOKEN, parse_expression_text,
+                             parse_process_text, parse_program, parse_type,
+                             render_expr, render_program, render_type,
+                             tokenize)
 from cherrypi.sessiontypes import TBrn, TIn, TMu, TOut, canonical_type
-from cherrypi.syntax import (Call, ChanVar, If, Lit, PVar, Rec, Recv, Send,
-                             Ufun, Var, _map_proc, canonicalize, par,
-                             par_parts, subprocesses)
+from cherrypi.syntax import (OPERATORS, Call, ChanVar, If, Lit, PVar, Rec,
+                             Recv, Send, Ufun, Var, _map_proc, canonicalize,
+                             par, par_parts, subprocesses)
 
 
 # -- programs ---------------------------------------------------------------
@@ -54,6 +56,53 @@ def test_comments_and_whitespace_are_ignored():
 def test_operators_parse_to_builtins():
     e = parse_expression_text('1 + 2 == 3 && !("a" < "b")')
     assert isinstance(e, Call) and e.op == "and"
+
+
+_F = FunDecl("f", ("int",), "bool", None)
+_ATOMS = (st.integers(0, 99) | st.booleans() | st.text('a"\\\n ', max_size=3)
+          ).map(Lit) | st.sampled_from(["x", "y1", "_z"]).map(Var)
+
+
+def _operator_calls(operands):
+    """A call of any builtin operator, or of `f`, on drawn operands."""
+    def call(op):
+        return st.tuples(*[operands] * len(OPERATORS[op].operands)).map(
+            lambda args: Call(op, args))
+    return (st.sampled_from(sorted(OPERATORS)).flatmap(call)
+            | operands.map(lambda a: Ufun("f", (a,), ("int",), "bool")))
+
+
+def _bin(op, a, b):
+    return Call(op, (a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_ATOMS, _operator_calls, max_leaves=12))
+@example(_bin("eq", _bin("eq", Lit(1), Lit(1)), Lit(True)))
+@example(_bin("eq", Lit(True), _bin("lt", Lit(1), Lit(2))))
+@example(_bin("lt", _bin("add", Lit(1), Lit(2)), Lit(3)))
+@example(_bin("add", Lit(1), _bin("add", Lit(2), Lit(3))))
+@example(Call("not", (_bin("or", Lit(True), Call("not", (Var("x"),))),)))
+def test_rendered_expressions_parse_back_to_themselves(e):
+    # every operator, nested under every other: the parentheses the
+    # renderer writes are the ones the parser needs
+    assert parse_expression_text(render_expr(e), {"f": _F}) == e
+
+
+def test_the_readme_operator_table_is_the_operator_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    head = "| operator | strength | grouping | operands | result |\n"
+    rows = readme.split(head, 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    shown = []
+    for row in rows:
+        form, prec, grouping, operands, result = \
+            row.replace("`", "").replace("\\|", "|").strip("| ").split(" | ")
+        sorts = (None, None) if operands == "any one sort" \
+            else tuple(operands.split(", "))
+        shown.append((form.replace("a", "").replace("b", "").strip(),
+                      int(prec), grouping, sorts, result))
+    assert shown == sorted((row[:5] for row in OPERATORS.values()),
+                           key=lambda row: row[1])
 
 
 def test_string_escapes():
