@@ -49,7 +49,7 @@ def _load_program(path: str):
 
 
 def _load_type(path: str):
-    return parse_type(_read(path).strip())
+    return parse_type(_read(path))
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:

@@ -7,9 +7,10 @@ equivalent term.
 
 `tokenize` reads the whole text before either parser runs, so a lexical
 error wins over a syntax error earlier in the text.  Its per-token work
-runs in C: one `findall` gives (blanks and comments, token) pairs, a dict
-lookup gives each token's kind (keywords and symbols by text, the rest by
-first character) and running sums of the pair lengths give the offsets.
+runs in C: one `findall` gives the tokens' texts and a dict lookup each
+one's kind (keywords and symbols by text, the rest by first character).
+It keeps no offsets: the parsers hold a token by its index, and `_spans`
+matches the text again only when a diagnostic needs them.
 `parse_program` then checks each endpoint body in one walk
 (`_check_endpoint`).  That walk keeps nothing on the nodes: the free-name
 cache `_fv` is filled by the runtime on first use.  Expressions parse by
@@ -20,10 +21,9 @@ parenthesises by the same strengths and groupings.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from operator import itemgetter
 from string import ascii_letters, digits
-from typing import NamedTuple
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, Endpoint, If, Inact, Lit, MEndpoint, Par, PVar,
@@ -40,35 +40,31 @@ KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
 
 # a string body: escapes are \" \\ and \n
 _STRING_BODY = r'[^"\\]*(?:\\["\\n][^"\\]*)*'
-# One match is the blanks and comments before a token, then the token, so
-# `findall` gives (skipped, token) pairs.  A token is a symbol that starts
-# no longer one, a run of decimal digits, a run of word characters, any
-# other symbol (two-character symbols win over their one-character
-# prefixes), a string, the empty token at the end of the text, or any other
-# character, so every match ends in a token or at the end of the text.
+_COMMENT = r"/(?: /[^\n]* | \*.*?\*/ )"  # to the line's end, or to `*/`
+# One match is the blanks and comments before a token, skipped, then the
+# token, the one group, so `findall` gives the tokens' texts.  The comment
+# loop is a branch that starts with `/`: one character test where there is
+# no comment.  A token is a symbol that starts no longer one, a run of
+# decimal digits, a run of word characters, any other symbol (two-character
+# symbols win over their one-character prefixes), a string, the empty token
+# at the end of the text, or any other character, so every match ends in a
+# token or at the end of the text.
 _TOKEN = re.compile(r"""
-    ( [ \t\r\n]* (?: (?: //[^\n]* | /\*.*?\*/ ) [ \t\r\n]* )* )
+    [ \t\r\n]* (?: %s (?: [ \t\r\n]+ | %s )* | )
     ( [!?(){}\[\]:.,@;] | \d+ | \w+ | <\+|>\+|\+\+|&&|\|\||==|[<>|+]
-    | "%s" | \Z | . )""" % _STRING_BODY, re.VERBOSE | re.DOTALL)
+    | "%s" | \Z | . )""" % (_COMMENT, _COMMENT, _STRING_BODY),
+                    re.VERBOSE | re.DOTALL)
 _STRING_REST = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 _SYMBOLS = "<+ >+ ++ && || == ! ? < > ( ) { } [ ] : . , | @ ; +".split()
 # A token's kind: a keyword's or a symbol's from its text (a lone `"`
 # starts no string) ...
 _KIND = (dict.fromkeys(KEYWORDS, "kw") | dict(zip(_SYMBOLS, _SYMBOLS))
-         | {'"': None})
+         | {'"': None, "": "eof"})
 # ... any other token's from its first character, here if that is ASCII
 _FIRST = (dict.fromkeys(ascii_letters + "_", "ident")
           | dict.fromkeys(digits, "int") | {'"': "string"})
-_FIRST_CHAR, _SECOND = itemgetter(0), itemgetter(1)
-_new = tuple.__new__  # a Token without the Python-level __new__
-
-
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "string" | "kw" | symbol text | "eof"
-    text: str
-    start: int  # offset into the source text
-    end: int
+_FIRST_CHAR = itemgetter(slice(1))  # "" for an eof entry
 
 
 @record(frozen=True)
@@ -87,10 +83,25 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-def _diag(src: str, start: int, end: int, message: str) -> ParseError:
+def _diag_at(src: str, start: int, end: int, message: str) -> ParseError:
     line = src.count("\n", 0, start) + 1
     col = start - (src.rfind("\n", 0, start) + 1) + 1
     return ParseError(ParseDiagnostic(message, start, end, line, col))
+
+
+def _spans(src: str) -> list:
+    """The offsets of each token of `tokenize(src)`, eof entries included,
+    found by matching the lexer's pattern again, for a diagnostic only."""
+    spans = [m.span(1) for m in _TOKEN.finditer(src)]
+    while spans and spans[-1][0] == len(src):
+        spans.pop()
+    return spans + [(len(src), len(src))] * 3
+
+
+def _diag(src: str, first: int, last: int, message: str) -> ParseError:
+    """The error from the token at index `first` to the one at `last`."""
+    spans = _spans(src)
+    return _diag_at(src, spans[first][0], spans[last][1], message)
 
 
 def _unescape(m: re.Match) -> str:
@@ -98,16 +109,16 @@ def _unescape(m: re.Match) -> str:
 
 
 def _lex_error(src: str, i: int) -> ParseError:
-    """The diagnostic for the character at `i`, which starts no token."""
+    """The diagnostic for offset `i`, where no token starts."""
     if src.startswith("/*", i):
-        return _diag(src, i, len(src), "unterminated block comment")
+        return _diag_at(src, i, len(src), "unterminated block comment")
     if src[i] == '"':
         j = _STRING_REST.match(src, i + 1).end()
         if j < len(src) - 1:  # stopped at a backslash that escapes nothing
-            return _diag(src, j, j + 2,
-                         f"unknown escape \\{src[j + 1]} in string")
-        return _diag(src, i, len(src), "unterminated string literal")
-    return _diag(src, i, i + 1, f"unexpected character {src[i]!r}")
+            return _diag_at(src, j, j + 2,
+                            f"unknown escape \\{src[j + 1]} in string")
+        return _diag_at(src, i, len(src), "unterminated string literal")
+    return _diag_at(src, i, i + 1, f"unexpected character {src[i]!r}")
 
 
 def _kind_by_first(text: str) -> str | None:
@@ -118,25 +129,25 @@ def _kind_by_first(text: str) -> str | None:
     return "int" if c.isdecimal() else "ident" if c.isalpha() else None
 
 
-def tokenize(src: str) -> list:
-    """The tokens of `src`.  Integers are runs of decimal digits (what
-    `int()` reads); an identifier starts with a letter or `_` and goes on
-    with letters, digits and `_`.  A string that a final backslash cuts
-    off is unterminated.  The list ends in three `eof` tokens, so the
-    cursor looks two tokens ahead by plain indexing.
+def tokenize(src: str) -> tuple:
+    """The tokens' kinds ("ident", "int", "string", "kw", a symbol's text)
+    and texts (a string's unescaped body), as two lists that end in three
+    "eof" entries, so the cursor looks two tokens ahead by plain indexing.
+    Integers are runs of decimal digits (what `int()` reads); an
+    identifier starts with a letter or `_` and goes on with letters,
+    digits and `_`.  A string that a final backslash cuts off is
+    unterminated.  A token is its index: `_spans` finds offsets.
 
-    The per-token work runs in C: one `findall`, dict lookups for the
-    kinds, `accumulate` over the pair lengths for the offsets and `map`
-    over `zip` for the tokens.  Python steps are taken only for strings,
-    for tokens that start with a non-ASCII character and for the first
-    character that starts no token, whose diagnostic is raised before any
-    parsing, so it wins over a syntax error earlier in the text."""
-    pairs = _TOKEN.findall(src)
+    The per-token work runs in C: one `findall` and dict lookups for the
+    kinds.  Python steps are taken only for strings, for tokens that start
+    with a non-ASCII character and for the first character that starts no
+    token, whose diagnostic is raised before any parsing, so it wins over
+    a syntax error earlier in the text."""
+    texts = _TOKEN.findall(src)
     # the end of the text gives an empty token, twice after trailing blanks
-    while pairs and not pairs[-1][1]:
-        pairs.pop()
-    offsets = list(accumulate(map(len, chain.from_iterable(pairs))))
-    texts = list(map(_SECOND, pairs))
+    while texts and not texts[-1]:
+        texts.pop()
+    texts += ("",) * 3
     kinds = list(map(_KIND.get, texts,
                      map(_FIRST.get, map(_FIRST_CHAR, texts))))
     if None in kinds:
@@ -145,17 +156,14 @@ def tokenize(src: str) -> list:
             i = kinds.index(None, i + 1)
             kinds[i] = _kind_by_first(texts[i])
             if kinds[i] is None:
-                raise _lex_error(src, offsets[2 * i])
+                raise _lex_error(src, _spans(src)[i][0])
     if "string" in kinds:
         i = -1
         for _ in range(kinds.count("string")):
             i = kinds.index("string", i + 1)
             text = texts[i][1:-1]
             texts[i] = _ESCAPE.sub(_unescape, text) if "\\" in text else text
-    eof = _new(Token, ("eof", "", len(src), len(src)))
-    return [*map(_new, repeat(Token),
-                 zip(kinds, texts, offsets[0::2], offsets[1::2])),
-            eof, eof, eof]
+    return kinds, texts
 
 
 @record(frozen=True)
@@ -174,47 +182,44 @@ class SourceProgram:
 
 
 class _P:
-    """Token-stream cursor shared by the program and type parsers."""
+    """Cursor over `tokenize`'s lists, shared by the program and type
+    parsers.  What keeps a token for a later diagnostic keeps its index."""
 
     def __init__(self, src: str):
         self.src = src
-        self.toks = tokenize(src)
-        self.pos = 0  # never past the first eof token
+        self.kinds, self.texts = tokenize(src)
+        self.pos = 0  # past the first eof entry only to end or to fail
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def next(self) -> int:
+        """Step past the current token: its index."""
+        self.pos += 1
+        return self.pos - 1
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == kind and (text is None or t.text == text)
+        return self.kinds[self.pos] == kind and (
+            text is None or self.texts[self.pos] == text)
 
-    def eat(self, kind: str, text: str | None = None) -> Token | None:
-        t = self.toks[self.pos]
-        if t.kind != kind or (text is not None and t.text != text):
-            return None
-        if kind != "eof":
-            self.pos += 1
-        return t
+    def eat(self, kind: str, text: str | None = None) -> str | None:
+        i = self.pos
+        if self.kinds[i] == kind and (text is None or self.texts[i] == text):
+            self.pos = i + 1
+            return self.texts[i]
+        return None
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise _diag(self.src, t.start, t.end,
-                        f"expected {want!r}, found {t.text or t.kind!r}")
-        if kind != "eof":
-            self.pos += 1
-        return t
+    def expect(self, kind: str, text: str | None = None) -> str:
+        i = self.pos
+        found = self.kinds[i]
+        if found != kind or (text is not None and self.texts[i] != text):
+            raise _diag(self.src, i, i, f"expected {text or kind!r}, "
+                        f"found {self.texts[i] or found!r}")
+        self.pos = i + 1
+        return self.texts[i]
 
-    def fail(self, message: str, tok: Token | None = None):
-        t = tok or self.peek()
-        raise _diag(self.src, t.start, t.end, message)
+    def fail(self, message: str, first: int | None = None,
+             last: int | None = None):
+        """Raise `message` at tokens `first` (else the current) to `last`."""
+        first = self.pos if first is None else first
+        raise _diag(self.src, first, first if last is None else last, message)
 
 
 # ---------------------------------------------------------------------------
@@ -222,30 +227,30 @@ class _P:
 # ---------------------------------------------------------------------------
 
 def _parse_sort(p: _P) -> str:
-    t = p.peek()
-    if t.kind == "kw" and t.text in SORTS:
-        p.next()
-        return t.text
+    i = p.pos
+    if p.kinds[i] == "kw" and p.texts[i] in SORTS:
+        p.pos = i + 1
+        return p.texts[i]
     p.fail("expected a sort (bool, int, or str)")
 
 
 def _lit_from_token(p: _P) -> Lit | None:
-    t = p.peek()
-    if t.kind == "kw" and t.text in ("true", "false"):
-        p.next()
-        return Lit(t.text == "true")
-    if t.kind == "int":
-        p.next()
-        return Lit(int(t.text))
-    if t.kind == "string":
-        p.next()
-        return Lit(t.text)
-    return None
+    i = p.pos
+    kind, value = p.kinds[i], p.texts[i]
+    if kind == "kw" and value in ("true", "false"):
+        value = value == "true"
+    elif kind == "int":
+        value = int(value)
+    elif kind != "string":
+        return None
+    p.pos = i + 1
+    return Lit(value)
 
 
 def _parse_fun_decl(p: _P) -> FunDecl:
     p.expect("kw", "fun")
-    name_tok = p.expect("ident")
+    name_at = p.pos
+    name = p.expect("ident")
     p.expect("(")
     arg_sorts: list = []
     if not p.at(")"):
@@ -272,11 +277,11 @@ def _parse_fun_decl(p: _P) -> FunDecl:
         for v in vals:
             if Lit(v).sort() != result:
                 p.fail(f"domain value {v!r} is not of sort {result}",
-                       name_tok)
+                       name_at)
         if len(set(map(repr, vals))) != len(vals):
-            p.fail("duplicate value in outcome domain", name_tok)
+            p.fail("duplicate value in outcome domain", name_at)
         domain = tuple(vals)
-    return FunDecl(name_tok.text, tuple(arg_sorts), result, domain)
+    return FunDecl(name, tuple(arg_sorts), result, domain)
 
 
 # the operators by symbol, as (name, row): the prefix ones and the others
@@ -291,7 +296,7 @@ class _ProgParser:
     def __init__(self, p: _P, decls: dict):
         self.p = p
         self.decls = decls
-        self.heads: list = []  # each endpoint's first token, in source order
+        self.heads: list = []  # the index of each endpoint's first token
 
     # -- expressions --------------------------------------------------------
 
@@ -302,18 +307,19 @@ class _ProgParser:
         does not chain, only a looser one, so in `a == b == c` the second
         `==` is left to the caller, which refuses it."""
         p = self.p
-        found = _PREFIX.get(p.peek().kind)
+        kinds = p.kinds
+        found = _PREFIX.get(kinds[p.pos])
         if found is None:
             e = self._atom()
         else:
-            p.next()
+            p.pos += 1
             e = Call(found[0], (self.expr(found[1].prec),))
         cap = _TIGHTEST
         while True:
-            found = _INFIX.get(p.peek().kind)
+            found = _INFIX.get(kinds[p.pos])
             if found is None or not floor < found[1].prec <= cap:
                 return e
-            p.next()
+            p.pos += 1
             op, row = found
             e = Call(op, (e, self.expr(row.prec)))
             cap = row.prec if row.grouping == "left" else row.prec - 1
@@ -328,79 +334,76 @@ class _ProgParser:
             p.expect(")")
             return e
         if p.at("ident"):
-            tok = p.next()
+            at = p.next()
+            name = p.texts[at]
             if p.eat("("):
                 args: list = []
                 if not p.at(")"):
                     args.append(self.expr())
                     while p.eat(","):
                         args.append(self.expr())
-                close = p.expect(")")
-                decl = self.decls.get(tok.text)
+                p.expect(")")
+                close = p.pos - 1
+                decl = self.decls.get(name)
                 if decl is None:
-                    raise _diag(p.src, tok.start, close.end,
-                                f"call of undeclared function {tok.text!r}")
+                    p.fail(f"call of undeclared function {name!r}", at,
+                           close)
                 if len(args) != len(decl.arg_sorts):
-                    raise _diag(
-                        p.src, tok.start, close.end,
-                        f"{tok.text!r} takes {len(decl.arg_sorts)} "
-                        f"argument(s), got {len(args)}")
+                    p.fail(f"{name!r} takes {len(decl.arg_sorts)} "
+                           f"argument(s), got {len(args)}", at, close)
                 dom = None if decl.domain is None else \
                     tuple(decl.domain)
-                return Ufun(tok.text, tuple(args), decl.arg_sorts,
+                return Ufun(name, tuple(args), decl.arg_sorts,
                             decl.result_sort, dom)
-            return Var(tok.text)
+            return Var(name)
         p.fail("expected an expression")
 
     # -- processes ----------------------------------------------------------
 
     def process(self) -> Process:
         p = self.p
-        t = p.peek()
-        if t.kind == "kw":
-            if t.text == "if":
-                p.next()
+        i = p.pos
+        kind, text = p.kinds[i], p.texts[i]
+        if kind == "kw":
+            p.pos = i + 1
+            if text == "if":
                 cond = self.expr()
                 p.expect("kw", "then")
                 then = self.process()
                 p.expect("kw", "else")
                 return If(cond, then, self.process())
-            if t.text == "rec":
-                p.next()
-                x = p.expect("ident").text
+            if text == "rec":
+                x = p.expect("ident")
                 p.expect(".")
                 return Rec(x, self.process())
-            if t.text == "commit":
-                p.next()
+            if text == "commit":
                 p.expect(".")
                 return Commit(self.process())
-            if t.text == "roll":
-                p.next()
+            if text == "roll":
                 return Roll()
-            if t.text == "abort":
-                p.next()
+            if text == "abort":
                 return Abort()
-            p.fail(f"unexpected keyword {t.text!r} in process")
-        if t.kind == "int":
-            if t.text == "0":
-                p.next()
+            p.fail(f"unexpected keyword {text!r} in process", i)
+        if kind == "int":
+            if text == "0":
+                p.pos = i + 1
                 return Inact()
             p.fail("expected a process (a bare number is not one)")
-        if p.eat("("):
+        if kind == "(":
+            p.pos = i + 1
             body = self.process()
             p.expect(")")
             return body
-        if t.kind == "ident":
-            nxt = p.peek(1).kind
-            if nxt in ("!", "?", "<+", ">+"):
-                return self._prefixed(ChanVar(p.next().text))
-            p.next()
-            return PVar(t.text)
+        if kind == "ident":
+            p.pos = i + 1
+            if p.kinds[i + 1] in ("!", "?", "<+", ">+"):
+                return self._prefixed(ChanVar(text))
+            return PVar(text)
         p.fail("expected a process")
 
     def _role_suffix(self) -> int | None:
         if self.p.eat("@"):
-            return int(self.p.expect("int").text)
+            return int(self.p.expect("int"))
         return None
 
     def _prefixed(self, ch) -> Process:
@@ -414,7 +417,7 @@ class _ProgParser:
             return Send(ch, e, self.process(), role)
         if p.eat("?"):
             p.expect("(")
-            y = p.expect("ident").text
+            y = p.expect("ident")
             p.expect(":")
             sort = _parse_sort(p)
             p.expect(")")
@@ -422,7 +425,7 @@ class _ProgParser:
             p.expect(".")
             return Recv(ch, y, sort, self.process(), role)
         if p.eat("<+"):
-            lab = p.expect("ident").text
+            lab = p.expect("ident")
             role = self._role_suffix()
             p.expect(".")
             return Select(ch, lab, self.process(), role)
@@ -432,13 +435,13 @@ class _ProgParser:
             arms: list = []
             seen: set = set()
             while True:
-                lab_tok = p.expect("ident")
-                if lab_tok.text in seen:
-                    raise _diag(p.src, lab_tok.start, lab_tok.end,
-                                f"duplicate branch label {lab_tok.text!r}")
-                seen.add(lab_tok.text)
+                at = p.pos
+                lab = p.expect("ident")
+                if lab in seen:
+                    p.fail(f"duplicate branch label {lab!r}", at)
+                seen.add(lab)
                 p.expect(":")
-                arms.append((lab_tok.text, self.process()))
+                arms.append((lab, self.process()))
                 if not p.eat(","):
                     break
             p.expect("}")
@@ -461,20 +464,21 @@ class _ProgParser:
             c = self.collaboration()
             p.expect(")")
             return c
-        t = p.peek()
-        if t.kind == "kw" and t.text in ("request", "accept"):
+        i = p.pos
+        head = p.texts[i]
+        if p.kinds[i] == "kw" and head in ("request", "accept"):
             self.heads.append(p.next())
-            name = p.expect("ident").text
+            name = p.expect("ident")
             role = None
             if p.eat("["):
-                role = int(p.expect("int").text)
+                role = int(p.expect("int"))
                 p.expect("]")
             p.expect("(")
-            x = p.expect("ident").text
+            x = p.expect("ident")
             p.expect(")")
             p.expect(".")
             body = self.process()
-            if t.text == "request":
+            if head == "request":
                 return Request(name, x, body, role)
             return Accept(name, x, body, role)
         p.fail("expected 'request', 'accept', or a parenthesised "
@@ -483,7 +487,7 @@ class _ProgParser:
 
 # -- static well-formedness checks ------------------------------------------
 
-def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
+def _check_endpoint(p: _P, body: Process, session_var: str, where: int):
     """Reject an endpoint body that recurses unguarded, rebinds a value or
     recursion variable inside its own scope (which keeps substitution and
     trace reading unambiguous) or uses a name nothing binds.  One walk in
@@ -492,8 +496,9 @@ def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
     variables.  The first unguarded recursion is reported at once; else
     the first rebinding; else the alphabetically first unbound value,
     recursion or session variable.  Every offence is reported at `where`,
-    the endpoint's first token.  The walk follows each continuation in a
-    loop and recurses only into conditional and branch arms."""
+    the index of the endpoint's first token.  The walk follows each
+    continuation in a loop and recurses only into conditional and branch
+    arms."""
     rebound = None  # the first rebinding's message
     free_vals: set = set()
     free_recs: set = set()
@@ -520,8 +525,7 @@ def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
                 continue
             if kind is PVar:
                 if t.name in pending:
-                    raise _diag(p.src, where.start, where.end,
-                                f"unguarded recursion on {t.name!r}")
+                    p.fail(f"unguarded recursion on {t.name!r}", where)
                 if t.name not in recs:
                     free_recs.add(t.name)
                 return
@@ -554,59 +558,55 @@ def _check_endpoint(p: _P, body: Process, session_var: str, where: Token):
         # its tokens) goes as soon as the parse returns
         del walk
     if rebound is not None:
-        raise _diag(p.src, where.start, where.end, rebound)
+        p.fail(rebound, where)
     for names, what in ((free_vals, "variable"),
                         (free_recs, "recursion variable"),
                         (free_chans, "session variable")):
         if names:
-            raise _diag(p.src, where.start, where.end,
-                        f"unbound {what} {min(names)!r}")
+            p.fail(f"unbound {what} {min(names)!r}", where)
 
 
 def parse_program(src: str) -> SourceProgram:
     p = _P(src)
     decls: dict = {}
     while p.at("kw", "fun"):
-        start = p.peek()
+        start = p.pos
         d = _parse_fun_decl(p)
         if d.name in decls:
-            raise _diag(p.src, start.start, start.end,
-                        f"function {d.name!r} declared twice")
+            p.fail(f"function {d.name!r} declared twice", start)
         decls[d.name] = d
     pp = _ProgParser(p, decls)
-    first = p.peek()
+    first = p.pos
     term = pp.collaboration()
     p.expect("eof")
 
     multiparty = False
     # an endpoint's offences are reported at its own first token
-    for part, tok in zip(par_parts(term), pp.heads):
+    for part, head in zip(par_parts(term), pp.heads):
         if part.role is not None:
             multiparty = True
-        _check_endpoint(p, part.body, part.var, tok)
+        _check_endpoint(p, part.body, part.var, head)
     if multiparty:
         for part in par_parts(term):
             if part.role is None:
-                raise _diag(p.src, first.start, first.end,
-                            "mixed multiparty and binary endpoints")
+                p.fail("mixed multiparty and binary endpoints", first)
     return SourceProgram(decls, term, multiparty)
 
 
 def parse_process_text(src: str, decls: dict | None = None) -> Process:
     """Parse a bare process (test helper)."""
-    p = _P(src)
-    pp = _ProgParser(p, decls or {})
-    body = pp.process()
-    p.expect("eof")
-    return body
+    return _parse_bare(src, decls, _ProgParser.process)
 
 
 def parse_expression_text(src: str, decls: dict | None = None):
+    return _parse_bare(src, decls, _ProgParser.expr)
+
+
+def _parse_bare(src: str, decls: dict | None, parse):
     p = _P(src)
-    pp = _ProgParser(p, decls or {})
-    e = pp.expr()
+    found = parse(_ProgParser(p, decls or {}))
     p.expect("eof")
-    return e
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -616,15 +616,15 @@ def parse_expression_text(src: str, decls: dict | None = None):
 def _type_roles(p: _P) -> tuple:
     """The role pair `[p,q]` that may open a prefix, each side `_` or an
     integer, or (None, None); the prefix's own `[…]` starts with neither."""
-    nxt = p.peek(1)
-    if not (p.at("[") and (nxt.kind == "int" or
-                           (nxt.kind == "ident" and nxt.text == "_"))):
+    i = p.pos
+    if p.kinds[i] != "[" or not (p.kinds[i + 1] == "int" or (
+            p.kinds[i + 1], p.texts[i + 1]) == ("ident", "_")):
         return (None, None)
 
     def side():
-        return None if p.eat("ident", "_") else int(p.expect("int").text)
+        return None if p.eat("ident", "_") else int(p.expect("int"))
 
-    p.next()
+    p.pos = i + 1
     a = side()
     p.expect(",")
     b = side()
@@ -641,8 +641,9 @@ _TYPE_ATOMS = {"end": st.TEnd, "err": st.TErr, "roll": st.TRollT,
 class _TypeParser:
     def __init__(self, p: _P):
         self.p = p
-        # id(type variable node) -> its token; a side table, because a
-        # field on the node would change its equality and `type_key`
+        # id(type variable node) -> its token's index; a side table,
+        # because a field on the node would change its equality and
+        # `type_key`
         self.var_tokens: dict = {}
 
     def type_(self) -> st.SessionTypeT:
@@ -651,19 +652,20 @@ class _TypeParser:
     def _plus(self, t: st.SessionTypeT) -> st.SessionTypeT:
         """`t` followed by its `(+) T` operands, each a prefix."""
         p = self.p
-        while p.at("(") and p.peek(1).kind == "+" and p.peek(2).kind == ")":
+        while p.kinds[p.pos:p.pos + 3] == ["(", "+", ")"]:
             p.pos += 3
             t = st.TPlus(t, self._prefix())
         return t
 
     def _prefix(self) -> st.SessionTypeT:
         p = self.p
-        t = p.next()
-        key = t.text if t.kind == "kw" else t.kind
+        i = p.next()
+        kind, text = p.kinds[i], p.texts[i]
+        key = text if kind == "kw" else kind
         if key in _TYPE_PREFIXES:
             src, dst = _type_roles(p)
             p.expect("[")
-            x = p.expect("ident").text if key == "sel" else _parse_sort(p)
+            x = p.expect("ident") if key == "sel" else _parse_sort(p)
             p.expect("]")
             p.expect(".")
             return _TYPE_PREFIXES[key](x, self.type_(), src, dst)
@@ -673,19 +675,19 @@ class _TypeParser:
             arms: list = []
             seen: set = set()
             while True:
-                lab_tok = p.expect("ident")
-                if lab_tok.text in seen:
-                    raise _diag(p.src, lab_tok.start, lab_tok.end,
-                                f"duplicate branch label {lab_tok.text!r}")
-                seen.add(lab_tok.text)
+                at = p.pos
+                lab = p.expect("ident")
+                if lab in seen:
+                    p.fail(f"duplicate branch label {lab!r}", at)
+                seen.add(lab)
                 p.expect(":")
-                arms.append((lab_tok.text, self.type_()))
+                arms.append((lab, self.type_()))
                 if not p.eat(";"):
                     break
             p.expect("]")
             return st.TBrn(tuple(arms), src, dst)
         if key == "mu":
-            v = p.expect("ident").text
+            v = p.expect("ident")
             p.expect(".")
             return st.TMu(v, self.type_())
         if key == "cmt":
@@ -698,11 +700,11 @@ class _TypeParser:
             p.expect(")")
             return self._plus(inner)
         if key == "ident":
-            var = st.TVarT(t.text)
-            self.var_tokens[id(var)] = t
+            var = st.TVarT(text)
+            self.var_tokens[id(var)] = i
             return var
-        p.fail(f"unexpected keyword {t.text!r} in type" if t.kind == "kw"
-               else "expected a session type", t)
+        p.fail(f"unexpected keyword {text!r} in type" if kind == "kw"
+               else "expected a session type", i)
 
 
 def _check_type_vars(p: _P, t: st.SessionTypeT, var_tokens: dict):
@@ -712,12 +714,11 @@ def _check_type_vars(p: _P, t: st.SessionTypeT, var_tokens: dict):
 
     def go(t, bound: frozenset, pending: frozenset):
         if isinstance(t, st.TVarT):
-            tok = var_tokens[id(t)]
+            at = var_tokens[id(t)]
             if t.name in pending:
-                raise _diag(p.src, tok.start, tok.end,
-                            f"unguarded recursive type on {t.name!r}")
+                p.fail(f"unguarded recursive type on {t.name!r}", at)
             if t.name not in bound:
-                free.setdefault(t.name, tok)
+                free.setdefault(t.name, at)
         if isinstance(t, st.TMu):
             bound, pending = bound | {t.var}, pending | {t.var}
         else:
@@ -731,8 +732,7 @@ def _check_type_vars(p: _P, t: st.SessionTypeT, var_tokens: dict):
         del go  # `go` holds itself: break the cycle
     if free:
         name = min(free)
-        raise _diag(p.src, free[name].start, free[name].end,
-                    f"unbound type variable {name!r}")
+        p.fail(f"unbound type variable {name!r}", free[name])
 
 
 def parse_type(src: str) -> st.SessionTypeT:

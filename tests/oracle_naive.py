@@ -20,8 +20,9 @@ can be compared with its `to_multiparty` twin's.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
-from cherrypi.parser import (KEYWORDS, SourceProgram, Token, _diag,
+from cherrypi.parser import (KEYWORDS, SourceProgram, _diag, _diag_at,
                              _lex_error, render_expr, show_chan)
 from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
                              ComError, Commit, Endpoint, If, Inact, Lit, Log,
@@ -502,9 +503,16 @@ _NAIVE_TOKEN = re.compile(r"""
 _ESCAPE = re.compile(r"\\(.)")
 
 
+class NaiveToken(NamedTuple):
+    kind: str
+    text: str
+    start: int  # offset into the source text
+    end: int
+
+
 def naive_tokenize(src):
     """The tokens of `src`, one match and one Python step per token, each
-    kind from the alternative that matched."""
+    kind from the alternative that matched, each with its offsets."""
     toks = []
     for m in _NAIVE_TOKEN.finditer(src):
         kind = m.lastgroup
@@ -521,14 +529,14 @@ def naive_tokenize(src):
                 lambda e: "\n" if e[1] == "n" else e[1], text[1:-1])
         elif kind == "word":
             if not text[0].isalpha():
-                raise _diag(src, start, start + 1,
-                            f"unexpected character {text[0]!r}")
+                raise _diag_at(src, start, start + 1,
+                               f"unexpected character {text[0]!r}")
             kind = "ident"
         elif kind == "eof":
-            return toks + [Token("eof", "", end, end)] * 3
+            return toks + [NaiveToken("eof", "", end, end)] * 3
         elif kind == "bad":
             raise _lex_error(src, start)
-        toks.append(Token(kind, text, start, end))
+        toks.append(NaiveToken(kind, text, start, end))
 
 
 def free_names(term):
@@ -541,10 +549,11 @@ def free_names(term):
 
 def naive_endpoint_check(src, body, session_var, where):
     """An endpoint body's static checks as three walks, each raising at
-    `where`: unguarded recursion, then rebinding, then unbound names."""
+    the token at index `where`: unguarded recursion, then rebinding, then
+    unbound names."""
     def contractive(t, pending):
         if isinstance(t, PVar) and t.name in pending:
-            raise _diag(src, where.start, where.end,
+            raise _diag(src, where, where,
                         f"unguarded recursion on {t.name!r}")
         if isinstance(t, Rec):
             pending = pending | {t.var}
@@ -557,13 +566,13 @@ def naive_endpoint_check(src, body, session_var, where):
         match t:
             case Recv(_, y):
                 if y in vals or y == session_var:
-                    raise _diag(src, where.start, where.end,
+                    raise _diag(src, where, where,
                                 f"variable {y!r} rebound inside its own "
                                 f"scope")
                 vals = vals | {y}
             case Rec(x):
                 if x in procs:
-                    raise _diag(src, where.start, where.end,
+                    raise _diag(src, where, where,
                                 f"recursion variable {x!r} rebound inside "
                                 f"its own scope")
                 procs = procs | {x}
@@ -574,14 +583,14 @@ def naive_endpoint_check(src, body, session_var, where):
     rebinding(body, frozenset(), frozenset())
     vs, xs, cs = free_names(body)
     if vs:
-        raise _diag(src, where.start, where.end,
+        raise _diag(src, where, where,
                     f"unbound variable {sorted(vs)[0]!r}")
     if xs:
-        raise _diag(src, where.start, where.end,
+        raise _diag(src, where, where,
                     f"unbound recursion variable {sorted(xs)[0]!r}")
     extra = cs - {session_var}
     if extra:
-        raise _diag(src, where.start, where.end,
+        raise _diag(src, where, where,
                     f"unbound session variable {sorted(extra)[0]!r}")
 
 

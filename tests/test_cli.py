@@ -415,6 +415,14 @@ def test_non_decimal_digit_is_a_parse_error(tmp_path):
         2, "", "error: 1:11: unexpected character '²'\n")
 
 
+def test_type_file_diagnostic_counts_leading_blank_lines(tmp_path):
+    left, right = tmp_path / "l.chty", tmp_path / "r.chty"
+    left.write_text("\n\n?[int]. end @")
+    right.write_text("![int]. end\n")
+    assert cli("comply", left, right) == (
+        2, "", "error: 3:13: expected 'eof', found '@'\n")
+
+
 def test_deeply_nested_type_exits_three_not_a_verdict(tmp_path):
     left, right = tmp_path / "l.chty", tmp_path / "r.chty"
     left.write_text("![int]. " * 600 + "end")

@@ -19,9 +19,9 @@ import pytest
 import cherrypi
 from cherrypi.infer import (TypingError, _check_roles_used, _type_of,
                             sort_of_expression, type_of_process)
-from cherrypi.parser import (Token, _collect_ufuns, parse_program,
-                             parse_type, render_expr, render_process,
-                             show_chan, show_collaboration)
+from cherrypi.parser import (_collect_ufuns, parse_program, parse_type,
+                             render_expr, render_process, show_chan,
+                             show_collaboration)
 from cherrypi.runtime import (DecisionOracle, barbs, enumerate_values,
                               evaluate, replay, shadow_typecheck, simulate)
 from cherrypi.semantics import check_compliance, check_rollback_safety
@@ -85,9 +85,10 @@ def test_no_class_subclasses_a_record():
             if r.__subclasses__()] == []
 
 
-# the last three are malformed operator calls: an unknown operator, and
-# known ones with too many or too few operands
-FOREIGN = [None, "x", Token("ident", "x", 0, 1), object(),
+# the third is a token-shaped plain tuple; the last three are malformed
+# operator calls: an unknown operator, and known ones with too many or too
+# few operands
+FOREIGN = [None, "x", ("ident", "x", 0, 1), object(),
            Call("xor", (Lit(True), Lit(False))),
            Call("not", (Lit(True), Lit(False))), Call("add", (Lit(1),))]
 FOREIGN_IDS = ["None", "str", "Token", "object", "xor", "not-2", "add-1"]

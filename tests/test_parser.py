@@ -11,8 +11,8 @@ from conftest import ALL_PROGRAMS
 from oracle_naive import naive_endpoint_check, naive_tokenize
 from cherrypi import corpus_dir, parser
 from cherrypi.multiparty import to_multiparty
-from cherrypi.parser import (FunDecl, ParseError, SourceProgram, Token,
-                             _TOKEN, parse_expression_text,
+from cherrypi.parser import (FunDecl, ParseError, SourceProgram, _TOKEN,
+                             _diag, _spans, parse_expression_text,
                              parse_process_text, parse_program, parse_type,
                              render_expr, render_program, render_type,
                              tokenize)
@@ -282,6 +282,35 @@ def test_type_check_diagnostics_are_exact(src, want):
     assert (d.message, d.line, d.col) == want
 
 
+# A parser keeps a token's index and finds its offsets only to report it:
+# a call's offence spans from its name to its closing parenthesis, the
+# others sit at one token.
+
+@pytest.mark.parametrize("parse, src, want", [
+    (parse_program, "fun f(int): bool\nrequest a(x). if f( 1 , 2 ) then 0 "
+     "else 0 | accept a(y). 0",
+     ("'f' takes 1 argument(s), got 2", 34, 44, 2, 18)),
+    (parse_program, "request a(x). if g(1) then 0 else 0 | accept a(y). 0",
+     ("call of undeclared function 'g'", 17, 21, 1, 18)),
+    (parse_program, "fun f(): int\n  fun f(): bool\nrequest a(x). 0 "
+     "| accept a(y). 0", ("function 'f' declared twice", 15, 18, 2, 3)),
+    (parse_program, "request a(x). x>+{l: 0, m: 0,\n l: 0} | accept a(y). 0",
+     ("duplicate branch label 'l'", 31, 32, 2, 2)),
+    (parse_type, "brn[l: end;  l: end]",
+     ("duplicate branch label 'l'", 13, 14, 1, 14)),
+    (parse_program, " request a[1](x). 0 | accept a(y). 0",
+     ("mixed multiparty and binary endpoints", 1, 8, 1, 2)),
+    (parse_program, "fun f(): int in {1, true}\nrequest a(x). 0 "
+     "| accept a(y). 0", ("domain value True is not of sort int", 4, 5, 1, 5)),
+    (parse_type, "  \n", ("expected a session type", 3, 3, 2, 1)),
+])
+def test_token_diagnostics_are_exact(parse, src, want):
+    with pytest.raises(ParseError) as ei:
+        parse(src)
+    d = ei.value.diagnostic
+    assert (d.message, d.start, d.end, d.line, d.col) == want
+
+
 # -- exact lexical diagnostics ----------------------------------------------
 # An integer is a run of decimal digits; any other digit or numeric character
 # is an unexpected character where it stands.
@@ -393,15 +422,38 @@ def test_parsers_raise_only_parse_errors_on_mutated_texts(src):
 
 
 # -- the lexer against the reference lexer -----------------------------------
-# `tokenize` runs its per-token work in C; `oracle_naive.naive_tokenize` is
-# the lexer that takes one match and one Python step per token.  Both must
-# give the same tokens, or the same diagnostic, on every text.
+# `tokenize` runs its per-token work in C and keeps no offsets: `_spans`
+# finds them again when a diagnostic needs them.  `oracle_naive.
+# naive_tokenize` is the lexer that takes one match and one Python step per
+# token and keeps each token's offsets.  Both must give the same kinds,
+# texts and spans, or the same diagnostic, on every text, and the parsers
+# must report the same diagnostics on either.
 
-def _lexed(lex, src):
+def _lexed(src):
+    """(kind, text, start, end) of each token of `src`, or its lexical
+    diagnostic."""
     try:
-        return [tuple(t) for t in lex(src)]
+        kinds, texts = tokenize(src)
     except ParseError as e:
         return e.diagnostic
+    return [(kind, text, *span) for kind, text, span
+            in zip(kinds, texts, _spans(src), strict=True)]
+
+
+def _naive_lexed(src):
+    try:
+        return [tuple(t) for t in naive_tokenize(src)]
+    except ParseError as e:
+        return e.diagnostic
+
+
+def _naive_lists(src):
+    toks = naive_tokenize(src)
+    return [t.kind for t in toks], [t.text for t in toks]
+
+
+def _naive_spans(src):
+    return [(t.start, t.end) for t in naive_tokenize(src)]
 
 
 def _parsed(src):
@@ -417,8 +469,9 @@ def _parsed(src):
 
 
 def _agrees_with_reference_lexer(src):
-    assert _lexed(tokenize, src) == _lexed(naive_tokenize, src)
-    with mock.patch.object(parser, "tokenize", naive_tokenize):
+    assert _lexed(src) == _naive_lexed(src)
+    with mock.patch.multiple(parser, tokenize=_naive_lists,
+                             _spans=_naive_spans):
         want = _parsed(src)
     assert _parsed(src) == want
 
@@ -429,25 +482,50 @@ def _agrees_with_reference_lexer(src):
     "١٢", "x١٢ ١٢x", "ǅx", "é²", "_", "12abc", "a\rb", "x<+l >+{ ++ || &&",
     "²", '"ab', '"a\\qb"', '"ab\\', "/* x", "\x00", "a #", "x = y", "&",
     "request ) a(x). ²", "![int]. end\r\n$", "a\u00a0b", "五 ½",
+    "end // c", 'x!<"a\\"b\\n"> )', "/* a\n b */\n end )", "é² )",
+    " \n ²", "/* c */ #",
 ])
 def test_tokens_and_diagnostics_match_the_reference_lexer(src):
     _agrees_with_reference_lexer(src)
 
 
+@pytest.mark.parametrize("src, want", [
+    # the end of the text, after trailing blanks and after a comment
+    ("end  \n\t", [(0, 3)]),
+    ("end // c", [(0, 3)]),
+    # after a string whose escapes make its text shorter than its source
+    ('x!<"a\\"b\\n"> )', [(0, 1), (1, 2), (2, 3), (3, 11), (11, 12),
+                           (13, 14)]),
+    # after a block comment over two lines
+    ("/* a\n b */\n end )", [(12, 15), (16, 17)]),
+    # a non-ASCII identifier
+    ("é² )", [(0, 2), (3, 4)]),
+])
+def test_token_spans_are_found_on_demand(src, want):
+    """Each token's offsets, then the three eof entries' at the end."""
+    eof = [(len(src), len(src))] * 3
+    assert _spans(src) == want + eof
+    assert _naive_spans(src) == want + eof
+    for i, (start, end) in enumerate(want + eof):
+        d = _diag(src, i, i, "m").diagnostic
+        assert (d.start, d.end) == (start, end)
+
+
 def test_findall_gives_the_end_of_the_text_twice_after_trailing_blanks():
     # the match at the end has an empty token; after a match that ends in
-    # blanks `findall` finds it again, so the lexer drops both
-    assert _TOKEN.findall("end") == [("", "end"), ("", "")]
-    assert _TOKEN.findall("end \n") == [("", "end"), (" \n", ""), ("", "")]
-    assert tokenize("end \n") == [Token("kw", "end", 0, 3)] + \
-        [Token("eof", "", 5, 5)] * 3
+    # blanks `findall` finds it again, so the lexer and `_spans` drop both
+    assert _TOKEN.findall("end") == ["end", ""]
+    assert _TOKEN.findall("end \n") == ["end", "", ""]
+    assert tokenize("end \n") == (["kw"] + ["eof"] * 3, ["end"] + [""] * 3)
+    assert _spans("end \n") == [(0, 3)] + [(5, 5)] * 3
 
 
 def test_non_ascii_decimal_digits_are_an_integer():
     # `\d` matches every decimal digit, not just ASCII ones, and `int()`
     # reads them; a digit that is not decimal starts no token
     assert re.fullmatch(r"\d+", "١٢")
-    assert tokenize("١٢")[0] == Token("int", "١٢", 0, 2)
+    assert tokenize("١٢") == (["int"] + ["eof"] * 3, ["١٢"] + [""] * 3)
+    assert _spans("١٢")[0] == (0, 2)
     assert parse_expression_text("١٢") == Lit(12)
     with pytest.raises(ParseError, match="unexpected character '²'"):
         tokenize("1²")
