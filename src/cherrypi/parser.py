@@ -893,7 +893,10 @@ def _kept(node, render) -> str:
     """`render(node)`, kept on the node.  The logs, the sessions and the
     endpoints a session saved recur from state to state (a step replaces
     one or two logs and their session), so across a run each is rendered
-    once.  A whole state never recurs, so its text is not kept."""
+    once.  A whole state's text is not kept: a looping run meets a state
+    again as the same object (`runtime.simulate`), whose items' texts
+    are kept already, and a run that never loops would hold the text of
+    every state it passed."""
     text = node.__dict__.get("_shown")
     if text is None:
         text = render(node)

@@ -316,10 +316,11 @@ class Candidate:
 
     With `exhaustive` (see `reduction_steps`) every candidate is built.
     Otherwise every step is lazy: `successor` is None, and `outcome`
-    builds the step when a run takes it (`take`).  A step that evaluates
-    an expression (F-Com, F-If) has it as `expr`, its text is "" until
-    then, and `outcome` gives (text, successor) for the value of `expr`;
-    for any other step `outcome()` gives the successor."""
+    builds the step when a run takes it.  A step that evaluates an
+    expression (F-Com, F-If) has it as `expr`, its text is "" until then,
+    and `outcome` gives (text, successor) for the value of `expr`; for any
+    other step `outcome()` gives the successor.  `simulate` keeps a
+    state's first candidate and calls `outcome` once per value drawn."""
     rule: str
     session: str  # session name; a connection step's is the fresh one
     party: int  # 1-based log position; 0 for connection steps
@@ -334,18 +335,6 @@ class Candidate:
 
     def sort_key(self):
         return (self.session, self.party, self.rule, self.text)
-
-    def take(self, oracle: DecisionOracle) -> "Candidate":
-        """This step built, its expression evaluated against `oracle`,
-        which records the draws."""
-        if self.outcome is None:
-            return self
-        if self.expr is None:
-            text, succ = self.text, self.outcome()
-        else:
-            text, succ = self.outcome(evaluate(self.expr, oracle))
-        return Candidate(self.rule, self.session, self.party, text, succ,
-                         self.backward)
 
 
 def _fresh_session(items) -> str:
@@ -412,10 +401,6 @@ def _connect(items: list, group: tuple, sname: str) -> Collaboration:
     return par(*_splice(items, group, (ses,)))
 
 
-def _show_value(v) -> str:
-    return render_expr(Lit(v))
-
-
 def reduction_steps(state: Collaboration, mode: str = "plain", *,
                     exhaustive: bool = False) -> list:
     """All reduction candidates of a collaboration, sorted by
@@ -424,10 +409,11 @@ def reduction_steps(state: Collaboration, mode: str = "plain", *,
     With `exhaustive` every candidate carries its successor, and every
     oracle outcome of a step becomes its own candidate carrying the
     assumed draws.  Otherwise no successor is built until a run takes the
-    step (see `Candidate.take`): a connection's session is opened then,
-    and a step that evaluates an expression stays one unevaluated
-    candidate, whose label is unknown; no other candidate shares its
-    session, party and rule, so the order never needs it.
+    step (see `Candidate`): a connection's session is opened then, and a
+    step that evaluates an expression stays one unevaluated candidate,
+    whose label is unknown; no other candidate shares its session, party
+    and rule, so the order never needs it.  `simulate` asks once per
+    distinct state of a run.
 
     The candidates are the connections (`_connections`) and each session's
     own steps (`_session_steps`); `explore` uses the two halves directly.
@@ -465,7 +451,7 @@ def _com(logs, i, j, cont, recv, v):
     nl[i] = Log(logs[i].endpoint, logs[i].ckpt, cont)
     nl[j] = Log(logs[j].endpoint, logs[j].ckpt,
                 substitute(recv.cont, recv.var, Lit(v)))
-    return f"!{_show_value(v)}", nl
+    return f"!{render_expr(Lit(v))}", nl
 
 
 def _resolve(logs, i, then, orelse, v):
@@ -732,32 +718,72 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
     oracle is left untouched, and the trace's transcript holds exactly the
     draws of the steps taken.
 
+    A run loops (a roll restores a checkpoint, a `rec` re-enters its
+    body), so one call keeps the step taken from each state it meets: the
+    first candidate once per state key (`_state_key`), and the step record
+    once per (state key, value drawn).  A state met again still evaluates
+    its candidate's expression against the oracle, then reuses the
+    recorded successor, so a looping run comes back to the very same
+    objects.  A candidate that draws nothing has one step only, so once
+    that is built the candidate is let go.
+
     An `OracleExhausted` raised by a step carries `steps`, the run up to
     that step."""
     oracle = (oracle or DecisionOracle()).clone()
     state = program.term
     steps: list = []
     status = "cut-off"
+    # state key -> [the state, which keeps the key's ids meaningful, its
+    # first candidate, {value drawn or None: step record}], or [the state,
+    # None, step record] once a candidate that draws nothing is built
+    memo: dict = {}
     for _ in range(max_steps):
-        cands = reduction_steps(state, mode)
-        if not cands:
-            status = classify_state(state, False)
-            break
-        try:
-            chosen = cands[0].take(oracle)
-        except OracleExhausted as ex:
-            ex.steps = steps
-            raise
-        state = chosen.successor
-        steps.append(StepRecord(chosen.rule, chosen.session, chosen.party,
-                                chosen.text, chosen.backward, state))
+        key = _state_key(state)
+        entry = memo.get(key)
+        if entry is None:
+            cands = reduction_steps(state, mode)
+            if not cands:
+                status = classify_state(state, False)
+                break
+            entry = memo[key] = [state, cands[0], {}]
+        _, c, step = entry
+        if c is not None:
+            try:
+                # a candidate's values share one sort: True and 1 never meet
+                v = None if c.expr is None else evaluate(c.expr, oracle)
+            except OracleExhausted as ex:
+                ex.steps = steps
+                raise
+            taken = step  # the steps built so far, by value
+            step = taken.get(v)
+            if step is None:
+                text, succ = ((c.text, c.outcome()) if v is None
+                              else c.outcome(v))
+                step = taken[v] = StepRecord(c.rule, c.session, c.party,
+                                             text, c.backward, succ)
+                if c.expr is None or not _undecided(c.expr):
+                    entry[1:] = None, step
+        steps.append(step)
+        state = step.state
         kind = classify_state(state, True)
-        if kind in ("roll_error", "com_error"):
+        if kind in _ERRORS:
             status = kind
             break
-    else:
-        status = "cut-off"
     return Trace(program.term, steps, status, oracle, program)
+
+
+def _state_key(state: Collaboration) -> tuple:
+    """What `simulate` knows a state by: each item by identity, except a
+    session, which a step rebuilds, by its name, its saved endpoints and,
+    per log, the endpoint, checkpoint process, imposed flag and current
+    process.  States of one key are equal terms made of the same
+    processes, so they have the same steps."""
+    return tuple(id(it) if type(it) is not Session else (
+        it.name, id(it.saved), *[
+            (lg.endpoint, id(lg.ckpt.process), lg.ckpt.imposed,
+             id(lg.current)) if type(lg) is Log else id(lg)
+            for lg in par_parts(it.body)])
+        for it in par_parts(state))
 
 
 # ---------------------------------------------------------------------------

@@ -593,21 +593,47 @@ def substitute(term: Process, name: str, replacement) -> Process:
     value variable, a session identifier replaces a session variable, and a
     process replaces a process variable.  Subtrees without a free `name`
     come back as the same objects.
+
+    A value or session-identifier substitution that changes `term` is kept
+    on it (`_sub`), by (name, the value's class, value) — the class since
+    `True == 1` — or by (name, identifier), so a round that receives the
+    same value, or reconnects the same endpoint, gets the same objects
+    back.  An unchanged result is not kept: it would hold its own node.
     """
     if type(term) not in _TERMS:
         raise MalformedTerm(f"not a process or collaboration: {term!r}")
     if isinstance(replacement, Lit):
-        return _subst_leaves(term, ("v", name),
-                             lambda e: _subst_expr(e, name, replacement))
+        v = replacement.value
+        return _kept_subst(term, (name, type(v), v), replacement)
     if isinstance(replacement, (ChanVar, Endpoint, MEndpoint)):
-        var = ChanVar(name)
-        return _subst_leaves(term, ("c", name),
-                             chan=lambda r: replacement if r == var else r)
+        return _kept_subst(term, (name, replacement), replacement)
     if isinstance(replacement, (Send, Recv, Select, Branch, If, Rec, PVar,
                                 Inact, Commit, Roll, Abort)):
         return _subst_proc(term, name, replacement)
     raise MalformedTerm(
         f"substitution replacement of unsupported kind: {replacement!r}")
+
+
+def _kept_subst(term, key: tuple, replacement) -> Process:
+    """A value or session-identifier `substitute`, kept on `term` by
+    `key`, whose first entry is the name replaced."""
+    kept = term.__dict__.get("_sub")
+    found = None if kept is None else kept.get(key)
+    if found is not None:
+        return found
+    name = key[0]
+    if type(replacement) is Lit:
+        found = _subst_leaves(term, ("v", name),
+                              lambda e: _subst_expr(e, name, replacement))
+    else:
+        var = ChanVar(name)
+        found = _subst_leaves(term, ("c", name),
+                              chan=lambda r: replacement if r == var else r)
+    if found is not term:
+        if kept is None:
+            kept = term.__dict__["_sub"] = {}
+        kept[key] = found
+    return found
 
 
 def unfold_recursion(p: Process) -> Process:

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import threading
 import tracemalloc
 
 import pytest
@@ -371,7 +372,7 @@ def test_a_connection_taken_builds_the_exhaustive_successor():
             if c.party != 0:
                 continue
             assert c.successor is None
-            taken = c.take(DecisionOracle())
+            taken = _take(c, DecisionOracle())
             assert taken.sort_key() == c.sort_key()
             assert term_key(taken.successor) == term_key(full[c.sort_key()])
             checked += 1
@@ -403,7 +404,9 @@ def _detect_runs(programs):
 
 def test_a_run_builds_only_the_steps_it_takes(programs, monkeypatch):
     # commits, label exchanges, rolls, aborts and errors are built when a
-    # run takes them, like evaluating steps and connections
+    # run takes them, like evaluating steps and connections, and each once
+    # per distinct (state key, value drawn): the label of a state's step
+    # tells its values apart
     built = []
     for name in ("_place", "_connect"):
         def counting(*args, _build=getattr(runtime, name)):
@@ -411,12 +414,20 @@ def test_a_run_builds_only_the_steps_it_takes(programs, monkeypatch):
             return _build(*args)
         monkeypatch.setattr(runtime, name, counting)
     rivals = set()
+    looping = 0
     for prog, t in _detect_runs(programs):
-        assert len(built) == len(t.steps) > 0
+        befores = [prog.term] + [s.state for s in t.steps[:-1]]
+        distinct = {(runtime._state_key(b), s.label())
+                    for b, s in zip(befores, t.steps)}
+        assert len(built) == len(distinct) > 0
+        if len(par_parts(prog.term)) > 2:  # kpar and the ring loop
+            looping += 1
+            assert len(built) < len(t.steps)
         for s in t.steps:
             rivals |= {c.rule for c in reduction_steps(s.state, "detect")[1:]
                        if c.expr is None and c.party}
         built.clear()
+    assert looping
     # steps that draw nothing were on offer and not taken
     assert {"E-Cmt1", "E-Cmt2", "B-Abt", "E-Com2"} <= rivals
 
@@ -434,7 +445,7 @@ def test_a_session_step_taken_builds_the_exhaustive_successor(programs):
                 if c.expr is not None or c.party == 0:
                     continue
                 assert c.successor is None
-                taken = c.take(DecisionOracle())
+                taken = _take(c, DecisionOracle())
                 want = full[c.sort_key()]
                 assert taken.sort_key() == c.sort_key()
                 assert taken.backward == want.backward
@@ -583,15 +594,16 @@ def test_the_shadow_retypes_each_distinct_process_once(programs,
 
 
 def test_a_commit_keys_each_unchanged_log_once(monkeypatch):
-    # role 3 sits on its commit while roles 1 and 2 exchange forever, so
-    # every step asks whether role 4's untouched log differs from its
-    # checkpoint
+    # role 3 sits on its commit while roles 1 and 2 exchange forever: one
+    # exchange brings the session back to where it began, so the run
+    # steps two distinct states and weighs the commit at one of them,
+    # asking once whether each other log differs from its checkpoint
     prog = parse_program(
         "request a[4](x). x?(v: int)@3. 0\n"
         "| accept a[1](y). rec Y. y!<1>@2. Y\n"
         "| accept a[2](z). rec Z. z?(v: int)@1. Z\n"
         "| accept a[3](w). commit. w!<1>@4. 0")
-    asked, walks = [], []
+    asked, walks, stepped = [], [], []
     inside = [0]
 
     def asking(lg, _differs=runtime._log_ckpt_differs):
@@ -607,20 +619,25 @@ def test_a_commit_keys_each_unchanged_log_once(monkeypatch):
         finally:
             inside[0] -= 1
 
+    def stepping(state, mode, _steps=runtime.reduction_steps):
+        stepped.append(state)
+        return _steps(state, mode)
+
     monkeypatch.setattr(runtime, "_log_ckpt_differs", asking)
     monkeypatch.setattr(syntax, "_key", walking)
+    monkeypatch.setattr(runtime, "reduction_steps", stepping)
     for mode in ("plain", "detect"):
         t = simulate(prog, DecisionOracle(), 100, mode=mode)
-        assert len(t.steps) == 100
-        logs = {id(lg) for lg in asked}
-        assert len(asked) > len(logs)
+        assert len(t.steps) == 100 and len(stepped) == 2
+        assert len(asked) == len({id(lg) for lg in asked}) == 3
         # each process a commit asks about is walked once, when first keyed
         asked_about = {id(q) for lg in asked
                        for q in (lg.ckpt.process, lg.current)}
         assert len([w for w in walks if id(w) in asked_about]) <= \
-            len(asked_about) <= 2 * len(logs)
+            len(asked_about)
         asked.clear()
         walks.clear()
+        stepped.clear()
 
 
 def _chain(k):
@@ -679,6 +696,199 @@ def test_stuck_differs_from_com_error_without_detection():
         "request a(x). x!<1>. 0 | accept a(y). y!<2>. 0")
     rep = explore(prog, depth=3, mode="plain")
     assert rep.errors == [] and len(rep.stuck) == 1
+
+
+# -- the step memo of a run -------------------------------------------------
+
+def _take(c, oracle):
+    """Lazy candidate `c` built, its expression evaluated against
+    `oracle`, which records the draws: what a memo-free run does with the
+    step it takes."""
+    if c.expr is None:
+        text, succ = c.text, c.outcome()
+    else:
+        text, succ = c.outcome(evaluate(c.expr, oracle))
+    return runtime.Candidate(c.rule, c.session, c.party, text, succ,
+                             c.backward)
+
+
+def _memo_free_run(program, oracle, max_steps, mode):
+    """`simulate` without its step memo: every state is stepped afresh,
+    taking the first candidate of `reduction_steps`."""
+    oracle = oracle.clone()
+    state = program.term
+    steps, status = [], "cut-off"
+    for _ in range(max_steps):
+        cands = reduction_steps(state, mode)
+        if not cands:
+            status = classify_state(state, False)
+            break
+        try:
+            c = _take(cands[0], oracle)
+        except OracleExhausted as ex:
+            ex.steps = steps
+            raise
+        state = c.successor
+        steps.append(runtime.StepRecord(c.rule, c.session, c.party, c.text,
+                                        c.backward, state))
+        kind = classify_state(state, True)
+        if kind in ("roll_error", "com_error"):
+            status = kind
+            break
+    return runtime.Trace(program.term, steps, status, oracle, program)
+
+
+def _run_summary(t) -> tuple:
+    return ([s.label() for s in t.steps],
+            [show_collaboration(s.state) for s in t.steps], t.status,
+            t.oracle.transcript)
+
+
+def _reference_run(program, oracle, max_steps, mode):
+    """The memo-free run of a freshly parsed copy of `program`: labels,
+    state texts, status and transcript."""
+    return _run_summary(_memo_free_run(
+        parse_program(parser.render_program(program)), oracle, max_steps,
+        mode))
+
+
+def _memo_run(program, oracle, max_steps, mode):
+    return _run_summary(simulate(program, oracle, max_steps, mode))
+
+
+def _memo_programs(programs):
+    """The corpus, kpar k <= 3, rings n = 2..6 over bool and int tokens,
+    and safe and unsafe generated programs, each binary one with its
+    two-role twin."""
+    progs = list(programs.values()) + [_kpar(k) for k in (1, 2, 3)]
+    rng = random.Random(21)
+    progs += [random_program(rng, safe=k % 2 == 0) for k in range(16)]
+    progs += [to_multiparty(p) for p in progs if not p.multiparty]
+    return progs + [_ring(n, sort) for n in range(2, 7)
+                    for sort in ("bool", "int")]
+
+
+@pytest.mark.parametrize("mode", ["plain", "detect"])
+def test_a_memoised_run_is_the_memo_free_run(programs, mode):
+    loops = 0
+    for prog in _memo_programs(programs):
+        for seed in (0, 1, 5):
+            oracle = DecisionOracle("seeded-random", seed=seed)
+            got = _memo_run(prog, oracle, 100, mode)
+            assert got == _reference_run(prog, oracle, 100, mode)
+            loops += len(set(got[1])) < len(got[1])
+    assert loops > 50  # most runs meet a state again
+
+
+def test_states_that_differ_only_in_an_imposed_flag_stay_apart():
+    # p2 commits and sends; p1's commit then pins p2 back onto the
+    # processes the session opened with, now imposed: the same process
+    # objects under another flag, which the key must tell apart
+    prog = parse_program(
+        "fun g(): bool\n"
+        "request a(x). rec X. x?(v: int). if v == 1 then commit. X else X"
+        "\n| accept a(y). rec Y. if g() then commit. y!<1>. Y"
+        " else y!<2>. Y")
+    for seed in range(4):
+        oracle = DecisionOracle("seeded-random", seed=seed)
+        got = _memo_run(prog, oracle, 60, "detect")
+        assert got == _reference_run(prog, oracle, 60, "detect")
+        texts = set(got[1])
+        assert any(x.replace("^imp", "") in texts for x in texts
+                   if "^imp" in x)
+
+
+def test_an_oracle_running_out_inside_a_loop_stops_both_runs_alike():
+    prog = parse_program(
+        "fun f(): bool\nfun g(): int in { 1, 2 }\n"
+        "request a(x). rec X. if f() then x!<g()>. X else x!<1>. X"
+        " | accept a(y). rec Y. y?(v: int). if v == 1 then Y else Y")
+    oracle = DecisionOracle("scripted", {"f": [True, False, True, True],
+                                         "g": [1, 2, 1]})
+    with pytest.raises(OracleExhausted, match="call #5 of 'f'") as memo:
+        simulate(prog, oracle, 100)
+    with pytest.raises(OracleExhausted, match="call #5 of 'f'") as ref:
+        _memo_free_run(prog, oracle, 100, "plain")
+    labels = [s.label() for s in memo.value.steps]
+    assert labels == [s.label() for s in ref.value.steps]
+    assert len(labels) > 10
+    assert len({id(s.state) for s in memo.value.steps}) < len(labels)
+
+
+def test_alpha_variant_states_keep_their_own_texts():
+    # the two arms receive into `u` and into `w`: states that differ only
+    # by that name are alpha-variants, and each keeps its own text
+    prog = parse_program(
+        "fun f(): bool\n"
+        "request a(x). rec X. x!<1>. X"
+        " | accept a(y). rec Y. if f() then y?(u: int). Y"
+        " else y?(w: int). Y")
+    oracle = DecisionOracle("seeded-random", seed=3)
+    t = simulate(prog, oracle, 60)
+    texts = [show_collaboration(s.state) for s in t.steps]
+    assert any("y?(u: int)" in x for x in texts)
+    assert any("y?(w: int)" in x for x in texts)
+    assert texts == [naive_show(s.state) for s in t.steps]
+    assert _memo_run(prog, oracle, 60, "plain") == \
+        _reference_run(prog, oracle, 60, "plain")
+    assert replay(t.to_json()).ok
+
+
+def _looping_trace(programs):
+    t = simulate(programs["producer_consumer"],
+                 DecisionOracle("seeded-random", seed=2), 60)
+    data = t.to_json()
+    texts = [s["state"] for s in data["steps"]]
+    # a late step whose state the run met before
+    k = max(i for i, x in enumerate(texts) if x in texts[:i])
+    assert k > 30
+    return data, k
+
+
+def test_replay_checks_a_late_recurring_state(programs):
+    data, k = _looping_trace(programs)
+    texts = [s["state"] for s in data["steps"]]
+    data["steps"][k]["state"] = next(x for x in texts if x != texts[k])
+    label = data["steps"][k]["label"]
+    assert replay(data) == ReplayReport(
+        False, f"step {k}: state mismatch after {label!r}")
+
+
+def test_replay_checks_a_late_recurring_label(programs):
+    data, k = _looping_trace(programs)
+    label = data["steps"][k]["label"]
+    data["steps"][k]["label"] = label + "x"
+    assert replay(data) == ReplayReport(
+        False, f"step {k}: label {label!r} != {label + 'x'!r}")
+
+
+def _text_run_peak(run) -> int:
+    """tracemalloc peak of a text-mode `run` (no state rendered) over a
+    freshly parsed 480-message chain, in a fresh thread, so the test
+    runner's own frames do not count against the parser's depth."""
+    peak = []
+
+    def body():
+        prog = _chain(480)
+        tracemalloc.start()
+        try:
+            t = run(prog, DecisionOracle(), 2000, "plain")
+            assert t.status == "completed" and len(t.steps) == 481
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join()
+    assert peak, "the chain run failed"
+    return peak[0]
+
+
+def test_the_step_memo_keeps_a_chain_run_small():
+    # a chain never meets a state again: the memo's entries cost at most
+    # as much again as the memo-free run's trace
+    assert _text_run_peak(simulate) <= 2 * _text_run_peak(_memo_free_run)
 
 
 # -- exploration ------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from genprog import random_program, random_type
 from oracle_naive import free_names
 from cherrypi.multiparty import m_explore, to_multiparty
-from cherrypi.parser import parse_program, parse_type
+from cherrypi.parser import parse_program, parse_type, render_process
 from cherrypi.runtime import explore
 from cherrypi.sessiontypes import (TMu, fill_roles, free_type_vars,
                                    subst_type, subtypes, type_key,
@@ -262,6 +262,24 @@ def test_substitution_shares_untouched_subtrees():
     assert q.cont is tail
     assert unfold_recursion(tail) is unfold_recursion(tail)
     assert substitute(tail, "u", Lit(3)) is tail
+
+
+def test_a_substitution_is_kept_per_value_sort_and_identifier():
+    p = Send(k, Var("v"), Send(k, Call("eq", (Var("v"), Lit(True))),
+                               Inact()))
+    as_bool, as_int = substitute(p, "v", Lit(True)), substitute(p, "v", Lit(1))
+    # `True == 1`, so a key without the value's class would hand one for
+    # the other
+    assert render_process(as_bool) != render_process(as_int)
+    assert substitute(p, "v", Lit(1)) is as_int
+    assert substitute(p, "v", Lit(True)) is as_bool
+    q = Send(k, Lit(1), Inact())
+    opened = substitute(q, "k", Endpoint("s1", True))
+    assert substitute(q, "k", Endpoint("s1", True)) is opened
+    assert substitute(q, "k", Endpoint("s1", False)) is not opened
+    # an unchanged result is the node itself, and is not kept on it
+    assert substitute(q, "v", Lit(1)) is q
+    assert all(r is not q for r in q.__dict__["_sub"].values())
 
 
 def _subterms(t, children):
