@@ -11,11 +11,16 @@ runs in C: one `findall` gives the tokens' texts and a dict lookup each
 one's kind (keywords and symbols by text, the rest by first character).
 It keeps no offsets: the parsers hold a token by its index, and `_spans`
 matches the text again only when a diagnostic needs them.
-`parse_program` then checks each endpoint body in one walk
-(`_check_endpoint`).  That walk keeps nothing on the nodes: the free-name
-cache `_fv` is filled by the runtime on first use.  Expressions parse by
-one precedence-climbing loop over `syntax.OPERATORS`, and `render_expr`
-parenthesises by the same strengths and groupings.
+The parsers check well-formedness as they go: each carries the names
+its binders (`rec X`, a receive's variable, the endpoint's session
+variable, `mu t`) put in scope down to what it parses next, and notes the
+first unguarded recursion, rebinding or unbound name.  `parse_program`
+and `parse_type` raise that offence only once the whole text has parsed,
+so a syntax error anywhere wins over it.  Nothing is kept on the nodes:
+the free-name cache `_fv` is filled by the runtime on first use.
+Expressions parse by one precedence-climbing loop over
+`syntax.OPERATORS`, and `render_expr` parenthesises by the same strengths
+and groupings.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Process, Rec, Recv, Request, Roll, Select, Send, Session,
                      Log, RollError, ComError, Ufun, Var, par,
                      par_parts, record, subprocesses, operator_of,
-                     OPERATORS, SORTS, MalformedTerm, _NO_NAMES,
-                     _expr_names)
+                     OPERATORS, SORTS, MalformedTerm, _NO_NAMES)
 from . import sessiontypes as st
 
 KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
@@ -292,11 +296,47 @@ _INFIX = {row.symbol: (op, row) for op, row in OPERATORS.items()
 _TIGHTEST = max(row.prec for row in OPERATORS.values())
 
 
+_UNBOUND = ("variable", "recursion variable", "session variable")
+
+
 class _ProgParser:
+    """Parses a collaboration and checks each endpoint body on the way
+    down: it rejects a body that recurses unguarded, rebinds a value or
+    recursion variable inside its own scope (which keeps substitution and
+    trace reading unambiguous) or uses a name nothing binds.  The first
+    unguarded recursion in the body wins; else the first rebinding; else
+    the alphabetically first unbound value, recursion or session
+    variable.  `offence` is the first endpoint's that has one, at the
+    endpoint's first token.  A binder adds its name to the scope for its
+    continuation and takes it out after, inline: a scope costs no copy
+    and no frame per level.  A rebinding takes out the outer binder's
+    name too, but it wins over any unbound name."""
+
     def __init__(self, p: _P, decls: dict):
         self.p = p
         self.decls = decls
-        self.heads: list = []  # the index of each endpoint's first token
+        self.offence = None  # (message, token index)
+        self.tagged: set = set()  # whether each endpoint has a role
+        self._start("")
+
+    def _start(self, session_var: str) -> None:
+        """An endpoint body's scope, empty."""
+        self.session_var = session_var
+        self.vals: set = set()  # the bound values ...
+        self.recs: set = set()  # ... and recursion variables
+        self.pending = _NO_NAMES  # recursion variables no prefix guards
+        self.unguarded = self.rebound = None  # the first of each's message
+        self.free = (set(), set(), set())  # unbound names, as in _UNBOUND
+
+    def _finish(self, head: int) -> None:
+        """Note the body's offence at token `head`, if it is the first."""
+        if self.offence is not None:
+            return
+        message = self.unguarded or self.rebound or next(
+            (f"unbound {what} {min(names)!r}"
+             for names, what in zip(self.free, _UNBOUND) if names), None)
+        if message is not None:
+            self.offence = (message, head)
 
     # -- expressions --------------------------------------------------------
 
@@ -355,6 +395,8 @@ class _ProgParser:
                     tuple(decl.domain)
                 return Ufun(name, tuple(args), decl.arg_sorts,
                             decl.result_sort, dom)
+            if name not in self.vals:
+                self.free[0].add(name)
             return Var(name)
         p.fail("expected an expression")
 
@@ -369,15 +411,25 @@ class _ProgParser:
             if text == "if":
                 cond = self.expr()
                 p.expect("kw", "then")
+                pending = self.pending  # a conditional is no guard
                 then = self.process()
+                self.pending = pending
                 p.expect("kw", "else")
                 return If(cond, then, self.process())
             if text == "rec":
                 x = p.expect("ident")
                 p.expect(".")
-                return Rec(x, self.process())
+                if x in self.recs and self.rebound is None:
+                    self.rebound = (f"recursion variable {x!r} rebound "
+                                    f"inside its own scope")
+                self.recs.add(x)
+                self.pending = self.pending | {x}
+                body = self.process()
+                self.recs.discard(x)
+                return Rec(x, body)
             if text == "commit":
                 p.expect(".")
+                self.pending = _NO_NAMES
                 return Commit(self.process())
             if text == "roll":
                 return Roll()
@@ -397,7 +449,14 @@ class _ProgParser:
         if kind == "ident":
             p.pos = i + 1
             if p.kinds[i + 1] in ("!", "?", "<+", ">+"):
+                if text != self.session_var:
+                    self.free[2].add(text)
+                self.pending = _NO_NAMES
                 return self._prefixed(ChanVar(text))
+            if text in self.pending and self.unguarded is None:
+                self.unguarded = f"unguarded recursion on {text!r}"
+            if text not in self.recs:
+                self.free[1].add(text)
             return PVar(text)
         p.fail("expected a process")
 
@@ -423,7 +482,13 @@ class _ProgParser:
             p.expect(")")
             role = self._role_suffix()
             p.expect(".")
-            return Recv(ch, y, sort, self.process(), role)
+            if (y in self.vals or y == self.session_var) \
+                    and self.rebound is None:
+                self.rebound = f"variable {y!r} rebound inside its own scope"
+            self.vals.add(y)
+            cont = self.process()
+            self.vals.discard(y)
+            return Recv(ch, y, sort, cont, role)
         if p.eat("<+"):
             lab = p.expect("ident")
             role = self._role_suffix()
@@ -441,6 +506,7 @@ class _ProgParser:
                     p.fail(f"duplicate branch label {lab!r}", at)
                 seen.add(lab)
                 p.expect(":")
+                self.pending = _NO_NAMES
                 arms.append((lab, self.process()))
                 if not p.eat(","):
                     break
@@ -467,103 +533,25 @@ class _ProgParser:
         i = p.pos
         head = p.texts[i]
         if p.kinds[i] == "kw" and head in ("request", "accept"):
-            self.heads.append(p.next())
+            p.pos = i + 1
             name = p.expect("ident")
             role = None
             if p.eat("["):
                 role = int(p.expect("int"))
                 p.expect("]")
+            self.tagged.add(role is not None)
             p.expect("(")
             x = p.expect("ident")
             p.expect(")")
             p.expect(".")
+            self._start(x)
             body = self.process()
+            self._finish(i)
             if head == "request":
                 return Request(name, x, body, role)
             return Accept(name, x, body, role)
         p.fail("expected 'request', 'accept', or a parenthesised "
                "collaboration")
-
-
-# -- static well-formedness checks ------------------------------------------
-
-def _check_endpoint(p: _P, body: Process, session_var: str, where: int):
-    """Reject an endpoint body that recurses unguarded, rebinds a value or
-    recursion variable inside its own scope (which keeps substitution and
-    trace reading unambiguous) or uses a name nothing binds.  One walk in
-    source order carries the recursion variables no prefix guards yet
-    (a conditional is no guard) and the bound values and recursion
-    variables.  The first unguarded recursion is reported at once; else
-    the first rebinding; else the alphabetically first unbound value,
-    recursion or session variable.  Every offence is reported at `where`,
-    the index of the endpoint's first token.  The walk follows each
-    continuation in a loop and recurses only into conditional and branch
-    arms."""
-    rebound = None  # the first rebinding's message
-    free_vals: set = set()
-    free_recs: set = set()
-    free_chans: set = set()
-
-    def walk(t: Process, pending: frozenset, vals: frozenset,
-             recs: frozenset):
-        nonlocal rebound
-        while True:
-            kind = type(t)
-            if kind is If:
-                free_vals.update(n for _, n in _expr_names(t.cond)
-                                 if n not in vals)
-                walk(t.then, pending, vals, recs)
-                t = t.orelse
-                continue
-            if kind is Rec:
-                x = t.var
-                if x in recs and rebound is None:
-                    rebound = (f"recursion variable {x!r} rebound inside "
-                               f"its own scope")
-                pending, recs = pending | {x}, recs | {x}
-                t = t.body
-                continue
-            if kind is PVar:
-                if t.name in pending:
-                    p.fail(f"unguarded recursion on {t.name!r}", where)
-                if t.name not in recs:
-                    free_recs.add(t.name)
-                return
-            pending = _NO_NAMES
-            if kind is Commit:
-                t = t.cont
-                continue
-            if kind not in (Send, Recv, Select, Branch):
-                return  # 0, roll, abort
-            if t.chan.name != session_var:
-                free_chans.add(t.chan.name)
-            if kind is Branch:
-                for _, arm in t.arms:
-                    walk(arm, pending, vals, recs)
-                return
-            if kind is Send:
-                free_vals.update(n for _, n in _expr_names(t.expr)
-                                 if n not in vals)
-            elif kind is Recv:
-                y = t.var
-                if (y in vals or y == session_var) and rebound is None:
-                    rebound = f"variable {y!r} rebound inside its own scope"
-                vals = vals | {y}
-            t = t.cont
-
-    try:
-        walk(body, _NO_NAMES, _NO_NAMES, _NO_NAMES)
-    finally:
-        # the walker holds itself: break the cycle, so the parser (and
-        # its tokens) goes as soon as the parse returns
-        del walk
-    if rebound is not None:
-        p.fail(rebound, where)
-    for names, what in ((free_vals, "variable"),
-                        (free_recs, "recursion variable"),
-                        (free_chans, "session variable")):
-        if names:
-            p.fail(f"unbound {what} {min(names)!r}", where)
 
 
 def parse_program(src: str) -> SourceProgram:
@@ -579,18 +567,11 @@ def parse_program(src: str) -> SourceProgram:
     first = p.pos
     term = pp.collaboration()
     p.expect("eof")
-
-    multiparty = False
-    # an endpoint's offences are reported at its own first token
-    for part, head in zip(par_parts(term), pp.heads):
-        if part.role is not None:
-            multiparty = True
-        _check_endpoint(p, part.body, part.var, head)
-    if multiparty:
-        for part in par_parts(term):
-            if part.role is None:
-                p.fail("mixed multiparty and binary endpoints", first)
-    return SourceProgram(decls, term, multiparty)
+    if pp.offence is not None:
+        p.fail(*pp.offence)
+    if len(pp.tagged) == 2:
+        p.fail("mixed multiparty and binary endpoints", first)
+    return SourceProgram(decls, term, True in pp.tagged)
 
 
 def parse_process_text(src: str, decls: dict | None = None) -> Process:
@@ -639,12 +620,22 @@ _TYPE_ATOMS = {"end": st.TEnd, "err": st.TErr, "roll": st.TRollT,
 
 
 class _TypeParser:
+    """Parses a type and checks its variables on the way: the first
+    unguarded variable in the text is rejected at its own token, else the
+    alphabetically first free variable at its first occurrence.  Scope is
+    decided on the way down (`bound`), guardedness on the way up: `(+)`
+    guards its left operand too, which is parsed before the `(+)` is
+    seen.  So `chain` is the variable that ends the chain of `mu`s just
+    parsed (`mu t. mu u. t` ends in `t`), which every prefix and `(+)`
+    clears, and a `mu` whose own variable ends its body's chain is
+    unguarded."""
+
     def __init__(self, p: _P):
         self.p = p
-        # id(type variable node) -> its token's index; a side table,
-        # because a field on the node would change its equality and
-        # `type_key`
-        self.var_tokens: dict = {}
+        self.bound: set = set()  # the `mu` variables in scope
+        self.chain = None  # the token index of that variable, or None
+        self.unguarded = None  # the first one's (message, token index)
+        self.free: dict = {}  # free variable -> its first token's index
 
     def type_(self) -> st.SessionTypeT:
         return self._plus(self._prefix())
@@ -655,6 +646,7 @@ class _TypeParser:
         while p.kinds[p.pos:p.pos + 3] == ["(", "+", ")"]:
             p.pos += 3
             t = st.TPlus(t, self._prefix())
+            self.chain = None
         return t
 
     def _prefix(self) -> st.SessionTypeT:
@@ -668,8 +660,8 @@ class _TypeParser:
             x = p.expect("ident") if key == "sel" else _parse_sort(p)
             p.expect("]")
             p.expect(".")
-            return _TYPE_PREFIXES[key](x, self.type_(), src, dst)
-        if key == "brn":
+            t = _TYPE_PREFIXES[key](x, self.type_(), src, dst)
+        elif key == "brn":
             src, dst = _type_roles(p)
             p.expect("[")
             arms: list = []
@@ -685,54 +677,39 @@ class _TypeParser:
                 if not p.eat(";"):
                     break
             p.expect("]")
-            return st.TBrn(tuple(arms), src, dst)
-        if key == "mu":
+            t = st.TBrn(tuple(arms), src, dst)
+        elif key == "mu":
             v = p.expect("ident")
             p.expect(".")
-            return st.TMu(v, self.type_())
-        if key == "cmt":
+            bound = self.bound
+            fresh = v not in bound
+            bound.add(v)
+            t = st.TMu(v, self.type_())
+            if fresh:
+                bound.discard(v)
+            at = self.chain
+            if at is not None and p.texts[at] == v and self.unguarded is None:
+                self.unguarded = (f"unguarded recursive type on {v!r}", at)
+            return t  # the chain goes on through the `mu`
+        elif key == "cmt":
             p.expect(".")
-            return st.TCmt(self.type_())
-        if key in _TYPE_ATOMS:
-            return _TYPE_ATOMS[key]()
-        if key == "(":
+            t = st.TCmt(self.type_())
+        elif key in _TYPE_ATOMS:
+            t = _TYPE_ATOMS[key]()
+        elif key == "(":
             inner = self.type_()
             p.expect(")")
             return self._plus(inner)
-        if key == "ident":
-            var = st.TVarT(text)
-            self.var_tokens[id(var)] = i
-            return var
-        p.fail(f"unexpected keyword {text!r} in type" if kind == "kw"
-               else "expected a session type", i)
-
-
-def _check_type_vars(p: _P, t: st.SessionTypeT, var_tokens: dict):
-    """Reject the first unguarded recursion variable in source order, else
-    the alphabetically first free variable, at its first occurrence."""
-    free: dict = {}
-
-    def go(t, bound: frozenset, pending: frozenset):
-        if isinstance(t, st.TVarT):
-            at = var_tokens[id(t)]
-            if t.name in pending:
-                p.fail(f"unguarded recursive type on {t.name!r}", at)
-            if t.name not in bound:
-                free.setdefault(t.name, at)
-        if isinstance(t, st.TMu):
-            bound, pending = bound | {t.var}, pending | {t.var}
+        elif key == "ident":
+            if text not in self.bound:
+                self.free.setdefault(text, i)
+            self.chain = i
+            return st.TVarT(text)
         else:
-            pending = frozenset()
-        for c in st.subtypes(t):
-            go(c, bound, pending)
-
-    try:
-        go(t, frozenset(), frozenset())
-    finally:
-        del go  # `go` holds itself: break the cycle
-    if free:
-        name = min(free)
-        p.fail(f"unbound type variable {name!r}", free[name])
+            p.fail(f"unexpected keyword {text!r} in type" if kind == "kw"
+                   else "expected a session type", i)
+        self.chain = None
+        return t
 
 
 def parse_type(src: str) -> st.SessionTypeT:
@@ -740,7 +717,11 @@ def parse_type(src: str) -> st.SessionTypeT:
     tp = _TypeParser(p)
     t = tp.type_()
     p.expect("eof")
-    _check_type_vars(p, t, tp.var_tokens)
+    if tp.unguarded is not None:
+        p.fail(*tp.unguarded)
+    if tp.free:
+        name = min(tp.free)
+        p.fail(f"unbound type variable {name!r}", tp.free[name])
     return t
 
 

@@ -101,7 +101,9 @@ class DecisionOracle:
         twin = copy.copy(self)
         twin.script = {k: list(v) for k, v in self.script.items()}
         twin.pointers = dict(self.pointers)
-        twin.rng = random.Random()
+        # a constant seed, which `setstate` overwrites: seeding from the
+        # operating system would cost more than the rest of the clone
+        twin.rng = random.Random(0)
         twin.rng.setstate(self.rng.getstate())
         twin.transcript = list(self.transcript)
         return twin

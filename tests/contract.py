@@ -19,7 +19,11 @@ Runs `cli.main` in-process over the bundled corpus.  Sections:
 - expr: the operator programs of `tests/expr/`, which nest every builtin
   operator: `infer` and `check`, text and `--json`, and `run --seed 1`
   and `--seed 2` with `--trace` and the trace's `replay`, both error
-  modes, text and `--json`.
+  modes, text and `--json`;
+- diagnostics: the ill-formed programs of `BAD_PROGRAMS` under `check`
+  and the types of `BAD_TYPES` under `comply` against `end`: each static
+  offence, the order in which they win over one another and over a
+  syntax error later in the text, and the guard rules of `(+)`.
 
 `--full` runs the generated inputs of the benchmark's families instead,
 for a CI job (about 5 s on a 2-vCPU host; its kpar section alone is
@@ -73,10 +77,80 @@ DIGESTS = HERE / "contract.json"
 FULL_DIGESTS = HERE / "contract_full.json"
 EXPR = HERE / "expr"
 SECTIONS = ("infer", "check", "explore", "run", "replay", "comply", "graph",
-            "expr")
+            "expr", "diagnostics")
 FULL_SECTIONS = ("kpar", "genprog", "budgets", "large")
 MODES = ("plain", "detect")
 FORMATS = ((), ("--json",))
+# each endpoint check's offence; within an endpoint unguarded recursion
+# wins, then the first rebinding, then the first unbound value, recursion
+# and session variable by name; the first endpoint with an offence wins,
+# and a later syntax error wins over all of them
+BAD_PROGRAMS = (
+    "request a(x). rec X. X | accept a(y). 0",
+    "fun f(): bool\nrequest a(x). rec X. if f() then X else 0\n"
+    "| accept a(y). 0",
+    "request a(x). x!<1>. 0 | accept a(y). rec Y. y>+{l: Y, r: rec Z. Z}",
+    "request a(x). x>+{l: rec X. rec Y. X, r: x?(v: int). x?(v: int). 0}"
+    " | accept a(y). 0",
+    "request a(x). rec X. x!<1>. rec X. X | accept a(y). 0",
+    "request a(x). x?(v: int). x?(v: str). 0"
+    " | accept a(y). y!<1>. y!<\"s\">. 0",
+    "request a(x). rec X. x!<1>. rec X. x!<2>. X | accept a(y). 0",
+    "request a(x). x?(x: int). 0 | accept a(y). 0",
+    "  request a(x). x>+{l: x?(v: int). x?(v: int). 0,"
+    " r: rec X. x!<1>. rec X. x!<1>. X} | accept a(y). 0",
+    "request a(x). x!<1>. 0\n| (accept a(y). y?(v: int). y?(v: int). 0)",
+    "request a(x). x?(v: int). x?(v: int). rec X. X | accept a(y). 0",
+    "request a(x). q!<zz>. rec X. rec X. x!<1>. X | accept a(y). 0",
+    "request a(x). q!<1>. x!<zz>. x!<b>. Q | accept a(y). 0",
+    "request a(x). q!<1>. p!<1>. if true then R else Q | accept a(y). 0",
+    "request a(x). q!<1>. p!<1>. 0 | accept a(y). 0",
+    "request a(x). q!<1>. 0 | accept a(y). rec Y. Y",
+    "request a(x). x?(v: int). if v == w then x!<v>. 0 else 0\n"
+    "| accept a(y). y!<1>. 0",
+    "request a(x). if true then x?(v: int). 0 else x!<v>. 0"
+    " | accept a(y). 0",
+    "request a(x). if true then rec X. x!<1>. X else X | accept a(y). 0",
+    "request a(x). rec X. (if true then x!<1>. X else (X))"
+    " | accept a(y). 0",
+    "request a(x). rec X. commit. X | accept a(y). rec Y. y?(v: int). Y",
+    "request a(x). rec X. if true then rec Y. x!<1>. Y else X"
+    " | accept a(y). 0",
+    "request a(x). x>+{l: rec X. 0, r: X} | accept a(y). 0",
+    "request a(x). x?(v: int). x?(v: int). x!<v>. 0"
+    " | accept a(y). y!<1>. y!<2>. 0",
+    " request a[1](x). 0 | accept a(y). 0",
+    "request a[1](x). rec X. X | accept a(y). 0",
+    "request a[1](x). x!<1>@2. 0 | accept a[2](y). y?(x: int)@1. 0",
+    "request a[1](x). x?(x: int)@2. 0 | accept a[2](y). y!<1>@1. 0",
+    "fun f(int): bool\nrequest a(x). if f(1 + w) then 0 else 0"
+    " | accept a(y). 0",
+    "request a(x). rec X. X | accept a(y). y?(v: int)",
+    "request a(x). q!<zz>. 0 | accept a(y). 0 0",
+    "request a(x). x?(v: int). x?(v: int). 0 | accept a(y). y!<1>. 0 $",
+)
+# each type check's offence: the first unguarded variable at its own
+# token, else the free variable first by name at its first occurrence;
+# `(+)` guards what follows it, and what it follows
+BAD_TYPES = (
+    "mu t. mu u. t",
+    "brn[l: end; r: mu t. mu u. u]",
+    "![int]. t",
+    "mu t. brn[l: t; r: u]",
+    "mu t. ![int].\n  brn[l: v; r: mu u. u]",
+    "mu t. t (+) end",
+    "mu t. (mu u. t) (+) end",
+    "(mu u. u) (+) end",
+    "end (+) mu u. u",
+    "mu t. end (+) t",
+    "mu t. (end (+) mu u. t)",
+    "mu t. ((mu u. (t)))",
+    "mu t. ![int]. (t (+) mu u. t)",
+    "brn[l: zz; r: aa; s: mu t. aa]",
+    "brn[l: u; r: mu t. cmt. t; s: mu v. v]",
+    "mu t. t ]",
+    "![int]. u (+)",
+)
 
 
 def _call(argv: list, names: tuple) -> str:
@@ -165,6 +239,11 @@ def sections(tmp: Path) -> dict:
                 for seed in (1, 2):
                     t.run("expr", prog, "--seed", seed, "--error-mode", mode,
                           fmt=fmt)
+    for i, text in enumerate(BAD_PROGRAMS):
+        t.call("diagnostics", "check", t.source(f"bad-{i}.chpi", text))
+    end = t.source("end.chty", "end\n")
+    for i, text in enumerate(BAD_TYPES):
+        t.call("diagnostics", "comply", t.source(f"bad-{i}.chty", text), end)
     return t.texts()
 
 

@@ -11,8 +11,9 @@ the plain forms of a renderer and a barbs walk that keep work on the
 nodes: the first builds every text afresh, the second tells visited
 processes apart by their keys, not by identity.  `naive_tokenize` and
 `naive_endpoint_check` are the lexer that matches one token at a time and
-the three separate walks that checked an endpoint's body, against which
-the parser's one `findall` and one walk are compared.  `erase_trace`
+three separate walks over a parsed endpoint body, against which the
+parser's one `findall` and the check it makes while it parses are
+compared.  `erase_trace`
 strips a two-role run back to binary form, so that a binary program's run
 can be compared with its `to_multiparty` twin's.
 """

@@ -1,5 +1,7 @@
 import random
 import re
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -9,14 +11,16 @@ from hypothesis import example, given, settings, strategies as st
 from genprog import random_program, random_type
 from conftest import ALL_PROGRAMS
 from oracle_naive import naive_endpoint_check, naive_tokenize
-from cherrypi import corpus_dir, parser
+from cherrypi import corpus_dir, parser, sessiontypes, syntax
 from cherrypi.multiparty import to_multiparty
-from cherrypi.parser import (FunDecl, ParseError, SourceProgram, _TOKEN,
-                             _diag, _spans, parse_expression_text,
+from cherrypi.parser import (FunDecl, ParseError, SourceProgram, _P,
+                             _ProgParser, _TOKEN, _TypeParser, _diag,
+                             _parse_fun_decl, _spans, parse_expression_text,
                              parse_process_text, parse_program, parse_type,
                              render_expr, render_program, render_type,
                              tokenize)
-from cherrypi.sessiontypes import TBrn, TIn, TMu, TOut, canonical_type
+from cherrypi.sessiontypes import (TBrn, TCmt, TIn, TMu, TOut, TPlus, TVarT,
+                                   _map_type, canonical_type, subtypes)
 from cherrypi.syntax import (OPERATORS, Call, ChanVar, If, Lit, PVar, Rec,
                              Recv, Send, Ufun, Var, _map_proc, canonicalize,
                              par, par_parts, subprocesses)
@@ -256,6 +260,12 @@ def test_fun_arity_checked_at_call_site():
      ("variable 'v' rebound inside its own scope", 1, 3)),
     ("request a(x). x!<1>. 0\n| (accept a(y). y?(v: int). y?(v: int). 0)",
      ("variable 'v' rebound inside its own scope", 2, 4)),
+    # each branch of a conditional starts from the recursion variables no
+    # prefix guards yet, each arm of a branch from none
+    ("request a(x). rec X. if true then rec Y. x!<1>. Y else X"
+     " | accept a(y). 0", ("unguarded recursion on 'X'", 1, 1)),
+    ("request a(x). x>+{l: rec X. 0, r: X} | accept a(y). 0",
+     ("unbound recursion variable 'X'", 1, 1)),
 ])
 def test_program_check_diagnostics_are_exact(src, want):
     with pytest.raises(ParseError) as ei:
@@ -570,9 +580,9 @@ def test_lexer_matches_the_reference_lexer_on_mutated_texts(src):
 
 
 # -- the endpoint check against the three walks it replaces ------------------
-# `parse_program` checks each endpoint body in one walk;
-# `oracle_naive.naive_endpoint_check` is the three walks it replaces.  Faults
-# put into generated programs must draw the same diagnostic from both.
+# `parse_program` checks each endpoint body while it parses it;
+# `oracle_naive.naive_endpoint_check` is three walks over the parsed body.
+# Faults put into generated programs must draw the same diagnostic from both.
 
 def _unguarded(p, chan, rng):
     x = rng.choice(("X", "Y", "U"))
@@ -639,20 +649,36 @@ def _faulty_program(seed):
                                         prog.multiparty))
 
 
-def _check_diagnostic(src):
+def _check_diagnostic(src, parse=parse_program):
     try:
-        parse_program(src)
+        parse(src)
     except ParseError as e:
         return e.diagnostic
     return None
 
 
 def _reference_check_diagnostic(src):
-    def three_walks(p, body, session_var, where):
-        naive_endpoint_check(p.src, body, session_var, where)
-
-    with mock.patch.object(parser, "_check_endpoint", three_walks):
-        return _check_diagnostic(src)
+    """`parse_program`'s diagnostic, with each endpoint's checks made by
+    the three walks over its parsed body, at the endpoint's first token
+    (the one `request` or `accept` keyword that starts it)."""
+    p = _P(src)
+    try:
+        decls: dict = {}
+        while p.at("kw", "fun"):
+            d = _parse_fun_decl(p)
+            decls[d.name] = d
+        first = p.pos
+        term = _ProgParser(p, decls).collaboration()
+        p.expect("eof")
+        heads = [i for i, (kind, text) in enumerate(zip(p.kinds, p.texts))
+                 if kind == "kw" and text in ("request", "accept")]
+        for e, head in zip(par_parts(term), heads):
+            naive_endpoint_check(src, e.body, e.var, head)
+        if len({e.role is None for e in par_parts(term)}) == 2:
+            p.fail("mixed multiparty and binary endpoints", first)
+    except ParseError as e:
+        return e.diagnostic
+    return None
 
 
 @settings(max_examples=200, deadline=None)
@@ -701,3 +727,147 @@ def test_endpoint_check_priority_is_exact(src, want):
     got = _check_diagnostic(src)
     assert (got.message, got.start) == (want, 0)
     assert got == _reference_check_diagnostic(src)
+
+
+# -- the type check against the walk it replaces ------------------------------
+# `parse_type` checks a type's variables while it parses it; `_check_type_vars`
+# is the walk over the parsed type that did it before.
+
+def _check_type_vars(p, t, var_tokens):
+    """Reject the first unguarded recursion variable in source order, else
+    the alphabetically first free variable, at its first occurrence;
+    `var_tokens` gives the variables' token indices in source order."""
+    free: dict = {}
+
+    def go(t, bound: frozenset, pending: frozenset):
+        if isinstance(t, TVarT):
+            at = next(var_tokens)
+            if t.name in pending:
+                p.fail(f"unguarded recursive type on {t.name!r}", at)
+            if t.name not in bound:
+                free.setdefault(t.name, at)
+        if isinstance(t, TMu):
+            bound, pending = bound | {t.var}, pending | {t.var}
+        else:
+            pending = frozenset()
+        for c in subtypes(t):
+            go(c, bound, pending)
+
+    go(t, frozenset(), frozenset())
+    if free:
+        name = min(free)
+        p.fail(f"unbound type variable {name!r}", free[name])
+
+
+def _reference_type_diagnostic(src):
+    """`parse_type`'s diagnostic, with the checks made by the walk.  A
+    variable is the one identifier that starts a type where a type may
+    start: first, or after `.`, `:`, `(` or the `)` of `(+)` (a label, a
+    `mu`'s variable and a role's `_` follow none of these)."""
+    p = _P(src)
+    try:
+        t = _TypeParser(p).type_()
+        p.expect("eof")
+        _check_type_vars(p, t, iter([
+            i for i, kind in enumerate(p.kinds) if kind == "ident"
+            and (i == 0 or p.kinds[i - 1] in (".", ":", "(", ")"))]))
+    except ParseError as e:
+        return e.diagnostic
+    return None
+
+
+def _type_fault(t, rng):
+    """`t` under a `mu` no prefix guards, as a free variable, or with a
+    `(+)` that may or may not guard a `mu`'s variable."""
+    v, w = (rng.choice(("t1", "t2", "t3", "zz")) for _ in range(2))
+    return rng.choice((
+        TMu(v, t),
+        TMu(v, TMu(w, TVarT(rng.choice((v, w))))),
+        TVarT(v),
+        TMu(v, TPlus(TVarT(v), t)),
+        TMu(v, TPlus(t, TMu(w, TVarT(v)))),
+        TPlus(t, TMu(v, TVarT(v))),
+        TPlus(TMu(v, TCmt(TVarT(w))), t),
+    ))
+
+
+def _faulty_type(seed):
+    rng = random.Random(seed)
+    count = rng.randint(0, 3)
+
+    def go(t):
+        t = _map_type(t, go)
+        return _type_fault(t, rng) if rng.random() < count / 8 else t
+
+    return render_type(go(random_type(rng)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_type_check_matches_the_walk(seed):
+    src = _faulty_type(seed)
+    assert _check_diagnostic(src, parse_type) == _reference_type_diagnostic(src)
+
+
+def test_type_fault_injection_draws_every_type_diagnostic():
+    seen = set()
+    for seed in range(300):
+        src = _faulty_type(seed)
+        got = _check_diagnostic(src, parse_type)
+        assert got == _reference_type_diagnostic(src), src
+        seen.add(got and re.sub(r"'[^']*'", "N", got.message))
+    assert seen == {None, "unguarded recursive type on N",
+                    "unbound type variable N"}
+
+
+@pytest.mark.parametrize("src", [
+    "mu t. t (+) end", "mu t. (mu u. t) (+) end", "(mu u. u) (+) end",
+    "end (+) mu u. u", "mu t. end (+) t", "mu t. (end (+) mu u. t)",
+    "mu t. ((mu u. (t)))", "brn[l: u; r: mu t. t]",
+    "[_,1]![int]. t", "sel[l]. mu l. l", "mu t. brn[_: t; t: end] ]",
+])
+def test_type_check_matches_the_walk_on_plus_and_parentheses(src):
+    assert _check_diagnostic(src, parse_type) == _reference_type_diagnostic(src)
+
+
+# -- one pass -----------------------------------------------------------------
+
+def test_parsing_walks_no_parsed_term_again(corpus):
+    with mock.patch.object(syntax, "subprocesses") as procs, \
+            mock.patch.object(parser, "subprocesses", procs), \
+            mock.patch.object(sessiontypes, "subtypes") as types:
+        for path in sorted(corpus.glob("*.chpi")):
+            parse_program(path.read_text())
+        for path in sorted(corpus.glob("*.chty")):
+            parse_type(path.read_text())
+    assert not procs.called and not types.called
+
+
+def _parse_peak(k: int) -> int:
+    """tracemalloc peak of parsing a program whose acceptor receives k
+    values, each bound to a name of its own, in a fresh thread, so the
+    test runner's own frames do not count against the parser's depth."""
+    src = ("request a(x). " + "".join(f"x!<{i}>. " for i in range(k))
+           + "0\n| accept a(y). "
+           + "".join(f"y?(v{i}: int). " for i in range(k)) + "0")
+    peak = []
+
+    def body():
+        tracemalloc.start()
+        try:
+            parse_program(src)
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join()
+    assert peak, "the parse failed"
+    return peak[0]
+
+
+def test_a_parse_keeps_its_scope_linear_in_the_nesting():
+    # a scope copied per binder would hold k * k / 2 names at the deepest
+    # point: four times as much at twice the depth
+    assert _parse_peak(400) <= 2.5 * _parse_peak(200)

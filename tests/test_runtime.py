@@ -285,6 +285,20 @@ def test_simulate_clones_the_oracle_once(programs, monkeypatch):
         assert len(t.steps) > 10 and len(calls) == 1
 
 
+def test_a_clone_draws_what_its_original_draws():
+    # the twin's generator is built from a constant seed and then given
+    # the original's state, so the two go on drawing the same values
+    oracle = DecisionOracle("seeded-random", seed=7)
+    calls = [("f", "bool", None), ("g", "int", None), ("h", "str", None),
+             ("k", "int", (3, 5, 8))] * 8
+    for call in calls[:5]:
+        oracle.draw(*call)
+    twin = oracle.clone()
+    assert [twin.draw(*c) for c in calls] == [oracle.draw(*c) for c in calls]
+    assert twin.transcript == oracle.transcript
+    assert twin.rng is not oracle.rng
+
+
 def test_an_unfunded_rival_step_does_not_stop_a_scripted_run():
     # both parties start on a conditional; the script funds only the
     # first, which is the step taken: the rival's call is never made
