@@ -13,7 +13,7 @@ from __future__ import annotations
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, If, Inact, Lit, Process, PVar, Rec, Recv,
                      Request, Roll, Select, Send, Ufun, Var, operator_of,
-                     par_parts, record, subprocesses)
+                     par_parts, record, subprocesses, _names, _TERMS)
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TIn, TMu,
                            TOut, TPlus, TRollT, TSel, TVarT, fill_roles)
 
@@ -88,55 +88,71 @@ def _need_role(role, what: str, multiparty: bool):
 
 def _type_of(p, chan, mp: bool, penv: dict, venv: dict) -> SessionTypeT:
     """`type_of_process` below its entry: a walker at module level, so a
-    call leaves no closure cycle behind."""
+    call leaves no closure cycle behind.
+
+    A subterm with no free value, process or session variable types alike
+    wherever it stands, except for the binder names `_fresh_tvar` picks
+    after the enclosing `rec`s.  So outside every `rec` of the walk its
+    type is kept on the node (`_ty`), by (endpoint, mode): a step's
+    continuation retypes by a lookup.  A process typed on a session
+    variable has it free, so only a session endpoint's processes are kept.
+    A failure is not kept."""
     kind = type(p)
+    keep = not penv and type(chan) is not ChanVar and kind in _TERMS
+    if keep:
+        kept = p.__dict__.get("_ty")
+        if kept is not None and (chan, mp) in kept:
+            return kept[chan, mp]
     # x!<e>. P  with e: S  gives  ![S]. T
     if kind is Send:
         _need_chan(p.chan, chan)
         _need_role(p.to_role, "output", mp)
         s = sort_of_expression(p.expr, venv)
-        return TOut(s, _type_of(p.cont, chan, mp, penv, venv), None,
-                    p.to_role)
+        t = TOut(s, _type_of(p.cont, chan, mp, penv, venv), None, p.to_role)
     # x?(y: S). P  extends the variable environment with y: S
-    if kind is Recv:
+    elif kind is Recv:
         _need_chan(p.chan, chan)
         _need_role(p.from_role, "input", mp)
         venv2 = dict(venv)
         venv2[p.var] = p.sort
-        return TIn(p.sort, _type_of(p.cont, chan, mp, penv, venv2), None,
-                   p.from_role)
-    if kind is Select:
+        t = TIn(p.sort, _type_of(p.cont, chan, mp, penv, venv2), None,
+                p.from_role)
+    elif kind is Select:
         _need_chan(p.chan, chan)
         _need_role(p.to_role, "selection", mp)
-        return TSel(p.label, _type_of(p.cont, chan, mp, penv, venv), None,
-                    p.to_role)
-    if kind is Branch:
+        t = TSel(p.label, _type_of(p.cont, chan, mp, penv, venv), None,
+                 p.to_role)
+    elif kind is Branch:
         _need_chan(p.chan, chan)
         _need_role(p.from_role, "branching", mp)
-        return TBrn(tuple((l, _type_of(a, chan, mp, penv, venv))
-                          for l, a in p.arms), None, p.from_role)
+        t = TBrn(tuple((l, _type_of(a, chan, mp, penv, venv))
+                       for l, a in p.arms), None, p.from_role)
     # a conditional offers the internal choice of its two branches
-    if kind is If:
+    elif kind is If:
         s = sort_of_expression(p.cond, venv)
         if s != "bool":
             raise TypingError(f"conditional guard has sort {s}, needs bool")
-        return TPlus(_type_of(p.then, chan, mp, penv, venv),
-                     _type_of(p.orelse, chan, mp, penv, venv))
-    if kind is Rec:
+        t = TPlus(_type_of(p.then, chan, mp, penv, venv),
+                  _type_of(p.orelse, chan, mp, penv, venv))
+    elif kind is Rec:
         tv = _fresh_tvar(p.var, set(penv.values()))
         penv2 = dict(penv)
         penv2[p.var] = tv
-        return TMu(tv, _type_of(p.body, chan, mp, penv2, venv))
-    if kind is PVar:
+        t = TMu(tv, _type_of(p.body, chan, mp, penv2, venv))
+    elif kind is PVar:
         if p.name not in penv:
             raise TypingError(f"unbound recursion variable {p.name!r}")
         return TVarT(penv[p.name])
-    if kind is Commit:
-        return TCmt(_type_of(p.cont, chan, mp, penv, venv))
-    leaf = _LEAF_TYPES.get(kind)
-    if leaf is None:
-        raise TypingError(f"not a process: {p!r}")
-    return leaf()
+    elif kind is Commit:
+        t = TCmt(_type_of(p.cont, chan, mp, penv, venv))
+    else:
+        leaf = _LEAF_TYPES.get(kind)
+        if leaf is None:
+            raise TypingError(f"not a process: {p!r}")
+        return leaf()
+    if keep and all(k == "s" for k, _ in _names(p)):
+        p.__dict__.setdefault("_ty", {})[chan, mp] = t
+    return t
 
 
 _LEAF_TYPES = {Inact: TEnd, Roll: TRollT, Abort: TAbtT}

@@ -1,7 +1,8 @@
 """Process-level execution for binary and n-role programs alike: decision
-oracle, evaluation, barbs, reduction, simulation, exhaustive exploration,
-trace replay, and a shadow typechecker that runs the type-level
-configuration alongside a trace.
+oracle, evaluation, barbs, reduction, simulation, exhaustive exploration
+and trace replay.  The shadow typechecker, which runs the type-level
+configuration alongside a trace, lives in `shadow` and is exported here
+too.
 
 A session logs one process per party, the requester first; a binary session
 is the two-party case.  Communication meets the partner a prefix's role
@@ -34,15 +35,12 @@ from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      MalformedInput, MalformedTerm, MEndpoint, Process, Recv,
                      Request, Roll, RollError, Select, Send, Session, Ufun,
                      Var, head_normal, operator_of, par, par_parts,
-                     process_key, record, substitute, term_rep, _TERMS)
-from .sessiontypes import TErr, canonical_type, fill_roles, type_key
+                     record, substitute, term_rep, _TERMS)
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
-from .infer import TypingError, service_types, type_of_process
-from .semantics import (TransitionSystem, TypeConfiguration,
-                        _log_ckpt_differs, _party_transitions,
-                        initial_configuration, partner_position, search,
-                        type_transitions)
+from .semantics import (TransitionSystem, _log_ckpt_differs,
+                        partner_position, search)
+from .shadow import ShadowReport, shadow_typecheck  # exported here too
 
 
 class OracleExhausted(Exception):
@@ -704,11 +702,22 @@ class Trace:
                    else show_collaboration(self.initial))
         return {
             "initial": initial,
-            "steps": [{"label": s.label(),
-                       "state": show_collaboration(s.state)}
-                      for s in self.steps],
+            "steps": [{"label": label, "state": shown}
+                      for label, shown in _shown_steps(self.steps)],
             "oracle": self.oracle.to_json(),
         }
+
+
+def _shown_steps(steps: list):
+    """Each step's label and shown state, in order.  A looping run repeats
+    its step records (see `simulate`), and each distinct one is shown once
+    per call; `steps` holds them, so their ids stay their own."""
+    shown: dict = {}
+    for s in steps:
+        got = shown.get(id(s))
+        if got is None:
+            got = shown[id(s)] = s.label(), show_collaboration(s.state)
+        yield got
 
 
 def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
@@ -723,11 +732,12 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
     A run loops (a roll restores a checkpoint, a `rec` re-enters its
     body), so one call keeps the step taken from each state it meets: the
     first candidate once per state key (`_state_key`), and the step record
-    once per (state key, value drawn).  A state met again still evaluates
-    its candidate's expression against the oracle, then reuses the
-    recorded successor, so a looping run comes back to the very same
-    objects.  A candidate that draws nothing has one step only, so once
-    that is built the candidate is let go.
+    and its successor's class once per (state key, value drawn).  A state
+    object met before is found by identity, without its key.  A state met
+    again still evaluates its candidate's expression against the oracle,
+    then reuses the recorded successor, so a looping run comes back to the
+    very same objects.  A candidate that draws nothing has one step only,
+    so once that is built the candidate is let go.
 
     An `OracleExhausted` raised by a step carries `steps`, the run up to
     that step."""
@@ -736,18 +746,25 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
     steps: list = []
     status = "cut-off"
     # state key -> [the state, which keeps the key's ids meaningful, its
-    # first candidate, {value drawn or None: step record}], or [the state,
-    # None, step record] once a candidate that draws nothing is built
+    # first candidate, {value drawn or None: (step record, its successor's
+    # class)}], or [the state, None, (step record, class)] once a
+    # candidate that draws nothing is built
     memo: dict = {}
+    # id(state) -> its memo entry: every state met is the program's or a
+    # step's, which `steps` holds, so their ids stay their own
+    met: dict = {}
     for _ in range(max_steps):
-        key = _state_key(state)
-        entry = memo.get(key)
+        entry = met.get(id(state))
         if entry is None:
-            cands = reduction_steps(state, mode)
-            if not cands:
-                status = classify_state(state, False)
-                break
-            entry = memo[key] = [state, cands[0], {}]
+            key = _state_key(state)
+            entry = memo.get(key)
+            if entry is None:
+                cands = reduction_steps(state, mode)
+                if not cands:
+                    status = classify_state(state, False)
+                    break
+                entry = memo[key] = [state, cands[0], {}]
+            met[id(state)] = entry
         _, c, step = entry
         if c is not None:
             try:
@@ -761,13 +778,14 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
             if step is None:
                 text, succ = ((c.text, c.outcome()) if v is None
                               else c.outcome(v))
-                step = taken[v] = StepRecord(c.rule, c.session, c.party,
-                                             text, c.backward, succ)
+                step = taken[v] = (StepRecord(c.rule, c.session, c.party,
+                                              text, c.backward, succ),
+                                   classify_state(succ, True))
                 if c.expr is None or not _undecided(c.expr):
                     entry[1:] = None, step
+        step, kind = step
         steps.append(step)
         state = step.state
-        kind = classify_state(state, True)
         if kind in _ERRORS:
             status = kind
             break
@@ -1003,12 +1021,11 @@ def replay(trace_json: dict, mode: str | None = None,
     if unfunded is None and len(got) != len(want):
         return ReplayReport(
             False, f"trace length {len(got)} != recorded {len(want)}")
-    for k, (g, w) in enumerate(zip(got, want)):
-        label = g.label()
+    for k, ((label, shown), w) in enumerate(zip(_shown_steps(got), want)):
         if label != w["label"]:
             return ReplayReport(
                 False, f"step {k}: label {label!r} != {w['label']!r}")
-        if show_collaboration(g.state) != w["state"]:
+        if shown != w["state"]:
             return ReplayReport(
                 False, f"step {k}: state mismatch after {label!r}")
     if unfunded is not None:
@@ -1039,157 +1056,3 @@ def _checked_trace(data) -> tuple:
         "the transcript is not a list of [function, value] draws")
     _check_values(draws, "malformed trace: the transcript")
     return steps, draws
-
-
-# ---------------------------------------------------------------------------
-# shadow typechecking
-# ---------------------------------------------------------------------------
-
-@record
-class ShadowReport:
-    ok: bool
-    failures: list  # list[str]
-
-
-def _find_session(state: Collaboration, name: str) -> Session | None:
-    for it in par_parts(state):
-        if isinstance(it, Session) and it.name == name:
-            return it
-    return None
-
-
-_IMPOSED = "rolled on an imposed type-level checkpoint"
-_IMPOSITION = "partner imposition disagrees with the type level"
-# process rule (M- prefix dropped) -> (the type-level rules that mirror it,
-# the failure when the party has no type-level step with the step's label,
-# the failure when it has one but under another rule)
-_MIRRORS = {
-    "F-Com": (("TS-Com",), "no matching type-level communication", None),
-    "F-Lab": (("TS-Lab",), "no matching type-level label exchange", None),
-    "F-If": (("TS-Tau",), "no type-level choice to resolve", None),
-    "F-Cmt": (("TS-Cmt1", "TS-Cmt2"), "no type-level commit", None),
-    "E-Cmt1": (("TS-Cmt1",), "no type-level commit", _IMPOSITION),
-    "E-Cmt2": (("TS-Cmt2",), "no type-level commit", _IMPOSITION),
-    "B-Rll": (("TS-Rll1",), "no type-level roll", _IMPOSED),
-    "E-Rll1": (("TS-Rll1",), "no type-level roll", _IMPOSED),
-    "E-Rll2": (("TS-Rll2",), "no type-level roll",
-               "error roll without an imposed type-level checkpoint"),
-    "B-Abt": (("TS-Abt1",), "no type-level abort", None),
-}
-
-
-def _type_label(rule: str, text: str) -> str:
-    """The type-level label of a process step: the sort of the value sent,
-    the label selected, the branch a conditional took, or the step kind."""
-    action = text.split(" ", 1)[1]  # what follows "<session>:p<party> "
-    match rule:
-        case "F-Com":
-            shown = action[1:]
-            sort = ("str" if shown.startswith('"') else
-                    "bool" if shown in ("true", "false") else "int")
-            return f"com[{sort}]"
-        case "F-Lab":
-            return f"lab[{action[1:]}]"
-        case "F-If":
-            return "tau[L]" if action == "then" else "tau[R]"
-    return {"commit": "cmt", "abort": "abt"}.get(action, action)
-
-
-def _mirror(cfg: TypeConfiguration, step: StepRecord,
-            failures: list) -> TypeConfiguration:
-    """The type-level successor of `cfg` that mirrors one process step: the
-    transition of the same party with the step's label and a matching rule.
-    On a mismatch the failure is noted and `cfg` is kept."""
-    rule = step.rule.removeprefix("M-")
-    if rule not in _MIRRORS:
-        # com_error steps have no type analogue on well-typed programs
-        failures.append(f"{step.label()}: step has no type analogue")
-        return cfg
-    rules, missing, disagrees = _MIRRORS[rule]
-    want = _type_label(rule, step.text)
-    # only the stepping party's transitions, in `config_transitions` order
-    steps = [type_transitions(t) for t in cfg.currents]
-    found = sorted(((r, succ) for _, _, r, lab, succ in _party_transitions(
-        cfg, step.party - 1, steps) if lab == want), key=lambda e: e[0])
-    for r, succ in found:
-        if r in rules:
-            return succ
-    failures.append(f"{step.label()}: {(found and disagrees) or missing}")
-    return cfg
-
-
-def _retype(p: Process, ep):
-    """Session type of a log's process on its endpoint; an n-role log's
-    type gets its own role stamped in, like the types inference starts
-    from."""
-    if isinstance(ep, MEndpoint):
-        return fill_roles(type_of_process(p, ep, multiparty=True), ep.role)
-    return type_of_process(p, ep)
-
-
-def shadow_typecheck(program: SourceProgram, trace: Trace) -> ShadowReport:
-    """Validate a trace against the type semantics: every step must have the
-    matching type-level transition, and after every step each log's current
-    and checkpoint must retype to the tracked configuration, imposed flags
-    included."""
-    try:
-        types = service_types(program.term)
-    except TypingError as ex:
-        return ShadowReport(False, [f"inference failed: {ex}"])
-    configs: dict = {}  # session name -> TypeConfiguration
-    failures: list = []
-    # a process that recurs, as the same object or as the same text (a
-    # protocol round ends where it began), is retyped once.  A failure is
-    # not kept, so each step reports its own.
-    retyped: dict = {}  # (process_key(process), endpoint) -> type
-
-    def retype(p, ep):
-        key = (process_key(p), ep)
-        t = retyped.get(key)
-        if t is None:
-            t = retyped[key] = _retype(p, ep)
-        return t
-
-    for step in trace.steps:
-        if step.party == 0:  # connection
-            service = step.text.split(":", 1)[0]
-            configs[step.session] = initial_configuration(*types[service])
-        elif step.session in configs:
-            configs[step.session] = _mirror(configs[step.session], step,
-                                            failures)
-        # correspondence: retype every live log against the tracked types
-        ses_state = _find_session(step.state, step.session)
-        if ses_state is None:  # aborted
-            configs.pop(step.session, None)
-            continue
-        cfg = configs.get(step.session)
-        if cfg is None:
-            continue
-        body = par_parts(ses_state.body)
-        if any(isinstance(b, (RollError, ComError)) for b in body):
-            for k, t in enumerate(cfg.currents):
-                if not isinstance(t, TErr):
-                    failures.append(
-                        f"{step.label()}: error state but party {k + 1} "
-                        f"type is {canonical_type(t)}")
-            continue
-        for k, lg in enumerate(body):
-            try:
-                got_cur = retype(lg.current, lg.endpoint)
-                got_ck = retype(lg.ckpt.process, lg.endpoint)
-            except TypingError as ex:
-                failures.append(f"{step.label()}: retyping failed: {ex}")
-                continue
-            if type_key(got_cur) != type_key(cfg.currents[k]):
-                failures.append(
-                    f"{step.label()}: party {k + 1} current retypes off "
-                    f"the tracked type")
-            if type_key(got_ck) != type_key(cfg.ckpts[k].typ):
-                failures.append(
-                    f"{step.label()}: party {k + 1} checkpoint retypes off "
-                    f"the tracked checkpoint type")
-            if lg.ckpt.imposed != cfg.ckpts[k].imposed:
-                failures.append(
-                    f"{step.label()}: party {k + 1} imposed flag "
-                    f"disagrees with the type level")
-    return ShadowReport(not failures, failures)

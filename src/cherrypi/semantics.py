@@ -13,7 +13,7 @@ lifts that check to every service of a collaboration.
 
 `_party_transitions` is the one stepper of configurations: `search` reads
 it through `_keyed_transitions`, and `config_transitions` and the shadow
-checker's `runtime._mirror` read it too.  Each step carries its successor's
+checker's `shadow._mirror` read it too.  Each step carries its successor's
 key, derived from the parent's `config_key` by replacing only the slots the
 step changed and kept on the successor, so only a search's root and an
 abort's reset configuration are keyed from their types.

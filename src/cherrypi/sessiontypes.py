@@ -201,12 +201,21 @@ def free_type_vars(t: SessionTypeT) -> frozenset:
     return frozenset().union(*map(free_type_vars, subtypes(t)))
 
 
-def fill_roles(t: SessionTypeT, own: int) -> SessionTypeT:
+def fill_roles(t: SessionTypeT, own: int,
+               memo: dict | None = None) -> SessionTypeT:
     """Stamp `own` into the placeholder own-role slot of every prefix; an
-    already filled type comes back as it is."""
+    already filled type comes back as it is.  A caller that fills many
+    types sharing subtrees passes `memo`, a dict it keeps for this `own`:
+    each node's result is kept there by the node's `id`, with the node, so
+    filling a subtype of a type filled before is a lookup."""
 
     def go(t):
-        return _map_type(t, go, own)
+        if memo is None:
+            return _map_type(t, go, own)
+        hit = memo.get(id(t))
+        if hit is None:
+            hit = memo[id(t)] = t, _map_type(t, go, own)
+        return hit[1]
 
     try:
         return go(t)

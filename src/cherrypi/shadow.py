@@ -1,0 +1,201 @@
+"""Shadow typechecking: the type-level configuration run alongside a trace.
+
+The paper's design-time check rests on subject reduction: every process
+step has a matching type-level step.  `shadow_typecheck` checks that of a
+recorded run.  It mirrors each step on the tracked configuration of its
+session and, after every step, retypes each live log's current and
+checkpoint process and compares them with that configuration.  The
+retype is independent of the mirror: a log's type is inferred from its
+process, never derived by stepping the tracked type.
+
+A run pays once per distinct step.  A looping run repeats its steps as
+the very same `runtime.StepRecord` objects (see `runtime.simulate`), so a
+step is checked once per call for each configuration it meets, and a
+repeat replays the configuration it led to and the failures it added.
+A continuation is a subterm of the process retyped before it, whose type
+`type_of_process` keeps on the node, so a run that never loops is
+retyped in linear time.
+"""
+
+from __future__ import annotations
+
+from .syntax import (ComError, MEndpoint, RollError, Session, par_parts,
+                     process_key, record)
+from .sessiontypes import TErr, canonical_type, fill_roles, type_key
+from .infer import TypingError, service_types, type_of_process
+from .semantics import (TypeConfiguration, _party_transitions, config_key,
+                        initial_configuration, type_transitions)
+
+
+@record
+class ShadowReport:
+    ok: bool
+    failures: list  # list[str]
+
+
+def _find_session(state, name: str) -> Session | None:
+    for it in par_parts(state):
+        if isinstance(it, Session) and it.name == name:
+            return it
+    return None
+
+
+_IMPOSED = "rolled on an imposed type-level checkpoint"
+_IMPOSITION = "partner imposition disagrees with the type level"
+# process rule (M- prefix dropped) -> (the type-level rules that mirror it,
+# the failure when the party has no type-level step with the step's label,
+# the failure when it has one but under another rule)
+_MIRRORS = {
+    "F-Com": (("TS-Com",), "no matching type-level communication", None),
+    "F-Lab": (("TS-Lab",), "no matching type-level label exchange", None),
+    "F-If": (("TS-Tau",), "no type-level choice to resolve", None),
+    "F-Cmt": (("TS-Cmt1", "TS-Cmt2"), "no type-level commit", None),
+    "E-Cmt1": (("TS-Cmt1",), "no type-level commit", _IMPOSITION),
+    "E-Cmt2": (("TS-Cmt2",), "no type-level commit", _IMPOSITION),
+    "B-Rll": (("TS-Rll1",), "no type-level roll", _IMPOSED),
+    "E-Rll1": (("TS-Rll1",), "no type-level roll", _IMPOSED),
+    "E-Rll2": (("TS-Rll2",), "no type-level roll",
+               "error roll without an imposed type-level checkpoint"),
+    "B-Abt": (("TS-Abt1",), "no type-level abort", None),
+}
+
+
+def _type_label(rule: str, text: str) -> str:
+    """The type-level label of a process step: the sort of the value sent,
+    the label selected, the branch a conditional took, or the step kind."""
+    action = text.split(" ", 1)[1]  # what follows "<session>:p<party> "
+    match rule:
+        case "F-Com":
+            shown = action[1:]
+            sort = ("str" if shown.startswith('"') else
+                    "bool" if shown in ("true", "false") else "int")
+            return f"com[{sort}]"
+        case "F-Lab":
+            return f"lab[{action[1:]}]"
+        case "F-If":
+            return "tau[L]" if action == "then" else "tau[R]"
+    return {"commit": "cmt", "abort": "abt"}.get(action, action)
+
+
+def _mirror(cfg: TypeConfiguration, step, failures: list) \
+        -> TypeConfiguration:
+    """The type-level successor of `cfg` that mirrors one process step: the
+    transition of the same party with the step's label and a matching rule.
+    On a mismatch the failure is noted and `cfg` is kept."""
+    rule = step.rule.removeprefix("M-")
+    if rule not in _MIRRORS:
+        # com_error steps have no type analogue on well-typed programs
+        failures.append(f"{step.label()}: step has no type analogue")
+        return cfg
+    rules, missing, disagrees = _MIRRORS[rule]
+    want = _type_label(rule, step.text)
+    # only the stepping party's transitions, in `config_transitions` order
+    steps = [type_transitions(t) for t in cfg.currents]
+    found = sorted(((r, succ) for _, _, r, lab, succ in _party_transitions(
+        cfg, step.party - 1, steps) if lab == want), key=lambda e: e[0])
+    for r, succ in found:
+        if r in rules:
+            return succ
+    failures.append(f"{step.label()}: {(found and disagrees) or missing}")
+    return cfg
+
+
+def _retype(p, ep, filled: dict):
+    """Session type of a log's process on its endpoint; an n-role log's
+    type gets its own role stamped in, like the types inference starts
+    from, with `filled` the call's `fill_roles` memo per role."""
+    if isinstance(ep, MEndpoint):
+        return fill_roles(type_of_process(p, ep, multiparty=True), ep.role,
+                          filled.setdefault(ep.role, {}))
+    return type_of_process(p, ep)
+
+
+def shadow_typecheck(program, trace) -> ShadowReport:
+    """Validate a trace against the type semantics: every step must have the
+    matching type-level transition, and after every step each log's current
+    and checkpoint must retype to the tracked configuration, imposed flags
+    included."""
+    try:
+        types = service_types(program.term)
+    except TypingError as ex:
+        return ShadowReport(False, [f"inference failed: {ex}"])
+    configs: dict = {}  # session name -> TypeConfiguration
+    failures: list = []
+    # a process that recurs, as the same object or as the same text (a
+    # protocol round ends where it began), is retyped once.  A failure is
+    # not kept, so each step reports its own.
+    retyped: dict = {}  # (process_key(process), endpoint) -> type
+    filled: dict = {}
+    # (id(step), key of the configuration it met) -> (the configuration
+    # after it, None when its session is gone, and the failures it added).
+    # The trace holds its steps, so their ids stay their own
+    checked: dict = {}
+
+    def retype(p, ep):
+        key = (process_key(p), ep)
+        t = retyped.get(key)
+        if t is None:
+            t = retyped[key] = _retype(p, ep, filled)
+        return t
+
+    for step in trace.steps:
+        name = step.session
+        cfg = configs.get(name)
+        # an abort resets to the initial types, so they are part of the key
+        at = (id(step), None if cfg is None else
+              (config_key(cfg), *map(type_key, cfg.inits)))
+        hit = checked.get(at)
+        if hit is None:
+            start = len(failures)
+            cfg = _check_step(step, cfg, types, retype, failures)
+            hit = checked[at] = cfg, failures[start:]
+        else:
+            failures += hit[1]
+        if hit[0] is None:
+            configs.pop(name, None)
+        else:
+            configs[name] = hit[0]
+    return ShadowReport(not failures, failures)
+
+
+def _check_step(step, cfg, types: dict, retype, failures: list):
+    """One step of `shadow_typecheck` on its session's configuration `cfg`
+    (None when it has none): the configuration after it, or None when it
+    has none, with its failures appended to `failures`."""
+    if step.party == 0:  # connection
+        service = step.text.split(":", 1)[0]
+        cfg = initial_configuration(*types[service])
+    elif cfg is not None:
+        cfg = _mirror(cfg, step, failures)
+    # correspondence: retype every live log against the tracked types
+    ses_state = _find_session(step.state, step.session)
+    if ses_state is None or cfg is None:  # aborted, or never connected
+        return None
+    body = par_parts(ses_state.body)
+    if any(isinstance(b, (RollError, ComError)) for b in body):
+        for k, t in enumerate(cfg.currents):
+            if not isinstance(t, TErr):
+                failures.append(
+                    f"{step.label()}: error state but party {k + 1} "
+                    f"type is {canonical_type(t)}")
+        return cfg
+    for k, lg in enumerate(body):
+        try:
+            got_cur = retype(lg.current, lg.endpoint)
+            got_ck = retype(lg.ckpt.process, lg.endpoint)
+        except TypingError as ex:
+            failures.append(f"{step.label()}: retyping failed: {ex}")
+            continue
+        if type_key(got_cur) != type_key(cfg.currents[k]):
+            failures.append(
+                f"{step.label()}: party {k + 1} current retypes off "
+                f"the tracked type")
+        if type_key(got_ck) != type_key(cfg.ckpts[k].typ):
+            failures.append(
+                f"{step.label()}: party {k + 1} checkpoint retypes off "
+                f"the tracked checkpoint type")
+        if lg.ckpt.imposed != cfg.ckpts[k].imposed:
+            failures.append(
+                f"{step.label()}: party {k + 1} imposed flag "
+                f"disagrees with the type level")
+    return cfg

@@ -17,6 +17,7 @@ import threading
 import pytest
 
 import cherrypi
+from cherrypi import infer, sessiontypes
 from cherrypi.infer import (TypingError, _check_roles_used, _type_of,
                             sort_of_expression, type_of_process)
 from cherrypi.parser import (_collect_ufuns, parse_program, parse_type,
@@ -24,6 +25,7 @@ from cherrypi.parser import (_collect_ufuns, parse_program, parse_type,
                              show_collaboration)
 from cherrypi.runtime import (DecisionOracle, barbs, enumerate_values,
                               evaluate, replay, shadow_typecheck, simulate)
+from cherrypi.multiparty import to_multiparty
 from cherrypi.semantics import check_compliance, check_rollback_safety
 from cherrypi.sessiontypes import (TEnd, TOut, TVarT, canonical_type,
                                    fill_roles, render_type, subst_type,
@@ -202,6 +204,52 @@ def test_a_chain_of_480_messages_passes_every_path(path):
     thread.start()
     thread.join()
     assert result == [True]
+
+
+def _shadow_visits(k: int, twin: bool, monkeypatch) -> list:
+    """Calls of `infer._type_of` and of `sessiontypes._map_type` (the
+    walk of `fill_roles`) while the shadow checks the detect run of
+    `_chain(k)`, or of its two-role twin."""
+    prog = parse_program(_chain(k)[2])
+    if twin:
+        prog = to_multiparty(prog)
+    trace = simulate(prog, DecisionOracle("scripted", {"f": [False]}),
+                     mode="detect")
+    visits = [0, 0]
+
+    def counting(at, walk):
+        def counted(*args):
+            visits[at] += 1
+            return walk(*args)
+        return counted
+
+    with monkeypatch.context() as m:
+        m.setattr(infer, "_type_of", counting(0, infer._type_of))
+        m.setattr(sessiontypes, "_map_type",
+                  counting(1, sessiontypes._map_type))
+        assert shadow_typecheck(prog, trace).ok
+    return visits
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["binary", "two-role"])
+def test_the_shadow_retypes_a_chain_in_linear_time(twin, monkeypatch):
+    # a step's continuation is a subterm of the process retyped before it:
+    # its type is kept on the node, and its role-filled type by the call,
+    # so doubling the chain doubles the nodes walked, where walking each
+    # continuation whole would quadruple them.  In a fresh thread, as
+    # above, since the counting wrapper doubles the walk's frames
+    result = []
+
+    def body():
+        result.append([_shadow_visits(k, twin, monkeypatch)
+                       for k in (120, 240)])
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join()
+    (typed, filled), (typed2, filled2) = result[0]
+    assert 0 < typed and typed2 <= 2.2 * typed
+    assert (filled > 0) == twin and filled2 <= 2.2 * filled
 
 
 def _procs(d: int):

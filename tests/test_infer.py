@@ -2,9 +2,12 @@ import pytest
 
 from conftest import BINARY_PROGRAMS
 from cherrypi.infer import (TypingError, infer_collaboration,
-                            m_infer_collaboration, service_pairs)
-from cherrypi.parser import parse_program, parse_type
+                            m_infer_collaboration, service_pairs,
+                            type_of_process)
+from cherrypi.parser import parse_process_text, parse_program, parse_type
 from cherrypi.sessiontypes import canonical_type, render_type
+from cherrypi.syntax import (ChanVar, Endpoint, Inact, Recv, Send, Var,
+                             substitute, unfold_recursion)
 
 
 def ceq(a, b):
@@ -38,6 +41,41 @@ def test_vod_b_requester_type_shape(programs):
     assert render_type(inf["a"]) == (
         "?[str]. ![int]. ![str]. brn[l_HD: cmt. ![str]. ![str]. end; "
         "l_SD: cmt. ![str]. ![str]. end]")
+
+
+def test_nested_rec_binders_take_fresh_names_whatever_was_typed_first():
+    # unfolding `rec X. rec Y. ...` puts the whole loop inside a `rec Y`,
+    # so the inner `rec Y` is named after the binders around it.  A
+    # session endpoint's subterm keeps its type only outside every `rec`
+    # of the walk, so typing the inner loop on its own, before or after
+    # the whole, changes neither answer
+    body = unfold_recursion(parse_process_text(
+        "rec X. rec Y. x!<1>. x>+{ a: Y, c: X }"))
+    whole = ("mu Y. ![int]. brn[a: Y; c: mu X. mu Y_1. ![int]. "
+             "brn[a: Y_1; c: X]]")
+    alone = "mu X. mu Y. ![int]. brn[a: Y; c: X]"
+    assert render_type(type_of_process(body, ChanVar("x"))) == whole
+    for first in (0, 1):
+        ep = Endpoint(f"s{first}", True)
+        p = substitute(body, "x", ep)
+        order = [(p, whole), (p.body.cont.arms[1][1], alone)]
+        if first:
+            order.reverse()
+        for q, want in order + order:
+            assert render_type(type_of_process(q, ep)) == want
+
+
+def test_a_kept_type_depends_on_no_binder_around_it():
+    # a subterm that reads a received value types by that value's sort, so
+    # it keeps no type: under another receive, or alone, it types afresh
+    ep = Endpoint("s1", True)
+    reads = Send(ep, Var("v"), Inact())
+    assert render_type(type_of_process(Recv(ep, "v", "int", reads), ep)) \
+        == "?[int]. ![int]. end"
+    assert render_type(type_of_process(Recv(ep, "v", "str", reads), ep)) \
+        == "?[str]. ![str]. end"
+    with pytest.raises(TypingError, match="unbound variable 'v'"):
+        type_of_process(reads, ep)
 
 
 def test_service_pairs_orders_requester_first(programs):

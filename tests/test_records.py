@@ -14,13 +14,14 @@ import os
 import pickle
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
 import pytest
 
 from cherrypi import (cli, infer, multiparty, parser, runtime, semantics,
-                      sessiontypes, syntax)
+                      sessiontypes, shadow, syntax)
 from cherrypi.sessiontypes import TEnd, TErr
 from cherrypi.syntax import Lit, Var
 
@@ -30,7 +31,7 @@ SRC = Path(syntax.__file__).resolve().parent.parent
 def _records():
     found = {}
     for module in (syntax, sessiontypes, semantics, parser, runtime,
-                   multiparty, infer, cli):
+                   shadow, multiparty, infer, cli):
         for obj in vars(module).values():
             if (isinstance(obj, type) and obj.__module__ == module.__name__
                     and "__match_args__" in vars(obj)
@@ -170,3 +171,23 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def _parser_tokens(path: Path) -> int:
+    """The tokens CPython's parser reads from a source file: every token
+    but comments, non-logical newlines and the encoding marker."""
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    with open(path, "rb") as fh:
+        return sum(tok.type not in skipped
+                   for tok in tokenize.tokenize(fh.readline))
+
+
+def test_every_module_stays_under_8192_parser_tokens():
+    # the parser's token array doubles past 8,192 tokens: `runtime.py`
+    # at 8,169 tokens compiled with a 2,920 KiB peak, and padded to 8,649
+    # with 3,530 KiB (tracemalloc of `compile`, CPython 3.11.7); every
+    # import from source pays it
+    sizes = {path.name: _parser_tokens(path)
+             for path in sorted((SRC / "cherrypi").glob("*.py"))}
+    assert len(sizes) >= 10
+    assert {name: n for name, n in sizes.items() if n >= 8192} == {}

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import re
@@ -19,7 +20,7 @@ from cherrypi.runtime import (DecisionOracle, ExploreError, MalformedInput,
                               enumerate_values, evaluate, explore, guard_value,
                               reduction_steps, replay, ReplayReport,
                               shadow_typecheck, simulate)
-from cherrypi import parser, runtime, syntax
+from cherrypi import parser, runtime, shadow, syntax
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.semantics import BudgetExceeded, check_rollback_safety
 from cherrypi.syntax import (ChanVar, ComError, Inact, Log, MalformedTerm,
@@ -593,11 +594,11 @@ def test_the_shadow_retypes_each_distinct_process_once(programs,
     assert len(t.steps) == 100
     retyped = []
 
-    def counting(p, ep, _retype=runtime._retype):
+    def counting(p, ep, filled, _retype=shadow._retype):
         retyped.append((process_key(p), ep))
-        return _retype(p, ep)
+        return _retype(p, ep, filled)
 
-    monkeypatch.setattr(runtime, "_retype", counting)
+    monkeypatch.setattr(shadow, "_retype", counting)
     assert shadow_typecheck(prog, t).ok
     asked = [(q, lg.endpoint) for s in t.steps for lg in _logs(s.state)
              for q in (lg.current, lg.ckpt.process)]
@@ -792,6 +793,32 @@ def test_a_memoised_run_is_the_memo_free_run(programs, mode):
             assert got == _reference_run(prog, oracle, 100, mode)
             loops += len(set(got[1])) < len(got[1])
     assert loops > 50  # most runs meet a state again
+
+
+@pytest.mark.parametrize("mode", ["plain", "detect"])
+def test_a_memoised_shadow_is_the_memo_free_shadow(programs, mode):
+    # a step met again replays the configuration it led to and the
+    # failures it added; with every step record a copy, no step object
+    # repeats, so each step is checked afresh
+    repeats, imposed = 0, set()
+    for prog in _memo_programs(programs):
+        for seed in (0, 1, 5):
+            t = simulate(prog, DecisionOracle("seeded-random", seed=seed),
+                         100, mode)
+            copied = runtime.Trace(t.initial, [copy.copy(s) for s in t.steps],
+                                   t.status, t.oracle, t.program)
+            assert len({id(s) for s in copied.steps}) == len(t.steps)
+            want = shadow_typecheck(prog, copied).failures
+            got = shadow_typecheck(prog, t).failures
+            assert got == want, (parser.render_program(prog), seed)
+            repeats += len({id(s) for s in t.steps}) < len(t.steps)
+            if any("imposed" in f for f in got):
+                imposed.add(parser.render_program(prog))
+    assert repeats > 50  # most runs repeat a step
+    if mode == "plain":  # vod_b and its twin roll onto imposed checkpoints
+        vod_b = programs["vod_b"]
+        assert {parser.render_program(vod_b),
+                parser.render_program(to_multiparty(vod_b))} <= imposed
 
 
 def test_states_that_differ_only_in_an_imposed_flag_stay_apart():
