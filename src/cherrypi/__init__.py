@@ -1,11 +1,12 @@
 """Session calculus with checkpoint-based rollback: terms, types, checkers,
 and a simulator for binary and multiparty sessions."""
 
-from pathlib import Path
-
 __version__ = "0.1.0"
 
 
-def corpus_dir() -> Path:
-    """Directory of the bundled example programs and types."""
+def corpus_dir():
+    """Directory of the bundled example programs and types, a
+    `pathlib.Path`; `pathlib` is imported here, so that importing the
+    package does not load it."""
+    from pathlib import Path
     return Path(__file__).resolve().parent / "corpus"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .infer import (TypingError, infer_collaboration,
                     m_infer_collaboration)
@@ -26,10 +25,16 @@ from .syntax import MalformedInput, MalformedTerm
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as e:
         raise MalformedInput(f"{path}: not UTF-8 text ({e.reason} at byte "
                              f"{e.start})") from None
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _at_least(least: int):
@@ -135,8 +140,7 @@ def cmd_run(args) -> int:
     # only a trace file and JSON output hold the rendered states
     data = trace.to_json() if args.trace or args.json else None
     if args.trace:
-        Path(args.trace).write_text(json.dumps(data, indent=2) + "\n",
-                                    encoding="utf-8")
+        _write(args.trace, json.dumps(data, indent=2) + "\n")
     lines = [render_program(program)]
     for k, step in enumerate(trace.steps):
         lines.append(f"{k + 1}. {step.label()}")
@@ -151,7 +155,7 @@ def cmd_explore(args) -> int:
     report = explore(program, depth=args.depth, mode=args.error_mode,
                      budget=args.budget)
     if args.dot:
-        Path(args.dot).write_text(_explore_dot(report), encoding="utf-8")
+        _write(args.dot, _explore_dot(report))
     data = report.to_json()
     lines = [f"{data['states']} states, {data['edges']} edges, "
              f"{data['completed']} completed (depth {data['depth']})"]
@@ -180,7 +184,7 @@ def cmd_graph(args) -> int:
     report = check_compliance(t1, t2, budget=args.budget)
     dot = compliance_dot(report)
     if args.dot:
-        Path(args.dot).write_text(dot, encoding="utf-8")
+        _write(args.dot, dot)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     elif not args.dot:

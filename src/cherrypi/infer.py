@@ -205,8 +205,7 @@ def _check_roles_used(p: Process, own: int, n: int):
         _check_roles_used(q, own, n)
 
 
-@record
-class MService:
+class MService(metaclass=record):
     name: str
     n: int
     parts: dict  # role -> Request|Accept

@@ -71,8 +71,7 @@ _FIRST = (dict.fromkeys(ascii_letters + "_", "ident")
 _FIRST_CHAR = itemgetter(slice(1))  # "" for an eof entry
 
 
-@record(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(metaclass=record, frozen=True):
     message: str
     start: int
     end: int
@@ -170,16 +169,14 @@ def tokenize(src: str) -> tuple:
     return kinds, texts
 
 
-@record(frozen=True)
-class FunDecl:
+class FunDecl(metaclass=record, frozen=True):
     name: str
     arg_sorts: tuple  # tuple[str, ...]
     result_sort: str
     domain: tuple | None  # tuple of python values, or None
 
 
-@record
-class SourceProgram:
+class SourceProgram(metaclass=record):
     decls: dict  # name -> FunDecl, declaration order
     term: Collaboration
     multiparty: bool

@@ -310,8 +310,7 @@ def _may_recover(bs: frozenset) -> bool:
 # reduction
 # ---------------------------------------------------------------------------
 
-@record
-class Candidate:
+class Candidate(metaclass=record):
     """One reduction step on offer at a state.
 
     With `exhaustive` (see `reduction_steps`) every candidate is built.
@@ -673,8 +672,7 @@ def _item_class(it) -> str:
 # simulation
 # ---------------------------------------------------------------------------
 
-@record
-class StepRecord:
+class StepRecord(metaclass=record):
     rule: str
     session: str
     party: int
@@ -686,8 +684,7 @@ class StepRecord:
         return f"{self.rule} {self.text}"
 
 
-@record
-class Trace:
+class Trace(metaclass=record):
     initial: Collaboration
     steps: list  # list[StepRecord]
     status: str  # completed | stuck | roll_error | com_error | cut-off
@@ -810,8 +807,7 @@ def _state_key(state: Collaboration) -> tuple:
 # exhaustive exploration
 # ---------------------------------------------------------------------------
 
-@record
-class ExploreEntry:
+class ExploreEntry(metaclass=record):
     kind: str  # roll_error | com_error | stuck
     state: int
     path: list  # list[str] step labels from the initial state
@@ -822,8 +818,7 @@ class ExploreEntry:
                 "script": self.script}
 
 
-@record
-class ExplorationReport:
+class ExplorationReport(metaclass=record):
     # states are Collaborations; an edge is (src, dst, rule, text, backward)
     system: TransitionSystem
     errors: list  # list[ExploreEntry]
@@ -984,8 +979,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
 # replay
 # ---------------------------------------------------------------------------
 
-@record
-class ReplayReport:
+class ReplayReport(metaclass=record):
     ok: bool
     divergence: str | None = None
 

@@ -114,14 +114,12 @@ def type_transitions(t: SessionTypeT) -> list:
 # configurations
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class CheckpointType:
+class CheckpointType(metaclass=record, frozen=True):
     typ: SessionTypeT
     imposed: bool = False
 
 
-@record(frozen=True)
-class TypeConfiguration:
+class TypeConfiguration(metaclass=record, frozen=True):
     ckpts: tuple  # CheckpointType per party, in log order
     currents: tuple  # SessionTypeT per party
     inits: tuple  # SessionTypeT per party, fixed along a run
@@ -288,8 +286,7 @@ def _party_transitions(cfg: TypeConfiguration, i: int, steps: list) -> list:
 # reachable transition system
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class Edge:
+class Edge(metaclass=record, frozen=True):
     src: int
     dst: int
     party: int
@@ -297,8 +294,7 @@ class Edge:
     label: str
 
 
-@record
-class TransitionSystem:
+class TransitionSystem(metaclass=record):
     """What `search` found, for types and programs alike: states numbered
     in discovery order, and `path_to`, the one parent-pointer walk."""
     states: list
@@ -388,8 +384,7 @@ def reachable_system(*types: SessionTypeT,
 # compliance and rollback safety
 # ---------------------------------------------------------------------------
 
-@record
-class Violation:
+class Violation(metaclass=record):
     state: int
     config: TypeConfiguration
     path: list  # `reachable_system` steps from the initial state
@@ -409,8 +404,7 @@ def _describe(cfg: TypeConfiguration, roles: bool, memo: dict) -> dict:
     }
 
 
-@record
-class ComplianceReport:
+class ComplianceReport(metaclass=record):
     compliant: bool
     system: TransitionSystem
     violations: list  # list[Violation]
@@ -451,8 +445,7 @@ def check_compliance(*types: SessionTypeT,
     return ComplianceReport(not violations, ts, violations)
 
 
-@record
-class RollbackSafetyReport:
+class RollbackSafetyReport(metaclass=record):
     safe: bool
     services: dict  # service name -> ComplianceReport
 

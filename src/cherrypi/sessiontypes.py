@@ -17,87 +17,73 @@ number binders, cache on the node, emit concrete syntax or step a type.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .syntax import MalformedTerm, _intern, record
 
 
-@record(frozen=True)
-class TOut:
+class TOut(metaclass=record, frozen=True):
     sort: str
     cont: "SessionTypeT"
     src: int | None = None  # own role (None = placeholder / binary)
     dst: int | None = None  # partner role
 
 
-@record(frozen=True)
-class TIn:
+class TIn(metaclass=record, frozen=True):
     sort: str
     cont: "SessionTypeT"
     src: int | None = None
     dst: int | None = None
 
 
-@record(frozen=True)
-class TSel:
+class TSel(metaclass=record, frozen=True):
     label: str
     cont: "SessionTypeT"
     src: int | None = None
     dst: int | None = None
 
 
-@record(frozen=True)
-class TBrn:
+class TBrn(metaclass=record, frozen=True):
     arms: tuple  # tuple[tuple[str, SessionTypeT], ...] (order preserved)
     src: int | None = None
     dst: int | None = None
 
 
-@record(frozen=True)
-class TPlus:
+class TPlus(metaclass=record, frozen=True):
     """Internal choice between the two continuations of a conditional."""
     left: "SessionTypeT"
     right: "SessionTypeT"
 
 
-@record(frozen=True)
-class TVarT:
+class TVarT(metaclass=record, frozen=True):
     name: str
 
 
-@record(frozen=True)
-class TMu:
+class TMu(metaclass=record, frozen=True):
     var: str
     body: "SessionTypeT"
 
 
-@record(frozen=True)
-class TEnd:
+class TEnd(metaclass=record, frozen=True):
     pass
 
 
-@record(frozen=True)
-class TErr:
+class TErr(metaclass=record, frozen=True):
     pass
 
 
-@record(frozen=True)
-class TCmt:
+class TCmt(metaclass=record, frozen=True):
     cont: "SessionTypeT"
 
 
-@record(frozen=True)
-class TRollT:
+class TRollT(metaclass=record, frozen=True):
     pass
 
 
-@record(frozen=True)
-class TAbtT:
+class TAbtT(metaclass=record, frozen=True):
     pass
 
 
-SessionTypeT = Union[TOut, TIn, TSel, TBrn, TPlus, TVarT, TMu, TEnd, TErr,
-                     TCmt, TRollT, TAbtT]
+SessionTypeT = (TOut, TIn, TSel, TBrn, TPlus, TVarT, TMu, TEnd, TErr, TCmt,
+                TRollT, TAbtT)
 
 
 # ---------------------------------------------------------------------------

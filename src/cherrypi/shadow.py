@@ -20,15 +20,14 @@ retyped in linear time.
 from __future__ import annotations
 
 from .syntax import (ComError, MEndpoint, RollError, Session, par_parts,
-                     process_key, record)
+                     record)
 from .sessiontypes import TErr, canonical_type, fill_roles, type_key
 from .infer import TypingError, service_types, type_of_process
 from .semantics import (TypeConfiguration, _party_transitions, config_key,
                         initial_configuration, type_transitions)
 
 
-@record
-class ShadowReport:
+class ShadowReport(metaclass=record):
     ok: bool
     failures: list  # list[str]
 
@@ -121,23 +120,11 @@ def shadow_typecheck(program, trace) -> ShadowReport:
         return ShadowReport(False, [f"inference failed: {ex}"])
     configs: dict = {}  # session name -> TypeConfiguration
     failures: list = []
-    # a process that recurs, as the same object or as the same text (a
-    # protocol round ends where it began), is retyped once.  A failure is
-    # not kept, so each step reports its own.
-    retyped: dict = {}  # (process_key(process), endpoint) -> type
-    filled: dict = {}
+    filled: dict = {}  # role -> its `fill_roles` memo
     # (id(step), key of the configuration it met) -> (the configuration
     # after it, None when its session is gone, and the failures it added).
     # The trace holds its steps, so their ids stay their own
     checked: dict = {}
-
-    def retype(p, ep):
-        key = (process_key(p), ep)
-        t = retyped.get(key)
-        if t is None:
-            t = retyped[key] = _retype(p, ep, filled)
-        return t
-
     for step in trace.steps:
         name = step.session
         cfg = configs.get(name)
@@ -147,7 +134,7 @@ def shadow_typecheck(program, trace) -> ShadowReport:
         hit = checked.get(at)
         if hit is None:
             start = len(failures)
-            cfg = _check_step(step, cfg, types, retype, failures)
+            cfg = _check_step(step, cfg, types, filled, failures)
             hit = checked[at] = cfg, failures[start:]
         else:
             failures += hit[1]
@@ -158,7 +145,7 @@ def shadow_typecheck(program, trace) -> ShadowReport:
     return ShadowReport(not failures, failures)
 
 
-def _check_step(step, cfg, types: dict, retype, failures: list):
+def _check_step(step, cfg, types: dict, filled: dict, failures: list):
     """One step of `shadow_typecheck` on its session's configuration `cfg`
     (None when it has none): the configuration after it, or None when it
     has none, with its failures appended to `failures`."""
@@ -181,8 +168,8 @@ def _check_step(step, cfg, types: dict, retype, failures: list):
         return cfg
     for k, lg in enumerate(body):
         try:
-            got_cur = retype(lg.current, lg.endpoint)
-            got_ck = retype(lg.ckpt.process, lg.endpoint)
+            got_cur = _retype(lg.current, lg.endpoint, filled)
+            got_ck = _retype(lg.ckpt.process, lg.endpoint, filled)
         except TypingError as ex:
             failures.append(f"{step.label()}: retyping failed: {ex}")
             continue

@@ -32,23 +32,20 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections import namedtuple
 from operator import add, attrgetter, eq, lt, not_
-from typing import Callable, NamedTuple, Union
+from types import FunctionType
 
 SORTS = ("bool", "int", "str")
 
 
-class Operator(NamedTuple):
-    """A builtin operator.  A larger `prec` binds tighter; `grouping` is
-    "left" (`a + b + c` is `(a + b) + c`), "none" (`a == b == c` does not
-    parse) or "prefix" (one operand, after the symbol); `operands` holds
-    each operand's sort, None for "any sort, one for all the Nones"."""
-    symbol: str
-    prec: int
-    grouping: str
-    operands: tuple
-    result: str
-    meaning: Callable
+Operator = namedtuple("Operator",
+                      "symbol prec grouping operands result meaning")
+Operator.__doc__ = """A builtin operator.  A larger `prec` binds tighter;
+`grouping` is "left" (`a + b + c` is `(a + b) + c`), "none" (`a == b == c`
+does not parse) or "prefix" (one operand, after the symbol); `operands`
+holds each operand's sort, None for "any sort, one for all the Nones";
+`meaning` is the Python function that evaluates it."""
 
 
 # the builtin operators, by their name in `Call.op`; every fact about one
@@ -102,63 +99,112 @@ def _refuse_del(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, *, frozen=False):
-    """Class decorator for the term, type and report classes: their fields
-    are the class annotations in order, and a class attribute of a field's
-    name is its default.  The class is rebuilt with its fields in
-    `__slots__`, plus `__dict__` for the node caches, so a field read is a
-    slot read; a default lives on as the `__init__` default only.  It adds
-    what `dataclasses.dataclass` would: `__init__` with the fields as
-    parameters, `__eq__` comparing field tuples of instances of the very
-    same class (`NotImplemented` otherwise), `__repr__` as
-    `Name(field=value!r, ...)` and `__match_args__`, which is also the
-    field list.  A frozen record hashes by its field tuple and refuses
-    assignment and deletion (its `__init__` writes each field through the
-    slot's descriptor); its caches are written with `object.__setattr__`
-    or into `__dict__`, which starts empty, and equality, hashing and
-    `repr` ignore them, as do `copy` and `pickle`, which rebuild a frozen
-    record from its fields (`__reduce__`).  A mutable record is
-    unhashable.  One `exec` per
-    class builds the methods, which keeps import cheap.  No class
-    subclasses a record: the walkers dispatch on the exact class."""
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
-    body = dict(cls.__dict__)
-    names = tuple(body.get("__annotations__", ()))
-    ns = {f"_d_{n}": body.pop(n) for n in names if n in body}
-    for name in ("__dict__", "__weakref__"):
-        body.pop(name, None)
-    body["__slots__"] = names + ("__dict__",)
-    body["__qualname__"] = cls.__qualname__
-    cls = type(cls)(cls.__name__, cls.__bases__, body)
+def _no_fields(self):
+    return ()
+
+
+def _one_field(self):
+    return (self.f0,)
+
+
+def _field_reader(names):
+    """A record class's reader of its field tuple: an `attrgetter` from
+    two fields on, else `_no_fields`, or `_one_field` reading the one
+    field by its name (a Python function, which the interpreter calls
+    faster than it runs a closure around an `attrgetter`)."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    return staticmethod(FunctionType(
+        _one_field.__code__.replace(co_names=names), {})
+        if names else _no_fields)
+
+
+# the methods every record shares: each reads the fields of its class
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        fields = self._astuple
+        return fields(self) == fields(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(self._astuple(self))
+
+
+def _reduce(self):
+    return self.__class__, self._astuple(self)
+
+
+def _repr(self):
+    shown = ", ".join(map("{}={!r}".format, self.__match_args__,
+                          self._astuple(self)))
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+_INITS: dict = {}  # (arity, frozen) -> code of `__init__(self, f0, ...)`
+
+
+def _init_code(names: tuple, frozen: bool):
+    """`__init__`'s code for these fields: the template of their shape,
+    compiled once, with its parameters (and a mutable record's attribute
+    names) renamed.  A frozen template writes field i through the global
+    `_s{i}`, the slot's `__set__`; a mutable one stores attributes."""
+    code = _INITS.get((len(names), frozen))
+    if code is None:
+        ns: dict = {}
+        fields = [f"f{i}" for i in range(len(names))]
+        lines = [f"_s{i}(self, {f})" if frozen else f"self.{f} = {f}"
+                 for i, f in enumerate(fields)] or ["pass"]
+        exec(compile(f"def __init__({', '.join(['self'] + fields)}):\n"
+                     + "".join(f"    {line}\n" for line in lines),
+                     "<record>", "exec"), ns)
+        code = _INITS[len(names), frozen] = ns.pop("__init__").__code__
+    return code.replace(co_varnames=("self",) + names,
+                        co_names=code.co_names if frozen else names)
+
+
+def record(name, bases, ns, frozen=False):
+    """The metaclass of the term, type and report classes, called once
+    per class statement (`class Send(metaclass=record, frozen=True)`):
+    the fields are the class annotations in order, and a class attribute
+    of a field's name is its default.  It adds `__slots__` (the fields,
+    plus `__dict__` for the node caches, so a field read is a slot read)
+    before the class is built, and what `dataclasses.dataclass` would:
+    `__init__` with the fields as parameters, `__eq__` comparing field
+    tuples of instances of the very same class (`NotImplemented`
+    otherwise), `__repr__` as `Name(field=value!r, ...)` and
+    `__match_args__`, which is also the field list.  A frozen record
+    hashes by its field tuple and refuses assignment and deletion (its
+    `__init__` writes each field through the slot's descriptor); its
+    caches are written with `object.__setattr__` or into `__dict__`,
+    which starts empty, and equality, hashing and `repr` ignore them, as
+    do `copy` and `pickle`, which rebuild a frozen record from its fields
+    (`__reduce__`).  A mutable record is unhashable.  Every record shares
+    one `__eq__`, `__hash__`, `__reduce__` and `__repr__`, which read the
+    fields through the class's `_astuple`, and `__init__` is the template
+    of its (arity, frozen) shape, so a class statement compiles nothing
+    once its shape has been seen.  No class subclasses a record: the
+    walkers dispatch on the exact class."""
+    names = tuple(ns.get("__annotations__", ()))
+    given = tuple(n for n in names if n in ns)
+    if given != names[len(names) - len(given):]:
+        raise TypeError(f"{name}: a field without a default follows one "
+                        f"with a default")
+    defaults = tuple(map(ns.pop, given))
+    ns.update(__slots__=names + ("__dict__",), __match_args__=names,
+              _astuple=_field_reader(names), __eq__=_eq, __repr__=_repr)
     if frozen:
-        ns.update((f"_s_{n}", vars(cls)[n].__set__) for n in names)
-    params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in ns else f", {n}"
-                     for n in names)
-    sets = "".join(f"    _s_{n}(self, {n})\n" if frozen else
-                   f"    self.{n} = {n}\n" for n in names)
-    own = "".join(f"self.{n}, " for n in names)
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    exec(f"def __init__(self{params}):\n{sets or '    pass'}\n"
-         f"def __eq__(self, other):\n"
-         f"    if other.__class__ is self.__class__:\n"
-         f"        return ({own}) == ({own.replace('self.', 'other.')})\n"
-         f"    return NotImplemented\n"
-         f"def __hash__(self):\n"
-         f"    return hash(({own}))\n"
-         f"def __reduce__(self):\n"
-         f"    return self.__class__, ({own})\n"
-         f"def __repr__(self):\n"
-         f"    return self.__class__.__qualname__ + f'({shown})'\n", ns)
-    for name in ("__init__", "__eq__", "__repr__") + (
-            ("__hash__", "__reduce__") if frozen else ()):
-        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, ns[name])
-    cls.__match_args__ = names
-    if frozen:
-        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+        ns.update(__hash__=_hash, __reduce__=_reduce,
+                  __setattr__=_refuse_set, __delattr__=_refuse_del)
     else:
-        cls.__hash__ = None
+        ns["__hash__"] = None
+    cls = type(name, bases, ns)
+    init = FunctionType(
+        _init_code(names, frozen),
+        {f"_s{i}": vars(cls)[n].__set__ for i, n in enumerate(names)}
+        if frozen else {}, "__init__", defaults or None)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
     return cls
 
 
@@ -166,35 +212,31 @@ def record(cls=None, *, frozen=False):
 # session identifiers
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class ChanVar:
+class ChanVar(metaclass=record, frozen=True):
     """A session variable as written in source (`x` in `request a(x).P`)."""
     name: str
 
 
-@record(frozen=True)
-class Endpoint:
+class Endpoint(metaclass=record, frozen=True):
     """A binary session endpoint; `plus` marks the requester's side."""
     session: str
     plus: bool
 
 
-@record(frozen=True)
-class MEndpoint:
+class MEndpoint(metaclass=record, frozen=True):
     """A multiparty session endpoint, owned by one role of the session."""
     session: str
     role: int
 
 
-SessionId = Union[ChanVar, Endpoint, MEndpoint]
+SessionId = (ChanVar, Endpoint, MEndpoint)
 
 
 # ---------------------------------------------------------------------------
 # expressions
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class Lit:
+class Lit(metaclass=record, frozen=True):
     value: object  # bool | int | str
 
     def sort(self) -> str:
@@ -207,20 +249,17 @@ class Lit:
         raise MalformedTerm(f"literal of unknown sort: {self.value!r}")
 
 
-@record(frozen=True)
-class Var:
+class Var(metaclass=record, frozen=True):
     name: str
 
 
-@record(frozen=True)
-class Call:
+class Call(metaclass=record, frozen=True):
     """Application of a builtin operator, named as in `OPERATORS`."""
     op: str
     args: tuple  # tuple[Expression, ...]
 
 
-@record(frozen=True)
-class Ufun:
+class Ufun(metaclass=record, frozen=True):
     """Uninterpreted function call.
 
     The node carries its declared signature (folded in from the program's
@@ -235,23 +274,21 @@ class Ufun:
     domain: tuple | None = None  # declared finite outcome domain (literals)
 
 
-Expression = Union[Lit, Var, Call, Ufun]
+Expression = (Lit, Var, Call, Ufun)
 
 
 # ---------------------------------------------------------------------------
 # processes
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class Send:
+class Send(metaclass=record, frozen=True):
     chan: SessionId
     expr: Expression
     cont: "Process"
     to_role: int | None = None  # partner role (multiparty only)
 
 
-@record(frozen=True)
-class Recv:
+class Recv(metaclass=record, frozen=True):
     chan: SessionId
     var: str
     sort: str
@@ -259,105 +296,90 @@ class Recv:
     from_role: int | None = None
 
 
-@record(frozen=True)
-class Select:
+class Select(metaclass=record, frozen=True):
     chan: SessionId
     label: str
     cont: "Process"
     to_role: int | None = None
 
 
-@record(frozen=True)
-class Branch:
+class Branch(metaclass=record, frozen=True):
     chan: SessionId
     arms: tuple  # tuple[tuple[str, Process], ...]  (order preserved)
     from_role: int | None = None
 
 
-@record(frozen=True)
-class If:
+class If(metaclass=record, frozen=True):
     cond: Expression
     then: "Process"
     orelse: "Process"
 
 
-@record(frozen=True)
-class Rec:
+class Rec(metaclass=record, frozen=True):
     var: str
     body: "Process"
 
 
-@record(frozen=True)
-class PVar:
+class PVar(metaclass=record, frozen=True):
     name: str
 
 
-@record(frozen=True)
-class Inact:
+class Inact(metaclass=record, frozen=True):
     pass
 
 
-@record(frozen=True)
-class Commit:
+class Commit(metaclass=record, frozen=True):
     cont: "Process"
 
 
-@record(frozen=True)
-class Roll:
+class Roll(metaclass=record, frozen=True):
     pass
 
 
-@record(frozen=True)
-class Abort:
+class Abort(metaclass=record, frozen=True):
     pass
 
 
-Process = Union[Send, Recv, Select, Branch, If, Rec, PVar, Inact, Commit,
-                Roll, Abort]
+Process = (Send, Recv, Select, Branch, If, Rec, PVar, Inact, Commit, Roll,
+           Abort)
 
 
 # ---------------------------------------------------------------------------
 # collaborations (surface + runtime)
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class Request:
+class Request(metaclass=record, frozen=True):
     chan: str
     var: str
     body: Process
     role: int | None = None  # multiparty: the requester's role == arity n
 
 
-@record(frozen=True)
-class Accept:
+class Accept(metaclass=record, frozen=True):
     chan: str
     var: str
     body: Process
     role: int | None = None
 
 
-@record(frozen=True)
-class Par:
+class Par(metaclass=record, frozen=True):
     parts: tuple  # tuple[Collaboration, ...], len >= 2, pre-flattened
 
 
-@record(frozen=True)
-class CheckpointProcess:
+class CheckpointProcess(metaclass=record, frozen=True):
     """A log's saved process; `imposed` marks a checkpoint written by the
     partner's commit rather than by the owner's own."""
     process: Process
     imposed: bool = False
 
 
-@record(frozen=True)
-class Log:
+class Log(metaclass=record, frozen=True):
     endpoint: Endpoint | MEndpoint
     ckpt: CheckpointProcess
     current: Process
 
 
-@record(frozen=True)
-class Session:
+class Session(metaclass=record, frozen=True):
     """Running session: `saved` is the collaboration that initiated it and is
     restored wholesale by an abort; `body` holds the logs."""
     name: str
@@ -365,18 +387,16 @@ class Session:
     body: "Collaboration"
 
 
-@record(frozen=True)
-class RollError:
+class RollError(metaclass=record, frozen=True):
     pass
 
 
-@record(frozen=True)
-class ComError:
+class ComError(metaclass=record, frozen=True):
     pass
 
 
-Collaboration = Union[Request, Accept, Par, Session, Log, RollError, ComError]
-_TERMS = frozenset(Process.__args__ + Collaboration.__args__)
+Collaboration = (Request, Accept, Par, Session, Log, RollError, ComError)
+_TERMS = frozenset(Process + Collaboration)
 _LEAVES = frozenset({Inact, Roll, Abort, RollError, ComError})
 
 
@@ -671,8 +691,7 @@ def head_normal(p: Process) -> Process:
 # canonical forms
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class CanonicalForm:
+class CanonicalForm(metaclass=record, frozen=True):
     """Opaque normal form. Equal text == equivalent terms (alpha-renaming and
     parallel reordering factored out; recursion deliberately NOT unfolded)."""
     text: str

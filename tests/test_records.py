@@ -1,7 +1,7 @@
-"""The `record` decorator against `dataclasses.dataclass`, and the import
+"""The `record` metaclass against `dataclasses.dataclass`, and the import
 cost it exists for.
 
-Every class the decorator made in cherrypi's modules is paired with a
+Every class the metaclass made in cherrypi's modules is paired with a
 dataclass twin built from the same annotations and defaults; both must
 construct, compare, hash, print and refuse changes alike.  A record keeps
 its fields in slots and its caches in a `__dict__` that starts empty.
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import cherrypi
 from cherrypi import (cli, infer, multiparty, parser, runtime, semantics,
                       sessiontypes, shadow, syntax)
 from cherrypi.sessiontypes import TEnd, TErr
@@ -152,6 +153,13 @@ def test_records_of_different_classes_differ_like_dataclasses():
             assert (_twin(left)(*vals) == _twin(right)(*vals)) is False
 
 
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    with pytest.raises(TypeError, match="follows one with a default"):
+        class Bad(metaclass=syntax.record):
+            first: int = 0
+            second: int
+
+
 def test_equal_fields_compare_by_class_then_by_value():
     assert TEnd() != TErr() and TEnd() == TEnd()
     assert hash(TEnd()) == hash(TErr())  # both hash the empty tuple
@@ -162,15 +170,42 @@ def test_equal_fields_compare_by_class_then_by_value():
             assert v == 3
 
 
-def test_cli_imports_neither_dataclasses_nor_inspect():
+def _fresh_python(code: str) -> str:
+    """The output of `code` in a new interpreter without `site`, whose
+    `.pth` files may import modules of their own, and with cherrypi's
+    `src` first on the path."""
     path = [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import cherrypi.cli, cherrypi.multiparty, sys; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # nor `typing` and `pathlib`, which `corpus_dir` imports when called
+    out = _fresh_python(
+        "import cherrypi.cli, cherrypi.multiparty, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} "
+        "& set(sys.modules)))")
     assert out == "[]\n"
+    assert isinstance(cherrypi.corpus_dir(), Path)
+
+
+def test_import_compiles_one_init_per_shape_and_leaves_no_dead_class():
+    out = _fresh_python("""if True:
+        import gc, sys
+        compiled = []
+        sys.addaudithook(lambda event, args: compiled.append(str(args[1]))
+                         if event == "compile" else None)
+        import cherrypi.cli, cherrypi.runtime, cherrypi.multiparty
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        print(sorted(f for f in compiled if not f.endswith(".py")))
+        print([x.__qualname__ for x in gc.garbage if isinstance(x, type)
+               and x.__module__.startswith("cherrypi")])""")
+    # one `__init__` template per (arity, frozen) shape of the 57 records,
+    # and two `namedtuple`s: `functools`' own and `syntax.Operator`
+    assert out.splitlines() == [str(["<record>"] * 12 + ["<string>"] * 2),
+                                "[]"]
 
 
 def _parser_tokens(path: Path) -> int:
