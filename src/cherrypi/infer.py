@@ -13,7 +13,8 @@ from __future__ import annotations
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, If, Inact, Lit, Process, PVar, Rec, Recv,
                      Request, Roll, Select, Send, Ufun, Var, operator_of,
-                     par_parts, record, subprocesses, _names, _TERMS)
+                     par_parts, record, subprocesses, _fresh, _names,
+                     _TERMS)
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TIn, TMu,
                            TOut, TPlus, TRollT, TSel, TVarT, fill_roles)
 
@@ -51,15 +52,6 @@ def sort_of_expression(e, env: dict) -> str:
     raise TypingError(f"not an expression: {e!r}")
 
 
-def _fresh_tvar(base: str, taken) -> str:
-    if base not in taken:
-        return base
-    i = 1
-    while f"{base}_{i}" in taken:
-        i += 1
-    return f"{base}_{i}"
-
-
 def type_of_process(p: Process, chan,
                     multiparty: bool = False) -> SessionTypeT:
     """Session type of `p` on session identifier `chan`.
@@ -91,7 +83,7 @@ def _type_of(p, chan, mp: bool, penv: dict, venv: dict) -> SessionTypeT:
     call leaves no closure cycle behind.
 
     A subterm with no free value, process or session variable types alike
-    wherever it stands, except for the binder names `_fresh_tvar` picks
+    wherever it stands, except for the binder names `_fresh` picks
     after the enclosing `rec`s.  So outside every `rec` of the walk its
     type is kept on the node (`_ty`), by (endpoint, mode): a step's
     continuation retypes by a lookup.  A process typed on a session
@@ -135,7 +127,7 @@ def _type_of(p, chan, mp: bool, penv: dict, venv: dict) -> SessionTypeT:
         t = TPlus(_type_of(p.then, chan, mp, penv, venv),
                   _type_of(p.orelse, chan, mp, penv, venv))
     elif kind is Rec:
-        tv = _fresh_tvar(p.var, set(penv.values()))
+        tv = _fresh(p.var, set(penv.values()))
         penv2 = dict(penv)
         penv2[p.var] = tv
         t = TMu(tv, _type_of(p.body, chan, mp, penv2, venv))

@@ -54,9 +54,8 @@ def m_config_transitions(cfg) -> list:
     return config_transitions(cfg)
 
 
-def m_reduction_steps(state: Collaboration, mode: str = "plain", *,
-                      exhaustive: bool = False) -> list:
-    return reduction_steps(state, mode, exhaustive=exhaustive)
+def m_reduction_steps(state: Collaboration, mode: str = "plain") -> list:
+    return reduction_steps(state, mode)
 
 
 def m_simulate(program: SourceProgram,

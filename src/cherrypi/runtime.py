@@ -12,10 +12,13 @@ prefix; nothing else tells the two kinds apart.
 
 Uninterpreted functions are resolved by a `DecisionOracle`; its counters are
 never rolled back, so a re-run after a rollback may take another branch.
-Enumerating reduction candidates never consumes draws: a step that evaluates
-an expression is enumerated unevaluated, and only the step a run takes
-consults the oracle.  Likewise a run opens a connection's session only when
-it takes that connection.
+Every reduction candidate is enumerated one way, lazily (`Candidate`):
+enumerating never consumes draws, a step that evaluates an expression is
+enumerated unevaluated, and nothing is built until it is taken.  A run
+builds the one step it takes, consulting the oracle only then, so it opens
+a connection's session only when it takes that connection; exploration
+builds every step of a new state, once per outcome of its expression
+(`_built`).
 
 Exhaustive exploration runs on `semantics.search`, the breadth-first core
 that type-level reachability uses too: it builds a successor only when its
@@ -35,11 +38,10 @@ from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      MalformedInput, MalformedTerm, MEndpoint, Process, Recv,
                      Request, Roll, RollError, Select, Send, Session, Ufun,
                      Var, head_normal, operator_of, par, par_parts,
-                     record, substitute, term_rep, _TERMS)
+                     process_key, record, substitute, term_rep, _TERMS)
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
-from .semantics import (TransitionSystem, _log_ckpt_differs,
-                        partner_position, search)
+from .semantics import TransitionSystem, partner_position, search
 from .shadow import ShadowReport, shadow_typecheck  # exported here too
 
 
@@ -130,6 +132,10 @@ class DecisionOracle:
             raise OracleExhausted(
                 f"oracle produced {v!r} for {fn!r}, which is not of sort "
                 f"{result_sort}")
+        if domain is not None and v not in domain:
+            raise OracleExhausted(
+                f"oracle produced {v!r} for {fn!r}, which is not in its "
+                f"domain {list(domain)}")
         self.transcript.append((fn, v))
         return v
 
@@ -313,20 +319,21 @@ def _may_recover(bs: frozenset) -> bool:
 class Candidate(metaclass=record):
     """One reduction step on offer at a state.
 
-    With `exhaustive` (see `reduction_steps`) every candidate is built.
-    Otherwise every step is lazy: `successor` is None, and `outcome`
-    builds the step when a run takes it.  A step that evaluates an
-    expression (F-Com, F-If) has it as `expr`, its text is "" until then,
-    and `outcome` gives (text, successor) for the value of `expr`; for any
-    other step `outcome()` gives the successor.  `simulate` keeps a
-    state's first candidate and calls `outcome` once per value drawn."""
+    `reduction_steps` offers every step lazily: `successor` is None, and
+    `outcome(v)` builds the step when it is taken, as (text, successor).
+    A step that evaluates an expression (F-Com, F-If) has it as `expr`,
+    its text is "" until then, and `v` is the value of `expr`; any other
+    step is built by `outcome(None)`.  `simulate` keeps a state's first
+    candidate and calls `outcome` once per value drawn; `explore` forces
+    each candidate into built ones (`_built`), which carry their
+    `successor` and the draws they assume."""
     rule: str
     session: str  # session name; a connection step's is the fresh one
     party: int  # 1-based log position; 0 for connection steps
     text: str  # human-readable step label, stable under replay
     # the successor state, or what `_session_steps`' `place` made of the
     # items replacing the session (`explore` keeps that tuple)
-    successor: Collaboration | tuple | None
+    successor: Collaboration | tuple | None = None
     backward: bool = False
     choices: tuple = ()  # assumed draws (explore)
     expr: object = None
@@ -394,25 +401,22 @@ def _open(parts: list, sname: str) -> Session:
     return Session(sname, par(*parts), par(*logs))
 
 
-def _connect(items: list, group: tuple, sname: str) -> Collaboration:
-    """The successor state of a connection (see `_connections`)."""
+def _connect(items: list, group: tuple, sname: str, text: str, _) -> tuple:
+    """A connection's step (see `_connections`): its text and successor
+    state."""
     ses = _open([items[k] for k in group], sname)
-    return par(*_splice(items, group, (ses,)))
+    return text, par(*_splice(items, group, (ses,)))
 
 
-def reduction_steps(state: Collaboration, mode: str = "plain", *,
-                    exhaustive: bool = False) -> list:
-    """All reduction candidates of a collaboration, sorted by
-    (session, party, rule, label).
+def reduction_steps(state: Collaboration, mode: str = "plain") -> list:
+    """All reduction candidates of a collaboration, lazy (see `Candidate`)
+    and sorted by (session, party, rule, label).
 
-    With `exhaustive` every candidate carries its successor, and every
-    oracle outcome of a step becomes its own candidate carrying the
-    assumed draws.  Otherwise no successor is built until a run takes the
-    step (see `Candidate`): a connection's session is opened then, and a
-    step that evaluates an expression stays one unevaluated candidate,
-    whose label is unknown; no other candidate shares its session, party
-    and rule, so the order never needs it.  `simulate` asks once per
-    distinct state of a run.
+    No successor is built until the step is taken: a connection's session
+    is opened then, and a step that evaluates an expression is one
+    unevaluated candidate, whose label is unknown; no other candidate
+    shares its session, party and rule, so the order never needs it.
+    `simulate` asks once per distinct state of a run.
 
     The candidates are the connections (`_connections`) and each session's
     own steps (`_session_steps`); `explore` uses the two halves directly.
@@ -421,14 +425,12 @@ def reduction_steps(state: Collaboration, mode: str = "plain", *,
     items = par_parts(state)
     cands: list = []
     for rule, sname, text, group in _connections(items):
-        connect = functools.partial(_connect, items, group, sname)
-        cands.append(Candidate(rule, sname, 0, text, connect()) if exhaustive
-                     else Candidate(rule, sname, 0, text, None,
-                                    outcome=connect))
+        cands.append(Candidate(rule, sname, 0, text, outcome=(
+            functools.partial(_connect, items, group, sname, text))))
     for idx, it in enumerate(items):
         if isinstance(it, Session):
             place = functools.partial(_place, items, idx)
-            cands.extend(_session_steps(it, mode, exhaustive, place))
+            cands.extend(_session_steps(it, mode, place))
     if len(cands) > 1:
         cands.sort(key=Candidate.sort_key)
     return cands
@@ -480,20 +482,26 @@ def _committed(logs, i, cont, pinned) -> Collaboration:
     return par(*nl)
 
 
+def _log_ckpt_differs(lg: Log) -> bool:
+    """Whether a partner's commit imposes on the party that owns `lg`
+    (E-Cmt1 rather than E-Cmt2): an imposed checkpoint never counts as
+    equal to the bare current."""
+    return lg.ckpt.imposed or \
+        process_key(lg.ckpt.process) != process_key(lg.current)
+
+
 def _rolled(logs) -> Collaboration:
     """Every party back on its checkpoint."""
     return par(*[Log(lg.endpoint, lg.ckpt, lg.ckpt.process) for lg in logs])
 
 
-def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
-        -> list:
-    """The steps of one session, unsorted.  A step rewrites only this
+def _session_steps(ses: Session, mode: str, place) -> list:
+    """The lazy steps of one session, unsorted.  A step rewrites only this
     session's item: into one item, or by an abort into the endpoints the
     session saved.  `place` turns that tuple of replacement items into the
-    candidate's successor, which outside `exhaustive` mode is built only
-    when a run takes the step (see `Candidate`).  The steps depend only on
-    the session item and its name, so key-equal sessions of one name have
-    key-equal steps with equal labels."""
+    candidate's successor when the step is built (see `Candidate`).  The
+    steps depend only on the session item and its name, so key-equal
+    sessions of one name have key-equal steps with equal labels."""
     if _item_class(ses) in _ERRORS:
         return []  # error states are absorbing
     logs = par_parts(ses.body)
@@ -512,13 +520,9 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
         """A step of party i that draws nothing and leads to
         `build(*args)`."""
         text = f"{sname}:p{i + 1} {action}"
-        if exhaustive:
-            out.append(Candidate(pre + rule, sname, i + 1, text,
-                                 build(*args), backward=backward))
-        else:
-            out.append(Candidate(pre + rule, sname, i + 1, text, None,
-                                 backward=backward,
-                                 outcome=functools.partial(build, *args)))
+        out.append(Candidate(pre + rule, sname, i + 1, text,
+                             backward=backward,
+                             outcome=lambda _: (text, build(*args))))
 
     def evaluating(rule, i, e, step):
         """A step of party i that evaluates `e`, `step(v)` giving its
@@ -526,14 +530,8 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
         def outcome(v):
             action, nl = step(v)
             return f"{sname}:p{i + 1} {action}", rewrite(par, *nl)
-        if not exhaustive:
-            out.append(Candidate(pre + rule, sname, i + 1, "", None,
-                                 expr=e, outcome=outcome))
-            return
-        for v, ch in enumerate_values(e):
-            text, succ = outcome(v)
-            out.append(Candidate(pre + rule, sname, i + 1, text, succ,
-                                 choices=ch))
+        out.append(Candidate(pre + rule, sname, i + 1, "", expr=e,
+                             outcome=outcome))
 
     for i in range(n):
         li, hi = logs[i], heads[i]
@@ -616,6 +614,18 @@ def _session_steps(ses: Session, mode: str, exhaustive: bool, place) \
             mk("B-Abt", i, "abort", place, par_parts(ses.saved),
                backward=True)
     return out
+
+
+def _built(cands) -> list:
+    """Lazy candidates built: each one's one step when it draws nothing,
+    otherwise one step per value of its expression, carrying the draws it
+    assumes, in `enumerate_values` order.  A stable sort by `sort_key`,
+    as `explore` makes, puts them in label order, equal labels (an F-If
+    whose guard is false for two values) in that order."""
+    return [Candidate(c.rule, c.session, c.party, *c.outcome(v), c.backward,
+                      ch) for c in cands for v, ch in (
+                          [(None, ())] if c.expr is None
+                          else enumerate_values(c.expr))]
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +783,7 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
             taken = step  # the steps built so far, by value
             step = taken.get(v)
             if step is None:
-                text, succ = ((c.text, c.outcome()) if v is None
-                              else c.outcome(v))
+                text, succ = c.outcome(v)
                 step = taken[v] = (StepRecord(c.rule, c.session, c.party,
                                               text, c.backward, succ),
                                    classify_state(succ, True))
@@ -903,7 +912,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
 
     def steps_keyed(ses: Session) -> tuple:
         steps, reps = [], []
-        for c in _session_steps(ses, mode, True, tuple):
+        for c in _built(_session_steps(ses, mode, tuple)):
             new = tuple(term_rep(x) for x in c.successor)
             reps.append(new)
             steps.append((c.sort_key(), c, tuple(r.serial for r in new)))

@@ -33,7 +33,7 @@ from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
                            _render, type_key)
 from .infer import is_multiparty, service_types
-from .syntax import Log, process_key, record
+from .syntax import record
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -166,14 +166,6 @@ def config_key(cfg: TypeConfiguration) -> tuple:
             key += (ck.imposed, type_key(ck.typ), type_key(cur))
         key = d["_key"] = tuple(key)
     return key
-
-
-def _log_ckpt_differs(lg: Log) -> bool:
-    """Whether a partner's commit imposes on the party that owns `lg`
-    (TS-Cmt1 rather than TS-Cmt2): an imposed checkpoint never counts as
-    equal to the bare current."""
-    return lg.ckpt.imposed or \
-        process_key(lg.ckpt.process) != process_key(lg.current)
 
 
 def config_transitions(cfg: TypeConfiguration) -> list:

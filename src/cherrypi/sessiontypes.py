@@ -17,7 +17,7 @@ number binders, cache on the node, emit concrete syntax or step a type.
 
 from __future__ import annotations
 
-from .syntax import MalformedTerm, _intern, record
+from .syntax import MalformedTerm, _UNFOLD_FUEL, _intern, record
 
 
 class TOut(metaclass=record, frozen=True):
@@ -164,9 +164,6 @@ def unfold_type(t: TMu) -> SessionTypeT:
         u = subst_type(t.body, t.var, t)
         object.__setattr__(t, "_unfolded", u)
         return u
-
-
-_UNFOLD_FUEL = 512
 
 
 def head_normal_type(t: SessionTypeT) -> SessionTypeT:

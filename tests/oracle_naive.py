@@ -6,7 +6,8 @@ recursive code that shares no stepping logic with the production engines
 only).  Tests compare state sets, counts, and verdicts between the two.
 The one exception is `naive_explore_report`: it checks how `explore`
 shares work between states, so it steps and keys whole states with the
-production stepper and key instead.  `naive_show` and `naive_barbs` are
+production stepper and key instead; `forced_steps` builds that stepper's
+lazy candidates with a loop of its own.  `naive_show` and `naive_barbs` are
 the plain forms of a renderer and a barbs walk that keep work on the
 nodes: the first builds every text afresh, the second tells visited
 processes apart by their keys, not by identity.  `naive_tokenize` and
@@ -33,9 +34,9 @@ from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
                              head_normal, par, par_parts, process_canonical,
                              process_key, subprocesses, substitute, term_key,
                              unfold_recursion)
-from cherrypi.runtime import (ExplorationReport, ExploreEntry, StepRecord,
-                              Trace, classify_state, guard_value,
-                              reduction_steps)
+from cherrypi.runtime import (Candidate, ExplorationReport, ExploreEntry,
+                              StepRecord, Trace, classify_state,
+                              enumerate_values, guard_value, reduction_steps)
 from cherrypi.semantics import TransitionSystem
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
                                    TOut, TPlus, TRollT, TSel, canonical_type,
@@ -314,11 +315,28 @@ def naive_explore(term, depth):
     return seen
 
 
+def forced_steps(state, mode="plain") -> list:
+    """Every step of `state`, built: each lazy candidate of
+    `reduction_steps`, a step that evaluates an expression once per value
+    `enumerate_values` gives it, with the draws that value assumes; sorted
+    by (session, party, rule, label), ties in enumeration order."""
+    out = []
+    for c in reduction_steps(state, mode):
+        values = [(None, ())] if c.expr is None else enumerate_values(c.expr)
+        for v, ch in values:
+            text, succ = c.outcome(v)
+            out.append(Candidate(c.rule, c.session, c.party, text, succ,
+                                 c.backward, ch))
+    out.sort(key=Candidate.sort_key)
+    return out
+
+
 def naive_explore_report(program, depth=30, mode="plain"):
     """The exploration report of `program`, state by state: every state's
-    candidates from the whole-state stepper `reduction_steps`, and every
-    successor identified by `term_key` of the whole successor term.  This
-    is the reference for `runtime.explore`, which steps and keys items."""
+    steps from the whole-state stepper `reduction_steps`, built by
+    `forced_steps`, and every successor identified by `term_key` of the
+    whole successor term.  This is the reference for `runtime.explore`,
+    which steps and keys items."""
     states = [program.term]
     info = [([], [])]
     index = {term_key(program.term): 0}
@@ -348,7 +366,7 @@ def naive_explore_report(program, depth=30, mode="plain"):
             break
         nxt = []
         for sid in frontier:
-            cands = reduction_steps(states[sid], mode, exhaustive=True)
+            cands = forced_steps(states[sid], mode)
             note(sid, cands)
             for c in cands:
                 key = term_key(c.successor)
@@ -364,7 +382,7 @@ def naive_explore_report(program, depth=30, mode="plain"):
                                     c.backward))
         frontier = nxt
     for sid in frontier:
-        note(sid, reduction_steps(states[sid], mode, exhaustive=True))
+        note(sid, forced_steps(states[sid], mode))
     return ExplorationReport(
         TransitionSystem(states, transitions, parents, frontier), errors,
         stuck, completed, depth)

@@ -241,6 +241,36 @@ def test_replay_of_an_underfunded_transcript_diverges(tmp_path):
     assert "script has no value for call #" in out
 
 
+_IN_DOMAIN = ("fun f(): int in { 1, 2 }\n"
+              "request a(x). x!<f()>. 0 | accept a(y). y?(v: int). 0\n")
+
+
+def test_a_scripted_value_outside_its_domain_exits_two(tmp_path):
+    prog, script = tmp_path / "p.chpi", tmp_path / "s.json"
+    prog.write_text(_IN_DOMAIN)
+    script.write_text(json.dumps({"f": [7]}))
+    assert cli("run", prog, "--script", script) == (
+        2, "", "error: oracle produced 7 for 'f', which is not in its "
+               "domain [1, 2]\n")
+
+
+def test_replay_of_a_value_outside_its_domain_diverges(tmp_path):
+    # the trace a run wrote before scripted values were held to their
+    # domain: `explore` never reaches its second state
+    prog, script, trace = (tmp_path / n for n in ("p.chpi", "s.json",
+                                                  "t.json"))
+    prog.write_text(_IN_DOMAIN)
+    script.write_text(json.dumps({"f": [2]}))
+    assert cli("run", prog, "--script", script, "--trace", trace)[0] == 0
+    data = json.loads(trace.read_text().replace("!2", "!7"))
+    assert data["oracle"]["transcript"] == [["f", 2]]
+    data["oracle"]["transcript"] = [["f", 7]]
+    trace.write_text(json.dumps(data))
+    assert cli("replay", trace) == (
+        1, "replay diverged: step 1: oracle produced 7 for 'f', which is "
+           "not in its domain [1, 2]\n", "")
+
+
 # ---------------------------------------------------------------- imports
 
 def _fresh_main(*argvs) -> str:

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprog import random_program
-from oracle_naive import (naive_barbs, naive_explore, naive_explore_report,
-                          naive_render, naive_show, naive_values)
+from oracle_naive import (forced_steps, naive_barbs, naive_explore,
+                          naive_explore_report, naive_render, naive_show,
+                          naive_values)
 from cherrypi.infer import TypingError
-from cherrypi.parser import (ParseError, parse_expression_text,
-                             parse_process_text, parse_program,
-                             show_collaboration)
+from cherrypi.parser import (ParseError, SourceProgram,
+                             parse_expression_text, parse_process_text,
+                             parse_program, show_collaboration)
 from cherrypi.runtime import (DecisionOracle, ExploreError, MalformedInput,
                               OracleExhausted, barbs, classify_state,
                               enumerate_values, evaluate, explore, guard_value,
@@ -72,10 +73,19 @@ def test_enumerate_needs_domains_for_non_bool():
 
 
 def test_scripted_oracle_is_strict():
-    o = DecisionOracle("scripted", script={"f": [True]})
+    o = DecisionOracle("scripted", script={"f": [True], "g": [2, 7],
+                                           "h": ["z"]})
     assert o.draw("f", "bool", None) is True
     with pytest.raises(OracleExhausted, match="call #2 of 'f'"):
         o.draw("f", "bool", None)
+    # a value of the right sort outside a declared domain is refused
+    assert o.draw("g", "int", (1, 2)) == 2
+    with pytest.raises(OracleExhausted, match=r"oracle produced 7 for 'g', "
+                       r"which is not in its domain \[1, 2\]"):
+        o.draw("g", "int", (1, 2))
+    with pytest.raises(OracleExhausted, match="not in its domain"):
+        o.draw("h", "str", ("x", "y"))
+    assert o.transcript == [("f", True), ("g", 2)]
 
 
 @pytest.mark.parametrize("value", [1.5, None, [1]],
@@ -200,12 +210,13 @@ def test_plain_mode_rolls_even_on_imposed_checkpoints(programs):
 
 
 def _draws_of_steps(program, trace, mode="plain") -> list:
-    """The draws each step of `trace` made, found by the exhaustive stepper:
-    the assumed draws of the one outcome with the step's rule and label."""
+    """The draws each step of `trace` made, found among the built steps
+    (`forced_steps`): the assumed draws of the one outcome with the step's
+    rule and label."""
     out = []
     state = program.term
     for s in trace.steps:
-        (c,) = [c for c in reduction_steps(state, mode, exhaustive=True)
+        (c,) = [c for c in forced_steps(state, mode)
                 if (c.rule, c.text) == (s.rule, s.text)]
         out.append(c.choices)
         state = s.state
@@ -320,8 +331,8 @@ def test_an_unfunded_rival_step_does_not_stop_a_scripted_run():
 @given(st.integers(0, 10 ** 6), st.sampled_from(["plain", "detect"]))
 def test_a_drawing_candidate_is_alone_in_its_session_party_and_rule(seed,
                                                                    mode):
-    # outside exhaustive mode the order of candidates never needs a drawn
-    # value: a step that draws shares (session, party, rule) with no other
+    # the order of lazy candidates never needs a drawn value: a step that
+    # draws shares (session, party, rule) with no other
     rng = random.Random(seed)
     prog = random_program(rng, safe=(seed % 2 == 0))
     ring = _ring(2 + seed % 5, rng.choice(["bool", "int", "str"]))
@@ -368,30 +379,6 @@ def test_a_run_opens_only_the_sessions_it_connects(monkeypatch):
         assert replay(t.to_json(), mode).ok
         assert len(opened) == len(connects)
         opened.clear()
-
-
-def test_a_connection_taken_builds_the_exhaustive_successor():
-    states = []
-    for prog, mode, t in _connecting_runs():
-        states += [(prog.term, mode)] + [(s.state, mode) for s in t.steps]
-    # a run of parallel sessions keeps to s1: take the states near the
-    # start, where up to three sessions are open side by side
-    states += [(state, mode) for mode in ("plain", "detect")
-               for state in explore(_kpar(3), depth=8, mode=mode).states]
-    checked = 0
-    for state, mode in states:
-        full = {c.sort_key(): c.successor
-                for c in reduction_steps(state, mode, exhaustive=True)
-                if c.party == 0}
-        for c in reduction_steps(state, mode):
-            if c.party != 0:
-                continue
-            assert c.successor is None
-            taken = _take(c, DecisionOracle())
-            assert taken.sort_key() == c.sort_key()
-            assert term_key(taken.successor) == term_key(full[c.sort_key()])
-            checked += 1
-    assert checked > 20
 
 
 # two-party programs whose runs meet rival steps that draw nothing: a
@@ -447,19 +434,78 @@ def test_a_run_builds_only_the_steps_it_takes(programs, monkeypatch):
     assert {"E-Cmt1", "E-Cmt2", "B-Abt", "E-Com2"} <= rivals
 
 
+def _explored_steps(prog, mode, state):
+    """The built steps of `state` (`forced_steps`), checked to be the edges
+    `explore` takes out of it: one way to build a step, where only a roll or
+    an abort goes backward and a step that draws nothing is labelled before
+    it is built."""
+    for c in reduction_steps(state, mode):
+        assert c.successor is None and (
+            c.expr is not None or c.outcome(None)[0] == c.text)
+    want = forced_steps(state, mode)
+    rep = explore(SourceProgram(prog.decls, state, prog.multiparty),
+                  depth=1, mode=mode)
+    assert [(r, text, back, term_key(rep.states[dst]))
+            for src, dst, r, text, back in rep.transitions
+            if src == 0] == [(c.rule, c.text, c.backward,
+                              term_key(c.successor)) for c in want]
+    for c in want:
+        assert c.backward == (c.rule.removeprefix("M-")
+                              in ("B-Rll", "E-Rll1", "B-Abt"))
+    return want
+
+
+def _distinct_states(states):
+    """`states` without a repeated object, in order."""
+    met = set()
+    for state in states:
+        if id(state) not in met:
+            met.add(id(state))
+            yield state
+
+
+def test_a_connection_taken_builds_the_exhaustive_successor():
+    # a connection is labelled before it is built; taken, it is the step
+    # `explore` builds with the same sort key
+    runs = []
+    for prog, mode, t in _connecting_runs():
+        runs.append((prog, mode, [prog.term] + [s.state for s in t.steps]))
+    # a run of parallel sessions keeps to s1: take the states near the
+    # start, where up to three sessions are open side by side
+    kpar = _kpar(3)
+    runs += [(kpar, mode, explore(kpar, depth=8, mode=mode).states)
+             for mode in ("plain", "detect")]
+    checked = 0
+    for prog, mode, states in runs:
+        for state in _distinct_states(states):
+            full = {c.sort_key(): c.successor
+                    for c in _explored_steps(prog, mode, state)
+                    if c.party == 0}
+            for c in reduction_steps(state, mode):
+                if c.party != 0:
+                    continue
+                assert c.rule.removeprefix("M-") == "F-Con"
+                taken = _take(c, DecisionOracle())
+                assert taken.sort_key() == c.sort_key()
+                assert term_key(taken.successor) == \
+                    term_key(full[c.sort_key()])
+                checked += 1
+    assert checked > 20
+
+
 def test_a_session_step_taken_builds_the_exhaustive_successor(programs):
     # the rule, label and order of a session step that draws nothing are
     # known before it is built, E-Cmt1 / E-Cmt2 included; taken, it is the
-    # exhaustive candidate with the same sort key
+    # step `explore` builds with the same sort key
     seen = set()
     for prog, t in _detect_runs(programs):
-        for state in [prog.term] + [s.state for s in t.steps]:
-            full = {c.sort_key(): c for c in
-                    reduction_steps(state, "detect", exhaustive=True)}
+        states = [prog.term] + [s.state for s in t.steps]
+        for state in _distinct_states(states):
+            full = {c.sort_key(): c
+                    for c in _explored_steps(prog, "detect", state)}
             for c in reduction_steps(state, "detect"):
                 if c.expr is not None or c.party == 0:
                     continue
-                assert c.successor is None
                 taken = _take(c, DecisionOracle())
                 want = full[c.sort_key()]
                 assert taken.sort_key() == c.sort_key()
@@ -670,6 +716,47 @@ def test_a_commit_keys_each_unchanged_log_once(monkeypatch):
         stepped.clear()
 
 
+def test_a_looping_receive_comes_back_to_the_same_steps(monkeypatch):
+    # a one-value domain echoed back each round: the step memo hands the
+    # recorded successors back, so no round after the first substitutes,
+    # and each distinct state key is stepped once
+    prog = parse_program(
+        "fun f(): int in { 1 }\n"
+        "request a(x). rec X. x!<f()>. x?(u: int). X\n"
+        "| accept a(y). rec Y. y?(v: int). y!<v>. Y")
+    stepped, substituted = [], []
+
+    def stepping(state, mode, _steps=runtime.reduction_steps):
+        stepped.append(state)
+        return _steps(state, mode)
+
+    def substituting(*args, _subst=runtime.substitute):
+        substituted.append(args)
+        return _subst(*args)
+
+    monkeypatch.setattr(runtime, "reduction_steps", stepping)
+    monkeypatch.setattr(runtime, "substitute", substituting)
+    for p in (prog, to_multiparty(prog)):
+        for mode in ("plain", "detect"):
+            simulate(p, DecisionOracle("seeded-random", seed=0), 9,
+                     mode=mode)
+            subs = len(substituted)
+            t = simulate(p, DecisionOracle("seeded-random", seed=0), 41,
+                         mode=mode)
+            assert len(substituted) == 2 * subs
+            befores = [p.term] + [s.state for s in t.steps[:-1]]
+            keys = {runtime._state_key(b) for b in befores}
+            # each run steps the request, the open session, and the
+            # session after a send
+            assert len(stepped) == 2 * len(keys) == 6
+            # connect, then two echoing steps over and over
+            assert all(t.steps[k] is t.steps[k + 2] for k in range(1, 39))
+            assert t.steps[1] is not t.steps[2]
+            assert t.oracle.transcript == [("f", 1)] * 20
+            stepped.clear()
+            substituted.clear()
+
+
 def _chain(k):
     sends = "".join(f"x!<{i}>. " for i in range(k))
     recvs = "".join(f"y?(v{i}: int). " for i in range(k))
@@ -734,10 +821,8 @@ def _take(c, oracle):
     """Lazy candidate `c` built, its expression evaluated against
     `oracle`, which records the draws: what a memo-free run does with the
     step it takes."""
-    if c.expr is None:
-        text, succ = c.text, c.outcome()
-    else:
-        text, succ = c.outcome(evaluate(c.expr, oracle))
+    text, succ = c.outcome(None if c.expr is None
+                           else evaluate(c.expr, oracle))
     return runtime.Candidate(c.rule, c.session, c.party, text, succ,
                              c.backward)
 
