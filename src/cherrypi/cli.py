@@ -172,10 +172,9 @@ def cmd_explore(args) -> int:
 
 def _explore_dot(report) -> str:
     bad = {e.state for e in report.errors} | {e.state for e in report.stuck}
-    edges = dict.fromkeys(t[:4] for t in report.transitions)
-    return dot_graph("explored", len(report.states),
+    return dot_graph("explored", len(report.system.nodes),
                      ((src, dst, f"{_dq(rule)} {_dq(text)}")
-                      for src, dst, rule, text in edges), bad)
+                      for src, dst, rule, text, _ in report.transitions), bad)
 
 
 def cmd_graph(args) -> int:

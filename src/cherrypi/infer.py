@@ -66,8 +66,10 @@ def type_of_process(p: Process, chan,
 
 
 def _need_chan(c, chan):
-    if c != chan:
+    """`c`, equal to `chan`: the walk goes on with the parser's object."""
+    if c is not chan and c != chan:
         raise TypingError(f"process talks on {c!r}, expected {chan!r}")
+    return c
 
 
 def _need_role(role, what: str, multiparty: bool):
@@ -97,25 +99,25 @@ def _type_of(p, chan, mp: bool, penv: dict, venv: dict) -> SessionTypeT:
             return kept[chan, mp]
     # x!<e>. P  with e: S  gives  ![S]. T
     if kind is Send:
-        _need_chan(p.chan, chan)
+        chan = _need_chan(p.chan, chan)
         _need_role(p.to_role, "output", mp)
         s = sort_of_expression(p.expr, venv)
         t = TOut(s, _type_of(p.cont, chan, mp, penv, venv), None, p.to_role)
     # x?(y: S). P  extends the variable environment with y: S
     elif kind is Recv:
-        _need_chan(p.chan, chan)
+        chan = _need_chan(p.chan, chan)
         _need_role(p.from_role, "input", mp)
         venv2 = dict(venv)
         venv2[p.var] = p.sort
         t = TIn(p.sort, _type_of(p.cont, chan, mp, penv, venv2), None,
                 p.from_role)
     elif kind is Select:
-        _need_chan(p.chan, chan)
+        chan = _need_chan(p.chan, chan)
         _need_role(p.to_role, "selection", mp)
         t = TSel(p.label, _type_of(p.cont, chan, mp, penv, venv), None,
                  p.to_role)
     elif kind is Branch:
-        _need_chan(p.chan, chan)
+        chan = _need_chan(p.chan, chan)
         _need_role(p.from_role, "branching", mp)
         t = TBrn(tuple((l, _type_of(a, chan, mp, penv, venv))
                        for l, a in p.arms), None, p.from_role)

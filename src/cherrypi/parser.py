@@ -319,6 +319,7 @@ class _ProgParser:
     def _start(self, session_var: str) -> None:
         """An endpoint body's scope, empty."""
         self.session_var = session_var
+        self.session_chan = ChanVar(session_var)  # shared by its prefixes
         self.vals: set = set()  # the bound values ...
         self.recs: set = set()  # ... and recursion variables
         self.pending = _NO_NAMES  # recursion variables no prefix guards
@@ -449,7 +450,8 @@ class _ProgParser:
                 if text != self.session_var:
                     self.free[2].add(text)
                 self.pending = _NO_NAMES
-                return self._prefixed(ChanVar(text))
+                return self._prefixed(self.session_chan if text ==
+                                      self.session_var else ChanVar(text))
             if text in self.pending and self.unguarded is None:
                 self.unguarded = f"unguarded recursion on {text!r}"
             if text not in self.recs:

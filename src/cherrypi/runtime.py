@@ -351,20 +351,17 @@ def _fresh_session(items) -> str:
     return f"s{i}"
 
 
-def _splice(seq, group: tuple, repl) -> list:
+def _splice(seq: tuple, group: tuple, repl: tuple) -> tuple:
     """`seq` with the entries at indices `group` taken out and `repl` put
     in at the first of them: how a step rewrites a state's items."""
     if len(group) == 1:
         i = group[0]
-        return [*seq[:i], *repl, *seq[i + 1:]]
-    first = min(group)
-    out: list = []
-    for k, x in enumerate(seq):
-        if k == first:
-            out.extend(repl)
-        elif k not in group:
-            out.append(x)
-    return out
+        return seq[:i] + repl + seq[i + 1:]
+    out = list(seq)
+    for k in sorted(group, reverse=True):
+        del out[k]
+    out[min(group):min(group)] = repl
+    return tuple(out)
 
 
 def _connections(items: list) -> list:
@@ -401,7 +398,7 @@ def _open(parts: list, sname: str) -> Session:
     return Session(sname, par(*parts), par(*logs))
 
 
-def _connect(items: list, group: tuple, sname: str, text: str, _) -> tuple:
+def _connect(items: tuple, group: tuple, sname: str, text: str, _) -> tuple:
     """A connection's step (see `_connections`): its text and successor
     state."""
     ses = _open([items[k] for k in group], sname)
@@ -441,7 +438,7 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown error mode {mode!r}")
 
 
-def _place(items: list, idx: int, repl: tuple) -> Collaboration:
+def _place(items: tuple, idx: int, repl: tuple) -> Collaboration:
     """The state `items` with the item at `idx` replaced by `repl`."""
     return par(*_splice(items, (idx,), repl))
 
@@ -632,16 +629,17 @@ def _built(cands) -> list:
 # state classification
 # ---------------------------------------------------------------------------
 
-def classify_state(state: Collaboration, has_steps: bool) -> str:
-    """What a state is: "roll_error" or "com_error" when a session holds
-    that error (the first found, in item order), else "live" when it
-    `has_steps`, else "completed" when every item is a session whose logs
-    have all finished, else "stuck".  `explore` and `simulate` share it.
+def classify_state(items: tuple, has_steps: bool) -> str:
+    """What the state of `items` (its `par_parts`) is: "roll_error" or
+    "com_error" when a session holds that error (the first found, in item
+    order), else "live" when it `has_steps`, else "completed" when every
+    item is a session whose logs have all finished, else "stuck".
+    `explore` and `simulate` share it.
 
     It composes its items' classes (`_item_class`), each found once per
     item node: items a step left alone are not looked into again."""
     finished = True
-    for it in par_parts(state):
+    for it in items:
         kind = _item_class(it)
         if kind in _ERRORS:
             return kind
@@ -768,7 +766,7 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
             if entry is None:
                 cands = reduction_steps(state, mode)
                 if not cands:
-                    status = classify_state(state, False)
+                    status = classify_state(par_parts(state), False)
                     break
                 entry = memo[key] = [state, cands[0], {}]
             met[id(state)] = entry
@@ -786,7 +784,7 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
                 text, succ = c.outcome(v)
                 step = taken[v] = (StepRecord(c.rule, c.session, c.party,
                                               text, c.backward, succ),
-                                   classify_state(succ, True))
+                                   classify_state(par_parts(succ), True))
                 if c.expr is None or not _undecided(c.expr):
                     entry[1:] = None, step
         step, kind = step
@@ -837,7 +835,7 @@ class ExplorationReport(metaclass=record):
 
     states = property(lambda self: self.system.states)
     transitions = property(lambda self: self.system.edges)
-    edges = property(lambda self: len(self.system.edges))  # their number
+    edges = property(lambda self: len(self.system.src))  # their number
 
     @property
     def ok(self) -> bool:
@@ -845,7 +843,7 @@ class ExplorationReport(metaclass=record):
 
     def to_json(self) -> dict:
         return {
-            "states": len(self.states),
+            "states": len(self.system.nodes),
             "edges": self.edges,
             "depth": self.depth,
             "completed": self.completed,
@@ -867,20 +865,22 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     over every oracle outcome, found by `semantics.search`.  Bool draws
     branch two ways; int/str draws need a declared domain.
 
-    A state is identified by the multiset of its top-level items' keys
-    (`term_key`), kept per state in item order.  A step rewrites one item
-    (a connection several), so a successor's keys are its parent's with
-    those entries replaced.  Each distinct (session key, session name) is
-    stepped once per call (see `_session_steps`), and its memo entry holds
-    every step with its sort key and the keys of its replacement items, so
-    a state only merges and sorts its sessions' entries.  A state reached
-    by a session step that keeps one session in its place has its
-    parent's connections.  A successor is built only when its state is
-    new, always from its parent's own items: of alpha-variant states the
-    first one found is the one kept.  States are classified after the
-    search: an expanded state is live when it has an out-edge, and the
-    final frontier's steps are computed but not expanded.  Error and stuck
-    paths come from `TransitionSystem.path_to`."""
+    The search holds a state as the tuple of its top-level items and
+    identifies it by the multiset of their keys (`term_key`).  A step
+    rewrites one item (a connection several), so a successor's keys are
+    its parent's with those entries replaced.  Each distinct (session key,
+    session name) is stepped once per call (see `_session_steps`), its
+    steps sorted, so a state lays its sessions' entries out in name order;
+    a state reached by a session step that keeps the session in its place
+    shares its parent's layout.  A successor is made only when its state
+    is new, from its parent's own items, so of alpha-variant states the
+    first found is kept; its term is built when the report's `states` is
+    read.  An edge is one transition: values of an expression that give
+    one labelled step, or key-equal endpoints that open one session, make
+    one edge.  States are classified after the search: an expanded state
+    is live when it has an out-edge, and the final frontier's steps are
+    computed but not expanded.  Error and stuck paths come from
+    `TransitionSystem.path_to`."""
     _check_mode(mode)
     init = program.term
     # state id -> its items' keys in item order; representatives, held
@@ -888,96 +888,95 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     # call runs
     roots = [term_rep(it) for it in par_parts(init)]
     serials = [tuple(r.serial for r in roots)]
-    # state id -> its connections (see `_connections`), shared with the
-    # parent when a session step left requesters, acceptors and session
-    # names where they were; None until needed
-    conns: list = [None]
+    plans: list = [None]  # state id -> its layout (see `plan`), or None
     # computed once per call: a connection, by (endpoint keys, session
-    # name), as (endpoints, step, representative of the session opened); a
-    # session's steps, by (session key, session name), as (session, steps,
-    # representatives of their replacement items).  A step is (sort key,
-    # candidate whose successor is the tuple of replacement items, their
-    # keys)
+    # name), as (endpoints, candidate, key of the session opened, its
+    # representative); a session's steps, by (session key, session name),
+    # as (session, sorted steps, representatives), a step being (candidate,
+    # keys of the items it puts in)
     opened: dict = {}
     stepped: dict = {}
-    # a session step's group (idx,), one per index: parent pointers keep
-    # steps, and a fresh group each would add a GC-tracked object per state
-    ones: list = []
-
-    def open_keyed(parts: list, rule: str, sname: str, text: str) -> tuple:
-        ses = _open(parts, sname)
-        rep = term_rep(ses)
-        c = Candidate(rule, sname, 0, text, (ses,))
-        return parts, (c.sort_key(), c, (rep.serial,)), rep
 
     def steps_keyed(ses: Session) -> tuple:
-        steps, reps = [], []
-        for c in _built(_session_steps(ses, mode, tuple)):
-            new = tuple(term_rep(x) for x in c.successor)
-            reps.append(new)
-            steps.append((c.sort_key(), c, tuple(r.serial for r in new)))
-        return ses, steps, reps
+        steps, reps = {}, []
+        for c in sorted(_built(_session_steps(ses, mode, tuple)),
+                        key=Candidate.sort_key):
+            reps.append(tuple(term_rep(x) for x in c.successor))
+            keys = tuple(r.serial for r in reps[-1])
+            # values giving one labelled step make one edge, the first's
+            steps.setdefault((c.text, keys), (c, keys))
+        return ses, list(steps.values()), reps
 
-    def steps_of(sid: int, state: Collaboration) -> list:
-        """The steps of state `sid` in `reduction_steps` order, as
-        (successor key, sort key, candidate, indices of the items it
-        rewrites, the successor's item keys in item order)."""
-        items = par_parts(state)
-        sers = serials[sid]
-        while len(ones) < len(items):
-            ones.append((len(ones),))
-        if conns[sid] is None:
-            conns[sid] = _connections(items)
-        out: list = []
-        for rule, sname, text, group in conns[sid]:
-            parts = [items[k] for k in group]
+    def plan(sid: int, items: tuple, sers: tuple) -> tuple:
+        """State `sid`'s connection steps, one per (endpoint keys, session
+        name), as (group, candidate, key) in (rule, label) order, and its
+        sessions' positions in name order, -1 for the connections."""
+        conns: dict = {}
+        for rule, sname, text, group in sorted(_connections(items),
+                                               key=itemgetter(0, 2)):
             at = (tuple(sers[k] for k in group), sname)
+            if at in conns:
+                continue
+            parts = [items[k] for k in group]
             hit = opened.get(at)
             # reused only for the very same endpoints, so a successor is
             # always made of its parent's own items; a key-equal
             # alpha-variant is opened afresh
             if hit is None or any(a is not b for a, b in zip(hit[0], parts)):
-                hit = opened[at] = open_keyed(parts, rule, sname, text)
-            key, c, new = hit[1]
-            succ = tuple(_splice(sers, group, new))
-            out.append((tuple(sorted(succ)), key, c, group, succ))
-        for idx, it in enumerate(items):
-            if isinstance(it, Session):
-                at = (sers[idx], it.name)
-                hit = stepped.get(at)
-                if hit is None or hit[0] is not it:
-                    hit = stepped[at] = steps_keyed(it)
-                group = ones[idx]
-                before, after = sers[:idx], sers[idx + 1:]
-                for key, c, new in hit[1]:
-                    succ = before + new + after
-                    out.append((tuple(sorted(succ)), key, c, group, succ))
-        out.sort(key=itemgetter(1))
+                ses = _open(parts, sname)
+                rep = term_rep(ses)
+                hit = opened[at] = (parts, Candidate(
+                    rule, sname, 0, text, (ses,)), (rep.serial,), rep)
+            conns[at] = (group, *hit[1:3])
+        named = [(it.name, idx) for idx, it in enumerate(items)
+                 if isinstance(it, Session)]
+        if conns:  # they all open the one fresh session name
+            named.append((sname, -1))
+        plans[sid] = list(conns.values()), [idx for _, idx in sorted(named)]
+        return plans[sid]
+
+    def steps_of(sid: int, items: tuple) -> list:
+        """The steps of state `sid` in `reduction_steps` order, as
+        (successor key, candidate, indices of the items it rewrites, the
+        keys of the items it puts in their place)."""
+        sers = serials[sid]
+        conns, order = plans[sid] or plan(sid, items, sers)
+        out: list = []
+        for idx in order:
+            if idx < 0:
+                out += [(tuple(sorted(_splice(sers, group, new))), c, group,
+                         new) for group, c, new in conns]
+                continue
+            it = items[idx]
+            at = (sers[idx], it.name)
+            hit = stepped.get(at)
+            if hit is None or hit[0] is not it:
+                hit = stepped[at] = steps_keyed(it)
+            group = (idx,)
+            rest = sers[:idx] + sers[idx + 1:]
+            out += [(tuple(sorted(rest + new)), c, group, new)
+                    for c, new in hit[1]]
         return out
 
-    def make(sid: int, state: Collaboration, step: tuple) -> Collaboration:
-        _, _, c, group, succ = step
-        serials.append(succ)
-        conns.append(conns[sid] if c.party and len(c.successor)
-                     == 1 == len(group) else None)
-        return par(*_splice(par_parts(state), group, c.successor))
+    def make(sid: int, items: tuple, step: tuple) -> tuple:
+        _, c, group, new = step
+        serials.append(_splice(serials[sid], group, new))
+        plans.append(plans[sid] if c.party and len(c.successor) == 1
+                     == len(group) else None)
+        return _splice(items, group, c.successor)
 
-    def edge(src: int, dst: int, step: tuple) -> tuple:
-        c = step[2]
-        return src, dst, c.rule, c.text, c.backward
-
-    ts = search(init, lambda _: tuple(sorted(serials[0])), steps_of, make,
-                edge, budget, depth)
-    live = set(map(itemgetter(0), ts.edges))
-    expanded = len(ts.states) - len(ts.frontier)
+    ts = search(par_parts(init), lambda _: tuple(sorted(serials[0])),
+                steps_of, make, programs=True, budget=budget, depth=depth)
+    live = set(ts.src)
+    expanded = len(ts.nodes) - len(ts.frontier)
     errors, stuck, completed = [], [], 0
-    for sid, state in enumerate(ts.states):
-        kind = classify_state(state, sid in live if sid < expanded
-                              else bool(steps_of(sid, state)))
+    for sid, items in enumerate(ts.nodes):
+        kind = classify_state(items, sid in live if sid < expanded
+                              else bool(steps_of(sid, items)))
         if kind == "completed":
             completed += 1
         elif kind != "live":
-            path = [step[2] for step in ts.path_to(sid)]
+            path = ts.path_to(sid)
             (stuck if kind == "stuck" else errors).append(ExploreEntry(
                 kind, sid, [f"{c.rule} {c.text}" for c in path],
                 _script_of([d for c in path for d in c.choices])))

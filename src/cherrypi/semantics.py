@@ -20,20 +20,22 @@ abort's reset configuration are keyed from their types.
 
 `search` is the package's one breadth-first search, under
 `reachable_system` and `runtime.explore` alike: it builds a successor only
-when its key is new, keeps one parent pointer per state for `path_to`, and
+when its key is new, keeps edges and parent pointers in flat arrays, and
 is the only place that checks a state budget.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
+from functools import cached_property
 from operator import itemgetter
 
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
                            _render, type_key)
 from .infer import is_multiparty, service_types
-from .syntax import record
+from .syntax import par, record
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -287,62 +289,87 @@ class Edge(metaclass=record, frozen=True):
 
 
 class TransitionSystem(metaclass=record):
-    """What `search` found, for types and programs alike: states numbered
-    in discovery order, and `path_to`, the one parent-pointer walk."""
-    states: list
-    edges: list  # `edge(src, dst, step)` per traversed edge, by src
-    parents: list  # (src, step) that discovered state i; None for state 0
+    """What `search` found, for types and programs alike, in flat columns:
+    per state its node and the index of the edge that found it (-1 for
+    state 0); per edge, in source order, its ends and its step's label.
+    The views `states`, `edges` and `parents` are built on first read:
+    configurations and `Edge`s, or, for `programs` (nodes are tuples of
+    items, labels candidates), terms and (src, dst, rule, text, backward)
+    tuples."""
+    nodes: list
+    src: array
+    dst: array
+    labels: list
+    found_by: array
     frontier: list  # the highest ids: found, not expanded (depth cut)
+    programs: bool = False
+
+    @cached_property
+    def states(self) -> list:
+        return ([par(*items) for items in self.nodes] if self.programs
+                else self.nodes)
+
+    @cached_property
+    def edges(self) -> list:
+        if self.programs:
+            return [(s, d, c.rule, c.text, c.backward)
+                    for s, d, c in zip(self.src, self.dst, self.labels)]
+        return [Edge(s, d, step[1], step[2], step[3])
+                for s, d, step in zip(self.src, self.dst, self.labels)]
+
+    parents = cached_property(lambda self: [None] + [  # (src, label)
+        (self.src[e], self.labels[e]) for e in self.found_by[1:]])
 
     def path_to(self, sid: int) -> list:
-        """Steps of the discovery path from the initial state to `sid`."""
+        """Labels of the steps that discovered `sid`, from state 0 on."""
         path: list = []
-        at = self.parents[sid]
-        while at is not None:
-            sid, step = at
-            path.append(step)
-            at = self.parents[sid]
-        path.reverse()
-        return path
+        while sid:
+            e = self.found_by[sid]
+            path.append(self.labels[e])
+            sid = self.src[e]
+        return path[::-1]
 
 
-def search(root, key, steps, make, edge, budget: int | None = None,
-           depth: int | None = None) -> TransitionSystem:
+def search(root, key, steps, make, programs: bool = False,
+           budget: int | None = None, depth: int | None = None) \
+        -> TransitionSystem:
     """Breadth-first search from `root`, keyed by `key(root)`.
-    `steps(sid, state)` lists a state's steps in successor order, each a
-    tuple whose slot 0 is its successor's key; `make(src, state, step)`
-    builds a successor only when that key is new.  Layers from `depth` on
-    are not expanded; more than `budget` states raise `BudgetExceeded`."""
+    `steps(sid, node)` lists a state's steps in successor order, each a
+    tuple whose slot 0 is its successor's key; `make(src, node, step)`
+    builds a successor's node only when that key is new.  An edge's label
+    is its step, or for `programs` the step's candidate, in slot 1.
+    Layers from `depth` on are not expanded; more than `budget` states
+    raise `BudgetExceeded`."""
     limit = current_budget(budget)
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
-    states = [root]
+    nodes = [root]
     index = {key(root): 0}
     known = index.get
-    parents: list = [None]
-    edges: list = []
-    add_edge = edges.append
-    frontier = [0]
-    layer = 0
+    src, dst, labels, found_by = array("l"), array("l"), [], array("l", [-1])
+    frontier, layer = [0], 0
     while frontier and layer != depth:
         found: list = []
         for sid in frontier:
-            state = states[sid]
-            for step in steps(sid, state):
+            node = nodes[sid]
+            for step in steps(sid, node):
                 tid = known(step[0])
                 if tid is None:
-                    tid = len(states)
+                    tid = len(nodes)
                     if tid >= limit:
                         raise BudgetExceeded(limit, states=tid, depth=layer,
                                              frontier=len(frontier))
                     index[step[0]] = tid
-                    states.append(make(sid, state, step))
-                    parents.append((sid, step))
+                    nodes.append(make(sid, node, step))
+                    found_by.append(len(src))
                     found.append(tid)
-                add_edge(edge(sid, tid, step))
+                src.append(sid)
+                dst.append(tid)
+                labels.append(step[1] if programs else step)
         frontier = found
         layer += 1
-    return TransitionSystem(states, edges, parents, frontier)
+    return TransitionSystem(nodes, src, dst, labels, found_by, frontier,
+                            programs)
 
 
 _STEP_ORDER = itemgetter(1, 2, 3)  # (party, rule, label)
@@ -368,8 +395,7 @@ def reachable_system(*types: SessionTypeT,
     party, rule, label, successor)."""
     return search(initial_configuration(*types), config_key,
                   _keyed_transitions, lambda src, cfg, s: s[4],
-                  lambda src, dst, s: Edge(src, dst, s[1], s[2], s[3]),
-                  budget)
+                  budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +437,8 @@ class ComplianceReport(metaclass=record):
         memo: dict = {}
         return {
             "verdict": "compliant" if self.compliant else "violating",
-            "states": len(self.system.states),
-            "edges": len(self.system.edges),
+            "states": len(self.system.nodes),
+            "edges": len(self.system.src),
             "violations": [
                 {
                     "terminal": _describe(v.config, self.roles, memo),
@@ -429,7 +455,7 @@ def check_compliance(*types: SessionTypeT,
     """Types comply when every reachable configuration that offers no step
     has every current at end.  No terminals at all is compliant."""
     ts = reachable_system(*types, budget=budget)
-    live = {e.src for e in ts.edges}
+    live = set(ts.src)
     violations = [Violation(sid, cfg, ts.path_to(sid))
                   for sid, cfg in enumerate(ts.states) if sid not in live
                   and not all(isinstance(head_normal_type(t), TEnd)

@@ -22,6 +22,7 @@ can be compared with its `to_multiparty` twin's.
 from __future__ import annotations
 
 import re
+from array import array
 from typing import NamedTuple
 
 from cherrypi.parser import (KEYWORDS, SourceProgram, _diag, _diag_at,
@@ -336,11 +337,13 @@ def naive_explore_report(program, depth=30, mode="plain"):
     steps from the whole-state stepper `reduction_steps`, built by
     `forced_steps`, and every successor identified by `term_key` of the
     whole successor term.  This is the reference for `runtime.explore`,
-    which steps and keys items."""
+    which steps and keys items.  Two steps of one state that give the same
+    (successor, rule, label, backward) are one edge, the first one."""
     states = [program.term]
     info = [([], [])]
     index = {term_key(program.term): 0}
-    parents, transitions, errors, stuck = [None], [], [], []
+    found_by, transitions, errors, stuck = [-1], [], [], []
+    seen = set()
     completed = 0
 
     def entry(kind, sid):
@@ -352,7 +355,7 @@ def naive_explore_report(program, depth=30, mode="plain"):
 
     def note(sid, cands):
         nonlocal completed
-        kind = classify_state(states[sid], bool(cands))
+        kind = classify_state(par_parts(states[sid]), bool(cands))
         if kind in ("roll_error", "com_error"):
             errors.append(entry(kind, sid))
         elif kind == "stuck":
@@ -376,16 +379,21 @@ def naive_explore_report(program, depth=30, mode="plain"):
                     path, choices = info[sid]
                     info.append((path + [f"{c.rule} {c.text}"],
                                  choices + list(c.choices)))
-                    parents.append((sid, c))
+                    found_by.append(len(transitions))
                     nxt.append(index[key])
-                transitions.append((sid, index[key], c.rule, c.text,
-                                    c.backward))
+                edge = (sid, index[key], c.rule, c.text, c.backward)
+                if edge not in seen:
+                    seen.add(edge)
+                    transitions.append((edge, c))
         frontier = nxt
     for sid in frontier:
         note(sid, forced_steps(states[sid], mode))
-    return ExplorationReport(
-        TransitionSystem(states, transitions, parents, frontier), errors,
-        stuck, completed, depth)
+    system = TransitionSystem(
+        [par_parts(t) for t in states],
+        array("l", [e[0] for e, _ in transitions]),
+        array("l", [e[1] for e, _ in transitions]),
+        [c for _, c in transitions], array("l", found_by), frontier, True)
+    return ExplorationReport(system, errors, stuck, completed, depth)
 
 
 # ---------------------------------------------------------------------------

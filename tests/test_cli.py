@@ -348,6 +348,26 @@ def test_explore_json_output():
     }
 
 
+# a guard whose false branch two domain values take: one F-If edge, not two
+_TWO_VALUES_ONE_BRANCH = (
+    "fun f(): int in { 1, 2, 3 }\n"
+    "request a(x). if f() == 1 then x!<1>. 0 else x!<2>. 0"
+    " | accept a(y). y?(v: int). 0\n")
+
+
+def test_explore_counts_transitions_not_values_drawn(tmp_path):
+    prog = tmp_path / "twice.chpi"
+    prog.write_text(_TWO_VALUES_ONE_BRANCH)
+    code, out, _ = cli("explore", prog, "--depth", "5", "--json")
+    assert code == 0
+    assert (json.loads(out)["states"], json.loads(out)["edges"]) == (5, 5)
+    dot = tmp_path / "twice.dot"
+    assert cli("explore", prog, "--depth", "5", "--dot", dot)[0] == 0
+    arrows = [ln for ln in dot.read_text().splitlines() if "->" in ln]
+    assert len(arrows) == len(set(arrows)) == 5
+    assert '  n1 -> n2 [label="F-If s1:p1 else"];' in arrows
+
+
 # ---------------------------------------------------------------- failure modes
 
 def test_budget_flag_exits_three():

@@ -144,6 +144,24 @@ def test_records_copy_and_pickle_by_their_fields():
                 assert twin.__dict__ == {}, cls.__qualname__
 
 
+def test_a_search_copies_pickles_and_compares_by_its_columns(programs,
+                                                             types):
+    # a report's system holds its columns and a level tag, no per-call
+    # function: two identical searches are equal, and a copy rebuilds a
+    # view read before it alike
+    for search in (lambda: runtime.explore(programs["vod_b"], 40, "detect"),
+                   lambda: semantics.check_compliance(types["consumer"],
+                                                      types["producer"])):
+        rep = search()
+        assert rep == search() and " at 0x" not in repr(rep.system)
+        views = rep.system.states, rep.system.edges, rep.system.parents
+        for twin in (copy.copy(rep), copy.deepcopy(rep),
+                     pickle.loads(pickle.dumps(rep))):
+            assert twin == rep
+            assert (twin.system.states, twin.system.edges,
+                    twin.system.parents) == views
+
+
 def test_records_of_different_classes_differ_like_dataclasses():
     for left, right in itertools.permutations(RECORDS, 2):
         arity = len(_required(left))
@@ -204,7 +222,7 @@ def test_import_compiles_one_init_per_shape_and_leaves_no_dead_class():
                and x.__module__.startswith("cherrypi")])""")
     # one `__init__` template per (arity, frozen) shape of the 57 records,
     # and two `namedtuple`s: `functools`' own and `syntax.Operator`
-    assert out.splitlines() == [str(["<record>"] * 12 + ["<string>"] * 2),
+    assert out.splitlines() == [str(["<record>"] * 13 + ["<string>"] * 2),
                                 "[]"]
 
 
