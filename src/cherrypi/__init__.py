@@ -1,5 +1,5 @@
 """Session calculus with checkpoint-based rollback: terms, types, checkers,
-and a simulator for binary and multiparty sessions."""
+and a simulator for sessions of two roles (binary) or more."""
 
 __version__ = "0.1.0"
 

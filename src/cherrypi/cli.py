@@ -4,8 +4,8 @@ Exit codes: 0 success (or a compliant / safe / matching verdict), 1 a
 violation or error verdict, 2 usage, parse, or input errors, 3 exploration
 budget exceeded, input nested too deeply or out of memory, 4 internal error.
 
-`comply`, `graph`, `check` and `infer` load neither `runtime` nor
-`multiparty`: the subcommands that use them import them when they run.
+`comply`, `graph`, `check` and `infer` do not load `runtime`: the
+subcommands that use it import it when they run.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import argparse
 import json
 import sys
 
-from .infer import (TypingError, infer_collaboration,
-                    m_infer_collaboration)
+from .infer import TypingError, infer_collaboration
 from .parser import ParseError, parse_program, parse_type, render_program
 from .semantics import (BudgetExceeded, InvalidBudget, check_compliance,
                         check_rollback_safety, compliance_dot, dot_graph)
@@ -79,11 +78,8 @@ def _dq(s: str) -> str:
 
 def cmd_infer(args) -> int:
     program = _load_program(args.file)
-    if program.multiparty:
-        assoc = m_infer_collaboration(program.term)
-    else:
-        assoc = infer_collaboration(program.term)
-    rendered = {name: render_type(t) for name, t in assoc.items()}
+    rendered = {name: render_type(t)
+                for name, t in infer_collaboration(program.term).items()}
     _emit(args, rendered, [f"{k}: {v}" for k, v in rendered.items()])
     return 0
 

@@ -2,18 +2,17 @@
 
 The engines in `semantics` and `runtime` step sessions of any number of
 parties, and `infer` groups a collaboration's endpoints by service and
-infers each role's type; what is n-role only lives here: the `m_*` entry
-points, and the transcription of a binary program into its two-role twin
-(the erasure back, which only the cross-checks use, is in the tests'
-`oracle_naive`).
+infers each role's type, a binary service being the two-role case.  What
+is left here: the `m_*` names of those engines, and the transcription of
+a binary program into its two-role twin (the erasure back, which only the
+cross-checks use, is in the tests' `oracle_naive`).
 """
 
 from __future__ import annotations
 
 from .syntax import (Collaboration, MalformedTerm, Process, Request,
                      _map_proc, par, par_parts)
-from .semantics import (ComplianceReport, TransitionSystem,
-                        check_compliance, check_rollback_safety, config_key,
+from .semantics import (TransitionSystem, check_rollback_safety, config_key,
                         config_transitions, reachable_system)
 from .runtime import (DecisionOracle, ExplorationReport, Trace, explore,
                       reduction_steps, simulate)
@@ -23,15 +22,6 @@ from .parser import SourceProgram
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
-
-def m_check_compliance(types: tuple, budget: int | None = None) \
-        -> ComplianceReport:
-    """Compliance of role types in log order (requester first), reported
-    with n-role names."""
-    rep = check_compliance(*types, budget=budget)
-    rep.roles = True
-    return rep
-
 
 # rollback safety reads binary or n-role from the collaboration itself
 m_check_rollback_safety = check_rollback_safety

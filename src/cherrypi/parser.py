@@ -35,7 +35,7 @@ from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Process, Rec, Recv, Request, Roll, Select, Send, Session,
                      Log, RollError, ComError, Ufun, Var, par,
                      par_parts, record, subprocesses, operator_of,
-                     OPERATORS, SORTS, MalformedTerm, _NO_NAMES)
+                     OPERATORS, SORTS, MalformedTerm, _NO_NAMES, _role_tag)
 from . import sessiontypes as st
 
 KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
@@ -313,7 +313,7 @@ class _ProgParser:
         self.p = p
         self.decls = decls
         self.offence = None  # (message, token index)
-        self.tagged: set = set()  # whether each endpoint has a role
+        self.tagged: set = set()  # whether each endpoint and prefix has a role
         self._start("")
 
     def _start(self, session_var: str) -> None:
@@ -460,9 +460,10 @@ class _ProgParser:
         p.fail("expected a process")
 
     def _role_suffix(self) -> int | None:
-        if self.p.eat("@"):
-            return int(self.p.expect("int"))
-        return None
+        """A prefix's role tag, or None; either is noted in `tagged`."""
+        role = int(self.p.expect("int")) if self.p.eat("@") else None
+        self.tagged.add(role is not None)
+        return role
 
     def _prefixed(self, ch) -> Process:
         p = self.p
@@ -494,7 +495,8 @@ class _ProgParser:
             p.expect(".")
             return Select(ch, lab, self.process(), role)
         if p.eat(">+"):
-            role = self._role_suffix()  # role tag before the arm block ...
+            # a role tag before the arm block ...
+            role = self._role_suffix() if p.at("@") else None
             p.expect("{")
             arms: list = []
             seen: set = set()
@@ -763,17 +765,13 @@ def render_expr(e, parent: int = 0) -> str:
 
 def show_chan(r) -> str:
     kind = type(r)
-    if kind is Endpoint:
-        return f"~{r.session}" if r.plus else r.session
+    if kind is Endpoint:  # binary: the requester's side is marked
+        return f"~{r.session}" if r.role == 2 else r.session
     if kind is MEndpoint:
         return f"{r.session}[{r.role}]"
     if kind is ChanVar:
         return r.name
     raise MalformedTerm(f"not a session identifier: {r!r}")
-
-
-def _at(role) -> str:
-    return "" if role is None else f"@{role}"
 
 
 def render_process(pr: Process) -> str:
@@ -828,14 +826,15 @@ def _emit(pr: Process, out: list, place: list) -> None:
     kind = type(pr)
     if kind is Send:
         out.append(f"{show_chan(pr.chan)}!<{render_expr(pr.expr)}>"
-                   f"{_at(pr.to_role)}. ")
+                   f"{_role_tag(pr.to_role)}. ")
         _emit(pr.cont, out, place)
     elif kind is Recv:
         out.append(f"{show_chan(pr.chan)}?({pr.var}: {pr.sort})"
-                   f"{_at(pr.from_role)}. ")
+                   f"{_role_tag(pr.from_role)}. ")
         _emit(pr.cont, out, place)
     elif kind is Select:
-        out.append(f"{show_chan(pr.chan)}<+ {pr.label}{_at(pr.to_role)}. ")
+        out.append(f"{show_chan(pr.chan)}<+ {pr.label}"
+                   f"{_role_tag(pr.to_role)}. ")
         _emit(pr.cont, out, place)
     elif kind is Branch:
         out.append(f"{show_chan(pr.chan)}>+{{ ")
@@ -844,7 +843,7 @@ def _emit(pr: Process, out: list, place: list) -> None:
             out.append(f"{sep}{l}: ")
             _emit(a, out, place)
             sep = ", "
-        out.append(f" }}{_at(pr.from_role)}")
+        out.append(f" }}{_role_tag(pr.from_role)}")
     elif kind is If:
         out.append(f"if {render_expr(pr.cond)} then ")
         _emit(pr.then, out, place)
@@ -909,7 +908,7 @@ def show_collaboration(c: Collaboration) -> str:
     if kind is Session:
         return _kept(c, _show_session)
     if kind is Request or kind is Accept:
-        rr = "" if c.role is None else f"[{c.role}]"
+        rr = _role_tag(c.role, "[{}]")
         return (f"{'request' if kind is Request else 'accept'} {c.chan}{rr}"
                 f"({c.var}). {render_process(c.body)}")
     if kind is RollError:

@@ -4,11 +4,12 @@ and trace replay.  The shadow typechecker, which runs the type-level
 configuration alongside a trace, lives in `shadow` and is exported here
 too.
 
-A session logs one process per party, the requester first; a binary session
-is the two-party case.  Communication meets the partner a prefix's role
-names, or the other log when a binary prefix names none.  Steps of n-role
-sessions (whose logs sit on `MEndpoint`s) carry rule names with an `M-`
-prefix; nothing else tells the two kinds apart.
+A session logs one process per role, the requester first; a binary session
+is the two-role case, its requester role 2 and its acceptor role 1.
+Communication meets the partner a prefix's role names, or the other log
+when a binary prefix names none.  Whether a session is binary shows only
+in text: in how its endpoints are shown, and in its rule names, which
+carry an `M-` prefix in an n-role session.
 
 Uninterpreted functions are resolved by a `DecisionOracle`; its counters are
 never rolled back, so a re-run after a rollback may take another branch.
@@ -37,8 +38,9 @@ from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
                      MalformedInput, MalformedTerm, MEndpoint, Process, Recv,
                      Request, Roll, RollError, Select, Send, Session, Ufun,
-                     Var, head_normal, operator_of, par, par_parts,
-                     process_key, record, substitute, term_rep, _TERMS)
+                     Var, endpoint_role, head_normal, operator_of, par,
+                     par_parts, process_key, record, substitute, term_rep,
+                     _TERMS)
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
 from .semantics import TransitionSystem, partner_position, search
@@ -366,8 +368,8 @@ def _splice(seq: tuple, group: tuple, repl: tuple) -> tuple:
 
 def _connections(items: list) -> list:
     """Session connections among a state's items, as (rule, session name,
-    label, group): a requester a[n] meets one acceptor of its service for
-    every role 1..n-1, a binary requester one acceptor; `group` holds their
+    label, group): a requester of role n (`endpoint_role`) meets one
+    acceptor of its service for every role 1..n-1; `group` holds their
     item indices, the requester first, then the acceptors in role order."""
     out: list = []
     sname = None  # every connection of a state opens the same fresh name
@@ -375,10 +377,10 @@ def _connections(items: list) -> list:
         if not isinstance(req, Request):
             continue
         sname = sname or _fresh_session(items)
-        roles = [None] if req.role is None else range(1, req.role)
         pools = [[k for k, acc in enumerate(items)
                   if isinstance(acc, Accept) and acc.chan == req.chan
-                  and acc.role == role] for role in roles]
+                  and endpoint_role(acc) == role]
+                 for role in range(1, endpoint_role(req))]
         rule = "F-Con" if req.role is None else "M-F-Con"
         for combo in itertools.product(*pools):
             out.append((rule, sname, f"{req.chan}:{sname}", (r, *combo)))
@@ -388,11 +390,11 @@ def _connections(items: list) -> list:
 def _open(parts: list, sname: str) -> Session:
     """Session `sname` opened by the endpoints `parts` (see
     `_connections`): it saves them for abort and logs each body on its own
-    session endpoint."""
+    session endpoint, of the part's role (a binary one's shows as such)."""
     logs = []
-    for pos, part in enumerate(parts):
-        ep = (Endpoint(sname, pos == 0) if part.role is None
-              else MEndpoint(sname, part.role))
+    for part in parts:
+        ep = (Endpoint if part.role is None else MEndpoint)(
+            sname, endpoint_role(part))
         p = substitute(part.body, part.var, ep)
         logs.append(Log(ep, CheckpointProcess(p), p))
     return Session(sname, par(*parts), par(*logs))
@@ -507,7 +509,7 @@ def _session_steps(ses: Session, mode: str, place) -> list:
     n = len(logs)
     heads = [head_normal(lg.current) for lg in logs]
     # rules of n-role sessions carry the M- prefix
-    pre = "M-" if isinstance(logs[0].endpoint, MEndpoint) else ""
+    pre = "" if par_parts(ses.saved)[0].role is None else "M-"
 
     def rewrite(body, *args) -> Collaboration:
         """The successor whose session body is `body(*args)`."""
@@ -532,14 +534,18 @@ def _session_steps(ses: Session, mode: str, place) -> list:
 
     for i in range(n):
         li, hi = logs[i], heads[i]
-        # the role partners' prefixes name this party by (binary: none)
-        me = li.endpoint.role if pre else None
         kind = type(hi)
-        if kind is Send:
-            j = partner_position(i, hi.to_role, n)
+        if kind is Send or kind is Recv or kind is Select or kind is Branch:
+            # the partner the prefix names, whose prefix must name this
+            # party back: by its role, or by none when this one names none
+            role = hi.to_role if kind is Send or kind is Select \
+                else hi.from_role
+            j = partner_position(i, role, n)
             if j is None:
                 continue
+            me = None if role is None else li.endpoint.role
             lj, hj = logs[j], heads[j]
+        if kind is Send:
             if isinstance(hj, Recv) and hj.from_role == me:
                 evaluating("F-Com", i, hi.expr,
                            functools.partial(_com, logs, i, j, hi.cont, hj))
@@ -549,10 +555,6 @@ def _session_steps(ses: Session, mode: str, place) -> list:
                         and not _may_recover(bs):
                     mk("E-Com1", i, "stuck-out", rewrite, ComError)
         elif kind is Recv:
-            j = partner_position(i, hi.from_role, n)
-            if j is None:
-                continue
-            lj, hj = logs[j], heads[j]
             sender_ready = isinstance(hj, Send) and hj.to_role == me
             if mode == "detect" and not sender_ready:
                 bs = barbs(lj.current, me)
@@ -560,26 +562,18 @@ def _session_steps(ses: Session, mode: str, place) -> list:
                         and not _may_recover(bs):
                     mk("E-Com2", i, "stuck-in", rewrite, ComError)
         elif kind is Select:
-            j, lab = partner_position(i, hi.to_role, n), hi.label
-            if j is None:
-                continue
-            lj, hj = logs[j], heads[j]
             if isinstance(hj, Branch) and hj.from_role == me:
-                arm = dict(hj.arms).get(lab)
+                arm = dict(hj.arms).get(hi.label)
                 if arm is not None:
-                    mk("F-Lab", i, f"+{lab}", rewrite, _exchange,
+                    mk("F-Lab", i, f"+{hi.label}", rewrite, _exchange,
                        logs, i, j, hi.cont, arm)
                     continue
             if mode == "detect":
                 bs = barbs(lj.current, me)
-                if ("brn", lj.endpoint, lab, me) not in bs \
+                if ("brn", lj.endpoint, hi.label, me) not in bs \
                         and not _may_recover(bs):
                     mk("E-Lab1", i, "stuck-sel", rewrite, ComError)
         elif kind is Branch:
-            j = partner_position(i, hi.from_role, n)
-            if j is None:
-                continue
-            lj, hj = logs[j], heads[j]
             selector_ready = isinstance(hj, Select) and hj.to_role == me
             if mode == "detect" and not selector_ready:
                 bs = barbs(lj.current, me)

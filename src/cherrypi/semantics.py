@@ -33,9 +33,9 @@ from operator import itemgetter
 
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
-                           _render, type_key)
-from .infer import is_multiparty, service_types
-from .syntax import par, record
+                           subtypes, _render, type_key)
+from .infer import service_types
+from .syntax import par, par_parts, record
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -426,8 +426,8 @@ class ComplianceReport(metaclass=record):
     compliant: bool
     system: TransitionSystem
     violations: list  # list[Violation]
-    # n-role presentation, set by the n-role entry points: rule names get
-    # the M- prefix and parties are named role{r} instead of party{i}
+    # n-role presentation, for types that name their own roles: rule
+    # names get the M- prefix and parties are named role{r}, not party{i}
     roles: bool = False
 
     def to_json(self) -> dict:
@@ -453,14 +453,32 @@ class ComplianceReport(metaclass=record):
 def check_compliance(*types: SessionTypeT,
                      budget: int | None = None) -> ComplianceReport:
     """Types comply when every reachable configuration that offers no step
-    has every current at end.  No terminals at all is compliant."""
+    has every current at end.  No terminals at all is compliant.  The
+    report names roles when the types name their own (`_own_roles`)."""
+    return _compliance(types, budget, _own_roles(types))
+
+
+def _compliance(types: tuple, budget: int | None, roles: bool) \
+        -> ComplianceReport:
     ts = reachable_system(*types, budget=budget)
     live = set(ts.src)
     violations = [Violation(sid, cfg, ts.path_to(sid))
                   for sid, cfg in enumerate(ts.states) if sid not in live
                   and not all(isinstance(head_normal_type(t), TEnd)
                               for t in cfg.currents)]
-    return ComplianceReport(not violations, ts, violations)
+    return ComplianceReport(not violations, ts, violations, roles)
+
+
+def _own_roles(types: tuple) -> bool:
+    """Whether the first communication prefix of `types`, in source order,
+    names its own role, as every prefix of inferred n-role types does."""
+    stack = list(types)[::-1]
+    while stack:
+        t = stack.pop()
+        if type(t) in (TOut, TIn, TSel, TBrn):
+            return t.src is not None
+        stack += subtypes(t)[::-1]
+    return False
 
 
 class RollbackSafetyReport(metaclass=record):
@@ -480,12 +498,12 @@ def check_rollback_safety(term, budget: int | None = None) \
         -> RollbackSafetyReport:
     """A collaboration is rollback safe when, for every service, the types
     inferred for its endpoints comply: the requester and the acceptor of a
-    binary service, every role of an n-role one."""
-    roles = is_multiparty(term)
-    reports: dict = {}
-    for name, types in service_types(term).items():
-        reports[name] = check_compliance(*types, budget=budget)
-        reports[name].roles = roles
+    binary service, every role of an n-role one.  The reports name roles
+    when the endpoints do: the types of an n-role service that never
+    communicates name none."""
+    roles = any(part.role is not None for part in par_parts(term))
+    reports = {name: _compliance(types, budget, roles)
+               for name, types in service_types(term).items()}
     return RollbackSafetyReport(all(r.compliant for r in reports.values()),
                                 reports)
 

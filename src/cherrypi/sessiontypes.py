@@ -1,8 +1,9 @@
-"""Session types for checkpoint-based rollback, binary and multiparty.
+"""Session types for checkpoint-based rollback, of two roles or more.
 
 Communication prefixes optionally carry a role pair (own, partner): binary
-types leave both unset, multiparty types set the partner at inference time and
-the own side is a placeholder until `fill_roles` stamps it in.  Types are
+types leave both unset, n-role types set the partner at inference time and
+the own side as well when the role is known, else it is a placeholder
+until `fill_roles` stamps it in.  Types are
 frozen records (`syntax.record`), like terms: immutable, equal and hashed by
 class and fields, and free to carry private caches (`_rep`, `_unfolded`)
 that equality ignores.

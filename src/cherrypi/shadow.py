@@ -19,9 +19,8 @@ retyped in linear time.
 
 from __future__ import annotations
 
-from .syntax import (ComError, MEndpoint, RollError, Session, par_parts,
-                     record)
-from .sessiontypes import TErr, canonical_type, fill_roles, type_key
+from .syntax import ComError, RollError, Session, par_parts, record
+from .sessiontypes import TErr, canonical_type, type_key
 from .infer import TypingError, service_types, type_of_process
 from .semantics import (TypeConfiguration, _party_transitions, config_key,
                         initial_configuration, type_transitions)
@@ -99,16 +98,6 @@ def _mirror(cfg: TypeConfiguration, step, failures: list) \
     return cfg
 
 
-def _retype(p, ep, filled: dict):
-    """Session type of a log's process on its endpoint; an n-role log's
-    type gets its own role stamped in, like the types inference starts
-    from, with `filled` the call's `fill_roles` memo per role."""
-    if isinstance(ep, MEndpoint):
-        return fill_roles(type_of_process(p, ep, multiparty=True), ep.role,
-                          filled.setdefault(ep.role, {}))
-    return type_of_process(p, ep)
-
-
 def shadow_typecheck(program, trace) -> ShadowReport:
     """Validate a trace against the type semantics: every step must have the
     matching type-level transition, and after every step each log's current
@@ -120,7 +109,6 @@ def shadow_typecheck(program, trace) -> ShadowReport:
         return ShadowReport(False, [f"inference failed: {ex}"])
     configs: dict = {}  # session name -> TypeConfiguration
     failures: list = []
-    filled: dict = {}  # role -> its `fill_roles` memo
     # (id(step), key of the configuration it met) -> (the configuration
     # after it, None when its session is gone, and the failures it added).
     # The trace holds its steps, so their ids stay their own
@@ -134,7 +122,7 @@ def shadow_typecheck(program, trace) -> ShadowReport:
         hit = checked.get(at)
         if hit is None:
             start = len(failures)
-            cfg = _check_step(step, cfg, types, filled, failures)
+            cfg = _check_step(step, cfg, types, failures)
             hit = checked[at] = cfg, failures[start:]
         else:
             failures += hit[1]
@@ -145,7 +133,7 @@ def shadow_typecheck(program, trace) -> ShadowReport:
     return ShadowReport(not failures, failures)
 
 
-def _check_step(step, cfg, types: dict, filled: dict, failures: list):
+def _check_step(step, cfg, types: dict, failures: list):
     """One step of `shadow_typecheck` on its session's configuration `cfg`
     (None when it has none): the configuration after it, or None when it
     has none, with its failures appended to `failures`."""
@@ -168,8 +156,8 @@ def _check_step(step, cfg, types: dict, filled: dict, failures: list):
         return cfg
     for k, lg in enumerate(body):
         try:
-            got_cur = _retype(lg.current, lg.endpoint, filled)
-            got_ck = _retype(lg.ckpt.process, lg.endpoint, filled)
+            got_cur = type_of_process(lg.current, lg.endpoint)
+            got_ck = type_of_process(lg.ckpt.process, lg.endpoint)
         except TypingError as ex:
             failures.append(f"{step.label()}: retyping failed: {ex}")
             continue

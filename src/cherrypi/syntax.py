@@ -218,13 +218,16 @@ class ChanVar(metaclass=record, frozen=True):
 
 
 class Endpoint(metaclass=record, frozen=True):
-    """A binary session endpoint; `plus` marks the requester's side."""
+    """A session endpoint, owned by one role of the session.  A binary
+    session is the two-role case: its requester is role 2, its acceptor
+    role 1 (`endpoint_role`)."""
     session: str
-    plus: bool
+    role: int
 
 
 class MEndpoint(metaclass=record, frozen=True):
-    """A multiparty session endpoint, owned by one role of the session."""
+    """An endpoint of an n-role session: an `Endpoint` in all but its
+    text (`s[r]` where a binary one shows `~s` or `s`)."""
     session: str
     role: int
 
@@ -285,7 +288,7 @@ class Send(metaclass=record, frozen=True):
     chan: SessionId
     expr: Expression
     cont: "Process"
-    to_role: int | None = None  # partner role (multiparty only)
+    to_role: int | None = None  # partner role; none in a binary session
 
 
 class Recv(metaclass=record, frozen=True):
@@ -352,7 +355,7 @@ class Request(metaclass=record, frozen=True):
     chan: str
     var: str
     body: Process
-    role: int | None = None  # multiparty: the requester's role == arity n
+    role: int | None = None  # the arity n, which is the requester's role
 
 
 class Accept(metaclass=record, frozen=True):
@@ -360,6 +363,19 @@ class Accept(metaclass=record, frozen=True):
     var: str
     body: Process
     role: int | None = None
+
+
+def endpoint_role(part) -> int:
+    """The role of a request or accept: its tag, or untagged (binary) 2
+    for the requester and 1 for the acceptor."""
+    role = part.role
+    return role if role is not None else 2 if type(part) is Request else 1
+
+
+def _role_tag(role: int | None, form: str = "@{}") -> str:
+    """A role tag's text, `form` holding the role, or none for a binary
+    term, which names no roles."""
+    return "" if role is None else form.format(role)
 
 
 class Par(metaclass=record, frozen=True):
@@ -374,7 +390,7 @@ class CheckpointProcess(metaclass=record, frozen=True):
 
 
 class Log(metaclass=record, frozen=True):
-    endpoint: Endpoint | MEndpoint
+    endpoint: Endpoint  # or MEndpoint
     ckpt: CheckpointProcess
     current: Process
 
@@ -442,7 +458,7 @@ def _unbind(names: frozenset, name: tuple) -> frozenset:
 def _chan_names(r) -> frozenset:
     if isinstance(r, ChanVar):
         return frozenset({("c", r.name)})
-    if isinstance(r, (Endpoint, MEndpoint)):
+    if isinstance(r, SessionId):
         return frozenset({("s", r.session)})
     raise MalformedTerm(f"not a session identifier: {r!r}")
 
@@ -619,7 +635,7 @@ def substitute(term: Process, name: str, replacement) -> Process:
     if isinstance(replacement, Lit):
         return _subst_leaves(term, ("v", name),
                              lambda e: _subst_expr(e, name, replacement))
-    if isinstance(replacement, (ChanVar, Endpoint, MEndpoint)):
+    if isinstance(replacement, SessionId):
         var = ChanVar(name)
         return _subst_leaves(term, ("c", name),
                              chan=lambda r: replacement if r == var else r)
@@ -701,9 +717,9 @@ def _canon_chan(r, env) -> str:
     match r:
         case ChanVar(n):
             return env.get(("c", n), f"?c:{n}")
-        case Endpoint(s, plus):
+        case Endpoint(s, role):
             tag = env.get(("s", s), f"?s:{s}")
-            return f"{tag}{'+' if plus else '-'}"
+            return f"{tag}{'+' if role == 2 else '-'}"
         case MEndpoint(s, role):
             tag = env.get(("s", s), f"?s:{s}")
             return f"{tag}@{role}"
@@ -723,11 +739,11 @@ class _Counters:
 def _canon_proc(p, env, ctr) -> str:
     match p:
         case Send(ch, e, cont, tr):
-            r = "" if tr is None else f"@{tr}"
+            r = _role_tag(tr)
             return (f"(snd {_canon_chan(ch, env)}{r} {_canon_expr(e, env)} "
                     f"{_canon_proc(cont, env, ctr)})")
         case Recv(ch, y, s, cont, fr):
-            r = "" if fr is None else f"@{fr}"
+            r = _role_tag(fr)
             env2 = dict(env)
             env2[("v", y)] = f"v{ctr.v}"
             c2 = ctr.copy()
@@ -735,11 +751,11 @@ def _canon_proc(p, env, ctr) -> str:
             return (f"(rcv {_canon_chan(ch, env)}{r} {s} v{ctr.v} "
                     f"{_canon_proc(cont, env2, c2)})")
         case Select(ch, l, cont, tr):
-            r = "" if tr is None else f"@{tr}"
+            r = _role_tag(tr)
             return (f"(sel {_canon_chan(ch, env)}{r} {l} "
                     f"{_canon_proc(cont, env, ctr)})")
         case Branch(ch, arms, fr):
-            r = "" if fr is None else f"@{fr}"
+            r = _role_tag(fr)
             inner = " ".join(
                 f"[{l} {_canon_proc(a, env, ctr)}]" for l, a in arms)
             return f"(brn {_canon_chan(ch, env)}{r} {inner})"
@@ -768,17 +784,11 @@ def _canon_proc(p, env, ctr) -> str:
 
 def _canon_coll(c, env, ctr) -> str:
     match c:
-        case Request(a, x, body, role):
+        case Request(a, x, body, role) | Accept(a, x, body, role):
             env2 = dict(env)
             env2[("c", x)] = "c0"
-            rr = "" if role is None else f"[{role}]"
-            return (f"(req {a}{rr} "
-                    f"{_canon_proc(body, env2, ctr.copy())})")
-        case Accept(a, x, body, role):
-            env2 = dict(env)
-            env2[("c", x)] = "c0"
-            rr = "" if role is None else f"[{role}]"
-            return (f"(acc {a}{rr} "
+            head = "req" if type(c) is Request else "acc"
+            return (f"({head} {a}{_role_tag(role, '[{}]')} "
                     f"{_canon_proc(body, env2, ctr.copy())})")
         case Par(parts):
             rendered = sorted(_canon_coll(p, dict(env), ctr.copy())
@@ -897,12 +907,10 @@ def _ref(name: tuple, env: dict, depth: dict):
 
 def _chan_sig(r, env, depth) -> tuple:
     kind = type(r)
-    if kind is Endpoint:
-        return (Endpoint, _ref(("s", r.session), env, depth), r.plus)
-    if kind is MEndpoint:
-        return (MEndpoint, _ref(("s", r.session), env, depth), r.role)
     if kind is ChanVar:
         return (ChanVar, _ref(("c", r.name), env, depth))
+    if kind in SessionId:
+        return (kind, _ref(("s", r.session), env, depth), r.role)
     raise MalformedTerm(f"not a session identifier: {r!r}")
 
 

@@ -229,10 +229,10 @@ def naive_steps(state):
             if a.role is not None or b.role is not None:
                 continue
             name = _freshname(items)
-            p1 = substitute(a.body, a.var, Endpoint(name, True))
-            p2 = substitute(b.body, b.var, Endpoint(name, False))
-            logs = [Log(Endpoint(name, True), CheckpointProcess(p1), p1),
-                    Log(Endpoint(name, False), CheckpointProcess(p2), p2)]
+            p1 = substitute(a.body, a.var, Endpoint(name, 2))
+            p2 = substitute(b.body, b.var, Endpoint(name, 1))
+            logs = [Log(Endpoint(name, 2), CheckpointProcess(p1), p1),
+                    Log(Endpoint(name, 1), CheckpointProcess(p2), p2)]
             ses = Session(name, par(a, b), par(*logs))
             rest = [it for k, it in enumerate(items) if k not in (i, j)]
             pos = min(i, j)
@@ -634,7 +634,7 @@ def _erase_chan(ch):
         if ch.role not in (1, 2):
             raise MalformedTerm(
                 "role erasure is defined for two-party sessions only")
-        return Endpoint(ch.session, ch.role == 2)
+        return Endpoint(ch.session, ch.role)
     return ch
 
 

@@ -14,8 +14,8 @@ from collections import defaultdict, deque
 
 import cherrypi.multiparty as mp
 from conftest import BINARY_PROGRAMS
-from cherrypi.infer import (filled_types, infer_collaboration,
-                            m_service_groups, service_pairs)
+from cherrypi.infer import (infer_collaboration, service_pairs,
+                            service_types)
 from cherrypi.parser import parse_type
 from cherrypi.runtime import DecisionOracle, explore, shadow_typecheck, simulate
 from cherrypi.semantics import (check_compliance, check_rollback_safety,
@@ -286,8 +286,9 @@ def test_criterion_8_n2_conservativity(programs, verdicts):
 
         binary = check_compliance(
             *service_pairs(infer_collaboration(prog.term))[0][1:])
-        (svc,) = m_service_groups(m.term).values()
-        mrep = mp.m_check_compliance(filled_types(svc))
+        (types,) = service_types(m.term).values()
+        mrep = check_compliance(*types)
+        assert mrep.roles and not binary.roles
         assert mrep.compliant == binary.compliant, name
         assert len(mrep.system.states) == len(binary.system.states), name
         assert len(mrep.system.edges) == len(binary.system.edges), name

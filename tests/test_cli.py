@@ -81,12 +81,50 @@ def test_check_covers_multiparty_services():
     assert out == "rollback safe\n  service a: compliant (8 states, 8 edges)\n"
 
 
+# ------------------------------------------------------ role tags, all or none
+
+# a program tags every endpoint and every prefix with a role, or none of
+# them; a mix is refused as the program is parsed, by every subcommand
+MIXED_TAGS = {
+    "tagged-output": "request a(x). x!<1>@2. 0 | accept a(y). y?(v: int). 0",
+    "untagged-output":
+        "request a[2](x). x!<1>. 0 | accept a[1](y). y?(v: int)@2. 0",
+    "untagged-lone-output": "request a[2](x). x!<1>. 0 | accept a[1](y). 0",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "infer", "run", "explore"])
+@pytest.mark.parametrize("name", MIXED_TAGS)
+def test_prefix_role_tags_that_mix_with_untagged_ones_are_refused(
+        tmp_path, name, command):
+    path = tmp_path / "mixed.chpi"
+    path.write_text(MIXED_TAGS[name])
+    assert cli(command, path) == (
+        2, "", "error: 1:1: mixed multiparty and binary endpoints\n")
+
+
 # ---------------------------------------------------------------- comply
 
 def test_comply_compliant_pair():
     code, out, _ = cli("comply", CORPUS / "consumer.chty", CORPUS / "producer.chty")
     assert code == 0
     assert out == "compliant\n  10 states, 12 edges\n"
+
+
+def test_comply_names_roles_when_the_types_name_their_own(tmp_path):
+    # types whose prefixes name their own roles are reported like an n-role
+    # service: parties by role, rules with the M- prefix
+    left, right = tmp_path / "left.chty", tmp_path / "right.chty"
+    left.write_text("![2,1][int]. ![2,1][int]. end\n")
+    right.write_text("?[1,2][int]. ?[1,2][str]. end\n")
+    code, out, _ = cli("comply", left, right)
+    assert code == 1
+    assert out == (
+        "violating\n"
+        "  2 states, 1 edges\n"
+        "  violating terminal 1: M-TS-Com\n"
+        "    role2: <![2,1][int]. ![2,1][int]. end> ![2,1][int]. end\n"
+        "    role1: <?[1,2][int]. ?[1,2][str]. end> ?[1,2][str]. end\n")
 
 
 def test_comply_violating_pair_lists_terminals():

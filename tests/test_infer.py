@@ -1,8 +1,7 @@
 import pytest
 
 from conftest import BINARY_PROGRAMS
-from cherrypi.infer import (TypingError, infer_collaboration,
-                            m_infer_collaboration, service_pairs,
+from cherrypi.infer import (TypingError, infer_collaboration, service_pairs,
                             type_of_process)
 from cherrypi.parser import parse_process_text, parse_program, parse_type
 from cherrypi.sessiontypes import canonical_type, render_type
@@ -56,7 +55,7 @@ def test_nested_rec_binders_take_fresh_names_whatever_was_typed_first():
     alone = "mu X. mu Y. ![int]. brn[a: Y; c: X]"
     assert render_type(type_of_process(body, ChanVar("x"))) == whole
     for first in (0, 1):
-        ep = Endpoint(f"s{first}", True)
+        ep = Endpoint(f"s{first}", 2)
         p = substitute(body, "x", ep)
         order = [(p, whole), (p.body.cont.arms[1][1], alone)]
         if first:
@@ -68,7 +67,7 @@ def test_nested_rec_binders_take_fresh_names_whatever_was_typed_first():
 def test_a_kept_type_depends_on_no_binder_around_it():
     # a subterm that reads a received value types by that value's sort, so
     # it keeps no type: under another receive, or alone, it types afresh
-    ep = Endpoint("s1", True)
+    ep = Endpoint("s1", 2)
     reads = Send(ep, Var("v"), Inact())
     assert render_type(type_of_process(Recv(ep, "v", "int", reads), ep)) \
         == "?[int]. ![int]. end"
@@ -122,13 +121,8 @@ def test_received_variable_gets_declared_sort():
     assert render_type(inf["~a"]) == "?[int]. ![int]. end"
 
 
-def test_multiparty_program_rejected_by_binary_inference(programs):
-    with pytest.raises(TypingError):
-        infer_collaboration(programs["three_party_job"].term)
-
-
 def test_three_party_inferred_role_types(programs):
-    inf = m_infer_collaboration(programs["three_party_job"].term)
+    inf = infer_collaboration(programs["three_party_job"].term)
     assert render_type(inf["~a[3]"]) == \
         "![_,1][str]. ?[_,2][int]. cmt. ((sel[_,1][l_ok]. end) (+) roll)"
     assert render_type(inf["a[1]"]) == \
@@ -140,11 +134,30 @@ def test_multiparty_service_needs_every_role():
     prog = parse_program(
         "request a[3](x). x!<1>@1. 0 | accept a[1](y). y?(v: int)@3. 0")
     with pytest.raises(TypingError):
-        m_infer_collaboration(prog.term)
+        infer_collaboration(prog.term)
 
 
 def test_duplicate_role_rejected():
     prog = parse_program(
         "request a[2](x). 0 | accept a[1](y). 0 | accept a[1](z). 0")
     with pytest.raises(TypingError):
-        m_infer_collaboration(prog.term)
+        infer_collaboration(prog.term)
+
+
+@pytest.mark.parametrize("src, want", [
+    ("request a(x). 0 | request a(z). 0 | accept a(y). 0",
+     "two endpoints claim '~a'"),
+    ("request a(x). 0 | accept a(y). 0 | accept a(z). 0",
+     "two endpoints claim 'a'"),
+    ("request a(x). 0 | request b(z). 0 | accept b(y). 0",
+     "service 'a' has no acceptor"),
+    ("accept a(y). 0", "service 'a' has no requester"),
+])
+def test_a_binary_service_is_checked_as_two_roles_named_by_endpoint(src,
+                                                                    want):
+    # one grouping serves both kinds, so a binary service needs both sides
+    # for `infer` too, as an n-role one needs every role; its offences
+    # keep naming its endpoints, not roles
+    with pytest.raises(TypingError) as ei:
+        infer_collaboration(parse_program(src).term)
+    assert str(ei.value) == want

@@ -3,8 +3,7 @@ import pytest
 import cherrypi.multiparty as mp
 from conftest import BINARY_PROGRAMS
 from oracle_naive import erase_rule_name, erase_to_binary, erase_trace
-from cherrypi.infer import (filled_types, m_infer_collaboration,
-                            m_service_groups)
+from cherrypi.infer import infer_collaboration, service_types
 from cherrypi.parser import parse_process_text, parse_program, parse_type
 from cherrypi.runtime import (DecisionOracle, barbs, explore,
                               shadow_typecheck, simulate)
@@ -58,8 +57,8 @@ def test_binary_pairs_agree_with_binary_compliance(programs, corpus,
         binary = check_compliance(
             *service_pairs(infer_collaboration(programs[name].term))[0][1:])
         mterm = mp.to_multiparty(programs[name]).term
-        (svc,) = m_service_groups(mterm).values()
-        mrep = mp.m_check_compliance(filled_types(svc))
+        (types,) = service_types(mterm).values()
+        mrep = check_compliance(*types)
         assert mrep.compliant == binary.compliant, name
         assert len(mrep.system.states) == len(binary.system.states), name
 
@@ -231,7 +230,7 @@ def test_m_explore_needs_every_role_to_connect():
     # role 2 is missing: the session can never start
     from cherrypi.infer import TypingError
     with pytest.raises(TypingError):
-        m_infer_collaboration(prog.term)
+        infer_collaboration(prog.term)
     rep = mp.m_explore(prog, depth=5, mode="plain")
     assert len(rep.states) == 1 and rep.completed == 0
 
@@ -285,8 +284,6 @@ def test_n2_exploration_counts_match(programs, name):
     ("request a[2](x). x!<1>@1. 0"
      " | accept a[1](y). y>+{l: y!<1>@7. 0}@0",
      "communication names role 0, outside 1..2 minus the own role 1"),
-    ("request a[2](x). x!<1>. 0 | accept a[1](y). 0",
-     "communication names role None, outside 1..2 minus the own role 2"),
     ("request a[2](x). if true then rec X. x?(v: int)@2. X"
      " else x!<1>@0. 0 | accept a[1](y). 0",
      "communication names role 2, outside 1..2 minus the own role 2"),
@@ -294,5 +291,5 @@ def test_n2_exploration_counts_match(programs, name):
 def test_role_check_messages_are_exact(src, want):
     from cherrypi.infer import TypingError
     with pytest.raises(TypingError) as ei:
-        m_infer_collaboration(parse_program(src).term)
+        infer_collaboration(parse_program(src).term)
     assert str(ei.value) == want

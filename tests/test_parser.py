@@ -21,9 +21,9 @@ from cherrypi.parser import (FunDecl, ParseError, SourceProgram, _P,
                              tokenize)
 from cherrypi.sessiontypes import (TBrn, TCmt, TIn, TMu, TOut, TPlus, TVarT,
                                    _map_type, canonical_type, subtypes)
-from cherrypi.syntax import (OPERATORS, Call, ChanVar, If, Lit, PVar, Rec,
-                             Recv, Send, Ufun, Var, _map_proc, canonicalize,
-                             par, par_parts, subprocesses)
+from cherrypi.syntax import (OPERATORS, Branch, Call, ChanVar, If, Lit, PVar,
+                             Rec, Recv, Select, Send, Ufun, Var, _map_proc,
+                             canonicalize, par, par_parts, subprocesses)
 
 
 # -- programs ---------------------------------------------------------------
@@ -639,14 +639,12 @@ def _with_faults(rng, body, chan, count):
 def _faulty_program(seed):
     rng = random.Random(seed)
     prog = random_program(rng, safe=seed % 2 == 0)
-    if seed % 3 == 0:
-        prog = to_multiparty(prog)
     parts = [type(e)(e.chan, e.var,
-                     _with_faults(rng, e.body, e.var, rng.randint(0, 4)),
-                     e.role)
+                     _with_faults(rng, e.body, e.var, rng.randint(0, 4)))
              for e in par_parts(prog.term)]
-    return render_program(SourceProgram(prog.decls, par(*parts),
-                                        prog.multiparty))
+    prog = SourceProgram(prog.decls, par(*parts), False)
+    # a two-role twin tags the faults' prefixes too, so no program mixes
+    return render_program(to_multiparty(prog) if seed % 3 == 0 else prog)
 
 
 def _check_diagnostic(src, parse=parse_program):
@@ -655,6 +653,17 @@ def _check_diagnostic(src, parse=parse_program):
     except ParseError as e:
         return e.diagnostic
     return None
+
+
+def _prefix_roles(p):
+    """The partner roles of `p`'s prefixes, None where a prefix has none."""
+    kind = type(p)
+    if kind in (Send, Select):
+        yield p.to_role
+    elif kind in (Recv, Branch):
+        yield p.from_role
+    for q in subprocesses(p):
+        yield from _prefix_roles(q)
 
 
 def _reference_check_diagnostic(src):
@@ -674,7 +683,9 @@ def _reference_check_diagnostic(src):
                  if kind == "kw" and text in ("request", "accept")]
         for e, head in zip(par_parts(term), heads):
             naive_endpoint_check(src, e.body, e.var, head)
-        if len({e.role is None for e in par_parts(term)}) == 2:
+        # every endpoint and prefix is tagged with a role, or none is
+        if len({r is None for e in par_parts(term)
+                for r in (e.role, *_prefix_roles(e.body))}) == 2:
             p.fail("mixed multiparty and binary endpoints", first)
     except ParseError as e:
         return e.diagnostic

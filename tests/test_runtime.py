@@ -635,19 +635,19 @@ def test_the_shadow_retypes_each_distinct_process_once(corpus, monkeypatch):
     assert len(t.steps) == 100
     retyped, walked = [], []
 
-    def counting(p, ep, filled, _retype=shadow._retype):
+    def counting(p, ep, _retype=shadow.type_of_process):
         retyped.append(p)
-        return _retype(p, ep, filled)
+        return _retype(p, ep)
 
-    def walking(p, chan, mp, penv, venv, _type_of=infer._type_of):
+    def walking(p, chan, own, penv, venv, _type_of=infer._type_of):
         # a walk below a retype that `_ty` does not answer; a leaf's type
         # is not kept, it costs a table lookup
-        if retyped and (penv or (chan, mp) not in p.__dict__.get("_ty", {})) \
+        if retyped and (penv or chan not in p.__dict__.get("_ty", {})) \
                 and p.__match_args__:
             walked.append(id(p))
-        return _type_of(p, chan, mp, penv, venv)
+        return _type_of(p, chan, own, penv, venv)
 
-    monkeypatch.setattr(shadow, "_retype", counting)
+    monkeypatch.setattr(shadow, "type_of_process", counting)
     monkeypatch.setattr(infer, "_type_of", walking)
     assert shadow_typecheck(prog, t).ok
     asked = [(q, lg.endpoint) for s in t.steps for lg in _logs(s.state)

@@ -19,8 +19,7 @@ from cherrypi.semantics import (BudgetExceeded, CheckpointType,
                                 compliance_dot, config_transitions,
                                 export_dot, initial_configuration,
                                 reachable_system, type_transitions)
-from cherrypi.infer import (filled_types, infer_collaboration,
-                            m_service_groups, service_pairs)
+from cherrypi.infer import infer_collaboration, service_pairs, service_types
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
                                    TOut, TPlus, TRollT, TSel, TVarT,
                                    canonical_type, head_normal_type,
@@ -193,8 +192,7 @@ def _search(programs, engine):
         return lambda budget=None: explore(prog, mode="detect",
                                            budget=budget).system
     mterm = mp.to_multiparty(programs["vod_b"]).term
-    (svc,) = m_service_groups(mterm).values()
-    types = filled_types(svc)
+    (types,) = service_types(mterm).values()
     return lambda budget=None: mp.m_reachable_system(types, budget)
 
 
@@ -562,8 +560,8 @@ def test_keyed_stepper_matches_the_reference_on_three_roles(programs):
     rules = set()
     for term in (programs["three_party_job"].term,
                  parse_program(THREE_ROLES).term):
-        (svc,) = m_service_groups(term).values()
-        ts = _assert_stepper_matches_reference(*filled_types(svc))
+        (types,) = service_types(term).values()
+        ts = _assert_stepper_matches_reference(*types)
         rules |= {e.rule for e in ts.edges}
     # every journal rule is exercised
     assert rules == {"TS-Com", "TS-Lab", "TS-Tau", "TS-Cmt1", "TS-Cmt2",

@@ -13,7 +13,7 @@ from cherrypi.sessiontypes import (TMu, fill_roles, free_type_vars,
                                    unfold_type)
 from cherrypi.syntax import (_REPS, _drop, _intern, Accept, Branch, Call, ChanVar,
                              CheckpointProcess, Commit, Endpoint, If, Inact,
-                             Lit, Log, MEndpoint, Par, PVar, Rec, Recv,
+                             Lit, Log, Par, PVar, Rec, Recv,
                              Request, Roll, Select, Send, Session, Ufun, Var,
                              canonicalize, equivalent, head_normal, par,
                              par_parts, process_canonical, process_key,
@@ -114,9 +114,7 @@ def _renamed(t, f):
     def chan(r):
         if isinstance(r, ChanVar):
             return ChanVar(f(r.name))
-        if isinstance(r, Endpoint):
-            return Endpoint(f(r.session), r.plus)
-        return MEndpoint(f(r.session), r.role)
+        return type(r)(f(r.session), r.role)
 
     def expr(e):
         match e:
@@ -223,19 +221,19 @@ def test_keys_abstract_session_names_binders_and_order():
     initial = par(a, b)
     assert term_key(initial) == term_key(par(b, _renamed(a, str.upper)))
     ses = Session("s1", initial,
-                  par(Log(Endpoint("s1", True), CheckpointProcess(Inact()),
+                  par(Log(Endpoint("s1", 2), CheckpointProcess(Inact()),
                           Inact()),
-                      Log(Endpoint("s1", False), CheckpointProcess(Roll()),
+                      Log(Endpoint("s1", 1), CheckpointProcess(Roll()),
                           Inact())))
     renamed = _renamed(ses, lambda n: "s7" if n == "s1" else n)
     assert term_key(ses) == term_key(renamed)
     assert term_key(par(ses, a)) == term_key(par(a, renamed))
     # a bare process keeps its free session names
-    p = Send(Endpoint("s1", True), Lit(1), Inact())
+    p = Send(Endpoint("s1", 2), Lit(1), Inact())
     assert process_key(p) != process_key(_renamed(p, lambda n: "s2"))
     # the imposed flag of a checkpoint is part of the key
     imposed = Session("s1", initial,
-                      par(Log(Endpoint("s1", True),
+                      par(Log(Endpoint("s1", 2),
                               CheckpointProcess(Inact(), imposed=True),
                               Inact()),
                           ses.body.parts[1]))
@@ -273,7 +271,7 @@ def test_a_substitution_tells_value_sorts_apart_and_keeps_unchanged_nodes():
     # an unchanged result is the node itself
     q = Send(k, Lit(1), Inact())
     assert substitute(q, "v", Lit(1)) is q
-    assert substitute(q, "k2", Endpoint("s1", True)) is q
+    assert substitute(q, "k2", Endpoint("s1", 2)) is q
 
 
 def _subterms(t, children):
