@@ -11,16 +11,18 @@ runs in C: one `findall` gives the tokens' texts and a dict lookup each
 one's kind (keywords and symbols by text, the rest by first character).
 It keeps no offsets: the parsers hold a token by its index, and `_spans`
 matches the text again only when a diagnostic needs them.
-The parsers check well-formedness as they go: each carries the names
-its binders (`rec X`, a receive's variable, the endpoint's session
-variable, `mu t`) put in scope down to what it parses next, and notes the
-first unguarded recursion, rebinding or unbound name.  `parse_program`
-and `parse_type` raise that offence only once the whole text has parsed,
-so a syntax error anywhere wins over it.  Nothing is kept on the nodes:
-the free-name cache `_fv` is filled by the runtime on first use.
-Expressions parse by one precedence-climbing loop over
-`syntax.OPERATORS`, and `render_expr` parenthesises by the same strengths
-and groupings.
+Processes and types are each read by one loop over an explicit stack
+(predictive parsing), so a parse takes no Python frame per nesting level
+and sets no depth limit.  The parsers check well-formedness as they go:
+each carries the names its binders (`rec X`, a receive's variable, the
+endpoint's session variable, `mu t`) put in scope down to what it reads
+next, and notes the first unguarded recursion, rebinding or unbound
+name.  `parse_program` and `parse_type` raise that offence only once the
+whole text has parsed, so a syntax error anywhere wins over it.  Nothing
+is kept on the nodes: the free-name cache `_fv` is filled by the runtime
+on first use.  Expressions parse by precedence climbing over
+`syntax.OPERATORS`, a frame or two per operand, and `render_expr`
+parenthesises by the same strengths and groupings.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      par_parts, record, subprocesses, operator_of,
                      OPERATORS, SORTS, MalformedTerm, _NO_NAMES, _role_tag)
 from . import sessiontypes as st
+from .sessiontypes import TBrn, TCmt, TIn, TMu, TOut, TPlus, TSel, TVarT
 
 KEYWORDS = {"request", "accept", "if", "then", "else", "rec", "commit",
             "roll", "abort", "true", "false", "fun", "in", "bool", "int",
@@ -191,11 +194,6 @@ class _P:
         self.kinds, self.texts = tokenize(src)
         self.pos = 0  # past the first eof entry only to end or to fail
 
-    def next(self) -> int:
-        """Step past the current token: its index."""
-        self.pos += 1
-        return self.pos - 1
-
     def at(self, kind: str, text: str | None = None) -> bool:
         return self.kinds[self.pos] == kind and (
             text is None or self.texts[self.pos] == text)
@@ -294,6 +292,22 @@ _TIGHTEST = max(row.prec for row in OPERATORS.values())
 
 
 _UNBOUND = ("variable", "recursion variable", "session variable")
+# the prefixes by the token after their session variable, the kinds of a
+# receive's `(v: s)`, and the tokens that are a whole process
+_PREFIX_OPS = {"!": Send, "?": Recv, "<+": Select, ">+": Branch}
+_RECV = ["(", "ident", ":", "kw", ")"]
+_LEAVES = {("int", "0"): Inact, ("kw", "roll"): Roll, ("kw", "abort"): Abort}
+
+
+def _arm_label(p: _P, arms: list) -> str:
+    """A branch arm's label and its `:`; an earlier arm's is refused."""
+    at = p.pos
+    lab = p.expect("ident")
+    for seen, _ in arms:
+        if seen == lab:
+            p.fail(f"duplicate branch label {lab!r}", at)
+    p.expect(":")
+    return lab
 
 
 class _ProgParser:
@@ -322,7 +336,6 @@ class _ProgParser:
         self.session_chan = ChanVar(session_var)  # shared by its prefixes
         self.vals: set = set()  # the bound values ...
         self.recs: set = set()  # ... and recursion variables
-        self.pending = _NO_NAMES  # recursion variables no prefix guards
         self.unguarded = self.rebound = None  # the first of each's message
         self.free = (set(), set(), set())  # unbound names, as in _UNBOUND
 
@@ -372,7 +385,8 @@ class _ProgParser:
             p.expect(")")
             return e
         if p.at("ident"):
-            at = p.next()
+            at = p.pos
+            p.pos += 1
             name = p.texts[at]
             if p.eat("("):
                 args: list = []
@@ -401,121 +415,157 @@ class _ProgParser:
     # -- processes ----------------------------------------------------------
 
     def process(self) -> Process:
-        p = self.p
+        """A process, read by one loop over an explicit stack: what a
+        process follows (a prefix, `commit`, `rec`, `if`, an arm, a
+        parenthesis) pushes a frame, a list of its tag and fields, and a
+        leaf folds the frames until one needs more text or none is left.
+        Scope and offences change in the order of a recursive descent;
+        `pending` holds the recursion variables no prefix guards."""
+        p, vals, recs, own = self.p, self.vals, self.recs, self.session_var
+        kinds, texts, tagged = p.kinds, p.texts, self.tagged
+        pending = _NO_NAMES
+        stack: list = []
+        push, pop = stack.append, stack.pop
         i = p.pos
-        kind, text = p.kinds[i], p.texts[i]
-        if kind == "kw":
+        while True:
+            kind, text = kinds[i], texts[i]
+            made = _PREFIX_OPS.get(kinds[i + 1]) if kind == "ident" else None
+            if made is not None:
+                if text != own:
+                    self.free[2].add(text)
+                ch = self.session_chan if text == own else ChanVar(text)
+                pending, b = _NO_NAMES, None
+                if made is Branch:
+                    p.pos = i + 2
+                    # a role tag before the arm block, or after it
+                    role = self._role_suffix() if p.at("@") else None
+                    p.expect("{")
+                    arms: list = []
+                    push([Branch, ch, role, arms, _arm_label(p, arms)])
+                    i = p.pos
+                    continue
+                # where a token is out of place, `expect` raises
+                if made is Recv:
+                    if kinds[i + 2:i + 7] != _RECV \
+                            or texts[i + 5] not in SORTS:
+                        p.pos = i + 2
+                        p.expect("(")
+                        p.expect("ident")
+                        p.expect(":")
+                        _parse_sort(p)
+                        p.expect(")")
+                    a, b, i = texts[i + 3], texts[i + 5], i + 7
+                elif made is Select:
+                    if kinds[i + 2] != "ident":
+                        p.pos = i + 2
+                        p.expect("ident")
+                    a, i = texts[i + 2], i + 3
+                elif kinds[i + 2:i + 5:2] == ["<", ">"] \
+                        and kinds[i + 3] not in _PREFIX:  # `_atom` reads it
+                    p.pos = i + 3
+                    a, i = _lit_from_token(p) or self._atom(), i + 5
+                else:
+                    p.pos = i + 2
+                    p.expect("<")
+                    a = self.expr()
+                    p.expect(">")
+                    i = p.pos
+                if kinds[i] == ".":
+                    role, i = None, i + 1
+                    tagged.add(False)
+                else:
+                    p.pos = i
+                    role = self._role_suffix()
+                    p.expect(".")
+                    i = p.pos
+                if made is Recv:
+                    if (a in vals or a == own) and self.rebound is None:
+                        self.rebound = (f"variable {a!r} rebound inside "
+                                        f"its own scope")
+                    vals.add(a)
+                push([made, ch, a, b, role])
+                continue
             p.pos = i + 1
-            if text == "if":
+            if kind == "kw" and text == "if":
                 cond = self.expr()
                 p.expect("kw", "then")
-                pending = self.pending  # a conditional is no guard
-                then = self.process()
-                self.pending = pending
-                p.expect("kw", "else")
-                return If(cond, then, self.process())
-            if text == "rec":
+                push(["then", cond, pending])  # a conditional is no guard
+            elif kind == "kw" and text == "rec":
                 x = p.expect("ident")
                 p.expect(".")
-                if x in self.recs and self.rebound is None:
+                if x in recs and self.rebound is None:
                     self.rebound = (f"recursion variable {x!r} rebound "
                                     f"inside its own scope")
-                self.recs.add(x)
-                self.pending = self.pending | {x}
-                body = self.process()
-                self.recs.discard(x)
-                return Rec(x, body)
-            if text == "commit":
-                p.expect(".")
-                self.pending = _NO_NAMES
-                return Commit(self.process())
-            if text == "roll":
-                return Roll()
-            if text == "abort":
-                return Abort()
-            p.fail(f"unexpected keyword {text!r} in process", i)
-        if kind == "int":
-            if text == "0":
-                p.pos = i + 1
-                return Inact()
-            p.fail("expected a process (a bare number is not one)")
-        if kind == "(":
-            p.pos = i + 1
-            body = self.process()
-            p.expect(")")
-            return body
-        if kind == "ident":
-            p.pos = i + 1
-            if p.kinds[i + 1] in ("!", "?", "<+", ">+"):
-                if text != self.session_var:
-                    self.free[2].add(text)
-                self.pending = _NO_NAMES
-                return self._prefixed(self.session_chan if text ==
-                                      self.session_var else ChanVar(text))
-            if text in self.pending and self.unguarded is None:
-                self.unguarded = f"unguarded recursion on {text!r}"
-            if text not in self.recs:
-                self.free[1].add(text)
-            return PVar(text)
-        p.fail("expected a process")
+                recs.add(x)
+                pending = pending | {x}
+                push([Rec, x])
+            elif kind == "kw" and text == "commit":
+                if kinds[i + 1] != ".":
+                    p.expect(".")
+                p.pos, pending = i + 2, _NO_NAMES
+                push([Commit])
+            elif kind == "(":
+                push(["("])
+            else:
+                leaf = _LEAVES.get((kind, text))
+                if leaf is not None:
+                    node = leaf()
+                elif kind == "ident":
+                    if text in pending and self.unguarded is None:
+                        self.unguarded = f"unguarded recursion on {text!r}"
+                    if text not in recs:
+                        self.free[1].add(text)
+                    node = PVar(text)
+                else:
+                    p.fail(f"unexpected keyword {text!r} in process"
+                           if kind == "kw" else "expected a process (a "
+                           "bare number is not one)" if kind == "int"
+                           else "expected a process", i)
+                while stack:
+                    frame = pop()
+                    tag = frame[0]
+                    if tag is Send or tag is Recv or tag is Select:
+                        _, ch, a, b, role = frame
+                        if tag is Recv:
+                            vals.discard(a)
+                            node = Recv(ch, a, b, node, role)
+                        else:
+                            node = tag(ch, a, node, role)
+                    elif tag is Commit:
+                        node = Commit(node)
+                    elif tag is Rec:
+                        recs.discard(frame[1])
+                        node = Rec(frame[1], node)
+                    elif tag is If:
+                        node = If(frame[1], frame[2], node)
+                    elif tag is Branch:
+                        _, ch, role, arms, lab = frame
+                        arms.append((lab, node))
+                        if p.eat(","):
+                            frame[4] = _arm_label(p, arms)
+                            push(frame)
+                            pending = _NO_NAMES
+                            break
+                        p.expect("}")
+                        if role is None:
+                            role = self._role_suffix()
+                        node = Branch(ch, tuple(arms), role)
+                    elif tag == "then":  # the else-branch follows
+                        pending = frame[2]
+                        p.expect("kw", "else")
+                        push([If, frame[1], node])
+                        break
+                    else:
+                        p.expect(")")
+                else:
+                    return node
+            i = p.pos
 
     def _role_suffix(self) -> int | None:
         """A prefix's role tag, or None; either is noted in `tagged`."""
         role = int(self.p.expect("int")) if self.p.eat("@") else None
         self.tagged.add(role is not None)
         return role
-
-    def _prefixed(self, ch) -> Process:
-        p = self.p
-        if p.eat("!"):
-            p.expect("<")
-            e = self.expr()
-            p.expect(">")
-            role = self._role_suffix()
-            p.expect(".")
-            return Send(ch, e, self.process(), role)
-        if p.eat("?"):
-            p.expect("(")
-            y = p.expect("ident")
-            p.expect(":")
-            sort = _parse_sort(p)
-            p.expect(")")
-            role = self._role_suffix()
-            p.expect(".")
-            if (y in self.vals or y == self.session_var) \
-                    and self.rebound is None:
-                self.rebound = f"variable {y!r} rebound inside its own scope"
-            self.vals.add(y)
-            cont = self.process()
-            self.vals.discard(y)
-            return Recv(ch, y, sort, cont, role)
-        if p.eat("<+"):
-            lab = p.expect("ident")
-            role = self._role_suffix()
-            p.expect(".")
-            return Select(ch, lab, self.process(), role)
-        if p.eat(">+"):
-            # a role tag before the arm block ...
-            role = self._role_suffix() if p.at("@") else None
-            p.expect("{")
-            arms: list = []
-            seen: set = set()
-            while True:
-                at = p.pos
-                lab = p.expect("ident")
-                if lab in seen:
-                    p.fail(f"duplicate branch label {lab!r}", at)
-                seen.add(lab)
-                p.expect(":")
-                self.pending = _NO_NAMES
-                arms.append((lab, self.process()))
-                if not p.eat(","):
-                    break
-            p.expect("}")
-            if role is None:  # ... or after it
-                role = self._role_suffix()
-            return Branch(ch, tuple(arms), role)
-        p.fail("expected !, ?, <+ or >+ after a session variable")
 
     # -- collaborations -----------------------------------------------------
 
@@ -614,115 +664,143 @@ def _type_roles(p: _P) -> tuple:
     return a, b
 
 
-# ![sort]. T, ?[sort]. T and sel[label]. T
-_TYPE_PREFIXES = {"!": st.TOut, "?": st.TIn, "sel": st.TSel}
+# ![sort]. T, ?[sort]. T and sel[label]. T, and the kinds of the tokens
+# of their `[s].` when they name no roles
+_TYPE_PREFIXES = {"!": TOut, "?": TIn, "sel": TSel}
+_SHAPES = {"!": ["[", "kw", "]", "."], "?": ["[", "kw", "]", "."],
+           "sel": ["[", "ident", "]", "."]}
 _TYPE_ATOMS = {"end": st.TEnd, "err": st.TErr, "roll": st.TRollT,
                "abt": st.TAbtT}
 
 
-class _TypeParser:
-    """Parses a type and checks its variables on the way: the first
-    unguarded variable in the text is rejected at its own token, else the
-    alphabetically first free variable at its first occurrence.  Scope is
-    decided on the way down (`bound`), guardedness on the way up: `(+)`
-    guards its left operand too, which is parsed before the `(+)` is
-    seen.  So `chain` is the variable that ends the chain of `mu`s just
-    parsed (`mu t. mu u. t` ends in `t`), which every prefix and `(+)`
-    clears, and a `mu` whose own variable ends its body's chain is
-    unguarded."""
-
-    def __init__(self, p: _P):
-        self.p = p
-        self.bound: set = set()  # the `mu` variables in scope
-        self.chain = None  # the token index of that variable, or None
-        self.unguarded = None  # the first one's (message, token index)
-        self.free: dict = {}  # free variable -> its first token's index
-
-    def type_(self) -> st.SessionTypeT:
-        return self._plus(self._prefix())
-
-    def _plus(self, t: st.SessionTypeT) -> st.SessionTypeT:
-        """`t` followed by its `(+) T` operands, each a prefix."""
-        p = self.p
-        while p.kinds[p.pos:p.pos + 3] == ["(", "+", ")"]:
-            p.pos += 3
-            t = st.TPlus(t, self._prefix())
-            self.chain = None
-        return t
-
-    def _prefix(self) -> st.SessionTypeT:
-        p = self.p
-        i = p.next()
-        kind, text = p.kinds[i], p.texts[i]
+def _read_type(p: _P) -> tuple:
+    """A type, read as `_ProgParser.process` reads a process; the first
+    unguarded variable's (message, token index), or None; and each free
+    variable's first token index.  A type is a prefix and its `(+)`
+    operands, each a prefix, grouped to the left; a parenthesised type
+    takes the operands that follow it, even as an operand itself.  Scope
+    is decided on the way down (`bound`), guardedness on the way up:
+    `chain` is the variable that ends the chain of `mu`s just read (`mu t.
+    mu u. t` ends in `t`), which every prefix and `(+)` clears, so a `mu`
+    whose own variable ends its body's chain is unguarded."""
+    kinds, texts = p.kinds, p.texts
+    bound: set = set()
+    chain = unguarded = None
+    free: dict = {}
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    i = p.pos
+    while True:
+        kind, text = kinds[i], texts[i]
         key = text if kind == "kw" else kind
-        if key in _TYPE_PREFIXES:
-            src, dst = _type_roles(p)
-            p.expect("[")
-            x = p.expect("ident") if key == "sel" else _parse_sort(p)
-            p.expect("]")
-            p.expect(".")
-            t = _TYPE_PREFIXES[key](x, self.type_(), src, dst)
-        elif key == "brn":
+        made = _TYPE_PREFIXES.get(key)
+        if made is not None:
+            x = texts[i + 2]
+            if kinds[i + 1:i + 5] == _SHAPES[key] \
+                    and (x != "_" if made is TSel else x in SORTS):
+                src = dst = None
+                i += 5
+            else:
+                p.pos = i + 1
+                src, dst = _type_roles(p)
+                p.expect("[")
+                x = p.expect("ident") if made is TSel else _parse_sort(p)
+                p.expect("]")
+                p.expect(".")
+                i = p.pos
+            push([made, x, src, dst])
+            continue
+        p.pos = i + 1
+        if key == "brn":
             src, dst = _type_roles(p)
             p.expect("[")
             arms: list = []
-            seen: set = set()
-            while True:
-                at = p.pos
-                lab = p.expect("ident")
-                if lab in seen:
-                    p.fail(f"duplicate branch label {lab!r}", at)
-                seen.add(lab)
-                p.expect(":")
-                arms.append((lab, self.type_()))
-                if not p.eat(";"):
-                    break
-            p.expect("]")
-            t = st.TBrn(tuple(arms), src, dst)
+            push([TBrn, src, dst, arms, _arm_label(p, arms)])
+            i = p.pos
         elif key == "mu":
             v = p.expect("ident")
             p.expect(".")
-            bound = self.bound
-            fresh = v not in bound
+            push([TMu, v, v not in bound])
             bound.add(v)
-            t = st.TMu(v, self.type_())
-            if fresh:
-                bound.discard(v)
-            at = self.chain
-            if at is not None and p.texts[at] == v and self.unguarded is None:
-                self.unguarded = (f"unguarded recursive type on {v!r}", at)
-            return t  # the chain goes on through the `mu`
+            i = p.pos
         elif key == "cmt":
-            p.expect(".")
-            t = st.TCmt(self.type_())
-        elif key in _TYPE_ATOMS:
-            t = _TYPE_ATOMS[key]()
+            if kinds[i + 1] != ".":
+                p.expect(".")
+            push([key])
+            i += 2
         elif key == "(":
-            inner = self.type_()
-            p.expect(")")
-            return self._plus(inner)
-        elif key == "ident":
-            if text not in self.bound:
-                self.free.setdefault(text, i)
-            self.chain = i
-            return st.TVarT(text)
+            push([key])
+            i += 1
         else:
-            p.fail(f"unexpected keyword {text!r} in type" if kind == "kw"
-                   else "expected a session type", i)
-        self.chain = None
-        return t
+            if key == "ident":
+                if text not in bound:
+                    free.setdefault(text, i)
+                chain, node = i, TVarT(text)
+            elif key in _TYPE_ATOMS:
+                chain, node = None, _TYPE_ATOMS[key]()
+            else:
+                p.fail(f"unexpected keyword {text!r} in type" if kind == "kw"
+                       else "expected a session type", i)
+            i += 1
+            tag = None
+            while True:
+                # a node takes `(+)` operands unless it is one, the `(+)`
+                # frame below it; a parenthesised one takes them anyway
+                if kinds[i] == "(" and kinds[i + 1:i + 3] == ["+", ")"] and (
+                        tag == "(" or not stack or stack[-1][0] is not TPlus):
+                    push([TPlus, node])
+                    i += 3
+                    break
+                if not stack:
+                    p.pos = i
+                    return node, unguarded, free
+                frame = pop()
+                tag = frame[0]
+                if tag is TOut or tag is TIn or tag is TSel:
+                    node = tag(frame[1], node, frame[2], frame[3])
+                elif tag is TMu:
+                    _, v, fresh = frame
+                    if fresh:
+                        bound.discard(v)
+                    node = TMu(v, node)
+                    if chain is not None and texts[chain] == v \
+                            and unguarded is None:
+                        unguarded = (f"unguarded recursive type on {v!r}",
+                                     chain)
+                    continue  # the chain goes on through the `mu`
+                elif tag is TPlus:
+                    node = TPlus(frame[1], node)
+                elif tag is TBrn:
+                    _, src, dst, arms, lab = frame
+                    arms.append((lab, node))
+                    p.pos = i
+                    if p.eat(";"):
+                        frame[4] = _arm_label(p, arms)
+                        push(frame)
+                        i = p.pos
+                        break
+                    p.expect("]")
+                    i = p.pos
+                    node = TBrn(tuple(arms), src, dst)
+                elif tag == "cmt":
+                    node = TCmt(node)
+                else:
+                    p.pos = i
+                    p.expect(")")
+                    i = p.pos
+                    continue
+                chain = None
 
 
 def parse_type(src: str) -> st.SessionTypeT:
     p = _P(src)
-    tp = _TypeParser(p)
-    t = tp.type_()
+    t, unguarded, free = _read_type(p)
     p.expect("eof")
-    if tp.unguarded is not None:
-        p.fail(*tp.unguarded)
-    if tp.free:
-        name = min(tp.free)
-        p.fail(f"unbound type variable {name!r}", tp.free[name])
+    if unguarded is not None:
+        p.fail(*unguarded)
+    if free:
+        name = min(free)
+        p.fail(f"unbound type variable {name!r}", free[name])
     return t
 
 

@@ -2,16 +2,14 @@
 
 Communication prefixes optionally carry a role pair (own, partner): binary
 types leave both unset, n-role types set the partner at inference time and
-the own side as well when the role is known, else it is a placeholder
-until `fill_roles` stamps it in.  Types are
-frozen records (`syntax.record`), like terms: immutable, equal and hashed by
-class and fields, and free to carry private caches (`_rep`, `_unfolded`)
-that equality ignores.
+the own side as well when the role is known, else it stays open (`_`).
+Types are frozen records (`syntax.record`), like terms: immutable, equal
+and hashed by class and fields, and free to carry private caches (`_rep`,
+`_unfolded`) that equality ignores.
 
 `subtypes` and `_map_type` are the one statement of each type's shape;
 `_map_type` returns a node whose children did not change as the same
-object.  `subst_type`, `fill_roles`, `free_type_vars` and the parser's
-contractiveness check are built on them.  `canonical_type`, `type_key`,
+object.  `subst_type` is built on them.  `canonical_type`, `type_key`,
 `render_type` and `semantics.type_transitions` stay hand-written: they
 number binders, cache on the node, emit concrete syntax or step a type.
 """
@@ -24,7 +22,7 @@ from .syntax import MalformedTerm, _UNFOLD_FUEL, _intern, record
 class TOut(metaclass=record, frozen=True):
     sort: str
     cont: "SessionTypeT"
-    src: int | None = None  # own role (None = placeholder / binary)
+    src: int | None = None  # own role (None = open / binary)
     dst: int | None = None  # partner role
 
 
@@ -104,24 +102,22 @@ def subtypes(t: SessionTypeT) -> tuple:
     return ()
 
 
-def _map_type(t: SessionTypeT, go, own: int | None = None) -> SessionTypeT:
-    """`t` with `go` applied to its direct subtypes and, when `own` is
-    given, `own` stamped into an open own-role slot.  When nothing changes
+def _map_type(t: SessionTypeT, go) -> SessionTypeT:
+    """`t` with `go` applied to its direct subtypes.  When nothing changes
     `t` itself comes back, so a walk copies only the spine above a change,
     and the subtrees it keeps bring their cached keys and unfoldings."""
     kind = type(t)
     if kind is TOut or kind is TIn or kind is TSel:
-        c, a = t.cont, t.src
-        nc, na = go(c), own if a is None else a
-        return t if nc is c and na == a else kind(
-            t.label if kind is TSel else t.sort, nc, na, t.dst)
+        c = t.cont
+        nc = go(c)
+        return t if nc is c else kind(
+            t.label if kind is TSel else t.sort, nc, t.src, t.dst)
     if kind is TBrn:
-        arms, a = t.arms, t.src
+        arms = t.arms
         narms = tuple((l, go(c)) for l, c in arms)
-        na = own if a is None else a
-        if na == a and all(n is c for (_, n), (_, c) in zip(narms, arms)):
+        if all(n is c for (_, n), (_, c) in zip(narms, arms)):
             return t
-        return TBrn(narms, na, t.dst)
+        return TBrn(narms, t.src, t.dst)
     if kind is TPlus:
         l, r = t.left, t.right
         nl, nr = go(l), go(r)
@@ -175,36 +171,6 @@ def head_normal_type(t: SessionTypeT) -> SessionTypeT:
         if fuel == 0:
             raise MalformedTerm("unguarded recursive type")
     return t
-
-
-def free_type_vars(t: SessionTypeT) -> frozenset:
-    if isinstance(t, TVarT):
-        return frozenset({t.name})
-    if isinstance(t, TMu):
-        return free_type_vars(t.body) - {t.var}
-    return frozenset().union(*map(free_type_vars, subtypes(t)))
-
-
-def fill_roles(t: SessionTypeT, own: int,
-               memo: dict | None = None) -> SessionTypeT:
-    """Stamp `own` into the placeholder own-role slot of every prefix; an
-    already filled type comes back as it is.  A caller that fills many
-    types sharing subtrees passes `memo`, a dict it keeps for this `own`:
-    each node's result is kept there by the node's `id`, with the node, so
-    filling a subtype of a type filled before is a lookup."""
-
-    def go(t):
-        if memo is None:
-            return _map_type(t, go, own)
-        hit = memo.get(id(t))
-        if hit is None:
-            hit = memo[id(t)] = t, _map_type(t, go, own)
-        return hit[1]
-
-    try:
-        return go(t)
-    finally:
-        del go
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ for a CI job (about 5 s on a 2-vCPU host; its kpar section alone is
   with `--budget` 1, 3 and 7, which print the exit-3 lines;
 - large: the check-large shapes of the benchmark (menus, chains and dense
   chains: `comply`, `check` and the twin's `check`, text and `--json`)
-  and its depth probes, which exit 3.
+  and its depth probes (a 500-message chain and a 200-message dense
+  chain), which print their verdicts.
 
 Each invocation adds its arguments, stdout, stderr and exit code to its
 section.  The corpus directory, the directory the generated inputs are
@@ -318,7 +319,8 @@ def full_sections(tmp: Path) -> dict:
             t.call("large", "comply", left, right, *fmt)
             for prog in _with_twin(t, inp.name, inp.program):
                 t.call("large", "check", prog, *fmt)
-    # the benchmark's depth probes: past the recursion limit, exit 3
+    # the benchmark's depth probes: deeper than a parser that took a Python
+    # frame per nesting level could read
     rng = random.Random("probes")
     deep = gen.chain(rng, "c", 500, False, False)
     dense = gen.chain(rng, "c", 200, True, False)

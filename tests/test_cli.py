@@ -20,6 +20,7 @@ import cherrypi
 from cherrypi import corpus_dir
 from cherrypi.cli import main
 from cherrypi.syntax import par_parts
+from test_dispatch import _chain
 
 CORPUS = corpus_dir()
 
@@ -512,14 +513,32 @@ def test_type_file_diagnostic_counts_leading_blank_lines(tmp_path):
 
 
 def test_deeply_nested_type_exits_three_not_a_verdict(tmp_path):
+    # parsing takes no frame per level, but `type_key` takes one
     left, right = tmp_path / "l.chty", tmp_path / "r.chty"
-    left.write_text("![int]. " * 600 + "end")
-    right.write_text("?[int]. " * 600 + "end")
+    left.write_text("![int]. " * 3000 + "end")
+    right.write_text("?[int]. " * 3000 + "end")
     code, out, err = cli("comply", left, right)
     assert code == 3
     assert out == ""
     assert err.startswith("error: input nested too deeply")
     assert err.count("\n") == 1
+
+
+def test_a_chain_of_900_messages_complies(tmp_path):
+    left, right = tmp_path / "l.chty", tmp_path / "r.chty"
+    left.write_text("![int]. " * 900 + "end")
+    right.write_text("?[int]. " * 900 + "end")
+    code, out, err = cli("comply", left, right)
+    assert (code, err) == (0, "")
+    assert "901 states, 900 edges" in out
+
+
+def test_a_chain_of_900_messages_is_rollback_safe(tmp_path):
+    program = tmp_path / "chain.chpi"
+    program.write_text(_chain(900)[2])
+    code, out, err = cli("check", program)
+    assert (code, err) == (0, "")
+    assert "904 states" in out
 
 
 def _recorded(tmp_path):

@@ -17,6 +17,7 @@ import threading
 import pytest
 
 import cherrypi
+from conftest import fill_roles
 from cherrypi import infer, sessiontypes
 from cherrypi.infer import (TypingError, _check_roles_used, _type_of,
                             sort_of_expression, type_of_process)
@@ -28,8 +29,7 @@ from cherrypi.runtime import (DecisionOracle, barbs, enumerate_values,
 from cherrypi.multiparty import to_multiparty
 from cherrypi.semantics import check_compliance, check_rollback_safety
 from cherrypi.sessiontypes import (TEnd, TOut, TVarT, canonical_type,
-                                   fill_roles, render_type, subst_type,
-                                   type_key)
+                                   render_type, subst_type, type_key)
 from cherrypi.syntax import (_NO_DEPTH, Call, ChanVar, Inact, Lit,
                              MalformedTerm, PVar, Request, Send, Var,
                              _expr_names, _expr_sig, _names, _subst_expr,
@@ -184,14 +184,17 @@ def _run(_, __, program):
             and replay(trace.to_json()).ok)
 
 
-@pytest.mark.parametrize("path", [_comply, _check, _run],
+@pytest.mark.parametrize("path, k", [(_comply, 900), (_check, 900),
+                                     (_run, 480)],
                          ids=["comply", "check", "run-shadow-replay"])
-def test_a_chain_of_480_messages_passes_every_path(path):
+def test_a_chain_of_480_messages_passes_every_path(path, k):
     # in a fresh thread, so the test runner's own frames do not count.
-    # The parser's two frames per level set the deepest chain each path
-    # accepts at about 490, so a walker on these paths that took three
-    # fails here; `FRAMES` below pins each walker's own count
-    inputs = _chain(480)
+    # Parsing takes no frame per level; `type_key` and `_type_of` take
+    # one, which sets the deepest chain comply and check accept at about
+    # 950, and substitution two, which sets run's at about 490.  So a
+    # walker on these paths that took one more fails here; `FRAMES`
+    # below pins each walker's own count
+    inputs = _chain(k)
     result = []
 
     def body():
@@ -208,7 +211,7 @@ def test_a_chain_of_480_messages_passes_every_path(path):
 
 def _shadow_visits(k: int, twin: bool, monkeypatch) -> list:
     """Calls of `infer._type_of` and of `sessiontypes._map_type` (the
-    walk of `fill_roles`) while the shadow checks the detect run of
+    walk of type substitution) while the shadow checks the detect run of
     `_chain(k)`, or of its two-role twin."""
     prog = parse_program(_chain(k)[2])
     if twin:
@@ -304,6 +307,45 @@ FRAMES = {
     "fill_roles": (_types, lambda t: fill_roles(t, 1), 2),
     "subst_type": (_types, lambda t: subst_type(t, "t", TEnd()), 2),
 }
+
+
+def _endpoint(head: str, leaf: str, tail: str = ""):
+    """A program whose requester nests `head` d deep around `leaf`."""
+    return lambda d: (f"request a(x). {head * d}{leaf}{tail * d} "
+                      f"| accept a(y). 0")
+
+
+def _nested(head: str, leaf: str, tail: str = ""):
+    return lambda d: head * d + leaf + tail * d
+
+
+# the parsers read every construct that nests by a loop: no frame per level
+FRAMES.update({
+    "parse_program-prefixes": (lambda d: "request a(x). " + "".join(
+        f"x!<{i}>. x?(v{i}: int). x<+ l. " for i in range(d))
+        + "0 | accept a(y). 0", parse_program, 0),
+    "parse_program-commit": (_endpoint("commit. ", "0"), parse_program, 0),
+    "parse_program-rec": (lambda d: "request a(x). " + "".join(
+        f"rec X{i}. " for i in range(d)) + "x!<1>. X0 | accept a(y). 0",
+        parse_program, 0),
+    "parse_program-then": (_endpoint("if true then ", "0", " else 0"),
+                           parse_program, 0),
+    "parse_program-else": (_endpoint("if true then 0 else ", "0"),
+                           parse_program, 0),
+    "parse_program-arms": (_endpoint("x>+{l: 0, r: ", "0", "}"),
+                           parse_program, 0),
+    "parse_program-parentheses": (_endpoint("(", "0", ")"),
+                                  parse_program, 0),
+    "parse_type-prefixes": (_nested("![int]. ?[str]. sel[l]. ", "end"),
+                            parse_type, 0),
+    "parse_type-plus": (_nested("end (+) ![int]. ", "end"), parse_type, 0),
+    "parse_type-cmt": (_nested("cmt. ", "end"), parse_type, 0),
+    "parse_type-mu": (lambda d: "".join(f"mu t{i}. " for i in range(d))
+                      + "![int]. t0", parse_type, 0),
+    "parse_type-brn": (_nested("brn[l: end; r: ", "end", "]"),
+                       parse_type, 0),
+    "parse_type-parentheses": (_nested("(", "end", ")"), parse_type, 0),
+})
 
 
 def _deepest(call) -> int:

@@ -1,7 +1,7 @@
 import pytest
 
 import cherrypi.multiparty as mp
-from conftest import BINARY_PROGRAMS
+from conftest import BINARY_PROGRAMS, fill_roles
 from oracle_naive import erase_rule_name, erase_to_binary, erase_trace
 from cherrypi.infer import infer_collaboration, service_types
 from cherrypi.parser import parse_process_text, parse_program, parse_type
@@ -9,7 +9,7 @@ from cherrypi.runtime import (DecisionOracle, barbs, explore,
                               shadow_typecheck, simulate)
 from cherrypi.semantics import (check_rollback_safety, position_of_role,
                                 role_of_position)
-from cherrypi.sessiontypes import fill_roles, render_type
+from cherrypi.sessiontypes import render_type
 from cherrypi.syntax import ChanVar, canonicalize
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 import re
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -11,10 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from genprog import random_program, random_type
 from conftest import ALL_PROGRAMS
 from oracle_naive import naive_endpoint_check, naive_tokenize
+import parser_reference
 from cherrypi import corpus_dir, parser, sessiontypes, syntax
 from cherrypi.multiparty import to_multiparty
 from cherrypi.parser import (FunDecl, ParseError, SourceProgram, _P,
-                             _ProgParser, _TOKEN, _TypeParser, _diag,
+                             _ProgParser, _TOKEN, _diag, _read_type,
                              _parse_fun_decl, _spans, parse_expression_text,
                              parse_process_text, parse_program, parse_type,
                              render_expr, render_program, render_type,
@@ -777,7 +780,7 @@ def _reference_type_diagnostic(src):
     `mu`'s variable and a role's `_` follow none of these)."""
     p = _P(src)
     try:
-        t = _TypeParser(p).type_()
+        t = _read_type(p)[0]
         p.expect("eof")
         _check_type_vars(p, t, iter([
             i for i, kind in enumerate(p.kinds) if kind == "ident"
@@ -882,3 +885,112 @@ def test_a_parse_keeps_its_scope_linear_in_the_nesting():
     # a scope copied per binder would hold k * k / 2 names at the deepest
     # point: four times as much at twice the depth
     assert _parse_peak(400) <= 2.5 * _parse_peak(200)
+
+
+# -- the one-loop parsers against the recursive ones -------------------------
+# `parse_program` and `parse_type` read processes and types by one loop
+# over an explicit stack; `parser_reference` keeps the recursive descent
+# they replaced.  On any text both give equal terms or equal diagnostics.
+
+def _bench_gen():
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass finds it by name
+    return module
+
+
+# where a scope ends inside a body: a binder in one branch or arm and a
+# use or binder of its name in the next, a guard pending across `if`;
+# `(+)` operands around a parenthesised type; and a lone prefix operator
+# where a send's expression starts
+_EDGE_TEXTS = [
+    "request a(x). x!<!>. 0 | accept a(y). 0",
+    "request a(x). x!<(>. 0 | accept a(y). 0",
+    "request a(x). x>+{l: x?(v: int). 0, r: x!<v>. 0} | accept a(y). 0",
+    "request a(x). x>+{l: x?(v: int). 0, r: x?(v: int). 0}"
+    " | accept a(y). 0",
+    "request a(x). if true then x?(v: int). 0 else x!<v>. 0"
+    " | accept a(y). 0",
+    "request a(x). rec X. if true then (X) else X | accept a(y). 0",
+    "request a(x). rec X. if true then x!<1>. X else X | accept a(y). 0",
+    "request a(x). x>+{l: rec Y. 0, r: Y} | accept a(y). 0",
+    "request a(x). x>+{l: rec X. x!<1>. X, r: X} | accept a(y). 0",
+    "request a(x). x>+{l: rec X. x!<1>. X, r: rec X. x!<1>. X}"
+    " | accept a(y). 0",
+    "end (+) (end) (+) end", "(end) (+) end (+) end",
+    "end (+) (mu t. t) (+) end", "mu t. (t) (+) end",
+    "mu t. end (+) (t)", "end (+) brn[l: end] (+) end",
+    "mu t. mu u. (t)", "mu t. brn[l: t; r: mu t. t]",
+    "mu t. ![int]. mu t. t", "mu t. cmt. (mu u. t (+) u)",
+    "brn[l: mu u. ![int]. u; r: u]",
+]
+
+
+def _differential_texts():
+    """The corpus, generated programs (and their two-role twins), types
+    and faulty texts, check-large's menu and chain shapes, and the edge
+    texts above."""
+    texts = list(_TEXTS) + _EDGE_TEXTS
+    for seed in range(6, 12):
+        prog = random_program(random.Random(seed), safe=seed % 2 == 0)
+        texts += [render_program(prog), render_program(to_multiparty(prog)),
+                  render_type(random_type(random.Random(seed)))]
+    texts += [_faulty_program(seed) for seed in range(12)]
+    texts += [_faulty_type(seed) for seed in range(12)]
+    gen, rng = _bench_gen(), random.Random(0)
+    shapes = [gen.menu(rng, "", 4, 4, violating)
+              for violating in (False, True)]
+    shapes += [gen.chain(rng, "", 10, dense, violating)
+               for dense in (False, True) for violating in (False, True)]
+    for shape in shapes:
+        twin = to_multiparty(parse_program(shape.program))
+        texts += [shape.left, shape.right, shape.program,
+                  render_program(twin)]
+    return texts
+
+
+_DIFFERENTIAL = _differential_texts()
+
+
+def _outcome(parse, src):
+    try:
+        return parse(src)
+    except ParseError as e:
+        return e.diagnostic
+
+
+def _parses_as_the_reference(src):
+    for parse, reference in ((parse_program, parser_reference.parse_program),
+                             (parse_type, parser_reference.parse_type)):
+        assert _outcome(parse, src) == _outcome(reference, src)
+
+
+def test_the_parsers_match_the_recursive_ones_on_every_source():
+    for src in _DIFFERENTIAL:
+        _parses_as_the_reference(src)
+
+
+@st.composite
+def _token_mutants(draw):
+    """A text with one token deleted, duplicated, or swapped with the
+    next, or cut off after it."""
+    src = draw(st.sampled_from(_DIFFERENTIAL))
+    spans = [span for span in _spans(src) if span[0] < len(src)]
+    k = draw(st.integers(0, len(spans) - 1))
+    (a, b), how = spans[k], draw(st.sampled_from(("delete", "duplicate",
+                                                   "swap", "cut")))
+    if how == "cut":
+        return src[:b]
+    if how == "delete":
+        return src[:a] + src[b:]
+    if how == "duplicate" or k + 1 == len(spans):
+        return src[:b] + " " + src[a:]
+    c, d = spans[k + 1]
+    return src[:a] + src[c:d] + src[b:c] + src[a:b] + src[d:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_token_mutants())
+def test_the_parsers_match_the_recursive_ones_on_token_mutants(src):
+    _parses_as_the_reference(src)

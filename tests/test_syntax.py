@@ -3,13 +3,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import fill_roles, free_type_vars
 from genprog import random_program, random_type
 from oracle_naive import free_names
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.parser import parse_program, parse_type, render_process
 from cherrypi.runtime import explore
-from cherrypi.sessiontypes import (TMu, fill_roles, free_type_vars,
-                                   subst_type, subtypes, type_key,
+from cherrypi.sessiontypes import (TMu, subst_type, subtypes, type_key,
                                    unfold_type)
 from cherrypi.syntax import (_REPS, _drop, _intern, Accept, Branch, Call, ChanVar,
                              CheckpointProcess, Commit, Endpoint, If, Inact,
