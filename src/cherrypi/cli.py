@@ -16,7 +16,7 @@ import sys
 
 from .infer import TypingError, infer_collaboration
 from .parser import ParseError, parse_program, parse_type, render_program
-from .semantics import (BudgetExceeded, InvalidBudget, check_compliance,
+from .semantics import (BudgetExceeded, check_compliance,
                         check_rollback_safety, compliance_dot, dot_graph)
 from .sessiontypes import render_type
 from .syntax import MalformedInput, MalformedTerm
@@ -280,14 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _input_errors() -> tuple:
-    """The exceptions reported as input errors (exit 2).  The runtime's
-    own are raised only after a subcommand has loaded it."""
-    runtime = sys.modules.get(f"{__package__}.runtime")
-    return (ParseError, TypingError, MalformedTerm, MalformedInput,
-            InvalidBudget, OSError, json.JSONDecodeError) + (
-        () if runtime is None
-        else (runtime.OracleExhausted, runtime.ExploreError))
+# the exceptions reported as input errors (exit 2); a bad budget and the
+# runtime's oracle and exploration errors are `MalformedInput`s
+_INPUT_ERRORS = (ParseError, TypingError, MalformedTerm, MalformedInput,
+                 OSError, json.JSONDecodeError)
 
 
 def main(argv: list | None = None) -> int:
@@ -300,7 +296,7 @@ def main(argv: list | None = None) -> int:
               f"expanding BFS layer {e.depth}, which held "
               f"{_states(e.frontier)})", file=sys.stderr)
         return 3
-    except _input_errors() as e:
+    except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -2,8 +2,8 @@
 
 Program files (.chpi) hold uninterpreted-function declarations followed by a
 collaboration; type files (.chty) hold a single session type.  Both share one
-tokenizer.  `render_program`/`render_type` emit source that parses back to an
-equivalent term.
+tokenizer.  `render_program` emits source that parses back to an equal
+program (`sessiontypes.render_type` does the same for types).
 
 `tokenize` reads the whole text before either parser runs, so a lexical
 error wins over a syntax error earlier in the text.  Its per-token work
@@ -33,10 +33,10 @@ from operator import itemgetter
 from string import ascii_letters, digits
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
-                     Commit, Endpoint, If, Inact, Lit, MEndpoint, Par, PVar,
+                     Commit, Endpoint, If, Inact, Lit, Par, PVar,
                      Process, Rec, Recv, Request, Roll, Select, Send, Session,
                      Log, RollError, ComError, Ufun, Var, par,
-                     par_parts, record, subprocesses, operator_of,
+                     par_parts, record, operator_of,
                      OPERATORS, SORTS, MalformedTerm, _NO_NAMES, _role_tag)
 from . import sessiontypes as st
 from .sessiontypes import TBrn, TCmt, TIn, TMu, TOut, TPlus, TSel, TVarT
@@ -180,6 +180,9 @@ class FunDecl(metaclass=record, frozen=True):
 
 
 class SourceProgram(metaclass=record):
+    """A program.  `decls` declares every uninterpreted function the term
+    calls, with the call's argument and result sorts and domain, and is
+    all `render_program` writes of them."""
     decls: dict  # name -> FunDecl, declaration order
     term: Collaboration
     multiparty: bool
@@ -841,12 +844,14 @@ def render_expr(e, parent: int = 0) -> str:
     raise MalformedTerm(f"not an expression: {e!r}")
 
 
-def show_chan(r) -> str:
+def show_chan(r, tagged: bool) -> str:
+    """A session identifier's text: an endpoint shows as `s[r]` if its
+    session names roles (`tagged`), else as `~s` (requester) or `s`."""
     kind = type(r)
-    if kind is Endpoint:  # binary: the requester's side is marked
+    if kind is Endpoint:
+        if tagged:
+            return f"{r.session}[{r.role}]"
         return f"~{r.session}" if r.role == 2 else r.session
-    if kind is MEndpoint:
-        return f"{r.session}[{r.role}]"
     if kind is ChanVar:
         return r.name
     raise MalformedTerm(f"not a session identifier: {r!r}")
@@ -903,25 +908,28 @@ def _emit(pr: Process, out: list, place: list) -> None:
     start = len(out)
     kind = type(pr)
     if kind is Send:
-        out.append(f"{show_chan(pr.chan)}!<{render_expr(pr.expr)}>"
-                   f"{_role_tag(pr.to_role)}. ")
+        tag = _role_tag(pr.to_role)
+        out.append(f"{show_chan(pr.chan, bool(tag))}!<"
+                   f"{render_expr(pr.expr)}>{tag}. ")
         _emit(pr.cont, out, place)
     elif kind is Recv:
-        out.append(f"{show_chan(pr.chan)}?({pr.var}: {pr.sort})"
-                   f"{_role_tag(pr.from_role)}. ")
+        tag = _role_tag(pr.from_role)
+        out.append(f"{show_chan(pr.chan, bool(tag))}?({pr.var}: {pr.sort})"
+                   f"{tag}. ")
         _emit(pr.cont, out, place)
     elif kind is Select:
-        out.append(f"{show_chan(pr.chan)}<+ {pr.label}"
-                   f"{_role_tag(pr.to_role)}. ")
+        tag = _role_tag(pr.to_role)
+        out.append(f"{show_chan(pr.chan, bool(tag))}<+ {pr.label}{tag}. ")
         _emit(pr.cont, out, place)
     elif kind is Branch:
-        out.append(f"{show_chan(pr.chan)}>+{{ ")
+        tag = _role_tag(pr.from_role)
+        out.append(f"{show_chan(pr.chan, bool(tag))}>+{{ ")
         sep = ""
         for l, a in pr.arms:
             out.append(f"{sep}{l}: ")
             _emit(a, out, place)
             sep = ", "
-        out.append(f" }}{_role_tag(pr.from_role)}")
+        out.append(f" }}{tag}")
     elif kind is If:
         out.append(f"if {render_expr(pr.cond)} then ")
         _emit(pr.then, out, place)
@@ -946,9 +954,9 @@ def _emit(pr: Process, out: list, place: list) -> None:
 _LEAF_TEXT = {Inact: "0", Roll: "roll", Abort: "abort"}
 
 
-def _kept(node, render) -> str:
-    """`render(node)`, kept on the node.  The logs, the sessions and the
-    endpoints a session saved recur from state to state (a step replaces
+def _kept(node, render, *args) -> str:
+    """`render(node, *args)`, kept on the node.  The logs, the sessions and
+    the endpoints a session saved recur from state to state (a step replaces
     one or two logs and their session), so across a run each is rendered
     once.  A whole state's text is not kept: a looping run meets a state
     again as the same object (`runtime.simulate`), whose items' texts
@@ -956,20 +964,23 @@ def _kept(node, render) -> str:
     every state it passed."""
     text = node.__dict__.get("_shown")
     if text is None:
-        text = render(node)
+        text = render(node, *args)
         object.__setattr__(node, "_shown", text)
     return text
 
 
 def _show_session(c: Session) -> str:
-    return (f"<{c.name}: {_kept(c.saved, show_collaboration)}>"
-            f"({show_collaboration(c.body)})")
+    """A session's text: its logs are tagged as its saved endpoints are."""
+    tagged = any(p.role is not None for p in par_parts(c.saved))
+    logs = " | ".join(_kept(lg, _show_log, tagged) if type(lg) is Log
+                      else show_collaboration(lg) for lg in par_parts(c.body))
+    return f"<{c.name}: {_kept(c.saved, show_collaboration)}>({logs})"
 
 
-def _show_log(c: Log) -> str:
+def _show_log(c: Log, tagged: bool) -> str:
     ckpt = render_process(c.ckpt.process)
     tag = "^imp" if c.ckpt.imposed else ""
-    return (f"{show_chan(c.endpoint)}:<{ckpt}>{tag} "
+    return (f"{show_chan(c.endpoint, tagged)}:<{ckpt}>{tag} "
             f"{render_process(c.current)}")
 
 
@@ -977,8 +988,6 @@ def show_collaboration(c: Collaboration) -> str:
     """Pretty form covering runtime constructs; not re-parsable once sessions
     or logs appear."""
     kind = type(c)
-    if kind is Log:
-        return _kept(c, _show_log)
     if kind is Par:
         return " | ".join(
             f"({show_collaboration(p)})" if type(p) is Par
@@ -996,30 +1005,6 @@ def show_collaboration(c: Collaboration) -> str:
     raise MalformedTerm(f"not a collaboration: {c!r}")
 
 
-def _collect_ufuns(term, into: dict):
-    for part in par_parts(term):
-        _ufuns_proc(part.body, into)
-
-
-def _ufuns_proc(t, into: dict):
-    kind = type(t)
-    if kind is Send:
-        _ufuns_expr(t.expr, into)
-    elif kind is If:
-        _ufuns_expr(t.cond, into)
-    for q in subprocesses(t):
-        _ufuns_proc(q, into)
-
-
-def _ufuns_expr(e, into: dict):
-    if isinstance(e, Ufun):
-        into.setdefault(e.name, FunDecl(e.name, e.arg_sorts, e.result_sort,
-                                        e.domain))
-    if isinstance(e, (Call, Ufun)):
-        for a in e.args:
-            _ufuns_expr(a, into)
-
-
 def render_fun_decl(d: FunDecl) -> str:
     head = f"fun {d.name}({', '.join(d.arg_sorts)}): {d.result_sort}"
     if d.domain is not None:
@@ -1029,16 +1014,12 @@ def render_fun_decl(d: FunDecl) -> str:
 
 
 def render_program(prog: SourceProgram) -> str:
-    """Emit source for a program; the declaration block is reconstructed so
-    that parsing the output yields an equivalent program."""
-    decls = dict(prog.decls)
-    _collect_ufuns(prog.term, decls)
-    lines = [render_fun_decl(d) for d in decls.values()]
+    """Emit source for a program, its `decls` first; parsing the output
+    gives the program back."""
+    lines = [render_fun_decl(d) for d in prog.decls.values()]
     if lines:
         lines.append("")
     lines.append("\n| ".join(show_collaboration(p)
                               for p in par_parts(prog.term)))
     return "\n".join(lines) + "\n"
 
-
-render_type = st.render_type

@@ -36,7 +36,7 @@ from operator import itemgetter
 
 from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
-                     MalformedInput, MalformedTerm, MEndpoint, Process, Recv,
+                     MalformedInput, MalformedTerm, Process, Recv,
                      Request, Roll, RollError, Select, Send, Session, Ufun,
                      Var, endpoint_role, head_normal, operator_of, par,
                      par_parts, process_key, record, substitute, term_rep,
@@ -47,12 +47,12 @@ from .semantics import TransitionSystem, partner_position, search
 from .shadow import ShadowReport, shadow_typecheck  # exported here too
 
 
-class OracleExhausted(Exception):
-    pass
+class OracleExhausted(MalformedInput):
+    """The oracle has no value, or no valid one, for a call."""
 
 
-class ExploreError(Exception):
-    pass
+class ExploreError(MalformedInput):
+    """A call `explore` cannot enumerate: no declared domain."""
 
 
 def _check_values(draws, what: str) -> None:
@@ -96,7 +96,6 @@ class DecisionOracle:
         self.script = {k: list(v) for k, v in script.items()}
         self.pointers: dict = {}
         self.rng = random.Random(seed)
-        self.seed = seed
         self.transcript: list = []
 
     def clone(self) -> "DecisionOracle":
@@ -390,11 +389,10 @@ def _connections(items: list) -> list:
 def _open(parts: list, sname: str) -> Session:
     """Session `sname` opened by the endpoints `parts` (see
     `_connections`): it saves them for abort and logs each body on its own
-    session endpoint, of the part's role (a binary one's shows as such)."""
+    session endpoint, of the part's role."""
     logs = []
     for part in parts:
-        ep = (Endpoint if part.role is None else MEndpoint)(
-            sname, endpoint_role(part))
+        ep = Endpoint(sname, endpoint_role(part))
         p = substitute(part.body, part.var, ep)
         logs.append(Log(ep, CheckpointProcess(p), p))
     return Session(sname, par(*parts), par(*logs))
@@ -687,20 +685,17 @@ class StepRecord(metaclass=record):
 
 
 class Trace(metaclass=record):
-    initial: Collaboration
+    """A run of `program` from its term.  A serialized trace is
+    self-contained: its `initial` field is the program's source
+    (declarations included), which re-parses to the program."""
+    program: SourceProgram
     steps: list  # list[StepRecord]
     status: str  # completed | stuck | roll_error | com_error | cut-off
     oracle: DecisionOracle
-    # the source program, so a serialized trace is self-contained: its
-    # `initial` field re-parses (declarations included)
-    program: SourceProgram | None = None
 
     def to_json(self) -> dict:
-        initial = (render_program(self.program)
-                   if self.program is not None
-                   else show_collaboration(self.initial))
         return {
-            "initial": initial,
+            "initial": render_program(self.program),
             "steps": [{"label": label, "state": shown}
                       for label, shown in _shown_steps(self.steps)],
             "oracle": self.oracle.to_json(),
@@ -787,7 +782,7 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
         if kind in _ERRORS:
             status = kind
             break
-    return Trace(program.term, steps, status, oracle, program)
+    return Trace(program, steps, status, oracle)
 
 
 def _state_key(state: Collaboration) -> tuple:

@@ -35,12 +35,12 @@ from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
                            subtypes, _render, type_key)
 from .infer import service_types
-from .syntax import par, par_parts, record
+from .syntax import MalformedInput, par, par_parts, record
 
 DEFAULT_BUDGET = 10 ** 6
 
 
-class InvalidBudget(ValueError):
+class InvalidBudget(MalformedInput):
     """A state budget (an argument or CHERRY_BUDGET) below 1 or not an
     integer."""
 
@@ -292,7 +292,7 @@ class TransitionSystem(metaclass=record):
     """What `search` found, for types and programs alike, in flat columns:
     per state its node and the index of the edge that found it (-1 for
     state 0); per edge, in source order, its ends and its step's label.
-    The views `states`, `edges` and `parents` are built on first read:
+    The views `states` and `edges` are built on first read:
     configurations and `Edge`s, or, for `programs` (nodes are tuples of
     items, labels candidates), terms and (src, dst, rule, text, backward)
     tuples."""
@@ -316,9 +316,6 @@ class TransitionSystem(metaclass=record):
                     for s, d, c in zip(self.src, self.dst, self.labels)]
         return [Edge(s, d, step[1], step[2], step[3])
                 for s, d, step in zip(self.src, self.dst, self.labels)]
-
-    parents = cached_property(lambda self: [None] + [  # (src, label)
-        (self.src[e], self.labels[e]) for e in self.found_by[1:]])
 
     def path_to(self, sid: int) -> list:
         """Labels of the steps that discovered `sid`, from state 0 on."""
@@ -531,15 +528,11 @@ def dot_graph(name: str, nstates: int, edges, marked) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(ts: TransitionSystem, violating: set | None = None,
-               name: str = "reachable") -> str:
-    """Graphviz text for a transition system; violating terminal states get
-    a double periphery."""
+def compliance_dot(report: ComplianceReport, name: str = "reachable") -> str:
+    """Graphviz text for a compliance report's system; violating states
+    get a double periphery."""
+    ts = report.system
     return dot_graph(name, len(ts.states),
                      ((e.src, e.dst, f"{e.rule} {e.label} p{e.party}")
-                      for e in ts.edges), violating or ())
-
-
-def compliance_dot(report: ComplianceReport, name: str = "reachable") -> str:
-    return export_dot(report.system, {v.state for v in report.violations},
-                      name)
+                      for e in ts.edges),
+                     {v.state for v in report.violations})

@@ -220,19 +220,13 @@ class ChanVar(metaclass=record, frozen=True):
 class Endpoint(metaclass=record, frozen=True):
     """A session endpoint, owned by one role of the session.  A binary
     session is the two-role case: its requester is role 2, its acceptor
-    role 1 (`endpoint_role`)."""
+    role 1 (`endpoint_role`).  Whether the session names its roles shows
+    only in text (`parser.show_chan`)."""
     session: str
     role: int
 
 
-class MEndpoint(metaclass=record, frozen=True):
-    """An endpoint of an n-role session: an `Endpoint` in all but its
-    text (`s[r]` where a binary one shows `~s` or `s`)."""
-    session: str
-    role: int
-
-
-SessionId = (ChanVar, Endpoint, MEndpoint)
+SessionId = (ChanVar, Endpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +384,7 @@ class CheckpointProcess(metaclass=record, frozen=True):
 
 
 class Log(metaclass=record, frozen=True):
-    endpoint: Endpoint  # or MEndpoint
+    endpoint: Endpoint
     ckpt: CheckpointProcess
     current: Process
 
@@ -458,7 +452,7 @@ def _unbind(names: frozenset, name: tuple) -> frozenset:
 def _chan_names(r) -> frozenset:
     if isinstance(r, ChanVar):
         return frozenset({("c", r.name)})
-    if isinstance(r, SessionId):
+    if isinstance(r, Endpoint):
         return frozenset({("s", r.session)})
     raise MalformedTerm(f"not a session identifier: {r!r}")
 
@@ -718,11 +712,7 @@ def _canon_chan(r, env) -> str:
         case ChanVar(n):
             return env.get(("c", n), f"?c:{n}")
         case Endpoint(s, role):
-            tag = env.get(("s", s), f"?s:{s}")
-            return f"{tag}{'+' if role == 2 else '-'}"
-        case MEndpoint(s, role):
-            tag = env.get(("s", s), f"?s:{s}")
-            return f"{tag}@{role}"
+            return f"{env.get(('s', s), f'?s:{s}')}@{role}"
     raise MalformedTerm(f"not a session identifier: {r!r}")
 
 
@@ -829,11 +819,6 @@ def canonicalize(c) -> CanonicalForm:
     return CanonicalForm(_canon_proc(c, env, ctr))
 
 
-def process_canonical(p: Process) -> str:
-    """Canonical text of a bare process (used for checkpoint comparisons)."""
-    return _canon_proc(p, {}, _Counters())
-
-
 def equivalent(c1, c2) -> bool:
     return canonicalize(c1).text == canonicalize(c2).text
 
@@ -909,8 +894,8 @@ def _chan_sig(r, env, depth) -> tuple:
     kind = type(r)
     if kind is ChanVar:
         return (ChanVar, _ref(("c", r.name), env, depth))
-    if kind in SessionId:
-        return (kind, _ref(("s", r.session), env, depth), r.role)
+    if kind is Endpoint:
+        return (Endpoint, _ref(("s", r.session), env, depth), r.role)
     raise MalformedTerm(f"not a session identifier: {r!r}")
 
 
@@ -1017,7 +1002,7 @@ def term_key(c: Collaboration) -> int:
 
 def process_key(p: Process) -> tuple:
     """Identity of a bare process: two processes have equal keys exactly
-    when their `process_canonical` texts are equal.  The process is keyed
+    when their `canonicalize` texts are equal.  The process is keyed
     with its free session names bound, the way the session holding a log
     binds them, so a log's processes reuse the keys cached when its state
     was keyed; the names are part of the key.  The key holds its

@@ -7,7 +7,10 @@ the acceptor never commits, the requester's checkpoint is never imposed,
 and every rollback restores a plain checkpoint — roll-safe by
 construction.  With `safe=False` commits/rolls land on either side and
 an occasional abort leaf appears; recursion is disabled there so that
-commit persistency is checkable by canonical-state absence.
+commit persistency is checkable by canonical-state absence.  With
+`int_guards=True` every guard is `f() == 1` over a fresh
+`fun f(): int in { 1, 2, 3 }`, so two drawn values take one branch; the
+mode draws nothing of its own, so with it off every output is as before.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 from cherrypi.parser import FunDecl, SourceProgram
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TIn, TMu, TOut,
                                    TPlus, TRollT, TSel, TVarT)
-from cherrypi.syntax import (Abort, Accept, Branch, ChanVar, Commit, If,
+from cherrypi.syntax import (Abort, Accept, Branch, Call, ChanVar, Commit, If,
                              Inact, Lit, PVar, Rec, Recv, Request, Roll,
                              Select, Send, Ufun, par)
 
@@ -90,8 +93,10 @@ def random_type(rng: random.Random, depth: int = 8):
 # ---------------------------------------------------------------------------
 
 class _Gen:
-    def __init__(self, rng: random.Random, safe: bool, allow_rec: bool):
+    def __init__(self, rng: random.Random, safe: bool, allow_rec: bool,
+                 int_guards: bool = False):
         self.rng = rng
+        self.int_guards = int_guards
         self.safe = safe
         self.allow_rec = allow_rec and safe
         self.decls: dict = {}
@@ -106,7 +111,9 @@ class _Gen:
         self.decls[name] = FunDecl(name, (), sort, domain)
         return Ufun(name, (), (), sort, domain)
 
-    def guard(self) -> Ufun:
+    def guard(self):
+        if self.int_guards:
+            return Call("eq", (self.fresh_fun("int", (1, 2, 3)), Lit(1)))
         return self.fresh_fun("bool", None)
 
     def payload(self, sort: str):
@@ -170,9 +177,9 @@ class _Gen:
 
 
 def random_program(rng: random.Random, safe: bool = True,
-                   allow_rec: bool = True, size: int | None = None
-                   ) -> SourceProgram:
-    g = _Gen(rng, safe, allow_rec)
+                   allow_rec: bool = True, size: int | None = None,
+                   int_guards: bool = False) -> SourceProgram:
+    g = _Gen(rng, safe, allow_rec, int_guards)
     req, acc = g.gen(size if size is not None else rng.randint(2, 6), False)
     if g.used_loop:
         req, acc = Rec("X", req), Rec("Y", acc)

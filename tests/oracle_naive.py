@@ -29,10 +29,10 @@ from cherrypi.parser import (KEYWORDS, SourceProgram, _diag, _diag_at,
                              _lex_error, render_expr, show_chan)
 from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
                              ComError, Commit, Endpoint, If, Inact, Lit, Log,
-                             MalformedTerm, MEndpoint, Par, PVar, Rec, Recv,
+                             MalformedTerm, Par, PVar, Rec, Recv,
                              Request, Roll, RollError, Select, Send, Session,
                              Ufun, _map_proc, _names, canonicalize,
-                             head_normal, par, par_parts, process_canonical,
+                             head_normal, par, par_parts,
                              process_key, subprocesses, substitute, term_key,
                              unfold_recursion)
 from cherrypi.runtime import (Candidate, ExplorationReport, ExploreEntry,
@@ -242,9 +242,8 @@ def naive_steps(state):
         if not isinstance(it, Session):
             continue
         logs = list(par_parts(it.body))
-        if len(logs) != 2 or not all(
-                isinstance(lg, Log) and isinstance(lg.endpoint, Endpoint)
-                for lg in logs):
+        if len(logs) != 2 or not all(isinstance(lg, Log) for lg in logs) \
+                or any(p.role is not None for p in par_parts(it.saved)):
             continue
         for succ_body in _naive_session(logs):
             nitems = list(items)
@@ -288,8 +287,8 @@ def _naive_session(logs):
         if isinstance(h, Commit):
             nl = list(logs)
             nl[me] = Log(lg.endpoint, CheckpointProcess(h.cont), h.cont)
-            if lo.ckpt.imposed or process_canonical(lo.ckpt.process) != \
-                    process_canonical(lo.current):
+            if lo.ckpt.imposed or canonicalize(lo.ckpt.process).text != \
+                    canonicalize(lo.current).text:
                 nl[other] = Log(lo.endpoint,
                                 CheckpointProcess(lo.current, imposed=True),
                                 lo.current)
@@ -408,17 +407,20 @@ def naive_render(pr):
     """Source text of a process, built afresh by plain recursion."""
     match pr:
         case Send(ch, e, cont, tr):
-            return (f"{show_chan(ch)}!<{render_expr(e)}>{_naive_at(tr)}. "
+            return (f"{show_chan(ch, tr is not None)}!<{render_expr(e)}>"
+                    f"{_naive_at(tr)}. "
                     f"{naive_render(cont)}")
         case Recv(ch, y, s, cont, fr):
-            return (f"{show_chan(ch)}?({y}: {s}){_naive_at(fr)}. "
+            return (f"{show_chan(ch, fr is not None)}?({y}: {s})"
+                    f"{_naive_at(fr)}. "
                     f"{naive_render(cont)}")
         case Select(ch, l, cont, tr):
-            return (f"{show_chan(ch)}<+ {l}{_naive_at(tr)}. "
+            return (f"{show_chan(ch, tr is not None)}<+ {l}{_naive_at(tr)}. "
                     f"{naive_render(cont)}")
         case Branch(ch, arms, fr):
             inner = ", ".join(f"{l}: {naive_render(a)}" for l, a in arms)
-            return f"{show_chan(ch)}>+{{ {inner} }}{_naive_at(fr)}"
+            return (f"{show_chan(ch, fr is not None)}>+{{ {inner} }}"
+                    f"{_naive_at(fr)}")
         case If(c, t, e):
             return (f"if {render_expr(c)} then {naive_render(t)} "
                     f"else {naive_render(e)}")
@@ -437,8 +439,10 @@ def naive_render(pr):
     raise TypeError(f"not a process: {pr!r}")
 
 
-def naive_show(c):
-    """The text `show_collaboration` gives a state, built afresh."""
+def naive_show(c, tagged=False):
+    """The text `show_collaboration` gives a state, built afresh; a log
+    shows its endpoint as its session's saved endpoints name roles
+    (`tagged`) or not."""
     match c:
         case Request(a, x, body, role):
             rr = "" if role is None else f"[{role}]"
@@ -447,13 +451,17 @@ def naive_show(c):
             rr = "" if role is None else f"[{role}]"
             return f"accept {a}{rr}({x}). {naive_render(body)}"
         case Par(parts):
-            return " | ".join(f"({naive_show(p)})" if isinstance(p, Par)
-                              else naive_show(p) for p in parts)
+            return " | ".join(f"({naive_show(p, tagged)})"
+                              if isinstance(p, Par) else naive_show(p, tagged)
+                              for p in parts)
         case Session(name, saved, body):
-            return f"<{name}: {naive_show(saved)}>({naive_show(body)})"
+            tagged = any(p.role is not None for p in par_parts(saved))
+            return (f"<{name}: {naive_show(saved)}>"
+                    f"({naive_show(body, tagged)})")
         case Log(ep, ckpt, current):
             tag = "^imp" if ckpt.imposed else ""
-            return (f"{show_chan(ep)}:<{naive_render(ckpt.process)}>{tag} "
+            return (f"{show_chan(ep, tagged)}:"
+                    f"<{naive_render(ckpt.process)}>{tag} "
                     f"{naive_render(current)}")
         case RollError():
             return "roll_error"
@@ -630,11 +638,9 @@ def _erase_proc(p):
 
 
 def _erase_chan(ch):
-    if isinstance(ch, MEndpoint):
-        if ch.role not in (1, 2):
-            raise MalformedTerm(
-                "role erasure is defined for two-party sessions only")
-        return Endpoint(ch.session, ch.role)
+    if isinstance(ch, Endpoint) and ch.role not in (1, 2):
+        raise MalformedTerm(
+            "role erasure is defined for two-party sessions only")
     return ch
 
 
@@ -665,13 +671,10 @@ def erase_rule_name(rule):
 def erase_trace(tr):
     """Binary view of a two-party run: roles stripped, rule prefixes
     dropped.  Step texts are positional, so they carry over unchanged."""
-    program = None
-    if tr.program is not None:
-        program = SourceProgram(dict(tr.program.decls),
-                                erase_to_binary(tr.program.term), False)
     return Trace(
-        erase_to_binary(tr.initial),
+        SourceProgram(dict(tr.program.decls),
+                      erase_to_binary(tr.program.term), False),
         [StepRecord(erase_rule_name(s.rule), s.session, s.party, s.text,
                     s.backward, erase_to_binary(s.state))
          for s in tr.steps],
-        tr.status, tr.oracle, program)
+        tr.status, tr.oracle)

@@ -21,7 +21,7 @@ from conftest import fill_roles
 from cherrypi import infer, sessiontypes
 from cherrypi.infer import (TypingError, _check_roles_used, _type_of,
                             sort_of_expression, type_of_process)
-from cherrypi.parser import (_collect_ufuns, parse_program, parse_type,
+from cherrypi.parser import (parse_program, parse_type,
                              render_expr, render_process, show_chan,
                              show_collaboration)
 from cherrypi.runtime import (DecisionOracle, barbs, enumerate_values,
@@ -31,7 +31,7 @@ from cherrypi.semantics import check_compliance, check_rollback_safety
 from cherrypi.sessiontypes import (TEnd, TOut, TVarT, canonical_type,
                                    render_type, subst_type, type_key)
 from cherrypi.syntax import (_NO_DEPTH, Call, ChanVar, Inact, Lit,
-                             MalformedTerm, PVar, Request, Send, Var,
+                             MalformedTerm, PVar, Send, Var,
                              _expr_names, _expr_sig, _names, _subst_expr,
                              process_key, substitute, term_key)
 
@@ -108,10 +108,17 @@ def _substituted(p):
     return substitute(p, "v", Lit(1))
 
 
+def _shown(r):
+    return show_chan(r, False)
+
+
+_shown.__name__ = "show_chan"  # the rows are named by their walkers
+
+
 # each walker's error and the head of its message: "<head>: <repr>"
 WALKERS = [
     (render_expr, MalformedTerm, "not an expression"),
-    (show_chan, MalformedTerm, "not a session identifier"),
+    (_shown, MalformedTerm, "not a session identifier"),
     (show_collaboration, MalformedTerm, "not a collaboration"),
     (render_process, MalformedTerm, "not a process"),
     (evaluate, MalformedTerm, "not an expression"),
@@ -292,8 +299,6 @@ FRAMES = {
         p, ChanVar("x"), True, {"X": "t"}, {"v": "int"}), 1),
     "_check_roles_used": (_procs, lambda p: _check_roles_used(p, 1, 2), 1),
     "render_process": (_procs, render_process, 1),
-    "_collect_ufuns": (_procs, lambda p: _collect_ufuns(
-        Request("a", "x", p), {}), 1),
     "render_expr": (_exprs, render_expr, 1),
     "sort_of_expression": (_exprs, lambda e: sort_of_expression(e, {}), 2),
     "evaluate": (_exprs, evaluate, 2),

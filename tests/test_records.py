@@ -77,8 +77,8 @@ def _fields(x):
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 56
-    assert sum(map(_frozen, RECORDS)) == 44
+    assert len(RECORDS) == 55
+    assert sum(map(_frozen, RECORDS)) == 43
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
@@ -154,12 +154,11 @@ def test_a_search_copies_pickles_and_compares_by_its_columns(programs,
                                                       types["producer"])):
         rep = search()
         assert rep == search() and " at 0x" not in repr(rep.system)
-        views = rep.system.states, rep.system.edges, rep.system.parents
+        views = rep.system.states, rep.system.edges
         for twin in (copy.copy(rep), copy.deepcopy(rep),
                      pickle.loads(pickle.dumps(rep))):
             assert twin == rep
-            assert (twin.system.states, twin.system.edges,
-                    twin.system.parents) == views
+            assert (twin.system.states, twin.system.edges) == views
 
 
 def test_records_of_different_classes_differ_like_dataclasses():
@@ -220,7 +219,7 @@ def test_import_compiles_one_init_per_shape_and_leaves_no_dead_class():
         print(sorted(f for f in compiled if not f.endswith(".py")))
         print([x.__qualname__ for x in gc.garbage if isinstance(x, type)
                and x.__module__.startswith("cherrypi")])""")
-    # one `__init__` template per (arity, frozen) shape of the 56 records,
+    # one `__init__` template per (arity, frozen) shape of the 55 records,
     # and two `namedtuple`s: `functools`' own and `syntax.Operator`
     assert out.splitlines() == [str(["<record>"] * 13 + ["<string>"] * 2),
                                 "[]"]

@@ -28,7 +28,7 @@ from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.semantics import (BudgetExceeded, Edge, check_compliance,
                                 check_rollback_safety)
 from cherrypi.syntax import (ChanVar, ComError, Inact, Log, MalformedTerm,
-                             MEndpoint, RollError, Session, canonicalize,
+                             RollError, Session, canonicalize,
                              par_parts, process_key, subprocesses, term_key,
                              unfold_recursion)
 
@@ -568,9 +568,10 @@ def test_states_render_and_barb_as_the_references(seed):
                     if not isinstance(it, Session):
                         continue
                     logs = par_parts(it.body)
+                    tagged = any(p.role is not None
+                                 for p in par_parts(it.saved))
                     roles = [lg.endpoint.role for lg in logs
-                             if isinstance(lg, Log)
-                             and isinstance(lg.endpoint, MEndpoint)]
+                             if isinstance(lg, Log) and tagged]
                     for lg in logs:
                         if not isinstance(lg, Log):
                             continue
@@ -845,7 +846,7 @@ def _memo_free_run(program, oracle, max_steps, mode):
         if kind in ("roll_error", "com_error"):
             status = kind
             break
-    return runtime.Trace(program.term, steps, status, oracle, program)
+    return runtime.Trace(program, steps, status, oracle)
 
 
 def _run_summary(t) -> tuple:
@@ -900,8 +901,8 @@ def test_a_memoised_shadow_is_the_memo_free_shadow(programs, mode):
         for seed in (0, 1, 5):
             t = simulate(prog, DecisionOracle("seeded-random", seed=seed),
                          100, mode)
-            copied = runtime.Trace(t.initial, [copy.copy(s) for s in t.steps],
-                                   t.status, t.oracle, t.program)
+            copied = runtime.Trace(t.program, [copy.copy(s) for s in t.steps],
+                                   t.status, t.oracle)
             assert len({id(s) for s in copied.steps}) == len(t.steps)
             want = shadow_typecheck(prog, copied).failures
             got = shadow_typecheck(prog, t).failures
@@ -1085,6 +1086,13 @@ def test_exploration_equals_the_whole_state_reference(seed, mode):
               _ring(2 + seed % 3, "bool")):
         assert _exploration_or_error(explore, p, mode) == \
             _exploration_or_error(naive_explore_report, p, mode)
+    # guards `f() == 1` over `{ 1, 2, 3 }`: values 2 and 3 take one edge
+    prog = random_program(random.Random(seed), safe=(seed % 2 == 0),
+                          int_guards=True)
+    for p in (prog, to_multiparty(prog)):
+        got = _exploration_or_error(explore, p, mode)
+        assert got == _exploration_or_error(naive_explore_report, p, mode)
+        assert len(set(got[1])) == len(got[1]) == got[0]["edges"]
 
 
 @pytest.mark.parametrize("src", [
@@ -1150,9 +1158,9 @@ def test_every_view_is_built_once_and_kept(programs, types):
     for ts in (explore(_kpar(2), 30).system,
                explore(programs["vod_b"], 40, "detect").system,
                check_compliance(types["consumer"], types["producer"]).system):
-        for view in ("states", "edges", "parents"):
+        for view in ("states", "edges"):
             assert getattr(ts, view) is getattr(ts, view), view
-        assert len(ts.states) == len(ts.nodes) == len(ts.parents)
+        assert len(ts.states) == len(ts.nodes) == len(ts.found_by)
         assert len(ts.edges) == len(ts.src) == len(ts.dst) == len(ts.labels)
     rep = explore(programs["vod_b"], 40)
     assert rep.states is rep.states is rep.system.states
@@ -1166,14 +1174,15 @@ def test_every_view_is_built_once_and_kept(programs, types):
 @pytest.mark.parametrize("mode", ["plain", "detect"])
 def test_path_to_walks_the_materialised_parents(mode):
     ts = explore(_kpar(2), 30, mode).system
-    assert ts.parents[0] is None
+    assert ts.found_by[0] == -1
     for sid in range(len(ts.states)):
-        walk, at = [], ts.parents[sid]
-        while at is not None:
-            walk.append(at[1])
-            at = ts.parents[at[0]]
+        walk, at = [], sid
+        while at:
+            e = ts.found_by[at]
+            walk.append(ts.labels[e])
+            at = ts.src[e]
         assert ts.path_to(sid) == walk[::-1]
-    assert all(ts.parents[t][0] < t for t in range(1, len(ts.states)))
+    assert all(ts.src[ts.found_by[t]] < t for t in range(1, len(ts.states)))
 
 
 def test_edges_have_the_documented_shapes(programs, types):

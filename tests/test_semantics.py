@@ -17,7 +17,7 @@ from cherrypi.semantics import (BudgetExceeded, CheckpointType,
                                 InvalidBudget, TypeConfiguration,
                                 check_compliance, check_rollback_safety,
                                 compliance_dot, config_transitions,
-                                export_dot, initial_configuration,
+                                initial_configuration,
                                 reachable_system, type_transitions)
 from cherrypi.infer import infer_collaboration, service_pairs, service_types
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
@@ -276,8 +276,7 @@ def test_dot_shapes(corpus):
 def test_export_dot_labels_carry_rule_and_party(corpus):
     t1 = parse_type((corpus / "consumer.chty").read_text())
     t2 = parse_type((corpus / "producer.chty").read_text())
-    sysm = reachable_system(t1, t2)
-    dot = export_dot(sysm)
+    dot = compliance_dot(check_compliance(t1, t2))
     assert "TS-Com com[str] p1" in dot or "TS-Com com[str] p2" in dot
 
 
