@@ -12,17 +12,26 @@ one's kind (keywords and symbols by text, the rest by first character).
 It keeps no offsets: the parsers hold a token by its index, and `_spans`
 matches the text again only when a diagnostic needs them.
 Processes and types are each read by one loop over an explicit stack
-(predictive parsing), so a parse takes no Python frame per nesting level
-and sets no depth limit.  The parsers check well-formedness as they go:
-each carries the names its binders (`rec X`, a receive's variable, the
-endpoint's session variable, `mu t`) put in scope down to what it reads
-next, and notes the first unguarded recursion, rebinding or unbound
-name.  `parse_program` and `parse_type` raise that offence only once the
-whole text has parsed, so a syntax error anywhere wins over it.  Nothing
-is kept on the nodes: the free-name cache `_fv` is filled by the runtime
-on first use.  Expressions parse by precedence climbing over
-`syntax.OPERATORS`, a frame or two per operand, and `render_expr`
-parenthesises by the same strengths and groupings.
+(predictive parsing), and a collaboration by a loop that counts its open
+parentheses, so none of them takes a Python frame per nesting level.
+Expressions parse by precedence climbing over `syntax.OPERATORS`, a
+frame or two per operand, so a deeply nested expression still meets the
+recursion limit.  Both grammars pay about one lookup per token: a
+construct's head and the tokens between its parts (a prefix's `(v: s).`,
+`if v then`, `fun f(s): s`, `request a(x).`, an arm's `l:`) are
+matched by their kinds at fixed offsets from an index of the loop's own,
+and only a token out of place (or a type's role pair `[p,q]`) goes
+through the cursor, which raises its diagnostic.
+
+The parsers check well-formedness as they go: each carries the names its
+binders (`rec X`, a receive's variable, the endpoint's session variable,
+`mu t`) put in scope down to what it reads next, and notes the first
+unguarded recursion, rebinding or unbound name.  `parse_program` and
+`parse_type` raise that offence only once the whole text has parsed, so
+a syntax error anywhere wins over it.  Nothing is kept on the nodes: the
+free-name cache `_fv` is filled by the runtime on first use.
+`render_expr` parenthesises expressions by the strengths and groupings
+they parse by.
 """
 
 from __future__ import annotations
@@ -54,24 +63,24 @@ _COMMENT = r"/(?: /[^\n]* | \*.*?\*/ )"  # to the line's end, or to `*/`
 # no comment.  A token is a symbol that starts no longer one, a run of
 # decimal digits, a run of word characters, any other symbol (two-character
 # symbols win over their one-character prefixes), a string, the empty token
-# at the end of the text, or any other character, so every match ends in a
-# token or at the end of the text.
+# at the end of the text, or, from any other character on, the rest of the
+# text: every match ends in a token or at the end of the text, and only the
+# last token can start with a character that starts no token.
 _TOKEN = re.compile(r"""
     [ \t\r\n]* (?: %s (?: [ \t\r\n]+ | %s )* | )
     ( [!?(){}\[\]:.,@;] | \d+ | \w+ | <\+|>\+|\+\+|&&|\|\||==|[<>|+]
-    | "%s" | \Z | . )""" % (_COMMENT, _COMMENT, _STRING_BODY),
+    | "%s" | \Z | .+ )""" % (_COMMENT, _COMMENT, _STRING_BODY),
                     re.VERBOSE | re.DOTALL)
+_STRING = re.compile('"%s"' % _STRING_BODY)
 _STRING_REST = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 _SYMBOLS = "<+ >+ ++ && || == ! ? < > ( ) { } [ ] : . , | @ ; +".split()
-# A token's kind: a keyword's or a symbol's from its text (a lone `"`
-# starts no string) ...
-_KIND = (dict.fromkeys(KEYWORDS, "kw") | dict(zip(_SYMBOLS, _SYMBOLS))
-         | {'"': None, "": "eof"})
+# A token's kind: a keyword's or a symbol's from its text ...
+_KIND = dict.fromkeys(KEYWORDS, "kw") | dict(zip(_SYMBOLS, _SYMBOLS))
 # ... any other token's from its first character, here if that is ASCII
 _FIRST = (dict.fromkeys(ascii_letters + "_", "ident")
           | dict.fromkeys(digits, "int") | {'"': "string"})
-_FIRST_CHAR = itemgetter(slice(1))  # "" for an eof entry
+_FIRST_CHAR = itemgetter(0)
 
 
 class ParseDiagnostic(metaclass=record, frozen=True):
@@ -129,8 +138,8 @@ def _lex_error(src: str, i: int) -> ParseError:
 
 def _kind_by_first(text: str) -> str | None:
     """The kind of a token that neither `_KIND` nor `_FIRST` gives: one
-    that starts with a non-ASCII character, or a character that starts no
-    token (None)."""
+    that starts with a non-ASCII character, or with a character that
+    starts no token (None)."""
     c = text[0]
     return "int" if c.isdecimal() else "ident" if c.isalpha() else None
 
@@ -144,31 +153,38 @@ def tokenize(src: str) -> tuple:
     digits and `_`.  A string that a final backslash cuts off is
     unterminated.  A token is its index: `_spans` finds offsets.
 
-    The per-token work runs in C: one `findall` and dict lookups for the
-    kinds.  Python steps are taken only for strings, for tokens that start
-    with a non-ASCII character and for the first character that starts no
-    token, whose diagnostic is raised before any parsing, so it wins over
-    a syntax error earlier in the text."""
+    The per-token work runs in C: one `findall`, then each kind by a dict
+    lookup of the token's text, defaulting to one of its first character.
+    Only the last token can start with a character that starts no token,
+    so in ASCII text a test of the last kind finds a lexical error, and
+    of the last text an unterminated string.  Python steps are taken only
+    for strings, for tokens that start with a non-ASCII character and for
+    the first character that starts no token, whose diagnostic is raised
+    before any parsing, so it wins over a syntax error earlier in the
+    text."""
     texts = _TOKEN.findall(src)
     # the end of the text gives an empty token, twice after trailing blanks
     while texts and not texts[-1]:
         texts.pop()
-    texts += ("",) * 3
     kinds = list(map(_KIND.get, texts,
                      map(_FIRST.get, map(_FIRST_CHAR, texts))))
-    if None in kinds:
+    if not src.isascii() or kinds and kinds[-1] is None:
         i = -1
         for _ in range(kinds.count(None)):
             i = kinds.index(None, i + 1)
             kinds[i] = _kind_by_first(texts[i])
             if kinds[i] is None:
                 raise _lex_error(src, _spans(src)[i][0])
-    if "string" in kinds:
+    if '"' in src and kinds:  # a `"` in a comment may leave no token
+        if kinds[-1] == "string" and not _STRING.fullmatch(texts[-1]):
+            raise _lex_error(src, _spans(src)[len(texts) - 1][0])
         i = -1
         for _ in range(kinds.count("string")):
             i = kinds.index("string", i + 1)
             text = texts[i][1:-1]
             texts[i] = _ESCAPE.sub(_unescape, text) if "\\" in text else text
+    kinds += ("eof",) * 3
+    texts += ("",) * 3
     return kinds, texts
 
 
@@ -190,23 +206,15 @@ class SourceProgram(metaclass=record):
 
 class _P:
     """Cursor over `tokenize`'s lists, shared by the program and type
-    parsers.  What keeps a token for a later diagnostic keeps its index."""
+    parsers.  What keeps a token for a later diagnostic keeps its index.
+    The grammars read most constructs by their tokens' kinds at fixed
+    offsets from an index of their own, and come here where a token is
+    out of place, for its diagnostic."""
 
     def __init__(self, src: str):
         self.src = src
         self.kinds, self.texts = tokenize(src)
         self.pos = 0  # past the first eof entry only to end or to fail
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        return self.kinds[self.pos] == kind and (
-            text is None or self.texts[self.pos] == text)
-
-    def eat(self, kind: str, text: str | None = None) -> str | None:
-        i = self.pos
-        if self.kinds[i] == kind and (text is None or self.texts[i] == text):
-            self.pos = i + 1
-            return self.texts[i]
-        return None
 
     def expect(self, kind: str, text: str | None = None) -> str:
         i = self.pos
@@ -216,6 +224,14 @@ class _P:
                         f"found {self.texts[i] or found!r}")
         self.pos = i + 1
         return self.texts[i]
+
+    def expect_all(self, i: int, *kinds: str) -> None:
+        """`expect` each of `kinds` ("sort" for `_parse_sort`) from token
+        `i` on: where a fixed-offset match failed, this raises the
+        diagnostic of the first token out of place."""
+        self.pos = i
+        for kind in kinds:
+            _parse_sort(self) if kind == "sort" else self.expect(kind)
 
     def fail(self, message: str, first: int | None = None,
              last: int | None = None):
@@ -236,54 +252,63 @@ def _parse_sort(p: _P) -> str:
     p.fail("expected a sort (bool, int, or str)")
 
 
-def _lit_from_token(p: _P) -> Lit | None:
-    i = p.pos
-    kind, value = p.kinds[i], p.texts[i]
-    if kind == "kw" and value in ("true", "false"):
-        value = value == "true"
-    elif kind == "int":
-        value = int(value)
-    elif kind != "string":
-        return None
-    p.pos = i + 1
-    return Lit(value)
+def _value(kind: str, text: str) -> tuple | None:
+    """The value and sort of the literal a token of `kind` and `text` is,
+    or None."""
+    if kind == "int":
+        return int(text), "int"
+    if kind == "string":
+        return text, "str"
+    if kind == "kw" and text in ("true", "false"):
+        return text == "true", "bool"
+    return None
 
 
 def _parse_fun_decl(p: _P) -> FunDecl:
-    p.expect("kw", "fun")
-    name_at = p.pos
-    name = p.expect("ident")
-    p.expect("(")
-    arg_sorts: list = []
-    if not p.at(")"):
-        arg_sorts.append(_parse_sort(p))
-        while p.eat(","):
-            arg_sorts.append(_parse_sort(p))
-    p.expect(")")
-    p.expect(":")
-    result = _parse_sort(p)
+    """`fun f(s, ...): s`, then maybe its domain `in { v, ... }`, read at
+    fixed offsets from the `fun`."""
+    kinds, texts = p.kinds, p.texts
+    at = p.pos + 1  # the name
+    if kinds[at:at + 2] != ["ident", "("]:
+        p.expect_all(at, "ident", "(")
+    i, arg_sorts = at + 2, []
+    if kinds[i] != ")":
+        while True:  # a sort, then `,` and one more, or the end
+            if kinds[i] != "kw" or texts[i] not in SORTS:
+                p.expect_all(i, "sort")
+            arg_sorts.append(texts[i])
+            if kinds[i + 1] != ",":
+                break
+            i += 2
+        i += 1
+    if kinds[i:i + 3] != [")", ":", "kw"] or texts[i + 2] not in SORTS:
+        p.expect_all(i, ")", ":", "sort")
+    result, i = texts[i + 2], i + 3
     domain = None
-    if p.eat("kw", "in"):
-        p.expect("{")
-        vals: list = []
-        first = _lit_from_token(p)
-        if first is None:
-            p.fail("expected a literal in the outcome domain")
-        vals.append(first.value)
-        while p.eat(","):
-            nxt = _lit_from_token(p)
-            if nxt is None:
-                p.fail("expected a literal in the outcome domain")
-            vals.append(nxt.value)
-        p.expect("}")
-        for v in vals:
-            if Lit(v).sort() != result:
-                p.fail(f"domain value {v!r} is not of sort {result}",
-                       name_at)
-        if len(set(map(repr, vals))) != len(vals):
-            p.fail("duplicate value in outcome domain", name_at)
+    if kinds[i] == "kw" and texts[i] == "in":
+        if kinds[i + 1] != "{":
+            p.expect_all(i + 1, "{")
+        vals, bad = [], None  # bad: the first literal of another sort
+        while True:  # a literal, then `,` and one more, or `}`
+            i += 2
+            v = _value(kinds[i], texts[i])
+            if v is None:
+                p.fail("expected a literal in the outcome domain", i)
+            if bad is None and v[1] != result:
+                bad = v
+            vals.append(v[0])
+            if kinds[i + 1] != ",":
+                break
+        if kinds[i + 1] != "}":
+            p.expect_all(i + 1, "}")
+        i += 2
+        if bad is not None:
+            p.fail(f"domain value {bad[0]!r} is not of sort {result}", at)
+        if len(set(vals)) != len(vals):  # one sort: no `True == 1`
+            p.fail("duplicate value in outcome domain", at)
         domain = tuple(vals)
-    return FunDecl(name, tuple(arg_sorts), result, domain)
+    p.pos = i
+    return FunDecl(texts[at], tuple(arg_sorts), result, domain)
 
 
 # the operators by symbol, as (name, row): the prefix ones and the others
@@ -300,17 +325,22 @@ _UNBOUND = ("variable", "recursion variable", "session variable")
 _PREFIX_OPS = {"!": Send, "?": Recv, "<+": Select, ">+": Branch}
 _RECV = ["(", "ident", ":", "kw", ")"]
 _LEAVES = {("int", "0"): Inact, ("kw", "roll"): Roll, ("kw", "abort"): Abort}
+# the kinds of an arm's label and `:`, and of a request's or accept's
+# `a(x).` and `a[r](x).`
+_ARM = ["ident", ":"]
+_OPEN = ["ident", "(", "ident", ")", "."]
+_OPEN_ROLE = ["ident", "[", "int", "]", "(", "ident", ")", "."]
 
 
-def _arm_label(p: _P, arms: list) -> str:
-    """A branch arm's label and its `:`; an earlier arm's is refused."""
-    at = p.pos
-    lab = p.expect("ident")
-    for seen, _ in arms:
-        if seen == lab:
-            p.fail(f"duplicate branch label {lab!r}", at)
-    p.expect(":")
-    return lab
+def _next_arm(p: _P, i: int, arms: dict) -> int:
+    """The index past an arm's `label:` at token `i`, whose label no
+    earlier arm has."""
+    if p.kinds[i:i + 2] != _ARM or p.texts[i] in arms:
+        p.pos = i
+        if p.expect("ident") in arms:
+            p.fail(f"duplicate branch label {p.texts[i]!r}", i)
+        p.expect(":")  # raises
+    return i + 2
 
 
 class _ProgParser:
@@ -340,15 +370,16 @@ class _ProgParser:
         self.vals: set = set()  # the bound values ...
         self.recs: set = set()  # ... and recursion variables
         self.unguarded = self.rebound = None  # the first of each's message
-        self.free = (set(), set(), set())  # unbound names, as in _UNBOUND
+        self.free: set = set()  # unbound names, as (`_UNBOUND` index, name)
 
     def _finish(self, head: int) -> None:
         """Note the body's offence at token `head`, if it is the first."""
         if self.offence is not None:
             return
-        message = self.unguarded or self.rebound or next(
-            (f"unbound {what} {min(names)!r}"
-             for names, what in zip(self.free, _UNBOUND) if names), None)
+        message = self.unguarded or self.rebound
+        if message is None and self.free:
+            what, name = min(self.free)
+            message = f"unbound {_UNBOUND[what]} {name!r}"
         if message is not None:
             self.offence = (message, head)
 
@@ -378,54 +409,70 @@ class _ProgParser:
             e = Call(op, (e, self.expr(row.prec)))
             cap = row.prec if row.grouping == "left" else row.prec - 1
 
+    def _operand(self, i: int) -> tuple:
+        """The literal, variable or call without arguments that starts at
+        token `i`, read at fixed offsets, and the index after it; None in
+        place of any other expression."""
+        kinds, texts = self.p.kinds, self.p.texts
+        name = texts[i]
+        if kinds[i] != "ident":
+            v = _value(kinds[i], name)
+            return None if v is None else Lit(v[0]), i + 1
+        if kinds[i + 1] != "(":
+            if name not in self.vals:
+                self.free.add((0, name))
+            return Var(name), i + 1
+        decl = self.decls.get(name)
+        if kinds[i + 2] != ")" or decl is None or decl.arg_sorts:
+            return None, i
+        return Ufun(name, (), (), decl.result_sort, decl.domain), i + 3
+
     def _atom(self):
         p = self.p
-        lit = _lit_from_token(p)
-        if lit is not None:
-            return lit
-        if p.eat("("):
+        i = p.pos
+        e, p.pos = self._operand(i)
+        if e is not None:
+            return e
+        p.pos = i + 1
+        if p.kinds[i] == "(":
             e = self.expr()
             p.expect(")")
             return e
-        if p.at("ident"):
-            at = p.pos
-            p.pos += 1
-            name = p.texts[at]
-            if p.eat("("):
-                args: list = []
-                if not p.at(")"):
-                    args.append(self.expr())
-                    while p.eat(","):
-                        args.append(self.expr())
-                p.expect(")")
-                close = p.pos - 1
-                decl = self.decls.get(name)
-                if decl is None:
-                    p.fail(f"call of undeclared function {name!r}", at,
-                           close)
-                if len(args) != len(decl.arg_sorts):
-                    p.fail(f"{name!r} takes {len(decl.arg_sorts)} "
-                           f"argument(s), got {len(args)}", at, close)
-                dom = None if decl.domain is None else \
-                    tuple(decl.domain)
-                return Ufun(name, tuple(args), decl.arg_sorts,
-                            decl.result_sort, dom)
-            if name not in self.vals:
-                self.free[0].add(name)
-            return Var(name)
-        p.fail("expected an expression")
+        if p.kinds[i] != "ident":
+            p.fail("expected an expression", i)
+        # a call with arguments, or one `_operand` refused
+        name, args = p.texts[i], []
+        p.pos = i + 2
+        if p.kinds[i + 2] != ")":
+            args.append(self.expr())
+            while p.kinds[p.pos] == ",":
+                p.pos += 1
+                args.append(self.expr())
+        p.expect(")")
+        decl = self.decls.get(name)
+        if decl is None:
+            p.fail(f"call of undeclared function {name!r}", i, p.pos - 1)
+        if len(args) != len(decl.arg_sorts):
+            p.fail(f"{name!r} takes {len(decl.arg_sorts)} argument(s), "
+                   f"got {len(args)}", i, p.pos - 1)
+        return Ufun(name, tuple(args), decl.arg_sorts, decl.result_sort,
+                    decl.domain)
 
     # -- processes ----------------------------------------------------------
 
     def process(self) -> Process:
         """A process, read by one loop over an explicit stack: what a
-        process follows (a prefix, `commit`, `rec`, `if`, an arm, a
-        parenthesis) pushes a frame, a list of its tag and fields, and a
+        process follows (a prefix, `commit`, `rec`, `if`, an arm group, a
+        parenthesis) pushes a frame, a tuple of its tag and fields, and a
         leaf folds the frames until one needs more text or none is left.
-        Scope and offences change in the order of a recursive descent;
-        `pending` holds the recursion variables no prefix guards."""
+        Heads and the tokens between a construct's parts are matched by
+        their kinds at fixed offsets from the index `i`; where one is out
+        of place, the cursor's `expect` raises its diagnostic.  Scope and
+        offences change in the order of a recursive descent; `pending`
+        holds the recursion variables no prefix guards."""
         p, vals, recs, own = self.p, self.vals, self.recs, self.session_var
-        kinds, texts, tagged = p.kinds, p.texts, self.tagged
+        kinds, texts, tagged, chan = p.kinds, p.texts, self.tagged, \
+            self.session_chan
         pending = _NO_NAMES
         stack: list = []
         push, pop = stack.append, stack.pop
@@ -434,45 +481,46 @@ class _ProgParser:
             kind, text = kinds[i], texts[i]
             made = _PREFIX_OPS.get(kinds[i + 1]) if kind == "ident" else None
             if made is not None:
+                ch = chan
                 if text != own:
-                    self.free[2].add(text)
-                ch = self.session_chan if text == own else ChanVar(text)
+                    self.free.add((2, text))
+                    ch = ChanVar(text)
                 pending, b = _NO_NAMES, None
                 if made is Branch:
-                    p.pos = i + 2
                     # a role tag before the arm block, or after it
-                    role = self._role_suffix() if p.at("@") else None
-                    p.expect("{")
-                    arms: list = []
-                    push([Branch, ch, role, arms, _arm_label(p, arms)])
-                    i = p.pos
+                    role, arms = None, {}
+                    if kinds[i + 2] != "{":  # `@r{`, else `expect` raises
+                        p.pos = i + 2
+                        role = self._role_suffix()
+                        p.expect("{")
+                        i = p.pos - 3
+                    i = _next_arm(p, i + 3, arms)
+                    push((Branch, ch, role, arms, texts[i - 2]))
                     continue
-                # where a token is out of place, `expect` raises
                 if made is Recv:
                     if kinds[i + 2:i + 7] != _RECV \
                             or texts[i + 5] not in SORTS:
-                        p.pos = i + 2
-                        p.expect("(")
-                        p.expect("ident")
-                        p.expect(":")
-                        _parse_sort(p)
-                        p.expect(")")
+                        p.expect_all(i + 2, "(", "ident", ":", "sort", ")")
                     a, b, i = texts[i + 3], texts[i + 5], i + 7
+                    if (a in vals or a == own) and self.rebound is None:
+                        self.rebound = (f"variable {a!r} rebound inside "
+                                        f"its own scope")
+                    vals.add(a)
                 elif made is Select:
                     if kinds[i + 2] != "ident":
-                        p.pos = i + 2
-                        p.expect("ident")
+                        p.expect_all(i + 2, "ident")
                     a, i = texts[i + 2], i + 3
-                elif kinds[i + 2:i + 5:2] == ["<", ">"] \
-                        and kinds[i + 3] not in _PREFIX:  # `_atom` reads it
-                    p.pos = i + 3
-                    a, i = _lit_from_token(p) or self._atom(), i + 5
                 else:
-                    p.pos = i + 2
-                    p.expect("<")
-                    a = self.expr()
-                    p.expect(">")
-                    i = p.pos
+                    a, j = self._operand(i + 3)
+                    if kinds[i + 2] == "<" and a is not None \
+                            and kinds[j] == ">":
+                        i = j + 1
+                    else:
+                        p.pos = i + 2
+                        p.expect("<")
+                        a = self.expr()
+                        p.expect(">")
+                        i = p.pos
                 if kinds[i] == ".":
                     role, i = None, i + 1
                     tagged.add(False)
@@ -481,34 +529,35 @@ class _ProgParser:
                     role = self._role_suffix()
                     p.expect(".")
                     i = p.pos
-                if made is Recv:
-                    if (a in vals or a == own) and self.rebound is None:
-                        self.rebound = (f"variable {a!r} rebound inside "
-                                        f"its own scope")
-                    vals.add(a)
-                push([made, ch, a, b, role])
+                push((made, ch, a, b, role))
                 continue
-            p.pos = i + 1
             if kind == "kw" and text == "if":
-                cond = self.expr()
-                p.expect("kw", "then")
-                push(["then", cond, pending])  # a conditional is no guard
+                cond, j = self._operand(i + 1)
+                if cond is None or kinds[j] != "kw" or texts[j] != "then":
+                    p.pos = i + 1
+                    cond = self.expr()
+                    p.expect("kw", "then")
+                    j = p.pos - 1
+                push(("then", cond, pending))  # a conditional is no guard
+                i = j + 1
             elif kind == "kw" and text == "rec":
-                x = p.expect("ident")
-                p.expect(".")
+                if kinds[i + 1:i + 3] != ["ident", "."]:
+                    p.expect_all(i + 1, "ident", ".")
+                x, i = texts[i + 1], i + 3
                 if x in recs and self.rebound is None:
                     self.rebound = (f"recursion variable {x!r} rebound "
                                     f"inside its own scope")
                 recs.add(x)
                 pending = pending | {x}
-                push([Rec, x])
+                push((Rec, x))
             elif kind == "kw" and text == "commit":
                 if kinds[i + 1] != ".":
-                    p.expect(".")
-                p.pos, pending = i + 2, _NO_NAMES
-                push([Commit])
+                    p.expect_all(i + 1, ".")
+                i, pending = i + 2, _NO_NAMES
+                push((Commit,))
             elif kind == "(":
-                push(["("])
+                push(("(",))
+                i += 1
             else:
                 leaf = _LEAVES.get((kind, text))
                 if leaf is not None:
@@ -517,13 +566,14 @@ class _ProgParser:
                     if text in pending and self.unguarded is None:
                         self.unguarded = f"unguarded recursion on {text!r}"
                     if text not in recs:
-                        self.free[1].add(text)
+                        self.free.add((1, text))
                     node = PVar(text)
                 else:
                     p.fail(f"unexpected keyword {text!r} in process"
                            if kind == "kw" else "expected a process (a "
                            "bare number is not one)" if kind == "int"
                            else "expected a process", i)
+                i += 1
                 while stack:
                     frame = pop()
                     tag = frame[0]
@@ -541,77 +591,100 @@ class _ProgParser:
                         node = Rec(frame[1], node)
                     elif tag is If:
                         node = If(frame[1], frame[2], node)
-                    elif tag is Branch:
+                    elif tag is Branch:  # one frame for the arm group
                         _, ch, role, arms, lab = frame
-                        arms.append((lab, node))
-                        if p.eat(","):
-                            frame[4] = _arm_label(p, arms)
-                            push(frame)
+                        arms[lab] = node
+                        if kinds[i] == ",":
+                            i = _next_arm(p, i + 1, arms)
+                            push((tag, ch, role, arms, texts[i - 2]))
                             pending = _NO_NAMES
                             break
-                        p.expect("}")
-                        if role is None:
-                            role = self._role_suffix()
-                        node = Branch(ch, tuple(arms), role)
+                        if kinds[i] != "}":
+                            p.expect_all(i, "}")
+                        i += 1
+                        if role is None:  # a tag after the block, or none
+                            if kinds[i] == "@":
+                                p.pos = i
+                                role = self._role_suffix()
+                                i = p.pos
+                            else:
+                                tagged.add(False)
+                        node = Branch(ch, tuple(arms.items()), role)
                     elif tag == "then":  # the else-branch follows
+                        if kinds[i] != "kw" or texts[i] != "else":
+                            p.pos = i
+                            p.expect("kw", "else")
                         pending = frame[2]
-                        p.expect("kw", "else")
-                        push([If, frame[1], node])
+                        push((If, frame[1], node))
+                        i += 1
                         break
+                    elif kinds[i] == ")":
+                        i += 1
                     else:
-                        p.expect(")")
+                        p.expect_all(i, ")")
                 else:
+                    p.pos = i
                     return node
-            i = p.pos
 
     def _role_suffix(self) -> int | None:
         """A prefix's role tag, or None; either is noted in `tagged`."""
-        role = int(self.p.expect("int")) if self.p.eat("@") else None
+        p, role = self.p, None
+        if p.kinds[p.pos] == "@":
+            p.pos += 1
+            role = int(p.expect("int"))
         self.tagged.add(role is not None)
         return role
 
     # -- collaborations -----------------------------------------------------
 
     def collaboration(self) -> Collaboration:
-        parts = [self._coll_atom()]
-        while self.p.eat("|"):
-            parts.append(self._coll_atom())
-        return par(*parts)
-
-    def _coll_atom(self) -> Collaboration:
+        """Endpoints separated by `|`, any group of them in parentheses:
+        `par` flattens the nesting, so the loop only counts the open
+        parentheses."""
         p = self.p
-        if p.eat("("):
-            c = self.collaboration()
-            p.expect(")")
-            return c
-        i = p.pos
-        head = p.texts[i]
-        if p.kinds[i] == "kw" and head in ("request", "accept"):
-            p.pos = i + 1
-            name = p.expect("ident")
+        kinds, texts = p.kinds, p.texts
+        parts: list = []
+        depth, i = 0, p.pos
+        while True:
+            while kinds[i] == "(":
+                depth, i = depth + 1, i + 1
+            head = texts[i]
+            if kinds[i] != "kw" or head not in ("request", "accept"):
+                p.fail("expected 'request', 'accept', or a parenthesised "
+                       "collaboration", i)
+            # `request a(x).` or `accept a[r](x).`
             role = None
-            if p.eat("["):
-                role = int(p.expect("int"))
-                p.expect("]")
-            self.tagged.add(role is not None)
-            p.expect("(")
-            x = p.expect("ident")
-            p.expect(")")
-            p.expect(".")
+            if kinds[i + 1:i + 6] == _OPEN:
+                j = i + 6
+            elif kinds[i + 1:i + 9] == _OPEN_ROLE:
+                role, j = int(texts[i + 3]), i + 9
+            else:  # raises
+                p.expect_all(i + 1, *_OPEN_ROLE if kinds[i + 2] == "["
+                             else _OPEN)
+            self.tagged.add(j == i + 9)  # whether the head names a role
+            x = texts[j - 3]
             self._start(x)
+            p.pos = j
             body = self.process()
             self._finish(i)
-            if head == "request":
-                return Request(name, x, body, role)
-            return Accept(name, x, body, role)
-        p.fail("expected 'request', 'accept', or a parenthesised "
-               "collaboration")
+            parts.append((Request if head == "request" else Accept)(
+                texts[i + 1], x, body, role))
+            i = p.pos
+            while depth and kinds[i] == ")":
+                depth, i = depth - 1, i + 1
+            if kinds[i] == "|":
+                i += 1
+            elif depth:
+                p.expect_all(i, ")")
+            else:
+                p.pos = i
+                return par(*parts)
 
 
 def parse_program(src: str) -> SourceProgram:
     p = _P(src)
     decls: dict = {}
-    while p.at("kw", "fun"):
+    while p.kinds[p.pos] == "kw" and p.texts[p.pos] == "fun":
         start = p.pos
         d = _parse_fun_decl(p)
         if d.name in decls:
@@ -628,22 +701,6 @@ def parse_program(src: str) -> SourceProgram:
     return SourceProgram(decls, term, True in pp.tagged)
 
 
-def parse_process_text(src: str, decls: dict | None = None) -> Process:
-    """Parse a bare process (test helper)."""
-    return _parse_bare(src, decls, _ProgParser.process)
-
-
-def parse_expression_text(src: str, decls: dict | None = None):
-    return _parse_bare(src, decls, _ProgParser.expr)
-
-
-def _parse_bare(src: str, decls: dict | None, parse):
-    p = _P(src)
-    found = parse(_ProgParser(p, decls or {}))
-    p.expect("eof")
-    return found
-
-
 # ---------------------------------------------------------------------------
 # type parser
 # ---------------------------------------------------------------------------
@@ -657,7 +714,10 @@ def _type_roles(p: _P) -> tuple:
         return (None, None)
 
     def side():
-        return None if p.eat("ident", "_") else int(p.expect("int"))
+        if p.texts[p.pos] == "_" and p.kinds[p.pos] == "ident":
+            p.pos += 1
+            return None
+        return int(p.expect("int"))
 
     p.pos = i + 1
     a = side()
@@ -667,11 +727,14 @@ def _type_roles(p: _P) -> tuple:
     return a, b
 
 
-# ![sort]. T, ?[sort]. T and sel[label]. T, and the kinds of the tokens
-# of their `[s].` when they name no roles
-_TYPE_PREFIXES = {"!": TOut, "?": TIn, "sel": TSel}
-_SHAPES = {"!": ["[", "kw", "]", "."], "?": ["[", "kw", "]", "."],
-           "sel": ["[", "ident", "]", "."]}
+# what a type starts with, by keyword or symbol: ![sort]. T, ?[sort]. T,
+# sel[label]. T and brn[label: T; ...], each with the kinds of the tokens
+# after it (a `brn`'s up to its first label and `:`) and their number; a
+# role pair `[p,q]` may come before them
+_TYPE_HEADS = {"!": (TOut, ["[", "kw", "]", "."], 4),
+               "?": (TIn, ["[", "kw", "]", "."], 4),
+               "sel": (TSel, ["[", "ident", "]", "."], 4),
+               "brn": (TBrn, ["[", "ident", ":"], 3)}
 _TYPE_ATOMS = {"end": st.TEnd, "err": st.TErr, "roll": st.TRollT,
                "abt": st.TAbtT}
 
@@ -696,43 +759,42 @@ def _read_type(p: _P) -> tuple:
     while True:
         kind, text = kinds[i], texts[i]
         key = text if kind == "kw" else kind
-        made = _TYPE_PREFIXES.get(key)
-        if made is not None:
+        head = _TYPE_HEADS.get(key)
+        if head is not None:  # a prefix, or `brn`
+            made, shape, n = head
             x = texts[i + 2]
-            if kinds[i + 1:i + 5] == _SHAPES[key] \
-                    and (x != "_" if made is TSel else x in SORTS):
+            # `[_` opens a role pair, which `_type_roles` reads
+            if kinds[i + 1:i + 1 + n] == shape and (
+                    x in SORTS if shape[1] == "kw" else x != "_"):
                 src = dst = None
-                i += 5
+                i += 1 + n
             else:
                 p.pos = i + 1
                 src, dst = _type_roles(p)
                 p.expect("[")
-                x = p.expect("ident") if made is TSel else _parse_sort(p)
-                p.expect("]")
-                p.expect(".")
+                if made is TBrn:
+                    p.pos = _next_arm(p, p.pos, {})
+                else:
+                    p.expect_all(p.pos, "ident" if made is TSel else "sort",
+                                 "]", ".")
+                    x = texts[p.pos - 3]
                 i = p.pos
-            push([made, x, src, dst])
-            continue
-        p.pos = i + 1
-        if key == "brn":
-            src, dst = _type_roles(p)
-            p.expect("[")
-            arms: list = []
-            push([TBrn, src, dst, arms, _arm_label(p, arms)])
-            i = p.pos
+            push((made, src, dst, {}, texts[i - 2]) if made is TBrn
+                 else (made, x, src, dst))
         elif key == "mu":
-            v = p.expect("ident")
-            p.expect(".")
-            push([TMu, v, v not in bound])
+            if kinds[i + 1:i + 3] != ["ident", "."]:
+                p.expect_all(i + 1, "ident", ".")
+            v = texts[i + 1]
+            push((TMu, v, v not in bound))
             bound.add(v)
-            i = p.pos
+            i += 3
         elif key == "cmt":
             if kinds[i + 1] != ".":
-                p.expect(".")
-            push([key])
+                p.expect_all(i + 1, ".")
+            push((key,))
             i += 2
         elif key == "(":
-            push([key])
+            push((key,))
             i += 1
         else:
             if key == "ident":
@@ -751,7 +813,7 @@ def _read_type(p: _P) -> tuple:
                 # frame below it; a parenthesised one takes them anyway
                 if kinds[i] == "(" and kinds[i + 1:i + 3] == ["+", ")"] and (
                         tag == "(" or not stack or stack[-1][0] is not TPlus):
-                    push([TPlus, node])
+                    push((TPlus, node))
                     i += 3
                     break
                 if not stack:
@@ -773,24 +835,23 @@ def _read_type(p: _P) -> tuple:
                     continue  # the chain goes on through the `mu`
                 elif tag is TPlus:
                     node = TPlus(frame[1], node)
-                elif tag is TBrn:
+                elif tag is TBrn:  # one frame for the arm group
                     _, src, dst, arms, lab = frame
-                    arms.append((lab, node))
-                    p.pos = i
-                    if p.eat(";"):
-                        frame[4] = _arm_label(p, arms)
-                        push(frame)
-                        i = p.pos
+                    arms[lab] = node
+                    if kinds[i] == ";":
+                        i = _next_arm(p, i + 1, arms)
+                        push((tag, src, dst, arms, texts[i - 2]))
                         break
-                    p.expect("]")
-                    i = p.pos
-                    node = TBrn(tuple(arms), src, dst)
+                    if kinds[i] != "]":
+                        p.expect_all(i, "]")
+                    i += 1
+                    node = TBrn(tuple(arms.items()), src, dst)
                 elif tag == "cmt":
                     node = TCmt(node)
                 else:
-                    p.pos = i
-                    p.expect(")")
-                    i = p.pos
+                    if kinds[i] != ")":
+                        p.expect_all(i, ")")
+                    i += 1
                     continue
                 chain = None
 
@@ -970,8 +1031,8 @@ def _kept(node, render, *args) -> str:
 
 
 def _show_session(c: Session) -> str:
-    """A session's text: its logs are tagged as its saved endpoints are."""
-    tagged = any(p.role is not None for p in par_parts(c.saved))
+    """A session's text: its logs are tagged as its endpoints are."""
+    tagged = c.names_roles
     logs = " | ".join(_kept(lg, _show_log, tagged) if type(lg) is Log
                       else show_collaboration(lg) for lg in par_parts(c.body))
     return f"<{c.name}: {_kept(c.saved, show_collaboration)}>({logs})"

@@ -506,8 +506,7 @@ def _session_steps(ses: Session, mode: str, place) -> list:
     sname = ses.name
     n = len(logs)
     heads = [head_normal(lg.current) for lg in logs]
-    # rules of n-role sessions carry the M- prefix
-    pre = "" if par_parts(ses.saved)[0].role is None else "M-"
+    pre = "M-" if ses.names_roles else ""
 
     def rewrite(body, *args) -> Collaboration:
         """The successor whose session body is `body(*args)`."""

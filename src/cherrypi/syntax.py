@@ -396,6 +396,13 @@ class Session(metaclass=record, frozen=True):
     saved: "Collaboration"
     body: "Collaboration"
 
+    @property
+    def names_roles(self) -> bool:
+        """Whether the session's endpoints carry role tags, read from the
+        endpoints it saved (a program tags all of them or none): its rules
+        carry the `M-` prefix and its endpoints show as `s[r]`."""
+        return par_parts(self.saved)[0].role is not None
+
 
 class RollError(metaclass=record, frozen=True):
     pass

@@ -4,13 +4,32 @@ from pathlib import Path
 import pytest
 
 from cherrypi import corpus_dir
-from cherrypi.parser import parse_program, parse_type
+from cherrypi.parser import _P, _ProgParser, parse_program, parse_type
 from cherrypi.sessiontypes import (TBrn, TIn, TMu, TOut, TSel, TVarT,
                                    _map_type, subtypes)
 
 BINARY_PROGRAMS = ("vod_b", "vod_c", "vod_d", "producer_consumer",
                    "producer_consumer_commit")
 ALL_PROGRAMS = BINARY_PROGRAMS + ("three_party_job",)
+
+
+# a bare process or expression, which only the tests parse: a program
+# text is a collaboration
+
+def parse_process_text(src: str, decls: dict | None = None):
+    return _parse_bare(src, decls, _ProgParser.process)
+
+
+def parse_expression_text(src: str, decls: dict | None = None):
+    return _parse_bare(src, decls, _ProgParser.expr)
+
+
+def _parse_bare(src: str, decls: dict | None, parse):
+    p = _P(src)
+    pp = _ProgParser(p, decls or {})
+    found = parse(pp)
+    p.expect("eof")
+    return found
 
 
 # type walks that only the tests use, so the package does not carry them

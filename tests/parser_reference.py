@@ -3,24 +3,168 @@ the reference its one-loop parsers are compared against.
 
 `RecursiveProgParser.process` and `RecursiveTypeParser.type_` take two
 Python frames per nesting level (`process` and `_prefixed`, `type_` and
-`_prefix`); `parse_program` and `parse_type` here are the package's entry
-points over them.  Tokens, expressions, collaborations and declarations
-are the package's own: only the process and type grammars differ.
+`_prefix`), and `collaboration` two per parenthesis; `parse_program` and
+`parse_type` here are the package's entry points over them.  Every
+construct is read a token at a time through the cursor's `at`, `eat`
+and `expect`: declarations, request and accept heads, role pairs and
+expression atoms too, where the package matches tokens at fixed
+offsets.  Tokens, the expression climber, sorts and the endpoint
+checks' bookkeeping are the package's own.
 """
 
 from __future__ import annotations
 
 from cherrypi import sessiontypes as st
-from cherrypi.parser import (SourceProgram, _P, _ProgParser, _parse_fun_decl,
-                             _parse_sort, _type_roles, _TYPE_ATOMS,
-                             _TYPE_PREFIXES)
-from cherrypi.syntax import (Abort, Branch, ChanVar, Commit, If, Inact, PVar,
-                             Rec, Recv, Roll, Select, Send, _NO_NAMES)
+from cherrypi.parser import (FunDecl, SourceProgram, _P, _ProgParser,
+                             _parse_sort, _TYPE_ATOMS)
+from cherrypi.sessiontypes import TIn, TOut, TSel
+from cherrypi.syntax import (Abort, Accept, Branch, ChanVar, Commit, If,
+                             Inact, Lit, PVar, Rec, Recv, Request, Roll,
+                             Select, Send, Ufun, Var, par, _NO_NAMES)
+
+
+_TYPE_PREFIXES = {"!": TOut, "?": TIn, "sel": TSel}
+
+
+class Cursor(_P):
+    """The package's cursor with the token tests the reference reads by."""
+
+    def at(self, kind: str, text: str | None = None) -> bool:
+        return self.kinds[self.pos] == kind and (
+            text is None or self.texts[self.pos] == text)
+
+    def eat(self, kind: str, text: str | None = None) -> str | None:
+        if self.at(kind, text):
+            self.pos += 1
+            return self.texts[self.pos - 1]
+        return None
+
+
+def _lit_from_token(p: Cursor) -> Lit | None:
+    i = p.pos
+    kind, value = p.kinds[i], p.texts[i]
+    if kind == "kw" and value in ("true", "false"):
+        value = value == "true"
+    elif kind == "int":
+        value = int(value)
+    elif kind != "string":
+        return None
+    p.pos = i + 1
+    return Lit(value)
+
+
+def parse_fun_decl(p: Cursor) -> FunDecl:
+    p.expect("kw", "fun")
+    name_at = p.pos
+    name = p.expect("ident")
+    p.expect("(")
+    arg_sorts: list = []
+    if not p.at(")"):
+        arg_sorts.append(_parse_sort(p))
+        while p.eat(","):
+            arg_sorts.append(_parse_sort(p))
+    p.expect(")")
+    p.expect(":")
+    result = _parse_sort(p)
+    domain = None
+    if p.eat("kw", "in"):
+        p.expect("{")
+        vals: list = []
+        first = _lit_from_token(p)
+        if first is None:
+            p.fail("expected a literal in the outcome domain")
+        vals.append(first.value)
+        while p.eat(","):
+            nxt = _lit_from_token(p)
+            if nxt is None:
+                p.fail("expected a literal in the outcome domain")
+            vals.append(nxt.value)
+        p.expect("}")
+        for v in vals:
+            if Lit(v).sort() != result:
+                p.fail(f"domain value {v!r} is not of sort {result}",
+                       name_at)
+        if len(set(map(repr, vals))) != len(vals):
+            p.fail("duplicate value in outcome domain", name_at)
+        domain = tuple(vals)
+    return FunDecl(name, tuple(arg_sorts), result, domain)
 
 
 class RecursiveProgParser(_ProgParser):
-    """The package's program parser with its processes read by recursive
-    descent."""
+    """The package's program parser with its processes, collaborations and
+    expression atoms read by recursive descent."""
+
+    def _atom(self):
+        p = self.p
+        lit = _lit_from_token(p)
+        if lit is not None:
+            return lit
+        if p.eat("("):
+            e = self.expr()
+            p.expect(")")
+            return e
+        if p.at("ident"):
+            at = p.pos
+            p.pos += 1
+            name = p.texts[at]
+            if p.eat("("):
+                args: list = []
+                if not p.at(")"):
+                    args.append(self.expr())
+                    while p.eat(","):
+                        args.append(self.expr())
+                p.expect(")")
+                close = p.pos - 1
+                decl = self.decls.get(name)
+                if decl is None:
+                    p.fail(f"call of undeclared function {name!r}", at,
+                           close)
+                if len(args) != len(decl.arg_sorts):
+                    p.fail(f"{name!r} takes {len(decl.arg_sorts)} "
+                           f"argument(s), got {len(args)}", at, close)
+                dom = None if decl.domain is None else \
+                    tuple(decl.domain)
+                return Ufun(name, tuple(args), decl.arg_sorts,
+                            decl.result_sort, dom)
+            if name not in self.vals:
+                self.free.add((0, name))
+            return Var(name)
+        p.fail("expected an expression")
+
+    def collaboration(self):
+        parts = [self._coll_atom()]
+        while self.p.eat("|"):
+            parts.append(self._coll_atom())
+        return par(*parts)
+
+    def _coll_atom(self):
+        p = self.p
+        if p.eat("("):
+            c = self.collaboration()
+            p.expect(")")
+            return c
+        i = p.pos
+        head = p.texts[i]
+        if p.kinds[i] == "kw" and head in ("request", "accept"):
+            p.pos = i + 1
+            name = p.expect("ident")
+            role = None
+            if p.eat("["):
+                role = int(p.expect("int"))
+                p.expect("]")
+            self.tagged.add(role is not None)
+            p.expect("(")
+            x = p.expect("ident")
+            p.expect(")")
+            p.expect(".")
+            self._start(x)
+            body = self.process()
+            self._finish(i)
+            if head == "request":
+                return Request(name, x, body, role)
+            return Accept(name, x, body, role)
+        p.fail("expected 'request', 'accept', or a parenthesised "
+               "collaboration")
 
     def _start(self, session_var: str) -> None:
         super()._start(session_var)
@@ -74,14 +218,14 @@ class RecursiveProgParser(_ProgParser):
             p.pos = i + 1
             if p.kinds[i + 1] in ("!", "?", "<+", ">+"):
                 if text != self.session_var:
-                    self.free[2].add(text)
+                    self.free.add((2, text))
                 self.pending = _NO_NAMES
                 return self._prefixed(self.session_chan if text ==
                                       self.session_var else ChanVar(text))
             if text in self.pending and self.unguarded is None:
                 self.unguarded = f"unguarded recursion on {text!r}"
             if text not in self.recs:
-                self.free[1].add(text)
+                self.free.add((1, text))
             return PVar(text)
         p.fail("expected a process")
 
@@ -145,11 +289,11 @@ class RecursiveProgParser(_ProgParser):
 
 
 def parse_program(src: str) -> SourceProgram:
-    p = _P(src)
+    p = Cursor(src)
     decls: dict = {}
     while p.at("kw", "fun"):
         start = p.pos
-        d = _parse_fun_decl(p)
+        d = parse_fun_decl(p)
         if d.name in decls:
             p.fail(f"function {d.name!r} declared twice", start)
         decls[d.name] = d
@@ -164,6 +308,25 @@ def parse_program(src: str) -> SourceProgram:
     return SourceProgram(decls, term, True in pp.tagged)
 
 
+def _type_roles(p: Cursor) -> tuple:
+    """The role pair `[p,q]` that may open a prefix, each side `_` or an
+    integer, or (None, None); the prefix's own `[…]` starts with neither."""
+    i = p.pos
+    if p.kinds[i] != "[" or not (p.kinds[i + 1] == "int" or (
+            p.kinds[i + 1], p.texts[i + 1]) == ("ident", "_")):
+        return (None, None)
+
+    def side():
+        return None if p.eat("ident", "_") else int(p.expect("int"))
+
+    p.pos = i + 1
+    a = side()
+    p.expect(",")
+    b = side()
+    p.expect("]")
+    return a, b
+
+
 class RecursiveTypeParser:
     """Parses a type and checks its variables on the way: the first
     unguarded variable in the text is rejected at its own token, else the
@@ -175,7 +338,7 @@ class RecursiveTypeParser:
     clears, and a `mu` whose own variable ends its body's chain is
     unguarded."""
 
-    def __init__(self, p: _P):
+    def __init__(self, p: Cursor):
         self.p = p
         self.bound: set = set()  # the `mu` variables in scope
         self.chain = None  # the token index of that variable, or None
@@ -259,7 +422,7 @@ class RecursiveTypeParser:
 
 
 def parse_type(src: str) -> st.SessionTypeT:
-    p = _P(src)
+    p = Cursor(src)
     tp = RecursiveTypeParser(p)
     t = tp.type_()
     p.expect("eof")

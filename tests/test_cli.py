@@ -541,6 +541,19 @@ def test_a_chain_of_900_messages_is_rollback_safe(tmp_path):
     assert "904 states" in out
 
 
+def test_a_collaboration_in_5000_parentheses_is_checked(tmp_path):
+    # the parser counts a collaboration's open parentheses, and `par`
+    # keeps no nesting for any later walk to recurse into
+    flat, nested = tmp_path / "flat.chpi", tmp_path / "nested.chpi"
+    program = "request a(x). x!<1>. 0 | accept a(y). y?(v: int). 0"
+    flat.write_text(program)
+    nested.write_text("(" * 5000 + program + ")" * 5000)
+    code, out, err = cli("check", nested)
+    assert (code, err) == (0, "")
+    assert out == cli("check", flat)[1] == (
+        "rollback safe\n  service a: compliant (2 states, 1 edges)\n")
+
+
 def _recorded(tmp_path):
     trace = tmp_path / "t.json"
     assert cli("run", CORPUS / "vod_c.chpi", "--seed", "2",

@@ -341,6 +341,9 @@ FRAMES.update({
                            parse_program, 0),
     "parse_program-parentheses": (_endpoint("(", "0", ")"),
                                   parse_program, 0),
+    "parse_program-collaboration-parentheses": (
+        _nested("(request a(x). 0 | ", "accept a(y). 0", ")"),
+        parse_program, 0),
     "parse_type-prefixes": (_nested("![int]. ?[str]. sel[l]. ", "end"),
                             parse_type, 0),
     "parse_type-plus": (_nested("end (+) ![int]. ", "end"), parse_type, 0),

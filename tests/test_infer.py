@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import BINARY_PROGRAMS
+from conftest import BINARY_PROGRAMS, parse_process_text
 from cherrypi.infer import (TypingError, infer_collaboration, service_pairs,
                             type_of_process)
-from cherrypi.parser import parse_process_text, parse_program, parse_type
+from cherrypi.parser import parse_program, parse_type
 from cherrypi.sessiontypes import canonical_type, render_type
 from cherrypi.syntax import (ChanVar, Endpoint, Inact, Recv, Send, Var,
                              substitute, unfold_recursion)

@@ -1,10 +1,10 @@
 import pytest
 
 import cherrypi.multiparty as mp
-from conftest import BINARY_PROGRAMS, fill_roles
+from conftest import BINARY_PROGRAMS, fill_roles, parse_process_text
 from oracle_naive import erase_rule_name, erase_to_binary, erase_trace
 from cherrypi.infer import infer_collaboration, service_types
-from cherrypi.parser import parse_process_text, parse_program, parse_type
+from cherrypi.parser import parse_program, parse_type
 from cherrypi.runtime import (DecisionOracle, barbs, explore,
                               shadow_typecheck, simulate)
 from cherrypi.semantics import (check_rollback_safety, position_of_role,

@@ -11,16 +11,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genprog import random_program, random_type
-from conftest import ALL_PROGRAMS
+from conftest import ALL_PROGRAMS, parse_expression_text, parse_process_text
 from oracle_naive import naive_endpoint_check, naive_tokenize
 import parser_reference
 from cherrypi import corpus_dir, parser, sessiontypes, syntax
 from cherrypi.multiparty import to_multiparty
 from cherrypi.parser import (FunDecl, ParseError, SourceProgram, _P,
                              _ProgParser, _TOKEN, _diag, _read_type,
-                             _parse_fun_decl, _spans, parse_expression_text,
-                             parse_process_text, parse_program, parse_type,
-                             render_expr, render_program, tokenize)
+                             _parse_fun_decl, _spans, parse_program,
+                             parse_type, render_expr, render_program,
+                             tokenize)
 from cherrypi.sessiontypes import (TBrn, TCmt, TIn, TMu, TOut, TPlus, TVarT,
                                    _map_type, canonical_type, render_type,
                                    subtypes)
@@ -535,7 +535,7 @@ def _agrees_with_reference_lexer(src):
     "²", '"ab', '"a\\qb"', '"ab\\', "/* x", "\x00", "a #", "x = y", "&",
     "request ) a(x). ²", "![int]. end\r\n$", "a\u00a0b", "五 ½",
     "end // c", 'x!<"a\\"b\\n"> )', "/* a\n b */\n end )", "é² )",
-    " \n ²", "/* c */ #",
+    " \n ²", "/* c */ #", '// "a', '/* "a */', '/* "a */ end "b',
 ])
 def test_tokens_and_diagnostics_match_the_reference_lexer(src):
     _agrees_with_reference_lexer(src)
@@ -715,7 +715,7 @@ def _reference_check_diagnostic(src):
     p = _P(src)
     try:
         decls: dict = {}
-        while p.at("kw", "fun"):
+        while (p.kinds[p.pos], p.texts[p.pos]) == ("kw", "fun"):
             d = _parse_fun_decl(p)
             decls[d.name] = d
         first = p.pos
@@ -970,11 +970,54 @@ _EDGE_TEXTS = [
 ]
 
 
+def _menu_program(n: int) -> str:
+    """An `if` chain n deep over a declared domain, each branch selecting
+    its label, against an n-arm branch block."""
+    conds = "".join(f"if f() == {k} then x<+ l{k}. x!<{k}>. 0 else "
+                    for k in range(1, n))
+    arms = ", ".join(f"l{k}: y?(v{k}: int). 0" for k in range(1, n + 1))
+    return (f"fun f(): int in {{ {', '.join(map(str, range(1, n + 1)))} }}"
+            f"\nrequest a(x). {conds}x<+ l{n}. x!<{n}>. 0\n"
+            f"| accept a(y). y>+{{ {arms} }}")
+
+
+# what the parsers read at fixed offsets: `if` heads over each kind of
+# operand, arm groups, declarations with none to two argument sorts and
+# with domains, n-role heads and role-tagged prefixes (and an untagged
+# branch among them), parenthesised collaborations, and role pairs, `brn`
+# groups and `(+)` around parentheses in types, with the heads that only
+# look like one (`[_` and `[3` open a role pair, a keyword in the place
+# of a sort, a `)` that no `(` opened)
+_HEAD_TEXTS = [
+    _menu_program(16),
+    "fun f(): bool\nfun g(int): str in { \"a\", \"b\" }\n"
+    "fun h(int, bool): int in { 1, 2, 3 }\n"
+    "request a(x). x!<h(1, g(2) == \"a\")>. if f() then x!<g(h(1, true))>. "
+    "0 else if true then 0 else if 7 then 0 else if \"s\" then 0 else "
+    "x?(v: bool). if v then x!<v>. 0 else if !v then 0 else "
+    "if g(1) == \"b\" then 0 else 0 | accept a(y). y?(u: int). y!<f()>. 0",
+    "fun e(): str in { \"a\" }\nfun d(bool): bool in { true, false }\n"
+    "request a(x). x!<d(e() == \"a\")>. x!<e()>. 0 | accept a(y). 0",
+    "request a[3](x). x!<1>@2. x?(v: int)@1. x<+ l@2. x>+@1{ l: 0, r: 0 }"
+    " | accept a[2](y). y?(v: int)@3. y>+{ l: y!<1>@3. 0 }@3"
+    " | accept a[1](z). z!<2>@3. z<+ l@3. 0",
+    "(request a(x). x!<1>. 0 | (accept a(y). y?(v: int). 0))"
+    " | ((request b(u). (u<+ l. 0)) | accept b(w). w>+{ l: 0 })",
+    "brn[1,2][l: ![2,1][int]. end; r: sel[1,2][_]. ?[_,1][str]. end]",
+    "![2,1][int]. brn[l: (end (+) end); r: ((sel[m]. end))] (+) end",
+    "((![int]. end) (+) (?[int]. end)) (+) (mu t. ![int]. t) (+) end",
+    "request a[2](x). x>+{ l: 0 } | accept a[1](y). y<+ l@2. 0",
+    "sel[_]. end", "brn[_: end; r: end]", "brn[3: end]",
+    "![1,2][end]. end", "?[end]. end", "sel[1,2][l]. brn[_,1][l: end]",
+    "request a(x). 0) | accept a(y). 0", "(request a(x). 0)) | accept b(y). 0",
+]
+
+
 def _differential_texts():
     """The corpus, generated programs (and their two-role twins), types
     and faulty texts, check-large's menu and chain shapes, and the edge
-    texts above."""
-    texts = list(_TEXTS) + _EDGE_TEXTS
+    and head texts above."""
+    texts = list(_TEXTS) + _EDGE_TEXTS + _HEAD_TEXTS
     for seed in range(6, 12):
         prog = random_program(random.Random(seed), safe=seed % 2 == 0)
         texts += [render_program(prog), render_program(to_multiparty(prog)),
@@ -1037,3 +1080,21 @@ def _token_mutants(draw):
 @given(_token_mutants())
 def test_the_parsers_match_the_recursive_ones_on_token_mutants(src):
     _parses_as_the_reference(src)
+
+
+@pytest.mark.parametrize("k", range(len(_HEAD_TEXTS)))
+def test_the_parsers_match_the_recursive_ones_on_every_head_mutant(k):
+    # every single-token mutant of the texts the fixed-offset heads read,
+    # not a sample: a head that accepts a token out of place shows here;
+    # the menu is 3 deep here, since the 16-deep one's 2,000 mutants of
+    # 500 tokens each take seconds
+    src = _menu_program(3) if k == 0 else _HEAD_TEXTS[k]
+    spans = [span for span in _spans(src) if span[0] < len(src)]
+    for j, (a, b) in enumerate(spans):
+        _parses_as_the_reference(src[:b])
+        _parses_as_the_reference(src[:a] + src[b:])
+        _parses_as_the_reference(src[:b] + " " + src[a:])
+        if j + 1 < len(spans):
+            c, d = spans[j + 1]
+            _parses_as_the_reference(
+                src[:a] + src[c:d] + src[b:c] + src[a:b] + src[d:])

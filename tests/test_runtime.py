@@ -15,9 +15,9 @@ from oracle_naive import (forced_steps, naive_barbs, naive_explore,
                           naive_values)
 from scale_explore import _PC, _PC_DECLS, _kpar
 from cherrypi.infer import TypingError
-from cherrypi.parser import (ParseError, SourceProgram,
-                             parse_expression_text, parse_process_text,
-                             parse_program, show_collaboration)
+from conftest import parse_expression_text, parse_process_text
+from cherrypi.parser import (ParseError, SourceProgram, parse_program,
+                             show_collaboration)
 from cherrypi.runtime import (DecisionOracle, ExploreError, MalformedInput,
                               OracleExhausted, barbs, classify_state,
                               enumerate_values, evaluate, explore, guard_value,
