@@ -48,14 +48,6 @@ def _at_least(least: int):
     return count
 
 
-def _load_program(path: str):
-    return parse_program(_read(path))
-
-
-def _load_type(path: str):
-    return parse_type(_read(path))
-
-
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -77,7 +69,7 @@ def _dq(s: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_infer(args) -> int:
-    program = _load_program(args.file)
+    program = parse_program(_read(args.file))
     rendered = {name: render_type(t)
                 for name, t in infer_collaboration(program.term).items()}
     _emit(args, rendered, [f"{k}: {v}" for k, v in rendered.items()])
@@ -85,7 +77,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_check(args) -> int:
-    program = _load_program(args.file)
+    program = parse_program(_read(args.file))
     report = check_rollback_safety(program.term, args.budget)
     data = report.to_json()
     lines = [data["verdict"]]
@@ -100,8 +92,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_comply(args) -> int:
-    t1 = _load_type(args.left)
-    t2 = _load_type(args.right)
+    t1 = parse_type(_read(args.left))
+    t2 = parse_type(_read(args.right))
     report = check_compliance(t1, t2, budget=args.budget)
     data = report.to_json()
     lines = [data["verdict"],
@@ -129,7 +121,7 @@ def _oracle_from(args):
 
 def cmd_run(args) -> int:
     from .runtime import simulate
-    program = _load_program(args.file)
+    program = parse_program(_read(args.file))
     oracle = _oracle_from(args)
     trace = simulate(program, oracle, max_steps=args.max_steps,
                      mode=args.error_mode)
@@ -147,7 +139,7 @@ def cmd_run(args) -> int:
 
 def cmd_explore(args) -> int:
     from .runtime import explore
-    program = _load_program(args.file)
+    program = parse_program(_read(args.file))
     report = explore(program, depth=args.depth, mode=args.error_mode,
                      budget=args.budget)
     if args.dot:
@@ -174,8 +166,8 @@ def _explore_dot(report) -> str:
 
 
 def cmd_graph(args) -> int:
-    t1 = _load_type(args.left)
-    t2 = _load_type(args.right)
+    t1 = parse_type(_read(args.left))
+    t2 = parse_type(_read(args.right))
     report = check_compliance(t1, t2, budget=args.budget)
     dot = compliance_dot(report)
     if args.dot:
@@ -190,7 +182,7 @@ def cmd_graph(args) -> int:
 def cmd_replay(args) -> int:
     from .runtime import replay
     trace_json = json.loads(_read(args.trace))
-    program = _load_program(args.program) if args.program else None
+    program = parse_program(_read(args.program)) if args.program else None
     report = replay(trace_json, mode=args.error_mode, program=program)
     payload = {"ok": report.ok, "divergence": report.divergence}
     lines = (["replay ok"] if report.ok

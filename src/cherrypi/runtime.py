@@ -318,16 +318,18 @@ def _may_recover(bs: frozenset) -> bool:
 # ---------------------------------------------------------------------------
 
 class Candidate(metaclass=record):
-    """One reduction step on offer at a state.
+    """One reduction step on offer at a state, or one built.
 
     `reduction_steps` offers every step lazily: `successor` is None, and
     `outcome(v)` builds the step when it is taken, as (text, successor).
     A step that evaluates an expression (F-Com, F-If) has it as `expr`,
     its text is "" until then, and `v` is the value of `expr`; any other
-    step is built by `outcome(None)`.  `simulate` keeps a state's first
-    candidate and calls `outcome` once per value drawn; `explore` forces
-    each candidate into built ones (`_built`), which carry their
-    `successor` and the draws they assume."""
+    step is built by `outcome(None)`.  A built candidate carries its
+    `successor` and is a step a run took or an edge `explore` found.
+    `simulate` keeps a state's first candidate, calls `outcome` once per
+    value drawn and records the step built, the state after it as its
+    successor; `explore` forces each candidate into built ones (`_built`),
+    which carry the draws they assume."""
     rule: str
     session: str  # session name; a connection step's is the fresh one
     party: int  # 1-based log position; 0 for connection steps
@@ -342,6 +344,9 @@ class Candidate(metaclass=record):
 
     def sort_key(self):
         return (self.session, self.party, self.rule, self.text)
+
+    def label(self) -> str:
+        return f"{self.rule} {self.text}"
 
 
 def _fresh_session(items) -> str:
@@ -671,24 +676,12 @@ def _item_class(it) -> str:
 # simulation
 # ---------------------------------------------------------------------------
 
-class StepRecord(metaclass=record):
-    rule: str
-    session: str
-    party: int
-    text: str
-    backward: bool
-    state: Collaboration
-
-    def label(self) -> str:
-        return f"{self.rule} {self.text}"
-
-
 class Trace(metaclass=record):
     """A run of `program` from its term.  A serialized trace is
     self-contained: its `initial` field is the program's source
     (declarations included), which re-parses to the program."""
     program: SourceProgram
-    steps: list  # list[StepRecord]
+    steps: list  # list[Candidate], the steps taken, built
     status: str  # completed | stuck | roll_error | com_error | cut-off
     oracle: DecisionOracle
 
@@ -703,13 +696,13 @@ class Trace(metaclass=record):
 
 def _shown_steps(steps: list):
     """Each step's label and shown state, in order.  A looping run repeats
-    its step records (see `simulate`), and each distinct one is shown once
+    its step objects (see `simulate`), and each distinct one is shown once
     per call; `steps` holds them, so their ids stay their own."""
     shown: dict = {}
     for s in steps:
         got = shown.get(id(s))
         if got is None:
-            got = shown[id(s)] = s.label(), show_collaboration(s.state)
+            got = shown[id(s)] = s.label(), show_collaboration(s.successor)
         yield got
 
 
@@ -724,7 +717,7 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
 
     A run loops (a roll restores a checkpoint, a `rec` re-enters its
     body), so one call keeps the step taken from each state it meets: the
-    first candidate once per state key (`_state_key`), and the step record
+    first candidate once per state key (`_state_key`), and the step built
     and its successor's class once per (state key, value drawn).  A state
     object met before is found by identity, without its key.  A state met
     again still evaluates its candidate's expression against the oracle,
@@ -739,9 +732,9 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
     steps: list = []
     status = "cut-off"
     # state key -> [the state, which keeps the key's ids meaningful, its
-    # first candidate, {value drawn or None: (step record, its successor's
-    # class)}], or [the state, None, (step record, class)] once a
-    # candidate that draws nothing is built
+    # first candidate, {value drawn or None: (step built, its successor's
+    # class)}], or [the state, None, (step built, class)] once a candidate
+    # that draws nothing is built
     memo: dict = {}
     # id(state) -> its memo entry: every state met is the program's or a
     # step's, which `steps` holds, so their ids stay their own
@@ -770,14 +763,14 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
             step = taken.get(v)
             if step is None:
                 text, succ = c.outcome(v)
-                step = taken[v] = (StepRecord(c.rule, c.session, c.party,
-                                              text, c.backward, succ),
+                step = taken[v] = (Candidate(c.rule, c.session, c.party,
+                                             text, succ, c.backward),
                                    classify_state(par_parts(succ), True))
                 if c.expr is None or not _undecided(c.expr):
                     entry[1:] = None, step
         step, kind = step
         steps.append(step)
-        state = step.state
+        state = step.successor
         if kind in _ERRORS:
             status = kind
             break
@@ -966,7 +959,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
         elif kind != "live":
             path = ts.path_to(sid)
             (stuck if kind == "stuck" else errors).append(ExploreEntry(
-                kind, sid, [f"{c.rule} {c.text}" for c in path],
+                kind, sid, [c.label() for c in path],
                 _script_of([d for c in path for d in c.choices])))
     return ExplorationReport(ts, errors, stuck, completed, depth)
 

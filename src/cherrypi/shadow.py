@@ -9,7 +9,7 @@ retype is independent of the mirror: a log's type is inferred from its
 process, never derived by stepping the tracked type.
 
 A run pays once per distinct step.  A looping run repeats its steps as
-the very same `runtime.StepRecord` objects (see `runtime.simulate`), so a
+the very same built `runtime.Candidate`s (see `runtime.simulate`), so a
 step is checked once per call for each configuration it meets, and a
 repeat replays the configuration it led to and the failures it added.
 A continuation is a subterm of the process retyped before it, whose type
@@ -137,16 +137,15 @@ def _check_step(step, cfg, types: dict, failures: list):
     """One step of `shadow_typecheck` on its session's configuration `cfg`
     (None when it has none): the configuration after it, or None when it
     has none, with its failures appended to `failures`."""
-    if step.party == 0:  # connection
-        service = step.text.split(":", 1)[0]
-        cfg = initial_configuration(*types[service])
+    ses = _find_session(step.successor, step.session)
+    if step.party == 0:  # connection: the service of the endpoints it saved
+        cfg = initial_configuration(*types[par_parts(ses.saved)[0].chan])
     elif cfg is not None:
         cfg = _mirror(cfg, step, failures)
     # correspondence: retype every live log against the tracked types
-    ses_state = _find_session(step.state, step.session)
-    if ses_state is None or cfg is None:  # aborted, or never connected
+    if ses is None or cfg is None:  # aborted, or never connected
         return None
-    body = par_parts(ses_state.body)
+    body = par_parts(ses.body)
     if any(isinstance(b, (RollError, ComError)) for b in body):
         for k, t in enumerate(cfg.currents):
             if not isinstance(t, TErr):

@@ -36,8 +36,8 @@ from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
                              process_key, subprocesses, substitute, term_key,
                              unfold_recursion)
 from cherrypi.runtime import (Candidate, ExplorationReport, ExploreEntry,
-                              StepRecord, Trace, classify_state,
-                              enumerate_values, guard_value, reduction_steps)
+                              Trace, classify_state, enumerate_values,
+                              guard_value, reduction_steps)
 from cherrypi.semantics import TransitionSystem
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
                                    TOut, TPlus, TRollT, TSel, canonical_type,
@@ -674,7 +674,7 @@ def erase_trace(tr):
     return Trace(
         SourceProgram(dict(tr.program.decls),
                       erase_to_binary(tr.program.term), False),
-        [StepRecord(erase_rule_name(s.rule), s.session, s.party, s.text,
-                    s.backward, erase_to_binary(s.state))
+        [Candidate(erase_rule_name(s.rule), s.session, s.party, s.text,
+                   erase_to_binary(s.successor), s.backward)
          for s in tr.steps],
         tr.status, tr.oracle)

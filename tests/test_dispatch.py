@@ -69,7 +69,8 @@ def test_no_class_pattern_match_outside_the_test_only_walkers():
     stray = []
     for module in MODULES:
         finder = _ClassMatches()
-        finder.visit(ast.parse(open(module.__file__).read()))
+        with open(module.__file__) as fh:
+            finder.visit(ast.parse(fh.read()))
         name = module.__name__.rsplit(".", 1)[1]
         stray += [f"{name}.{where}:{line}" for where, line in finder.found
                   if (name, where) not in TEST_ONLY]

@@ -119,7 +119,7 @@ def test_commit_by_one_role_replaces_all_logs(programs):
     t = mp.m_simulate(programs["three_party_job"], o, 60, mode="plain")
     cmt = next(i for i, s in enumerate(t.steps)
                if s.label().endswith("commit"))
-    state = t.steps[cmt].state
+    state = t.steps[cmt].successor
     from cherrypi.syntax import Log, Session, par_parts
     ses = next(p for p in par_parts(state) if isinstance(p, Session))
     logs = [lg for lg in par_parts(ses.body) if isinstance(lg, Log)]

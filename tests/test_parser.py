@@ -1082,6 +1082,20 @@ def test_the_parsers_match_the_recursive_ones_on_token_mutants(src):
     _parses_as_the_reference(src)
 
 
+def _every_token_mutant(src):
+    """Every text `_token_mutants` can draw from `src`: each token cut off
+    after, deleted, duplicated, and swapped with the next.
+    `tests/token_mutants.py` checks them all over `_DIFFERENTIAL`."""
+    spans = [span for span in _spans(src) if span[0] < len(src)]
+    for j, (a, b) in enumerate(spans):
+        yield src[:b]
+        yield src[:a] + src[b:]
+        yield src[:b] + " " + src[a:]
+        if j + 1 < len(spans):
+            c, d = spans[j + 1]
+            yield src[:a] + src[c:d] + src[b:c] + src[a:b] + src[d:]
+
+
 @pytest.mark.parametrize("k", range(len(_HEAD_TEXTS)))
 def test_the_parsers_match_the_recursive_ones_on_every_head_mutant(k):
     # every single-token mutant of the texts the fixed-offset heads read,
@@ -1089,12 +1103,5 @@ def test_the_parsers_match_the_recursive_ones_on_every_head_mutant(k):
     # the menu is 3 deep here, since the 16-deep one's 2,000 mutants of
     # 500 tokens each take seconds
     src = _menu_program(3) if k == 0 else _HEAD_TEXTS[k]
-    spans = [span for span in _spans(src) if span[0] < len(src)]
-    for j, (a, b) in enumerate(spans):
-        _parses_as_the_reference(src[:b])
-        _parses_as_the_reference(src[:a] + src[b:])
-        _parses_as_the_reference(src[:b] + " " + src[a:])
-        if j + 1 < len(spans):
-            c, d = spans[j + 1]
-            _parses_as_the_reference(
-                src[:a] + src[c:d] + src[b:c] + src[a:b] + src[d:])
+    for mutant in _every_token_mutant(src):
+        _parses_as_the_reference(mutant)

@@ -222,7 +222,7 @@ def _draws_of_steps(program, trace, mode="plain") -> list:
         (c,) = [c for c in forced_steps(state, mode)
                 if (c.rule, c.text) == (s.rule, s.text)]
         out.append(c.choices)
-        state = s.state
+        state = s.successor
     return out
 
 
@@ -272,7 +272,7 @@ def test_trace_transcript_holds_only_the_draws_of_the_steps_taken():
     t = simulate(prog, DecisionOracle("seeded-random", seed=5), 40)
     # rival steps that would draw were on offer along the way
     assert any(sum(c.expr is not None and guard_value(c.expr) is None
-                   for c in reduction_steps(s.state)) > 1 for s in t.steps)
+                   for c in reduction_steps(s.successor)) > 1 for s in t.steps)
     want = [d for ch in _draws_of_steps(prog, t) for d in ch]
     assert t.oracle.transcript == want
 
@@ -335,7 +335,7 @@ def test_a_drawing_candidate_is_alone_in_its_session_party_and_rule(seed,
     for p in (prog, to_multiparty(prog), ring):
         t = simulate(p, DecisionOracle("seeded-random", seed=seed), 40,
                      mode=mode)
-        states += [p.term] + [s.state for s in t.steps]
+        states += [p.term] + [s.successor for s in t.steps]
     # a run of parallel sessions keeps to s1: take every state near the
     # start instead, where up to three sessions are open side by side
     states += explore(_kpar(1 + seed % 3), depth=8, mode=mode).states
@@ -413,7 +413,7 @@ def test_a_run_builds_only_the_steps_it_takes(programs, monkeypatch):
     rivals = set()
     looping = 0
     for prog, t in _detect_runs(programs):
-        befores = [prog.term] + [s.state for s in t.steps[:-1]]
+        befores = [prog.term] + [s.successor for s in t.steps[:-1]]
         distinct = {(runtime._state_key(b), s.label())
                     for b, s in zip(befores, t.steps)}
         assert len(built) == len(distinct) > 0
@@ -421,7 +421,8 @@ def test_a_run_builds_only_the_steps_it_takes(programs, monkeypatch):
             looping += 1
             assert len(built) < len(t.steps)
         for s in t.steps:
-            rivals |= {c.rule for c in reduction_steps(s.state, "detect")[1:]
+            rivals |= {c.rule
+                       for c in reduction_steps(s.successor, "detect")[1:]
                        if c.expr is None and c.party}
         built.clear()
     assert looping
@@ -464,7 +465,7 @@ def test_a_connection_taken_builds_the_exhaustive_successor():
     # `explore` builds with the same sort key
     runs = []
     for prog, mode, t in _connecting_runs():
-        runs.append((prog, mode, [prog.term] + [s.state for s in t.steps]))
+        runs.append((prog, mode, [prog.term] + [s.successor for s in t.steps]))
     # a run of parallel sessions keeps to s1: take the states near the
     # start, where up to three sessions are open side by side
     kpar = _kpar(3)
@@ -494,7 +495,7 @@ def test_a_session_step_taken_builds_the_exhaustive_successor(programs):
     # step `explore` builds with the same sort key
     seen = set()
     for prog, t in _detect_runs(programs):
-        states = [prog.term] + [s.state for s in t.steps]
+        states = [prog.term] + [s.successor for s in t.steps]
         for state in _distinct_states(states):
             full = {c.sort_key(): c
                     for c in _explored_steps(prog, "detect", state)}
@@ -539,7 +540,7 @@ def test_kept_texts_render_as_fresh_terms(seed, mode):
     for p in programs:
         t = simulate(p, DecisionOracle("seeded-random", seed=seed), 40,
                      mode=mode)
-        for state in [p.term] + [s.state for s in t.steps]:
+        for state in [p.term] + [s.successor for s in t.steps]:
             # logs a step left alone carry the text an earlier state kept
             reused += any("_shown" in lg.__dict__ for lg in _logs(state))
             assert show_collaboration(state) == \
@@ -562,7 +563,7 @@ def test_states_render_and_barb_as_the_references(seed):
         for mode in ("plain", "detect"):
             t = simulate(p, DecisionOracle("seeded-random", seed=seed), 40,
                          mode=mode)
-            for state in [p.term] + [s.state for s in t.steps]:
+            for state in [p.term] + [s.successor for s in t.steps]:
                 assert show_collaboration(state) == naive_show(state)
                 for it in par_parts(state):
                     if not isinstance(it, Session):
@@ -591,7 +592,7 @@ def test_a_node_met_twice_in_one_render_renders_twice():
         t = simulate(prog, DecisionOracle("seeded-random", seed=1), 12,
                      mode=mode)
         assert len(t.steps) == 12
-        for state in [prog.term] + [s.state for s in t.steps]:
+        for state in [prog.term] + [s.successor for s in t.steps]:
             assert show_collaboration(state) == naive_show(state)
         assert replay(t.to_json(), mode).ok
     unfolded = unfold_recursion(P("rec Y. x!<1>. x>+{ a: Y, b: Y }"))
@@ -651,12 +652,12 @@ def test_the_shadow_retypes_each_distinct_process_once(corpus, monkeypatch):
     monkeypatch.setattr(shadow, "type_of_process", counting)
     monkeypatch.setattr(infer, "_type_of", walking)
     assert shadow_typecheck(prog, t).ok
-    asked = [(q, lg.endpoint) for s in t.steps for lg in _logs(s.state)
+    asked = [(q, lg.endpoint) for s in t.steps for lg in _logs(s.successor)
              for q in (lg.current, lg.ckpt.process)]
     # a repeated step is checked once: the run's distinct steps retype
     # their logs' processes, not each of its 100 steps
     steps = {id(s): s for s in t.steps}.values()
-    assert len(retyped) <= 2 * sum(len(_logs(s.state)) for s in steps) \
+    assert len(retyped) <= 2 * sum(len(_logs(s.successor)) for s in steps) \
         < len(asked)
     # and a process keeps its type on the node: no node is walked twice
     assert walked and len(walked) == len(set(walked))
@@ -740,7 +741,7 @@ def test_a_looping_receive_comes_back_to_the_same_steps(monkeypatch):
             t = simulate(p, DecisionOracle("seeded-random", seed=0), 41,
                          mode=mode)
             assert len(substituted) == 2 * subs
-            befores = [p.term] + [s.state for s in t.steps[:-1]]
+            befores = [p.term] + [s.successor for s in t.steps[:-1]]
             keys = {runtime._state_key(b) for b in befores}
             # each run steps the request, the open session, and the
             # session after a send
@@ -840,8 +841,7 @@ def _memo_free_run(program, oracle, max_steps, mode):
             ex.steps = steps
             raise
         state = c.successor
-        steps.append(runtime.StepRecord(c.rule, c.session, c.party, c.text,
-                                        c.backward, state))
+        steps.append(c)
         kind = classify_state(par_parts(state), True)
         if kind in ("roll_error", "com_error"):
             status = kind
@@ -851,7 +851,7 @@ def _memo_free_run(program, oracle, max_steps, mode):
 
 def _run_summary(t) -> tuple:
     return ([s.label() for s in t.steps],
-            [show_collaboration(s.state) for s in t.steps], t.status,
+            [show_collaboration(s.successor) for s in t.steps], t.status,
             t.oracle.transcript)
 
 
@@ -949,7 +949,7 @@ def test_an_oracle_running_out_inside_a_loop_stops_both_runs_alike():
     labels = [s.label() for s in memo.value.steps]
     assert labels == [s.label() for s in ref.value.steps]
     assert len(labels) > 10
-    assert len({id(s.state) for s in memo.value.steps}) < len(labels)
+    assert len({id(s.successor) for s in memo.value.steps}) < len(labels)
 
 
 def test_alpha_variant_states_keep_their_own_texts():
@@ -962,10 +962,10 @@ def test_alpha_variant_states_keep_their_own_texts():
         " else y?(w: int). Y")
     oracle = DecisionOracle("seeded-random", seed=3)
     t = simulate(prog, oracle, 60)
-    texts = [show_collaboration(s.state) for s in t.steps]
+    texts = [show_collaboration(s.successor) for s in t.steps]
     assert any("y?(u: int)" in x for x in texts)
     assert any("y?(w: int)" in x for x in texts)
-    assert texts == [naive_show(s.state) for s in t.steps]
+    assert texts == [naive_show(s.successor) for s in t.steps]
     assert _memo_run(prog, oracle, 60, "plain") == \
         _reference_run(prog, oracle, 60, "plain")
     assert replay(t.to_json()).ok
@@ -1415,7 +1415,7 @@ def test_classify_completed(programs):
                                            "f_SD": [True]})
     t = simulate(programs["vod_c"], o, 60, mode="detect")
     assert t.status == "completed"
-    assert classify_state(par_parts(t.steps[-1].state),
+    assert classify_state(par_parts(t.steps[-1].successor),
                           False) == "completed"
 
 
@@ -1460,7 +1460,7 @@ def test_kept_item_classes_classify_as_fresh_terms(programs, seed, mode):
                                mode=mode).states
         except ExploreError:  # an int or str draw without a domain
             explored = []
-        for state in [p.term] + [s.state for s in t.steps] + explored:
+        for state in [p.term] + [s.successor for s in t.steps] + explored:
             kept += any("_class" in it.__dict__ for it in par_parts(state))
             fresh = _fresh(state)
             for has_steps in (False, True):
