@@ -11,17 +11,20 @@ configuration to the initial types.  Compliance asks that every reachable
 configuration with no step has every current `end`, and rollback safety
 lifts that check to every service of a collaboration.
 
-`_party_transitions` is the one stepper of configurations: `search` reads
-it through `_keyed_transitions`, and `config_transitions` and the shadow
-checker's `shadow._mirror` read it too.  Each step carries its successor's
-key, derived from the parent's `config_key` by replacing only the slots the
-step changed and kept on the successor, so only a search's root and an
-abort's reset configuration are keyed from their types.
+`_party_transitions` is the one stepper of configurations: `search`,
+`config_transitions` and the shadow checker's `shadow._mirror` read it.
+It steps a node, the tuple (`config_key`, checkpoint types, current types,
+initial types), whose key's slots hold the imposed flags, and builds no
+record.  A successor's key is derived from the parent's by replacing only
+the slots the step changed, and an abort returns to the root node, so
+only a search's root is keyed from its types.  Records are built from
+nodes only when read: a system's `states`, a violation's `config` and
+`config_transitions`' successors.
 
 `search` is the package's one breadth-first search, under
-`reachable_system` and `runtime.explore` alike: it builds a successor only
-when its key is new, keeps edges and parent pointers in flat arrays, and
-is the only place that checks a state budget.
+`reachable_system` and `runtime.explore` alike: it keeps edges and parent
+pointers in flat arrays, and is the only place that checks a state
+budget.
 """
 
 from __future__ import annotations
@@ -128,8 +131,7 @@ class TypeConfiguration(metaclass=record, frozen=True):
 
 
 def initial_configuration(*types: SessionTypeT) -> TypeConfiguration:
-    return TypeConfiguration(tuple(CheckpointType(t) for t in types),
-                             types, types)
+    return _config(_root(types))
 
 
 def role_of_position(pos: int, n: int) -> int:
@@ -158,8 +160,8 @@ def config_key(cfg: TypeConfiguration) -> tuple:
     flag and the `type_key`s of checkpoint and current.  The initial types
     are left out because they are fixed along a run.  Like `type_key`, the
     key is meaningful only while the configuration's types are alive.  It
-    is kept on the configuration as `_key`, which the stepper sets on every
-    successor it builds."""
+    is kept on the configuration as `_key`, which `_config` sets on every
+    record it builds from a node."""
     d = cfg.__dict__
     key = d.get("_key")
     if key is None:
@@ -170,109 +172,120 @@ def config_key(cfg: TypeConfiguration) -> tuple:
     return key
 
 
+def _root(types: tuple) -> tuple:
+    """The node of the initial configuration of `types`."""
+    key: list = []
+    for t in types:
+        k = type_key(t)
+        key += (False, k, k)
+    return tuple(key), types, types, types
+
+
+def _config(node: tuple) -> TypeConfiguration:
+    """The configuration a node stands for, with the node's key as `_key`."""
+    cks = tuple(map(CheckpointType, node[1], node[0][::3]))
+    cfg = TypeConfiguration(cks, node[2], node[3])
+    cfg.__dict__["_key"] = node[0]
+    return cfg
+
+
 def config_transitions(cfg: TypeConfiguration) -> list:
     """All journal steps of a configuration, as (party, rule, label,
     successor) sorted by (party, rule, label); parties are 1-based log
     positions."""
-    return [step[1:] for step in _keyed_transitions(0, cfg)]
+    node = (config_key(cfg), tuple(ck.typ for ck in cfg.ckpts),
+            cfg.currents, cfg.inits)
+    return [(*step[1:4], _config(step[4]))
+            for step in _party_transitions(node, _root(cfg.inits))]
 
 
-def _keyed(key: list, party: int, rule: str, label: str, ckpts: tuple,
-           currents: list, inits: tuple) -> tuple:
-    """A step of `_party_transitions`; its successor keeps `key` as
-    `_key`."""
-    succ = TypeConfiguration(ckpts, tuple(currents), inits)
-    key = succ.__dict__["_key"] = tuple(key)
-    return key, party, rule, label, succ
+_STEP_ORDER = itemgetter(1, 2, 3)  # (party, rule, label)
 
 
-def _party_transitions(cfg: TypeConfiguration, i: int, steps: list) -> list:
-    """The journal steps of the party at 0-based position `i`, unsorted,
-    each (successor key, party, rule, label, successor); `steps` holds
-    every party's `type_transitions`.  A successor's key is its parent's
-    `config_key` with the slots the step changed replaced."""
+def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
+    """The journal steps of the parties at the 0-based log positions
+    `parties` (all by default), each (successor key, party, rule, label,
+    successor node), sorted by (party, rule, label); an abort returns to
+    `root`.  A successor's key is its parent's with the slots the step
+    changed replaced, so each step builds one key, node and step tuple."""
     out: list = []
-    cur = cfg.currents
-    cks = cfg.ckpts
-    inits = cfg.inits
+    pkey, cks, cur, inits = node
     n = len(cur)
-    # kept on every configuration a search reached, read without a call
-    pkey = cfg.__dict__.get("_key") or config_key(cfg)
-    party = i + 1
-    at = 3 * i  # this party's key slots: imposed, checkpoint, current
-    for lab, nxt in steps[i]:
-        kind = lab[0]
-        # TS-Com: an output meets the partner's same-sort input;
-        # TS-Lab: a selection meets the matching branch arm.  The partner
-        # is the one the prefix names, and its prefix must name this party
-        # back; checkpoints stay put
-        if kind == "out" or kind == "sel":
-            _, x, src, dst = lab
-            j = partner_position(i, dst, n)
-            me = None if dst is None else role_of_position(i, n)
-            if j is None or src != me:
-                continue
-            if kind == "out":
-                want, rule, label = ("in", x, dst, me), "TS-Com", f"com[{x}]"
-            else:
-                want, rule, label = ("brn", x, dst, me), "TS-Lab", f"lab[{x}]"
-            for plab, pnxt in steps[j]:
-                if plab == want:
-                    curs = list(cur)
-                    curs[i], curs[j] = nxt, pnxt
-                    key = list(pkey)
-                    key[at + 2] = type_key(nxt)
-                    key[3 * j + 2] = type_key(pnxt)
-                    out.append(_keyed(key, party, rule, label, cks, curs,
-                                      inits))
-        # TS-Tau: a conditional resolves locally
-        elif kind == "tau":
-            curs = list(cur)
-            curs[i] = nxt
-            key = list(pkey)
-            key[at + 2] = type_key(nxt)
-            out.append(_keyed(key, party, "TS-Tau", f"tau[{lab[1]}]", cks,
-                              curs, inits))
-        # TS-Cmt1: commit while some other party moved since its
-        # checkpoint (an imposed checkpoint always counts as moved) ->
-        # that party's current is imposed on it
-        # TS-Cmt2: every other party still sits on its own checkpoint ->
-        # they are left untouched
-        elif kind == "cmt":
-            curs = list(cur)
-            curs[i] = nxt
-            ncks = list(cks)
-            ncks[i] = CheckpointType(nxt)
-            key = list(pkey)
-            key[at + 1] = key[at + 2] = type_key(nxt)
-            key[at] = False
-            rule = "TS-Cmt2"
-            for h in range(n):
-                k = 3 * h  # the parent's slots tell whether h moved
-                if h != i and (pkey[k] or pkey[k + 1] != pkey[k + 2]):
-                    ncks[h] = CheckpointType(cur[h], imposed=True)
-                    key[k:k + 2] = True, pkey[k + 2]
-                    rule = "TS-Cmt1"
-            out.append(_keyed(key, party, rule, "cmt", tuple(ncks), curs,
-                              inits))
-        # TS-Rll1: roll from an own checkpoint restores every current;
-        # TS-Rll2: roll from an imposed checkpoint is unrecoverable ->
-        # every current errs
-        elif kind == "roll":
-            key = list(pkey)
-            if cks[i].imposed:
-                err = TErr()
-                key[2::3] = [type_key(err)] * n
-                out.append(_keyed(key, party, "TS-Rll2", "roll", cks,
-                                  [err] * n, inits))
-            else:
-                key[2::3] = pkey[1::3]
-                out.append(_keyed(key, party, "TS-Rll1", "roll", cks,
-                                  [c.typ for c in cks], inits))
-        # TS-Abt1: abort resets the whole configuration
-        elif kind == "abt":
-            succ = initial_configuration(*inits)
-            out.append((config_key(succ), party, "TS-Abt1", "abt", succ))
+    steps = list(map(type_transitions, cur))
+    for i in range(n) if parties is None else parties:
+        party = i + 1
+        at = 3 * i  # this party's key slots: imposed, checkpoint, current
+        for lab, nxt in steps[i]:
+            kind = lab[0]
+            # TS-Com: an output meets the partner's same-sort input;
+            # TS-Lab: a selection meets the matching branch arm.  The
+            # partner is the one the prefix names, and its prefix must
+            # name this party back; checkpoints stay put
+            if kind == "out" or kind == "sel":
+                _, x, src, dst = lab
+                j = partner_position(i, dst, n)
+                me = None if dst is None else role_of_position(i, n)
+                if j is None or src != me:
+                    continue
+                if kind == "out":
+                    want, rule, label = ("in", x, dst, me), "TS-Com", "com"
+                else:
+                    want, rule, label = ("brn", x, dst, me), "TS-Lab", "lab"
+                for plab, pnxt in steps[j]:
+                    if plab == want:
+                        curs = list(cur)
+                        curs[i], curs[j] = nxt, pnxt
+                        key = list(pkey)
+                        key[at + 2] = type_key(nxt)
+                        key[3 * j + 2] = type_key(pnxt)
+                        out.append((key := tuple(key), party, rule,
+                                    f"{label}[{x}]",
+                                    (key, cks, tuple(curs), inits)))
+            # TS-Tau: a conditional resolves locally
+            elif kind == "tau":
+                curs = list(cur)
+                curs[i] = nxt
+                key = list(pkey)
+                key[at + 2] = type_key(nxt)
+                out.append((key := tuple(key), party, "TS-Tau",
+                            f"tau[{lab[1]}]", (key, cks, tuple(curs), inits)))
+            # TS-Cmt1: commit while some other party moved since its
+            # checkpoint (an imposed checkpoint always counts as moved) ->
+            # that party's current is imposed on it
+            # TS-Cmt2: every other party still sits on its own checkpoint
+            # -> they are left untouched
+            elif kind == "cmt":
+                curs, ncks = list(cur), list(cks)
+                curs[i] = ncks[i] = nxt
+                key = list(pkey)
+                key[at + 1] = key[at + 2] = type_key(nxt)
+                key[at] = False
+                rule = "TS-Cmt2"
+                for h in range(n):
+                    k = 3 * h  # the parent's slots tell whether h moved
+                    if h != i and (pkey[k] or pkey[k + 1] != pkey[k + 2]):
+                        ncks[h] = cur[h]
+                        key[k:k + 2] = True, pkey[k + 2]
+                        rule = "TS-Cmt1"
+                out.append((key := tuple(key), party, rule, "cmt",
+                            (key, tuple(ncks), tuple(curs), inits)))
+            # TS-Rll1: roll from an own checkpoint restores every current;
+            # TS-Rll2: roll from an imposed checkpoint is unrecoverable ->
+            # every current errs
+            elif kind == "roll":
+                key = list(pkey)
+                if pkey[at]:
+                    rule, curs = "TS-Rll2", (TErr(),) * n
+                    key[2::3] = [type_key(curs[0])] * n
+                else:
+                    rule, curs = "TS-Rll1", cks
+                    key[2::3] = pkey[1::3]
+                out.append((key := tuple(key), party, rule, "roll",
+                            (key, cks, curs, inits)))
+            # TS-Abt1: abort resets the whole configuration
+            elif kind == "abt":
+                out.append((root[0], party, "TS-Abt1", "abt", root))
+    out.sort(key=_STEP_ORDER)
     return out
 
 
@@ -293,9 +306,9 @@ class TransitionSystem(metaclass=record):
     per state its node and the index of the edge that found it (-1 for
     state 0); per edge, in source order, its ends and its step's label.
     The views `states` and `edges` are built on first read:
-    configurations and `Edge`s, or, for `programs` (nodes are tuples of
-    items, labels candidates), terms and (src, dst, rule, text, backward)
-    tuples."""
+    configurations and `Edge`s (nodes and labels are `_party_transitions`
+    nodes and steps), or, for `programs` (nodes are tuples of items, labels
+    candidates), terms and (src, dst, rule, text, backward) tuples."""
     nodes: list
     src: array
     dst: array
@@ -307,7 +320,7 @@ class TransitionSystem(metaclass=record):
     @cached_property
     def states(self) -> list:
         return ([par(*items) for items in self.nodes] if self.programs
-                else self.nodes)
+                else list(map(_config, self.nodes)))
 
     @cached_property
     def edges(self) -> list:
@@ -369,30 +382,17 @@ def search(root, key, steps, make, programs: bool = False,
                             programs)
 
 
-_STEP_ORDER = itemgetter(1, 2, 3)  # (party, rule, label)
-
-
-def _keyed_transitions(sid: int, cfg: TypeConfiguration) -> list:
-    """Every party's `_party_transitions`, as `search` steps sorted by
-    (party, rule, label)."""
-    steps = [type_transitions(t) for t in cfg.currents]
-    out: list = []
-    for i in range(len(steps)):
-        out += _party_transitions(cfg, i, steps)
-    out.sort(key=_STEP_ORDER)
-    return out
-
-
 def reachable_system(*types: SessionTypeT,
                      budget: int | None = None) -> TransitionSystem:
     """The configurations reachable from the initial configuration of
     `types`, one per party in log order, found by `search` and keyed by
     `config_key`.  The sorted (party, rule, label) successor order makes
     numbering reproducible.  Edges are `Edge`s, and a path step is (key,
-    party, rule, label, successor)."""
-    return search(initial_configuration(*types), config_key,
-                  _keyed_transitions, lambda src, cfg, s: s[4],
-                  budget=budget)
+    party, rule, label, successor node)."""
+    root = _root(types)
+    return search(root, itemgetter(0),
+                  lambda sid, node: _party_transitions(node, root),
+                  lambda src, node, step: step[4], budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +459,10 @@ def _compliance(types: tuple, budget: int | None, roles: bool) \
         -> ComplianceReport:
     ts = reachable_system(*types, budget=budget)
     live = set(ts.src)
-    violations = [Violation(sid, cfg, ts.path_to(sid))
-                  for sid, cfg in enumerate(ts.states) if sid not in live
+    violations = [Violation(sid, _config(node), ts.path_to(sid))
+                  for sid, node in enumerate(ts.nodes) if sid not in live
                   and not all(isinstance(head_normal_type(t), TEnd)
-                              for t in cfg.currents)]
+                              for t in node[2])]
     return ComplianceReport(not violations, ts, violations, roles)
 
 
@@ -499,8 +499,11 @@ def check_rollback_safety(term, budget: int | None = None) \
     when the endpoints do: the types of an n-role service that never
     communicates name none."""
     roles = any(part.role is not None for part in par_parts(term))
+    services = service_types(term)
+    if services:  # CHERRY_BUDGET is read once, after inference
+        budget = current_budget(budget)
     reports = {name: _compliance(types, budget, roles)
-               for name, types in service_types(term).items()}
+               for name, types in services.items()}
     return RollbackSafetyReport(all(r.compliant for r in reports.values()),
                                 reports)
 
@@ -532,7 +535,7 @@ def compliance_dot(report: ComplianceReport, name: str = "reachable") -> str:
     """Graphviz text for a compliance report's system; violating states
     get a double periphery."""
     ts = report.system
-    return dot_graph(name, len(ts.states),
+    return dot_graph(name, len(ts.nodes),
                      ((e.src, e.dst, f"{e.rule} {e.label} p{e.party}")
                       for e in ts.edges),
                      {v.state for v in report.violations})

@@ -2,11 +2,12 @@
 
 The paper's design-time check rests on subject reduction: every process
 step has a matching type-level step.  `shadow_typecheck` checks that of a
-recorded run.  It mirrors each step on the tracked configuration of its
-session and, after every step, retypes each live log's current and
-checkpoint process and compares them with that configuration.  The
-retype is independent of the mirror: a log's type is inferred from its
-process, never derived by stepping the tracked type.
+recorded run.  It mirrors each step on its session's tracked configuration,
+a `semantics._party_transitions` node, and, after every step, retypes each
+live log's current and checkpoint process and compares their type keys
+with the node's key.  The retype is independent of the mirror: a log's
+type is inferred from its process, never derived by stepping the tracked
+type.
 
 A run pays once per distinct step.  A looping run repeats its steps as
 the very same built `runtime.Candidate`s (see `runtime.simulate`), so a
@@ -22,8 +23,7 @@ from __future__ import annotations
 from .syntax import ComError, RollError, Session, par_parts, record
 from .sessiontypes import TErr, canonical_type, type_key
 from .infer import TypingError, service_types, type_of_process
-from .semantics import (TypeConfiguration, _party_transitions, config_key,
-                        initial_configuration, type_transitions)
+from .semantics import _party_transitions, _root
 
 
 class ShadowReport(metaclass=record):
@@ -75,27 +75,25 @@ def _type_label(rule: str, text: str) -> str:
     return {"commit": "cmt", "abort": "abt"}.get(action, action)
 
 
-def _mirror(cfg: TypeConfiguration, step, failures: list) \
-        -> TypeConfiguration:
-    """The type-level successor of `cfg` that mirrors one process step: the
-    transition of the same party with the step's label and a matching rule.
-    On a mismatch the failure is noted and `cfg` is kept."""
+def _mirror(node: tuple, root: tuple, step, failures: list) -> tuple:
+    """The type-level successor of `node` (abort returns to `root`) that
+    mirrors one process step: the same party's transition with the step's
+    label and a matching rule.  On a mismatch, a failure and `node`."""
     rule = step.rule.removeprefix("M-")
     if rule not in _MIRRORS:
         # com_error steps have no type analogue on well-typed programs
         failures.append(f"{step.label()}: step has no type analogue")
-        return cfg
+        return node
     rules, missing, disagrees = _MIRRORS[rule]
     want = _type_label(rule, step.text)
     # only the stepping party's transitions, in `config_transitions` order
-    steps = [type_transitions(t) for t in cfg.currents]
-    found = sorted(((r, succ) for _, _, r, lab, succ in _party_transitions(
-        cfg, step.party - 1, steps) if lab == want), key=lambda e: e[0])
+    found = [(r, succ) for _, _, r, lab, succ in _party_transitions(
+        node, root, (step.party - 1,)) if lab == want]
     for r, succ in found:
         if r in rules:
             return succ
     failures.append(f"{step.label()}: {(found and disagrees) or missing}")
-    return cfg
+    return node
 
 
 def shadow_typecheck(program, trace) -> ShadowReport:
@@ -107,23 +105,23 @@ def shadow_typecheck(program, trace) -> ShadowReport:
         types = service_types(program.term)
     except TypingError as ex:
         return ShadowReport(False, [f"inference failed: {ex}"])
-    configs: dict = {}  # session name -> TypeConfiguration
+    configs: dict = {}  # session name -> (tracked node, its root node)
     failures: list = []
-    # (id(step), key of the configuration it met) -> (the configuration
+    # (id(step), keys of the node it met and of its root) -> (the pair
     # after it, None when its session is gone, and the failures it added).
     # The trace holds its steps, so their ids stay their own
     checked: dict = {}
     for step in trace.steps:
         name = step.session
-        cfg = configs.get(name)
-        # an abort resets to the initial types, so they are part of the key
-        at = (id(step), None if cfg is None else
-              (config_key(cfg), *map(type_key, cfg.inits)))
+        tracked = configs.get(name)
+        # an abort resets to the root, so its key is part of the memo's
+        at = (id(step), None) if tracked is None else \
+            (id(step), tracked[0][0], tracked[1][0])
         hit = checked.get(at)
         if hit is None:
             start = len(failures)
-            cfg = _check_step(step, cfg, types, failures)
-            hit = checked[at] = cfg, failures[start:]
+            tracked = _check_step(step, tracked, types, failures)
+            hit = checked[at] = tracked, failures[start:]
         else:
             failures += hit[1]
         if hit[0] is None:
@@ -133,26 +131,27 @@ def shadow_typecheck(program, trace) -> ShadowReport:
     return ShadowReport(not failures, failures)
 
 
-def _check_step(step, cfg, types: dict, failures: list):
-    """One step of `shadow_typecheck` on its session's configuration `cfg`
-    (None when it has none): the configuration after it, or None when it
+def _check_step(step, tracked, types: dict, failures: list):
+    """One step of `shadow_typecheck` on its session's (node, root) pair
+    `tracked` (None when it has none): the pair after it, or None when it
     has none, with its failures appended to `failures`."""
     ses = _find_session(step.successor, step.session)
     if step.party == 0:  # connection: the service of the endpoints it saved
-        cfg = initial_configuration(*types[par_parts(ses.saved)[0].chan])
-    elif cfg is not None:
-        cfg = _mirror(cfg, step, failures)
+        tracked = (_root(types[par_parts(ses.saved)[0].chan]),) * 2
+    elif tracked is not None:
+        tracked = _mirror(*tracked, step, failures), tracked[1]
     # correspondence: retype every live log against the tracked types
-    if ses is None or cfg is None:  # aborted, or never connected
+    if ses is None or tracked is None:  # aborted, or never connected
         return None
+    node, key = tracked[0], tracked[0][0]
     body = par_parts(ses.body)
     if any(isinstance(b, (RollError, ComError)) for b in body):
-        for k, t in enumerate(cfg.currents):
+        for k, t in enumerate(node[2]):
             if not isinstance(t, TErr):
                 failures.append(
                     f"{step.label()}: error state but party {k + 1} "
                     f"type is {canonical_type(t)}")
-        return cfg
+        return tracked
     for k, lg in enumerate(body):
         try:
             got_cur = type_of_process(lg.current, lg.endpoint)
@@ -160,16 +159,16 @@ def _check_step(step, cfg, types: dict, failures: list):
         except TypingError as ex:
             failures.append(f"{step.label()}: retyping failed: {ex}")
             continue
-        if type_key(got_cur) != type_key(cfg.currents[k]):
+        if type_key(got_cur) != key[3 * k + 2]:
             failures.append(
                 f"{step.label()}: party {k + 1} current retypes off "
                 f"the tracked type")
-        if type_key(got_ck) != type_key(cfg.ckpts[k].typ):
+        if type_key(got_ck) != key[3 * k + 1]:
             failures.append(
                 f"{step.label()}: party {k + 1} checkpoint retypes off "
                 f"the tracked checkpoint type")
-        if lg.ckpt.imposed != cfg.ckpts[k].imposed:
+        if lg.ckpt.imposed != key[3 * k]:
             failures.append(
                 f"{step.label()}: party {k + 1} imposed flag "
                 f"disagrees with the type level")
-    return cfg
+    return tracked

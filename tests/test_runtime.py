@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import json
 import random
 import re
@@ -1395,6 +1396,28 @@ def test_shadow_rejects_plain_rolls_over_imposed_checkpoints(programs):
             hits.append(rep.failures[0])
     assert hits
     assert all("imposed" in h for h in hits)
+
+
+def test_the_shadow_failure_texts_are_pinned(corpus):
+    # every verdict and failure text of 1,032 runs: the corpus programs
+    # and 40 safe and 40 unsafe generated ones, six seeds, both modes
+    progs = [parse_program(p.read_text())
+             for p in sorted(corpus.glob("*.chpi"))]
+    rng = random.Random(0)
+    progs += [random_program(rng, safe=safe)
+              for safe in (True, False) for _ in range(40)]
+    digest, failures = hashlib.sha256(), 0
+    for prog in progs:
+        for seed in range(6):
+            for mode in ("plain", "detect"):
+                t = simulate(prog, DecisionOracle("seeded-random", seed=seed),
+                             60, mode=mode)
+                rep = shadow_typecheck(prog, t)
+                failures += len(rep.failures)
+                digest.update(json.dumps([rep.ok, rep.failures]).encode())
+    assert (len(progs), failures) == (86, 103)
+    assert digest.hexdigest() == ("2b12aa77fd78fd9bff71912ac2efafe1"
+                                  "e21963c67f6027ebb62402c1d9a7e00b")
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,9 @@
 import gc
+import operator
 import os
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,8 @@ from cherrypi.semantics import (BudgetExceeded, CheckpointType,
                                 compliance_dot, config_transitions,
                                 initial_configuration,
                                 reachable_system, type_transitions)
-from cherrypi.infer import infer_collaboration, service_pairs, service_types
+from cherrypi.infer import (TypingError, infer_collaboration, service_pairs,
+                            service_types)
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
                                    TOut, TPlus, TRollT, TSel, TVarT,
                                    canonical_type, head_normal_type,
@@ -236,6 +239,36 @@ def test_budget_env_var_is_honoured(corpus, monkeypatch):
     t2 = parse_type((corpus / "producer.chty").read_text())
     with pytest.raises(BudgetExceeded):
         reachable_system(t1, t2)
+
+
+def test_a_check_reads_the_budget_variable_once(monkeypatch):
+    # once per call, after inference, however many services it searches
+    reads = []
+
+    class Environ(dict):
+        def get(self, name, default=None):
+            reads.append(name)
+            return super().get(name, default)
+
+    monkeypatch.setattr(sem, "os", SimpleNamespace(
+        environ=Environ(CHERRY_BUDGET="lots")))
+    with pytest.raises(TypingError):
+        check_rollback_safety(parse_program(
+            "request a(x). if 1 then 0 else 0 | accept a(y). 0").term)
+    assert reads == []
+    two = parse_program(
+        "request a(x). x!<1>. 0 | accept a(y). y?(v: int). 0\n"
+        "| request b(z). z!<2>. 0 | accept b(w). w?(u: int). 0").term
+    with pytest.raises(InvalidBudget):
+        check_rollback_safety(two)
+    assert reads == ["CHERRY_BUDGET"]
+    sem.os.environ["CHERRY_BUDGET"] = "1"
+    with pytest.raises(BudgetExceeded):
+        check_rollback_safety(two)
+    sem.os.environ["CHERRY_BUDGET"] = "2"
+    rep = check_rollback_safety(two)
+    assert rep.safe and list(rep.services) == ["a", "b"]
+    assert reads == ["CHERRY_BUDGET"] * 3
 
 
 @settings(max_examples=80, deadline=None)
@@ -523,12 +556,15 @@ def _fresh(x):
 
 def _assert_stepper_matches_reference(*types):
     ts = reachable_system(*types)
-    for cfg in ts.states:
-        assert cfg.__dict__["_key"] == ref_config_key(_fresh(cfg))
-        assert config_transitions(cfg) == ref_config_transitions(cfg)
-        for key, _, _, _, succ in sem._keyed_transitions(0, cfg):
-            assert succ.__dict__["_key"] is key
-            assert key == ref_config_key(_fresh(succ))
+    for node, cfg in zip(ts.nodes, ts.states):
+        assert node[0] == cfg.__dict__["_key"] == ref_config_key(_fresh(cfg))
+        want = ref_config_transitions(cfg)
+        assert config_transitions(cfg) == want
+        got = sem._party_transitions(node, ts.nodes[0])
+        assert [(*step[1:4], sem._config(step[4])) for step in got] == want
+        for key, _, _, _, succ in got:
+            assert succ[0] is key
+            assert key == ref_config_key(_fresh(sem._config(succ)))
     return ts
 
 
@@ -546,6 +582,42 @@ def test_keyed_stepper_matches_the_reference_on_corpus_pairs(corpus,
         _assert_stepper_matches_reference(
             *(parse_type((corpus / pair[side]).read_text())
               for side in ("left", "right")))
+
+
+def _records_built(monkeypatch) -> list:
+    """Every `TypeConfiguration` and `CheckpointType` built from now on."""
+    built = []
+    for cls in (TypeConfiguration, CheckpointType):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_a_compliant_check_builds_no_configuration_record(programs, types,
+                                                          verdicts,
+                                                          monkeypatch):
+    built = _records_built(monkeypatch)
+    rep = check_compliance(types["consumer"], types["producer"])
+    assert rep.compliant and rep.to_json()["violations"] == []
+    safe = [name.removesuffix(".chpi")
+            for name, info in verdicts["programs"].items() if info["safe"]]
+    assert "three_party_job" in safe and len(safe) >= 3
+    for name in safe:
+        assert check_rollback_safety(programs[name].term).safe, name
+    assert built == []
+
+
+def test_a_violating_check_builds_only_the_records_it_shows(types,
+                                                            monkeypatch):
+    built = _records_built(monkeypatch)
+    rep = check_compliance(types["consumer"], types["producer_commit"])
+    assert not rep.compliant and len(rep.violations) >= 1
+    want = [x for v in rep.violations for x in (*v.config.ckpts, v.config)]
+    assert len(built) == len(want) and all(map(operator.is_, built, want))
+    assert [v.config for v in rep.violations] == \
+        [rep.system.states[v.state] for v in rep.violations]
 
 
 THREE_ROLES = """
