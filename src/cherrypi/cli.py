@@ -31,6 +31,18 @@ def _read(path: str) -> str:
                              f"{e.start})") from None
 
 
+def _read_json(path: str):
+    text = _read(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # `int()` refuses an integer past its digit limit
+        raise MalformedInput(f"{path}: an integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits") \
+            from None
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -112,7 +124,7 @@ def cmd_comply(args) -> int:
 def _oracle_from(args):
     from .runtime import DecisionOracle
     if args.script is not None:
-        script = json.loads(_read(args.script))
+        script = _read_json(args.script)
         return DecisionOracle("scripted", script)
     if args.seed is not None:
         return DecisionOracle("seeded-random", seed=args.seed)
@@ -181,7 +193,7 @@ def cmd_graph(args) -> int:
 
 def cmd_replay(args) -> int:
     from .runtime import replay
-    trace_json = json.loads(_read(args.trace))
+    trace_json = _read_json(args.trace)
     program = parse_program(_read(args.program)) if args.program else None
     report = replay(trace_json, mode=args.error_mode, program=program)
     payload = {"ok": report.ok, "divergence": report.divergence}

@@ -196,10 +196,11 @@ def service_groups(term: Collaboration) -> dict:
                     f"two endpoints claim {name!r}" if binary else
                     f"service {name!r}: role {role} taken twice")
             seen.add(role)
-        if seen - {n} != set(range(1, n)):
+        others = seen - {n}  # distinct, so they cover 1..n-1 if they fit
+        if len(others) != n - 1 or not all(0 < r < n for r in others):
             raise TypingError(
                 f"service {name!r} has no acceptor" if binary else
-                f"service {name!r}: acceptor roles {sorted(seen - {n})} "
+                f"service {name!r}: acceptor roles {sorted(others)} "
                 f"do not cover 1..{n - 1}")
         types = out[name] = {}
         for p, role in zip(parts, roles):

@@ -37,6 +37,7 @@ they parse by.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import accumulate
 from operator import itemgetter
 from string import ascii_letters, digits
@@ -252,11 +253,20 @@ def _parse_sort(p: _P) -> str:
     p.fail("expected a sort (bool, int, or str)")
 
 
-def _value(kind: str, text: str) -> tuple | None:
-    """The value and sort of the literal a token of `kind` and `text` is,
-    or None."""
+def _int(p: _P, i: int) -> int:
+    """The value of integer token `i`, refused past `int()`'s limit."""
+    try:
+        return int(p.texts[i])
+    except ValueError:
+        p.fail(f"integer of more than {sys.get_int_max_str_digits()} "
+               f"digits", i)
+
+
+def _value(p: _P, i: int) -> tuple | None:
+    """The value and sort of the literal token `i` is, or None."""
+    kind, text = p.kinds[i], p.texts[i]
     if kind == "int":
-        return int(text), "int"
+        return _int(p, i), "int"
     if kind == "string":
         return text, "str"
     if kind == "kw" and text in ("true", "false"):
@@ -291,7 +301,7 @@ def _parse_fun_decl(p: _P) -> FunDecl:
         vals, bad = [], None  # bad: the first literal of another sort
         while True:  # a literal, then `,` and one more, or `}`
             i += 2
-            v = _value(kinds[i], texts[i])
+            v = _value(p, i)
             if v is None:
                 p.fail("expected a literal in the outcome domain", i)
             if bad is None and v[1] != result:
@@ -416,7 +426,7 @@ class _ProgParser:
         kinds, texts = self.p.kinds, self.p.texts
         name = texts[i]
         if kinds[i] != "ident":
-            v = _value(kinds[i], name)
+            v = _value(self.p, i)
             return None if v is None else Lit(v[0]), i + 1
         if kinds[i + 1] != "(":
             if name not in self.vals:
@@ -631,7 +641,8 @@ class _ProgParser:
         p, role = self.p, None
         if p.kinds[p.pos] == "@":
             p.pos += 1
-            role = int(p.expect("int"))
+            p.expect("int")
+            role = _int(p, p.pos - 1)
         self.tagged.add(role is not None)
         return role
 
@@ -657,7 +668,7 @@ class _ProgParser:
             if kinds[i + 1:i + 6] == _OPEN:
                 j = i + 6
             elif kinds[i + 1:i + 9] == _OPEN_ROLE:
-                role, j = int(texts[i + 3]), i + 9
+                role, j = _int(p, i + 3), i + 9
             else:  # raises
                 p.expect_all(i + 1, *_OPEN_ROLE if kinds[i + 2] == "["
                              else _OPEN)
@@ -717,7 +728,8 @@ def _type_roles(p: _P) -> tuple:
         if p.texts[p.pos] == "_" and p.kinds[p.pos] == "ident":
             p.pos += 1
             return None
-        return int(p.expect("int"))
+        p.expect("int")
+        return _int(p, p.pos - 1)
 
     p.pos = i + 1
     a = side()

@@ -32,6 +32,7 @@ import copy
 import functools
 import itertools
 import random
+import sys
 from operator import itemgetter
 
 from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
@@ -381,10 +382,13 @@ def _connections(items: list) -> list:
         if not isinstance(req, Request):
             continue
         sname = sname or _fresh_session(items)
-        pools = [[k for k, acc in enumerate(items)
-                  if isinstance(acc, Accept) and acc.chan == req.chan
-                  and endpoint_role(acc) == role]
-                 for role in range(1, endpoint_role(req))]
+        pools: list = []
+        for role in range(1, endpoint_role(req)):
+            pools.append([k for k, acc in enumerate(items)
+                          if isinstance(acc, Accept) and acc.chan == req.chan
+                          and endpoint_role(acc) == role])
+            if not pools[-1]:
+                break  # no acceptor of this role, so no connection
         rule = "F-Con" if req.role is None else "M-F-Con"
         for combo in itertools.product(*pools):
             out.append((rule, sname, f"{req.chan}:{sname}", (r, *combo)))
@@ -449,12 +453,19 @@ def _place(items: tuple, idx: int, repl: tuple) -> Collaboration:
 
 
 def _com(logs, i, j, cont, recv, v):
-    """Party i sends `v` to party j: the action shown and the new logs."""
+    """Party i sends `v` to party j: the action shown and the new logs.
+    A computed integer past `int()`'s digit limit cannot be shown."""
+    try:
+        shown = f"!{render_expr(Lit(v))}"
+    except ValueError:
+        raise MalformedTerm(f"computed integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits") \
+            from None
     nl = list(logs)
     nl[i] = Log(logs[i].endpoint, logs[i].ckpt, cont)
     nl[j] = Log(logs[j].endpoint, logs[j].ckpt,
                 substitute(recv.cont, recv.var, Lit(v)))
-    return f"!{render_expr(Lit(v))}", nl
+    return shown, nl
 
 
 def _resolve(logs, i, then, orelse, v):

@@ -11,15 +11,15 @@ configuration to the initial types.  Compliance asks that every reachable
 configuration with no step has every current `end`, and rollback safety
 lifts that check to every service of a collaboration.
 
-`_party_transitions` is the one stepper of configurations: `search`,
+A configuration is a node, the tuple (`config_key`, checkpoint types,
+current types, initial types), whose key's slots hold the imposed flags.
+It is the one shape of a type-level state: a system's `states` are its
+nodes, and a compliance report's violations are state ids.
+`_party_transitions` is the one stepper of nodes: `search`,
 `config_transitions` and the shadow checker's `shadow._mirror` read it.
-It steps a node, the tuple (`config_key`, checkpoint types, current types,
-initial types), whose key's slots hold the imposed flags, and builds no
-record.  A successor's key is derived from the parent's by replacing only
-the slots the step changed, and an abort returns to the root node, so
-only a search's root is keyed from its types.  Records are built from
-nodes only when read: a system's `states`, a violation's `config` and
-`config_transitions`' successors.
+A successor's key is derived from the parent's by replacing only the
+slots the step changed, and an abort returns to the root node, so only a
+search's root is keyed from its types.
 
 `search` is the package's one breadth-first search, under
 `reachable_system` and `runtime.explore` alike: it keeps edges and parent
@@ -119,21 +119,6 @@ def type_transitions(t: SessionTypeT) -> list:
 # configurations
 # ---------------------------------------------------------------------------
 
-class CheckpointType(metaclass=record, frozen=True):
-    typ: SessionTypeT
-    imposed: bool = False
-
-
-class TypeConfiguration(metaclass=record, frozen=True):
-    ckpts: tuple  # CheckpointType per party, in log order
-    currents: tuple  # SessionTypeT per party
-    inits: tuple  # SessionTypeT per party, fixed along a run
-
-
-def initial_configuration(*types: SessionTypeT) -> TypeConfiguration:
-    return _config(_root(types))
-
-
 def role_of_position(pos: int, n: int) -> int:
     """Log position -> role (0-based position; the requester, role n, sits
     first)."""
@@ -155,21 +140,12 @@ def partner_position(i: int, role: int | None, n: int) -> int | None:
     return j if 0 <= j < n and j != i else None
 
 
-def config_key(cfg: TypeConfiguration) -> tuple:
-    """Identity of a configuration within one run: per party the imposed
-    flag and the `type_key`s of checkpoint and current.  The initial types
-    are left out because they are fixed along a run.  Like `type_key`, the
-    key is meaningful only while the configuration's types are alive.  It
-    is kept on the configuration as `_key`, which `_config` sets on every
-    record it builds from a node."""
-    d = cfg.__dict__
-    key = d.get("_key")
-    if key is None:
-        key = []
-        for ck, cur in zip(cfg.ckpts, cfg.currents):
-            key += (ck.imposed, type_key(ck.typ), type_key(cur))
-        key = d["_key"] = tuple(key)
-    return key
+def config_key(node: tuple) -> tuple:
+    """Identity of a node's configuration within one run, its slot 0: per
+    party the imposed flag and the `type_key`s of checkpoint and current,
+    and not the initial types, which are fixed along a run.  Like
+    `type_key`, it is meaningful only while the node's types are alive."""
+    return node[0]
 
 
 def _root(types: tuple) -> tuple:
@@ -181,22 +157,10 @@ def _root(types: tuple) -> tuple:
     return tuple(key), types, types, types
 
 
-def _config(node: tuple) -> TypeConfiguration:
-    """The configuration a node stands for, with the node's key as `_key`."""
-    cks = tuple(map(CheckpointType, node[1], node[0][::3]))
-    cfg = TypeConfiguration(cks, node[2], node[3])
-    cfg.__dict__["_key"] = node[0]
-    return cfg
-
-
-def config_transitions(cfg: TypeConfiguration) -> list:
-    """All journal steps of a configuration, as (party, rule, label,
-    successor) sorted by (party, rule, label); parties are 1-based log
-    positions."""
-    node = (config_key(cfg), tuple(ck.typ for ck in cfg.ckpts),
-            cfg.currents, cfg.inits)
-    return [(*step[1:4], _config(step[4]))
-            for step in _party_transitions(node, _root(cfg.inits))]
+def config_transitions(node: tuple) -> list:
+    """All journal steps of a configuration's node, as `_party_transitions`
+    gives them, an abort returning to the root of its initial types."""
+    return _party_transitions(node, _root(node[3]))
 
 
 _STEP_ORDER = itemgetter(1, 2, 3)  # (party, rule, label)
@@ -293,22 +257,14 @@ def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
 # reachable transition system
 # ---------------------------------------------------------------------------
 
-class Edge(metaclass=record, frozen=True):
-    src: int
-    dst: int
-    party: int
-    rule: str
-    label: str
-
-
 class TransitionSystem(metaclass=record):
     """What `search` found, for types and programs alike, in flat columns:
     per state its node and the index of the edge that found it (-1 for
     state 0); per edge, in source order, its ends and its step's label.
-    The views `states` and `edges` are built on first read:
-    configurations and `Edge`s (nodes and labels are `_party_transitions`
-    nodes and steps), or, for `programs` (nodes are tuples of items, labels
-    candidates), terms and (src, dst, rule, text, backward) tuples."""
+    For types (nodes and steps of `_party_transitions`) the view `states`
+    is `nodes` and `edges` are (src, dst, party, rule, label) tuples; for
+    `programs` (tuples of items and candidates) they are terms and (src,
+    dst, rule, text, backward) tuples, built on first read."""
     nodes: list
     src: array
     dst: array
@@ -320,14 +276,14 @@ class TransitionSystem(metaclass=record):
     @cached_property
     def states(self) -> list:
         return ([par(*items) for items in self.nodes] if self.programs
-                else list(map(_config, self.nodes)))
+                else self.nodes)
 
     @cached_property
     def edges(self) -> list:
         if self.programs:
             return [(s, d, c.rule, c.text, c.backward)
                     for s, d, c in zip(self.src, self.dst, self.labels)]
-        return [Edge(s, d, step[1], step[2], step[3])
+        return [(s, d, step[1], step[2], step[3])
                 for s, d, step in zip(self.src, self.dst, self.labels)]
 
     def path_to(self, sid: int) -> list:
@@ -387,8 +343,8 @@ def reachable_system(*types: SessionTypeT,
     """The configurations reachable from the initial configuration of
     `types`, one per party in log order, found by `search` and keyed by
     `config_key`.  The sorted (party, rule, label) successor order makes
-    numbering reproducible.  Edges are `Edge`s, and a path step is (key,
-    party, rule, label, successor node)."""
+    numbering reproducible.  A state is its node, and a path step is
+    (key, party, rule, label, successor node)."""
     root = _root(types)
     return search(root, itemgetter(0),
                   lambda sid, node: _party_transitions(node, root),
@@ -399,21 +355,17 @@ def reachable_system(*types: SessionTypeT,
 # compliance and rollback safety
 # ---------------------------------------------------------------------------
 
-class Violation(metaclass=record):
-    state: int
-    config: TypeConfiguration
-    path: list  # `reachable_system` steps from the initial state
-
-
-def _describe(cfg: TypeConfiguration, roles: bool, memo: dict) -> dict:
-    """Per party: checkpoint, imposed flag and current, each type rendered
-    through `memo` (see `sessiontypes._render`)."""
-    n = len(cfg.currents)
+def _describe(node: tuple, roles: bool, memo: dict) -> dict:
+    """Per party of a node: checkpoint, imposed flag (key slot `3*i`) and
+    current, each type rendered through `memo` (see
+    `sessiontypes._render`)."""
+    key, cks, curs, _ = node
+    n = len(curs)
     return {
         f"role{role_of_position(i, n)}" if roles else f"party{i + 1}": {
-            "checkpoint": _render(cfg.ckpts[i].typ, memo),
-            "imposed": cfg.ckpts[i].imposed,
-            "current": _render(cfg.currents[i], memo),
+            "checkpoint": _render(cks[i], memo),
+            "imposed": key[3 * i],
+            "current": _render(curs[i], memo),
         }
         for i in range(n)
     }
@@ -422,7 +374,7 @@ def _describe(cfg: TypeConfiguration, roles: bool, memo: dict) -> dict:
 class ComplianceReport(metaclass=record):
     compliant: bool
     system: TransitionSystem
-    violations: list  # list[Violation]
+    violations: list  # ids of the violating states, in id order
     # n-role presentation, for types that name their own roles: rule
     # names get the M- prefix and parties are named role{r}, not party{i}
     roles: bool = False
@@ -432,17 +384,18 @@ class ComplianceReport(metaclass=record):
         # the violating configurations share most of their types' nodes,
         # so each node is rendered once per call
         memo: dict = {}
+        ts = self.system
         return {
             "verdict": "compliant" if self.compliant else "violating",
-            "states": len(self.system.nodes),
-            "edges": len(self.system.src),
+            "states": len(ts.nodes),
+            "edges": len(ts.src),
             "violations": [
                 {
-                    "terminal": _describe(v.config, self.roles, memo),
-                    "state": v.state,
-                    "path": [prefix + step[2] for step in v.path],
+                    "terminal": _describe(ts.nodes[sid], self.roles, memo),
+                    "state": sid,
+                    "path": [prefix + step[2] for step in ts.path_to(sid)],
                 }
-                for v in self.violations
+                for sid in self.violations
             ],
         }
 
@@ -459,8 +412,7 @@ def _compliance(types: tuple, budget: int | None, roles: bool) \
         -> ComplianceReport:
     ts = reachable_system(*types, budget=budget)
     live = set(ts.src)
-    violations = [Violation(sid, _config(node), ts.path_to(sid))
-                  for sid, node in enumerate(ts.nodes) if sid not in live
+    violations = [sid for sid, node in enumerate(ts.nodes) if sid not in live
                   and not all(isinstance(head_normal_type(t), TEnd)
                               for t in node[2])]
     return ComplianceReport(not violations, ts, violations, roles)
@@ -536,6 +488,6 @@ def compliance_dot(report: ComplianceReport, name: str = "reachable") -> str:
     get a double periphery."""
     ts = report.system
     return dot_graph(name, len(ts.nodes),
-                     ((e.src, e.dst, f"{e.rule} {e.label} p{e.party}")
-                      for e in ts.edges),
-                     {v.state for v in report.violations})
+                     ((src, dst, f"{rule} {label} p{party}")
+                      for src, dst, party, rule, label in ts.edges),
+                     set(report.violations))

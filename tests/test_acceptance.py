@@ -25,12 +25,14 @@ from genprog import random_program, random_type
 from oracle_naive import erase_trace
 
 
-def describe_configuration(cfg):
-    """Per party, `party1` first: checkpoint, imposed flag and current."""
-    return {f"party{i + 1}": {"checkpoint": render_type(ck.typ),
-                              "imposed": ck.imposed,
+def describe_configuration(node):
+    """Per party of a search node, `party1` first: checkpoint, imposed flag
+    (the key's slot 3*i) and current."""
+    key, ckpts, currents = node[0], node[1], node[2]
+    return {f"party{i + 1}": {"checkpoint": render_type(ck),
+                              "imposed": key[3 * i],
                               "current": render_type(cur)}
-            for i, (ck, cur) in enumerate(zip(cfg.ckpts, cfg.currents))}
+            for i, (ck, cur) in enumerate(zip(ckpts, currents))}
 
 
 def _report(n, t0):
@@ -50,10 +52,10 @@ def test_criterion_1_vod_inference_and_violation(programs, types):
     assert not rep.compliant
     assert len(rep.system.states) == 20
     # the witness terminal leaves both parties unrecoverably stuck
-    assert any(
-        describe_configuration(v.config)["party1"]["current"] == "err"
-        and describe_configuration(v.config)["party2"]["current"] == "err"
-        for v in rep.violations)
+    terminals = [describe_configuration(rep.system.nodes[sid])
+                 for sid in rep.violations]
+    assert any(d["party1"]["current"] == d["party2"]["current"] == "err"
+               for d in terminals)
     assert _report(1, t0) < 1.0
 
 
@@ -90,17 +92,17 @@ def test_criterion_3_two_recovery_violations(types):
         " brn[l_spec: ?[str]. ?[str]. (roll (+) cmt. t);"
         " l_nonSpec: ?[str]. cmt. t]"))
     found = set()
-    for v in bad.violations:
-        cfg = v.config
-        d = describe_configuration(cfg)
+    for sid in bad.violations:
+        node = bad.system.nodes[sid]
+        d = describe_configuration(node)
         assert d["party1"]["current"] == "err"
         assert d["party2"]["current"] == "err"
         # the consumer is stranded on a checkpoint the partner imposed on
         # it; the partner still sits on its own original checkpoint
-        assert cfg.ckpts[0].imposed
-        assert not cfg.ckpts[1].imposed
-        assert canonical_type(cfg.ckpts[1].typ) == tp_prime
-        found.add(canonical_type(cfg.ckpts[0].typ))
+        assert d["party1"]["imposed"]
+        assert not d["party2"]["imposed"]
+        assert canonical_type(node[1][1]) == tp_prime
+        found.add(canonical_type(node[1][0]))
     assert found == {sol1, sol2}
     assert _report(3, t0) < 1.0
 
@@ -142,8 +144,7 @@ def test_criterion_4_commit_edge_to_initial_and_valid_dot(types):
     t0 = time.perf_counter()
     rep = check_compliance(types["consumer"], types["producer"])
     cycles = [e for e in rep.system.edges
-              if e.rule in ("TS-Cmt1", "TS-Cmt2")
-              and e.dst == 0]
+              if e[3] in ("TS-Cmt1", "TS-Cmt2") and e[1] == 0]
     assert cycles, "no commit transition re-arms the initial configuration"
     _assert_valid_dot(compliance_dot(rep))
     # the violating variant exercises the double-periphery branch too

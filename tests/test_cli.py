@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -502,6 +503,89 @@ def test_non_decimal_digit_is_a_parse_error(tmp_path):
     bad.write_text("request a[²](x). 0 | accept a[1](y). 0")
     assert cli("check", bad) == (
         2, "", "error: 1:11: unexpected character '²'\n")
+
+
+@pytest.fixture
+def digit_limit():
+    """`int()`'s digit limit set to CPython's default, 4,300, for the test
+    alone, whatever the interpreter started with."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+LONG = "7" * 5000  # an integer past the digit limit
+
+
+@pytest.mark.parametrize("text, at", [
+    (f"request a(x). x!<{LONG}>. 0 | accept a(y). y?(v: int). 0", 18),
+    (f"request a[{LONG}](x). x!<1>@1. 0 | accept a[1](y). y?(v: int)@2. 0",
+     11),
+    (f"request a[2](x). x!<1>@{LONG}. 0 | accept a[1](y). y?(v: int)@2. 0",
+     24),
+    (f"fun f(): int in {{ 1, {LONG} }}\n"
+     "request a(x). x!<f()>. 0 | accept a(y). y?(v: int). 0", 22),
+], ids=["literal", "arity", "role-tag", "domain"])
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path,
+                                                          digit_limit, text,
+                                                          at):
+    bad = tmp_path / "bad.chpi"
+    bad.write_text(text)
+    for command in ("check", "run", "explore"):
+        assert cli(command, bad) == (
+            2, "", f"error: 1:{at}: integer of more than 4300 digits\n")
+
+
+def test_a_type_role_past_the_digit_limit_is_a_parse_error(tmp_path,
+                                                           digit_limit):
+    left, right = tmp_path / "l.chty", tmp_path / "r.chty"
+    left.write_text(f"![_,{LONG}][int]. end")
+    right.write_text("?[1,_][int]. end")
+    assert cli("comply", left, right) == (
+        2, "", "error: 1:5: integer of more than 4300 digits\n")
+
+
+@pytest.mark.parametrize("command, flag", [("run", "--script"),
+                                           ("replay", None)])
+def test_json_with_an_integer_past_the_digit_limit_exits_two(
+        tmp_path, digit_limit, command, flag):
+    path = tmp_path / "in.json"
+    path.write_text(f'{{"f_HD": [{LONG}]}}')
+    argv = [CORPUS / "vod_c.chpi", flag, path] if flag else [path]
+    assert cli(command, *argv) == (
+        2, "", f"error: {path}: an integer has more than 4300 digits\n")
+
+
+def test_a_computed_integer_past_the_digit_limit_exits_two(tmp_path,
+                                                           digit_limit):
+    # the type-level check never computes it
+    nines = "9" * 4300
+    program = tmp_path / "sum.chpi"
+    program.write_text(f"request a(x). x!<{nines} + {nines}>. 0 "
+                       "| accept a(y). y?(v: int). 0")
+    assert cli("check", program)[0] == 0
+    for command in ("run", "explore"):
+        assert cli(command, program) == (
+            2, "", "error: computed integer of more than 4300 digits\n")
+
+
+def test_a_huge_role_tag_costs_time_by_endpoints_not_by_value(tmp_path):
+    n = 10 ** 9
+    program = tmp_path / "wide.chpi"
+    program.write_text(f"request a[{n}](x). x!<1>@1. 0 "
+                       f"| accept a[1](y). y?(v: int)@{n}. 0")
+    t0 = time.perf_counter()
+    assert cli("check", program) == (
+        2, "", f"error: service 'a': acceptor roles [1] do not cover "
+               f"1..{n - 1}\n")
+    code, out, err = cli("run", program)
+    assert (code, err) == (1, "") and out.endswith("status: stuck\n")
+    code, out, err = cli("explore", program)
+    assert (code, err) == (1, "") and "stuck at state 0" in out
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_type_file_diagnostic_counts_leading_blank_lines(tmp_path):

@@ -77,8 +77,8 @@ def _fields(x):
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 54
-    assert sum(map(_frozen, RECORDS)) == 43
+    assert len(RECORDS) == 50
+    assert sum(map(_frozen, RECORDS)) == 40
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
@@ -219,7 +219,7 @@ def test_import_compiles_one_init_per_shape_and_leaves_no_dead_class():
         print(sorted(f for f in compiled if not f.endswith(".py")))
         print([x.__qualname__ for x in gc.garbage if isinstance(x, type)
                and x.__module__.startswith("cherrypi")])""")
-    # one `__init__` template per (arity, frozen) shape of the 54 records,
+    # one `__init__` template per (arity, frozen) shape of the 50 records,
     # and two `namedtuple`s: `functools`' own and `syntax.Operator`
     assert out.splitlines() == [str(["<record>"] * 12 + ["<string>"] * 2),
                                 "[]"]

@@ -26,7 +26,7 @@ from cherrypi.runtime import (DecisionOracle, ExploreError, MalformedInput,
                               shadow_typecheck, simulate)
 from cherrypi import infer, parser, runtime, shadow, syntax
 from cherrypi.multiparty import m_explore, to_multiparty
-from cherrypi.semantics import (BudgetExceeded, Edge, check_compliance,
+from cherrypi.semantics import (BudgetExceeded, check_compliance,
                                 check_rollback_safety)
 from cherrypi.syntax import (ChanVar, ComError, Inact, Log, MalformedTerm,
                              RollError, Session, canonicalize,
@@ -1193,10 +1193,12 @@ def test_edges_have_the_documented_shapes(programs, types):
         [type(x) for x in e] == [int, int, str, str, bool] for e in ts.edges)
     assert [e[:2] for e in ts.edges] == list(zip(ts.src, ts.dst))
     ts = check_compliance(types["consumer"], types["producer"]).system
-    assert ts.edges and all(type(e) is Edge for e in ts.edges)
-    assert [(e.src, e.dst) for e in ts.edges] == list(zip(ts.src, ts.dst))
-    assert [(e.party, e.rule, e.label) for e in ts.edges] == \
-        [step[1:4] for step in ts.labels]
+    assert ts.states is ts.nodes
+    assert ts.edges and all(
+        type(e) is tuple and
+        [type(x) for x in e] == [int, int, int, str, str] for e in ts.edges)
+    assert [e[:2] for e in ts.edges] == list(zip(ts.src, ts.dst))
+    assert [e[2:] for e in ts.edges] == [step[1:4] for step in ts.labels]
 
 
 def test_an_exploration_report_keeps_few_collectable_objects():

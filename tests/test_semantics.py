@@ -1,8 +1,8 @@
 import gc
-import operator
 import os
 import random
 import re
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
@@ -15,11 +15,9 @@ from genprog import random_type
 from oracle_naive import naive_type_reach
 from cherrypi.parser import parse_program, parse_type
 from cherrypi.runtime import explore
-from cherrypi.semantics import (BudgetExceeded, CheckpointType,
-                                InvalidBudget, TypeConfiguration,
+from cherrypi.semantics import (BudgetExceeded, InvalidBudget,
                                 check_compliance, check_rollback_safety,
                                 compliance_dot, config_transitions,
-                                initial_configuration,
                                 reachable_system, type_transitions)
 from cherrypi.infer import (TypingError, infer_collaboration, service_pairs,
                             service_types)
@@ -60,53 +58,85 @@ def test_terminal_types_have_no_transitions():
 
 
 # -- configuration rules ----------------------------------------------------
+#
+# The tests' own shape of a configuration, independent of the nodes under
+# test: per party a checkpoint (type and imposed flag) and a current type,
+# and the initial types.
+
+@dataclass(frozen=True)
+class Ckpt:
+    typ: object
+    imposed: bool = False
+
+
+@dataclass(frozen=True)
+class Config:
+    ckpts: tuple  # Ckpt per party, in log order
+    currents: tuple
+    inits: tuple
+
+
+def initial(*types):
+    return Config(tuple(map(Ckpt, types)), types, types)
+
+
+def config_of(node):
+    """The configuration a node stands for: its imposed flags are the key's
+    slots 3*i."""
+    return Config(tuple(map(Ckpt, node[1], node[0][::3])), node[2], node[3])
+
+
+def node_of(cfg):
+    """The node of a configuration, keyed by `ref_config_key`."""
+    return (ref_config_key(cfg), tuple(ck.typ for ck in cfg.ckpts),
+            cfg.currents, cfg.inits)
+
 
 def test_commit_retargets_both_checkpoints():
-    cfg = initial_configuration(T("![str]. cmt. ![int]. end"),
-                                T("?[str]. ?[int]. end"))
-    (_, rule, _, after_com), = config_transitions(cfg)
+    root = node_of(initial(T("![str]. cmt. ![int]. end"),
+                           T("?[str]. ?[int]. end")))
+    (_, _, rule, _, after_com), = config_transitions(root)
     assert rule == "TS-Com"
-    (party, rule, label, nxt), = config_transitions(after_com)
+    (_, party, rule, label, nxt), = config_transitions(after_com)
     assert (party, rule, label) == (1, "TS-Cmt1", "cmt")
-    assert render_type(nxt.ckpts[0].typ) == "![int]. end"
-    assert not nxt.ckpts[0].imposed
+    cks = config_of(nxt).ckpts
+    assert render_type(cks[0].typ) == "![int]. end"
+    assert not cks[0].imposed
     # the partner sits past its own checkpoint, so it gets an imposed one
-    assert nxt.ckpts[1].imposed
-    assert render_type(nxt.ckpts[1].typ) == "?[int]. end"
+    assert cks[1].imposed
+    assert render_type(cks[1].typ) == "?[int]. end"
 
 
 def test_commit_on_agreeing_partner_imposes_nothing():
-    cfg = initial_configuration(T("cmt. end"), T("end"))
-    (party, rule, label, nxt), = config_transitions(cfg)
+    (_, _, rule, _, nxt), = config_transitions(
+        node_of(initial(T("cmt. end"), T("end"))))
     assert rule == "TS-Cmt2"
-    assert not nxt.ckpts[0].imposed and not nxt.ckpts[1].imposed
+    assert not any(ck.imposed for ck in config_of(nxt).ckpts)
 
 
 def test_roll_on_own_checkpoint_restores_it():
     sysm = reachable_system(T("![int]. roll"), T("?[int]. end"))
     assert len(sysm.states) == 2
-    assert [(e.rule, e.src, e.dst) for e in sysm.edges] == \
+    assert [(rule, src, dst) for src, dst, _, rule, _ in sysm.edges] == \
         [("TS-Com", 0, 1), ("TS-Rll1", 1, 0)]
 
 
 def test_roll_on_imposed_checkpoint_errors_even_if_content_matches():
     t = T("![int]. end")
-    cfg = TypeConfiguration(
-        ckpts=(CheckpointType(t, True), CheckpointType(t, False)),
-        currents=(T("roll"), t), inits=(t, t))
-    (party, rule, _, nxt), = config_transitions(cfg)
+    cfg = Config((Ckpt(t, True), Ckpt(t, False)), (T("roll"), t), (t, t))
+    (_, party, rule, _, nxt), = config_transitions(node_of(cfg))
     assert rule == "TS-Rll2"
-    assert all(render_type(c) == "err" for c in nxt.currents)
+    assert all(render_type(c) == "err" for c in nxt[2])
     # checkpoints survive the failure untouched
-    assert nxt.ckpts == cfg.ckpts
+    assert config_of(nxt).ckpts == cfg.ckpts
 
 
 def test_rll1_preserves_imposed_flags():
     t = T("![int]. end")
-    cfg = TypeConfiguration(
-        ckpts=(CheckpointType(T("roll"), False), CheckpointType(t, True)),
-        currents=(T("roll"), t), inits=(T("roll"), t))
-    steps = {r: nxt for _, r, _, nxt in config_transitions(cfg)}
+    cfg = Config((Ckpt(T("roll"), False), Ckpt(t, True)), (T("roll"), t),
+                 (T("roll"), t))
+    steps = {step[2]: config_of(step[4])
+             for step in config_transitions(node_of(cfg))}
     nxt = steps["TS-Rll1"]
     assert nxt.ckpts[1].imposed
     assert render_type(nxt.currents[1]) == "![int]. end"
@@ -115,10 +145,9 @@ def test_rll1_preserves_imposed_flags():
 def test_abort_resets_to_initial_pair():
     sysm = reachable_system(T("![int]. abt"), T("?[int]. end"))
     assert len(sysm.states) == 2
-    rules = {e.rule for e in sysm.edges}
+    rules = {e[3] for e in sysm.edges}
     assert rules == {"TS-Com", "TS-Abt1"}
-    abt = next(e for e in sysm.edges if e.rule == "TS-Abt1")
-    assert abt.dst == 0
+    assert [e[1] for e in sysm.edges if e[3] == "TS-Abt1"] == [0]
 
 
 def test_perpetual_roll_is_vacuously_compliant():
@@ -126,17 +155,29 @@ def test_perpetual_roll_is_vacuously_compliant():
     # reaches a terminal configuration, so there is nothing to violate
     rep = check_compliance(T("roll"), T("end"))
     assert rep.compliant
-    assert [(e.src, e.dst, e.rule) for e in rep.system.edges] == \
-        [(0, 0, "TS-Rll1")]
+    assert rep.system.edges == [(0, 0, 1, "TS-Rll1", "roll")]
 
 
 def test_err_states_are_absorbing(corpus):
     t1 = parse_type((corpus / "consumer.chty").read_text())
     t2 = parse_type((corpus / "producer_commit.chty").read_text())
     rep = check_compliance(t1, t2)
-    for v in rep.violations:
-        assert all(e.src != v.state for e in rep.system.edges)
-        assert config_transitions(v.config) == []
+    for sid in rep.violations:
+        assert all(e[0] != sid for e in rep.system.edges)
+        assert config_transitions(rep.system.nodes[sid]) == []
+
+
+def test_violations_are_the_stuck_states_not_all_at_end(types):
+    # a state with no out-edge whose currents are not all `end`
+    for right, count in (("producer", 0), ("producer_commit", 2)):
+        rep = check_compliance(types["consumer"], types[right])
+        ts = rep.system
+        live = {e[0] for e in ts.edges}
+        want = [sid for sid, node in enumerate(ts.states) if sid not in live
+                and any(render_type(t) != "end" for t in node[2])]
+        assert rep.violations == want and len(want) == count
+        assert rep.compliant is (count == 0)
+        assert [v["state"] for v in rep.to_json()["violations"]] == want
 
 
 # -- reachability, determinism, budget --------------------------------------
@@ -167,8 +208,7 @@ def test_exploration_is_deterministic(corpus):
     t2 = parse_type((corpus / "producer_commit.chty").read_text())
     a = reachable_system(t1, t2)
     b = reachable_system(t1, t2)
-    assert [(e.src, e.dst, e.rule, e.label) for e in a.edges] == \
-        [(e.src, e.dst, e.rule, e.label) for e in b.edges]
+    assert a.edges == b.edges
     assert [sem.config_key(s) for s in a.states] == \
         [sem.config_key(s) for s in b.states]
 
@@ -366,10 +406,8 @@ def test_alpha_variants_share_a_key_but_keep_their_names():
     assert (len(rep.system.states), len(rep.system.edges)) == (2, 3)
     assert naive_type_reach(left, right) == (2, True)
     # both internal choices land in state 1, which keeps the left variant
-    assert [(e.src, e.dst) for e in rep.system.edges] == \
-        [(0, 1), (0, 1), (1, 1)]
-    assert render_type(rep.system.states[1].currents[0]) == \
-        "mu x. ![int]. x"
+    assert [e[:2] for e in rep.system.edges] == [(0, 1), (0, 1), (1, 1)]
+    assert render_type(rep.system.states[1][2][0]) == "mu x. ![int]. x"
 
 
 def test_type_keys_number_shadowed_binders_by_position():
@@ -467,6 +505,7 @@ def ref_type_transitions(t):
 
 
 def ref_config_key(cfg):
+    """The key of a `Config`, every type keyed by `ref_type_key`."""
     key = []
     for ck, cur in zip(cfg.ckpts, cfg.currents):
         key += (ck.imposed, ref_type_key(ck.typ), ref_type_key(cur))
@@ -502,36 +541,33 @@ def ref_party_transitions(cfg, i, steps):
                         curs = list(cur)
                         curs[i], curs[j] = nxt, pnxt
                         out.append((i + 1, rule, _ref_label_text(lab),
-                                    TypeConfiguration(cks, tuple(curs),
-                                                      cfg.inits)))
+                                    Config(cks, tuple(curs), cfg.inits)))
             case ("tau", _):
                 curs = list(cur)
                 curs[i] = nxt
                 out.append((i + 1, "TS-Tau", _ref_label_text(lab),
-                            TypeConfiguration(cks, tuple(curs), cfg.inits)))
+                            Config(cks, tuple(curs), cfg.inits)))
             case ("cmt",):
                 curs, ncks = list(cur), list(cks)
                 curs[i] = nxt
-                ncks[i] = CheckpointType(nxt)
+                ncks[i] = Ckpt(nxt)
                 rule = "TS-Cmt2"
                 for h in range(n):
                     if h != i and (cks[h].imposed or ref_type_key(cks[h].typ)
                                    != ref_type_key(cur[h])):
-                        ncks[h] = CheckpointType(cur[h], imposed=True)
+                        ncks[h] = Ckpt(cur[h], imposed=True)
                         rule = "TS-Cmt1"
                 out.append((i + 1, rule, "cmt",
-                            TypeConfiguration(tuple(ncks), tuple(curs),
-                                              cfg.inits)))
+                            Config(tuple(ncks), tuple(curs), cfg.inits)))
             case ("roll",):
                 if cks[i].imposed:
-                    out.append((i + 1, "TS-Rll2", "roll", TypeConfiguration(
+                    out.append((i + 1, "TS-Rll2", "roll", Config(
                         cks, tuple(TErr() for _ in cur), cfg.inits)))
                 else:
-                    out.append((i + 1, "TS-Rll1", "roll", TypeConfiguration(
+                    out.append((i + 1, "TS-Rll1", "roll", Config(
                         cks, tuple(c.typ for c in cks), cfg.inits)))
             case ("abt",):
-                out.append((i + 1, "TS-Abt1", "abt",
-                            initial_configuration(*cfg.inits)))
+                out.append((i + 1, "TS-Abt1", "abt", initial(*cfg.inits)))
     return out
 
 
@@ -555,16 +591,20 @@ def _fresh(x):
 
 
 def _assert_stepper_matches_reference(*types):
+    """Node by node, `_party_transitions` steps as the reference steps the
+    configuration the node stands for, and every key is the reference's."""
     ts = reachable_system(*types)
-    for node, cfg in zip(ts.nodes, ts.states):
-        assert node[0] == cfg.__dict__["_key"] == ref_config_key(_fresh(cfg))
-        want = ref_config_transitions(cfg)
-        assert config_transitions(cfg) == want
+    assert ts.states is ts.nodes and config_of(ts.nodes[0]) == initial(*types)
+    for node in ts.nodes:
+        cfg = config_of(node)
+        assert node[0] == ref_config_key(_fresh(cfg))
         got = sem._party_transitions(node, ts.nodes[0])
-        assert [(*step[1:4], sem._config(step[4])) for step in got] == want
+        assert config_transitions(node) == got
+        assert [(*step[1:4], config_of(step[4])) for step in got] == \
+            ref_config_transitions(cfg)
         for key, _, _, _, succ in got:
             assert succ[0] is key
-            assert key == ref_config_key(_fresh(sem._config(succ)))
+            assert key == ref_config_key(_fresh(config_of(succ)))
     return ts
 
 
@@ -584,42 +624,6 @@ def test_keyed_stepper_matches_the_reference_on_corpus_pairs(corpus,
               for side in ("left", "right")))
 
 
-def _records_built(monkeypatch) -> list:
-    """Every `TypeConfiguration` and `CheckpointType` built from now on."""
-    built = []
-    for cls in (TypeConfiguration, CheckpointType):
-        def counted(self, *args, _init=cls.__init__, **kwargs):
-            built.append(self)
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
-    return built
-
-
-def test_a_compliant_check_builds_no_configuration_record(programs, types,
-                                                          verdicts,
-                                                          monkeypatch):
-    built = _records_built(monkeypatch)
-    rep = check_compliance(types["consumer"], types["producer"])
-    assert rep.compliant and rep.to_json()["violations"] == []
-    safe = [name.removesuffix(".chpi")
-            for name, info in verdicts["programs"].items() if info["safe"]]
-    assert "three_party_job" in safe and len(safe) >= 3
-    for name in safe:
-        assert check_rollback_safety(programs[name].term).safe, name
-    assert built == []
-
-
-def test_a_violating_check_builds_only_the_records_it_shows(types,
-                                                            monkeypatch):
-    built = _records_built(monkeypatch)
-    rep = check_compliance(types["consumer"], types["producer_commit"])
-    assert not rep.compliant and len(rep.violations) >= 1
-    want = [x for v in rep.violations for x in (*v.config.ckpts, v.config)]
-    assert len(built) == len(want) and all(map(operator.is_, built, want))
-    assert [v.config for v in rep.violations] == \
-        [rep.system.states[v.state] for v in rep.violations]
-
-
 THREE_ROLES = """
 request a[3](x). x!<1>@1. commit. if true then x?(v: int)@2. 0 else abort
 | accept a[1](y). y?(n: int)@3. commit. y!<n>@2. (if true then 0 else roll)
@@ -633,7 +637,7 @@ def test_keyed_stepper_matches_the_reference_on_three_roles(programs):
                  parse_program(THREE_ROLES).term):
         (types,) = service_types(term).values()
         ts = _assert_stepper_matches_reference(*types)
-        rules |= {e.rule for e in ts.edges}
+        rules |= {e[3] for e in ts.edges}
     # every journal rule is exercised
     assert rules == {"TS-Com", "TS-Lab", "TS-Tau", "TS-Cmt1", "TS-Cmt2",
                      "TS-Rll1", "TS-Rll2", "TS-Abt1"}
