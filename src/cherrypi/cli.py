@@ -159,11 +159,11 @@ def cmd_explore(args) -> int:
     data = report.to_json()
     lines = [f"{data['states']} states, {data['edges']} edges, "
              f"{data['completed']} completed (depth {data['depth']})"]
-    for entry in report.errors + report.stuck:
-        lines.append(f"  {entry.kind} at state {entry.state}: "
-                     f"{' -> '.join(entry.path) or '<initial>'}")
-        if entry.script:
-            lines.append(f"    script: {json.dumps(entry.script)}")
+    for entry in data["errors"] + data["stuck"]:
+        lines.append(f"  {entry['kind']} at state {entry['state']}: "
+                     f"{' -> '.join(entry['path']) or '<initial>'}")
+        if entry["script"]:
+            lines.append(f"    script: {json.dumps(entry['script'])}")
     if report.ok:
         lines.append("no errors, no stuck states")
     _emit(args, data, lines)
@@ -171,10 +171,10 @@ def cmd_explore(args) -> int:
 
 
 def _explore_dot(report) -> str:
-    bad = {e.state for e in report.errors} | {e.state for e in report.stuck}
     return dot_graph("explored", len(report.system.nodes),
-                     ((src, dst, f"{_dq(rule)} {_dq(text)}")
-                      for src, dst, rule, text, _ in report.transitions), bad)
+                     ((src, dst, f"{_dq(c.rule)} {_dq(c.text)}")
+                      for src, dst, c in report.system.edges),
+                     set(report.errors + report.stuck))
 
 
 def cmd_graph(args) -> int:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, If, Inact, Lit, Process, PVar, Rec, Recv,
-                     Request, Roll, Select, Send, Ufun, Var, endpoint_role,
-                     operator_of, par_parts, subprocesses, _fresh, _names,
-                     _role_tag, _TERMS)
+                     Request, Roll, Select, Send, Ufun, Var, check_guard,
+                     check_operands, endpoint_role, operator_of, par_parts,
+                     subprocesses, _fresh, _names, _role_tag, _TERMS)
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TIn, TMu,
                            TOut, TPlus, TRollT, TSel, TVarT)
 
@@ -35,14 +35,8 @@ def sort_of_expression(e, env: dict) -> str:
         return env[e.name]
     if kind is Call:
         row = operator_of(e, TypingError)
-        arg_sorts = [sort_of_expression(a, env) for a in e.args]
-        if None in row.operands:  # operands of any one sort
-            if arg_sorts[0] != arg_sorts[1]:
-                raise TypingError(f"{row.symbol!r} needs two operands of "
-                                  f"one sort, got {arg_sorts}")
-        elif tuple(arg_sorts) != row.operands:
-            raise TypingError(f"operator {e.op!r} expects {row.operands}, "
-                              f"got {tuple(arg_sorts)}")
+        check_operands(row, e, [sort_of_expression(a, env) for a in e.args],
+                       TypingError)
         return row.result
     if kind is Ufun:
         arg_sorts = tuple(sort_of_expression(a, env) for a in e.args)
@@ -116,9 +110,7 @@ def _type_of(p, chan, own, penv: dict, venv: dict) -> SessionTypeT:
                        for l, a in p.arms), None if r is None else own, r)
     # a conditional offers the internal choice of its two branches
     elif kind is If:
-        s = sort_of_expression(p.cond, venv)
-        if s != "bool":
-            raise TypingError(f"conditional guard has sort {s}, needs bool")
+        check_guard(sort_of_expression(p.cond, venv), TypingError)
         t = TPlus(_type_of(p.then, chan, own, penv, venv),
                   _type_of(p.orelse, chan, own, penv, venv))
     elif kind is Rec:

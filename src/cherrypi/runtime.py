@@ -23,7 +23,9 @@ builds every step of a new state, once per outcome of its expression
 
 Exhaustive exploration runs on `semantics.search`, the breadth-first core
 that type-level reachability uses too: it builds a successor only when its
-state is new, and error and stuck paths come from its parent pointers.
+state is new, and its edges are labelled by their candidates.  The report
+names error and stuck states by id; their paths come from the search's
+parent pointers when the report is serialised.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
                      MalformedInput, MalformedTerm, Process, Recv,
                      Request, Roll, RollError, Select, Send, Session, Ufun,
-                     Var, endpoint_role, head_normal, operator_of, par,
-                     par_parts, process_key, record, substitute, term_rep,
-                     _TERMS)
+                     Var, check_guard, check_operands, endpoint_role,
+                     head_normal, operator_of, par, par_parts, process_key,
+                     record, substitute, term_rep, value_sort, _TERMS)
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
 from .semantics import TransitionSystem, partner_position, search
@@ -153,13 +155,16 @@ class DecisionOracle:
 def evaluate(e, oracle: DecisionOracle | None = None):
     """Big-step value of a closed expression; arguments evaluate left to
     right, an operator means what its `OPERATORS` row says, and every
-    uninterpreted call consults the oracle."""
+    uninterpreted call consults the oracle.  Operands of sorts their
+    operator does not take are refused, as typing refuses them."""
     kind = type(e)
     if kind is Lit:
         return e.value
     if kind is Call:
-        return operator_of(e, MalformedTerm).meaning(
-            *[evaluate(a, oracle) for a in e.args])
+        row = operator_of(e, MalformedTerm)
+        vals = [evaluate(a, oracle) for a in e.args]
+        check_operands(row, e, list(map(value_sort, vals)), MalformedTerm)
+        return row.meaning(*vals)
     if kind is Ufun:
         for a in e.args:
             evaluate(a, oracle)  # argument draws happen first
@@ -176,13 +181,17 @@ def enumerate_values(e) -> list:
     """All possible values of an expression, branching over every
     uninterpreted call: [(value, choices)] with choices the assumed draws in
     order.  Calls of undeclared-domain int/str functions cannot be
-    enumerated."""
+    enumerated, and operands of sorts their operator does not take are
+    refused."""
     kind = type(e)
     if kind is Lit:
         return [(e.value, ())]
     if kind is Call:
-        meaning = operator_of(e, MalformedTerm).meaning
-        return [(meaning(*vals), ch) for vals, ch in _combos(e.args)]
+        row, combos = operator_of(e, MalformedTerm), _combos(e.args)
+        for vals, _ in combos:
+            check_operands(row, e, list(map(value_sort, vals)),
+                           MalformedTerm)
+        return [(row.meaning(*vals), ch) for vals, ch in combos]
     if kind is Ufun:
         fn, rsort, combos = e.name, e.result_sort, _combos(e.args)
         if e.domain is not None:
@@ -225,8 +234,13 @@ def _undecided(x) -> bool:
 def guard_value(e):
     """The value of a guard, or None when it is not known yet: an
     uninterpreted call makes the outcome oracle-dependent, and a variable
-    is bound by a receive that an n-role observer's barbs passed over."""
-    return None if _undecided(e) else evaluate(e)
+    is bound by a receive that an n-role observer's barbs passed over.  A
+    guard that is not a bool is refused."""
+    if _undecided(e):
+        return None
+    v = evaluate(e)
+    check_guard(value_sort(v), MalformedTerm)
+    return v
 
 
 def barbs(p: Process, observer: int | None = None) -> frozenset:
@@ -469,7 +483,9 @@ def _com(logs, i, j, cont, recv, v):
 
 
 def _resolve(logs, i, then, orelse, v):
-    """Party i's conditional takes the branch guard value `v` selects."""
+    """Party i's conditional takes the branch guard value `v` selects; a
+    guard that is not a bool is refused."""
+    check_guard(value_sort(v), MalformedTerm)
     nl = list(logs)
     nl[i] = Log(logs[i].endpoint, logs[i].ckpt, then if v else orelse)
     return ("then" if v else "else"), nl
@@ -806,41 +822,40 @@ def _state_key(state: Collaboration) -> tuple:
 # exhaustive exploration
 # ---------------------------------------------------------------------------
 
-class ExploreEntry(metaclass=record):
-    kind: str  # roll_error | com_error | stuck
-    state: int
-    path: list  # list[str] step labels from the initial state
-    script: dict  # oracle script realising the path
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "state": self.state, "path": self.path,
-                "script": self.script}
-
-
 class ExplorationReport(metaclass=record):
-    # states are Collaborations; an edge is (src, dst, rule, text, backward)
+    # a node is a state's items, a label its Candidate, `states` the terms
     system: TransitionSystem
-    errors: list  # list[ExploreEntry]
-    stuck: list  # list[ExploreEntry]
+    errors: list  # ids of the error states, in id order
+    stuck: list  # ids of the stuck states, in id order
     completed: int
     depth: int
 
-    states = property(lambda self: self.system.states)
-    transitions = property(lambda self: self.system.edges)
     edges = property(lambda self: len(self.system.src))  # their number
+
+    @functools.cached_property
+    def states(self) -> list:
+        return [par(*items) for items in self.system.nodes]
 
     @property
     def ok(self) -> bool:
         return not self.errors and not self.stuck
 
+    def _entry(self, sid: int, kind: str) -> dict:
+        path = self.system.path_to(sid)
+        return {"kind": kind, "state": sid,
+                "path": [c.label() for c in path],
+                "script": _script_of([d for c in path for d in c.choices])}
+
     def to_json(self) -> dict:
+        nodes = self.system.nodes
         return {
-            "states": len(self.system.nodes),
+            "states": len(nodes),
             "edges": self.edges,
             "depth": self.depth,
             "completed": self.completed,
-            "errors": [e.to_json() for e in self.errors],
-            "stuck": [e.to_json() for e in self.stuck],
+            "errors": [self._entry(sid, classify_state(nodes[sid], True))
+                       for sid in self.errors],
+            "stuck": [self._entry(sid, "stuck") for sid in self.stuck],
         }
 
 
@@ -867,12 +882,13 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     shares its parent's layout.  A successor is made only when its state
     is new, from its parent's own items, so of alpha-variant states the
     first found is kept; its term is built when the report's `states` is
-    read.  An edge is one transition: values of an expression that give
-    one labelled step, or key-equal endpoints that open one session, make
-    one edge.  States are classified after the search: an expanded state
-    is live when it has an out-edge, and the final frontier's steps are
-    computed but not expanded.  Error and stuck paths come from
-    `TransitionSystem.path_to`."""
+    read.  An edge is one transition, labelled by its built candidate:
+    values of an expression that give one labelled step, or key-equal
+    endpoints that open one session, make one edge.  States are classified
+    after the search: an expanded state is live when it has an out-edge,
+    and the final frontier's steps are computed but not expanded.  The
+    report holds the ids of the error and stuck states; `to_json` rebuilds
+    each one's path and oracle script with `TransitionSystem.path_to`."""
     _check_mode(mode)
     init = program.term
     # state id -> its items' keys in item order; representatives, held
@@ -958,7 +974,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
         return _splice(items, group, c.successor)
 
     ts = search(par_parts(init), lambda _: tuple(sorted(serials[0])),
-                steps_of, make, programs=True, budget=budget, depth=depth)
+                steps_of, make, budget=budget, depth=depth)
     live = set(ts.src)
     expanded = len(ts.nodes) - len(ts.frontier)
     errors, stuck, completed = [], [], 0
@@ -968,10 +984,7 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
         if kind == "completed":
             completed += 1
         elif kind != "live":
-            path = ts.path_to(sid)
-            (stuck if kind == "stuck" else errors).append(ExploreEntry(
-                kind, sid, [c.label() for c in path],
-                _script_of([d for c in path for d in c.choices])))
+            (stuck if kind == "stuck" else errors).append(sid)
     return ExplorationReport(ts, errors, stuck, completed, depth)
 
 

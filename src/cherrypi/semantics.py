@@ -15,7 +15,8 @@ A configuration is a node, the tuple (`config_key`, checkpoint types,
 current types, initial types), whose key's slots hold the imposed flags.
 It is the one shape of a type-level state: a system's `states` are its
 nodes, and a compliance report's violations are state ids.
-`_party_transitions` is the one stepper of nodes: `search`,
+`_party_transitions` is the one stepper of nodes, its steps (successor
+key, (party, rule, label), successor node): `search`,
 `config_transitions` and the shadow checker's `shadow._mirror` read it.
 A successor's key is derived from the parent's by replacing only the
 slots the step changed, and an abort returns to the root node, so only a
@@ -23,13 +24,14 @@ search's root is keyed from its types.
 
 `search` is the package's one breadth-first search, under
 `reachable_system` and `runtime.explore` alike: it keeps edges and parent
-pointers in flat arrays, and is the only place that checks a state
-budget.
+pointers in flat arrays, an edge's label being slot 1 of its step, and is
+the only place that checks a state budget.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from array import array
 from functools import cached_property
 from operator import itemgetter
@@ -38,7 +40,7 @@ from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
                            subtypes, _render, type_key)
 from .infer import service_types
-from .syntax import MalformedInput, par, par_parts, record
+from .syntax import MalformedInput, par_parts, record
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -55,14 +57,25 @@ def current_budget(override: int | None = None) -> int:
         return override
     env = os.environ.get("CHERRY_BUDGET")
     if env:
+        # quoted in an error, a long value is cut to its first characters
+        shown = repr(env) if len(env) <= 40 else \
+            f"{env[:20]!r}... ({len(env)} characters)"
         try:
             budget = int(env)
         except ValueError:
+            digits = env.strip()
+            if digits[:1] in ("+", "-"):
+                digits = digits[1:]
+            if digits.isdecimal():  # then it is past `int()`'s digit limit
+                raise InvalidBudget(
+                    f"CHERRY_BUDGET has more than "
+                    f"{sys.get_int_max_str_digits()} digits, got {shown}") \
+                    from None
             raise InvalidBudget(
-                f"CHERRY_BUDGET must be an integer, got {env!r}") from None
+                f"CHERRY_BUDGET must be an integer, got {shown}") from None
         if budget < 1:
             raise InvalidBudget(
-                f"CHERRY_BUDGET must be positive, got {env!r}")
+                f"CHERRY_BUDGET must be positive, got {shown}")
         return budget
     return DEFAULT_BUDGET
 
@@ -163,12 +176,12 @@ def config_transitions(node: tuple) -> list:
     return _party_transitions(node, _root(node[3]))
 
 
-_STEP_ORDER = itemgetter(1, 2, 3)  # (party, rule, label)
+_STEP_ORDER = itemgetter(1)  # (party, rule, label)
 
 
 def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
     """The journal steps of the parties at the 0-based log positions
-    `parties` (all by default), each (successor key, party, rule, label,
+    `parties` (all by default), each (successor key, (party, rule, label),
     successor node), sorted by (party, rule, label); an abort returns to
     `root`.  A successor's key is its parent's with the slots the step
     changed replaced, so each step builds one key, node and step tuple."""
@@ -202,8 +215,8 @@ def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
                         key = list(pkey)
                         key[at + 2] = type_key(nxt)
                         key[3 * j + 2] = type_key(pnxt)
-                        out.append((key := tuple(key), party, rule,
-                                    f"{label}[{x}]",
+                        out.append((key := tuple(key),
+                                    (party, rule, f"{label}[{x}]"),
                                     (key, cks, tuple(curs), inits)))
             # TS-Tau: a conditional resolves locally
             elif kind == "tau":
@@ -211,8 +224,9 @@ def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
                 curs[i] = nxt
                 key = list(pkey)
                 key[at + 2] = type_key(nxt)
-                out.append((key := tuple(key), party, "TS-Tau",
-                            f"tau[{lab[1]}]", (key, cks, tuple(curs), inits)))
+                out.append((key := tuple(key),
+                            (party, "TS-Tau", f"tau[{lab[1]}]"),
+                            (key, cks, tuple(curs), inits)))
             # TS-Cmt1: commit while some other party moved since its
             # checkpoint (an imposed checkpoint always counts as moved) ->
             # that party's current is imposed on it
@@ -231,7 +245,7 @@ def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
                         ncks[h] = cur[h]
                         key[k:k + 2] = True, pkey[k + 2]
                         rule = "TS-Cmt1"
-                out.append((key := tuple(key), party, rule, "cmt",
+                out.append((key := tuple(key), (party, rule, "cmt"),
                             (key, tuple(ncks), tuple(curs), inits)))
             # TS-Rll1: roll from an own checkpoint restores every current;
             # TS-Rll2: roll from an imposed checkpoint is unrecoverable ->
@@ -244,11 +258,11 @@ def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
                 else:
                     rule, curs = "TS-Rll1", cks
                     key[2::3] = pkey[1::3]
-                out.append((key := tuple(key), party, rule, "roll",
+                out.append((key := tuple(key), (party, rule, "roll"),
                             (key, cks, curs, inits)))
             # TS-Abt1: abort resets the whole configuration
             elif kind == "abt":
-                out.append((root[0], party, "TS-Abt1", "abt", root))
+                out.append((root[0], (party, "TS-Abt1", "abt"), root))
     out.sort(key=_STEP_ORDER)
     return out
 
@@ -260,31 +274,22 @@ def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
 class TransitionSystem(metaclass=record):
     """What `search` found, for types and programs alike, in flat columns:
     per state its node and the index of the edge that found it (-1 for
-    state 0); per edge, in source order, its ends and its step's label.
-    For types (nodes and steps of `_party_transitions`) the view `states`
-    is `nodes` and `edges` are (src, dst, party, rule, label) tuples; for
-    `programs` (tuples of items and candidates) they are terms and (src,
-    dst, rule, text, backward) tuples, built on first read."""
+    state 0); per edge, in source order, its ends and its label, slot 1 of
+    its step.  `states` is `nodes`, and `edges` are (src, dst, label)
+    triples, built on first read: a type-level label is (party, rule,
+    label), a program's the built `runtime.Candidate`."""
     nodes: list
     src: array
     dst: array
     labels: list
     found_by: array
     frontier: list  # the highest ids: found, not expanded (depth cut)
-    programs: bool = False
 
-    @cached_property
-    def states(self) -> list:
-        return ([par(*items) for items in self.nodes] if self.programs
-                else self.nodes)
+    states = property(lambda self: self.nodes)
 
     @cached_property
     def edges(self) -> list:
-        if self.programs:
-            return [(s, d, c.rule, c.text, c.backward)
-                    for s, d, c in zip(self.src, self.dst, self.labels)]
-        return [(s, d, step[1], step[2], step[3])
-                for s, d, step in zip(self.src, self.dst, self.labels)]
+        return list(zip(self.src, self.dst, self.labels))
 
     def path_to(self, sid: int) -> list:
         """Labels of the steps that discovered `sid`, from state 0 on."""
@@ -296,16 +301,14 @@ class TransitionSystem(metaclass=record):
         return path[::-1]
 
 
-def search(root, key, steps, make, programs: bool = False,
-           budget: int | None = None, depth: int | None = None) \
-        -> TransitionSystem:
+def search(root, key, steps, make, budget: int | None = None,
+           depth: int | None = None) -> TransitionSystem:
     """Breadth-first search from `root`, keyed by `key(root)`.
     `steps(sid, node)` lists a state's steps in successor order, each a
-    tuple whose slot 0 is its successor's key; `make(src, node, step)`
-    builds a successor's node only when that key is new.  An edge's label
-    is its step, or for `programs` the step's candidate, in slot 1.
-    Layers from `depth` on are not expanded; more than `budget` states
-    raise `BudgetExceeded`."""
+    tuple whose slot 0 is its successor's key and slot 1 its edge's
+    label; `make(src, node, step)` builds a successor's node only when
+    that key is new.  Layers from `depth` on are not expanded; more than
+    `budget` states raise `BudgetExceeded`."""
     limit = current_budget(budget)
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
@@ -331,11 +334,10 @@ def search(root, key, steps, make, programs: bool = False,
                     found.append(tid)
                 src.append(sid)
                 dst.append(tid)
-                labels.append(step[1] if programs else step)
+                labels.append(step[1])
         frontier = found
         layer += 1
-    return TransitionSystem(nodes, src, dst, labels, found_by, frontier,
-                            programs)
+    return TransitionSystem(nodes, src, dst, labels, found_by, frontier)
 
 
 def reachable_system(*types: SessionTypeT,
@@ -343,12 +345,12 @@ def reachable_system(*types: SessionTypeT,
     """The configurations reachable from the initial configuration of
     `types`, one per party in log order, found by `search` and keyed by
     `config_key`.  The sorted (party, rule, label) successor order makes
-    numbering reproducible.  A state is its node, and a path step is
-    (key, party, rule, label, successor node)."""
+    numbering reproducible.  A state is its node, and an edge's label and
+    a path step are (party, rule, label)."""
     root = _root(types)
     return search(root, itemgetter(0),
                   lambda sid, node: _party_transitions(node, root),
-                  lambda src, node, step: step[4], budget=budget)
+                  lambda src, node, step: step[2], budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,7 @@ class ComplianceReport(metaclass=record):
                 {
                     "terminal": _describe(ts.nodes[sid], self.roles, memo),
                     "state": sid,
-                    "path": [prefix + step[2] for step in ts.path_to(sid)],
+                    "path": [prefix + lab[1] for lab in ts.path_to(sid)],
                 }
                 for sid in self.violations
             ],
@@ -489,5 +491,5 @@ def compliance_dot(report: ComplianceReport, name: str = "reachable") -> str:
     ts = report.system
     return dot_graph(name, len(ts.nodes),
                      ((src, dst, f"{rule} {label} p{party}")
-                      for src, dst, party, rule, label in ts.edges),
+                      for src, dst, (party, rule, label) in ts.edges),
                      set(report.violations))

@@ -87,7 +87,7 @@ def _mirror(node: tuple, root: tuple, step, failures: list) -> tuple:
     rules, missing, disagrees = _MIRRORS[rule]
     want = _type_label(rule, step.text)
     # only the stepping party's transitions, in `config_transitions` order
-    found = [(r, succ) for _, _, r, lab, succ in _party_transitions(
+    found = [(r, succ) for _, (_, r, lab), succ in _party_transitions(
         node, root, (step.party - 1,)) if lab == want]
     for r, succ in found:
         if r in rules:

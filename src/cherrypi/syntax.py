@@ -72,6 +72,35 @@ def operator_of(call, error: type) -> Operator:
     return row
 
 
+def check_operands(row: Operator, call, sorts: list, error: type) -> None:
+    """Raise `error` unless the operator `row` of `call` takes operands of
+    `sorts`: typing and evaluation share the rule and its messages."""
+    if None in row.operands:  # operands of any one sort
+        if sorts[0] != sorts[1]:
+            raise error(f"{row.symbol!r} needs two operands of one sort, "
+                        f"got {sorts}")
+    elif tuple(sorts) != row.operands:
+        raise error(f"operator {call.op!r} expects {row.operands}, got "
+                    f"{tuple(sorts)}")
+
+
+def check_guard(sort: str, error: type) -> None:
+    """Raise `error` unless a conditional's guard has sort bool."""
+    if sort != "bool":
+        raise error(f"conditional guard has sort {sort}, needs bool")
+
+
+def value_sort(v) -> str:
+    """The sort of a value: "bool", "int" or "str"."""
+    if isinstance(v, bool):
+        return "bool"
+    if isinstance(v, int):
+        return "int"
+    if isinstance(v, str):
+        return "str"
+    raise MalformedTerm(f"literal of unknown sort: {v!r}")
+
+
 class MalformedTerm(Exception):
     """An operation met a term outside its contract (unguarded recursion,
     unbound variable, substitution kind mismatch, ...)."""
@@ -237,13 +266,7 @@ class Lit(metaclass=record, frozen=True):
     value: object  # bool | int | str
 
     def sort(self) -> str:
-        if isinstance(self.value, bool):
-            return "bool"
-        if isinstance(self.value, int):
-            return "int"
-        if isinstance(self.value, str):
-            return "str"
-        raise MalformedTerm(f"literal of unknown sort: {self.value!r}")
+        return value_sort(self.value)
 
 
 class Var(metaclass=record, frozen=True):

@@ -35,9 +35,9 @@ from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
                              head_normal, par, par_parts,
                              process_key, subprocesses, substitute, term_key,
                              unfold_recursion)
-from cherrypi.runtime import (Candidate, ExplorationReport, ExploreEntry,
-                              Trace, classify_state, enumerate_values,
-                              guard_value, reduction_steps)
+from cherrypi.runtime import (Candidate, ExplorationReport, Trace,
+                              classify_state, enumerate_values, guard_value,
+                              reduction_steps)
 from cherrypi.semantics import TransitionSystem
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
                                    TOut, TPlus, TRollT, TSel, canonical_type,
@@ -332,14 +332,13 @@ def forced_steps(state, mode="plain") -> list:
 
 
 def naive_explore_report(program, depth=30, mode="plain"):
-    """The exploration report of `program`, state by state: every state's
-    steps from the whole-state stepper `reduction_steps`, built by
-    `forced_steps`, and every successor identified by `term_key` of the
-    whole successor term.  This is the reference for `runtime.explore`,
-    which steps and keys items.  Two steps of one state that give the same
-    (successor, rule, label, backward) are one edge, the first one."""
-    states = [program.term]
-    info = [([], [])]
+    """`runtime.explore`'s report of `program` and its error and stuck
+    entries (errors first), each with the path and script its state
+    carries.  Whole states are stepped by `reduction_steps`, built by
+    `forced_steps`, and keyed by `term_key` (`explore` steps and keys
+    items).  Steps of one state with the same (successor, rule, label,
+    backward) are one edge, the first."""
+    states, info = [program.term], [([], [])]
     index = {term_key(program.term): 0}
     found_by, transitions, errors, stuck = [-1], [], [], []
     seen = set()
@@ -350,15 +349,13 @@ def naive_explore_report(program, depth=30, mode="plain"):
         script = {}
         for fn, v in choices:
             script.setdefault(fn, []).append(v)
-        return ExploreEntry(kind, sid, list(path), script)
+        return dict(kind=kind, state=sid, path=path, script=script)
 
     def note(sid, cands):
         nonlocal completed
         kind = classify_state(par_parts(states[sid]), bool(cands))
-        if kind in ("roll_error", "com_error"):
-            errors.append(entry(kind, sid))
-        elif kind == "stuck":
-            stuck.append(entry(kind, sid))
+        if kind in ("roll_error", "com_error", "stuck"):
+            (stuck if kind == "stuck" else errors).append(entry(kind, sid))
         elif kind == "completed":
             completed += 1
 
@@ -391,8 +388,9 @@ def naive_explore_report(program, depth=30, mode="plain"):
         [par_parts(t) for t in states],
         array("l", [e[0] for e, _ in transitions]),
         array("l", [e[1] for e, _ in transitions]),
-        [c for _, c in transitions], array("l", found_by), frontier, True)
-    return ExplorationReport(system, errors, stuck, completed, depth)
+        [c for _, c in transitions], array("l", found_by), frontier)
+    ids = [[e["state"] for e in es] for es in (errors, stuck)]
+    return ExplorationReport(system, *ids, completed, depth), errors + stuck
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_criterion_4_commit_edge_to_initial_and_valid_dot(types):
     t0 = time.perf_counter()
     rep = check_compliance(types["consumer"], types["producer"])
     cycles = [e for e in rep.system.edges
-              if e[3] in ("TS-Cmt1", "TS-Cmt2") and e[1] == 0]
+              if e[2][1] in ("TS-Cmt1", "TS-Cmt2") and e[1] == 0]
     assert cycles, "no commit transition re-arms the initial configuration"
     _assert_valid_dot(compliance_dot(rep))
     # the violating variant exercises the double-periphery branch too
@@ -213,10 +213,10 @@ def test_criterion_6_exploration_properties(programs):
         n = len(rep.states)
         forward = defaultdict(list)
         no_abort = defaultdict(list)
-        for src, dst, rule, text, backward in rep.transitions:
-            if not backward:
+        for src, dst, c in rep.system.edges:
+            if not c.backward:
                 forward[src].append(dst)
-            if rule != "B-Abt":
+            if c.rule != "B-Abt":
                 no_abort[src].append(dst)
         dist0 = _bfs(n, forward, 0)
 
@@ -225,7 +225,8 @@ def test_criterion_6_exploration_properties(programs):
         assert set(dist0) == set(range(n)), i
 
         by_session = defaultdict(set)
-        for src, dst, rule, text, backward in rep.transitions:
+        for src, dst, c in rep.system.edges:
+            rule, text = c.rule, c.text
             if rule == "B-Rll":
                 rll_edges += 1
                 # (d) recovery lands on a state no deeper than the original

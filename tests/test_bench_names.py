@@ -81,3 +81,35 @@ def test_every_module_chain_of_the_benchmark_resolves(module, name):
 def test_a_parsed_program_still_says_whether_it_is_multiparty():
     # the workloads pick the n-role entry points by `prog.multiparty`
     assert "multiparty" in SourceProgram.__match_args__
+
+
+def test_every_size_the_benchmark_reads_counts_a_real_result(programs,
+                                                            types):
+    # `_SIZES` reads the views of what the traced functions return; a view
+    # reshaped here would break only a traced benchmark run
+    from cherrypi import multiparty, runtime, semantics
+    pair = types["consumer"], types["producer_commit"]
+    prog = programs["vod_b"]
+    results = {
+        "semantics.reachable_system": semantics.reachable_system(*pair),
+        "multiparty.m_reachable_system":
+            multiparty.m_reachable_system(pair),
+        "runtime.explore": runtime.explore(prog, 40, "detect"),
+        "runtime.reduction_steps": runtime.reduction_steps(prog.term),
+        "multiparty.m_reduction_steps":
+            multiparty.m_reduction_steps(prog.term, "detect"),
+        "runtime.simulate": runtime.simulate(prog),
+    }
+    sizes = _tracing()._SIZES
+    assert set(sizes) == set(results)
+    for name, result in results.items():
+        if name.endswith("reduction_steps"):
+            want = len(result), 0
+        elif name.endswith("simulate"):
+            want = len(result.steps), 0
+        else:
+            ts = getattr(result, "system", result)
+            want = len(ts.nodes), len(ts.src)
+            assert min(want) > 1, name
+        assert sizes[name](result) == want, name
+        assert want[0] > 0, name

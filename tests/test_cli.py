@@ -572,6 +572,55 @@ def test_a_computed_integer_past_the_digit_limit_exits_two(tmp_path,
             2, "", "error: computed integer of more than 4300 digits\n")
 
 
+@pytest.mark.parametrize("command", ["check", "explore"])
+def test_a_budget_past_the_digit_limit_is_quoted_short(
+        tmp_path, monkeypatch, digit_limit, command):
+    monkeypatch.setenv("CHERRY_BUDGET", LONG)
+    code, out, err = cli(command, CORPUS / "vod_c.chpi")
+    assert (code, out) == (2, "")
+    assert err == ("error: CHERRY_BUDGET has more than 4300 digits, got "
+                   "'77777777777777777777'... (5000 characters)\n")
+    assert len(err.encode()) < 200
+
+
+# `check` refuses each of these ill-sorted programs, with the message
+# evaluation gives when `run` or `explore` meets the same expression; the
+# last one is well-formed, but its int receiver gets a str
+_ILL_SORTED = {
+    "int-plus-str": (
+        'request a(x). x!<1 + "a">. 0 | accept a(y). y?(v: int). 0',
+        "operator 'add' expects ('int', 'int'), got ('int', 'str')"),
+    "int-guard": (
+        "request a(x). if 5 then x!<1>. 0 else 0"
+        " | accept a(y). y?(v: int). 0",
+        "conditional guard has sort int, needs bool"),
+    "not-int": (
+        "request a(x). x!<!5>. 0 | accept a(y). y?(v: bool). 0",
+        "operator 'not' expects ('bool',), got ('int',)"),
+    "str-received-as-int": (
+        'request a(x). x!<"a">. 0'
+        " | accept a(y). y?(v: int). if v < 3 then 0 else 0",
+        "operator 'lt' expects ('int', 'int'), got ('str', 'int')"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ILL_SORTED))
+def test_ill_sorted_values_are_refused_at_evaluation(tmp_path, name):
+    text, message = _ILL_SORTED[name]
+    program = tmp_path / "ill.chpi"
+    program.write_text(text)
+    code, out, err = cli("check", program)
+    if name == "str-received-as-int":
+        assert (code, err) == (1, "")
+        assert out.startswith("not rollback safe\n")
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    for command in ("run", "explore"):
+        for mode in ("plain", "detect"):
+            assert cli(command, program, "--error-mode", mode) == (
+                2, "", f"error: {message}\n"), (command, mode)
+
+
 def test_a_huge_role_tag_costs_time_by_endpoints_not_by_value(tmp_path):
     n = 10 ** 9
     program = tmp_path / "wide.chpi"

@@ -139,7 +139,7 @@ def test_abort_restores_all_initiators():
     init = canonicalize(prog.term).text
     assert any(canonicalize(s).text == init
                for i, s in enumerate(rep.states) if i > 0) or \
-        any(dst == 0 for _, dst, *_ in rep.transitions)
+        any(dst == 0 for _, dst, _ in rep.system.edges)
 
 
 def test_three_party_exploration_is_clean(programs):
@@ -148,9 +148,9 @@ def test_three_party_exploration_is_clean(programs):
 
 
 def _summary(rep):
-    return (len(rep.states), rep.edges, rep.completed,
-            [e.to_json() for e in rep.errors],
-            [e.to_json() for e in rep.stuck])
+    data = rep.to_json()
+    return (len(rep.states), rep.edges, rep.completed, data["errors"],
+            data["stuck"])
 
 
 def test_one_engine_steps_binary_and_n_role_programs(programs):

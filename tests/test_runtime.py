@@ -53,6 +53,30 @@ def test_builtin_evaluation():
     assert evaluate(E("1 == 2 && true")) is False
 
 
+@pytest.mark.parametrize("text, message", [
+    ('1 + "a"', "operator 'add' expects ('int', 'int'), got ('int', 'str')"),
+    ("!5", "operator 'not' expects ('bool',), got ('int',)"),
+    ('"a" < 3', "operator 'lt' expects ('int', 'int'), got ('str', 'int')"),
+    ("1 == true", "'==' needs two operands of one sort, got ['int', 'bool']"),
+])
+def test_ill_sorted_operands_are_refused_as_typing_refuses_them(text,
+                                                                message):
+    # typing, evaluation and enumeration share one rule and its message
+    with pytest.raises(TypingError, match=re.escape(message)):
+        infer.sort_of_expression(E(text), {})
+    for evaluator in (evaluate, enumerate_values):
+        with pytest.raises(MalformedTerm, match=re.escape(message)):
+            evaluator(E(text))
+
+
+def test_a_guard_that_is_not_a_bool_is_refused():
+    message = "conditional guard has sort int, needs bool"
+    with pytest.raises(MalformedTerm, match=message):
+        guard_value(E("5"))
+    with pytest.raises(MalformedTerm, match=message):
+        barbs(P("if 5 then 0 else roll"))
+
+
 def test_enumerate_closed_expression_is_singleton():
     assert enumerate_values(E("1 + 1")) == [(2, ())]
 
@@ -272,7 +296,7 @@ def test_trace_transcript_holds_only_the_draws_of_the_steps_taken():
         " else y?(v: int). Y")
     t = simulate(prog, DecisionOracle("seeded-random", seed=5), 40)
     # rival steps that would draw were on offer along the way
-    assert any(sum(c.expr is not None and guard_value(c.expr) is None
+    assert any(sum(c.expr is not None and runtime._undecided(c.expr)
                    for c in reduction_steps(s.successor)) > 1 for s in t.steps)
     want = [d for ch in _draws_of_steps(prog, t) for d in ch]
     assert t.oracle.transcript == want
@@ -343,7 +367,7 @@ def test_a_drawing_candidate_is_alone_in_its_session_party_and_rule(seed,
     for state in states:
         cands = reduction_steps(state, mode)
         for c in cands:
-            if c.expr is None or guard_value(c.expr) is not None:
+            if c.expr is None or not runtime._undecided(c.expr):
                 continue  # draws nothing
             assert [d.sort_key()[:3] for d in cands].count(
                 c.sort_key()[:3]) == 1
@@ -442,8 +466,8 @@ def _explored_steps(prog, mode, state):
     want = forced_steps(state, mode)
     rep = explore(SourceProgram(prog.decls, state, prog.multiparty),
                   depth=1, mode=mode)
-    assert [(r, text, back, term_key(rep.states[dst]))
-            for src, dst, r, text, back in rep.transitions
+    assert [(c.rule, c.text, c.backward, term_key(rep.states[dst]))
+            for src, dst, c in rep.system.edges
             if src == 0] == [(c.rule, c.text, c.backward,
                               term_key(c.successor)) for c in want]
     for c in want:
@@ -801,9 +825,9 @@ def test_communication_mismatch_is_detected():
         "request a(x). x!<1>. 0 | accept a(y). y!<2>. 0")
     rep = explore(prog, depth=3, mode="detect")
     assert not rep.ok
-    kinds = {e.kind for e in rep.errors}
-    assert kinds == {"com_error"}
-    assert rep.errors[0].path[0] == "F-Con a:s1"
+    errors = rep.to_json()["errors"]
+    assert {e["kind"] for e in errors} == {"com_error"}
+    assert errors[0]["path"][0] == "F-Con a:s1"
 
 
 def test_stuck_differs_from_com_error_without_detection():
@@ -1039,11 +1063,12 @@ def test_vod_c_exploration_is_error_free(programs):
 
 def test_vod_b_exploration_finds_the_roll_error(programs):
     rep = explore(programs["vod_b"], depth=40, mode="detect")
-    assert any(e.kind == "roll_error" for e in rep.errors)
+    errors = rep.to_json()["errors"]
+    assert any(e["kind"] == "roll_error" for e in errors)
     # the witness script replays to the recorded error
-    bad = next(e for e in rep.errors if e.kind == "roll_error")
-    o = DecisionOracle("scripted", script=bad.script)
-    t = simulate(programs["vod_b"], o, len(bad.path) + 5, mode="detect")
+    bad = next(e for e in errors if e["kind"] == "roll_error")
+    o = DecisionOracle("scripted", script=bad["script"])
+    t = simulate(programs["vod_b"], o, len(bad["path"]) + 5, mode="detect")
     assert t.status == "roll_error"
 
 
@@ -1066,12 +1091,23 @@ def test_exploration_matches_naive_enumeration(programs, name, depth,
     assert len(got) == nstates
 
 
+def _naive_report(program, depth, mode):
+    """The reference report, whose error and stuck entries must be the
+    paths and scripts its states carried along."""
+    rep, entries = naive_explore_report(program, depth=depth, mode=mode)
+    data = rep.to_json()
+    assert data["errors"] + data["stuck"] == entries
+    return rep
+
+
 def _exploration_or_error(explorer, program, mode, depth=20):
     try:
         rep = explorer(program, depth=depth, mode=mode)
     except ExploreError as ex:
         return str(ex)
-    return (rep.to_json(), rep.transitions,
+    return (rep.to_json(),
+            [(s, d, c.rule, c.text, c.backward)
+             for s, d, c in rep.system.edges],
             [show_collaboration(s) for s in rep.states])
 
 
@@ -1086,13 +1122,13 @@ def test_exploration_equals_the_whole_state_reference(seed, mode):
     for p in (prog, to_multiparty(prog), _kpar(1 + seed % 2),
               _ring(2 + seed % 3, "bool")):
         assert _exploration_or_error(explore, p, mode) == \
-            _exploration_or_error(naive_explore_report, p, mode)
+            _exploration_or_error(_naive_report, p, mode)
     # guards `f() == 1` over `{ 1, 2, 3 }`: values 2 and 3 take one edge
     prog = random_program(random.Random(seed), safe=(seed % 2 == 0),
                           int_guards=True)
     for p in (prog, to_multiparty(prog)):
         got = _exploration_or_error(explore, p, mode)
-        assert got == _exploration_or_error(naive_explore_report, p, mode)
+        assert got == _exploration_or_error(_naive_report, p, mode)
         assert len(set(got[1])) == len(got[1]) == got[0]["edges"]
 
 
@@ -1110,7 +1146,7 @@ def test_exploration_equals_the_whole_state_reference(seed, mode):
 def test_exploration_keeps_the_first_alpha_variant(src, mode):
     prog = parse_program(src)
     got = _exploration_or_error(explore, prog, mode, depth=30)
-    assert got == _exploration_or_error(naive_explore_report, prog, mode,
+    assert got == _exploration_or_error(_naive_report, prog, mode,
                                         depth=30)
     assert got[0]["states"] > 5
     # key-equal acceptors open one session: one F-Con edge, not one each
@@ -1129,12 +1165,14 @@ def test_an_edge_is_a_transition_not_a_value_drawn(mode):
     prog = parse_program(_TWO_VALUES_ONE_BRANCH)
     rep = explore(prog, 5, mode)
     assert (len(rep.states), rep.edges) == (5, 5)
-    assert rep.transitions[1:3] == [(1, 2, "F-If", "s1:p1 else", False),
-                                    (1, 3, "F-If", "s1:p1 then", False)]
+    assert [(s, d, c.rule, c.text, c.backward)
+            for s, d, c in rep.system.edges[1:3]] == [
+                (1, 2, "F-If", "s1:p1 else", False),
+                (1, 3, "F-If", "s1:p1 then", False)]
     # the path keeps the first value that takes the branch
     assert rep.system.path_to(2)[-1].choices == (("f", 2),)
     assert _exploration_or_error(explore, prog, mode, 5) == \
-        _exploration_or_error(naive_explore_report, prog, mode, 5)
+        _exploration_or_error(_naive_report, prog, mode, 5)
 
 
 @pytest.mark.parametrize("mode", ["plain", "detect"])
@@ -1146,9 +1184,10 @@ def test_a_one_role_request_opens_a_session_of_its_own(role, mode):
     prog = parse_program(f"request a[{role}](x). if true then 0 else 0")
     rep = explore(prog, 30, mode)
     assert (len(rep.states), rep.edges, rep.completed) == (3, 2, 1)
-    assert rep.transitions[0][2:] == ("M-F-Con", "a:s1", False)
+    c = rep.system.edges[0][2]
+    assert (c.rule, c.text, c.backward) == ("M-F-Con", "a:s1", False)
     assert _exploration_or_error(explore, prog, mode, 30) == \
-        _exploration_or_error(naive_explore_report, prog, mode, 30)
+        _exploration_or_error(_naive_report, prog, mode, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,8 +1203,8 @@ def test_every_view_is_built_once_and_kept(programs, types):
         assert len(ts.states) == len(ts.nodes) == len(ts.found_by)
         assert len(ts.edges) == len(ts.src) == len(ts.dst) == len(ts.labels)
     rep = explore(programs["vod_b"], 40)
-    assert rep.states is rep.states is rep.system.states
-    assert rep.transitions is rep.transitions is rep.system.edges
+    assert rep.states is rep.states
+    assert [syntax.par(*items) for items in rep.system.nodes] == rep.states
     assert rep.states[0] == programs["vod_b"].term
     # term keys are interned weakly: a state read twice keys alike
     assert [term_key(s) for s in rep.states] == \
@@ -1187,18 +1226,23 @@ def test_path_to_walks_the_materialised_parents(mode):
 
 
 def test_edges_have_the_documented_shapes(programs, types):
+    # every edge is (src, dst, label): a program's label is the built
+    # Candidate, a type-level one (party, rule, label)
     ts = explore(programs["vod_b"], 40, "detect").system
+    assert ts.states is ts.nodes
     assert ts.edges and all(
-        type(e) is tuple and len(e) == 5 and
-        [type(x) for x in e] == [int, int, str, str, bool] for e in ts.edges)
-    assert [e[:2] for e in ts.edges] == list(zip(ts.src, ts.dst))
+        type(e) is tuple and len(e) == 3 and
+        type(e[2]) is runtime.Candidate and
+        [type(x) for x in (e[2].rule, e[2].text, e[2].backward)]
+        == [str, str, bool] and e[2].successor is not None
+        for e in ts.edges)
+    assert ts.edges == list(zip(ts.src, ts.dst, ts.labels))
     ts = check_compliance(types["consumer"], types["producer"]).system
     assert ts.states is ts.nodes
     assert ts.edges and all(
-        type(e) is tuple and
-        [type(x) for x in e] == [int, int, int, str, str] for e in ts.edges)
-    assert [e[:2] for e in ts.edges] == list(zip(ts.src, ts.dst))
-    assert [e[2:] for e in ts.edges] == [step[1:4] for step in ts.labels]
+        type(e) is tuple and len(e) == 3 and type(e[2]) is tuple and
+        [type(x) for x in e[2]] == [int, str, str] for e in ts.edges)
+    assert ts.edges == list(zip(ts.src, ts.dst, ts.labels))
 
 
 def test_an_exploration_report_keeps_few_collectable_objects():
@@ -1240,9 +1284,11 @@ def test_reported_paths_are_the_whole_state_reference_paths(programs, case):
         prog, mode, depth = parse_program(
             _TWO_DRAWS_DECLS + "\n" + _TWO_DRAWS), "plain", 10
     rep = explore(prog, depth=depth, mode=mode)
-    want = naive_explore_report(prog, depth=depth, mode=mode)
-    got = [e.to_json() for e in rep.errors + rep.stuck]
-    assert got == [e.to_json() for e in want.errors + want.stuck]
+    _, want = naive_explore_report(prog, depth=depth, mode=mode)
+    data = rep.to_json()
+    got = data["errors"] + data["stuck"]
+    assert got == want
+    assert [e["state"] for e in got] == rep.errors + rep.stuck
     assert got and all(e["path"] for e in got)
     if case == "frontier":
         assert any(len(e["path"]) == depth for e in got)

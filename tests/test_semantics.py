@@ -95,9 +95,9 @@ def node_of(cfg):
 def test_commit_retargets_both_checkpoints():
     root = node_of(initial(T("![str]. cmt. ![int]. end"),
                            T("?[str]. ?[int]. end")))
-    (_, _, rule, _, after_com), = config_transitions(root)
+    (_, (_, rule, _), after_com), = config_transitions(root)
     assert rule == "TS-Com"
-    (_, party, rule, label, nxt), = config_transitions(after_com)
+    (_, (party, rule, label), nxt), = config_transitions(after_com)
     assert (party, rule, label) == (1, "TS-Cmt1", "cmt")
     cks = config_of(nxt).ckpts
     assert render_type(cks[0].typ) == "![int]. end"
@@ -108,7 +108,7 @@ def test_commit_retargets_both_checkpoints():
 
 
 def test_commit_on_agreeing_partner_imposes_nothing():
-    (_, _, rule, _, nxt), = config_transitions(
+    (_, (_, rule, _), nxt), = config_transitions(
         node_of(initial(T("cmt. end"), T("end"))))
     assert rule == "TS-Cmt2"
     assert not any(ck.imposed for ck in config_of(nxt).ckpts)
@@ -117,14 +117,14 @@ def test_commit_on_agreeing_partner_imposes_nothing():
 def test_roll_on_own_checkpoint_restores_it():
     sysm = reachable_system(T("![int]. roll"), T("?[int]. end"))
     assert len(sysm.states) == 2
-    assert [(rule, src, dst) for src, dst, _, rule, _ in sysm.edges] == \
+    assert [(rule, src, dst) for src, dst, (_, rule, _) in sysm.edges] == \
         [("TS-Com", 0, 1), ("TS-Rll1", 1, 0)]
 
 
 def test_roll_on_imposed_checkpoint_errors_even_if_content_matches():
     t = T("![int]. end")
     cfg = Config((Ckpt(t, True), Ckpt(t, False)), (T("roll"), t), (t, t))
-    (_, party, rule, _, nxt), = config_transitions(node_of(cfg))
+    (_, (party, rule, _), nxt), = config_transitions(node_of(cfg))
     assert rule == "TS-Rll2"
     assert all(render_type(c) == "err" for c in nxt[2])
     # checkpoints survive the failure untouched
@@ -135,7 +135,7 @@ def test_rll1_preserves_imposed_flags():
     t = T("![int]. end")
     cfg = Config((Ckpt(T("roll"), False), Ckpt(t, True)), (T("roll"), t),
                  (T("roll"), t))
-    steps = {step[2]: config_of(step[4])
+    steps = {step[1][1]: config_of(step[2])
              for step in config_transitions(node_of(cfg))}
     nxt = steps["TS-Rll1"]
     assert nxt.ckpts[1].imposed
@@ -145,9 +145,9 @@ def test_rll1_preserves_imposed_flags():
 def test_abort_resets_to_initial_pair():
     sysm = reachable_system(T("![int]. abt"), T("?[int]. end"))
     assert len(sysm.states) == 2
-    rules = {e[3] for e in sysm.edges}
+    rules = {e[2][1] for e in sysm.edges}
     assert rules == {"TS-Com", "TS-Abt1"}
-    assert [e[1] for e in sysm.edges if e[3] == "TS-Abt1"] == [0]
+    assert [e[1] for e in sysm.edges if e[2][1] == "TS-Abt1"] == [0]
 
 
 def test_perpetual_roll_is_vacuously_compliant():
@@ -155,7 +155,7 @@ def test_perpetual_roll_is_vacuously_compliant():
     # reaches a terminal configuration, so there is nothing to violate
     rep = check_compliance(T("roll"), T("end"))
     assert rep.compliant
-    assert rep.system.edges == [(0, 0, 1, "TS-Rll1", "roll")]
+    assert rep.system.edges == [(0, 0, (1, "TS-Rll1", "roll"))]
 
 
 def test_err_states_are_absorbing(corpus):
@@ -600,9 +600,9 @@ def _assert_stepper_matches_reference(*types):
         assert node[0] == ref_config_key(_fresh(cfg))
         got = sem._party_transitions(node, ts.nodes[0])
         assert config_transitions(node) == got
-        assert [(*step[1:4], config_of(step[4])) for step in got] == \
+        assert [(*step[1], config_of(step[2])) for step in got] == \
             ref_config_transitions(cfg)
-        for key, _, _, _, succ in got:
+        for key, _, succ in got:
             assert succ[0] is key
             assert key == ref_config_key(_fresh(config_of(succ)))
     return ts
@@ -637,7 +637,7 @@ def test_keyed_stepper_matches_the_reference_on_three_roles(programs):
                  parse_program(THREE_ROLES).term):
         (types,) = service_types(term).values()
         ts = _assert_stepper_matches_reference(*types)
-        rules |= {e[3] for e in ts.edges}
+        rules |= {e[2][1] for e in ts.edges}
     # every journal rule is exercised
     assert rules == {"TS-Com", "TS-Lab", "TS-Tau", "TS-Cmt1", "TS-Cmt2",
                      "TS-Rll1", "TS-Rll2", "TS-Abt1"}
