@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or a compliant / safe / matching verdict), 1 a
 violation or error verdict, 2 usage, parse, or input errors, 3 exploration
-budget exceeded, input nested too deeply or out of memory, 4 internal error.
+budget exceeded, input nested too deeply or out of memory, 4 internal error,
+141 the reader of standard output left (a broken pipe), with no message.
 
 `comply`, `graph`, `check` and `infer` do not load `runtime`: the
 subcommands that use it import it when they run.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .infer import TypingError, infer_collaboration
@@ -294,7 +296,21 @@ def main(argv: list | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # later output, the interpreter's last flush included, goes to the
+        # null device, as the `signal` module's documentation advises
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        else:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        return 141  # 128 + SIGPIPE, as a shell reports a piped command
     except BudgetExceeded as e:
         print(f"error: {e} ({_states(e.states)} found, stopped while "
               f"expanding BFS layer {e.depth}, which held "

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, If, Inact, Lit, Process, PVar, Rec, Recv,
-                     Request, Roll, Select, Send, Ufun, Var, check_guard,
-                     check_operands, endpoint_role, operator_of, par_parts,
-                     subprocesses, _fresh, _names, _role_tag, _TERMS)
+                     Request, Roll, Select, Send, Ufun, Var, check_arguments,
+                     check_guard, check_operands, endpoint_role, operator_of,
+                     par_parts, subprocesses, _fresh, _names, _role_tag,
+                     _TERMS)
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TIn, TMu,
                            TOut, TPlus, TRollT, TSel, TVarT)
 
@@ -39,10 +40,8 @@ def sort_of_expression(e, env: dict) -> str:
                        TypingError)
         return row.result
     if kind is Ufun:
-        arg_sorts = tuple(sort_of_expression(a, env) for a in e.args)
-        if arg_sorts != e.arg_sorts:
-            raise TypingError(f"function {e.name!r} expects {e.arg_sorts}, "
-                              f"got {arg_sorts}")
+        check_arguments(e, [sort_of_expression(a, env) for a in e.args],
+                        TypingError)
         return e.result_sort
     raise TypingError(f"not an expression: {e!r}")
 

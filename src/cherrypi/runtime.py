@@ -41,9 +41,10 @@ from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
                      MalformedInput, MalformedTerm, Process, Recv,
                      Request, Roll, RollError, Select, Send, Session, Ufun,
-                     Var, check_guard, check_operands, endpoint_role,
-                     head_normal, operator_of, par, par_parts, process_key,
-                     record, substitute, term_rep, value_sort, _TERMS)
+                     Var, check_arguments, check_guard, check_operands,
+                     endpoint_role, head_normal, operator_of, par, par_parts,
+                     process_key, record, substitute, term_rep, value_sort,
+                     _TERMS)
 from .parser import (SourceProgram, parse_program, render_expr,
                      render_program, show_collaboration)
 from .semantics import TransitionSystem, partner_position, search
@@ -166,8 +167,9 @@ def evaluate(e, oracle: DecisionOracle | None = None):
         check_operands(row, e, list(map(value_sort, vals)), MalformedTerm)
         return row.meaning(*vals)
     if kind is Ufun:
-        for a in e.args:
-            evaluate(a, oracle)  # argument draws happen first
+        if e.args:  # argument draws happen first
+            check_arguments(e, [value_sort(evaluate(a, oracle))
+                                for a in e.args], MalformedTerm)
         if oracle is None:
             raise MalformedTerm(
                 f"call of {e.name!r} needs a decision oracle")
@@ -194,6 +196,8 @@ def enumerate_values(e) -> list:
         return [(row.meaning(*vals), ch) for vals, ch in combos]
     if kind is Ufun:
         fn, rsort, combos = e.name, e.result_sort, _combos(e.args)
+        for vals, _ in combos:
+            check_arguments(e, list(map(value_sort, vals)), MalformedTerm)
         if e.domain is not None:
             outcomes = list(e.domain)
         elif rsort == "bool":

@@ -5,13 +5,13 @@ types leave both unset, n-role types set the partner at inference time and
 the own side as well when the role is known, else it stays open (`_`).
 Types are frozen records (`syntax.record`), like terms: immutable, equal
 and hashed by class and fields, and free to carry private caches (`_rep`,
-`_unfolded`) that equality ignores.
+`_orep`, `_unfolded`) that equality ignores.
 
 `subtypes` and `_map_type` are the one statement of each type's shape;
 `_map_type` returns a node whose children did not change as the same
-object.  `subst_type` is built on them.  `canonical_type`, `type_key`,
-`render_type` and `semantics.type_transitions` stay hand-written: they
-number binders, cache on the node, emit concrete syntax or step a type.
+object.  `subst_type` is built on them.  `type_key`, `canonical_type`,
+`render_type` and `semantics.type_transitions` stay hand-written: they key
+or number binders, emit concrete syntax or step a type.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def subst_type(t: SessionTypeT, name: str, r: SessionTypeT) -> SessionTypeT:
 
 def unfold_type(t: TMu) -> SessionTypeT:
     """One unfolding: mu t. T  ->  T[mu t. T / t].  Built once per mu node,
-    so that unfolding the same node again yields the same objects and their
-    cached `type_key`s."""
+    so that unfolding the same node again yields the same objects, each
+    keyed once as a root by `type_key`."""
     if not isinstance(t, TMu):
         raise MalformedTerm("unfold_type expects a mu-headed type")
     try:
@@ -223,42 +223,54 @@ def _canon(t, env: dict, n: int) -> str:
 
 def type_key(t: SessionTypeT) -> int:
     """Integer identity of a type: two live types have equal keys exactly
-    when their `canonical_type` texts are equal.  Computed once per node
-    from its children's keys and cached on the node.  A mu node, the only
-    one whose text renames binders, is keyed by its canonical text; any
-    other node renders its children in its own binder scope, so its text
-    is a function of its fields and its children's texts (hash-consing,
-    Filliâtre & Conchon 2006)."""
+    when their `canonical_type` texts are equal.  A bound variable enters as
+    its distance to its binder (de Bruijn 1972), as in `syntax._key`, and a
+    mu node by its body's key (hash-consing, Filliâtre & Conchon 2006)."""
+    return (getattr(t, "_rep", None) or _rep_of(t, (), [0])).serial
+
+
+def _rep_of(t, env: tuple, low: list):
+    """`t`'s representative as a root, cached in `_rep` (an open mu node's in
+    `_orep`); inside binders (`env`, outermost first) its uncached signature
+    unless it is a closed mu.  `low[0]` falls to the outermost binder a walk
+    names (-1: free); a mu whose body names a binder outside it is open."""
     try:
         d = t.__dict__
     except AttributeError:
         raise MalformedTerm(f"not a session type: {t!r}") from None
-    rep = d.get("_rep")
-    if rep is not None:
-        return rep.serial
-    # a miss reads the node's fields, by its exact class
     cls = t.__class__
+    if not env or cls is TMu:
+        rep = d.get("_rep") or cls is TMu and not env and d.get("_orep")
+        if rep:
+            return rep
     if cls is TOut or cls is TIn:
-        sig = (cls, t.sort, type_key(t.cont), t.src, t.dst)
+        sig = (cls, t.sort, _rep_of(t.cont, env, low), t.src, t.dst)
     elif cls is TSel:
-        sig = (cls, t.label, type_key(t.cont), t.src, t.dst)
+        sig = (cls, t.label, _rep_of(t.cont, env, low), t.src, t.dst)
     elif cls is TBrn:
-        sig = (cls, tuple([(l, type_key(c)) for l, c in t.arms]),
+        sig = (cls, tuple([(l, _rep_of(c, env, low)) for l, c in t.arms]),
                t.src, t.dst)
     elif cls is TPlus:
-        sig = (cls, type_key(t.left), type_key(t.right))
+        sig = (cls, _rep_of(t.left, env, low), _rep_of(t.right, env, low))
     elif cls is TCmt:
-        sig = (cls, type_key(t.cont))
+        sig = (cls, _rep_of(t.cont, env, low))
     elif cls is TMu:
-        sig = (cls, canonical_type(t))
+        inner = [n := len(env)]
+        sig = (cls, _rep_of(t.body, env + (t.var,), inner))
+        low[0] = min(low[0], inner[0])
+        if inner[0] < n:  # open
+            return sig if env else d.setdefault("_orep", _intern(sig))
     elif cls is TVarT:
-        sig = (cls, t.name)
+        at = len(env) - 1 - env[::-1].index(t.name) if t.name in env else -1
+        low[0] = min(low[0], at)
+        sig = (cls, t.name if at < 0 else len(env) - at)
     elif cls is TEnd or cls is TErr or cls is TRollT or cls is TAbtT:
         sig = (cls,)
     else:
         raise MalformedTerm(f"not a session type: {t!r}")
-    rep = d["_rep"] = _intern(sig)
-    return rep.serial
+    if env and cls is not TMu:
+        return sig
+    return d.setdefault("_rep", _intern(sig))
 
 
 def render_type(t: SessionTypeT) -> str:

@@ -84,6 +84,14 @@ def check_operands(row: Operator, call, sorts: list, error: type) -> None:
                     f"{tuple(sorts)}")
 
 
+def check_arguments(call, sorts: list, error: type) -> None:
+    """Raise `error` unless the uninterpreted function of `call` takes
+    arguments of `sorts`, as `check_operands` does for an operator."""
+    if tuple(sorts) != call.arg_sorts:
+        raise error(f"function {call.name!r} expects {call.arg_sorts}, got "
+                    f"{tuple(sorts)}")
+
+
 def check_guard(sort: str, error: type) -> None:
     """Raise `error` unless a conditional's guard has sort bool."""
     if sort != "bool":

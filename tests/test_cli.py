@@ -3,7 +3,7 @@
 Everything runs in-process through ``cli.main`` so the pinned outputs stay
 cheap to check; exit codes follow the usual convention (0 ok / 1 negative
 verdict or failed run / 2 usage or input error / 3 budget or input nested
-too deeply / 4 internal error).
+too deeply / 4 internal error / 141 standard output's reader left early).
 """
 
 import contextlib
@@ -584,8 +584,9 @@ def test_a_budget_past_the_digit_limit_is_quoted_short(
 
 
 # `check` refuses each of these ill-sorted programs, with the message
-# evaluation gives when `run` or `explore` meets the same expression; the
-# last one is well-formed, but its int receiver gets a str
+# evaluation gives when `run` or `explore` meets the same expression (a
+# function's arguments are checked before its oracle draw); the last one is
+# well-formed, but its int receiver gets a str
 _ILL_SORTED = {
     "int-plus-str": (
         'request a(x). x!<1 + "a">. 0 | accept a(y). y?(v: int). 0',
@@ -597,6 +598,10 @@ _ILL_SORTED = {
     "not-int": (
         "request a(x). x!<!5>. 0 | accept a(y). y?(v: bool). 0",
         "operator 'not' expects ('bool',), got ('int',)"),
+    "str-argument-of-int-function": (
+        'fun f(int): bool\nrequest a(x). if f("a") then x!<1>. 0'
+        " else x!<2>. 0 | accept a(y). y?(v: int). 0",
+        "function 'f' expects ('int',), got ('str',)"),
     "str-received-as-int": (
         'request a(x). x!<"a">. 0'
         " | accept a(y). y?(v: int). if v < 3 then 0 else 0",
@@ -664,6 +669,19 @@ def test_a_chain_of_900_messages_complies(tmp_path):
     code, out, err = cli("comply", left, right)
     assert (code, err) == (0, "")
     assert "901 states, 900 edges" in out
+
+
+def test_eighteen_nested_loops_comply_in_one_state_per_loop(tmp_path):
+    # every unfolding of an inner loop holds the outer ones in full
+    n = 18
+    left, right = tmp_path / "l.chty", tmp_path / "r.chty"
+    left.write_text("".join(f"mu t{i}. ![int]. " for i in range(n)) + "brn["
+                    + "; ".join(f"l{i}: t{i}" for i in range(n)) + "]\n")
+    right.write_text("".join(f"mu s{i}. ?[int]. " for i in range(n))
+                     + "sel[l0]. s0\n")
+    code, out, err = cli("comply", left, right)
+    assert (code, err) == (0, "")
+    assert out.startswith("compliant\n  19 states, 19 edges\n")
 
 
 def test_a_chain_of_900_messages_is_rollback_safe(tmp_path):
@@ -777,3 +795,38 @@ def test_unexpected_exception_exits_four_without_traceback(monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: internal error: KeyError: 'boom'\n"
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has left."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_141_without_a_message():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedPipe()), \
+            contextlib.redirect_stderr(err):
+        code = main(["check", str(CORPUS / "vod_b.chpi")])
+    assert (code, err.getvalue()) == (141, "")
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly(tmp_path):
+    # 3,000 services infer to about 115 KB of types, more than a pipe
+    # holds, so the command meets the closed pipe however late it closes
+    program = tmp_path / "many.chpi"
+    program.write_text(" | ".join(
+        f"request a{i}(x). x!<{i}>. 0 | accept a{i}(y). y?(v: int). 0"
+        for i in range(3000)))
+    script = ("import sys\nfrom cherrypi.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(cherrypi.__file__).parents[1])
+    with subprocess.Popen([sys.executable, "-c", script, "infer",
+                           str(program)], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert (code, err) == (141, b"")

@@ -2,6 +2,7 @@ import gc
 import os
 import random
 import re
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import cherrypi.multiparty as mp
 import cherrypi.semantics as sem
+import cherrypi.sessiontypes as sessiontypes
 import cherrypi.syntax as syntax
 from genprog import random_type
 from oracle_naive import naive_type_reach
@@ -87,9 +89,13 @@ def config_of(node):
 
 
 def node_of(cfg):
-    """The node of a configuration, keyed by `ref_config_key`."""
-    return (ref_config_key(cfg), tuple(ck.typ for ck in cfg.ckpts),
-            cfg.currents, cfg.inits)
+    """The node of a configuration, keyed by `type_key` as the stepper keys
+    its successors, so that the key lives as long as the node's types."""
+    key = []
+    for ck, cur in zip(cfg.ckpts, cfg.currents):
+        key += (ck.imposed, type_key(ck.typ), type_key(cur))
+    return (tuple(key), tuple(ck.typ for ck in cfg.ckpts), cfg.currents,
+            cfg.inits)
 
 
 def test_commit_retargets_both_checkpoints():
@@ -427,6 +433,70 @@ def test_type_keys_tell_free_variables_apart():
     assert type_key(TVarT("x")) != type_key(TEnd())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_type_keys_are_the_references_on_open_and_closed_subterms(seed):
+    # binders first, and on new objects of the same text, inner nodes first
+    for order in (1, -1):
+        for t in _subterms(random_type(random.Random(seed), 5))[::order]:
+            assert type_key(t) == ref_type_key(t).serial, render_type(t)
+
+
+def test_an_open_node_keeps_its_key_as_a_root_inside_a_binder():
+    body = TOut("bool", TVarT("t"))  # canonical text (out bool ?t:t)
+    alone = type_key(body)
+    assert type_key(TMu("t", body)) == type_key(T("mu s. ![bool]. s"))
+    assert type_key(body) == alone == type_key(TOut("bool", TVarT("t")))
+    # an open mu node: its key as a root names x, inside `mu x` it does not
+    def loop(free, var):
+        return TMu(var, TBrn((("a", TVarT(free)), ("b", TVarT(var)))))
+
+    outer = T("mu x. ?[int]. mu y. brn[a: x; b: y]")
+    inner = outer.body.cont
+    alone = type_key(inner)
+    assert type_key(outer) == type_key(T("mu u. ?[int]. mu v. brn[a: u; "
+                                         "b: v]"))
+    assert type_key(inner) == alone == type_key(loop("x", "w"))
+    assert alone != type_key(loop("z", "y"))
+    # a loop between a binder and an inner loop that names it is open too
+    three = T("mu a. ![int]. mu b. ?[int]. mu c. brn[x: a; y: c]")
+    type_key(three)
+    assert type_key(three.body.cont) == ref_type_key(three.body.cont).serial
+
+
+def _calls_to_key(t, cap: int) -> int:
+    """The calls into `sessiontypes` functions while `type_key(t)` runs, at
+    least one per node visited; past `cap` the count stops the key."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and \
+                frame.f_code.co_filename == sessiontypes.__file__:
+            count += 1
+            if count > cap:
+                raise AssertionError(f"keying took over {cap} calls")
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        type_key(t)
+    finally:
+        sys.setprofile(outer)
+    return count
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_keying_nested_loops_costs_linear_calls_per_key(n):
+    # each inner mu's unfolding holds every outer loop: a key that walked
+    # each mu's whole text would double with every step down the path
+    t = T("".join(f"mu t{i}. ![int]. " for i in range(n)) + "brn["
+          + "; ".join(f"l{i}: t{i}" for i in range(n)) + "]")
+    for _ in range(n):
+        assert _calls_to_key(t, cap=8 * n) <= 8 * n
+        t = unfold_type(t).cont
+
+
 def test_unfolding_keeps_closed_types_as_they_are():
     outer = T("mu x. ?[bool]. mu y. sel[l]. x")
     assert unfold_type(outer) is unfold_type(outer)
@@ -449,36 +519,63 @@ def test_type_key_table_does_not_outlive_the_check(corpus):
 #
 # `ref_*` are the type key, single-type steps, configuration key and party
 # stepper as they were before keys were derived from the parent's key:
-# every type node keyed from scratch, every configuration keyed from its
-# types, steps found by pattern matching.
+# every type node keyed from scratch (by `type_key`'s signatures, with a
+# free-variable walk of its own and no cache on the node), every
+# configuration keyed from its types, steps found by pattern matching.
 
-def ref_type_key(t):
-    try:
-        return t._rep.serial
-    except AttributeError:
-        pass
+def ref_free(t):
+    """The free type variables of `t`, by a walk of its own."""
+    match t:
+        case TVarT(v):
+            return {v}
+        case TMu(v, body):
+            return ref_free(body) - {v}
+        case TOut(_, c) | TIn(_, c) | TSel(_, c) | TCmt(c):
+            return ref_free(c)
+        case TBrn(arms):
+            return set().union(*(ref_free(c) for _, c in arms))
+        case TPlus(l, r):
+            return ref_free(l) | ref_free(r)
+    return set()
+
+
+def ref_sig(t, scope=()):
+    """`t`'s signature in `scope`, the binders' variables innermost last: a
+    bound variable as its distance to its binder, a free one by name, a mu
+    by its body.  A child enters by its representative at the root and, in
+    a binder's scope, when it is a closed mu; else by its signature."""
+    def child(c, scope=scope):
+        if not scope or (isinstance(c, TMu) and not ref_free(c)):
+            return ref_type_key(c)
+        return ref_sig(c, scope)
+
     match t:
         case TOut(s, c, a, b):
-            sig = (TOut, s, ref_type_key(c), a, b)
+            return (TOut, s, child(c), a, b)
         case TIn(s, c, a, b):
-            sig = (TIn, s, ref_type_key(c), a, b)
+            return (TIn, s, child(c), a, b)
         case TSel(l, c, a, b):
-            sig = (TSel, l, ref_type_key(c), a, b)
+            return (TSel, l, child(c), a, b)
         case TBrn(arms, a, b):
-            sig = (TBrn, tuple((l, ref_type_key(c)) for l, c in arms), a, b)
+            return (TBrn, tuple((l, child(c)) for l, c in arms), a, b)
         case TPlus(l, r):
-            sig = (TPlus, ref_type_key(l), ref_type_key(r))
+            return (TPlus, child(l), child(r))
         case TCmt(c):
-            sig = (TCmt, ref_type_key(c))
+            return (TCmt, child(c))
+        case TVarT(v) if v in scope:
+            return (TVarT, len(scope) - max(
+                i for i, w in enumerate(scope) if w == v))
         case TVarT(v):
-            sig = (TVarT, v)
-        case TMu():
-            sig = (TMu, canonical_type(t))
-        case TEnd() | TErr() | TRollT() | TAbtT():
-            sig = (type(t),)
-    rep = syntax._intern(sig)
-    object.__setattr__(t, "_rep", rep)
-    return rep.serial
+            return (TVarT, v)
+        case TMu(v, body):
+            return (TMu, child(body, scope + (v,)))
+    return (type(t),)
+
+
+def ref_type_key(t):
+    """The representative of `t`'s key, interned from scratch: the caller
+    holds it, so nothing interned dies between two comparisons."""
+    return syntax._intern(ref_sig(t))
 
 
 def ref_type_transitions(t):
@@ -505,11 +602,12 @@ def ref_type_transitions(t):
 
 
 def ref_config_key(cfg):
-    """The key of a `Config`, every type keyed by `ref_type_key`."""
+    """The key of a `Config`, every type keyed by `ref_type_key`, with the
+    representatives held until every serial is read."""
     key = []
     for ck, cur in zip(cfg.ckpts, cfg.currents):
         key += (ck.imposed, ref_type_key(ck.typ), ref_type_key(cur))
-    return tuple(key)
+    return tuple(k if type(k) is bool else k.serial for k in key)
 
 
 def _ref_label_text(lab):
@@ -554,7 +652,7 @@ def ref_party_transitions(cfg, i, steps):
                 rule = "TS-Cmt2"
                 for h in range(n):
                     if h != i and (cks[h].imposed or ref_type_key(cks[h].typ)
-                                   != ref_type_key(cur[h])):
+                                   is not ref_type_key(cur[h])):
                         ncks[h] = Ckpt(cur[h], imposed=True)
                         rule = "TS-Cmt1"
                 out.append((i + 1, rule, "cmt",
