@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
                      Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
-                     MalformedInput, MalformedTerm, Process, Recv,
+                     MalformedInput, MalformedTerm, Process, Rec, Recv,
                      Request, Roll, RollError, Select, Send, Session, Ufun,
                      Var, check_arguments, check_guard, check_operands,
                      endpoint_role, head_normal, operator_of, par, par_parts,
@@ -220,6 +220,19 @@ def _combos(args) -> list:
         combos = [(vals + [v], ch + ch2) for vals, ch in combos
                   for v, ch2 in enumerate_values(a)]
     return combos
+
+
+def _sort_of(e) -> str | None:
+    """The sort of an expression's value, read from its head without
+    evaluating it or checking its operands: a literal's, an operator's
+    result, an uninterpreted function's result; None for a variable,
+    which evaluation then refuses as unbound."""
+    kind = type(e)
+    if kind is Lit:
+        return value_sort(e.value)
+    if kind is Call:
+        return operator_of(e, MalformedTerm).result
+    return e.result_sort if kind is Ufun else None
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +592,8 @@ def _session_steps(ses: Session, mode: str, place) -> list:
             me = None if role is None else li.endpoint.role
             lj, hj = logs[j], heads[j]
         if kind is Send:
-            if isinstance(hj, Recv) and hj.from_role == me:
+            if isinstance(hj, Recv) and hj.from_role == me \
+                    and _sort_of(hi.expr) in (hj.sort, None):
                 evaluating("F-Com", i, hi.expr,
                            functools.partial(_com, logs, i, j, hi.cont, hj))
             elif mode == "detect":
@@ -682,8 +696,9 @@ _ERRORS = ("roll_error", "com_error")
 def _item_class(it) -> str:
     """A top-level item's part of its state's class: the error its session
     body holds (the first found), "completed" for a session whose logs have
-    all finished, or "" for any other item.  A session's class is kept on
-    its node, like `_tk`, `_fv` and the barbs."""
+    all finished (each current `0` up to unfolding, as the type level
+    reads `mu t. end` as `end`), or "" for any other item.  A session's
+    class is kept on its node, like `_tk`, `_fv` and the barbs."""
     if not isinstance(it, Session):
         return ""
     kept = it.__dict__
@@ -697,7 +712,10 @@ def _item_class(it) -> str:
             if isinstance(b, ComError):
                 found = "com_error"
                 break
-            if not (isinstance(b, Log) and isinstance(b.current, Inact)):
+            cur = b.current if isinstance(b, Log) else None
+            if type(cur) is Rec:  # a loop that does nothing has finished
+                cur = head_normal(cur)
+            if not isinstance(cur, Inact):
                 found = ""
         kept["_class"] = found
     return found

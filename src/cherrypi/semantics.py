@@ -15,9 +15,10 @@ A configuration is a node, the tuple (`config_key`, checkpoint types,
 current types, initial types), whose key's slots hold the imposed flags.
 It is the one shape of a type-level state: a system's `states` are its
 nodes, and a compliance report's violations are state ids.
-`_party_transitions` is the one stepper of nodes, its steps (successor
-key, (party, rule, label), successor node): `search`,
-`config_transitions` and the shadow checker's `shadow._mirror` read it.
+`_party_transitions` is the one stepper of nodes: it steps each party
+from the head of its current type, and its steps are (successor key,
+(party, rule, label), successor node), read by `search`,
+`config_transitions` and the shadow checker's `shadow._mirror`.
 A successor's key is derived from the parent's by replacing only the
 slots the step changed, and an abort returns to the root node, so only a
 search's root is keyed from its types.
@@ -96,39 +97,6 @@ class BudgetExceeded(Exception):
 
 
 # ---------------------------------------------------------------------------
-# single-type transitions
-# ---------------------------------------------------------------------------
-
-def type_transitions(t: SessionTypeT) -> list:
-    """Labelled steps of one session type: [(label, successor)].
-
-    Labels are tuples: ("out", sort, src, dst), ("in", sort, src, dst),
-    ("sel", label, src, dst), ("brn", label, src, dst), ("cmt",), ("roll",),
-    ("abt",), ("tau", "L"|"R").  Recursive types step via their unfolding.
-    """
-    t = head_normal_type(t)
-    cls = t.__class__
-    if cls is TOut:
-        return [(("out", t.sort, t.src, t.dst), t.cont)]
-    if cls is TIn:
-        return [(("in", t.sort, t.src, t.dst), t.cont)]
-    if cls is TSel:
-        return [(("sel", t.label, t.src, t.dst), t.cont)]
-    if cls is TBrn:
-        a, b = t.src, t.dst
-        return [(("brn", l, a, b), c) for l, c in t.arms]
-    if cls is TPlus:
-        return [(("tau", "L"), t.left), (("tau", "R"), t.right)]
-    if cls is TCmt:
-        return [(("cmt",), t.cont)]
-    if cls is TRollT:
-        return [(("roll",), TEnd())]
-    if cls is TAbtT:
-        return [(("abt",), TEnd())]
-    return []  # end / err
-
-
-# ---------------------------------------------------------------------------
 # configurations
 # ---------------------------------------------------------------------------
 
@@ -176,94 +144,101 @@ def config_transitions(node: tuple) -> list:
     return _party_transitions(node, _root(node[3]))
 
 
-_STEP_ORDER = itemgetter(1)  # (party, rule, label)
-
-
 def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
     """The journal steps of the parties at the 0-based log positions
     `parties` (all by default), each (successor key, (party, rule, label),
-    successor node), sorted by (party, rule, label); an abort returns to
-    `root`.  A successor's key is its parent's with the slots the step
-    changed replaced, so each step builds one key, node and step tuple."""
+    successor node); an abort returns to `root`.  A party steps from the
+    head of its current type, as `runtime._session_steps` steps a log.
+    A head gives steps of one rule, in label order, so steps come in
+    (party, rule, label) order only when `parties` ascend.  A successor's
+    key is its parent's with the slots the step changed replaced."""
     out: list = []
     pkey, cks, cur, inits = node
     n = len(cur)
-    steps = list(map(type_transitions, cur))
+    heads = list(map(head_normal_type, cur))
     for i in range(n) if parties is None else parties:
         party = i + 1
         at = 3 * i  # this party's key slots: imposed, checkpoint, current
-        for lab, nxt in steps[i]:
-            kind = lab[0]
-            # TS-Com: an output meets the partner's same-sort input;
-            # TS-Lab: a selection meets the matching branch arm.  The
-            # partner is the one the prefix names, and its prefix must
-            # name this party back; checkpoints stay put
-            if kind == "out" or kind == "sel":
-                _, x, src, dst = lab
-                j = partner_position(i, dst, n)
-                me = None if dst is None else role_of_position(i, n)
-                if j is None or src != me:
+        t = heads[i]
+        kind = t.__class__
+        # TS-Com: an output meets the partner's same-sort input;
+        # TS-Lab: a selection meets the matching branch arm.  The partner
+        # is the one the prefix names, and its prefix must name this party
+        # back; checkpoints stay put
+        if kind is TOut or kind is TSel:
+            dst = t.dst
+            j = partner_position(i, dst, n)
+            me = None if dst is None else role_of_position(i, n)
+            if j is None or t.src != me:
+                continue
+            p = heads[j]
+            if kind is TOut:
+                if p.__class__ is not TIn or p.sort != t.sort:
                     continue
-                if kind == "out":
-                    want, rule, label = ("in", x, dst, me), "TS-Com", "com"
-                else:
-                    want, rule, label = ("brn", x, dst, me), "TS-Lab", "lab"
-                for plab, pnxt in steps[j]:
-                    if plab == want:
-                        curs = list(cur)
-                        curs[i], curs[j] = nxt, pnxt
-                        key = list(pkey)
-                        key[at + 2] = type_key(nxt)
-                        key[3 * j + 2] = type_key(pnxt)
-                        out.append((key := tuple(key),
-                                    (party, rule, f"{label}[{x}]"),
-                                    (key, cks, tuple(curs), inits)))
-            # TS-Tau: a conditional resolves locally
-            elif kind == "tau":
+                rule, label, arms = "TS-Com", f"com[{t.sort}]", (p.cont,)
+            elif p.__class__ is TBrn:
+                rule, label = "TS-Lab", f"lab[{t.label}]"
+                arms = [c for l, c in p.arms if l == t.label]
+            else:
+                continue
+            if p.src != dst or p.dst != me:
+                continue
+            nxt = t.cont
+            for pnxt in arms:
+                curs = list(cur)
+                curs[i], curs[j] = nxt, pnxt
+                key = list(pkey)
+                key[at + 2] = type_key(nxt)
+                key[3 * j + 2] = type_key(pnxt)
+                out.append((key := tuple(key), (party, rule, label),
+                            (key, cks, tuple(curs), inits)))
+        # TS-Tau: a conditional resolves locally, its left side first
+        elif kind is TPlus:
+            for side, nxt in ("L", t.left), ("R", t.right):
                 curs = list(cur)
                 curs[i] = nxt
                 key = list(pkey)
                 key[at + 2] = type_key(nxt)
                 out.append((key := tuple(key),
-                            (party, "TS-Tau", f"tau[{lab[1]}]"),
+                            (party, "TS-Tau", f"tau[{side}]"),
                             (key, cks, tuple(curs), inits)))
-            # TS-Cmt1: commit while some other party moved since its
-            # checkpoint (an imposed checkpoint always counts as moved) ->
-            # that party's current is imposed on it
-            # TS-Cmt2: every other party still sits on its own checkpoint
-            # -> they are left untouched
-            elif kind == "cmt":
-                curs, ncks = list(cur), list(cks)
-                curs[i] = ncks[i] = nxt
-                key = list(pkey)
-                key[at + 1] = key[at + 2] = type_key(nxt)
-                key[at] = False
-                rule = "TS-Cmt2"
-                for h in range(n):
-                    k = 3 * h  # the parent's slots tell whether h moved
-                    if h != i and (pkey[k] or pkey[k + 1] != pkey[k + 2]):
-                        ncks[h] = cur[h]
-                        key[k:k + 2] = True, pkey[k + 2]
-                        rule = "TS-Cmt1"
-                out.append((key := tuple(key), (party, rule, "cmt"),
-                            (key, tuple(ncks), tuple(curs), inits)))
-            # TS-Rll1: roll from an own checkpoint restores every current;
-            # TS-Rll2: roll from an imposed checkpoint is unrecoverable ->
-            # every current errs
-            elif kind == "roll":
-                key = list(pkey)
-                if pkey[at]:
-                    rule, curs = "TS-Rll2", (TErr(),) * n
-                    key[2::3] = [type_key(curs[0])] * n
-                else:
-                    rule, curs = "TS-Rll1", cks
-                    key[2::3] = pkey[1::3]
-                out.append((key := tuple(key), (party, rule, "roll"),
-                            (key, cks, curs, inits)))
-            # TS-Abt1: abort resets the whole configuration
-            elif kind == "abt":
-                out.append((root[0], (party, "TS-Abt1", "abt"), root))
-    out.sort(key=_STEP_ORDER)
+        # TS-Cmt1: commit while some other party moved since its
+        # checkpoint (an imposed checkpoint always counts as moved) ->
+        # that party's current is imposed on it
+        # TS-Cmt2: every other party still sits on its own checkpoint
+        # -> they are left untouched
+        elif kind is TCmt:
+            nxt = t.cont
+            curs, ncks = list(cur), list(cks)
+            curs[i] = ncks[i] = nxt
+            key = list(pkey)
+            key[at + 1] = key[at + 2] = type_key(nxt)
+            key[at] = False
+            rule = "TS-Cmt2"
+            for h in range(n):
+                k = 3 * h  # the parent's slots tell whether h moved
+                if h != i and (pkey[k] or pkey[k + 1] != pkey[k + 2]):
+                    ncks[h] = cur[h]
+                    key[k:k + 2] = True, pkey[k + 2]
+                    rule = "TS-Cmt1"
+            out.append((key := tuple(key), (party, rule, "cmt"),
+                        (key, tuple(ncks), tuple(curs), inits)))
+        # TS-Rll1: roll from an own checkpoint restores every current;
+        # TS-Rll2: roll from an imposed checkpoint is unrecoverable ->
+        # every current errs
+        elif kind is TRollT:
+            key = list(pkey)
+            if pkey[at]:
+                rule, curs = "TS-Rll2", (TErr(),) * n
+                key[2::3] = [type_key(curs[0])] * n
+            else:
+                rule, curs = "TS-Rll1", cks
+                key[2::3] = pkey[1::3]
+            out.append((key := tuple(key), (party, rule, "roll"),
+                        (key, cks, curs, inits)))
+        # TS-Abt1: abort resets the whole configuration
+        elif kind is TAbtT:
+            out.append((root[0], (party, "TS-Abt1", "abt"), root))
     return out
 
 
@@ -344,7 +319,7 @@ def reachable_system(*types: SessionTypeT,
                      budget: int | None = None) -> TransitionSystem:
     """The configurations reachable from the initial configuration of
     `types`, one per party in log order, found by `search` and keyed by
-    `config_key`.  The sorted (party, rule, label) successor order makes
+    `config_key`.  The (party, rule, label) successor order makes
     numbering reproducible.  A state is its node, and an edge's label and
     a path step are (party, rule, label)."""
     root = _root(types)

@@ -10,8 +10,9 @@ and hashed by class and fields, and free to carry private caches (`_rep`,
 `subtypes` and `_map_type` are the one statement of each type's shape;
 `_map_type` returns a node whose children did not change as the same
 object.  `subst_type` is built on them.  `type_key`, `canonical_type`,
-`render_type` and `semantics.type_transitions` stay hand-written: they key
-or number binders, emit concrete syntax or step a type.
+`render_type` and the type-level stepper `semantics._party_transitions`
+stay hand-written: they key or number binders, emit concrete syntax or
+step a party from its type's head.
 """
 
 from __future__ import annotations

@@ -45,6 +45,16 @@ def steps_of(output):
 
 # ---------------------------------------------------------------- infer
 
+def test_python_m_cherrypi_runs_the_command_line():
+    program = CORPUS / "vod_b.chpi"
+    src = str(Path(cherrypi.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "cherrypi", "infer",
+                           str(program)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == \
+        cli("infer", program)
+
+
 def test_infer_prints_both_endpoint_types():
     code, out, _ = cli("infer", CORPUS / "vod_b.chpi")
     assert code == 0
@@ -602,10 +612,20 @@ _ILL_SORTED = {
         'fun f(int): bool\nrequest a(x). if f("a") then x!<1>. 0'
         " else x!<2>. 0 | accept a(y). y?(v: int). 0",
         "function 'f' expects ('int',), got ('str',)"),
+    # a value is received only by a binding of its own sort, as `TS-Com`
+    # requires, so these runs are stuck (no message): the sort is read
+    # from the sent expression's head without evaluating it
     "str-received-as-int": (
         'request a(x). x!<"a">. 0'
         " | accept a(y). y?(v: int). if v < 3 then 0 else 0",
-        "operator 'lt' expects ('int', 'int'), got ('str', 'int')"),
+        None),
+    "bool-received-as-str": (
+        "request a(x). x!<true>. 0 | accept a(y). y?(v: str). 0", None),
+    "sum-received-as-str": (
+        "request a(x). x!<1 + 2>. 0 | accept a(y). y?(v: str). 0", None),
+    "call-received-as-int": (
+        "fun f(): bool\n"
+        "request a(x). x!<f()>. 0 | accept a(y). y?(v: int). 0", None),
 }
 
 
@@ -615,15 +635,33 @@ def test_ill_sorted_values_are_refused_at_evaluation(tmp_path, name):
     program = tmp_path / "ill.chpi"
     program.write_text(text)
     code, out, err = cli("check", program)
-    if name == "str-received-as-int":
+    if message is None:
         assert (code, err) == (1, "")
         assert out.startswith("not rollback safe\n")
     else:
         assert (code, out, err) == (2, "", f"error: {message}\n")
-    for command in ("run", "explore"):
-        for mode in ("plain", "detect"):
-            assert cli(command, program, "--error-mode", mode) == (
-                2, "", f"error: {message}\n"), (command, mode)
+    for mode in ("plain", "detect"):
+        for command, stuck in (("run", "status: stuck\n"),
+                               ("explore", "stuck at state 1: F-Con")):
+            code, out, err = cli(command, program, "--error-mode", mode)
+            if message is None:
+                assert (code, err) == (1, "") and stuck in out
+            else:
+                assert (code, out, err) == (2, "", f"error: {message}\n"), \
+                    (command, mode)
+
+
+def test_a_loop_that_does_nothing_completes(tmp_path):
+    # the type level reads `mu t. end` as `end`
+    program = tmp_path / "idle.chpi"
+    program.write_text("request a(x). rec X. 0 | accept a(y). 0")
+    assert cli("check", program)[0] == 0
+    for mode in ("plain", "detect"):
+        code, out, err = cli("run", program, "--error-mode", mode)
+        assert (code, err) == (0, "") and out.endswith("status: completed\n")
+        code, out, err = cli("explore", program, "--error-mode", mode)
+        assert (code, err) == (0, "")
+        assert "1 completed" in out and "no errors, no stuck states" in out
 
 
 def test_a_huge_role_tag_costs_time_by_endpoints_not_by_value(tmp_path):

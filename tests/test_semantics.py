@@ -20,7 +20,7 @@ from cherrypi.runtime import explore
 from cherrypi.semantics import (BudgetExceeded, InvalidBudget,
                                 check_compliance, check_rollback_safety,
                                 compliance_dot, config_transitions,
-                                reachable_system, type_transitions)
+                                reachable_system)
 from cherrypi.infer import (TypingError, infer_collaboration, service_pairs,
                             service_types)
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TErr, TIn, TMu,
@@ -33,30 +33,60 @@ def T(s):
     return parse_type(s)
 
 
-# -- single-type transitions ------------------------------------------------
+# -- stepping a party from its type's head -----------------------------------
+
+def _edges(*texts):
+    """The (src, dst, (party, rule, label)) edges reachable from the types
+    `texts`, one per party in log order."""
+    return reachable_system(*map(T, texts)).edges
+
 
 def test_prefix_transitions():
-    assert type_transitions(T("![int]. end")) == \
-        [(("out", "int", None, None), T("end"))]
-    assert type_transitions(T("?[str]. roll")) == \
-        [(("in", "str", None, None), T("roll"))]
-    (lbl, cont), = type_transitions(T("sel[go]. end"))
-    assert lbl == ("sel", "go", None, None) and cont == T("end")
+    assert _edges("![int]. end", "?[int]. end") == \
+        [(0, 1, (1, "TS-Com", "com[int]"))]
+    assert _edges("?[str]. roll", "![str]. end") == \
+        [(0, 1, (2, "TS-Com", "com[str]")), (1, 0, (1, "TS-Rll1", "roll"))]
+    # an input of another sort is no partner
+    assert _edges("![int]. end", "?[str]. end") == []
+    ts = reachable_system(T("sel[go]. end"), T("brn[stop: cmt. end; go: end]"))
+    assert ts.edges == [(0, 1, (1, "TS-Lab", "lab[go]"))]
+    assert [render_type(t) for t in ts.nodes[1][2]] == ["end", "end"]
+
+
+def test_a_partner_must_name_the_party_back():
+    # the requester, role 3, sends to role 1, which waits on role 2
+    assert _edges("![3,1][int]. end", "?[1,2][int]. end", "end") == []
+    assert _edges("![3,1][int]. end", "?[1,3][int]. end", "end") == \
+        [(0, 1, (1, "TS-Com", "com[int]"))]
+    assert _edges("sel[3,1][go]. end", "brn[1,2][go: end]", "end") == []
 
 
 def test_internal_choice_steps_both_ways():
-    assert [lbl for lbl, _ in type_transitions(T("(end (+) cmt. end)"))] \
-        == [("tau", "L"), ("tau", "R")]
+    ts = reachable_system(T("(end (+) cmt. end)"), T("end"))
+    assert ts.edges == [(0, 1, (1, "TS-Tau", "tau[L]")),
+                        (0, 2, (1, "TS-Tau", "tau[R]")),
+                        (2, 3, (1, "TS-Cmt2", "cmt"))]
+    assert [render_type(ts.nodes[sid][2][0]) for sid in (1, 2)] == \
+        ["end", "cmt. end"]
+
+
+def test_steps_come_in_party_order():
+    both = "(end (+) cmt. end)"
+    assert [(dst, lab) for src, dst, lab in _edges(both, both) if src == 0] \
+        == [(1, (1, "TS-Tau", "tau[L]")), (2, (1, "TS-Tau", "tau[R]")),
+            (3, (2, "TS-Tau", "tau[L]")), (4, (2, "TS-Tau", "tau[R]"))]
 
 
 def test_recursive_type_unfolds_before_stepping():
-    (lbl, cont), = type_transitions(T("mu t. ![int]. t"))
-    assert lbl == ("out", "int", None, None)
-    assert canonical_type(cont) == canonical_type(T("mu t. ![int]. t"))
+    # both heads are unfoldings, and the successor is the loop again
+    assert _edges("mu t. ![int]. t", "mu t. ?[int]. t") == \
+        [(0, 0, (1, "TS-Com", "com[int]"))]
 
 
 def test_terminal_types_have_no_transitions():
-    assert type_transitions(T("end")) == []
+    for text in ("end", "err"):
+        assert _edges(text, text) == []
+        assert _edges(text, "![int]. end") == []
 
 
 # -- configuration rules ----------------------------------------------------
