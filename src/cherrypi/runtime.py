@@ -189,37 +189,34 @@ def enumerate_values(e) -> list:
     if kind is Lit:
         return [(e.value, ())]
     if kind is Call:
-        row, combos = operator_of(e, MalformedTerm), _combos(e.args)
+        row = operator_of(e, MalformedTerm)
+    elif kind is Var:
+        raise MalformedTerm(f"unbound variable {e.name!r} in evaluation")
+    elif kind is not Ufun:
+        raise MalformedTerm(f"not an expression: {e!r}")
+    # [(values, choices)] of the arguments, each enumerated once
+    combos = [((), ())]
+    for a in e.args:
+        found = enumerate_values(a)
+        combos = [(vals + (v,), ch + ch2) for vals, ch in combos
+                  for v, ch2 in found]
+    if kind is Call:
         for vals, _ in combos:
             check_operands(row, e, list(map(value_sort, vals)),
                            MalformedTerm)
         return [(row.meaning(*vals), ch) for vals, ch in combos]
-    if kind is Ufun:
-        fn, rsort, combos = e.name, e.result_sort, _combos(e.args)
-        for vals, _ in combos:
-            check_arguments(e, list(map(value_sort, vals)), MalformedTerm)
-        if e.domain is not None:
-            outcomes = list(e.domain)
-        elif rsort == "bool":
-            outcomes = [False, True]
-        else:
-            raise ExploreError(
-                f"exploration needs a declared domain for {fn!r} "
-                f"(sort {rsort})")
-        return [(v, ch + ((fn, v),)) for _, ch in combos for v in outcomes]
-    if kind is Var:
-        raise MalformedTerm(f"unbound variable {e.name!r} in evaluation")
-    raise MalformedTerm(f"not an expression: {e!r}")
-
-
-def _combos(args) -> list:
-    """Every combination of the arguments' values, left to right:
-    [(values, choices)]."""
-    combos = [([], ())]
-    for a in args:
-        combos = [(vals + [v], ch + ch2) for vals, ch in combos
-                  for v, ch2 in enumerate_values(a)]
-    return combos
+    fn, rsort = e.name, e.result_sort
+    for vals, _ in combos:
+        check_arguments(e, list(map(value_sort, vals)), MalformedTerm)
+    if e.domain is not None:
+        outcomes = list(e.domain)
+    elif rsort == "bool":
+        outcomes = [False, True]
+    else:
+        raise ExploreError(
+            f"exploration needs a declared domain for {fn!r} "
+            f"(sort {rsort})")
+    return [(v, ch + ((fn, v),)) for _, ch in combos for v in outcomes]
 
 
 def _sort_of(e) -> str | None:
@@ -340,9 +337,11 @@ def _barbs(p: Process, observer) -> frozenset:
     return frozenset(found)
 
 
-def _may_recover(bs: frozenset) -> bool:
-    """A partner that can still roll or abort is not stuck for good."""
-    return ("roll",) in bs or ("abt",) in bs
+def _stuck(partner: Process, me, *wanted) -> bool:
+    """Whether `partner`, as role `me` observes it, can never offer any of
+    the `wanted` barbs, nor roll or abort and so recover: the premise of a
+    detecting rule."""
+    return barbs(partner, me).isdisjoint(wanted + (("roll",), ("abt",)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +368,14 @@ class Candidate(metaclass=record):
     # the successor state, or what `_session_steps`' `place` made of the
     # items replacing the session (`explore` keeps that tuple)
     successor: Collaboration | tuple | None = None
-    backward: bool = False
     choices: tuple = ()  # assumed draws (explore)
     expr: object = None
     outcome: object = None
+
+    @property
+    def backward(self) -> bool:
+        """A roll back to the checkpoints (B-Rll, E-Rll1) or an abort."""
+        return self.rule.removeprefix("M-") in ("B-Rll", "E-Rll1", "B-Abt")
 
     def sort_key(self):
         return (self.session, self.party, self.rule, self.text)
@@ -561,12 +564,11 @@ def _session_steps(ses: Session, mode: str, place) -> list:
         """The successor whose session body is `body(*args)`."""
         return place((Session(sname, ses.saved, body(*args)),))
 
-    def mk(rule, i, action, build, *args, backward=False):
+    def mk(rule, i, action, build, *args):
         """A step of party i that draws nothing and leads to
         `build(*args)`."""
         text = f"{sname}:p{i + 1} {action}"
         out.append(Candidate(pre + rule, sname, i + 1, text,
-                             backward=backward,
                              outcome=lambda _: (text, build(*args))))
 
     def evaluating(rule, i, e, step):
@@ -596,18 +598,14 @@ def _session_steps(ses: Session, mode: str, place) -> list:
                     and _sort_of(hi.expr) in (hj.sort, None):
                 evaluating("F-Com", i, hi.expr,
                            functools.partial(_com, logs, i, j, hi.cont, hj))
-            elif mode == "detect":
-                bs = barbs(lj.current, me)
-                if ("in", lj.endpoint, me) not in bs \
-                        and not _may_recover(bs):
-                    mk("E-Com1", i, "stuck-out", rewrite, ComError)
+            elif mode == "detect" and _stuck(lj.current, me,
+                                             ("in", lj.endpoint, me)):
+                mk("E-Com1", i, "stuck-out", rewrite, ComError)
         elif kind is Recv:
             sender_ready = isinstance(hj, Send) and hj.to_role == me
-            if mode == "detect" and not sender_ready:
-                bs = barbs(lj.current, me)
-                if ("out", lj.endpoint, me) not in bs \
-                        and not _may_recover(bs):
-                    mk("E-Com2", i, "stuck-in", rewrite, ComError)
+            if mode == "detect" and not sender_ready and _stuck(
+                    lj.current, me, ("out", lj.endpoint, me)):
+                mk("E-Com2", i, "stuck-in", rewrite, ComError)
         elif kind is Select:
             if isinstance(hj, Branch) and hj.from_role == me:
                 arm = dict(hj.arms).get(hi.label)
@@ -615,19 +613,15 @@ def _session_steps(ses: Session, mode: str, place) -> list:
                     mk("F-Lab", i, f"+{hi.label}", rewrite, _exchange,
                        logs, i, j, hi.cont, arm)
                     continue
-            if mode == "detect":
-                bs = barbs(lj.current, me)
-                if ("brn", lj.endpoint, hi.label, me) not in bs \
-                        and not _may_recover(bs):
-                    mk("E-Lab1", i, "stuck-sel", rewrite, ComError)
+            if mode == "detect" and _stuck(
+                    lj.current, me, ("brn", lj.endpoint, hi.label, me)):
+                mk("E-Lab1", i, "stuck-sel", rewrite, ComError)
         elif kind is Branch:
             selector_ready = isinstance(hj, Select) and hj.to_role == me
-            if mode == "detect" and not selector_ready:
-                bs = barbs(lj.current, me)
-                offered = any(("sel", lj.endpoint, lab, me) in bs
-                              for lab, _ in hi.arms)
-                if not offered and not _may_recover(bs):
-                    mk("E-Lab2", i, "stuck-brn", rewrite, ComError)
+            if mode == "detect" and not selector_ready and _stuck(
+                    lj.current, me,
+                    *[("sel", lj.endpoint, lab, me) for lab, _ in hi.arms]):
+                mk("E-Lab2", i, "stuck-brn", rewrite, ComError)
         elif kind is If:
             evaluating("F-If", i, hi.cond, functools.partial(
                 _resolve, logs, i, hi.then, hi.orelse))
@@ -647,10 +641,9 @@ def _session_steps(ses: Session, mode: str, place) -> list:
                 mk("E-Rll2", i, "roll", rewrite, RollError)
             else:
                 rule = "E-Rll1" if mode == "detect" else "B-Rll"
-                mk(rule, i, "roll", rewrite, _rolled, logs, backward=True)
+                mk(rule, i, "roll", rewrite, _rolled, logs)
         elif kind is Abort:
-            mk("B-Abt", i, "abort", place, par_parts(ses.saved),
-               backward=True)
+            mk("B-Abt", i, "abort", place, par_parts(ses.saved))
     return out
 
 
@@ -660,10 +653,9 @@ def _built(cands) -> list:
     assumes, in `enumerate_values` order.  A stable sort by `sort_key`,
     as `explore` makes, puts them in label order, equal labels (an F-If
     whose guard is false for two values) in that order."""
-    return [Candidate(c.rule, c.session, c.party, *c.outcome(v), c.backward,
-                      ch) for c in cands for v, ch in (
-                          [(None, ())] if c.expr is None
-                          else enumerate_values(c.expr))]
+    return [Candidate(c.rule, c.session, c.party, *c.outcome(v), ch)
+            for c in cands for v, ch in ([(None, ())] if c.expr is None
+                                         else enumerate_values(c.expr))]
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +805,7 @@ def simulate(program: SourceProgram, oracle: DecisionOracle | None = None,
             if step is None:
                 text, succ = c.outcome(v)
                 step = taken[v] = (Candidate(c.rule, c.session, c.party,
-                                             text, succ, c.backward),
+                                             text, succ),
                                    classify_state(par_parts(succ), True))
                 if c.expr is None or not _undecided(c.expr):
                     entry[1:] = None, step
@@ -995,8 +987,8 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
                      == len(group) else None)
         return _splice(items, group, c.successor)
 
-    ts = search(par_parts(init), lambda _: tuple(sorted(serials[0])),
-                steps_of, make, budget=budget, depth=depth)
+    ts = search(par_parts(init), tuple(sorted(serials[0])), steps_of, make,
+                budget=budget, depth=depth)
     live = set(ts.src)
     expanded = len(ts.nodes) - len(ts.frontier)
     errors, stuck, completed = [], [], 0
@@ -1015,8 +1007,9 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
 # ---------------------------------------------------------------------------
 
 class ReplayReport(metaclass=record):
-    ok: bool
-    divergence: str | None = None
+    divergence: str | None = None  # where the run left the recording
+
+    ok = property(lambda self: self.divergence is None)
 
 
 def replay(trace_json: dict, mode: str | None = None,
@@ -1034,7 +1027,7 @@ def replay(trace_json: dict, mode: str | None = None,
     if program is None:
         program = parse_program(trace_json["initial"])
     elif render_program(program) != trace_json["initial"]:
-        return ReplayReport(False, "initial state differs")
+        return ReplayReport("initial state differs")
     if mode is None:
         mode = "detect" if any(
             s["label"].split(" ", 1)[0].removeprefix("M-").startswith("E-")
@@ -1049,24 +1042,23 @@ def replay(trace_json: dict, mode: str | None = None,
         got, unfunded = ex.steps, ex
     if unfunded is None and len(got) != len(want):
         return ReplayReport(
-            False, f"trace length {len(got)} != recorded {len(want)}")
+            f"trace length {len(got)} != recorded {len(want)}")
     for k, ((label, shown), w) in enumerate(zip(_shown_steps(got), want)):
         if label != w["label"]:
             return ReplayReport(
-                False, f"step {k}: label {label!r} != {w['label']!r}")
+                f"step {k}: label {label!r} != {w['label']!r}")
         if shown != w["state"]:
-            return ReplayReport(
-                False, f"step {k}: state mismatch after {label!r}")
+            return ReplayReport(f"step {k}: state mismatch after {label!r}")
     if unfunded is not None:
-        return ReplayReport(False, f"step {len(got)}: {unfunded}")
-    return ReplayReport(True)
+        return ReplayReport(f"step {len(got)}: {unfunded}")
+    return ReplayReport()
 
 
 def _checked_trace(data) -> tuple:
     """The recorded steps and transcript of a trace file's JSON, checked
     against the shape `Trace.to_json` writes."""
-    def need(ok: bool, what: str):
-        if not ok:
+    def need(holds: bool, what: str):
+        if not holds:
             raise MalformedInput(f"malformed trace: {what}")
 
     need(isinstance(data, dict), "not a JSON object")

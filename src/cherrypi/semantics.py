@@ -20,8 +20,8 @@ from the head of its current type, and its steps are (successor key,
 (party, rule, label), successor node), read by `search`,
 `config_transitions` and the shadow checker's `shadow._mirror`.
 A successor's key is derived from the parent's by replacing only the
-slots the step changed, and an abort returns to the root node, so only a
-search's root is keyed from its types.
+slots the step changed; an abort returns to the root node of the node's
+initial types, which is keyed from those types, as a search's root is.
 
 `search` is the package's one breadth-first search, under
 `reachable_system` and `runtime.explore` alike: it keeps edges and parent
@@ -35,7 +35,6 @@ import os
 import sys
 from array import array
 from functools import cached_property
-from operator import itemgetter
 
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TErr, TIn,
                            TOut, TPlus, TRollT, TSel, head_normal_type,
@@ -140,18 +139,19 @@ def _root(types: tuple) -> tuple:
 
 def config_transitions(node: tuple) -> list:
     """All journal steps of a configuration's node, as `_party_transitions`
-    gives them, an abort returning to the root of its initial types."""
-    return _party_transitions(node, _root(node[3]))
+    gives them."""
+    return _party_transitions(node)
 
 
-def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
+def _party_transitions(node: tuple, parties=None) -> list:
     """The journal steps of the parties at the 0-based log positions
     `parties` (all by default), each (successor key, (party, rule, label),
-    successor node); an abort returns to `root`.  A party steps from the
-    head of its current type, as `runtime._session_steps` steps a log.
-    A head gives steps of one rule, in label order, so steps come in
-    (party, rule, label) order only when `parties` ascend.  A successor's
-    key is its parent's with the slots the step changed replaced."""
+    successor node); an abort returns to the `_root` of its initial types.
+    A party steps from the head of its current type, as
+    `runtime._session_steps` steps a log.  A head gives steps of one rule,
+    in label order, so steps come in (party, rule, label) order only when
+    `parties` ascend.  A successor's key is its parent's with the slots
+    the step changed replaced."""
     out: list = []
     pkey, cks, cur, inits = node
     n = len(cur)
@@ -238,6 +238,7 @@ def _party_transitions(node: tuple, root: tuple, parties=None) -> list:
                         (key, cks, curs, inits)))
         # TS-Abt1: abort resets the whole configuration
         elif kind is TAbtT:
+            root = _root(inits)
             out.append((root[0], (party, "TS-Abt1", "abt"), root))
     return out
 
@@ -278,7 +279,7 @@ class TransitionSystem(metaclass=record):
 
 def search(root, key, steps, make, budget: int | None = None,
            depth: int | None = None) -> TransitionSystem:
-    """Breadth-first search from `root`, keyed by `key(root)`.
+    """Breadth-first search from `root`, whose key is `key`.
     `steps(sid, node)` lists a state's steps in successor order, each a
     tuple whose slot 0 is its successor's key and slot 1 its edge's
     label; `make(src, node, step)` builds a successor's node only when
@@ -288,7 +289,7 @@ def search(root, key, steps, make, budget: int | None = None,
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
     nodes = [root]
-    index = {key(root): 0}
+    index = {key: 0}
     known = index.get
     src, dst, labels, found_by = array("l"), array("l"), [], array("l", [-1])
     frontier, layer = [0], 0
@@ -323,8 +324,7 @@ def reachable_system(*types: SessionTypeT,
     numbering reproducible.  A state is its node, and an edge's label and
     a path step are (party, rule, label)."""
     root = _root(types)
-    return search(root, itemgetter(0),
-                  lambda sid, node: _party_transitions(node, root),
+    return search(root, root[0], lambda sid, node: _party_transitions(node),
                   lambda src, node, step: step[2], budget=budget)
 
 
@@ -349,12 +349,13 @@ def _describe(node: tuple, roles: bool, memo: dict) -> dict:
 
 
 class ComplianceReport(metaclass=record):
-    compliant: bool
     system: TransitionSystem
     violations: list  # ids of the violating states, in id order
     # n-role presentation, for types that name their own roles: rule
     # names get the M- prefix and parties are named role{r}, not party{i}
     roles: bool = False
+
+    compliant = property(lambda self: not self.violations)
 
     def to_json(self) -> dict:
         prefix = "M-" if self.roles else ""
@@ -392,7 +393,7 @@ def _compliance(types: tuple, budget: int | None, roles: bool) \
     violations = [sid for sid, node in enumerate(ts.nodes) if sid not in live
                   and not all(isinstance(head_normal_type(t), TEnd)
                               for t in node[2])]
-    return ComplianceReport(not violations, ts, violations, roles)
+    return ComplianceReport(ts, violations, roles)
 
 
 def _own_roles(types: tuple) -> bool:
@@ -408,8 +409,10 @@ def _own_roles(types: tuple) -> bool:
 
 
 class RollbackSafetyReport(metaclass=record):
-    safe: bool
     services: dict  # service name -> ComplianceReport
+
+    safe = property(lambda self: all(
+        rep.compliant for rep in self.services.values()))
 
     def to_json(self) -> dict:
         return {
@@ -431,10 +434,8 @@ def check_rollback_safety(term, budget: int | None = None) \
     services = service_types(term)
     if services:  # CHERRY_BUDGET is read once, after inference
         budget = current_budget(budget)
-    reports = {name: _compliance(types, budget, roles)
-               for name, types in services.items()}
-    return RollbackSafetyReport(all(r.compliant for r in reports.values()),
-                                reports)
+    return RollbackSafetyReport({name: _compliance(types, budget, roles)
+                                 for name, types in services.items()})
 
 
 # ---------------------------------------------------------------------------

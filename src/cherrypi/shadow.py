@@ -21,14 +21,15 @@ retyped in linear time.
 from __future__ import annotations
 
 from .syntax import ComError, RollError, Session, par_parts, record
-from .sessiontypes import TErr, canonical_type, type_key
+from .sessiontypes import TErr, render_type, type_key
 from .infer import TypingError, service_types, type_of_process
 from .semantics import _party_transitions, _root
 
 
 class ShadowReport(metaclass=record):
-    ok: bool
     failures: list  # list[str]
+
+    ok = property(lambda self: not self.failures)
 
 
 def _find_session(state, name: str) -> Session | None:
@@ -75,10 +76,10 @@ def _type_label(rule: str, text: str) -> str:
     return {"commit": "cmt", "abort": "abt"}.get(action, action)
 
 
-def _mirror(node: tuple, root: tuple, step, failures: list) -> tuple:
-    """The type-level successor of `node` (abort returns to `root`) that
-    mirrors one process step: the same party's transition with the step's
-    label and a matching rule.  On a mismatch, a failure and `node`."""
+def _mirror(node: tuple, step, failures: list) -> tuple:
+    """The type-level successor of `node` that mirrors one process step:
+    the same party's transition with the step's label and a matching rule.
+    On a mismatch, a failure and `node`."""
     rule = step.rule.removeprefix("M-")
     if rule not in _MIRRORS:
         # com_error steps have no type analogue on well-typed programs
@@ -88,7 +89,7 @@ def _mirror(node: tuple, root: tuple, step, failures: list) -> tuple:
     want = _type_label(rule, step.text)
     # only the stepping party's transitions, in `config_transitions` order
     found = [(r, succ) for _, (_, r, lab), succ in _party_transitions(
-        node, root, (step.party - 1,)) if lab == want]
+        node, (step.party - 1,)) if lab == want]
     for r, succ in found:
         if r in rules:
             return succ
@@ -104,19 +105,18 @@ def shadow_typecheck(program, trace) -> ShadowReport:
     try:
         types = service_types(program.term)
     except TypingError as ex:
-        return ShadowReport(False, [f"inference failed: {ex}"])
-    configs: dict = {}  # session name -> (tracked node, its root node)
+        return ShadowReport([f"inference failed: {ex}"])
+    configs: dict = {}  # session name -> its tracked node
     failures: list = []
-    # (id(step), keys of the node it met and of its root) -> (the pair
-    # after it, None when its session is gone, and the failures it added).
-    # The trace holds its steps, so their ids stay their own
+    # (id(step), key of the node it met) -> (the node after it, None when
+    # its session is gone, and the failures it added).  A step's session
+    # fixes the initial types an abort returns to, and the trace holds its
+    # steps, so their ids stay their own
     checked: dict = {}
     for step in trace.steps:
         name = step.session
         tracked = configs.get(name)
-        # an abort resets to the root, so its key is part of the memo's
-        at = (id(step), None) if tracked is None else \
-            (id(step), tracked[0][0], tracked[1][0])
+        at = id(step), None if tracked is None else tracked[0]
         hit = checked.get(at)
         if hit is None:
             start = len(failures)
@@ -128,30 +128,30 @@ def shadow_typecheck(program, trace) -> ShadowReport:
             configs.pop(name, None)
         else:
             configs[name] = hit[0]
-    return ShadowReport(not failures, failures)
+    return ShadowReport(failures)
 
 
-def _check_step(step, tracked, types: dict, failures: list):
-    """One step of `shadow_typecheck` on its session's (node, root) pair
-    `tracked` (None when it has none): the pair after it, or None when it
-    has none, with its failures appended to `failures`."""
+def _check_step(step, node, types: dict, failures: list):
+    """One step of `shadow_typecheck` on its session's tracked `node`
+    (None when it has none): the node after it, or None when it has none,
+    with its failures appended to `failures`."""
     ses = _find_session(step.successor, step.session)
     if step.party == 0:  # connection: the service of the endpoints it saved
-        tracked = (_root(types[par_parts(ses.saved)[0].chan]),) * 2
-    elif tracked is not None:
-        tracked = _mirror(*tracked, step, failures), tracked[1]
+        node = _root(types[par_parts(ses.saved)[0].chan])
+    elif node is not None:
+        node = _mirror(node, step, failures)
     # correspondence: retype every live log against the tracked types
-    if ses is None or tracked is None:  # aborted, or never connected
+    if ses is None or node is None:  # aborted, or never connected
         return None
-    node, key = tracked[0], tracked[0][0]
+    key = node[0]
     body = par_parts(ses.body)
     if any(isinstance(b, (RollError, ComError)) for b in body):
         for k, t in enumerate(node[2]):
             if not isinstance(t, TErr):
                 failures.append(
                     f"{step.label()}: error state but party {k + 1} "
-                    f"type is {canonical_type(t)}")
-        return tracked
+                    f"type is {render_type(t)}")
+        return node
     for k, lg in enumerate(body):
         try:
             got_cur = type_of_process(lg.current, lg.endpoint)
@@ -171,4 +171,4 @@ def _check_step(step, tracked, types: dict, failures: list):
             failures.append(
                 f"{step.label()}: party {k + 1} imposed flag "
                 f"disagrees with the type level")
-    return tracked
+    return node

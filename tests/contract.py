@@ -23,7 +23,13 @@ Runs `cli.main` in-process over the bundled corpus.  Sections:
 - diagnostics: the ill-formed programs of `BAD_PROGRAMS` under `check`
   and the types of `BAD_TYPES` under `comply` against `end`: each static
   offence, the order in which they win over one another and over a
-  syntax error later in the text, and the guard rules of `(+)`.
+  syntax error later in the text, and the guard rules of `(+)`;
+- rules: the programs of `tests/rules/`, which take the process rules
+  the corpus never takes, in their binary and two-role forms, and the
+  partners that keep a detecting rule from firing: `check`, `explore
+  --depth 12` in both error modes with its `--dot` file, and `run --seed
+  1` and `--seed 2`, both error modes, with `--max-steps 12` and
+  `--trace`, and the trace's `replay`.
 
 `--full` runs the generated inputs of the benchmark's families instead,
 for a CI job (about 5 s on a 2-vCPU host; its kpar section alone is
@@ -77,8 +83,9 @@ from cherrypi.parser import parse_program, render_program  # noqa: E402
 DIGESTS = HERE / "contract.json"
 FULL_DIGESTS = HERE / "contract_full.json"
 EXPR = HERE / "expr"
+RULES = HERE / "rules"
 SECTIONS = ("infer", "check", "explore", "run", "replay", "comply", "graph",
-            "expr", "diagnostics")
+            "expr", "diagnostics", "rules")
 FULL_SECTIONS = ("kpar", "genprog", "budgets", "large")
 MODES = ("plain", "detect")
 FORMATS = ((), ("--json",))
@@ -245,6 +252,14 @@ def sections(tmp: Path) -> dict:
     end = t.source("end.chty", "end\n")
     for i, text in enumerate(BAD_TYPES):
         t.call("diagnostics", "comply", t.source(f"bad-{i}.chty", text), end)
+    for path in sorted(RULES.glob("*.chpi")):
+        prog = t.source(path.name, path.read_text())
+        t.call("rules", "check", prog)
+        for mode in MODES:
+            t.explore("rules", prog, "--depth", 12, "--error-mode", mode)
+            for seed in (1, 2):
+                t.run("rules", prog, "--seed", seed, "--error-mode", mode,
+                      "--max-steps", 12)
     return t.texts()
 
 
@@ -332,23 +347,28 @@ def full_sections(tmp: Path) -> dict:
     return t.texts()
 
 
-def digests(dump: Path | None = None, full: bool = False) -> dict:
+def transcripts(full: bool = False) -> dict:
+    """Section name -> its text, of the corpus or (`full`) the generated
+    inputs."""
     with tempfile.TemporaryDirectory() as tmp:
-        texts = (full_sections if full else sections)(Path(tmp))
-    if dump is not None:
-        dump.mkdir(parents=True, exist_ok=True)
-        for name, text in texts.items():
-            (dump / f"{name}.txt").write_text(text, encoding="utf-8")
+        return (full_sections if full else sections)(Path(tmp))
+
+
+def digests(texts: dict) -> dict:
     return {name: {"sha256": hashlib.sha256(text.encode()).hexdigest(),
                    "lines": text.count("\n")}
             for name, text in texts.items()}
 
 
 def main(argv: list) -> int:
-    dump = Path(argv[argv.index("--dump") + 1]) if "--dump" in argv \
-        else None
     full = "--full" in argv
-    got = digests(dump, full)
+    texts = transcripts(full)
+    if "--dump" in argv:
+        dump = Path(argv[argv.index("--dump") + 1])
+        dump.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (dump / f"{name}.txt").write_text(text, encoding="utf-8")
+    got = digests(texts)
     path = FULL_DIGESTS if full else DIGESTS
     if "--write" in argv:
         path.write_text(json.dumps(got, indent=2) + "\n")

@@ -326,7 +326,7 @@ def forced_steps(state, mode="plain") -> list:
         for v, ch in values:
             text, succ = c.outcome(v)
             out.append(Candidate(c.rule, c.session, c.party, text, succ,
-                                 c.backward, ch))
+                                 ch))
     out.sort(key=Candidate.sort_key)
     return out
 
@@ -673,6 +673,6 @@ def erase_trace(tr):
         SourceProgram(dict(tr.program.decls),
                       erase_to_binary(tr.program.term), False),
         [Candidate(erase_rule_name(s.rule), s.session, s.party, s.text,
-                   erase_to_binary(s.successor), s.backward)
+                   erase_to_binary(s.successor))
          for s in tr.steps],
         tr.status, tr.oracle)

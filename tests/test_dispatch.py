@@ -303,7 +303,7 @@ FRAMES = {
     "render_expr": (_exprs, render_expr, 1),
     "sort_of_expression": (_exprs, lambda e: sort_of_expression(e, {}), 2),
     "evaluate": (_exprs, evaluate, 2),
-    "enumerate_values": (_exprs, enumerate_values, 3),
+    "enumerate_values": (_exprs, enumerate_values, 1),
     "_expr_names": (_exprs, _expr_names, 2),
     "_expr_sig": (_exprs, lambda e: _expr_sig(e, {}, _NO_DEPTH), 2),
     "_subst_expr": (_exprs, lambda e: _subst_expr(e, "v", Lit(2)), 2),

@@ -4,7 +4,8 @@
 type allows: a send of a literal per output, a receive into a fresh
 variable per input, a conditional on `g()` per internal choice.  A pair of
 inhabitants is rollback safe by `check` exactly when the detect-mode
-exploration of the same program finds no error and no stuck state, with
+exploration of the same program finds no error and no stuck state, and
+no seeded detect-mode run of a safe pair ends in an error or stuck, with
 one known class of exceptions (`_commits_forever`).
 """
 
@@ -14,7 +15,7 @@ import random
 from genprog import random_type
 from cherrypi.infer import service_types
 from cherrypi.parser import FunDecl, SourceProgram, parse_program
-from cherrypi.runtime import classify_state, explore
+from cherrypi.runtime import DecisionOracle, classify_state, explore, simulate
 from cherrypi.semantics import check_rollback_safety
 from cherrypi.sessiontypes import (TAbtT, TBrn, TCmt, TEnd, TIn, TMu, TOut,
                                    TPlus, TRollT, TSel, TVarT, subtypes,
@@ -165,3 +166,26 @@ def test_a_partner_that_commits_forever_is_safe_but_detected():
     rep = explore(program, 30, "detect")
     assert rep.errors == [5] and not rep.stuck and _detected_only(rep)
     assert rep.system.path_to(5)[-1].label() == "E-Lab1 s1:p2 stuck-sel"
+
+
+def test_no_detect_run_of_a_safe_inhabitant_pair_ends_badly():
+    runs = 0
+    for seed in range(1000):
+        types, program = inhabitant_pair(seed)
+        try:
+            if not check_rollback_safety(program.term).safe:
+                continue
+        except MalformedTerm:  # an unguarded `rec`
+            continue
+        for oracle_seed in range(5):
+            trace = simulate(program, DecisionOracle("seeded-random",
+                                                     seed=oracle_seed),
+                             200, "detect")
+            runs += 1
+            if trace.status in ("completed", "cut-off"):
+                continue
+            # only the open class of the exploration property above
+            assert trace.status == "com_error", (seed, oracle_seed)
+            assert trace.steps[-1].rule in _DETECTED, (seed, oracle_seed)
+            assert any(map(_commits_forever, types)), (seed, oracle_seed)
+    assert runs >= 3000

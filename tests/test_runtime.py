@@ -476,6 +476,18 @@ def _explored_steps(prog, mode, state):
     return want
 
 
+def test_exactly_rolls_and_aborts_go_backward(programs):
+    backward = set()
+    for prog in programs.values():
+        for mode in ("plain", "detect"):
+            for _, _, c in explore(prog, depth=12, mode=mode).system.edges:
+                rule = c.rule.removeprefix("M-")
+                assert c.backward == (rule in ("B-Rll", "E-Rll1", "B-Abt"))
+                if c.backward:
+                    backward.add(rule)
+    assert backward == {"B-Rll", "E-Rll1", "B-Abt"}
+
+
 def _distinct_states(states):
     """`states` without a repeated object, in order."""
     met = set()
@@ -845,8 +857,7 @@ def _take(c, oracle):
     step it takes."""
     text, succ = c.outcome(None if c.expr is None
                            else evaluate(c.expr, oracle))
-    return runtime.Candidate(c.rule, c.session, c.party, text, succ,
-                             c.backward)
+    return runtime.Candidate(c.rule, c.session, c.party, text, succ)
 
 
 def _memo_free_run(program, oracle, max_steps, mode):
@@ -1013,7 +1024,7 @@ def test_replay_checks_a_late_recurring_state(programs):
     data["steps"][k]["state"] = next(x for x in texts if x != texts[k])
     label = data["steps"][k]["label"]
     assert replay(data) == ReplayReport(
-        False, f"step {k}: state mismatch after {label!r}")
+        f"step {k}: state mismatch after {label!r}")
 
 
 def test_replay_checks_a_late_recurring_label(programs):
@@ -1021,7 +1032,7 @@ def test_replay_checks_a_late_recurring_label(programs):
     label = data["steps"][k]["label"]
     data["steps"][k]["label"] = label + "x"
     assert replay(data) == ReplayReport(
-        False, f"step {k}: label {label!r} != {label + 'x'!r}")
+        f"step {k}: label {label!r} != {label + 'x'!r}")
 
 
 def _text_run_peak(run) -> int:
@@ -1381,7 +1392,7 @@ def test_replay_reports_a_transcript_that_cannot_fund_a_step(programs):
     k = max(i for i, ch in enumerate(_draws_of_steps(prog, t)) if ch)
     rep = replay(j)
     assert rep == ReplayReport(
-        False, f"step {k}: script has no value for call #{nth} of {fn!r}")
+        f"step {k}: script has no value for call #{nth} of {fn!r}")
 
 
 def test_replay_rejects_mismatched_program_override(programs):

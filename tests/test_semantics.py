@@ -726,7 +726,7 @@ def _assert_stepper_matches_reference(*types):
     for node in ts.nodes:
         cfg = config_of(node)
         assert node[0] == ref_config_key(_fresh(cfg))
-        got = sem._party_transitions(node, ts.nodes[0])
+        got = sem._party_transitions(node)
         assert config_transitions(node) == got
         assert [(*step[1], config_of(step[2])) for step in got] == \
             ref_config_transitions(cfg)
