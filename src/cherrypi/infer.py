@@ -15,8 +15,8 @@ from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, If, Inact, Lit, Process, PVar, Rec, Recv,
                      Request, Roll, Select, Send, Ufun, Var, check_arguments,
                      check_guard, check_operands, endpoint_role, operator_of,
-                     par_parts, subprocesses, _fresh, _names, _role_tag,
-                     _TERMS)
+                     par_parts, subprocesses, value_sort, _fresh, _names,
+                     _role_tag, _TERMS)
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TIn, TMu,
                            TOut, TPlus, TRollT, TSel, TVarT)
 
@@ -29,7 +29,7 @@ def sort_of_expression(e, env: dict) -> str:
     """Sort of an expression under `env` (variable -> sort). [exprs]"""
     kind = type(e)
     if kind is Lit:
-        return e.sort()
+        return value_sort(e.value)
     if kind is Var:
         if e.name not in env:
             raise TypingError(f"unbound variable {e.name!r}")

@@ -18,10 +18,11 @@ Expressions parse by precedence climbing over `syntax.OPERATORS`, a
 frame or two per operand, so a deeply nested expression still meets the
 recursion limit.  Both grammars pay about one lookup per token: a
 construct's head and the tokens between its parts (a prefix's `(v: s).`,
-`if v then`, `fun f(s): s`, `request a(x).`, an arm's `l:`) are
-matched by their kinds at fixed offsets from an index of the loop's own,
-and only a token out of place (or a type's role pair `[p,q]`) goes
-through the cursor, which raises its diagnostic.
+`if v then`, an arm's `l:`) are matched by their kinds at fixed offsets
+from an index of the loop's own, and only a token out of place goes
+through the cursor, which raises its diagnostic.  What is read once per
+declaration or endpoint (`fun f(s): s`, `request a(x).`), and a type's
+role pair `[p,q]`, the cursor reads in grammar order.
 
 The parsers check well-formedness as they go: each carries the names its
 binders (`rec X`, a receive's variable, the endpoint's session variable,
@@ -275,50 +276,43 @@ def _value(p: _P, i: int) -> tuple | None:
 
 
 def _parse_fun_decl(p: _P) -> FunDecl:
-    """`fun f(s, ...): s`, then maybe its domain `in { v, ... }`, read at
-    fixed offsets from the `fun`."""
+    """`fun f(s, ...): s`, then maybe its domain `in { v, ... }`."""
     kinds, texts = p.kinds, p.texts
-    at = p.pos + 1  # the name
-    if kinds[at:at + 2] != ["ident", "("]:
-        p.expect_all(at, "ident", "(")
-    i, arg_sorts = at + 2, []
-    if kinds[i] != ")":
-        while True:  # a sort, then `,` and one more, or the end
-            if kinds[i] != "kw" or texts[i] not in SORTS:
-                p.expect_all(i, "sort")
-            arg_sorts.append(texts[i])
-            if kinds[i + 1] != ",":
-                break
-            i += 2
-        i += 1
-    if kinds[i:i + 3] != [")", ":", "kw"] or texts[i + 2] not in SORTS:
-        p.expect_all(i, ")", ":", "sort")
-    result, i = texts[i + 2], i + 3
+    at = p.pos = p.pos + 1  # the name
+    name = p.expect("ident")
+    p.expect("(")
+    arg_sorts = []
+    if kinds[p.pos] != ")":
+        arg_sorts.append(_parse_sort(p))
+        while kinds[p.pos] == ",":
+            p.pos += 1
+            arg_sorts.append(_parse_sort(p))
+    p.expect(")")
+    p.expect(":")
+    result = _parse_sort(p)
     domain = None
-    if kinds[i] == "kw" and texts[i] == "in":
-        if kinds[i + 1] != "{":
-            p.expect_all(i + 1, "{")
+    if kinds[p.pos] == "kw" and texts[p.pos] == "in":
+        p.pos += 1
+        p.expect("{")
         vals, bad = [], None  # bad: the first literal of another sort
         while True:  # a literal, then `,` and one more, or `}`
-            i += 2
-            v = _value(p, i)
+            v = _value(p, p.pos)
             if v is None:
-                p.fail("expected a literal in the outcome domain", i)
+                p.fail("expected a literal in the outcome domain")
             if bad is None and v[1] != result:
                 bad = v
             vals.append(v[0])
-            if kinds[i + 1] != ",":
+            p.pos += 1
+            if kinds[p.pos] != ",":
                 break
-        if kinds[i + 1] != "}":
-            p.expect_all(i + 1, "}")
-        i += 2
+            p.pos += 1
+        p.expect("}")
         if bad is not None:
             p.fail(f"domain value {bad[0]!r} is not of sort {result}", at)
         if len(set(vals)) != len(vals):  # one sort: no `True == 1`
             p.fail("duplicate value in outcome domain", at)
         domain = tuple(vals)
-    p.pos = i
-    return FunDecl(texts[at], tuple(arg_sorts), result, domain)
+    return FunDecl(name, tuple(arg_sorts), result, domain)
 
 
 # the operators by symbol, as (name, row): the prefix ones and the others
@@ -335,11 +329,8 @@ _UNBOUND = ("variable", "recursion variable", "session variable")
 _PREFIX_OPS = {"!": Send, "?": Recv, "<+": Select, ">+": Branch}
 _RECV = ["(", "ident", ":", "kw", ")"]
 _LEAVES = {("int", "0"): Inact, ("kw", "roll"): Roll, ("kw", "abort"): Abort}
-# the kinds of an arm's label and `:`, and of a request's or accept's
-# `a(x).` and `a[r](x).`
+# the kinds of an arm's label and `:`
 _ARM = ["ident", ":"]
-_OPEN = ["ident", "(", "ident", ")", "."]
-_OPEN_ROLE = ["ident", "[", "int", "]", "(", "ident", ")", "."]
 
 
 def _next_arm(p: _P, i: int, arms: dict) -> int:
@@ -664,18 +655,20 @@ class _ProgParser:
                 p.fail("expected 'request', 'accept', or a parenthesised "
                        "collaboration", i)
             # `request a(x).` or `accept a[r](x).`
-            role = None
-            if kinds[i + 1:i + 6] == _OPEN:
-                j = i + 6
-            elif kinds[i + 1:i + 9] == _OPEN_ROLE:
-                role, j = _int(p, i + 3), i + 9
-            else:  # raises
-                p.expect_all(i + 1, *_OPEN_ROLE if kinds[i + 2] == "["
-                             else _OPEN)
-            self.tagged.add(j == i + 9)  # whether the head names a role
-            x = texts[j - 3]
+            p.pos = i + 1
+            p.expect("ident")
+            tagged = kinds[p.pos] == "["
+            if tagged:
+                p.pos += 1
+                p.expect("int")
+                p.expect("]")
+            p.expect("(")
+            x = p.expect("ident")
+            p.expect(")")
+            p.expect(".")
+            role = _int(p, i + 3) if tagged else None
+            self.tagged.add(tagged)  # whether the head names a role
             self._start(x)
-            p.pos = j
             body = self.process()
             self._finish(i)
             parts.append((Request if head == "request" else Accept)(

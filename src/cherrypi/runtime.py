@@ -133,7 +133,7 @@ class DecisionOracle:
                 v = f"v{self.rng.randrange(4)}"
         else:
             v = domain[0] if domain else _CONSTANT_DEFAULT[result_sort]
-        if Lit(v).sort() != result_sort:
+        if value_sort(v) != result_sort:
             raise OracleExhausted(
                 f"oracle produced {v!r} for {fn!r}, which is not of sort "
                 f"{result_sort}")
@@ -272,25 +272,12 @@ def barbs(p: Process, observer: int | None = None) -> frozenset:
     help, so their continuations (all branch arms included) stay
     observable.
 
-    The answer is kept on `p`, one per observer: a log that a step leaves
-    alone keeps its process, so its barbs are found once.
+    The walk visits each node once by identity: every `rec` node unfolds
+    to the same objects each time (`unfold_recursion`), so it reaches
+    finitely many nodes.
     """
     if type(p) not in _TERMS:
         raise MalformedTerm(f"not a process or collaboration: {p!r}")
-    cached = p.__dict__.get("_barbs")
-    if cached is None:
-        cached = {}
-        object.__setattr__(p, "_barbs", cached)
-    found = cached.get(observer)
-    if found is None:
-        found = cached[observer] = _barbs(p, observer)
-    return found
-
-
-def _barbs(p: Process, observer) -> frozenset:
-    """The walk behind `barbs`.  It visits each node once by identity:
-    every `rec` node unfolds to the same objects each time
-    (`unfold_recursion`), so the walk reaches finitely many nodes."""
     found: set = set()
     seen: set = set()
     stack = [p]
@@ -690,7 +677,7 @@ def _item_class(it) -> str:
     body holds (the first found), "completed" for a session whose logs have
     all finished (each current `0` up to unfolding, as the type level
     reads `mu t. end` as `end`), or "" for any other item.  A session's
-    class is kept on its node, like `_tk`, `_fv` and the barbs."""
+    class is kept on its node, like `_tk` and `_fv`."""
     if not isinstance(it, Session):
         return ""
     kept = it.__dict__

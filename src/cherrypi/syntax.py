@@ -273,9 +273,6 @@ SessionId = (ChanVar, Endpoint)
 class Lit(metaclass=record, frozen=True):
     value: object  # bool | int | str
 
-    def sort(self) -> str:
-        return value_sort(self.value)
-
 
 class Var(metaclass=record, frozen=True):
     name: str
@@ -855,10 +852,6 @@ def canonicalize(c) -> CanonicalForm:
                       ComError)):
         return CanonicalForm(_canon_coll(c, env, ctr))
     return CanonicalForm(_canon_proc(c, env, ctr))
-
-
-def equivalent(c1, c2) -> bool:
-    return canonicalize(c1).text == canonicalize(c2).text
 
 
 # ---------------------------------------------------------------------------

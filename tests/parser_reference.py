@@ -20,7 +20,8 @@ from cherrypi.parser import (FunDecl, SourceProgram, _P, _ProgParser,
 from cherrypi.sessiontypes import TIn, TOut, TSel
 from cherrypi.syntax import (Abort, Accept, Branch, ChanVar, Commit, If,
                              Inact, Lit, PVar, Rec, Recv, Request, Roll,
-                             Select, Send, Ufun, Var, par, _NO_NAMES)
+                             Select, Send, Ufun, Var, par, value_sort,
+                             _NO_NAMES)
 
 
 _TYPE_PREFIXES = {"!": TOut, "?": TIn, "sel": TSel}
@@ -81,7 +82,7 @@ def parse_fun_decl(p: Cursor) -> FunDecl:
             vals.append(nxt.value)
         p.expect("}")
         for v in vals:
-            if Lit(v).sort() != result:
+            if value_sort(v) != result:
                 p.fail(f"domain value {v!r} is not of sort {result}",
                        name_at)
         if len(set(map(repr, vals))) != len(vals):

@@ -355,6 +355,10 @@ def test_type_check_diagnostics_are_exact(src, want):
     (parse_program, "fun f(): int in {1, true}\nrequest a(x). 0 "
      "| accept a(y). 0", ("domain value True is not of sort int", 4, 5, 1, 5)),
     (parse_type, "  \n", ("expected a session type", 3, 3, 2, 1)),
+    (parse_program, "fun f(): int in {1, 2, 1}\nrequest a(x). 0 "
+     "| accept a(y). 0", ("duplicate value in outcome domain", 4, 5, 1, 5)),
+    (parse_program, "fun f(): int in {1, true, 1}\nrequest a(x). 0 "
+     "| accept a(y). 0", ("domain value True is not of sort int", 4, 5, 1, 5)),
 ])
 def test_token_diagnostics_are_exact(parse, src, want):
     with pytest.raises(ParseError) as ei:
@@ -982,12 +986,13 @@ def _menu_program(n: int) -> str:
 
 
 # what the parsers read at fixed offsets: `if` heads over each kind of
-# operand, arm groups, declarations with none to two argument sorts and
-# with domains, n-role heads and role-tagged prefixes (and an untagged
-# branch among them), parenthesised collaborations, and role pairs, `brn`
-# groups and `(+)` around parentheses in types, with the heads that only
-# look like one (`[_` and `[3` open a role pair, a keyword in the place
-# of a sort, a `)` that no `(` opened)
+# operand, arm groups, role-tagged prefixes (and an untagged branch among
+# them), parenthesised collaborations, and `brn` groups and `(+)` around
+# parentheses in types; what the cursor reads once per declaration,
+# endpoint or role pair: declarations with none to two argument sorts and
+# with domains, n-role endpoint heads and types' role pairs; and the
+# heads that only look like one (`[_` and `[3` open a role pair, a
+# keyword in the place of a sort, a `)` that no `(` opened)
 _HEAD_TEXTS = [
     _menu_program(16),
     "fun f(): bool\nfun g(int): str in { \"a\", \"b\" }\n"
