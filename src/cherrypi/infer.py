@@ -1,11 +1,10 @@
 """Sort checking for expressions and session-type inference for processes.
 
-`service_groups` groups a collaboration's endpoints by service and infers
-the session type each role's process realises.  A binary service is the
-two-role case: its requester is role 2 and its acceptor role 1.  On that
-one grouping, `infer_collaboration` keys each type by its endpoint (a
-leading `~` marks the requester), and `service_types` gives every
-service's endpoint types in log order, their own roles stamped in.
+`service_types` checks a collaboration's services and gives each one's
+endpoint types in log order, each typed on its session variable with its
+own role stamped in.  A binary service is the two-role case: its
+requester is role 2 and its acceptor role 1.  `infer_collaboration` keys
+each endpoint's type by its endpoint (a leading `~` marks the requester).
 An operator's operand and result sorts are its row of `syntax.OPERATORS`.
 """
 
@@ -15,8 +14,8 @@ from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
                      Commit, If, Inact, Lit, Process, PVar, Rec, Recv,
                      Request, Roll, Select, Send, Ufun, Var, check_arguments,
                      check_guard, check_operands, endpoint_role, operator_of,
-                     par_parts, subprocesses, value_sort, _fresh, _names,
-                     _role_tag, _TERMS)
+                     par_parts, subprocesses, value_sort, _names, _role_tag,
+                     _TERMS)
 from .sessiontypes import (SessionTypeT, TAbtT, TBrn, TCmt, TEnd, TIn, TMu,
                            TOut, TPlus, TRollT, TSel, TVarT)
 
@@ -57,7 +56,7 @@ def type_of_process(p: Process, chan) -> SessionTypeT:
     session variable that slot stays open (shown `_`).
     """
     return _type_of(p, chan, None if type(chan) is ChanVar else chan.role,
-                    {}, {})
+                    frozenset(), {})
 
 
 def _need_chan(c, chan):
@@ -67,20 +66,19 @@ def _need_chan(c, chan):
     return c
 
 
-def _type_of(p, chan, own, penv: dict, venv: dict) -> SessionTypeT:
+def _type_of(p, chan, own, penv: frozenset, venv: dict) -> SessionTypeT:
     """`type_of_process` below its entry, `own` the role stamped into the
-    prefixes that name a partner: a walker at module level, so a call
-    leaves no closure cycle behind.
+    prefixes that name a partner and `penv` the bound process variables:
+    a walker at module level, so a call leaves no closure cycle behind.
 
-    A subterm with no free value, process or session variable types alike
-    wherever it stands, except for the binder names `_fresh` picks
-    after the enclosing `rec`s.  So outside every `rec` of the walk its
-    type is kept on the node (`_ty`), by endpoint: a step's continuation
-    retypes by a lookup.  A process typed on a session variable has it
-    free, so only a session endpoint's processes are kept.  A failure is
-    not kept."""
+    A `rec X` types as `mu X`, its binder's name kept, so a subterm with
+    no free value, process or session variable types alike wherever it
+    stands, and its type is kept on the node (`_ty`), by endpoint: a
+    step's continuation retypes by a lookup.  A process typed on a
+    session variable has it free, so only a session endpoint's processes
+    are kept.  A failure is not kept."""
     kind = type(p)
-    keep = not penv and type(chan) is not ChanVar and kind in _TERMS
+    keep = type(chan) is not ChanVar and kind in _TERMS
     kept = p.__dict__.get("_ty") if keep else None
     t = kept.get(chan) if kept else None  # one hash of the endpoint
     if t is not None:
@@ -113,14 +111,11 @@ def _type_of(p, chan, own, penv: dict, venv: dict) -> SessionTypeT:
         t = TPlus(_type_of(p.then, chan, own, penv, venv),
                   _type_of(p.orelse, chan, own, penv, venv))
     elif kind is Rec:
-        tv = _fresh(p.var, set(penv.values()))
-        penv2 = dict(penv)
-        penv2[p.var] = tv
-        t = TMu(tv, _type_of(p.body, chan, own, penv2, venv))
+        t = TMu(p.var, _type_of(p.body, chan, own, penv | {p.var}, venv))
     elif kind is PVar:
         if p.name not in penv:
             raise TypingError(f"unbound recursion variable {p.name!r}")
-        return TVarT(penv[p.name])
+        return TVarT(p.name)
     elif kind is Commit:
         t = TCmt(_type_of(p.cont, chan, own, penv, venv))
     else:
@@ -152,14 +147,15 @@ def _check_roles_used(p: Process, own: int, n: int):
         _check_roles_used(q, own, n)
 
 
-def service_groups(term: Collaboration) -> dict:
-    """Group a collaboration by service and infer each role's type.  A
-    service has one requester, of role n (`endpoint_role`), and one
-    acceptor of each role 1..n-1; a binary service is the two-role case.
-    Service by service, its shape is checked, then its endpoints are typed
-    in source order, each with its own role stamped in where a prefix
-    names a partner (a binary prefix names none), as `type_of_process`
-    types a process on its endpoint."""
+def service_types(term: Collaboration) -> dict:
+    """Per service, the endpoint types in log order: the requester, of the
+    highest role, first, then the acceptors by role.  A service has one
+    requester, of role n (`endpoint_role`), and one acceptor of each role
+    1..n-1; a binary service is the two-role case.  Service by service,
+    its shape is checked, then its endpoints are typed in source order,
+    each with its own role stamped in where a prefix names a partner (a
+    binary prefix names none), as `type_of_process` types a process on
+    its endpoint."""
     groups: dict = {}
     for part in par_parts(term):
         if not isinstance(part, (Request, Accept)):
@@ -193,21 +189,23 @@ def service_groups(term: Collaboration) -> dict:
                 f"service {name!r} has no acceptor" if binary else
                 f"service {name!r}: acceptor roles {sorted(others)} "
                 f"do not cover 1..{n - 1}")
-        types = out[name] = {}
+        types = {}
         for p, role in zip(parts, roles):
             if not binary:
                 _check_roles_used(p.body, role, n)
-            types[role] = _type_of(p.body, ChanVar(p.var), role, {}, {})
+            types[role] = _type_of(p.body, ChanVar(p.var), role,
+                                   frozenset(), {})
+        out[name] = (types[n], *map(types.get, range(1, n)))
     return out
 
 
 def infer_collaboration(term: Collaboration) -> dict:
     """The endpoint types of a collaboration whose services
-    `service_groups` accepts, by endpoint, in source order: `~a` for a
+    `service_types` accepts, by endpoint, in source order: `~a` for a
     binary service's requester and `a` for its acceptor, `~a[n]` and
     `a[p]` for an n-role one's.  Each is typed on its session variable,
     so own-role slots stay open (shown `_`)."""
-    service_groups(term)
+    service_types(term)
     return {("~" if type(part) is Request else "") + part.chan
             + _role_tag(part.role, "[{}]"):
             type_of_process(part.body, ChanVar(part.var))
@@ -225,9 +223,3 @@ def service_pairs(assoc: dict) -> list:
             raise TypingError(f"service {name!r} has no {side}")
     return [(k[1:], t, assoc[k[1:]]) for k, t in assoc.items() if k[0] == "~"]
 
-
-def service_types(term: Collaboration) -> dict:
-    """Per service, the endpoint types in log order: the requester, of the
-    highest role, first, then the acceptors by role."""
-    return {name: (types[len(types)], *map(types.get, range(1, len(types))))
-            for name, types in service_groups(term).items()}

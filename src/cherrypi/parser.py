@@ -44,9 +44,9 @@ from operator import itemgetter
 from string import ascii_letters, digits
 
 from .syntax import (Abort, Accept, Branch, Call, ChanVar, Collaboration,
-                     Commit, Endpoint, If, Inact, Lit, Par, PVar,
+                     Commit, Endpoint, ErrorState, If, Inact, Lit, Par, PVar,
                      Process, Rec, Recv, Request, Roll, Select, Send, Session,
-                     Log, RollError, ComError, Ufun, Var, par,
+                     Log, Ufun, Var, par,
                      par_parts, record, operator_of,
                      OPERATORS, SORTS, MalformedTerm, _NO_NAMES, _role_tag)
 from . import sessiontypes as st
@@ -1064,10 +1064,8 @@ def show_collaboration(c: Collaboration) -> str:
         rr = _role_tag(c.role, "[{}]")
         return (f"{'request' if kind is Request else 'accept'} {c.chan}{rr}"
                 f"({c.var}). {render_process(c.body)}")
-    if kind is RollError:
-        return "roll_error"
-    if kind is ComError:
-        return "com_error"
+    if kind is ErrorState:
+        return c.kind
     raise MalformedTerm(f"not a collaboration: {c!r}")
 
 

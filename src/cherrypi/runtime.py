@@ -37,10 +37,10 @@ import random
 import sys
 from operator import itemgetter
 
-from .syntax import (Abort, Accept, Branch, Call, Collaboration, ComError,
-                     Commit, CheckpointProcess, Endpoint, If, Inact, Lit, Log,
-                     MalformedInput, MalformedTerm, Process, Rec, Recv,
-                     Request, Roll, RollError, Select, Send, Session, Ufun,
+from .syntax import (Abort, Accept, Branch, Call, Collaboration, Commit,
+                     CheckpointProcess, Endpoint, ErrorState, If, Inact, Lit,
+                     Log, MalformedInput, MalformedTerm, Process, Rec, Recv,
+                     Request, Roll, Select, Send, Session, Ufun,
                      Var, check_arguments, check_guard, check_operands,
                      endpoint_role, head_normal, operator_of, par, par_parts,
                      process_key, record, substitute, term_rep, value_sort,
@@ -587,12 +587,12 @@ def _session_steps(ses: Session, mode: str, place) -> list:
                            functools.partial(_com, logs, i, j, hi.cont, hj))
             elif mode == "detect" and _stuck(lj.current, me,
                                              ("in", lj.endpoint, me)):
-                mk("E-Com1", i, "stuck-out", rewrite, ComError)
+                mk("E-Com1", i, "stuck-out", rewrite, ErrorState, "com_error")
         elif kind is Recv:
             sender_ready = isinstance(hj, Send) and hj.to_role == me
             if mode == "detect" and not sender_ready and _stuck(
                     lj.current, me, ("out", lj.endpoint, me)):
-                mk("E-Com2", i, "stuck-in", rewrite, ComError)
+                mk("E-Com2", i, "stuck-in", rewrite, ErrorState, "com_error")
         elif kind is Select:
             if isinstance(hj, Branch) and hj.from_role == me:
                 arm = dict(hj.arms).get(hi.label)
@@ -602,13 +602,13 @@ def _session_steps(ses: Session, mode: str, place) -> list:
                     continue
             if mode == "detect" and _stuck(
                     lj.current, me, ("brn", lj.endpoint, hi.label, me)):
-                mk("E-Lab1", i, "stuck-sel", rewrite, ComError)
+                mk("E-Lab1", i, "stuck-sel", rewrite, ErrorState, "com_error")
         elif kind is Branch:
             selector_ready = isinstance(hj, Select) and hj.to_role == me
             if mode == "detect" and not selector_ready and _stuck(
                     lj.current, me,
                     *[("sel", lj.endpoint, lab, me) for lab, _ in hi.arms]):
-                mk("E-Lab2", i, "stuck-brn", rewrite, ComError)
+                mk("E-Lab2", i, "stuck-brn", rewrite, ErrorState, "com_error")
         elif kind is If:
             evaluating("F-If", i, hi.cond, functools.partial(
                 _resolve, logs, i, hi.then, hi.orelse))
@@ -625,7 +625,7 @@ def _session_steps(ses: Session, mode: str, place) -> list:
                pinned)
         elif kind is Roll:
             if mode == "detect" and li.ckpt.imposed:
-                mk("E-Rll2", i, "roll", rewrite, RollError)
+                mk("E-Rll2", i, "roll", rewrite, ErrorState, "roll_error")
             else:
                 rule = "E-Rll1" if mode == "detect" else "B-Rll"
                 mk(rule, i, "roll", rewrite, _rolled, logs)
@@ -685,11 +685,8 @@ def _item_class(it) -> str:
     if found is None:
         found = "completed"
         for b in par_parts(it.body):
-            if isinstance(b, RollError):
-                found = "roll_error"
-                break
-            if isinstance(b, ComError):
-                found = "com_error"
+            if isinstance(b, ErrorState):
+                found = b.kind
                 break
             cur = b.current if isinstance(b, Log) else None
             if type(cur) is Rec:  # a loop that does nothing has finished

@@ -20,7 +20,7 @@ retyped in linear time.
 
 from __future__ import annotations
 
-from .syntax import ComError, RollError, Session, par_parts, record
+from .syntax import ErrorState, Session, par_parts, record
 from .sessiontypes import TErr, render_type, type_key
 from .infer import TypingError, service_types, type_of_process
 from .semantics import _party_transitions, _root
@@ -145,7 +145,7 @@ def _check_step(step, node, types: dict, failures: list):
         return None
     key = node[0]
     body = par_parts(ses.body)
-    if any(isinstance(b, (RollError, ComError)) for b in body):
+    if any(isinstance(b, ErrorState) for b in body):
         for k, t in enumerate(node[2]):
             if not isinstance(t, TErr):
                 failures.append(

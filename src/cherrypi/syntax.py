@@ -432,17 +432,16 @@ class Session(metaclass=record, frozen=True):
         return par_parts(self.saved)[0].role is not None
 
 
-class RollError(metaclass=record, frozen=True):
-    pass
+class ErrorState(metaclass=record, frozen=True):
+    """The body of a session a detecting E- rule stopped: `kind` is
+    "roll_error" or "com_error", the class of its state, its text and a
+    run's status."""
+    kind: str
 
 
-class ComError(metaclass=record, frozen=True):
-    pass
-
-
-Collaboration = (Request, Accept, Par, Session, Log, RollError, ComError)
+Collaboration = (Request, Accept, Par, Session, Log, ErrorState)
 _TERMS = frozenset(Process + Collaboration)
-_LEAVES = frozenset({Inact, Roll, Abort, RollError, ComError})
+_LEAVES = frozenset({Inact, Roll, Abort, ErrorState})
 
 
 def par(*parts) -> Collaboration:
@@ -616,8 +615,7 @@ def _subst_leaves(p: Process, free: tuple, expr=_keep, chan=_keep) \
 
 
 def _fresh(base: str, used: set) -> str:
-    if base not in used:
-        return base
+    """`base_i` for the least i >= 1 not in `used`."""
     i = 1
     while f"{base}_{i}" in used:
         i += 1
@@ -831,10 +829,8 @@ def _canon_coll(c, env, ctr) -> str:
             return (f"(log {_canon_chan(ep, env)} {flag} "
                     f"{_canon_proc(ckpt.process, env, ctr.copy())} "
                     f"{_canon_proc(current, env, ctr.copy())})")
-        case RollError():
-            return "(roll_error)"
-        case ComError():
-            return "(com_error)"
+        case ErrorState(kind):
+            return f"({kind})"
     raise MalformedTerm(f"not a collaboration: {c!r}")
 
 
@@ -848,8 +844,7 @@ def canonicalize(c) -> CanonicalForm:
     """
     env: dict = {}
     ctr = _Counters()
-    if isinstance(c, (Request, Accept, Par, Session, Log, RollError,
-                      ComError)):
+    if isinstance(c, Collaboration):
         return CanonicalForm(_canon_coll(c, env, ctr))
     return CanonicalForm(_canon_proc(c, env, ctr))
 
@@ -999,7 +994,9 @@ def _key(t, env: dict, depth: dict) -> _Rep:
     elif kind is Request or kind is Accept:
         sig = (kind, t.chan, t.role,
                _key(t.body, *_bind(env, depth, ("c", t.var))))
-    else:  # Inact, Roll, Abort, RollError, ComError (`_names` checked)
+    elif kind is ErrorState:
+        sig = (kind, t.kind)
+    else:  # Inact, Roll, Abort (`_names` checked)
         sig = (kind,)
     # the signature holds the children's representatives, not their serials:
     # a child re-keyed in another scope drops its cached one, and equal

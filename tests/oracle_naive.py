@@ -28,9 +28,9 @@ from typing import NamedTuple
 from cherrypi.parser import (KEYWORDS, SourceProgram, _diag, _diag_at,
                              _lex_error, render_expr, show_chan)
 from cherrypi.syntax import (Abort, Accept, Branch, Call, CheckpointProcess,
-                             ComError, Commit, Endpoint, If, Inact, Lit, Log,
-                             MalformedTerm, Par, PVar, Rec, Recv,
-                             Request, Roll, RollError, Select, Send, Session,
+                             Commit, Endpoint, ErrorState, If, Inact, Lit,
+                             Log, MalformedTerm, Par, PVar, Rec, Recv,
+                             Request, Roll, Select, Send, Session,
                              Ufun, _map_proc, _names, canonicalize,
                              head_normal, par, par_parts,
                              process_key, subprocesses, substitute, term_key,
@@ -461,10 +461,8 @@ def naive_show(c, tagged=False):
             return (f"{show_chan(ep, tagged)}:"
                     f"<{naive_render(ckpt.process)}>{tag} "
                     f"{naive_render(current)}")
-        case RollError():
-            return "roll_error"
-        case ComError():
-            return "com_error"
+        case ErrorState(kind):
+            return kind
     raise TypeError(f"not a collaboration: {c!r}")
 
 
@@ -657,7 +655,7 @@ def erase_to_binary(c):
                        CheckpointProcess(_erase_proc(ckpt.process),
                                          ckpt.imposed),
                        _erase_proc(cur))
-        case RollError() | ComError():
+        case ErrorState():
             return c
     raise MalformedTerm(f"not a collaboration: {c!r}")
 

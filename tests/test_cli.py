@@ -321,6 +321,28 @@ def test_replay_of_a_value_outside_its_domain_diverges(tmp_path):
            "not in its domain [1, 2]\n", "")
 
 
+def test_a_scripted_value_of_another_sort_exits_two(tmp_path):
+    prog, script = tmp_path / "p.chpi", tmp_path / "s.json"
+    prog.write_text("fun f(): bool\n"
+                    "request a(x). if f() then 0 else 0 | accept a(y). 0\n")
+    script.write_text(json.dumps({"f": [1]}))
+    assert cli("run", prog, "--script", script) == (
+        2, "", "error: oracle produced 1 for 'f', which is not of sort "
+               "bool\n")
+
+
+def test_replay_of_a_trace_with_an_extra_step_diverges(tmp_path):
+    prog, trace = tmp_path / "p.chpi", tmp_path / "t.json"
+    prog.write_text("request a(x). x!<1>. x!<2>. 0 "
+                    "| accept a(y). y?(v: int). y?(w: int). 0\n")
+    assert cli("run", prog, "--trace", trace)[0] == 0
+    data = json.loads(trace.read_text())
+    data["steps"].append(data["steps"][-1])
+    trace.write_text(json.dumps(data))
+    assert cli("replay", trace) == (
+        1, "replay diverged: trace length 3 != recorded 4\n", "")
+
+
 # ---------------------------------------------------------------- imports
 
 def _fresh_main(*argvs) -> str:
@@ -367,6 +389,20 @@ def test_graph_dot_output(tmp_path):
     assert 'n0 [label="0", style=bold];' in text
     assert 'n0 -> n1 [label="TS-Com com[str] p1"];' in text
     assert text.count("->") == 12
+
+
+def test_graph_writes_its_dot_text_without_a_file():
+    code, out, _ = cli("graph", CORPUS / "consumer.chty",
+                       CORPUS / "producer.chty")
+    assert code == 0 and out.startswith("digraph reachable {\n")
+
+
+def test_a_script_that_is_not_json_exits_two(tmp_path):
+    script = tmp_path / "s.json"
+    script.write_text("{")
+    assert cli("run", CORPUS / "vod_c.chpi", "--script", script) == (
+        2, "", "error: Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1)\n")
 
 
 def test_graph_json_output():
@@ -593,6 +629,14 @@ def test_a_budget_past_the_digit_limit_is_quoted_short(
     assert len(err.encode()) < 200
 
 
+def test_a_signed_budget_past_the_digit_limit_is_quoted_short(
+        monkeypatch, digit_limit):
+    monkeypatch.setenv("CHERRY_BUDGET", "-" + LONG)
+    assert cli("check", CORPUS / "vod_c.chpi") == (
+        2, "", "error: CHERRY_BUDGET has more than 4300 digits, got "
+               "'-7777777777777777777'... (5001 characters)\n")
+
+
 # `check` refuses each of these ill-sorted programs, with the message
 # evaluation gives when `run` or `explore` meets the same expression (a
 # function's arguments are checked before its oracle draw); the last one is
@@ -760,6 +804,11 @@ def _bad_draw(data):
     return data
 
 
+def _listed_oracle(data):
+    data["oracle"] = []
+    return data
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda d: {}, "malformed trace: 'initial' is not a text"),
     (lambda d: [], "malformed trace: not a JSON object"),
@@ -769,8 +818,10 @@ def _bad_draw(data):
                   "states"),
     (_bad_draw, "malformed trace: the transcript is not a list of "
                 "[function, value] draws"),
+    (_listed_oracle, "malformed trace: the transcript is not a list of "
+                     "[function, value] draws"),
 ], ids=["empty-object", "list", "numeric-initial", "step-without-label",
-        "one-element-draw"])
+        "one-element-draw", "oracle-not-an-object"])
 def test_malformed_trace_file_exits_two(tmp_path, make, message):
     trace = tmp_path / "bad.json"
     trace.write_text(json.dumps(make(_recorded(tmp_path))))

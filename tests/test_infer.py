@@ -4,9 +4,10 @@ from conftest import BINARY_PROGRAMS, parse_process_text
 from cherrypi.infer import (TypingError, infer_collaboration, service_pairs,
                             type_of_process)
 from cherrypi.parser import parse_program, parse_type
-from cherrypi.sessiontypes import canonical_type, render_type
-from cherrypi.syntax import (ChanVar, Endpoint, Inact, Recv, Send, Var,
-                             substitute, unfold_recursion)
+from cherrypi.sessiontypes import (canonical_type, render_type, type_key,
+                                   unfold_type)
+from cherrypi.syntax import (ChanVar, Endpoint, Inact, Lit, PVar, Recv,
+                             Send, Var, substitute, unfold_recursion)
 
 
 def ceq(a, b):
@@ -42,18 +43,25 @@ def test_vod_b_requester_type_shape(programs):
         "l_SD: cmt. ![str]. ![str]. end]")
 
 
-def test_nested_rec_binders_take_fresh_names_whatever_was_typed_first():
-    # unfolding `rec X. rec Y. ...` puts the whole loop inside a `rec Y`,
-    # so the inner `rec Y` is named after the binders around it.  A
-    # session endpoint's subterm keeps its type only outside every `rec`
-    # of the walk, so typing the inner loop on its own, before or after
-    # the whole, changes neither answer
-    body = unfold_recursion(parse_process_text(
-        "rec X. rec Y. x!<1>. x>+{ a: Y, c: X }"))
-    whole = ("mu Y. ![int]. brn[a: Y; c: mu X. mu Y_1. ![int]. "
-             "brn[a: Y_1; c: X]]")
+def test_typing_an_unfolded_loop_unfolds_its_type():
+    # unfolding `rec X. rec Y. ...` puts the whole loop inside a `rec Y`;
+    # each `mu` keeps its `rec`'s name, so the inner `mu Y` shadows the
+    # outer one as `unfold_type`'s does.  A session endpoint's subterm
+    # keeps its type inside a `rec` too, so typing the inner loop on its
+    # own, before or after the whole, changes neither answer
+    loop = parse_process_text("rec X. rec Y. x!<1>. x>+{ a: Y, c: X }")
+    body = unfold_recursion(loop)
+    whole = ("mu Y. ![int]. brn[a: Y; c: mu X. mu Y. ![int]. "
+             "brn[a: Y; c: X]]")
     alone = "mu X. mu Y. ![int]. brn[a: Y; c: X]"
-    assert render_type(type_of_process(body, ChanVar("x"))) == whole
+    x = ChanVar("x")
+    assert render_type(type_of_process(body, x)) == whole == \
+        render_type(unfold_type(type_of_process(loop, x)))
+    # the text with the inner binder renamed apart is the same type
+    renamed = ("mu Y. ![int]. brn[a: Y; c: mu X. mu Y_1. ![int]. "
+               "brn[a: Y_1; c: X]]")
+    assert type_key(parse_type(renamed)) == \
+        type_key(type_of_process(body, x))
     for first in (0, 1):
         ep = Endpoint(f"s{first}", 2)
         p = substitute(body, "x", ep)
@@ -75,6 +83,16 @@ def test_a_kept_type_depends_on_no_binder_around_it():
         == "?[str]. ![str]. end"
     with pytest.raises(TypingError, match="unbound variable 'v'"):
         type_of_process(reads, ep)
+
+
+def test_typing_refuses_a_foreign_channel_and_an_unbound_loop():
+    x = ChanVar("x")
+    with pytest.raises(TypingError, match=r"process talks on "
+                       r"ChanVar\(name='y'\), expected ChanVar\(name='x'\)"):
+        type_of_process(Send(ChanVar("y"), Lit(1), Inact()), x)
+    with pytest.raises(TypingError,
+                       match="unbound recursion variable 'X'"):
+        type_of_process(Send(x, Lit(1), PVar("X")), x)
 
 
 def test_service_pairs_orders_requester_first(programs):

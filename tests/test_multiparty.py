@@ -235,6 +235,20 @@ def test_m_explore_needs_every_role_to_connect():
     assert len(rep.states) == 1 and rep.completed == 0
 
 
+def test_a_service_shape_or_a_program_the_api_refuses():
+    from cherrypi.infer import TypingError
+    from cherrypi.syntax import Inact, MalformedTerm, par
+    two = parse_program("request a[2](x). 0 | request a[2](y). 0 "
+                        "| accept a[1](z). 0")
+    with pytest.raises(TypingError,
+                       match="service 'a' needs exactly one requester"):
+        service_types(two.term)
+    with pytest.raises(TypingError, match=r"not an endpoint: Inact\(\)"):
+        service_types(par(two.term.parts[0], Inact()))
+    with pytest.raises(MalformedTerm, match="program is already multiparty"):
+        mp.to_multiparty(two)
+
+
 # -- n=2 conservativity -----------------------------------------------------
 
 def test_to_multiparty_round_trips_through_erasure(programs):

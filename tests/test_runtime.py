@@ -6,6 +6,7 @@ import random
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +29,8 @@ from cherrypi import infer, parser, runtime, shadow, syntax
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.semantics import (BudgetExceeded, check_compliance,
                                 check_rollback_safety)
-from cherrypi.syntax import (ChanVar, ComError, Inact, Log, MalformedTerm,
-                             RollError, Session, canonicalize,
+from cherrypi.syntax import (ChanVar, ErrorState, Inact, Log, MalformedTerm,
+                             Session, canonicalize,
                              par_parts, process_key, subprocesses, term_key,
                              unfold_recursion)
 
@@ -75,6 +76,26 @@ def test_a_guard_that_is_not_a_bool_is_refused():
         guard_value(E("5"))
     with pytest.raises(MalformedTerm, match=message):
         barbs(P("if 5 then 0 else roll"))
+
+
+def test_an_evaluation_refuses_what_typing_refuses():
+    # a call needs an oracle to draw from, and no variable has a value
+    with pytest.raises(MalformedTerm, match="call of 'f' needs a decision "
+                       "oracle"):
+        evaluate(parse_expression_text(
+            "f()", {"f": parser.FunDecl("f", (), "bool", None)}))
+    for evaluator in (evaluate, enumerate_values):
+        with pytest.raises(MalformedTerm,
+                           match="unbound variable 'v' in evaluation"):
+            evaluator(syntax.Var("v"))
+
+
+def test_unknown_modes_are_refused():
+    with pytest.raises(ValueError, match="unknown oracle mode 'bogus'"):
+        DecisionOracle("bogus")
+    state = parse_program("request a(x). 0 | accept a(y). 0").term
+    with pytest.raises(ValueError, match="unknown error mode 'bogus'"):
+        reduction_steps(state, "bogus")
 
 
 def test_enumerate_closed_expression_is_singleton():
@@ -1479,6 +1500,67 @@ def test_the_shadow_failure_texts_are_pinned(corpus):
                                   "e21963c67f6027ebb62402c1d9a7e00b")
 
 
+RULES = Path(__file__).parent / "rules"
+
+
+def _tampered_run(log):
+    """The detect run of a safe two-step program, its connection's
+    successor with party 1's log replaced by `log(old log)`."""
+    prog = parse_program(
+        "request a(x). x!<1>. 0 | accept a(y). y?(v: int). 0")
+    t = simulate(prog, DecisionOracle(), mode="detect")
+    con = copy.copy(t.steps[0])
+    (ses,) = par_parts(con.successor)
+    logs = list(par_parts(ses.body))
+    logs[0] = log(logs[0])
+    con.successor = Session(ses.name, ses.saved, syntax.par(*logs))
+    return prog, runtime.Trace(prog, [con, *t.steps[1:]], t.status,
+                               t.oracle)
+
+
+def _stuck_run():
+    prog = parse_program((RULES / "e_com1.chpi").read_text())
+    return prog, simulate(prog, DecisionOracle(), mode="detect")
+
+
+def _ill_typed_run():
+    prog = parse_program(
+        "request a(x). x!<1 + true>. 0 | accept a(y). y?(v: int). 0")
+    return prog, simulate(prog, DecisionOracle(), 0, mode="detect")
+
+
+# the shadow's failure texts for a com_error state, an ill-typed program
+# and a log that retypes off its tracked node, each with a run giving it
+SHADOW_FAILURES = {
+    "com-error": (_stuck_run, [
+        "E-Com1 s1:p1 stuck-out: step has no type analogue",
+        "E-Com1 s1:p1 stuck-out: error state but party 1 type is "
+        "![int]. end",
+        "E-Com1 s1:p1 stuck-out: error state but party 2 type is end"]),
+    "ill-typed": (_ill_typed_run, [
+        "inference failed: operator 'add' expects ('int', 'int'), "
+        "got ('int', 'bool')"]),
+    "checkpoint": (lambda: _tampered_run(lambda lg: Log(
+        lg.endpoint, syntax.CheckpointProcess(Inact()), lg.current)), [
+        "F-Con a:s1: party 1 checkpoint retypes off the tracked "
+        "checkpoint type"]),
+    "imposed": (lambda: _tampered_run(lambda lg: Log(
+        lg.endpoint, syntax.CheckpointProcess(lg.ckpt.process, True),
+        lg.current)), [
+        "F-Con a:s1: party 1 imposed flag disagrees with the type level"]),
+    "retype": (lambda: _tampered_run(lambda lg: Log(
+        lg.endpoint, lg.ckpt, P("if 5 then 0 else 0"))), [
+        "F-Con a:s1: retyping failed: conditional guard has sort int, "
+        "needs bool"]),
+}
+
+
+@pytest.mark.parametrize("case", SHADOW_FAILURES)
+def test_each_shadow_failure_text(case):
+    run, want = SHADOW_FAILURES[case]
+    assert shadow_typecheck(*run()).failures == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_shadow_accepts_generated_safe_programs(seed):
@@ -1508,10 +1590,8 @@ def _classify_afresh(state, has_steps: bool) -> str:
     for it in items:
         if isinstance(it, Session):
             for b in par_parts(it.body):
-                if isinstance(b, RollError):
-                    return "roll_error"
-                if isinstance(b, ComError):
-                    return "com_error"
+                if isinstance(b, ErrorState):
+                    return b.kind
     if has_steps:
         return "live"
     done = all(isinstance(it, Session) and all(

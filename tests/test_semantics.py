@@ -194,6 +194,18 @@ def test_perpetual_roll_is_vacuously_compliant():
     assert rep.system.edges == [(0, 0, (1, "TS-Rll1", "roll"))]
 
 
+@pytest.mark.parametrize("left, right", [
+    ("![1,2][int]. end", "?[2,1][int]. end"),
+    ("![1,1][int]. end", "?[1,2][int]. end")])
+def test_a_prefix_whose_own_role_is_not_its_position_steps_nowhere(left,
+                                                                   right):
+    # party 1 sits at the requester's position, role 2: an output that
+    # names itself role 1 meets no partner, whichever partner it names
+    rep = check_compliance(T(left), T(right))
+    assert (rep.compliant, rep.violations) == (False, [0])
+    assert (len(rep.system.states), rep.system.edges) == (1, [])
+
+
 def test_err_states_are_absorbing(corpus):
     t1 = parse_type((corpus / "consumer.chty").read_text())
     t2 = parse_type((corpus / "producer_commit.chty").read_text())

@@ -1,5 +1,7 @@
+import functools
 import gc
 import random
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,8 @@ from cherrypi.runtime import explore
 from cherrypi.sessiontypes import (TMu, subst_type, subtypes, type_key,
                                    unfold_type)
 from cherrypi.syntax import (_REPS, _drop, _intern, Accept, Branch, Call, ChanVar,
-                             CheckpointProcess, Commit, Endpoint, If, Inact,
+                             CheckpointProcess, Commit, Endpoint, ErrorState,
+                             If, Inact,
                              Lit, Log, Par, PVar, Rec, Recv,
                              Request, Roll, Select, Send, Session, Ufun, Var,
                              canonicalize, head_normal, par,
@@ -62,6 +65,17 @@ def test_substitute_respects_binders():
     # the inner receive rebinds u, so its body is untouched
     body = Recv(k, "u", "int", Send(k, Var("u"), Inact()))
     assert substitute(body, "u", Lit(7)) == body
+
+
+def test_substitute_renames_a_binder_that_would_capture():
+    # the replacement's free Y would be caught by the rec Y it lands under
+    body = Rec("Y", Branch(k, (("a", PVar("X")), ("b", PVar("Y")))))
+    assert substitute(body, "X", PVar("Y")) == \
+        Rec("Y_1", Branch(k, (("a", PVar("Y")), ("b", PVar("Y_1")))))
+    # a fresh name is one no name around it takes
+    assert substitute(Rec("Y", Branch(k, (("a", PVar("X")),
+                                          ("b", PVar("Y_1"))))),
+                      "X", PVar("Y")).var == "Y_2"
 
 
 def test_head_normal_unfolds_recursion_at_the_head():
@@ -176,6 +190,19 @@ def _reordered(t):
     return t
 
 
+def _error_swapped(t):
+    """`t` with each error state of the other kind."""
+    match t:
+        case ErrorState(kind):
+            return ErrorState("com_error" if kind == "roll_error"
+                              else "roll_error")
+        case Par(parts):
+            return Par(tuple(_error_swapped(q) for q in parts))
+        case Session(s, saved, body):
+            return Session(s, saved, _error_swapped(body))
+    return t
+
+
 def _log_processes(c):
     for it in par_parts(c):
         if isinstance(it, Session):
@@ -195,21 +222,38 @@ def _assert_keys_match_texts(terms, key, text):
     assert all(len(ss) == 1 for ss in by_key.values())
 
 
+RULES = Path(__file__).parent / "rules"
+
+
+@functools.cache
+def _rule_states() -> tuple:
+    """The depth-8 detect explorations of the programs of `tests/rules/`,
+    which take every error rule."""
+    return tuple(s for path in sorted(RULES.glob("*.chpi"))
+                 for s in explore(parse_program(path.read_text()), depth=8,
+                                  mode="detect").states)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_keys_are_equal_exactly_when_texts_are(seed):
-    prog = random_program(random.Random(seed), safe=(seed % 2 == 0))
-    go = explore
+    rng = random.Random(seed)
+    progs = [random_program(rng, safe=(seed % 2 == 0)),
+             random_program(rng, safe=(seed % 2 == 0), int_guards=True)]
     if seed % 3 == 0:
-        prog, go = to_multiparty(prog), m_explore
-    rep = go(prog, depth=8, mode="detect")
+        progs = list(map(to_multiparty, progs))
+    found = [*_rule_states()]
+    for prog in progs:
+        found += explore(prog, depth=8, mode="detect").states
     # an alpha-renamed copy, a copy whose session names are shuffled the way
-    # another connection order would number them, and a reordered copy
+    # another connection order would number them, a reordered copy, and
+    # a copy whose error states are of the other kind
     swap = {"s1": "s2", "s2": "s1"}
-    states = list(rep.states)
-    states += [_renamed(s, lambda n: n + "_r") for s in rep.states]
-    states += [_renamed(s, lambda n: swap.get(n, n)) for s in rep.states]
-    states += [_reordered(s) for s in rep.states]
+    states = list(found)
+    states += [_renamed(s, lambda n: n + "_r") for s in found]
+    states += [_renamed(s, lambda n: swap.get(n, n)) for s in found]
+    states += [_reordered(s) for s in found]
+    states += [_error_swapped(s) for s in found]
     _assert_keys_match_texts(states, term_key,
                              lambda c: canonicalize(c).text)
     procs = [p for s in states for p in _log_processes(s)]
