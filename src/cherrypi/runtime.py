@@ -882,11 +882,10 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
     first found is kept; its term is built when the report's `states` is
     read.  An edge is one transition, labelled by its built candidate:
     values of an expression that give one labelled step, or key-equal
-    endpoints that open one session, make one edge.  States are classified
-    after the search: an expanded state is live when it has an out-edge,
-    and the final frontier's steps are computed but not expanded.  The
-    report holds the ids of the error and stuck states; `to_json` rebuilds
-    each one's path and oracle script with `TransitionSystem.path_to`."""
+    endpoints that open one session, make one edge.  A state is live unless
+    the search found it dead.  The report holds the ids of the error and stuck
+    states; `to_json` rebuilds each one's path and oracle script with
+    `TransitionSystem.path_to`."""
     _check_mode(mode)
     init = program.term
     # state id -> its items' keys in item order; representatives, held
@@ -973,12 +972,10 @@ def explore(program: SourceProgram, depth: int = 30, mode: str = "plain",
 
     ts = search(par_parts(init), tuple(sorted(serials[0])), steps_of, make,
                 budget=budget, depth=depth)
-    live = set(ts.src)
-    expanded = len(ts.nodes) - len(ts.frontier)
+    dead = set(ts.dead)
     errors, stuck, completed = [], [], 0
     for sid, items in enumerate(ts.nodes):
-        kind = classify_state(items, sid in live if sid < expanded
-                              else bool(steps_of(sid, items)))
+        kind = classify_state(items, sid not in dead)
         if kind == "completed":
             completed += 1
         elif kind != "live":

@@ -23,10 +23,10 @@ A successor's key is derived from the parent's by replacing only the
 slots the step changed; an abort returns to the root node of the node's
 initial types, which is keyed from those types, as a search's root is.
 
-`search` is the package's one breadth-first search, under
-`reachable_system` and `runtime.explore` alike: it keeps edges and parent
-pointers in flat arrays, an edge's label being slot 1 of its step, and is
-the only place that checks a state budget.
+`search` is the package's one breadth-first search, under `reachable_system`
+and `runtime.explore` alike: it keeps edges and parent pointers in flat
+arrays, an edge's label being slot 1 of its step, lists the dead states,
+those with no step, and alone checks a state budget.
 """
 
 from __future__ import annotations
@@ -248,18 +248,18 @@ def _party_transitions(node: tuple, parties=None) -> list:
 # ---------------------------------------------------------------------------
 
 class TransitionSystem(metaclass=record):
-    """What `search` found, for types and programs alike, in flat columns:
-    per state its node and the index of the edge that found it (-1 for
-    state 0); per edge, in source order, its ends and its label, slot 1 of
-    its step.  `states` is `nodes`, and `edges` are (src, dst, label)
-    triples, built on first read: a type-level label is (party, rule,
-    label), a program's the built `runtime.Candidate`."""
+    """What `search` found, for types and programs alike, in flat columns: per
+    state its node and the index of the edge that found it (-1 for state 0);
+    per edge, in source order, its ends and its label, slot 1 of its step; the
+    dead states, with no step.  `states` is `nodes`, and `edges` are (src,
+    dst, label) triples, built on first read: a type-level label is (party,
+    rule, label), a program's the built `runtime.Candidate`."""
     nodes: list
     src: array
     dst: array
     labels: list
     found_by: array
-    frontier: list  # the highest ids: found, not expanded (depth cut)
+    dead: list  # ids of the states whose `steps` gave none, in id order
 
     states = property(lambda self: self.nodes)
 
@@ -282,9 +282,10 @@ def search(root, key, steps, make, budget: int | None = None,
     """Breadth-first search from `root`, whose key is `key`.
     `steps(sid, node)` lists a state's steps in successor order, each a
     tuple whose slot 0 is its successor's key and slot 1 its edge's
-    label; `make(src, node, step)` builds a successor's node only when
-    that key is new.  Layers from `depth` on are not expanded; more than
-    `budget` states raise `BudgetExceeded`."""
+    label; `make(src, node, step)` builds a successor's node only when that
+    key is new.  A state whose steps are none is `dead`.  Layers from `depth`
+    on are not expanded: the first of them is stepped only to find its dead
+    states.  More than `budget` states raise `BudgetExceeded`."""
     limit = current_budget(budget)
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
@@ -292,12 +293,15 @@ def search(root, key, steps, make, budget: int | None = None,
     index = {key: 0}
     known = index.get
     src, dst, labels, found_by = array("l"), array("l"), [], array("l", [-1])
-    frontier, layer = [0], 0
+    frontier, layer, dead = [0], 0, []
     while frontier and layer != depth:
         found: list = []
         for sid in frontier:
             node = nodes[sid]
-            for step in steps(sid, node):
+            out = steps(sid, node)
+            if not out:
+                dead.append(sid)
+            for step in out:
                 tid = known(step[0])
                 if tid is None:
                     tid = len(nodes)
@@ -313,7 +317,8 @@ def search(root, key, steps, make, budget: int | None = None,
                 labels.append(step[1])
         frontier = found
         layer += 1
-    return TransitionSystem(nodes, src, dst, labels, found_by, frontier)
+    dead += [sid for sid in frontier if not steps(sid, nodes[sid])]
+    return TransitionSystem(nodes, src, dst, labels, found_by, dead)
 
 
 def reachable_system(*types: SessionTypeT,
@@ -389,10 +394,8 @@ def check_compliance(*types: SessionTypeT,
 def _compliance(types: tuple, budget: int | None, roles: bool) \
         -> ComplianceReport:
     ts = reachable_system(*types, budget=budget)
-    live = set(ts.src)
-    violations = [sid for sid, node in enumerate(ts.nodes) if sid not in live
-                  and not all(isinstance(head_normal_type(t), TEnd)
-                              for t in node[2])]
+    violations = [sid for sid in ts.dead if not all(
+        isinstance(head_normal_type(t), TEnd) for t in ts.nodes[sid][2])]
     return ComplianceReport(ts, violations, roles)
 
 

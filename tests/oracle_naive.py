@@ -337,10 +337,11 @@ def naive_explore_report(program, depth=30, mode="plain"):
     carries.  Whole states are stepped by `reduction_steps`, built by
     `forced_steps`, and keyed by `term_key` (`explore` steps and keys
     items).  Steps of one state with the same (successor, rule, label,
-    backward) are one edge, the first."""
+    backward) are one edge, the first.  A state is dead when it has no
+    step, whether expanded or on the frontier a depth cut leaves."""
     states, info = [program.term], [([], [])]
     index = {term_key(program.term): 0}
-    found_by, transitions, errors, stuck = [-1], [], [], []
+    found_by, transitions, errors, stuck, dead = [-1], [], [], [], []
     seen = set()
     completed = 0
 
@@ -353,6 +354,8 @@ def naive_explore_report(program, depth=30, mode="plain"):
 
     def note(sid, cands):
         nonlocal completed
+        if not cands:
+            dead.append(sid)
         kind = classify_state(par_parts(states[sid]), bool(cands))
         if kind in ("roll_error", "com_error", "stuck"):
             (stuck if kind == "stuck" else errors).append(entry(kind, sid))
@@ -388,7 +391,7 @@ def naive_explore_report(program, depth=30, mode="plain"):
         [par_parts(t) for t in states],
         array("l", [e[0] for e, _ in transitions]),
         array("l", [e[1] for e, _ in transitions]),
-        [c for _, c in transitions], array("l", found_by), frontier)
+        [c for _, c in transitions], array("l", found_by), dead)
     ids = [[e["state"] for e in es] for es in (errors, stuck)]
     return ExplorationReport(system, *ids, completed, depth), errors + stuck
 

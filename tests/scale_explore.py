@@ -5,7 +5,7 @@ seconds and peak RSS.  It exits 1 when the counts are not kpar's 11**k
 states and 13 * k * 11**(k - 1) edges, or when the peak RSS is above
 `--max-rss-mb`.  Standard library only; run it from the repository root:
 
-    PYTHONPATH=src python3 tests/scale_explore.py --k 5 --max-rss-mb 143
+    PYTHONPATH=src python3 tests/scale_explore.py --k 5 --max-rss-mb 135
 
 At k = 5 and depth 200 that is 161,051 states and 951,665 edges.
 """

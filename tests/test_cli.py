@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,7 +21,12 @@ import pytest
 import cherrypi
 from cherrypi import corpus_dir
 from cherrypi.cli import main
+from cherrypi.parser import parse_program, parse_type, render_program
+from cherrypi.runtime import DecisionOracle, explore, simulate
+from cherrypi.semantics import check_compliance, check_rollback_safety
+from cherrypi.sessiontypes import render_type
 from cherrypi.syntax import par_parts
+from genprog import random_program, random_type
 from test_dispatch import _chain
 
 CORPUS = corpus_dir()
@@ -452,6 +458,48 @@ def test_explore_counts_transitions_not_values_drawn(tmp_path):
     arrows = [ln for ln in dot.read_text().splitlines() if "->" in ln]
     assert len(arrows) == len(set(arrows)) == 5
     assert '  n1 -> n2 [label="F-If s1:p1 else"];' in arrows
+
+
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_a_stuck_state_is_reported_on_and_behind_the_depth_cut(tmp_path,
+                                                               depth):
+    # at depth 1 state 1 is on the cut frontier, stepped but not expanded;
+    # at depth 2 it is expanded; either way it has no step
+    prog = tmp_path / "stuck.chpi"
+    prog.write_text("request a(x). x!<1>. 0 | accept a(y). y!<2>. 0\n")
+    assert cli("explore", prog, "--depth", depth) == (
+        1, f"2 states, 1 edges, 0 completed (depth {depth})\n"
+           "  stuck at state 1: F-Con a:s1\n", "")
+
+
+def test_exit_codes_are_the_library_verdicts_on_generated_inputs(tmp_path):
+    # safe and unsafe programs, with and without int guards, and type
+    # pairs: each command exits 0 exactly when the library's report says
+    # so, and otherwise 1, never 2, 3 or 4
+    src, trace = tmp_path / "p.chpi", tmp_path / "t.json"
+    left, right = tmp_path / "l.chty", tmp_path / "r.chty"
+    for seed in range(40):
+        rng = random.Random(seed)
+        src.write_text(render_program(random_program(
+            rng, safe=seed % 2 == 0, int_guards=seed % 4 >= 2)))
+        left.write_text(render_type(random_type(rng)))
+        right.write_text(render_type(random_type(rng)))
+        prog = parse_program(src.read_text())
+        run = simulate(prog, DecisionOracle("seeded-random", seed=seed),
+                       max_steps=40, mode="detect")
+        verdicts = [
+            (("check", src), check_rollback_safety(prog.term).safe),
+            (("comply", left, right), check_compliance(
+                parse_type(left.read_text()),
+                parse_type(right.read_text())).compliant),
+            (("explore", src, "--depth", 10, "--error-mode", "detect"),
+             explore(prog, depth=10, mode="detect").ok),
+            (("run", src, "--seed", seed, "--max-steps", 40,
+              "--error-mode", "detect", "--trace", trace),
+             run.status in ("completed", "cut-off")),
+            (("replay", trace), True)]
+        for argv, ok in verdicts:
+            assert cli(*argv)[0] == (0 if ok else 1), (seed, argv)
 
 
 # ---------------------------------------------------------------- failure modes

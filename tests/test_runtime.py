@@ -1140,15 +1140,16 @@ def _exploration_or_error(explorer, program, mode, depth=20):
     return (rep.to_json(),
             [(s, d, c.rule, c.text, c.backward)
              for s, d, c in rep.system.edges],
-            [show_collaboration(s) for s in rep.states])
+            [show_collaboration(s) for s in rep.states], rep.system.dead)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from(["plain", "detect"]))
 def test_exploration_equals_the_whole_state_reference(seed, mode):
     # explore steps items and keys states as multisets of item keys; the
-    # reference steps and keys whole states.  Reports, transitions and the
-    # rendered states (the first alpha-variant found) must all agree
+    # reference steps and keys whole states.  Reports, transitions, the
+    # rendered states (the first alpha-variant found) and the dead states,
+    # which the reference notes as it steps each state, must all agree
     rng = random.Random(seed)
     prog = random_program(rng, safe=(seed % 2 == 0))
     for p in (prog, to_multiparty(prog), _kpar(1 + seed % 2),

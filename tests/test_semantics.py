@@ -228,6 +228,19 @@ def test_violations_are_the_stuck_states_not_all_at_end(types):
         assert [v["state"] for v in rep.to_json()["violations"]] == want
 
 
+def test_dead_states_are_the_states_without_an_out_edge(types):
+    # the search records a state as dead when it steps it; with no depth
+    # cut that is exactly a state no edge leaves, in id order
+    rng = random.Random(0)
+    pairs = [(a, b) for a in types.values() for b in types.values()] + \
+        [(random_type(rng), random_type(rng)) for _ in range(200)]
+    for a, b in pairs:
+        ts = reachable_system(a, b)
+        live = set(ts.src)
+        assert ts.dead == [sid for sid in range(len(ts.nodes))
+                           if sid not in live]
+
+
 # -- reachability, determinism, budget --------------------------------------
 
 FROZEN_PAIRS = [
