@@ -5,7 +5,7 @@ parties, and `infer` groups a collaboration's endpoints by service and
 infers each role's type, a binary service being the two-role case.  What
 is left here: the `m_*` names of those engines, and the transcription of
 a binary program into its two-role twin (the erasure back, which only the
-cross-checks use, is in the tests' `oracle_naive`).
+cross-checks use, is in the tests' `references`).
 """
 
 from __future__ import annotations

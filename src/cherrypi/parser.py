@@ -487,16 +487,12 @@ class _ProgParser:
                     self.free.add((2, text))
                     ch = ChanVar(text)
                 pending, b = _NO_NAMES, None
-                if made is Branch:
-                    # a role tag before the arm block, or after it
-                    role, arms = None, {}
-                    if kinds[i + 2] != "{":  # `@r{`, else `expect` raises
-                        p.pos = i + 2
-                        role = self._role_suffix()
-                        p.expect("{")
-                        i = p.pos - 3
+                if made is Branch:  # its role tag follows the arm block
+                    if kinds[i + 2] != "{":
+                        p.expect_all(i + 2, "{")
+                    arms = {}
                     i = _next_arm(p, i + 3, arms)
-                    push((Branch, ch, role, arms, texts[i - 2]))
+                    push((Branch, ch, arms, texts[i - 2]))
                     continue
                 if made is Recv:
                     if kinds[i + 2:i + 7] != _RECV \
@@ -593,24 +589,19 @@ class _ProgParser:
                     elif tag is If:
                         node = If(frame[1], frame[2], node)
                     elif tag is Branch:  # one frame for the arm group
-                        _, ch, role, arms, lab = frame
+                        _, ch, arms, lab = frame
                         arms[lab] = node
                         if kinds[i] == ",":
                             i = _next_arm(p, i + 1, arms)
-                            push((tag, ch, role, arms, texts[i - 2]))
+                            push((tag, ch, arms, texts[i - 2]))
                             pending = _NO_NAMES
                             break
                         if kinds[i] != "}":
                             p.expect_all(i, "}")
-                        i += 1
-                        if role is None:  # a tag after the block, or none
-                            if kinds[i] == "@":
-                                p.pos = i
-                                role = self._role_suffix()
-                                i = p.pos
-                            else:
-                                tagged.add(False)
-                        node = Branch(ch, tuple(arms.items()), role)
+                        p.pos = i + 1
+                        node = Branch(ch, tuple(arms.items()),
+                                      self._role_suffix())
+                        i = p.pos
                     elif tag == "then":  # the else-branch follows
                         if kinds[i] != "kw" or texts[i] != "else":
                             p.pos = i

@@ -15,10 +15,10 @@ A configuration is a node, the tuple (`config_key`, checkpoint types,
 current types, initial types), whose key's slots hold the imposed flags.
 It is the one shape of a type-level state: a system's `states` are its
 nodes, and a compliance report's violations are state ids.
-`_party_transitions` is the one stepper of nodes: it steps each party
+`config_transitions` is the one stepper of nodes: it steps each party
 from the head of its current type, and its steps are (successor key,
-(party, rule, label), successor node), read by `search`,
-`config_transitions` and the shadow checker's `shadow._mirror`.
+(party, rule, label), successor node), read by `search` and, one party
+at a time, by the shadow checker's `shadow._mirror`.
 A successor's key is derived from the parent's by replacing only the
 slots the step changed; an abort returns to the root node of the node's
 initial types, which is keyed from those types, as a search's root is.
@@ -137,13 +137,7 @@ def _root(types: tuple) -> tuple:
     return tuple(key), types, types, types
 
 
-def config_transitions(node: tuple) -> list:
-    """All journal steps of a configuration's node, as `_party_transitions`
-    gives them."""
-    return _party_transitions(node)
-
-
-def _party_transitions(node: tuple, parties=None) -> list:
+def config_transitions(node: tuple, parties=None) -> list:
     """The journal steps of the parties at the 0-based log positions
     `parties` (all by default), each (successor key, (party, rule, label),
     successor node); an abort returns to the `_root` of its initial types.
@@ -329,7 +323,7 @@ def reachable_system(*types: SessionTypeT,
     numbering reproducible.  A state is its node, and an edge's label and
     a path step are (party, rule, label)."""
     root = _root(types)
-    return search(root, root[0], lambda sid, node: _party_transitions(node),
+    return search(root, root[0], lambda sid, node: config_transitions(node),
                   lambda src, node, step: step[2], budget=budget)
 
 

@@ -10,7 +10,7 @@ and hashed by class and fields, and free to carry private caches (`_rep`,
 `subtypes` and `_map_type` are the one statement of each type's shape;
 `_map_type` returns a node whose children did not change as the same
 object.  `subst_type` is built on them.  `type_key`, `canonical_type`,
-`render_type` and the type-level stepper `semantics._party_transitions`
+`render_type` and the type-level stepper `semantics.config_transitions`
 stay hand-written: they key or number binders, emit concrete syntax or
 step a party from its type's head.
 """
@@ -276,17 +276,16 @@ def _rep_of(t, env: tuple, low: list):
 
 def render_type(t: SessionTypeT) -> str:
     """Concrete syntax for a type, re-parsable by the type parser."""
-    return _render(t, None)
+    return _render(t, {})
 
 
-def _render(t: SessionTypeT, memo: dict | None) -> str:
-    """`render_type(t)`.  With a `memo` (node id -> text), each node is
-    rendered once per memo; ids are only safe while the caller keeps the
-    nodes alive, so a memo lives for one call."""
-    if memo is not None:
-        text = memo.get(id(t))
-        if text is not None:
-            return text
+def _render(t: SessionTypeT, memo: dict) -> str:
+    """`render_type(t)`, each node rendered once per `memo` (node id ->
+    text); ids are only safe while the caller keeps the nodes alive, so a
+    memo lives for one call."""
+    text = memo.get(id(t))
+    if text is not None:
+        return text
     kind = type(t)
     if kind is TOut or kind is TIn:
         text = (f"{'!' if kind is TOut else '?'}{_roles_tag(t.src, t.dst)}"
@@ -314,6 +313,5 @@ def _render(t: SessionTypeT, memo: dict | None) -> str:
         text = _TAG.get(kind)
         if text is None:
             raise MalformedTerm(f"not a session type: {t!r}")
-    if memo is not None:
-        memo[id(t)] = text
+    memo[id(t)] = text
     return text

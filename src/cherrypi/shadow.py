@@ -3,7 +3,7 @@
 The paper's design-time check rests on subject reduction: every process
 step has a matching type-level step.  `shadow_typecheck` checks that of a
 recorded run.  It mirrors each step on its session's tracked configuration,
-a `semantics._party_transitions` node, and, after every step, retypes each
+a `semantics.config_transitions` node, and, after every step, retypes each
 live log's current and checkpoint process and compares their type keys
 with the node's key.  The retype is independent of the mirror: a log's
 type is inferred from its process, never derived by stepping the tracked
@@ -23,7 +23,7 @@ from __future__ import annotations
 from .syntax import ErrorState, Session, par_parts, record
 from .sessiontypes import TErr, render_type, type_key
 from .infer import TypingError, service_types, type_of_process
-from .semantics import _party_transitions, _root
+from .semantics import _root, config_transitions
 
 
 class ShadowReport(metaclass=record):
@@ -87,8 +87,8 @@ def _mirror(node: tuple, step, failures: list) -> tuple:
         return node
     rules, missing, disagrees = _MIRRORS[rule]
     want = _type_label(rule, step.text)
-    # only the stepping party's transitions, in `config_transitions` order
-    found = [(r, succ) for _, (_, r, lab), succ in _party_transitions(
+    # only the stepping party's transitions
+    found = [(r, succ) for _, (_, r, lab), succ in config_transitions(
         node, (step.party - 1,)) if lab == want]
     for r, succ in found:
         if r in rules:

@@ -666,8 +666,7 @@ def substitute(term: Process, name: str, replacement) -> Process:
         var = ChanVar(name)
         return _subst_leaves(term, ("c", name),
                              chan=lambda r: replacement if r == var else r)
-    if isinstance(replacement, (Send, Recv, Select, Branch, If, Rec, PVar,
-                                Inact, Commit, Roll, Abort)):
+    if isinstance(replacement, Process):
         return _subst_proc(term, name, replacement)
     raise MalformedTerm(
         f"substitution replacement of unsupported kind: {replacement!r}")

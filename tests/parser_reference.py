@@ -266,8 +266,6 @@ class RecursiveProgParser(_ProgParser):
             p.expect(".")
             return Select(ch, lab, self.process(), role)
         if p.eat(">+"):
-            # a role tag before the arm block ...
-            role = self._role_suffix() if p.at("@") else None
             p.expect("{")
             arms: list = []
             seen: set = set()
@@ -283,9 +281,7 @@ class RecursiveProgParser(_ProgParser):
                 if not p.eat(","):
                     break
             p.expect("}")
-            if role is None:  # ... or after it
-                role = self._role_suffix()
-            return Branch(ch, tuple(arms), role)
+            return Branch(ch, tuple(arms), self._role_suffix())
         p.fail("expected !, ?, <+ or >+ after a session variable")
 
 

@@ -22,7 +22,7 @@ from cherrypi.semantics import (check_compliance, check_rollback_safety,
                                 compliance_dot, reachable_system)
 from cherrypi.sessiontypes import canonical_type, render_type
 from genprog import random_program, random_type
-from oracle_naive import erase_trace
+from references import erase_trace
 
 
 def describe_configuration(node):

@@ -2,7 +2,7 @@ import pytest
 
 import cherrypi.multiparty as mp
 from conftest import BINARY_PROGRAMS, fill_roles, parse_process_text
-from oracle_naive import erase_rule_name, erase_to_binary, erase_trace
+from references import erase_rule_name, erase_to_binary, erase_trace
 from cherrypi.infer import infer_collaboration, service_types
 from cherrypi.parser import parse_program, parse_type
 from cherrypi.runtime import (DecisionOracle, barbs, explore,

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from genprog import random_program, random_type
 from conftest import ALL_PROGRAMS, parse_expression_text, parse_process_text
-from oracle_naive import naive_endpoint_check, naive_tokenize
+from references import naive_endpoint_check, naive_tokenize
 import parser_reference
 from cherrypi import corpus_dir, parser, sessiontypes, syntax
 from cherrypi.multiparty import to_multiparty
@@ -161,6 +161,18 @@ def test_body_must_only_use_its_session_variable():
 def test_mixed_multiparty_and_binary_roles_rejected():
     with pytest.raises(ParseError, match="mixed"):
         parse_program("request a[3](x). 0 | accept a(y). 0")
+
+
+def test_a_branch_takes_its_role_tag_after_its_arm_block():
+    # the one form `render_program` writes; a tag before the block is
+    # refused where it stands, by both parsers
+    tagged = "request a[2](x). x>+{ l: 0 }@1\n| accept a[1](y). y<+ l@2. 0\n"
+    assert render_program(parse_program(tagged)) == tagged
+    for parse in parse_program, parser_reference.parse_program:
+        with pytest.raises(ParseError) as ei:
+            parse("request a[2](x). x>+@1{ l: 0 }"
+                  " | accept a[1](y). y<+ l@2. 0")
+        assert str(ei.value) == "1:21: expected '{', found '@'"
 
 
 # -- types ------------------------------------------------------------------
@@ -479,7 +491,7 @@ def test_parsers_raise_only_parse_errors_on_mutated_texts(src):
 
 # -- the lexer against the reference lexer -----------------------------------
 # `tokenize` runs its per-token work in C and keeps no offsets: `_spans`
-# finds them again when a diagnostic needs them.  `oracle_naive.
+# finds them again when a diagnostic needs them.  `references.
 # naive_tokenize` is the lexer that takes one match and one Python step per
 # token and keeps each token's offsets.  Both must give the same kinds,
 # texts and spans, or the same diagnostic, on every text, and the parsers
@@ -627,7 +639,7 @@ def test_lexer_matches_the_reference_lexer_on_mutated_texts(src):
 
 # -- the endpoint check against the three walks it replaces ------------------
 # `parse_program` checks each endpoint body while it parses it;
-# `oracle_naive.naive_endpoint_check` is three walks over the parsed body.
+# `references.naive_endpoint_check` is three walks over the parsed body.
 # Faults put into generated programs must draw the same diagnostic from both.
 
 def _unguarded(p, chan, rng):
@@ -1003,7 +1015,7 @@ _HEAD_TEXTS = [
     "if g(1) == \"b\" then 0 else 0 | accept a(y). y?(u: int). y!<f()>. 0",
     "fun e(): str in { \"a\" }\nfun d(bool): bool in { true, false }\n"
     "request a(x). x!<d(e() == \"a\")>. x!<e()>. 0 | accept a(y). 0",
-    "request a[3](x). x!<1>@2. x?(v: int)@1. x<+ l@2. x>+@1{ l: 0, r: 0 }"
+    "request a[3](x). x!<1>@2. x?(v: int)@1. x<+ l@2. x>+{ l: 0, r: 0 }@1"
     " | accept a[2](y). y?(v: int)@3. y>+{ l: y!<1>@3. 0 }@3"
     " | accept a[1](z). z!<2>@3. z<+ l@3. 0",
     "(request a(x). x!<1>. 0 | (accept a(y). y?(v: int). 0))"

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprog import random_program
-from oracle_naive import (forced_steps, naive_barbs, naive_explore,
-                          naive_explore_report, naive_render, naive_show,
-                          naive_values)
+from oracle_naive import naive_explore, naive_values
+from references import (forced_steps, naive_barbs, naive_explore_report,
+                        naive_render, naive_show)
 from scale_explore import _PC, _PC_DECLS, _kpar
 from cherrypi.infer import TypingError
-from conftest import parse_expression_text, parse_process_text
+from conftest import ALL_PROGRAMS, parse_expression_text, parse_process_text
 from cherrypi.parser import (ParseError, SourceProgram, parse_program,
                              show_collaboration)
 from cherrypi.runtime import (DecisionOracle, ExploreError, MalformedInput,
@@ -25,12 +25,13 @@ from cherrypi.runtime import (DecisionOracle, ExploreError, MalformedInput,
                               enumerate_values, evaluate, explore, guard_value,
                               reduction_steps, replay, ReplayReport,
                               shadow_typecheck, simulate)
-from cherrypi import infer, parser, runtime, shadow, syntax
+from cherrypi import infer, parser, runtime, semantics, shadow, syntax
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.semantics import (BudgetExceeded, check_compliance,
                                 check_rollback_safety)
+from cherrypi.sessiontypes import TErr, type_key
 from cherrypi.syntax import (ChanVar, ErrorState, Inact, Log, MalformedTerm,
-                             Session, canonicalize,
+                             Session, canonicalize, par,
                              par_parts, process_key, subprocesses, term_key,
                              unfold_recursion)
 
@@ -1571,6 +1572,88 @@ def test_shadow_accepts_generated_safe_programs(seed):
                      mode=mode)
         rep = shadow_typecheck(prog, t)
         assert rep.ok, (seed, mode, rep.failures)
+
+
+def _retyped(ses: Session, inits: tuple) -> tuple:
+    """A session as a type-level search node: per log its imposed flag and
+    the keys of its checkpoint's and current's inferred types."""
+    key, cks, curs = [], [], []
+    for lg in par_parts(ses.body):
+        cks.append(infer.type_of_process(lg.ckpt.process, lg.endpoint))
+        curs.append(infer.type_of_process(lg.current, lg.endpoint))
+        key += (lg.ckpt.imposed, type_key(cks[-1]), type_key(curs[-1]))
+    return tuple(key), tuple(cks), tuple(curs), inits
+
+
+def _single_service_programs(corpus):
+    """The corpus, the rule programs and 40 generated programs, each by
+    its name, and the two-role twin of each binary one, by the same."""
+    progs = [(name, parse_program((corpus / f"{name}.chpi").read_text()))
+             for name in ALL_PROGRAMS]
+    progs += [(p.stem, parse_program(p.read_text()))
+              for p in sorted(RULES.glob("*.chpi"))]
+    rng = random.Random(0)
+    progs += [(f"random{k}", random_program(rng, safe=k % 2 == 0))
+              for k in range(40)]
+    return progs + [(name, to_multiparty(p)) for name, p in progs
+                    if not p.multiparty]
+
+
+@pytest.mark.parametrize("mode", ["plain", "detect"])
+def test_every_explored_edge_has_its_type_level_step(corpus, mode):
+    # subject reduction over whole state spaces, not one run: every
+    # connection opens its service's initial configuration, and every
+    # session step is mirrored by `shadow._mirror` from the retyped
+    # source onto the retyped target.  Programs of one service only:
+    # `explore` merges states that differ only in session names, so with
+    # several services an edge's target may hold its session under
+    # another name (kpar, rings)
+    progs = _single_service_programs(corpus)
+    assert len(progs) == 117
+    failed, counts = set(), {"con": 0, "ses": 0, "err": 0}
+    for name, prog in progs:
+        types = infer.service_types(prog.term)
+        verdict = check_rollback_safety(prog.term).safe
+        ts = explore(prog, 12, mode).system
+        for src, dst, c in zip(ts.src, ts.dst, ts.labels):
+            target = shadow._find_session(par(*ts.nodes[dst]), c.session)
+            if c.party == 0:
+                counts["con"] += 1
+                inits = types[par_parts(target.saved)[0].chan]
+                got = _retyped(target, inits)
+                assert got[0] == semantics._root(inits)[0], (name, c)
+                continue
+            counts["ses"] += 1
+            source = shadow._find_session(par(*ts.nodes[src]), c.session)
+            inits = types[par_parts(source.saved)[0].chan]
+            failures: list = []
+            node = shadow._mirror(_retyped(source, inits), c, failures)
+            failed |= {(c.rule.removeprefix("M-"),
+                        f.removeprefix(f"{c.label()}: "),
+                        name if verdict else "unsafe") for f in failures}
+            if failures or target is None:
+                continue
+            if any(isinstance(b, ErrorState) for b in par_parts(target.body)):
+                counts["err"] += 1
+                assert all(isinstance(t, TErr) for t in node[2]), (name, c)
+            else:
+                got = _retyped(target, inits)
+                assert got[0] == node[0], (name, c)
+    # only detect mode has error states, each after a roll that TS-Rll2
+    # mirrors
+    assert counts["con"] and counts["ses"]
+    assert bool(counts["err"]) == (mode == "detect")
+    # the steps with no type-level mirror: detect mode's stuck
+    # communications, all in unsafe programs but the party that commits
+    # forever (CHANGES.md), and plain rolls onto an imposed checkpoint,
+    # which only unsafe programs take
+    analogue, imposed = "step has no type analogue", shadow._IMPOSED
+    assert failed == ({
+        ("E-Com1", analogue, "unsafe"), ("E-Com2", analogue, "unsafe"),
+        ("E-Lab1", analogue, "unsafe"), ("E-Lab2", analogue, "unsafe"),
+        ("E-Com1", analogue, "commits_forever"),
+        ("E-Lab1", analogue, "commits_forever")} if mode == "detect"
+        else {("B-Rll", imposed, "unsafe")})
 
 
 # -- classification ---------------------------------------------------------

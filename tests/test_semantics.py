@@ -744,15 +744,18 @@ def _fresh(x):
 
 
 def _assert_stepper_matches_reference(*types):
-    """Node by node, `_party_transitions` steps as the reference steps the
-    configuration the node stands for, and every key is the reference's."""
+    """Node by node, `config_transitions` steps as the reference steps the
+    configuration the node stands for, and every key is the reference's;
+    stepped one party at a time, in party order, it gives the same steps,
+    as `shadow._mirror` relies on."""
     ts = reachable_system(*types)
     assert ts.states is ts.nodes and config_of(ts.nodes[0]) == initial(*types)
     for node in ts.nodes:
         cfg = config_of(node)
         assert node[0] == ref_config_key(_fresh(cfg))
-        got = sem._party_transitions(node)
-        assert config_transitions(node) == got
+        got = config_transitions(node)
+        assert [step for i in range(len(node[2]))
+                for step in config_transitions(node, (i,))] == got
         assert [(*step[1], config_of(step[2])) for step in got] == \
             ref_config_transitions(cfg)
         for key, _, succ in got:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fill_roles, free_type_vars
 from genprog import random_program, random_type
-from oracle_naive import free_names
+from references import free_names
 from cherrypi.multiparty import m_explore, to_multiparty
 from cherrypi.parser import parse_program, parse_type, render_process
 from cherrypi.runtime import explore
